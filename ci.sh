@@ -35,6 +35,11 @@ cargo test -q -p scald-wave --test store_props
 # property that daemon reports are byte-identical to direct runs.
 cargo test -q -p scald-serve --test daemon --test serve_props
 
+# The HDL expander pins: golden FNV-1a hashes of every expansion of the
+# shipped designs, s1_like_hdl and the rtl_pairs twins, and the
+# allocation budget per emitted primitive (a counting global allocator).
+cargo test -q --test expand_golden --test expand_allocs
+
 # The RTL frontend suites: the cascade-race lowering, the spanned-
 # diagnostics failure surface, and the 50-seed cross-frontend property
 # that Verilog and SCALD HDL twins produce byte-identical reports.
@@ -67,6 +72,10 @@ cargo run -q -p scald-bench --release --bin case_tree -- --counts 10,1000 --mast
 # (case_sched always runs the Tree strategy against the naive baseline):
 # a 1000-case sweep must finish and the per-leaf fixed work must drop.
 cargo run -q -p scald-bench --release --bin case_sched -- --counts 10,1000 --master 100 --block 4 --out target/BENCH_sched_smoke.json
+
+# The benchmark's self-tests: all four workloads at tiny size, in both
+# trace modes (its own Cargo package; see e2ebench/README.md).
+cargo test --release --manifest-path e2ebench/Cargo.toml
 
 # Examples must keep building; incr_session doubles as a smoke test of
 # the incremental re-verification subsystem (it asserts the warm report

@@ -110,9 +110,13 @@ impl TimeRange {
 }
 
 impl fmt::Display for TimeRange {
+    /// Writes the range so that [`parse_assertion`] reads back exactly the
+    /// same values: whole clock units as integers, a `+` width with one
+    /// decimal (`+10.0`) when that is exact, and otherwise the shortest
+    /// decimal that parses back to the same `f64` (`+10.25`).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fn num(f: &mut fmt::Formatter<'_>, x: f64) -> fmt::Result {
-            if x.fract() == 0.0 {
+            if x.fract() == 0.0 && (x as i64) as f64 == x {
                 write!(f, "{}", x as i64)
             } else {
                 write!(f, "{x}")
@@ -127,7 +131,12 @@ impl fmt::Display for TimeRange {
             }
             TimeRange::UnitsPlusNs(a, w) => {
                 num(f, a)?;
-                write!(f, "+{w:.1}")
+                let one_decimal = format!("{w:.1}");
+                if one_decimal.parse::<f64>() == Ok(w) {
+                    write!(f, "+{one_decimal}")
+                } else {
+                    write!(f, "+{w}")
+                }
             }
         }
     }
@@ -283,6 +292,23 @@ impl std::error::Error for ParseAssertionError {}
 /// assert!(a.is_none());
 /// ```
 pub fn parse_signal_name(full: &str) -> Result<(String, Option<Assertion>), ParseAssertionError> {
+    split_signal_name(full).map(|(base, assertion)| (base.to_owned(), assertion))
+}
+
+/// [`parse_signal_name`] without copying: the base name is returned as a
+/// slice of `full`.
+///
+/// # Errors
+///
+/// As for [`parse_signal_name`].
+///
+/// ```
+/// use scald_assertions::split_signal_name;
+/// let (base, a) = split_signal_name("  W DATA .S0-6").unwrap();
+/// assert_eq!(base, "W DATA");
+/// assert!(a.is_some());
+/// ```
+pub fn split_signal_name(full: &str) -> Result<(&str, Option<Assertion>), ParseAssertionError> {
     let full = full.trim();
     // Find the last " .X" with X in {P, C, S}.
     let mut split_at = None;
@@ -299,9 +325,9 @@ pub fn parse_signal_name(full: &str) -> Result<(String, Option<Assertion>), Pars
         }
     }
     match split_at {
-        None => Ok((full.to_owned(), None)),
+        None => Ok((full, None)),
         Some(i) => {
-            let base = full[..i].trim_end().to_owned();
+            let base = full[..i].trim_end();
             if base.is_empty() {
                 return Err(ParseAssertionError::new(format!(
                     "signal name {full:?} is only an assertion"
@@ -470,7 +496,9 @@ impl<'a> Tokenizer<'a> {
         if len == digits_start {
             return None;
         }
-        let parsed: f64 = s[..len].parse().ok()?;
+        // A numeral too long for an `f64` reads as infinity, which no
+        // assertion can display and read back; reject it here.
+        let parsed = s[..len].parse::<f64>().ok().filter(|x| x.is_finite())?;
         for _ in 0..len {
             self.bump();
         }
@@ -648,14 +676,25 @@ mod tests {
             ".P2,5",
             ".C4-6 L",
             ".C2+10.0",
+            ".C2+10.25",
             ".P2-3 (-0.5,0.5)",
             ".S0-6",
         ] {
             let a = parse_assertion(text).unwrap();
             let shown = a.to_string();
+            assert_eq!(shown, text, "canonical text");
             let reparsed = parse_assertion(&shown).unwrap();
             assert_eq!(reparsed, a, "round trip failed for {text:?} -> {shown:?}");
         }
+        // Whole numbers beyond `i64` keep their value too.
+        let a = parse_assertion(".S100000000000000000000-100000000000000000001").unwrap();
+        assert_eq!(parse_assertion(&a.to_string()).unwrap(), a);
+    }
+
+    #[test]
+    fn numerals_too_long_for_f64_are_rejected() {
+        let huge = format!(".S1-{}", "9".repeat(400));
+        assert!(parse_assertion(&huge).is_err());
     }
 
     #[test]

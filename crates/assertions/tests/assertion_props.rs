@@ -102,6 +102,58 @@ fn display_parse_round_trip() {
     }
 }
 
+/// Any finite number the parser accepts: short decimals (`10.25`),
+/// long fractions, whole numbers beyond `i64`, and arbitrary bit
+/// patterns.
+fn any_number(rng: &mut Rng) -> f64 {
+    let x = match rng.range_u32(0, 4) {
+        0 => f64::from(rng.range_u32(0, 100_000)) / 100.0,
+        1 => rng.range_i64(-1_000_000, 1_000_000) as f64 / 10f64.powi(rng.range_u32(0, 8) as i32),
+        2 => rng.range_f64(0.0, 1e30),
+        _ => f64::from_bits(rng.next_u64()),
+    };
+    if x.is_finite() {
+        x
+    } else {
+        0.0
+    }
+}
+
+fn any_assertion(rng: &mut Rng) -> Assertion {
+    let kind = kind(rng);
+    let ranges = (0..rng.range_usize(1, 4))
+        .map(|_| match rng.range_u32(0, 3) {
+            0 => TimeRange::Single(any_number(rng)),
+            1 => TimeRange::Units(any_number(rng), any_number(rng)),
+            _ => TimeRange::UnitsPlusNs(any_number(rng), any_number(rng)),
+        })
+        .collect();
+    let skew =
+        (kind.is_clock() && rng.bool()).then(|| (-any_number(rng).abs(), any_number(rng).abs()));
+    Assertion {
+        kind,
+        ranges,
+        skew,
+        active_low: rng.bool(),
+    }
+}
+
+/// Display is lossless: parsing what an assertion displays gives back
+/// the same values for every finite number, not only the one-decimal
+/// widths of [`display_parse_round_trip`]. Signal names, and the content
+/// hashes built from them, therefore tell apart `+10.25` and `+10.2`.
+#[test]
+fn display_parse_round_trip_is_exact_for_any_finite_value() {
+    let mut rng = Rng::seed_from_u64(0xa55e_0004);
+    for _ in 0..CASES {
+        let a = any_assertion(&mut rng);
+        let text = a.to_string();
+        let parsed =
+            parse_assertion(&text).unwrap_or_else(|e| panic!("{text:?} failed to parse: {e}"));
+        assert_eq!(parsed, a, "text: {text}");
+    }
+}
+
 /// The assertion survives embedding in a full signal name.
 #[test]
 fn embeds_in_signal_names() {

@@ -179,24 +179,37 @@ impl Expr {
     ///
     /// # Errors
     ///
-    /// Returns the name of an unbound variable, or a division-by-zero
-    /// message.
+    /// Returns the name of an unbound variable, a division-by-zero
+    /// message, or an overflow message if an intermediate value leaves
+    /// the `i64` range.
     pub fn eval(&self, env: &Env) -> Result<i64, String> {
+        self.eval_with(&|v| env.get(v).copied())
+    }
+
+    /// [`eval`](Self::eval) with parameter values supplied by `lookup`.
+    pub(crate) fn eval_with(&self, lookup: &dyn Fn(&str) -> Option<i64>) -> Result<i64, String> {
+        let overflow = || "arithmetic overflow in range expression".to_owned();
         match self {
             Expr::Num(n) => Ok(*n),
-            Expr::Var(v) => env
-                .get(v)
-                .copied()
-                .ok_or_else(|| format!("unbound parameter {v:?}")),
-            Expr::Add(a, b) => Ok(a.eval(env)? + b.eval(env)?),
-            Expr::Sub(a, b) => Ok(a.eval(env)? - b.eval(env)?),
-            Expr::Mul(a, b) => Ok(a.eval(env)? * b.eval(env)?),
+            Expr::Var(v) => lookup(v).ok_or_else(|| format!("unbound parameter {v:?}")),
+            Expr::Add(a, b) => a
+                .eval_with(lookup)?
+                .checked_add(b.eval_with(lookup)?)
+                .ok_or_else(overflow),
+            Expr::Sub(a, b) => a
+                .eval_with(lookup)?
+                .checked_sub(b.eval_with(lookup)?)
+                .ok_or_else(overflow),
+            Expr::Mul(a, b) => a
+                .eval_with(lookup)?
+                .checked_mul(b.eval_with(lookup)?)
+                .ok_or_else(overflow),
             Expr::Div(a, b) => {
-                let d = b.eval(env)?;
+                let d = b.eval_with(lookup)?;
                 if d == 0 {
                     Err("division by zero in range expression".to_owned())
                 } else {
-                    Ok(a.eval(env)? / d)
+                    a.eval_with(lookup)?.checked_div(d).ok_or_else(overflow)
                 }
             }
         }
@@ -208,14 +221,29 @@ impl Expr {
 ///
 /// # Errors
 ///
-/// Propagates [`Expr::eval`] errors.
+/// Propagates [`Expr::eval`] errors, and rejects a range wider than
+/// `u32::MAX` bits.
 pub fn range_width(range: &Option<(Expr, Expr)>, env: &Env) -> Result<u32, String> {
+    range_width_with(range, &|v| env.get(v).copied())
+}
+
+/// [`range_width`] with parameter values supplied by `lookup`.
+pub(crate) fn range_width_with(
+    range: &Option<(Expr, Expr)>,
+    lookup: &dyn Fn(&str) -> Option<i64>,
+) -> Result<u32, String> {
     match range {
         None => Ok(1),
         Some((a, b)) => {
-            let a = a.eval(env)?;
-            let b = b.eval(env)?;
-            Ok(u32::try_from((a - b).abs() + 1).expect("width fits in u32"))
+            let a = a.eval_with(lookup)?;
+            let b = b.eval_with(lookup)?;
+            let width = (i128::from(a) - i128::from(b)).abs() + 1;
+            u32::try_from(width).map_err(|_| {
+                format!(
+                    "bit range <{a}:{b}> is {width} bits wide; at most {} are supported",
+                    u32::MAX
+                )
+            })
         }
     }
 }
@@ -236,6 +264,10 @@ mod tests {
         assert!(Expr::Var("NOPE".to_owned()).eval(&env).is_err());
         let div = Expr::Div(Box::new(Expr::Num(8)), Box::new(Expr::Num(0)));
         assert!(div.eval(&env).is_err());
+        let big = Expr::Mul(Box::new(Expr::Num(i64::MAX)), Box::new(Expr::Num(2)));
+        assert!(big.eval(&env).unwrap_err().contains("overflow"));
+        let min_div = Expr::Div(Box::new(Expr::Num(i64::MIN)), Box::new(Expr::Num(-1)));
+        assert!(min_div.eval(&env).unwrap_err().contains("overflow"));
     }
 
     #[test]
@@ -254,5 +286,14 @@ mod tests {
         // Descending ranges have the same width.
         let r = Some((Expr::Num(31), Expr::Num(0)));
         assert_eq!(range_width(&r, &env).unwrap(), 32);
+        // The widest representable range, and one bit more.
+        let r = Some((Expr::Num(0), Expr::Num(i64::from(u32::MAX) - 1)));
+        assert_eq!(range_width(&r, &env).unwrap(), u32::MAX);
+        let r = Some((Expr::Num(0), Expr::Num(i64::from(u32::MAX))));
+        assert!(range_width(&r, &env)
+            .unwrap_err()
+            .contains("4294967296 bits"));
+        let r = Some((Expr::Num(i64::MIN), Expr::Num(i64::MAX)));
+        assert!(range_width(&r, &env).is_err());
     }
 }

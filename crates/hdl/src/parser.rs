@@ -29,6 +29,7 @@
 
 use crate::ast::*;
 use crate::token::{lex, Spanned, Token};
+use scald_wave::DelayRange;
 use std::fmt;
 
 /// A parse (or lex) error with its source line.
@@ -220,6 +221,11 @@ impl Parser {
                         // lives inside `top`.
                         let a = self.number()?;
                         let b = self.number()?;
+                        if DelayRange::try_from_ns(a, b).is_none() {
+                            return self.err(format!(
+                                "wire delay {a} {b} is not a delay range (need 0 <= min <= max)"
+                            ));
+                        }
                         design.wire_delay_ns = (a, b);
                         self.expect(&Token::Semi)?;
                     }

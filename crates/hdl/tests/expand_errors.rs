@@ -141,3 +141,70 @@ fn edge_delay_attrs_produce_asymmetric_primitive() {
     // The symmetric delay holds the conservative envelope.
     assert_eq!(prim.delay, scald_wave::DelayRange::from_ns(1.0, 5.0));
 }
+
+/// Expects an expansion error at `line` whose message contains `needle`.
+fn expect_expand_error_at(src: &str, line: u32, needle: &str) {
+    match compile(src) {
+        Err(HdlError::Expand { message, line: at }) => {
+            assert!(
+                message.contains(needle),
+                "expected {needle:?} in {message:?}"
+            );
+            assert_eq!(at, line, "{message}");
+        }
+        Err(other) => panic!("expected expansion error, got: {other}"),
+        Ok(_) => panic!("expected expansion error, compiled fine"),
+    }
+}
+
+#[test]
+fn bit_range_wider_than_u32_is_an_error_not_a_panic() {
+    let src = head("top;\n  signal BUS<0:4294967295>;\n  buf (BUS) -> (Q);\nend;\n");
+    expect_expand_error_at(&src, 3, "4294967296 bits wide");
+    // One bit narrower is the widest range a signal can have.
+    let src = head("top;\n  signal BUS<0:4294967294>;\n  buf (BUS) -> (Q);\nend;\n");
+    let expansion = compile(&src).expect("widest range compiles");
+    assert_eq!(expansion.netlist.signals()[0].width, u32::MAX);
+}
+
+#[test]
+fn overflowing_range_arithmetic_is_an_error_not_a_panic() {
+    let src = head(
+        "macro M (N=1) (A<0:N*N>/P) -> (Q/P);\n  buf (A) -> (Q);\nend;\n\
+         top;\n  use M N=4294967296 (X) -> (Y);\nend;\n",
+    );
+    expect_expand_error_at(&src, 6, "arithmetic overflow");
+    let src = head(
+        "macro M (N=1) (A<0:(N-1)/(0-1)>/P) -> (Q/P);\n  buf (A) -> (Q);\nend;\n\
+         top;\n  use M N=-9223372036854775807 (X) -> (Y);\nend;\n",
+    );
+    expect_expand_error_at(&src, 6, "arithmetic overflow");
+}
+
+#[test]
+fn inverted_delay_ranges_are_errors_not_panics() {
+    let src = head("top;\n  buf delay=3.0:1.0 (A) -> (B);\nend;\n");
+    expect_expand_error_at(&src, 3, "not a delay range");
+    let src = head("top;\n  not rise=-1.0:2.0 (A) -> (B);\nend;\n");
+    expect_expand_error_at(&src, 3, "not a delay range");
+    let src = head("top;\n  buf (A) -> (B);\n  wire_delay A 2.0 1.0;\nend;\n");
+    expect_expand_error_at(&src, 4, "not a delay range");
+    match compile("design D; period 50.0; clock_unit 6.25;\nwire_delay 2.0 1.0;\ntop;\nend;\n") {
+        Err(HdlError::Parse(e)) => {
+            assert_eq!(e.line, 2, "{e}");
+            assert!(e.to_string().contains("not a delay range"), "{e}");
+        }
+        other => panic!("expected a parse error, got {other:?}"),
+    }
+}
+
+#[test]
+fn edge_delayed_inverter_without_input_fails_validation() {
+    let src = head("top;\n  not rise=1.0:2.0 () -> (Q);\nend;\n");
+    match compile(&src) {
+        Err(HdlError::Netlist(e)) => {
+            assert!(e.to_string().contains("needs 1 input(s)"), "{e}");
+        }
+        other => panic!("expected a netlist error, got {other:?}"),
+    }
+}

@@ -389,3 +389,30 @@ fn macro_body_edit_keeps_outside_prim_names_stable() {
         }
     }
 }
+
+/// An assertion reaches the netlist exactly as written: a `+10.25` ns
+/// pulse stays 10.25 ns, through a macro port and a `/M` local alike.
+#[test]
+fn fixed_width_assertions_keep_every_digit() {
+    use scald_assertions::TimeRange;
+    let src = "design D; period 50.0; clock_unit 6.25;\n\
+               macro M (CK/P) -> (Q/P);\n\
+               \x20 buf ('L .P2+10.25'/M) -> (Q);\n\
+               \x20 buf (CK) -> ('L .P2+10.25'/M);\n\
+               end;\n\
+               top;\n  use M ('CK .P2+10.25') -> (OUT);\nend;\n";
+    let netlist = scald_hdl::compile(src).expect("compiles").netlist;
+    for name in ["CK", "TOP/M#1/L"] {
+        let sig = netlist.signal(netlist.signal_by_name(name).expect("declared"));
+        assert_eq!(
+            sig.assertion.as_ref().map(|a| a.ranges.clone()),
+            Some(vec![TimeRange::UnitsPlusNs(2.0, 10.25)]),
+            "{name}"
+        );
+        assert!(
+            sig.full_name().ends_with(".P2+10.25"),
+            "{}",
+            sig.full_name()
+        );
+    }
+}

@@ -203,3 +203,34 @@ fn identical_source_reapply_is_all_clean() {
         session.report().strip_effort().to_json()
     );
 }
+
+/// Editing a fixed pulse width from `+10.25` to `+10.2` ns is a real
+/// edit: the clock's full name, and so its content hash, changes, and the
+/// warm report equals a cold run of the edited source.
+#[test]
+fn hundredths_of_a_pulse_width_are_an_edit() {
+    let design = |width: &str| {
+        format!(
+            "design PW; period 50.0; clock_unit 6.25;\ntop;\n\
+             \x20 buf delay=1.0:1.0 ('CK .P2+{width}') -> (CKB);\n\
+             \x20 min_pulse_width high=10.22 (CKB);\n\
+             \x20 reg delay=1.5:4.5 (CKB, 'D .S0-6') -> (Q);\nend;\n"
+        )
+    };
+    let cold = |src: &str| {
+        Session::open(DesignInput::source(src), "pw")
+            .expect("opens")
+            .report()
+            .strip_effort()
+            .to_json()
+    };
+    let (before, after) = (design("10.25"), design("10.2"));
+    assert_ne!(cold(&before), cold(&after), "the edit changes the verdict");
+
+    let mut session = Session::open(DesignInput::source(&before), "pw").expect("opens");
+    let outcome = session
+        .apply(Delta::Source(after.clone()))
+        .expect("edit applies");
+    assert!(outcome.stats.dirty_prims > 0, "the clock's cone is dirty");
+    assert_eq!(outcome.report.strip_effort().to_json(), cold(&after));
+}

@@ -255,12 +255,11 @@ impl NetlistDelta {
         // Replay the signal table in declaration order so surviving
         // signals keep their ids.
         for (sid, sig) in base.iter_signals() {
-            let declared = match assertions.get(sig.name.as_str()) {
-                Some(Some(a)) => format!("{} {}", sig.name, a),
-                Some(None) => sig.name.clone(),
-                None => sig.full_name(),
+            let new_sid = match assertions.get(sig.name.as_str()) {
+                Some(Some(a)) => b.signal_vec(&format!("{} {}", sig.name, a), sig.width)?,
+                Some(None) => b.signal_parsed(&sig.name, None, sig.width)?,
+                None => b.signal_parsed(&sig.name, sig.assertion.as_ref(), sig.width)?,
             };
-            let new_sid = b.signal_vec(&declared, sig.width)?;
             debug_assert_eq!(new_sid, sid);
             if let Some(wd) = sig.wire_delay {
                 b.set_wire_delay(new_sid, wd);
@@ -286,11 +285,11 @@ impl NetlistDelta {
         // Splice in the additions, declaring any fresh (scalar) signals.
         // References to existing signals keep their declared width.
         fn resolve(b: &mut NetlistBuilder, name: &str) -> Result<crate::SignalId, DeltaError> {
-            let (base_name, _) = crate::netlist::split_name(name)?;
+            let (base_name, assertion) = crate::netlist::split_name(name)?;
             let width = b
-                .find_signal(&base_name)
+                .find_signal(base_name)
                 .map_or(1, |sid| b.signal_width(sid));
-            Ok(b.signal_vec(name, width)?)
+            Ok(b.signal_parsed(base_name, assertion.as_ref(), width)?)
         }
         for spec in added {
             let mut inputs = Vec::with_capacity(spec.inputs.len());
@@ -359,6 +358,24 @@ mod tests {
             n.signal_by_name("Q"),
             "surviving signals keep their ids"
         );
+    }
+
+    #[test]
+    fn retime_keeps_fixed_width_assertions_exact() {
+        let mut b = NetlistBuilder::new(Config::s1_example());
+        let ck = b.signal("CK .P2+10.25").expect("valid");
+        let q = b.signal("Q").expect("valid");
+        b.buf("U1", DelayRange::from_ns(1.0, 2.0), ck, q);
+        let n = b.finish().expect("valid base");
+        let mut delta = NetlistDelta::new();
+        delta.retime("U1", DelayRange::from_ns(3.0, 9.0));
+        let edited = delta.apply(&n).expect("applies");
+        let ck = edited.signal(edited.signal_by_name("CK").expect("kept"));
+        assert_eq!(
+            ck.assertion.as_ref().map(|a| a.ranges.clone()),
+            Some(vec![scald_assertions::TimeRange::UnitsPlusNs(2.0, 10.25)])
+        );
+        assert_eq!(ck.full_name(), "CK .P2+10.25");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The flattened circuit: signals, primitives, drivers and the fan-out
 //! index ("CALL LIST ARRAY", Table 3-3).
 
-use scald_assertions::{parse_signal_name, Assertion, TimingContext};
+use scald_assertions::{split_signal_name, Assertion, TimingContext};
 use scald_wave::DelayRange;
 use std::collections::HashMap;
 use std::fmt;
@@ -573,8 +573,8 @@ impl std::error::Error for NetlistError {}
 
 /// Convenience used by the builder: parse a full signal name into base and
 /// assertion, mapping errors to [`NetlistError`].
-pub(crate) fn split_name(full: &str) -> Result<(String, Option<Assertion>), NetlistError> {
-    parse_signal_name(full).map_err(|e| NetlistError::BadAssertion {
+pub(crate) fn split_name(full: &str) -> Result<(&str, Option<Assertion>), NetlistError> {
+    split_signal_name(full).map_err(|e| NetlistError::BadAssertion {
         name: full.to_owned(),
         message: e.to_string(),
     })

@@ -205,13 +205,12 @@ pub fn serve(opts: &ServeOptions) -> io::Result<()> {
     }
 
     if opts.stdio {
-        let shared_stdio = Arc::clone(&shared);
-        shared_stdio.connections.fetch_add(1, Ordering::AcqRel);
-        handle_connection(io::stdin().lock(), Box::new(io::stdout()), &shared_stdio)?;
-        shared_stdio.connections.fetch_sub(1, Ordering::AcqRel);
+        let guard = ConnectionGuard::new(&shared);
+        handle_connection(io::stdin().lock(), Box::new(io::stdout()), &shared)?;
+        drop(guard);
         // The controlling client hung up: begin the drain so `serve`
         // (and the daemon process) can exit.
-        shared_stdio.shutting_down.store(true, Ordering::Release);
+        shared.shutting_down.store(true, Ordering::Release);
     }
 
     while !shared.drained() {
@@ -234,11 +233,11 @@ fn accept_loop(listener: &UnixListener, shared: &Arc<Shared>) {
         }
         match listener.accept() {
             Ok((stream, _)) => {
-                let shared = Arc::clone(shared);
-                shared.connections.fetch_add(1, Ordering::AcqRel);
+                // Counted before the thread starts, so a drain never sees
+                // an accepted connection as gone.
+                let guard = ConnectionGuard::new(shared);
                 thread::spawn(move || {
-                    let _ = connection_on_stream(stream, &shared);
-                    shared.connections.fetch_sub(1, Ordering::AcqRel);
+                    let _ = connection_on_stream(stream, &guard.0);
                 });
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -467,6 +466,24 @@ fn unknown_session(id: u64, session: &str) -> Response {
         id: Some(id),
         kind: ErrorKind::UnknownSession,
         message: format!("no session {session:?} on this connection"),
+    }
+}
+
+/// Counts one live connection until dropped, whatever path (a panic
+/// included) the connection's thread exits by; a drain waits for every
+/// guard.
+struct ConnectionGuard(Arc<Shared>);
+
+impl ConnectionGuard {
+    fn new(shared: &Arc<Shared>) -> ConnectionGuard {
+        shared.connections.fetch_add(1, Ordering::AcqRel);
+        ConnectionGuard(Arc::clone(shared))
+    }
+}
+
+impl Drop for ConnectionGuard {
+    fn drop(&mut self) {
+        self.0.connections.fetch_sub(1, Ordering::AcqRel);
     }
 }
 

@@ -634,3 +634,55 @@ fn oversized_sweeps_are_rejected_without_expansion() {
     drop(client);
     daemon.join().expect("daemon drains");
 }
+
+/// A bit range wider than `u32::MAX` bits is a compile error, not a
+/// panic: `open` and a whole-source `apply-delta` both answer
+/// `kind:"compile"`, the connection keeps serving, and `shutdown`
+/// drains.
+#[test]
+fn overwide_bit_range_is_a_compile_error_and_shutdown_drains() {
+    let (path, daemon) = start_daemon(ServeOptions {
+        socket: Some(socket_path("widerange")),
+        ..ServeOptions::default()
+    });
+    let bad = "design WIDE; period 50.0; clock_unit 6.25;\n\
+               top;\n  signal BUS<0:4294967295>;\n  buf (BUS) -> (Q);\nend;\n";
+    let expect_compile_error = |response: Response| match response {
+        Response::Error { kind, message, .. } => {
+            assert_eq!(kind, ErrorKind::Compile);
+            assert!(message.contains("line 3"), "spanned message: {message}");
+            assert!(message.contains("4294967296 bits"), "{message}");
+        }
+        other => panic!("expected a compile error, got {other:?}"),
+    };
+
+    let mut client = Client::connect_unix(&path).expect("connects");
+    expect_compile_error(client.open_source(bad, "wide").expect("answered"));
+
+    // The same connection still serves: open a good design, then try to
+    // replace it with the bad source.
+    let (s, _, _) = opened(
+        client
+            .open_source(small_design(0x31DE), "narrow")
+            .expect("opens"),
+    );
+    expect_compile_error(
+        client
+            .apply(&s, DeltaSpec::Source(bad.to_owned()))
+            .expect("answered"),
+    );
+    assert!(matches!(
+        client.run(&s).expect("still runs"),
+        Response::Ran { .. }
+    ));
+
+    assert!(matches!(
+        client.shutdown().expect("shutdown"),
+        Response::ShuttingDown { .. }
+    ));
+    client.close(&s).expect("closes");
+    drop(client);
+    daemon
+        .join()
+        .expect("daemon drains after the last connection");
+}

@@ -193,6 +193,14 @@ impl DelayRange {
         DelayRange::new(Time::from_ns(min), Time::from_ns(max))
     }
 
+    /// [`from_ns`](Self::from_ns) for untrusted bounds: `None` where
+    /// `from_ns` would panic.
+    #[must_use]
+    pub fn try_from_ns(min: f64, max: f64) -> Option<DelayRange> {
+        let (min, max) = (Time::from_ns(min), Time::from_ns(max));
+        (!min.is_negative() && min <= max).then_some(DelayRange { min, max })
+    }
+
     /// The uncertainty this delay adds: `max - min`.
     #[must_use]
     pub fn spread(self) -> Time {
