@@ -40,6 +40,15 @@ cargo test -q -p scald-serve --test daemon --test serve_props
 # allocation budget per emitted primitive (a counting global allocator).
 cargo test -q --test expand_golden --test expand_allocs
 
+# The render-path pins: the allocation budget per signal for turning a
+# finished report into its JSON document and summary listing (a
+# counting global allocator), and the oracle suites that keep the
+# earlier `f64` time formatter, `segments()` waveform listing and two
+# JSON writers as references for the rewritten text forms.
+cargo test -q --test render_allocs
+cargo test -q -p scald-wave --test display_oracle
+cargo test -q -p scald-trace --test json_oracle
+
 # The RTL frontend suites: the cascade-race lowering, the spanned-
 # diagnostics failure surface, and the 50-seed cross-frontend property
 # that Verilog and SCALD HDL twins produce byte-identical reports.

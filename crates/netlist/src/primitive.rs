@@ -27,7 +27,7 @@ use crate::{Conn, SignalId};
 /// | `MinPulseWidth` | `[checked input]` |
 /// | `Buf`, `Not`, `Delay` | `[input]` |
 /// | `Const` | none |
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PrimKind {
     /// Worst-case AND gate (§2.4.2).
     And,
@@ -217,7 +217,7 @@ impl fmt::Display for PrimKind {
 /// primitives (buffers, inverters, delays): output edges of known
 /// polarity use the matching delay; value-unknown transitions use the
 /// conservative envelope of both.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EdgeDelays {
     /// Delay applied to output *rising* edges.
     pub rise: DelayRange,

@@ -172,6 +172,48 @@ fn malformed_frames_answer_with_parse_errors_and_the_connection_lives() {
     daemon.join().expect("daemon drains");
 }
 
+/// One line of 100,000 `[`s used to overflow the frame parser's stack and
+/// abort the whole daemon, dropping every client. Nesting past the
+/// parser's cap is a parse error like any other malformed frame: the
+/// same connection keeps serving and new clients still connect.
+#[test]
+fn a_deeply_nested_frame_is_a_parse_error_and_the_daemon_lives() {
+    let (path, daemon) = start_daemon(ServeOptions {
+        socket: Some(socket_path("nested")),
+        ..ServeOptions::default()
+    });
+    let mut client = Client::connect_unix(&path).expect("connects");
+    let resp = client
+        .request_raw(&"[".repeat(100_000))
+        .expect("connection survives");
+    match resp {
+        Response::Error { id, kind, message } => {
+            assert_eq!(id, None);
+            assert_eq!(kind, ErrorKind::Parse);
+            assert!(
+                message.contains("nesting deeper than 128 levels"),
+                "{message}"
+            );
+        }
+        other => panic!("expected a parse error, got {other:?}"),
+    }
+    assert!(matches!(
+        client.stats().expect("the same connection answers"),
+        Response::Stats { .. }
+    ));
+    let mut second = Client::connect_unix(&path).expect("a second client connects");
+    let Response::Stats { stats, .. } = second.stats().expect("stats") else {
+        panic!("expected stats");
+    };
+    // At least both clients; `start_daemon`'s probe connection may not
+    // have been reaped yet.
+    assert!(stats.connections >= 2, "{} connections", stats.connections);
+    client.shutdown().expect("shutdown");
+    drop(client);
+    drop(second);
+    daemon.join().expect("daemon drains");
+}
+
 #[test]
 fn disconnect_parks_sessions_for_reuse() {
     let (path, daemon) = start_daemon(ServeOptions {

@@ -2,10 +2,11 @@
 //!
 //! This container has no network and no vendored registry, so the report
 //! layer cannot lean on `serde`. This module supplies what the workspace
-//! actually needs: an ordered JSON value type ([`Json`]), a compact and a
-//! pretty writer, a string escaper, and a strict recursive-descent
-//! [`parse`] used by the golden tests that validate `scald-tv --format
-//! json` output.
+//! actually needs: an ordered JSON value type ([`Json`]), one writer that
+//! renders it compact (`Display`) or pretty ([`Json::to_string_pretty`])
+//! straight into the output buffer, and a strict recursive-descent
+//! [`parse`] used by the daemon and by the golden tests that validate
+//! `scald-tv --format json` output.
 //!
 //! Objects preserve insertion order (they are `Vec<(String, Json)>`), so
 //! a document renders in the order it was built — stable for golden
@@ -105,42 +106,9 @@ impl Json {
     #[must_use]
     pub fn to_string_pretty(&self) -> String {
         let mut out = String::new();
-        self.write_pretty(&mut out, 0);
+        write_value(&mut out, self, Some(0)).expect("String write cannot fail");
         out.push('\n');
         out
-    }
-
-    fn write_pretty(&self, out: &mut String, indent: usize) {
-        match self {
-            Json::Arr(items) if !items.is_empty() => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    out.push_str(if i == 0 { "\n" } else { ",\n" });
-                    out.push_str(&"  ".repeat(indent + 1));
-                    item.write_pretty(out, indent + 1);
-                }
-                out.push('\n');
-                out.push_str(&"  ".repeat(indent));
-                out.push(']');
-            }
-            Json::Obj(fields) if !fields.is_empty() => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    out.push_str(if i == 0 { "\n" } else { ",\n" });
-                    out.push_str(&"  ".repeat(indent + 1));
-                    out.push_str(&escape(k));
-                    out.push_str(": ");
-                    v.write_pretty(out, indent + 1);
-                }
-                out.push('\n');
-                out.push_str(&"  ".repeat(indent));
-                out.push('}');
-            }
-            other => {
-                use fmt::Write;
-                write!(out, "{other}").expect("String write cannot fail");
-            }
-        }
     }
 }
 
@@ -166,66 +134,135 @@ impl From<bool> for Json {
 impl fmt::Display for Json {
     /// Compact (single-line) rendering.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::Num(n) => {
-                if n.is_finite() {
-                    write!(f, "{n}")
-                } else {
-                    // JSON has no Inf/NaN; null is the conventional stand-in.
-                    f.write_str("null")
-                }
-            }
-            Json::Str(s) => f.write_str(&escape(s)),
-            Json::Arr(items) => {
-                f.write_str("[")?;
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{item}")?;
-                }
-                f.write_str("]")
-            }
-            Json::Obj(fields) => {
-                f.write_str("{")?;
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(",")?;
-                    }
-                    write!(f, "{}:{v}", escape(k))?;
-                }
-                f.write_str("}")
-            }
+        write_value(f, self, None)
+    }
+}
+
+/// Spaces for one run of pretty-print indentation; deeper levels write
+/// it more than once.
+const INDENT: &str = "                                ";
+
+/// The one JSON writer behind [`Json`]'s compact `Display` and
+/// [`Json::to_string_pretty`]: `indent` is the nesting level of `value`
+/// in the pretty form (two spaces per level, newline-separated members,
+/// `": "` after keys) and `None` for the compact form.
+fn write_value<W: fmt::Write>(out: &mut W, value: &Json, indent: Option<usize>) -> fmt::Result {
+    match value {
+        Json::Null => out.write_str("null"),
+        Json::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
+        Json::Num(n) => write_number(out, *n),
+        Json::Str(s) => write_escaped(out, s),
+        Json::Arr(items) => write_members(out, ('[', ']'), items, indent, |out, item, inner| {
+            write_value(out, item, inner)
+        }),
+        Json::Obj(fields) => {
+            write_members(out, ('{', '}'), fields, indent, |out, (k, v), inner| {
+                write_escaped(out, k)?;
+                out.write_str(if inner.is_some() { ": " } else { ":" })?;
+                write_value(out, v, inner)
+            })
         }
     }
 }
 
-/// Escapes `s` as a quoted JSON string (including the surrounding `"`).
-#[must_use]
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+/// Writes a bracketed, comma-separated member list; an empty list is
+/// `[]`/`{}` in both forms.
+fn write_members<W: fmt::Write, T>(
+    out: &mut W,
+    (open, close): (char, char),
+    members: &[T],
+    indent: Option<usize>,
+    mut member: impl FnMut(&mut W, &T, Option<usize>) -> fmt::Result,
+) -> fmt::Result {
+    out.write_char(open)?;
+    if !members.is_empty() {
+        let inner = indent.map(|level| level + 1);
+        for (i, m) in members.iter().enumerate() {
+            if i > 0 {
+                out.write_char(',')?;
             }
-            c => out.push(c),
+            if let Some(level) = inner {
+                write_newline(out, level)?;
+            }
+            member(out, m, inner)?;
+        }
+        if let Some(level) = indent {
+            write_newline(out, level)?;
         }
     }
-    out.push('"');
-    out
+    out.write_char(close)
 }
+
+fn write_newline<W: fmt::Write>(out: &mut W, level: usize) -> fmt::Result {
+    out.write_char('\n')?;
+    let mut spaces = 2 * level;
+    while spaces > 0 {
+        let run = spaces.min(INDENT.len());
+        out.write_str(&INDENT[..run])?;
+        spaces -= run;
+    }
+    Ok(())
+}
+
+/// Shortest round-trip form, as `{}` prints an `f64` (`-0` for −0.0, every
+/// digit of a large integral value). Integral values that an `i64` holds
+/// exactly skip the float formatter. JSON has no Inf/NaN; `null` is the
+/// conventional stand-in.
+fn write_number<W: fmt::Write>(out: &mut W, n: f64) -> fmt::Result {
+    /// 2^53: every integral `f64` below it converts to `i64` exactly.
+    const EXACT: f64 = 9_007_199_254_740_992.0;
+    if !n.is_finite() {
+        out.write_str("null")
+    } else if n.fract() == 0.0 && n.abs() < EXACT && !(n == 0.0 && n.is_sign_negative()) {
+        #[allow(clippy::cast_possible_truncation)]
+        let whole = n as i64;
+        write!(out, "{whole}")
+    } else {
+        write!(out, "{n}")
+    }
+}
+
+/// Writes `s` as a quoted JSON string, copying runs of bytes that need no
+/// escape in one piece.
+fn write_escaped<W: fmt::Write>(out: &mut W, s: &str) -> fmt::Result {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.write_char('"')?;
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escaped = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x00..=0x1f => "",
+            _ => continue,
+        };
+        // `i` indexes an ASCII byte, so both slices end on char boundaries.
+        out.write_str(&s[run..i])?;
+        if escaped.is_empty() {
+            out.write_str("\\u00")?;
+            out.write_char(char::from(HEX[usize::from(b >> 4)]))?;
+            out.write_char(char::from(HEX[usize::from(b & 0xf)]))?;
+        } else {
+            out.write_str(escaped)?;
+        }
+        run = i + 1;
+    }
+    out.write_str(&s[run..])?;
+    out.write_char('"')
+}
+
+/// Deepest array/object nesting [`parse`] accepts. Parsing recurses once
+/// per level, so without a cap one line of `[`s from an untrusted peer
+/// could exhaust the stack; real documents (a report, a nested sweep)
+/// stay far below it.
+const MAX_DEPTH: usize = 128;
 
 /// Parses a complete JSON document. Strict: trailing garbage, trailing
-/// commas, unquoted keys and bare control characters are errors.
+/// commas, unquoted keys, bare control characters, numbers outside the
+/// RFC 8259 grammar (`+1`, `01`, `.5`, `1.`) and nesting deeper than 128
+/// arrays/objects are errors.
 ///
 /// # Errors
 ///
@@ -233,7 +270,7 @@ pub fn escape(s: &str) -> String {
 pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(text, bytes, &mut pos)?;
+    let value = parse_value(text, bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing data at byte {pos}"));
@@ -256,9 +293,17 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(text: &str, bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses one value whose enclosing arrays/objects number `depth`.
+fn parse_value(text: &str, bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
-    match bytes.get(*pos) {
+    let open = bytes.get(*pos);
+    if matches!(open, Some(b'[' | b'{')) && depth == MAX_DEPTH {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {}",
+            *pos
+        ));
+    }
+    match open {
         None => Err("unexpected end of input".to_owned()),
         Some(b'n') => parse_lit(bytes, pos, b"null", Json::Null),
         Some(b't') => parse_lit(bytes, pos, b"true", Json::Bool(true)),
@@ -273,7 +318,7 @@ fn parse_value(text: &str, bytes: &[u8], pos: &mut usize) -> Result<Json, String
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(text, bytes, pos)?);
+                items.push(parse_value(text, bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -298,7 +343,7 @@ fn parse_value(text: &str, bytes: &[u8], pos: &mut usize) -> Result<Json, String
                 let key = parse_string(text, bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(text, bytes, pos)?;
+                let value = parse_value(text, bytes, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -324,15 +369,38 @@ fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &[u8], value: Json) -> Result<J
     }
 }
 
+/// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?` — RFC 8259 §6.
 fn parse_number(text: &str, bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     let start = *pos;
+    let digits = |pos: &mut usize| {
+        let from = *pos;
+        while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
+            *pos += 1;
+        }
+        *pos > from
+    };
     if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
     }
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-    {
+    let mut valid = if bytes.get(*pos) == Some(&b'0') {
         *pos += 1;
+        true
+    } else {
+        bytes.get(*pos).is_some_and(u8::is_ascii_digit) && digits(pos)
+    };
+    if valid && bytes.get(*pos) == Some(&b'.') {
+        *pos += 1;
+        valid = digits(pos);
+    }
+    if valid && matches!(bytes.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
+            *pos += 1;
+        }
+        valid = digits(pos);
+    }
+    if !valid {
+        return Err(format!("invalid number at byte {start}"));
     }
     text[start..*pos]
         .parse::<f64>()
@@ -343,16 +411,21 @@ fn parse_number(text: &str, bytes: &[u8], pos: &mut usize) -> Result<Json, Strin
 fn parse_string(text: &str, bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
+    // Start of the current run of bytes copied through unchanged. Runs
+    // end only at ASCII bytes, so every slice is on char boundaries.
+    let mut run = *pos;
     loop {
         let Some(&b) = bytes.get(*pos) else {
             return Err("unterminated string".to_owned());
         };
         match b {
             b'"' => {
+                out.push_str(&text[run..*pos]);
                 *pos += 1;
                 return Ok(out);
             }
             b'\\' => {
+                out.push_str(&text[run..*pos]);
                 *pos += 1;
                 let Some(&esc) = bytes.get(*pos) else {
                     return Err("unterminated escape".to_owned());
@@ -383,15 +456,10 @@ fn parse_string(text: &str, bytes: &[u8], pos: &mut usize) -> Result<String, Str
                     }
                     _ => return Err(format!("bad escape at byte {}", *pos - 1)),
                 }
+                run = *pos;
             }
             0x00..=0x1f => return Err(format!("control character in string at byte {}", *pos)),
-            _ => {
-                // Advance one full UTF-8 scalar.
-                let s = &text[*pos..];
-                let c = s.chars().next().ok_or("invalid utf-8")?;
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+            _ => *pos += 1,
         }
     }
 }
@@ -424,7 +492,8 @@ mod tests {
     #[test]
     fn escapes_and_unescapes() {
         let s = "a\"b\\c\nd\te\u{1}f";
-        let quoted = escape(s);
+        let quoted = Json::str(s).to_string();
+        assert_eq!(quoted, r#""a\"b\\c\nd\te\u0001f""#);
         let back = parse(&quoted).expect("valid");
         assert_eq!(back.as_str(), Some(s));
     }
@@ -463,5 +532,54 @@ mod tests {
         assert_eq!(Json::from(3.5).to_string(), "3.5");
         assert_eq!(parse("12").unwrap().as_u64(), Some(12));
         assert_eq!(parse("3.5").unwrap().as_u64(), None);
+    }
+
+    fn nested(depth: usize) -> String {
+        format!("{}{}", "[".repeat(depth), "]".repeat(depth))
+    }
+
+    #[test]
+    fn nesting_is_capped_with_an_offset() {
+        let at_cap = parse(&nested(MAX_DEPTH)).expect("128 levels parse");
+        assert_eq!(at_cap.to_string(), nested(MAX_DEPTH));
+        let obj_at_cap = format!("{}1{}", r#"{"a":"#.repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(parse(&obj_at_cap).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).expect_err("129 levels");
+        assert_eq!(
+            err,
+            format!("nesting deeper than 128 levels at byte {MAX_DEPTH}")
+        );
+        let obj_past = format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        let err = parse(&obj_past).expect_err("129 object levels");
+        assert!(
+            err.starts_with("nesting deeper than 128 levels at byte"),
+            "{err}"
+        );
+        // Far past the cap the error is the same, not a stack overflow.
+        assert!(parse(&"[".repeat(100_000)).is_err());
+    }
+
+    #[test]
+    fn numbers_follow_rfc_8259() {
+        for good in [
+            "0", "-0", "7", "-12", "0.5", "-0.25", "10.01", "1e3", "1E+3", "2e-2", "0e0",
+        ] {
+            assert!(parse(good).is_ok(), "rejected {good:?}");
+        }
+        for bad in [
+            "+1", "01", "-01", ".5", "-.5", "1.", "1.e3", "-", "1e", "1e+", "--1", "0x10", "1_0",
+        ] {
+            let err = parse(bad).expect_err(bad);
+            assert!(
+                err.ends_with("at byte 0") || err.starts_with("trailing data"),
+                "{bad:?}: {err}"
+            );
+        }
+        assert_eq!(parse("[1,.5]").unwrap_err(), "invalid number at byte 3");
+        assert_eq!(parse("01").unwrap_err(), "trailing data at byte 1");
     }
 }

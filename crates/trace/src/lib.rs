@@ -26,7 +26,7 @@
 //!   (`--trace FILE` in `scald-tv`).
 //!
 //! The [`json`] module is the crate's second export: a dependency-free
-//! JSON value type, escaper and recursive-descent parser shared by the
+//! JSON value type, writer and recursive-descent parser shared by the
 //! JSONL sink, the verifier's `Report::to_json`, and the golden tests
 //! that validate CLI output without `serde`.
 

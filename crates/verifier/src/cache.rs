@@ -11,8 +11,8 @@
 //! instead of re-running the kernels.
 //!
 //! Invalidation is by construction: everything `evaluate` reads is in the
-//! key. The static half is rendered once per primitive into a
-//! *descriptor* string and interned to a `u32` signature, so netlist
+//! key. The static half is gathered once per primitive into a
+//! [`PrimDescriptor`] and interned to a `u32` signature, so netlist
 //! edits between `scald-incr` re-verifications produce new signatures for
 //! changed primitives and identical ones for untouched primitives —
 //! stale entries are unreachable, not purged.
@@ -23,13 +23,12 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::fmt::Write as _;
 use std::hash::{BuildHasher, RandomState};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, RwLock};
 
-use scald_netlist::{Netlist, Primitive};
-use scald_wave::{DelayCorner, Skew, WaveId};
+use scald_netlist::{EdgeDelays, Netlist, PrimKind, Primitive};
+use scald_wave::{DelayCorner, DelayRange, Skew, Time, WaveId};
 
 use crate::eval::EvalOutcome;
 use crate::view::StateView;
@@ -109,10 +108,11 @@ impl EvalCacheStats {
 ///
 /// [`VerifierBuilder::shared_eval_cache`]: crate::VerifierBuilder::shared_eval_cache
 pub struct EvalCache {
-    /// Descriptor-string → signature interner. Identical primitive
-    /// descriptions (across netlists, sessions, rebuilds) map to the same
-    /// signature, which is what makes warm-session reuse work.
-    sigs: Mutex<HashMap<String, u32>>,
+    /// Descriptor → signature interner, numbering descriptors in order of
+    /// first occurrence. Identical primitive descriptions (across
+    /// netlists, sessions, rebuilds) map to the same signature, which is
+    /// what makes warm-session reuse work.
+    sigs: Mutex<HashMap<PrimDescriptor, u32>>,
     hasher: RandomState,
     shards: [RwLock<HashMap<EvalKey, EvalOutcome>>; SHARDS],
     hits: AtomicU64,
@@ -139,7 +139,7 @@ impl EvalCache {
         if prim.kind.is_checker() {
             return None;
         }
-        let desc = prim_descriptor(netlist, prim);
+        let desc = PrimDescriptor::of(netlist, prim);
         let mut sigs = self.sigs.lock().expect("eval cache poisoned");
         let next = sigs.len() as u32;
         Some(*sigs.entry(desc).or_insert(next))
@@ -248,31 +248,46 @@ impl fmt::Debug for EvalCache {
     }
 }
 
-/// Renders everything `evaluate` reads from the netlist for one
-/// primitive: period, kind (with parameters), delays, and each
-/// connection's inversion, directive and *resolved* wire delay. Two
-/// primitives with equal descriptors evaluate identically on equal
-/// inputs — the invalidation-by-construction invariant.
-fn prim_descriptor(netlist: &Netlist, prim: &Primitive) -> String {
-    let mut d = String::with_capacity(96);
-    let _ = write!(
-        d,
-        "{:?}|{:?}|{:?}|{:?}",
-        netlist.config().timing.period,
-        prim.kind,
-        prim.delay,
-        prim.edge_delays,
-    );
-    for conn in &prim.inputs {
-        let _ = write!(
-            d,
-            "|{}:{:?}:{:?}",
-            conn.invert,
-            conn.directive,
-            netlist.wire_delay(conn),
-        );
+/// Everything `evaluate` reads from the netlist for one primitive:
+/// period, kind (with parameters), delays, and each connection's
+/// inversion, directive and *resolved* wire delay. Two primitives with
+/// equal descriptors evaluate identically on equal inputs — the
+/// invalidation-by-construction invariant.
+#[derive(Debug, PartialEq, Eq, Hash)]
+struct PrimDescriptor {
+    period: Time,
+    kind: PrimKind,
+    delay: DelayRange,
+    edge_delays: Option<EdgeDelays>,
+    inputs: Vec<ConnDescriptor>,
+}
+
+/// One input connection's share of a [`PrimDescriptor`].
+#[derive(Debug, PartialEq, Eq, Hash)]
+struct ConnDescriptor {
+    invert: bool,
+    directive: Option<String>,
+    wire_delay: DelayRange,
+}
+
+impl PrimDescriptor {
+    fn of(netlist: &Netlist, prim: &Primitive) -> PrimDescriptor {
+        PrimDescriptor {
+            period: netlist.config().timing.period,
+            kind: prim.kind,
+            delay: prim.delay,
+            edge_delays: prim.edge_delays,
+            inputs: prim
+                .inputs
+                .iter()
+                .map(|conn| ConnDescriptor {
+                    invert: conn.invert,
+                    directive: conn.directive.clone(),
+                    wire_delay: netlist.wire_delay(conn),
+                })
+                .collect(),
+        }
     }
-    d
 }
 
 #[cfg(test)]
@@ -370,5 +385,130 @@ mod tests {
         let cache = EvalCache::new();
         assert_eq!(cache.sig_for_prim(&n, &n.prims()[0]), None);
         assert!(cache.is_empty());
+    }
+
+    /// The earlier descriptor: everything `evaluate` reads, rendered with
+    /// `Debug` into one string.
+    fn oracle_descriptor(netlist: &Netlist, prim: &Primitive) -> String {
+        use std::fmt::Write as _;
+        let mut d = String::with_capacity(96);
+        let _ = write!(
+            d,
+            "{:?}|{:?}|{:?}|{:?}",
+            netlist.config().timing.period,
+            prim.kind,
+            prim.delay,
+            prim.edge_delays,
+        );
+        for conn in &prim.inputs {
+            let _ = write!(
+                d,
+                "|{}:{:?}:{:?}",
+                conn.invert,
+                conn.directive,
+                netlist.wire_delay(conn),
+            );
+        }
+        d
+    }
+
+    /// A design that sets every descriptor field the generators leave at
+    /// their defaults: asymmetric edge delays, directive strings, wire
+    /// overrides, inversion and a second period.
+    fn every_descriptor_field(period_ns: f64) -> Netlist {
+        let mut config = Config::s1_example();
+        config.timing.period = Time::from_ns(period_ns);
+        let mut b = NetlistBuilder::new(config);
+        let a = b.signal("A").unwrap();
+        let c = b.signal("C .C2-3").unwrap();
+        let outs: Vec<_> = (0..6)
+            .map(|i| b.signal(&format!("O{i}")).unwrap())
+            .collect();
+        let d = |ns: f64| DelayRange::from_ns(ns, ns + 1.0);
+        b.not_asym("N", d(1.0), d(2.0), a, outs[0]);
+        b.buf_asym("B", d(2.0), d(1.0), a, outs[1]);
+        b.buf(
+            "W",
+            d(1.0),
+            scald_netlist::Conn::new(a).with_wire_delay(d(0.5)),
+            outs[2],
+        );
+        b.and2(
+            "G",
+            d(1.0),
+            a,
+            scald_netlist::Conn::new(c).with_directive("HZ"),
+            outs[3],
+        );
+        b.and2(
+            "H",
+            d(1.0),
+            a,
+            scald_netlist::Conn::new(c).with_directive("A"),
+            outs[4],
+        );
+        b.and2(
+            "I",
+            d(1.0),
+            scald_netlist::Conn::new(a).inverted(),
+            c,
+            outs[5],
+        );
+        b.set_wire_delay(c, DelayRange::ZERO);
+        b.finish().unwrap()
+    }
+
+    #[test]
+    fn descriptor_signatures_match_the_debug_string_interner() {
+        use scald_gen::{figures, s1, scale, sweep};
+        let mut designs = Vec::new();
+        for seed in 0..6 {
+            designs.push(s1::s1_like_netlist(s1::S1Options { chips: 120, seed }).0);
+        }
+        designs.push(figures::hazard_circuit(false));
+        designs.push(figures::hazard_circuit(true));
+        designs.push(figures::register_file_circuit().0);
+        designs.push(figures::case_analysis_circuit().0);
+        designs.push(figures::alu_stage().0);
+        designs.push(figures::correlation_circuit(false));
+        designs.push(figures::correlation_circuit(true));
+        designs.push(figures::sr_latch());
+        for seed in 0..3 {
+            let opts = scale::ScaleOptions {
+                seed,
+                ..scale::ScaleOptions::prims(3_000)
+            };
+            designs.push(scale::scale_netlist(&opts).0);
+            let opts = sweep::SweepOptions {
+                mode_bits: 4,
+                master_slices: 40,
+                block_slices: 3,
+                seed,
+            };
+            designs.push(sweep::sweep_netlist(&opts).0);
+        }
+        designs.push(every_descriptor_field(50.0));
+        designs.push(every_descriptor_field(40.0));
+        // Interning the same designs again must reuse every signature.
+        let twice: Vec<&Netlist> = designs.iter().chain(designs.iter()).collect();
+
+        let cache = EvalCache::new();
+        let mut oracle: HashMap<String, u32> = HashMap::new();
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        for n in &twice {
+            for prim in n.prims() {
+                got.push(cache.sig_for_prim(n, prim));
+                want.push((!prim.kind.is_checker()).then(|| {
+                    let next = oracle.len() as u32;
+                    *oracle.entry(oracle_descriptor(n, prim)).or_insert(next)
+                }));
+            }
+        }
+        assert_eq!(got, want);
+        assert!(
+            oracle.len() > 50,
+            "only {} distinct descriptors",
+            oracle.len()
+        );
     }
 }

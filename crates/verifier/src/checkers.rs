@@ -169,53 +169,38 @@ fn check_setup_hold_edges(
     out: &mut Vec<Violation>,
 ) {
     let period = input.period();
-    let constraint = format!("SETUP TIME = {setup}, HOLD TIME = {hold}");
-    let observed = vec![
-        observed_line("CK INPUT  ", clock_name, clock),
-        observed_line("DATA INPUT", input_name, input),
-    ];
+    // The constraint and listings are formatted only for a pushed
+    // violation: a clean check costs no text.
+    let violation = |kind, missed_by, at| Violation {
+        kind,
+        source: source.to_owned(),
+        constraint: format!("SETUP TIME = {setup}, HOLD TIME = {hold}"),
+        missed_by: Some(missed_by),
+        at: Some(at),
+        observed: vec![
+            observed_line("CK INPUT  ", clock_name, clock),
+            observed_line("DATA INPUT", input_name, input),
+        ],
+        provenance: None,
+    };
     for e in edges {
         let w = e.span;
         // Data changing during the edge window itself: the full set-up is
         // missed (the register may sample mid-transition).
         let window_quiescent = input.quiescent_throughout(w);
         if !window_quiescent && setup > Time::ZERO {
-            out.push(Violation {
-                kind: ViolationKind::Setup,
-                source: source.to_owned(),
-                constraint: constraint.clone(),
-                missed_by: Some(setup),
-                at: Some(w),
-                observed: observed.clone(),
-                provenance: None,
-            });
+            out.push(violation(ViolationKind::Setup, setup, w));
         } else if setup > Time::ZERO {
             let avail = quiescent_before(input, w.start());
             if avail < setup {
-                out.push(Violation {
-                    kind: ViolationKind::Setup,
-                    source: source.to_owned(),
-                    constraint: constraint.clone(),
-                    missed_by: Some(setup - avail),
-                    at: Some(w),
-                    observed: observed.clone(),
-                    provenance: None,
-                });
+                out.push(violation(ViolationKind::Setup, setup - avail, w));
             }
         }
         if hold > Time::ZERO {
             let edge_end = w.end(period);
             let avail = quiescent_after(input, edge_end);
             if avail < hold {
-                out.push(Violation {
-                    kind: ViolationKind::Hold,
-                    source: source.to_owned(),
-                    constraint: constraint.clone(),
-                    missed_by: Some(hold - avail),
-                    at: Some(w),
-                    observed: observed.clone(),
-                    provenance: None,
-                });
+                out.push(violation(ViolationKind::Hold, hold - avail, w));
             }
         }
     }
@@ -440,10 +425,10 @@ fn check_checker_prim<S: StateView + ?Sized>(
         PrimKind::SetupRiseHoldFall { setup, hold } => {
             let input = pin_wave(netlist, prim, &prim.inputs[0], states, corner);
             let clock = pin_wave(netlist, prim, &prim.inputs[1], states, corner);
-            let in_name = netlist.signal(prim.inputs[0].signal).name.clone();
-            let ck_name = netlist.signal(prim.inputs[1].signal).name.clone();
+            let in_name = &netlist.signal(prim.inputs[0].signal).name;
+            let ck_name = &netlist.signal(prim.inputs[1].signal).name;
             let len_before = out.len();
-            if !check_clock_defined(&prim.name, &ck_name, &clock, out) {
+            if !check_clock_defined(&prim.name, ck_name, &clock, out) {
                 attach_provenance(
                     netlist,
                     states,
@@ -452,12 +437,19 @@ fn check_checker_prim<S: StateView + ?Sized>(
                 );
                 return;
             }
-            let observed = vec![
-                observed_line("CK INPUT  ", &ck_name, &clock),
-                observed_line("DATA INPUT", &in_name, &input),
-            ];
+            let violation = |kind, missed_by, at| Violation {
+                kind,
+                source: prim.name.clone(),
+                constraint: format!("SETUP (RISE) = {setup}, HOLD (FALL) = {hold}"),
+                missed_by,
+                at: Some(at),
+                observed: vec![
+                    observed_line("CK INPUT  ", ck_name, &clock),
+                    observed_line("DATA INPUT", in_name, &input),
+                ],
+                provenance: None,
+            };
             for (r, f) in clock_pulses(&clock) {
-                let constraint = format!("SETUP (RISE) = {setup}, HOLD (FALL) = {hold}");
                 // Stability over the definitely-high interior of the
                 // pulse (rise window end to fall window start); the
                 // edge windows themselves are covered by the set-up
@@ -468,42 +460,18 @@ fn check_checker_prim<S: StateView + ?Sized>(
                     && !high.is_full(period)
                     && !input.quiescent_throughout(high)
                 {
-                    out.push(Violation {
-                        kind: ViolationKind::StableWhileTrue,
-                        source: prim.name.clone(),
-                        constraint: constraint.clone(),
-                        missed_by: None,
-                        at: Some(high),
-                        observed: observed.clone(),
-                        provenance: None,
-                    });
+                    out.push(violation(ViolationKind::StableWhileTrue, None, high));
                 }
                 if setup > Time::ZERO {
                     let avail = quiescent_before(&input, r.span.start());
                     if avail < setup {
-                        out.push(Violation {
-                            kind: ViolationKind::Setup,
-                            source: prim.name.clone(),
-                            constraint: constraint.clone(),
-                            missed_by: Some(setup - avail),
-                            at: Some(r.span),
-                            observed: observed.clone(),
-                            provenance: None,
-                        });
+                        out.push(violation(ViolationKind::Setup, Some(setup - avail), r.span));
                     }
                 }
                 if hold > Time::ZERO {
                     let avail = quiescent_after(&input, f.span.end(period));
                     if avail < hold {
-                        out.push(Violation {
-                            kind: ViolationKind::Hold,
-                            source: prim.name.clone(),
-                            constraint,
-                            missed_by: Some(hold - avail),
-                            at: Some(f.span),
-                            observed: observed.clone(),
-                            provenance: None,
-                        });
+                        out.push(violation(ViolationKind::Hold, Some(hold - avail), f.span));
                     }
                 }
             }
@@ -520,7 +488,7 @@ fn check_checker_prim<S: StateView + ?Sized>(
             let input = pin_wave_pulse_view(netlist, prim, &prim.inputs[0], states, corner);
             let name = &netlist.signal(prim.inputs[0].signal).name;
             let len_before = out.len();
-            let observed = vec![observed_line("INPUT     ", name, &input)];
+            let observed = || vec![observed_line("INPUT     ", name, &input)];
             if high > Time::ZERO {
                 for p in pulses(&input, true) {
                     if p.min_possible_width < high {
@@ -538,7 +506,7 @@ fn check_checker_prim<S: StateView + ?Sized>(
                             ),
                             missed_by: Some(high - p.min_possible_width),
                             at: Some(p.possible),
-                            observed: observed.clone(),
+                            observed: observed(),
                             provenance: None,
                         });
                     }
@@ -561,7 +529,7 @@ fn check_checker_prim<S: StateView + ?Sized>(
                             ),
                             missed_by: Some(low - p.min_possible_width),
                             at: Some(p.possible),
-                            observed: observed.clone(),
+                            observed: observed(),
                             provenance: None,
                         });
                     }
@@ -592,7 +560,7 @@ fn check_hazard_gate<S: StateView + ?Sized>(
     let prim = netlist.prim(pid);
     let clock = pin_wave(netlist, prim, &prim.inputs[clock_idx], states, corner);
     let asserted = clock.spans_where(Value::could_be_high);
-    let ck_name = netlist.signal(prim.inputs[clock_idx].signal).name.clone();
+    let ck_name = &netlist.signal(prim.inputs[clock_idx].signal).name;
     for (i, conn) in prim.inputs.iter().enumerate() {
         if i == clock_idx {
             continue;
@@ -608,7 +576,7 @@ fn check_hazard_gate<S: StateView + ?Sized>(
                     missed_by: None,
                     at: Some(*span),
                     observed: vec![
-                        observed_line("CLOCK     ", &ck_name, &clock),
+                        observed_line("CLOCK     ", ck_name, &clock),
                         observed_line("CONTROL   ", name, &other),
                     ],
                     provenance: Some(provenance_for(netlist, states, conn.signal)),

@@ -807,10 +807,12 @@ impl Verifier {
         self.eff.state(id.index())
     }
 
-    /// The fully resolved (skew-folded) waveform of a signal.
+    /// The fully resolved (skew-folded) waveform of a signal. The fold is
+    /// computed as a plain copy, not interned into the wave store.
     #[must_use]
     pub fn resolved(&self, id: SignalId) -> Waveform {
-        self.eff.get(id.index()).resolved().to_waveform()
+        let state = self.eff.get(id.index());
+        state.wave.with_skew_applied(state.skew)
     }
 
     /// Hit/miss/size counters of the evaluation memo table, if caching is

@@ -786,12 +786,16 @@ impl Report {
     }
 }
 
-/// Formats the Fig 3-10 signal-value summary from sorted waveform rows.
+/// Formats the Fig 3-10 signal-value summary from sorted waveform rows,
+/// every row straight into one buffer. The name column is as wide as the
+/// longest name in bytes, and names are padded by char count (as
+/// `{:width$}` pads).
 pub(crate) fn format_summary(waves: &[(String, Waveform)]) -> String {
+    use fmt::Write as _;
     let width = waves.iter().map(|(n, _)| n.len()).max().unwrap_or(0);
     let mut out = String::new();
     for (name, wave) in waves {
-        out.push_str(&format!("{name:width$}  {wave}\n"));
+        writeln!(out, "{name:width$}  {wave}").expect("String write cannot fail");
     }
     out
 }

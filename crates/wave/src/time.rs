@@ -132,14 +132,43 @@ impl Mul<i64> for Time {
 
 impl fmt::Display for Time {
     /// Formats in nanoseconds the way the thesis' listings do
-    /// (`11.5`, `0.0`, `6.25`).
+    /// (`11.5`, `0.0`, `6.25`): the exact decimal value of the integer
+    /// picoseconds, with trailing zeros dropped but at least one digit
+    /// after the point. Width and fill flags are ignored.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let ns = self.as_ns();
-        if (ns * 10.0).fract().abs() < 1e-9 {
-            write!(f, "{ns:.1}")
+        let ps = self.0.unsigned_abs();
+        let (mut whole, frac) = (ps / 1_000, ps % 1_000);
+        let frac_digits = if frac % 100 == 0 {
+            1
+        } else if frac % 10 == 0 {
+            2
         } else {
-            write!(f, "{ns}")
+            3
+        };
+        // Sign, at most 16 whole digits, the point and 3 fraction digits.
+        let mut buf = [0u8; 24];
+        let mut at = buf.len();
+        let mut rest = frac / 10u64.pow(3 - frac_digits);
+        for _ in 0..frac_digits {
+            at -= 1;
+            buf[at] = b'0' + (rest % 10) as u8;
+            rest /= 10;
         }
+        at -= 1;
+        buf[at] = b'.';
+        loop {
+            at -= 1;
+            buf[at] = b'0' + (whole % 10) as u8;
+            whole /= 10;
+            if whole == 0 {
+                break;
+            }
+        }
+        if self.0 < 0 {
+            at -= 1;
+            buf[at] = b'-';
+        }
+        f.write_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"))
     }
 }
 

@@ -455,11 +455,22 @@ impl fmt::Display for Waveform {
     /// Formats as the summary-listing style of Fig 3-10: alternating value
     /// mnemonics and the times (in ns) at which the value starts.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, (start, v, _)) in self.segments().into_iter().enumerate() {
+        use fmt::Write as _;
+        // A late first transition: the wrapped tail of the last run opens
+        // the period.
+        let wrapped = (self.trans[0].0 > Time::ZERO)
+            .then(|| (Time::ZERO, self.trans.last().expect("non-empty").1));
+        for (i, (start, v)) in wrapped
+            .into_iter()
+            .chain(self.trans.iter().copied())
+            .enumerate()
+        {
             if i > 0 {
-                write!(f, " ")?;
+                f.write_char(' ')?;
             }
-            write!(f, "{v} {start}")?;
+            f.write_char(v.mnemonic())?;
+            f.write_char(' ')?;
+            fmt::Display::fmt(&start, f)?;
         }
         Ok(())
     }
