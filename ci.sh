@@ -49,6 +49,16 @@ cargo test -q --test render_allocs
 cargo test -q -p scald-wave --test display_oracle
 cargo test -q -p scald-trace --test json_oracle
 
+# The warm-edit pins: the allocation budgets of a one-line source edit
+# (per primitive, beyond compiling it) and of the daemon's `report` frame
+# encode + decode (per signal), and the oracles that keep the earlier
+# `format!`-based content keys and `BTreeMap` diff, the copy-then-strip
+# report document and the borrowing frame encoder as references.
+cargo test -q --test apply_allocs
+cargo test -q -p scald-incr --lib content_keys_match_the_format_oracle
+cargo test -q -p scald-verifier --test stripped_json
+cargo test -q -p scald-serve --lib frames_match_the_borrowing_encoder_oracle
+
 # The RTL frontend suites: the cascade-race lowering, the spanned-
 # diagnostics failure surface, and the 50-seed cross-frontend property
 # that Verilog and SCALD HDL twins produce byte-identical reports.

@@ -48,6 +48,7 @@
 use scald_logic::Value;
 use scald_wave::{Skew, Time, Waveform};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Which kind of assertion a signal name carries (§2.5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -191,6 +192,35 @@ impl TimingContext {
 }
 
 impl Assertion {
+    /// Feeds the assertion's structure to `state`: its kind, each range
+    /// (variant plus the `f64` bit patterns), its skew and its polarity.
+    /// Assertions with the same bits hash alike, and no text is built.
+    /// (`Assertion` does not implement [`Hash`]: its `PartialEq` equates
+    /// `0.0` with `-0.0`, which differ in bits.)
+    pub fn hash_bits<H: Hasher>(&self, state: &mut H) {
+        self.kind.hash(state);
+        state.write_usize(self.ranges.len());
+        for range in &self.ranges {
+            let (tag, a, b) = match *range {
+                TimeRange::Single(t) => (0_u8, t, 0.0),
+                TimeRange::Units(a, b) => (1, a, b),
+                TimeRange::UnitsPlusNs(a, w) => (2, a, w),
+            };
+            state.write_u8(tag);
+            state.write_u64(a.to_bits());
+            state.write_u64(b.to_bits());
+        }
+        match self.skew {
+            None => state.write_u8(0),
+            Some((minus, plus)) => {
+                state.write_u8(1);
+                state.write_u64(minus.to_bits());
+                state.write_u64(plus.to_bits());
+            }
+        }
+        self.active_low.hash(state);
+    }
+
     /// Builds the initial waveform and skew for a signal carrying this
     /// assertion (§2.9).
     ///

@@ -238,7 +238,6 @@ fn incr_vs_full(b: &Bench) {
         session
             .apply(Delta::Netlist(delta))
             .expect("retime applies")
-            .stats
             .events
     });
 }
@@ -309,7 +308,6 @@ fn eval_cache(b: &Bench) {
                 events += session
                     .apply(Delta::Netlist(delta))
                     .expect("retime applies")
-                    .stats
                     .events;
             }
             events

@@ -94,10 +94,10 @@ fn replay_session(mut session: Session, target: &str, original: DelayRange) -> D
         };
         let mut delta = NetlistDelta::new();
         delta.retime(target.to_owned(), delay);
-        let outcome = session
+        let stats = session
             .apply(Delta::Netlist(delta))
             .expect("retime applies");
-        wall += outcome.stats.wall;
+        wall += stats.wall;
     }
     wall
 }

@@ -64,8 +64,7 @@ fn main() {
     delta.retime(target.clone(), DelayRange::from_ns(2.0, 6.5));
     let warm = session
         .apply(Delta::Netlist(delta))
-        .expect("retime applies")
-        .stats;
+        .expect("retime applies");
     let ratio = warm.events as f64 / full.events as f64;
     println!(
         "warm retime ({target}): {:>4} events in {:.2?} — {:.2}% of the full run, \

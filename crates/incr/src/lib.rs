@@ -9,16 +9,20 @@
 //! what changed — but across *design edits* rather than case overrides:
 //!
 //! 1. The session owns a [`Verifier`] snapshotted at its settled base
-//!    fixed point, plus a content hash per signal and per primitive.
+//!    fixed point, plus a content key per signal and per primitive,
+//!    hashed from its structure (no text is formatted).
 //! 2. [`Session::apply`] takes a [`Delta`] (HDL source swap, structural
 //!    [`NetlistDelta`], or a new case set), rebuilds the netlist, and
-//!    diffs the hashes to find the *structurally dirty* signals and
-//!    primitives.
-//! 3. A fresh verifier is [warm-started](Verifier::warm_start) from the
-//!    prior fixed point: every clean signal's settled state is copied
-//!    over, and only the dirty frontier (edited primitives, fan-out and
-//!    drivers of dirtied signals) is enqueued. Settling then touches
-//!    only the affected cone.
+//!    diffs the keys, matching elements by name, to find the
+//!    *structurally dirty* signals and primitives.
+//! 3. The rebuilt netlist moves into a fresh verifier, which is
+//!    [warm-started](Verifier::warm_start) from the prior fixed point:
+//!    every clean signal's settled state is copied over, and only the
+//!    dirty frontier (edited primitives, fan-out and drivers of dirtied
+//!    signals) is enqueued. Settling then touches only the affected
+//!    cone.
+//! 4. The session keeps the new report — the one copy of it — and
+//!    `apply` returns the pass's [`IncrStats`].
 //!
 //! The result is **byte-identical** to a cold run of the edited design
 //! once effort counters are stripped ([`Report::strip_effort`]) —

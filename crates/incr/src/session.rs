@@ -1,14 +1,14 @@
 //! The [`Session`] type: a settled verifier plus content hashes, and the
 //! warm-start re-verification pipeline behind [`Session::apply`].
 
-use scald_netlist::{DeltaError, Netlist, NetlistDelta, PrimId, SignalId};
+use scald_netlist::{DeltaError, Netlist, NetlistDelta, PrimId, Primitive, Signal, SignalId};
 use scald_trace::TraceSink;
 use scald_verifier::{
     Case, CaseSet, CheckpointPolicy, EvalCache, MemoStats, PrefixStats, Report, RunOptions,
     Verifier, VerifierBuilder, VerifyError,
 };
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -125,7 +125,8 @@ impl IncrStats {
 }
 
 /// What one verification pass produced: the full [`Report`] plus the
-/// incremental-effort statistics.
+/// incremental-effort statistics. The session keeps the latest one; read
+/// it through [`Session::outcome`].
 #[derive(Debug, Clone)]
 pub struct SessionOutcome {
     /// The report, exactly as a cold run of the same design would
@@ -266,38 +267,26 @@ impl SessionBuilder {
             Some(cache) => Some(Arc::clone(cache)),
             None => (!self.no_eval_cache).then(|| Arc::new(EvalCache::new())),
         };
-        let mut session = Session {
-            // Placeholder until the first verify() snapshot replaces it;
-            // it never evaluates, so skip building it a cache.
-            settled: VerifierBuilder::new(netlist.clone())
-                .eval_cache(false)
-                .build(),
-            sigs: BTreeMap::new(),
-            prims: BTreeMap::new(),
-            cases,
+        let settings = Settings {
             label: label.into(),
             jobs: self.jobs,
             trace: self.trace,
             eval_cache,
-            last: None,
         };
-        let outcome = session.verify(netlist, None)?;
-        session.last = Some(outcome);
-        Ok(session)
+        let pass = settings.verify(None, netlist, &cases)?;
+        Ok(Session {
+            settled: pass.settled,
+            keys: pass.keys,
+            cases,
+            settings,
+            last: pass.outcome,
+        })
     }
 }
 
-/// An incremental re-verification session. See the [crate docs](crate).
-pub struct Session {
-    /// Verifier snapshotted at its settled base fixed point — the
-    /// `prior` of the next warm start. Never holds a case overlay.
-    settled: Verifier,
-    /// Signal base name -> (id, content hash) in `settled`'s netlist.
-    sigs: BTreeMap<String, (SignalId, u64)>,
-    /// Primitive name -> (id, content hash); ambiguous (duplicate) names
-    /// are excluded and therefore always re-verify dirty.
-    prims: BTreeMap<String, (PrimId, u64)>,
-    cases: Vec<Case>,
+/// What every verification of a session shares: the report label, the
+/// worker budget, the trace sink and the memo table.
+struct Settings {
     label: String,
     jobs: Option<usize>,
     trace: Option<Arc<dyn TraceSink>>,
@@ -305,15 +294,36 @@ pub struct Session {
     /// (`None` when disabled): unchanged regions of an edited design
     /// replay their evaluations instead of re-running the kernels.
     eval_cache: Option<Arc<EvalCache>>,
-    last: Option<SessionOutcome>,
+}
+
+/// What one verification pass leaves for the session to commit.
+struct Pass {
+    /// The verifier at its settled base fixed point.
+    settled: Verifier,
+    /// Content keys of the pass's netlist.
+    keys: Keys,
+    outcome: SessionOutcome,
+}
+
+/// An incremental re-verification session. See the [crate docs](crate).
+pub struct Session {
+    /// Verifier snapshotted at its settled base fixed point — the
+    /// `prior` of the next warm start. Never holds a case overlay.
+    settled: Verifier,
+    /// Content keys of `settled`'s netlist.
+    keys: Keys,
+    cases: Vec<Case>,
+    settings: Settings,
+    /// The latest pass's report and effort; the one copy of either.
+    last: SessionOutcome,
 }
 
 impl std::fmt::Debug for Session {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Session")
-            .field("label", &self.label)
-            .field("signals", &self.sigs.len())
-            .field("prims", &self.prims.len())
+            .field("label", &self.settings.label)
+            .field("signals", &self.keys.sigs.len())
+            .field("prims", &self.keys.prims.len())
             .field("cases", &self.cases.len())
             .finish_non_exhaustive()
     }
@@ -344,7 +354,7 @@ impl Session {
     /// The session's design label.
     #[must_use]
     pub fn label(&self) -> &str {
-        &self.label
+        &self.settings.label
     }
 
     /// Overrides the worker budget for every subsequent verification
@@ -352,13 +362,13 @@ impl Session {
     /// one daemon-wide `--jobs` budget across concurrent clients;
     /// results are byte-identical for any value.
     pub fn set_jobs(&mut self, jobs: Option<usize>) {
-        self.jobs = jobs.map(|j| j.max(1));
+        self.settings.jobs = jobs.map(|j| j.max(1));
     }
 
     /// The shared evaluation memo table, when caching is enabled.
     #[must_use]
     pub fn eval_cache(&self) -> Option<&Arc<EvalCache>> {
-        self.eval_cache.as_ref()
+        self.settings.eval_cache.as_ref()
     }
 
     /// Cumulative hit/miss/entry counters of the session's memo table
@@ -367,116 +377,94 @@ impl Session {
     /// session on it.
     #[must_use]
     pub fn cache_stats(&self) -> Option<scald_verifier::EvalCacheStats> {
-        self.eval_cache.as_ref().map(|c| c.stats())
+        self.settings.eval_cache.as_ref().map(|c| c.stats())
     }
 
     /// Content hash of the session's *current* design: netlist
-    /// configuration, every signal and primitive content hash, and the
+    /// configuration, every signal and primitive content key, and the
     /// case set. Two sessions with equal hashes verify identically, so
     /// this is the `scald-serve` pool key — see [`design_hash`].
     #[must_use]
     pub fn design_hash(&self) -> u64 {
-        design_hash(self.settled.netlist(), &self.cases)
+        hash_design(self.netlist(), &self.keys, &self.cases)
     }
 
     /// Re-verifies the current design as-is (no edit). With a prior
     /// fixed point everything is clean, so the pass warm-starts with an
-    /// empty frontier and replays cheaply; the refreshed
-    /// [`SessionOutcome`] is returned (and retained, see
-    /// [`outcome`](Self::outcome)).
+    /// empty frontier and replays cheaply; the refreshed report stays
+    /// in the session (see [`outcome`](Self::outcome)) and the pass's
+    /// effort is returned.
     ///
     /// # Errors
     ///
     /// As for [`Session::apply`].
-    pub fn reverify(&mut self) -> Result<SessionOutcome, SessionError> {
+    pub fn reverify(&mut self) -> Result<IncrStats, SessionError> {
         self.apply(Delta::Cases(self.cases.clone()))
     }
 
     /// The report and effort statistics of the most recent pass.
-    ///
-    /// # Panics
-    ///
-    /// Never panics: every constructed session has verified at least
-    /// once.
     #[must_use]
     pub fn outcome(&self) -> &SessionOutcome {
-        self.last.as_ref().expect("session verified on open")
+        &self.last
     }
 
     /// The report of the most recent pass.
     #[must_use]
     pub fn report(&self) -> &Report {
-        &self.outcome().report
+        &self.last.report
     }
 
     /// Applies an edit and re-verifies, warm-starting from the prior
     /// fixed point. On success the session advances to the edited
-    /// design; on error it is left unchanged (the prior state stays
+    /// design and keeps the new report (read it through
+    /// [`report`](Self::report)); the pass's effort is returned. On
+    /// error the session is left unchanged (the prior state stays
     /// valid, so a failed edit can simply be corrected and re-applied).
     ///
     /// # Errors
     ///
     /// Returns a [`SessionError`] if the delta fails to compile/apply or
     /// verification fails.
-    pub fn apply(&mut self, delta: Delta) -> Result<SessionOutcome, SessionError> {
+    pub fn apply(&mut self, delta: Delta) -> Result<IncrStats, SessionError> {
         let (netlist, cases) = match delta {
-            Delta::Source(src) => {
-                let (netlist, cases) = compile(&src)?;
-                (netlist, Some(cases))
-            }
-            Delta::Verilog(src) => {
-                let (netlist, cases) = compile_rtl(&src)?;
-                (netlist, Some(cases))
-            }
-            Delta::Netlist(d) => (d.apply(self.settled.netlist())?, None),
-            Delta::Cases(cases) => (self.settled.netlist().clone(), Some(cases)),
+            Delta::Source(src) => compile(&src)?,
+            Delta::Verilog(src) => compile_rtl(&src)?,
+            Delta::Netlist(d) => (d.apply(self.settled.netlist())?, self.cases.clone()),
+            Delta::Cases(cases) => (self.settled.netlist().clone(), cases),
         };
-        let outcome = self.verify(netlist, cases)?;
-        self.last = Some(outcome.clone());
-        Ok(outcome)
+        let pass = self
+            .settings
+            .verify(Some((&self.settled, &self.keys)), netlist, &cases)?;
+        let stats = pass.outcome.stats;
+        self.settled = pass.settled;
+        self.keys = pass.keys;
+        self.cases = cases;
+        self.last = pass.outcome;
+        Ok(stats)
     }
+}
 
-    /// One verification pass over `netlist` (and, if given, a new case
-    /// set), warm-started when a prior fixed point with a matching
-    /// configuration exists. Commits the new snapshot/hashes/cases on
-    /// success.
+impl Settings {
+    /// One verification pass over `netlist` and `cases`, warm-started
+    /// from `prior` (a settled verifier and its netlist's keys) when its
+    /// configuration matches. The netlist moves into the new verifier;
+    /// the diff and the frontier read it back through
+    /// [`Verifier::netlist`].
     fn verify(
-        &mut self,
+        &self,
+        prior: Option<(&Verifier, &Keys)>,
         netlist: Netlist,
-        cases: Option<Vec<Case>>,
-    ) -> Result<SessionOutcome, SessionError> {
-        let new_sigs = index_signals(&netlist);
-        let new_prims = index_prims(&netlist);
+        cases: &[Case],
+    ) -> Result<Pass, SessionError> {
+        let keys = Keys::of(&netlist);
         let total_prims = netlist.prims().len();
-
         // A configuration change (period, clock units, skews, default
-        // wire delay) invalidates every settled waveform: run cold. The
-        // very first pass has empty hash maps, so it is naturally cold.
-        let warm = !self.sigs.is_empty() && netlist.config() == self.settled.netlist().config();
+        // wire delay) invalidates every settled waveform: run cold.
+        let prior = prior
+            .filter(|(v, _)| v.netlist().config() == netlist.config())
+            .map(|(v, prior_keys)| (v, Diff::of(v.netlist(), prior_keys, &netlist, &keys)));
 
-        // The indexes are BTreeMaps, so these pair lists come out in
-        // name order — never in per-process `RandomState` order, which
-        // would leak into anything downstream that walks them.
-        let mut sig_pairs: Vec<(SignalId, SignalId)> = Vec::new();
-        let mut prim_pairs: Vec<(PrimId, PrimId)> = Vec::new();
-        let mut dirty_sigs: Vec<SignalId> = Vec::new();
-        let mut dirty_prims: Vec<PrimId> = Vec::new();
-        for (name, &(nid, nh)) in &new_sigs {
-            match self.sigs.get(name) {
-                Some(&(oid, oh)) if warm && oh == nh => sig_pairs.push((nid, oid)),
-                _ => dirty_sigs.push(nid),
-            }
-        }
-        for (name, &(nid, nh)) in &new_prims {
-            match self.prims.get(name) {
-                Some(&(oid, oh)) if warm && oh == nh => prim_pairs.push((nid, oid)),
-                _ => dirty_prims.push(nid),
-            }
-        }
-        dirty_sigs.sort_unstable_by_key(|s| s.index());
-        dirty_prims.sort_unstable_by_key(|p| p.index());
-
-        let mut builder = VerifierBuilder::new(netlist.clone());
+        let mut builder = VerifierBuilder::new(netlist);
         if let Some(jobs) = self.jobs {
             builder = builder.jobs(jobs);
         }
@@ -489,29 +477,26 @@ impl Session {
         }
         let mut verifier = builder.build();
 
-        let seeded_prims = if warm {
-            // Seed frontier: edited primitives, plus the fan-out and the
-            // drivers of every dirtied signal (its value must be
-            // re-derived even when its driver itself is clean).
-            let mut seeds: BTreeSet<PrimId> = dirty_prims.iter().copied().collect();
-            for &sid in &dirty_sigs {
-                seeds.extend(netlist.fanout(sid).iter().copied());
-                seeds.extend(netlist.drivers(sid).iter().copied());
+        let (warm, dirty_prims, seeded_prims, cone_prims) = match &prior {
+            Some((prior, diff)) => {
+                // Seed frontier: edited primitives, plus the fan-out and
+                // the drivers of every dirtied signal (its value must be
+                // re-derived even when its driver itself is clean).
+                let net = verifier.netlist();
+                let mut seeds: BTreeSet<PrimId> = diff.dirty_prims.iter().copied().collect();
+                for &sid in &diff.dirty_sigs {
+                    seeds.extend(net.fanout(sid).iter().copied());
+                    seeds.extend(net.drivers(sid).iter().copied());
+                }
+                let seeds: Vec<PrimId> = seeds.into_iter().collect();
+                let cone = net.affected_cone(&diff.dirty_sigs, &diff.dirty_prims).len();
+                verifier.warm_start(prior, &diff.sig_pairs, &diff.prim_pairs, &seeds);
+                (true, diff.dirty_prims.len(), seeds.len(), cone)
             }
-            let seeds: Vec<PrimId> = seeds.into_iter().collect();
-            verifier.warm_start(&self.settled, &sig_pairs, &prim_pairs, &seeds);
-            seeds.len()
-        } else {
-            total_prims
-        };
-        let cone_prims = if warm {
-            netlist.affected_cone(&dirty_sigs, &dirty_prims).len()
-        } else {
-            total_prims
+            None => (false, total_prims, total_prims, total_prims),
         };
 
         let started = Instant::now();
-        let cases = cases.unwrap_or_else(|| self.cases.clone());
         // Checkpoint at the base fixed point, *before* the last case's
         // overlay/hazards are installed — the next warm start must not
         // inherit a case's state as its base.
@@ -520,7 +505,7 @@ impl Session {
                 .cases(CaseSet::list(cases.iter().cloned()))
                 .checkpoint(CheckpointPolicy::SettledBase),
         )?;
-        let snapshot = *outcome.checkpoint.expect("checkpoint was requested");
+        let settled = *outcome.checkpoint.expect("checkpoint was requested");
         let (prefix, memo) = (outcome.prefix, outcome.memo);
         let results = outcome.cases;
         let wall = started.elapsed();
@@ -532,7 +517,7 @@ impl Session {
         }
         let stats = IncrStats {
             warm,
-            dirty_prims: if warm { dirty_prims.len() } else { total_prims },
+            dirty_prims,
             seeded_prims,
             cone_prims,
             total_prims,
@@ -542,12 +527,11 @@ impl Session {
             memo,
             wall,
         };
-
-        self.settled = snapshot;
-        self.sigs = new_sigs;
-        self.prims = new_prims;
-        self.cases = cases;
-        Ok(SessionOutcome { report, stats })
+        Ok(Pass {
+            settled,
+            keys,
+            outcome: SessionOutcome { report, stats },
+        })
     }
 }
 
@@ -617,30 +601,49 @@ fn compile(src: &str) -> Result<(Netlist, Vec<Case>), SessionError> {
 }
 
 /// Content hash of a whole design: the netlist configuration (period,
-/// clock units, skews, default wire delay), every signal and primitive
-/// content hash in name order, and the case set (labels + assignments).
+/// clock units, skews, default wire delay), every signal's content key
+/// in name order, every primitive's name and content key in name order
+/// (duplicate names included, ordered by key), and the case set (labels
+/// + assignments).
 ///
 /// Everything a verification result depends on feeds the hash, so equal
 /// hashes mean byte-identical (effort-stripped) reports. `scald-serve`
 /// keys its session pool on it: clients opening equal designs share one
-/// [`EvalCache`] and can reuse each other's settled sessions.
+/// [`EvalCache`] and can reuse each other's settled sessions. The value
+/// is an in-memory key, stable within a build but never persisted.
 #[must_use]
 pub fn design_hash(netlist: &Netlist, cases: &[Case]) -> u64 {
+    hash_design(netlist, &Keys::of(netlist), cases)
+}
+
+/// [`design_hash`] over already-computed keys of `netlist`.
+fn hash_design(netlist: &Netlist, keys: &Keys, cases: &[Case]) -> u64 {
     let mut h = DefaultHasher::new();
-    format!("{:?}", netlist.config()).hash(&mut h);
-    // index_* are BTreeMaps: name order, never per-process hash order.
-    // Duplicate-named primitives are excluded from the index, so fold in
-    // the raw counts to distinguish designs that differ only there.
-    netlist.signals().len().hash(&mut h);
-    netlist.prims().len().hash(&mut h);
-    for (name, &(_, sig_hash)) in &index_signals(netlist) {
-        name.hash(&mut h);
-        sig_hash.hash(&mut h);
-    }
-    for (name, &(_, prim_hash)) in &index_prims(netlist) {
-        name.hash(&mut h);
-        prim_hash.hash(&mut h);
-    }
+    let config = netlist.config();
+    let timing = &config.timing;
+    timing.period.hash(&mut h);
+    timing.clock_unit.hash(&mut h);
+    timing.precision_skew.hash(&mut h);
+    timing.nonprecision_skew.hash(&mut h);
+    config.default_wire_delay.hash(&mut h);
+    // Name order, never id or per-process hash order. Primitive names
+    // need not be unique, so equal names fall back to key order.
+    let mut sigs: Vec<(&str, u64)> = netlist
+        .signals()
+        .iter()
+        .zip(&keys.sigs)
+        .map(|(s, &k)| (s.name.as_str(), k))
+        .collect();
+    sigs.sort_unstable();
+    let mut prims: Vec<(&str, u64)> = netlist
+        .prims()
+        .iter()
+        .zip(&keys.prims)
+        .map(|(p, &k)| (p.name.as_str(), k))
+        .collect();
+    prims.sort_unstable();
+    sigs.hash(&mut h);
+    prims.hash(&mut h);
     cases.len().hash(&mut h);
     for case in cases {
         case.label().hash(&mut h);
@@ -652,77 +655,462 @@ pub fn design_hash(netlist: &Netlist, cases: &[Case]) -> u64 {
     h.finish()
 }
 
-/// Content hash of a signal: everything that feeds the verifier's init
-/// and wiring decisions for it — width, assertion, wire-delay override,
-/// wired-OR flag, and the (sorted) names of its drivers. The settled
-/// *value* is deliberately excluded: values are what warm starting
-/// carries over.
-fn hash_signal(netlist: &Netlist, sid: SignalId) -> u64 {
+/// Content keys of one netlist, indexed by id: `sigs[s.index()]` and
+/// `prims[p.index()]`. A key hashes what a warm start must not carry
+/// over when it changes; the settled *values* are deliberately left out,
+/// since values are what warm starting carries.
+struct Keys {
+    sigs: Vec<u64>,
+    prims: Vec<u64>,
+}
+
+impl Keys {
+    /// Hashes every signal and primitive from its structure: no text is
+    /// formatted and nothing is allocated per element.
+    fn of(netlist: &Netlist) -> Keys {
+        let mut drivers: Vec<&str> = Vec::new();
+        Keys {
+            sigs: netlist
+                .iter_signals()
+                .map(|(sid, _)| signal_key(netlist, sid, &mut drivers))
+                .collect(),
+            prims: netlist
+                .prims()
+                .iter()
+                .map(|p| prim_key(netlist, p))
+                .collect(),
+        }
+    }
+}
+
+/// A signal's key: name, width, assertion, wire-delay override, wired-OR
+/// flag, and the (sorted) names of its drivers — everything that feeds
+/// the verifier's init and wiring decisions for it. `drivers` is scratch
+/// space reused across signals.
+fn signal_key<'a>(netlist: &'a Netlist, sid: SignalId, drivers: &mut Vec<&'a str>) -> u64 {
     let sig = netlist.signal(sid);
     let mut h = DefaultHasher::new();
+    sig.name.hash(&mut h);
     sig.width.hash(&mut h);
-    sig.full_name().hash(&mut h);
-    format!("{:?}", sig.wire_delay).hash(&mut h);
+    hash_assertion(sig, &mut h);
+    sig.wire_delay.hash(&mut h);
     sig.wired_or.hash(&mut h);
-    let mut drivers: Vec<&str> = netlist
-        .drivers(sid)
-        .iter()
-        .map(|p| netlist.prim(*p).name.as_str())
-        .collect();
+    drivers.clear();
+    drivers.extend(
+        netlist
+            .drivers(sid)
+            .iter()
+            .map(|&p| netlist.prim(p).name.as_str()),
+    );
     drivers.sort_unstable();
     drivers.hash(&mut h);
     h.finish()
 }
 
-/// Content hash of a primitive: kind (with parameters), delays, and each
-/// connection — source signal full name, the source's wire-delay
-/// override, inversion, directive, per-connection wire delay — plus the
-/// output signal name. Any attribute change that could alter the
-/// primitive's evaluation changes the hash.
-fn hash_prim(netlist: &Netlist, pid: PrimId) -> u64 {
-    let p = netlist.prim(pid);
+/// A primitive's key: kind (with parameters), delays, and each
+/// connection — source signal name and assertion, the source's
+/// wire-delay override, inversion, directive, per-connection wire delay
+/// — plus the output signal's name. Any attribute change that could
+/// alter the primitive's evaluation changes the key.
+fn prim_key(netlist: &Netlist, p: &Primitive) -> u64 {
     let mut h = DefaultHasher::new();
-    format!("{:?}", p.kind).hash(&mut h);
-    format!("{:?}", p.delay).hash(&mut h);
-    format!("{:?}", p.edge_delays).hash(&mut h);
+    p.kind.hash(&mut h);
+    p.delay.hash(&mut h);
+    p.edge_delays.hash(&mut h);
+    p.inputs.len().hash(&mut h);
     for conn in &p.inputs {
         let src = netlist.signal(conn.signal);
-        src.full_name().hash(&mut h);
-        format!("{:?}", src.wire_delay).hash(&mut h);
+        src.name.hash(&mut h);
+        hash_assertion(src, &mut h);
+        src.wire_delay.hash(&mut h);
         conn.invert.hash(&mut h);
         conn.directive.hash(&mut h);
-        format!("{:?}", conn.wire_delay).hash(&mut h);
+        conn.wire_delay.hash(&mut h);
     }
-    match p.output {
-        Some(out) => netlist.signal(out).name.hash(&mut h),
-        None => 0_u8.hash(&mut h),
-    }
+    p.output
+        .map(|out| netlist.signal(out).name.as_str())
+        .hash(&mut h);
     h.finish()
 }
 
-fn index_signals(netlist: &Netlist) -> BTreeMap<String, (SignalId, u64)> {
-    netlist
-        .iter_signals()
-        .map(|(sid, sig)| (sig.name.clone(), (sid, hash_signal(netlist, sid))))
-        .collect()
-}
-
-/// Primitive names are not guaranteed unique (the expander makes them
-/// so, hand-built netlists might not); duplicates are dropped from the
-/// index so they can never be matched as clean.
-fn index_prims(netlist: &Netlist) -> BTreeMap<String, (PrimId, u64)> {
-    let mut map: BTreeMap<String, (PrimId, u64)> = BTreeMap::new();
-    let mut dup: Vec<String> = Vec::new();
-    for (pid, p) in netlist.iter_prims() {
-        if map
-            .insert(p.name.clone(), (pid, hash_prim(netlist, pid)))
-            .is_some()
-        {
-            dup.push(p.name.clone());
+/// Feeds a signal's assertion, or its absence, to `h`.
+fn hash_assertion(sig: &Signal, h: &mut DefaultHasher) {
+    match &sig.assertion {
+        None => h.write_u8(0),
+        Some(a) => {
+            h.write_u8(1);
+            a.hash_bits(h);
         }
     }
-    for name in dup {
-        map.remove(&name);
+}
+
+/// Which elements of an edited netlist survived the edit: `(new, prior)`
+/// id pairs of clean signals and primitives, and the dirty rest, all in
+/// new-id order.
+struct Diff {
+    sig_pairs: Vec<(SignalId, SignalId)>,
+    prim_pairs: Vec<(PrimId, PrimId)>,
+    dirty_sigs: Vec<SignalId>,
+    dirty_prims: Vec<PrimId>,
+}
+
+impl Diff {
+    /// Matches `next`'s elements to `prior`'s by name and compares their
+    /// keys. A primitive name that is ambiguous in either netlist (the
+    /// expander makes names unique; hand-built netlists might not) pairs
+    /// nothing, so every primitive carrying it re-verifies dirty.
+    fn of(prior: &Netlist, prior_keys: &Keys, next: &Netlist, keys: &Keys) -> Diff {
+        let mut diff = Diff {
+            sig_pairs: Vec::with_capacity(next.signals().len()),
+            prim_pairs: Vec::with_capacity(next.prims().len()),
+            dirty_sigs: Vec::new(),
+            dirty_prims: Vec::new(),
+        };
+        for (nid, sig) in next.iter_signals() {
+            match prior.signal_by_name(&sig.name) {
+                Some(oid) if prior_keys.sigs[oid.index()] == keys.sigs[nid.index()] => {
+                    diff.sig_pairs.push((nid, oid));
+                }
+                _ => diff.dirty_sigs.push(nid),
+            }
+        }
+
+        // `None` marks a name the prior netlist uses more than once.
+        let mut by_name: HashMap<&str, Option<PrimId>> =
+            HashMap::with_capacity(prior.prims().len());
+        for (oid, p) in prior.iter_prims() {
+            by_name
+                .entry(p.name.as_str())
+                .and_modify(|id| *id = None)
+                .or_insert(Some(oid));
+        }
+        let matched: Vec<Option<PrimId>> = next
+            .prims()
+            .iter()
+            .map(|p| by_name.get(p.name.as_str()).copied().flatten())
+            .collect();
+        // More than one claim on a prior primitive marks a name `next`
+        // uses more than once.
+        let mut claims = vec![0_u32; prior.prims().len()];
+        for oid in matched.iter().flatten() {
+            claims[oid.index()] += 1;
+        }
+        for ((nid, _), matched) in next.iter_prims().zip(matched) {
+            match matched {
+                Some(oid)
+                    if claims[oid.index()] == 1
+                        && prior_keys.prims[oid.index()] == keys.prims[nid.index()] =>
+                {
+                    diff.prim_pairs.push((nid, oid));
+                }
+                _ => diff.dirty_prims.push(nid),
+            }
+        }
+        diff
     }
-    map
+}
+
+#[cfg(test)]
+mod tests {
+    //! Oracle for the structural content keys: the `format!`-based keys
+    //! and the `BTreeMap` name index they replaced, kept as they were.
+    use super::*;
+    use scald_gen::rtl_pairs::paired_design;
+    use scald_gen::s1::{s1_like_hdl, s1_like_netlist, S1Options};
+    use scald_netlist::{DeltaConn, PrimKind, PrimSpec};
+    use scald_rng::Rng;
+    use scald_wave::DelayRange;
+    use std::collections::BTreeMap;
+
+    fn hash_signal(netlist: &Netlist, sid: SignalId) -> u64 {
+        let sig = netlist.signal(sid);
+        let mut h = DefaultHasher::new();
+        sig.width.hash(&mut h);
+        sig.full_name().hash(&mut h);
+        format!("{:?}", sig.wire_delay).hash(&mut h);
+        sig.wired_or.hash(&mut h);
+        let mut drivers: Vec<&str> = netlist
+            .drivers(sid)
+            .iter()
+            .map(|p| netlist.prim(*p).name.as_str())
+            .collect();
+        drivers.sort_unstable();
+        drivers.hash(&mut h);
+        h.finish()
+    }
+
+    fn hash_prim(netlist: &Netlist, pid: PrimId) -> u64 {
+        let p = netlist.prim(pid);
+        let mut h = DefaultHasher::new();
+        format!("{:?}", p.kind).hash(&mut h);
+        format!("{:?}", p.delay).hash(&mut h);
+        format!("{:?}", p.edge_delays).hash(&mut h);
+        for conn in &p.inputs {
+            let src = netlist.signal(conn.signal);
+            src.full_name().hash(&mut h);
+            format!("{:?}", src.wire_delay).hash(&mut h);
+            conn.invert.hash(&mut h);
+            conn.directive.hash(&mut h);
+            format!("{:?}", conn.wire_delay).hash(&mut h);
+        }
+        match p.output {
+            Some(out) => netlist.signal(out).name.hash(&mut h),
+            None => 0_u8.hash(&mut h),
+        }
+        h.finish()
+    }
+
+    fn index_signals(netlist: &Netlist) -> BTreeMap<String, (SignalId, u64)> {
+        netlist
+            .iter_signals()
+            .map(|(sid, sig)| (sig.name.clone(), (sid, hash_signal(netlist, sid))))
+            .collect()
+    }
+
+    fn index_prims(netlist: &Netlist) -> BTreeMap<String, (PrimId, u64)> {
+        let mut map: BTreeMap<String, (PrimId, u64)> = BTreeMap::new();
+        let mut dup: Vec<String> = Vec::new();
+        for (pid, p) in netlist.iter_prims() {
+            if map
+                .insert(p.name.clone(), (pid, hash_prim(netlist, pid)))
+                .is_some()
+            {
+                dup.push(p.name.clone());
+            }
+        }
+        for name in dup {
+            map.remove(&name);
+        }
+        map
+    }
+
+    /// The old diff's dirty signals and primitives of `next`, in id order.
+    fn oracle_dirty(prior: &Netlist, next: &Netlist) -> (Vec<SignalId>, Vec<PrimId>) {
+        let (old_sigs, old_prims) = (index_signals(prior), index_prims(prior));
+        let mut dirty_sigs: Vec<SignalId> = Vec::new();
+        let mut dirty_prims: Vec<PrimId> = Vec::new();
+        for (name, &(nid, nh)) in &index_signals(next) {
+            match old_sigs.get(name) {
+                Some(&(_, oh)) if oh == nh => {}
+                _ => dirty_sigs.push(nid),
+            }
+        }
+        for (name, &(nid, nh)) in &index_prims(next) {
+            match old_prims.get(name) {
+                Some(&(_, oh)) if oh == nh => {}
+                _ => dirty_prims.push(nid),
+            }
+        }
+        dirty_sigs.sort_unstable();
+        dirty_prims.sort_unstable();
+        (dirty_sigs, dirty_prims)
+    }
+
+    /// Tallies of one corpus: diffs checked, and dirty and clean
+    /// elements seen, so a corpus that never edits anything shows.
+    #[derive(Default)]
+    struct Tally {
+        diffs: usize,
+        dirty: usize,
+        clean: usize,
+    }
+
+    /// Checks the edit `prior` → `next` against the oracle: the same
+    /// clean/dirty partition of signals and primitives, and no new key
+    /// shared by two elements (of either netlist) whose old keys differ.
+    fn check(label: &str, prior: &Netlist, next: &Netlist, tally: &mut Tally) {
+        let (prior_keys, keys) = (Keys::of(prior), Keys::of(next));
+        let diff = Diff::of(prior, &prior_keys, next, &keys);
+        let (dirty_sigs, dirty_prims) = oracle_dirty(prior, next);
+        assert_eq!(diff.dirty_sigs, dirty_sigs, "{label}: dirty signals");
+        assert_eq!(diff.dirty_prims, dirty_prims, "{label}: dirty primitives");
+        assert_eq!(
+            diff.sig_pairs.len() + diff.dirty_sigs.len(),
+            next.signals().len()
+        );
+        assert_eq!(
+            diff.prim_pairs.len() + diff.dirty_prims.len(),
+            next.prims().len()
+        );
+        let mut sig_old: HashMap<u64, u64> = HashMap::new();
+        let mut prim_old: HashMap<u64, u64> = HashMap::new();
+        for (netlist, keys) in [(prior, &prior_keys), (next, &keys)] {
+            for (sid, _) in netlist.iter_signals() {
+                let old = hash_signal(netlist, sid);
+                let seen = *sig_old.entry(keys.sigs[sid.index()]).or_insert(old);
+                assert_eq!(seen, old, "{label}: a signal key merges old keys");
+            }
+            for (pid, _) in netlist.iter_prims() {
+                let old = hash_prim(netlist, pid);
+                let seen = *prim_old.entry(keys.prims[pid.index()]).or_insert(old);
+                assert_eq!(seen, old, "{label}: a primitive key merges old keys");
+            }
+        }
+        tally.diffs += 1;
+        tally.dirty += diff.dirty_sigs.len() + diff.dirty_prims.len();
+        tally.clean += diff.sig_pairs.len() + diff.prim_pairs.len();
+    }
+
+    fn compiled(src: &str) -> Netlist {
+        compile(src).expect("corpus design compiles").0
+    }
+
+    /// A one-line edit of an `s1_like_hdl` design in the style of the
+    /// `serve_eco` benchmark: one slice's `IN` assertion moves, or a
+    /// slice whose output no neighbour reads changes width.
+    fn one_line_edit(src: &str, rng: &mut Rng) -> String {
+        const PREFIX: &str = "  use 'DP SLICE' SIZE=";
+        let mut lines: Vec<String> = src.split('\n').map(str::to_owned).collect();
+        let slices: Vec<usize> = (0..lines.len())
+            .filter(|&i| lines[i].starts_with(PREFIX))
+            .collect();
+        let k = rng.range_usize(0, slices.len());
+        let line = &lines[slices[k]];
+        let resizable = line.contains(&format!("'S{k} ALT"))
+            && !slices
+                .get(k + 1)
+                .is_some_and(|&n| lines[n].contains(&format!("'S{k} Q') ->")));
+        let (at, end, to) = if resizable && rng.bool() {
+            let at = PREFIX.len();
+            let end = at + line[at..].find(' ').expect("SIZE is followed by ports");
+            (
+                at,
+                end,
+                ["1", "4", "8", "16", "32", "36"][rng.range_usize(0, 6)],
+            )
+        } else {
+            let key = format!("'S{k} IN .S");
+            let at = line.find(&key).expect("every slice has an IN input") + key.len();
+            let end = at + line[at..].find("-8'").expect("IN is asserted to unit 8");
+            (at, end, ["2", "2.5", "3", "3.5"][rng.range_usize(0, 4)])
+        };
+        lines[slices[k]].replace_range(at..end, to);
+        lines.join("\n")
+    }
+
+    /// The structural edits of `incr_props`: retime, removal, buffer
+    /// splice, assertion change. (Its case-set swaps leave the netlist
+    /// as it is; the identical pairs below cover them.)
+    fn structural_edit(rng: &mut Rng, netlist: &Netlist, tag: &str) -> NetlistDelta {
+        let prims = netlist.prims();
+        let mut d = NetlistDelta::new();
+        match rng.range_u32(0, 4) {
+            0 => {
+                let p = rng.range_usize(0, prims.len());
+                let lo = rng.range_f64(0.5, 4.0);
+                let hi = lo + rng.range_f64(0.0, 6.0);
+                d.retime(prims[p].name.clone(), DelayRange::from_ns(lo, hi));
+            }
+            1 => {
+                let p = rng.range_usize(0, prims.len());
+                d.remove_prim(prims[p].name.clone());
+            }
+            2 => {
+                let ctl = rng.range_u32(0, 24);
+                d.add_prim(PrimSpec {
+                    name: format!("ECO/{tag}"),
+                    kind: PrimKind::Buf,
+                    delay: DelayRange::from_ns(0.5, 2.5),
+                    inputs: vec![DeltaConn::new(format!("CTL {ctl}"))],
+                    output: Some(format!("ECO/{tag} OUT")),
+                });
+            }
+            _ => {
+                let sigs = netlist.signals();
+                let s = rng.range_usize(0, sigs.len());
+                let assertion = rng.bool().then(|| {
+                    let lo = ["2", "2.5", "3"][rng.range_usize(0, 3)];
+                    format!(".S{lo}-8")
+                });
+                d.set_assertion(sigs[s].name.clone(), assertion);
+            }
+        }
+        d
+    }
+
+    #[test]
+    fn content_keys_match_the_format_oracle() {
+        // The shipped designs: each against itself and against the next
+        // in name order (which pairs the two ECO designs).
+        let mut tally = Tally::default();
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../designs");
+        let mut paths: Vec<_> = std::fs::read_dir(dir)
+            .expect("designs/ is readable")
+            .map(|e| e.expect("directory entry").path())
+            .collect();
+        paths.sort();
+        let shipped: Vec<(String, Netlist)> = paths
+            .iter()
+            .map(|path| {
+                let src = std::fs::read_to_string(path).expect("design is readable");
+                let netlist = match path.extension().and_then(|e| e.to_str()) {
+                    Some("v") => compile_rtl(&src).expect("shipped Verilog compiles").0,
+                    _ => compiled(&src),
+                };
+                (path.display().to_string(), netlist)
+            })
+            .collect();
+        assert!(shipped.len() >= 5, "designs/ holds the shipped designs");
+        for (i, (name, netlist)) in shipped.iter().enumerate() {
+            check(name, netlist, netlist, &mut tally);
+            if let Some((next, other)) = shipped.get(i + 1) {
+                check(&format!("{name} -> {next}"), netlist, other, &mut tally);
+            }
+        }
+
+        // `s1_like_hdl` at three sizes, through seeded one-line edits.
+        for chips in [60, 400, 1000] {
+            let mut rng = Rng::seed_from_u64(0x0ec0 + chips as u64);
+            let mut src = s1_like_hdl(S1Options { chips, seed: 7 });
+            let mut prior = compiled(&src);
+            for edit in 0..6 {
+                src = one_line_edit(&src, &mut rng);
+                let next = compiled(&src);
+                check(
+                    &format!("s1 {chips} edit {edit}"),
+                    &prior,
+                    &next,
+                    &mut tally,
+                );
+                prior = next;
+            }
+        }
+
+        // The `rtl_pairs` twins: each twin against the other, and each
+        // pair against the next seed's.
+        let mut previous: Option<Netlist> = None;
+        for seed in 0..50 {
+            let pair = paired_design(seed);
+            let rtl = compile_rtl(&pair.verilog).expect("twin compiles").0;
+            let hdl = compiled(&pair.scald);
+            check(&format!("twins {seed}"), &rtl, &hdl, &mut tally);
+            if let Some(prev) = &previous {
+                check(&format!("twins {seed} after"), prev, &hdl, &mut tally);
+            }
+            previous = Some(rtl);
+        }
+
+        // The seeded structural edit scripts of `incr_props`.
+        for design in 0..6 {
+            let (mut current, _) = s1_like_netlist(S1Options {
+                chips: 8 + 2 * design,
+                seed: 0xec0_0000 + design as u64,
+            });
+            let mut rng = Rng::seed_from_u64(0x5eed_0000 + design as u64);
+            for edit in 0..9 {
+                let d = structural_edit(&mut rng, &current, &format!("{design}_{edit}"));
+                let next = d.apply(&current).expect("edit applies");
+                check(
+                    &format!("script {design} edit {edit}"),
+                    &current,
+                    &next,
+                    &mut tally,
+                );
+                current = next;
+            }
+        }
+
+        assert!(tally.diffs >= 150, "{} diffs checked", tally.diffs);
+        assert!(tally.dirty > 0 && tally.clean > tally.dirty);
+    }
 }

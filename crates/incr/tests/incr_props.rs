@@ -7,11 +7,13 @@
 //! swaps, applied in sequence so later edits see earlier ones.
 
 use scald_gen::s1::{s1_like_netlist, S1Options};
-use scald_incr::{Case, Delta, DeltaConn, DesignInput, NetlistDelta, PrimSpec, Session};
-use scald_netlist::{Netlist, PrimKind};
+use scald_incr::{
+    design_hash, Case, Delta, DeltaConn, DesignInput, NetlistDelta, PrimSpec, Session,
+};
+use scald_netlist::{Config, Netlist, NetlistBuilder, PrimKind};
 use scald_rng::Rng;
 use scald_verifier::{CaseSet, RunOptions, Verifier};
-use scald_wave::DelayRange;
+use scald_wave::{DelayRange, Time};
 
 /// Cold-verifies `netlist` against `cases` exactly as a fresh run would.
 fn cold_report(netlist: &Netlist, cases: &[Case]) -> String {
@@ -129,18 +131,18 @@ fn warm_apply_matches_cold_run_over_seeded_edit_scripts() {
                     Delta::Cases(c)
                 }
             };
-            let outcome = session.apply(delta).expect("warm apply settles");
+            let stats = session.apply(delta).expect("warm apply settles");
             assert!(
-                outcome.stats.warm,
+                stats.warm,
                 "design {design} edit {edit}: same config must warm-start"
             );
             assert_eq!(
-                outcome.report.strip_effort().to_json(),
+                session.report().strip_effort().to_json(),
                 cold_report(&current, &cases),
                 "design {design} edit {edit}: warm report differs from cold"
             );
             pairs += 1;
-            if outcome.stats.warm {
+            if stats.warm {
                 warm_passes += 1;
             }
         }
@@ -169,18 +171,18 @@ fn single_retime_touches_a_small_cone() {
 
     let mut d = NetlistDelta::new();
     d.retime(target, DelayRange::from_ns(2.0, 7.0));
-    let outcome = session.apply(Delta::Netlist(d)).expect("applies");
-    assert!(outcome.stats.warm);
+    let stats = session.apply(Delta::Netlist(d)).expect("applies");
+    assert!(stats.warm);
     assert!(
-        outcome.stats.cone_prims < outcome.stats.total_prims / 2,
+        stats.cone_prims < stats.total_prims / 2,
         "one retime should dirty a minority cone: {}/{} prims",
-        outcome.stats.cone_prims,
-        outcome.stats.total_prims
+        stats.cone_prims,
+        stats.total_prims
     );
     assert!(
-        outcome.stats.events < cold_events,
+        stats.events < cold_events,
         "warm settle ({} events) should beat the cold run ({cold_events})",
-        outcome.stats.events
+        stats.events
     );
 }
 
@@ -192,16 +194,14 @@ fn identical_source_reapply_is_all_clean() {
         "noop",
     )
     .expect("opens");
-    let outcome = session
+    let before = session.report().strip_effort().to_json();
+    let stats = session
         .apply(Delta::Netlist(NetlistDelta::new()))
         .expect("empty delta applies");
-    assert!(outcome.stats.warm);
-    assert_eq!(outcome.stats.dirty_prims, 0, "nothing changed");
-    assert_eq!(outcome.stats.seeded_prims, 0);
-    assert_eq!(
-        outcome.report.strip_effort().to_json(),
-        session.report().strip_effort().to_json()
-    );
+    assert!(stats.warm);
+    assert_eq!(stats.dirty_prims, 0, "nothing changed");
+    assert_eq!(stats.seeded_prims, 0);
+    assert_eq!(session.report().strip_effort().to_json(), before);
 }
 
 /// Editing a fixed pulse width from `+10.25` to `+10.2` ns is a real
@@ -228,9 +228,64 @@ fn hundredths_of_a_pulse_width_are_an_edit() {
     assert_ne!(cold(&before), cold(&after), "the edit changes the verdict");
 
     let mut session = Session::open(DesignInput::source(&before), "pw").expect("opens");
-    let outcome = session
+    let stats = session
         .apply(Delta::Source(after.clone()))
         .expect("edit applies");
-    assert!(outcome.stats.dirty_prims > 0, "the clock's cone is dirty");
-    assert_eq!(outcome.report.strip_effort().to_json(), cold(&after));
+    assert!(stats.dirty_prims > 0, "the clock's cone is dirty");
+    assert_eq!(session.report().strip_effort().to_json(), cold(&after));
+}
+
+/// A hand-built netlist with two buffers both named `B` (the expander
+/// makes names unique; the builder does not). `B` buffers `D` onto `Q1`
+/// and `Q2`, and `Q1` feeds a register and its set-up/hold check.
+fn duplicate_named_bufs(delay: DelayRange) -> Netlist {
+    let mut b = NetlistBuilder::new(Config::s1_example());
+    let clk = b.signal("CLK .P6-7").expect("valid name");
+    let d = b.signal_vec("D .S0-6", 8).expect("valid name");
+    let q1 = b.signal_vec("Q1", 8).expect("valid name");
+    let q2 = b.signal_vec("Q2", 8).expect("valid name");
+    let r = b.signal_vec("R", 8).expect("valid name");
+    b.buf("B", delay, d, q1);
+    b.buf("B", delay, d, q2);
+    b.reg("REG", DelayRange::from_ns(1.5, 4.5), clk, q1, r);
+    b.setup_hold("REG CHK", Time::from_ns(2.5), Time::from_ns(1.5), q1, clk);
+    b.finish().expect("valid netlist")
+}
+
+/// A name that is ambiguous in the design pairs nothing: retiming `B`
+/// re-verifies both buffers, and the warm report equals a cold open of
+/// the edited netlist.
+#[test]
+fn duplicate_named_prims_reverify_dirty() {
+    let before = duplicate_named_bufs(DelayRange::from_ns(1.0, 2.0));
+    let mut session =
+        Session::open(DesignInput::netlist(before, vec![Case::new()]), "prop").expect("opens");
+    let mut d = NetlistDelta::new();
+    d.retime("B", DelayRange::from_ns(20.0, 30.0));
+    let edited = d.apply(session.netlist()).expect("retime applies");
+    let stats = session
+        .apply(Delta::Netlist(d))
+        .expect("warm apply settles");
+    assert!(stats.warm);
+    assert_eq!(stats.dirty_prims, 2, "both buffers named B are dirty");
+    assert_eq!(stats.seeded_prims, 2);
+    assert_eq!(
+        session.report().strip_effort().to_json(),
+        cold_report(&edited, &[Case::new()]),
+        "warm report differs from cold"
+    );
+}
+
+/// `design_hash` covers duplicate-named primitives too, so a pool never
+/// mistakes the retimed design for the original.
+#[test]
+fn design_hash_covers_duplicate_named_prims() {
+    let cases = [Case::new()];
+    let fast = duplicate_named_bufs(DelayRange::from_ns(1.0, 2.0));
+    let slow = duplicate_named_bufs(DelayRange::from_ns(20.0, 30.0));
+    assert_ne!(design_hash(&fast, &cases), design_hash(&slow, &cases));
+    assert_eq!(
+        design_hash(&fast, &cases),
+        design_hash(&duplicate_named_bufs(DelayRange::from_ns(1.0, 2.0)), &cases)
+    );
 }

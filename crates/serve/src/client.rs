@@ -54,7 +54,7 @@ impl Client {
         let json = scald_trace::json::parse(line.trim())
             .map_err(|e| bad_proto(format!("malformed hello frame: {e}")))?;
         let Frame::Hello(hello) =
-            Frame::parse(&json).map_err(|e| bad_proto(format!("bad hello frame: {e}")))?
+            Frame::parse(json).map_err(|e| bad_proto(format!("bad hello frame: {e}")))?
         else {
             return Err(bad_proto("first frame was not a hello"));
         };
@@ -105,7 +105,7 @@ impl Client {
             }
             let json = scald_trace::json::parse(line.trim())
                 .map_err(|e| bad_proto(format!("malformed server frame: {e}")))?;
-            match Frame::parse(&json).map_err(|e| bad_proto(format!("bad server frame: {e}")))? {
+            match Frame::parse(json).map_err(|e| bad_proto(format!("bad server frame: {e}")))? {
                 Frame::Response(response) => return Ok(response),
                 Frame::Trace { session, event } => self.trace.push((session, event)),
                 Frame::Hello(_) => return Err(bad_proto("unexpected mid-stream hello")),

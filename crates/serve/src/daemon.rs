@@ -16,7 +16,7 @@ use crate::proto::{
     RunSummary, SweepEffort, SweepSpec, PROTO_VERSION,
 };
 use crate::tap::SharedWriter;
-use scald_incr::{compile_source, compile_verilog, Delta, SessionError, SessionOutcome};
+use scald_incr::{compile_source, compile_verilog, Delta, IncrStats, SessionError, SessionOutcome};
 use scald_verifier::{Case, EvalCacheStats};
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Write};
@@ -271,7 +271,7 @@ fn handle_connection(
     shared: &Arc<Shared>,
 ) -> io::Result<()> {
     let writer: SharedWriter = Arc::new(Mutex::new(writer));
-    write_frame(&writer, &Frame::Hello(shared.hello()))?;
+    write_frame(&writer, Frame::Hello(shared.hello()))?;
 
     let mut conn = ConnState {
         sessions: BTreeMap::new(),
@@ -300,7 +300,7 @@ fn handle_connection(
                     kind: ErrorKind::Parse,
                     message: format!("malformed JSON: {e}"),
                 };
-                write_frame(&writer, &Frame::Response(resp))?;
+                write_frame(&writer, Frame::Response(resp))?;
                 continue;
             }
             Ok(json) => match Request::parse(&json) {
@@ -310,14 +310,14 @@ fn handle_connection(
                         kind: ErrorKind::Parse,
                         message: e.to_string(),
                     };
-                    write_frame(&writer, &Frame::Response(resp))?;
+                    write_frame(&writer, Frame::Response(resp))?;
                     continue;
                 }
                 Ok(request) => request,
             },
         };
         let response = dispatch(request, &mut conn, &writer, shared);
-        write_frame(&writer, &Frame::Response(response))?;
+        write_frame(&writer, Frame::Response(response))?;
     }
 
     // Disconnect (clean or torn): park every remaining session.
@@ -327,8 +327,8 @@ fn handle_connection(
     Ok(())
 }
 
-fn write_frame(writer: &SharedWriter, frame: &Frame) -> io::Result<()> {
-    let line = frame.to_json().to_string();
+fn write_frame(writer: &SharedWriter, frame: Frame) -> io::Result<()> {
+    let line = frame.into_json().to_string();
     let mut w = writer.lock().expect("connection writer poisoned");
     writeln!(w, "{line}")?;
     w.flush()
@@ -405,7 +405,7 @@ fn dispatch(
             let doc = if effort {
                 report.json_value()
             } else {
-                report.strip_effort().json_value()
+                report.stripped_json_value()
             };
             Response::Report {
                 id,
@@ -599,8 +599,8 @@ fn do_verify_op(
             // Even a failed apply leaves the session valid at its prior
             // state, so it always returns to the connection here.
             let response = match &result {
-                Ok(outcome) => {
-                    let summary = outcome_summary(outcome, delta);
+                Ok(_) => {
+                    let summary = outcome_summary(pooled.session.outcome(), delta);
                     match kind {
                         OpKind::Applied => Response::Applied { id, summary },
                         OpKind::Ran => Response::Ran { id, summary },
@@ -643,7 +643,7 @@ fn reap_checkout(
 fn reap_verify(
     rx: mpsc::Receiver<(
         PooledSession,
-        Result<SessionOutcome, SessionError>,
+        Result<IncrStats, SessionError>,
         Option<CacheDelta>,
     )>,
     shared: Arc<Shared>,

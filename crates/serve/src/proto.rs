@@ -1192,24 +1192,35 @@ impl Response {
         })
     }
 
-    /// The response as a JSON frame.
+    /// The response as a JSON frame — a copy of [`into_json`]'s
+    /// document, for callers that keep the response.
+    ///
+    /// [`into_json`]: Response::into_json
     #[must_use]
     pub fn to_json(&self) -> Json {
-        if let Response::Error { id, kind, message } = self {
-            return Json::Obj(vec![
-                ("frame".into(), Json::str("response")),
-                ("id".into(), id.map_or(Json::Null, Json::from)),
-                ("ok".into(), Json::from(false)),
-                (
-                    "error".into(),
-                    Json::Obj(vec![
-                        ("kind".into(), Json::str(kind.token())),
-                        ("message".into(), Json::str(message)),
-                    ]),
-                ),
-            ]);
-        }
+        self.clone().into_json()
+    }
+
+    /// The response as a JSON frame. Consumes the response, so a
+    /// `report` document moves into the frame instead of being copied.
+    #[must_use]
+    pub fn into_json(self) -> Json {
+        let cmd = self.cmd();
         let (id, result) = match self {
+            Response::Error { id, kind, message } => {
+                return Json::Obj(vec![
+                    ("frame".into(), Json::str("response")),
+                    ("id".into(), id.map_or(Json::Null, Json::from)),
+                    ("ok".into(), Json::from(false)),
+                    (
+                        "error".into(),
+                        Json::Obj(vec![
+                            ("kind".into(), Json::str(kind.token())),
+                            ("message".into(), Json::Str(message)),
+                        ]),
+                    ),
+                ]);
+            }
             Response::Opened {
                 id,
                 session,
@@ -1218,35 +1229,34 @@ impl Response {
                 shared_cache,
                 summary,
             } => (
-                *id,
+                id,
                 Json::Obj(vec![
-                    ("session".into(), Json::str(session)),
-                    ("design_hash".into(), Json::str(design_hash)),
-                    ("reused_session".into(), Json::from(*reused_session)),
-                    ("shared_cache".into(), Json::from(*shared_cache)),
+                    ("session".into(), Json::Str(session)),
+                    ("design_hash".into(), Json::Str(design_hash)),
+                    ("reused_session".into(), Json::from(reused_session)),
+                    ("shared_cache".into(), Json::from(shared_cache)),
                     ("summary".into(), summary.to_json()),
                 ]),
             ),
             Response::Applied { id, summary } | Response::Ran { id, summary } => {
-                (*id, Json::Obj(vec![("summary".into(), summary.to_json())]))
+                (id, Json::Obj(vec![("summary".into(), summary.to_json())]))
             }
             Response::Report { id, report, effort } => (
-                *id,
+                id,
                 Json::Obj(vec![
-                    ("effort".into(), Json::from(*effort)),
-                    ("report".into(), report.clone()),
+                    ("effort".into(), Json::from(effort)),
+                    ("report".into(), report),
                 ]),
             ),
             Response::Subscribed { id, mode } => (
-                *id,
+                id,
                 Json::Obj(vec![("mode".into(), Json::str(mode.token()))]),
             ),
             Response::Closed { id, pooled } => {
-                (*id, Json::Obj(vec![("pooled".into(), Json::from(*pooled))]))
+                (id, Json::Obj(vec![("pooled".into(), Json::from(pooled))]))
             }
-            Response::Stats { id, stats } => (*id, stats.to_json()),
-            Response::ShuttingDown { id } => (*id, Json::Obj(vec![])),
-            Response::Error { .. } => unreachable!("handled above"),
+            Response::Stats { id, stats } => (id, stats.to_json()),
+            Response::ShuttingDown { id } => (id, Json::Obj(vec![])),
         };
         Json::Obj(vec![
             ("frame".into(), Json::str("response")),
@@ -1254,19 +1264,21 @@ impl Response {
             ("ok".into(), Json::from(true)),
             (
                 "cmd".into(),
-                Json::str(self.cmd().expect("success responses name their cmd")),
+                Json::str(cmd.expect("success responses name their cmd")),
             ),
             ("result".into(), result),
         ])
     }
 
     /// Parses a response frame (the client side of the protocol).
+    /// Consumes the frame, so a `report` document moves out of it
+    /// instead of being copied.
     ///
     /// # Errors
     ///
     /// A [`ProtoError`] naming the first problem.
-    pub fn parse(json: &Json) -> Result<Response, ProtoError> {
-        let outer = Fields::of(json, &["frame", "id", "ok", "cmd", "result", "error"])?;
+    pub fn parse(mut json: Json) -> Result<Response, ProtoError> {
+        let outer = Fields::of(&json, &["frame", "id", "ok", "cmd", "result", "error"])?;
         if outer.req_str("frame")? != "response" {
             return err("expected a response frame");
         }
@@ -1324,10 +1336,12 @@ impl Response {
             }
             "report" => {
                 let f = Fields::of(result, &["effort", "report"])?;
+                f.req("report")?;
+                let effort = f.req_bool("effort")?;
                 Ok(Response::Report {
                     id,
-                    report: f.req("report")?.clone(),
-                    effort: f.req_bool("effort")?,
+                    report: take_field(&mut take_field(&mut json, "result"), "report"),
+                    effort,
                 })
             }
             "subscribe-trace" => {
@@ -1372,41 +1386,58 @@ pub enum Frame {
 }
 
 impl Frame {
-    /// The frame as a JSON object.
+    /// The frame as a JSON object. Consumes the frame, so a report
+    /// document or trace event moves into it instead of being copied.
     #[must_use]
-    pub fn to_json(&self) -> Json {
+    pub fn into_json(self) -> Json {
         match self {
             Frame::Hello(h) => h.to_json(),
-            Frame::Response(r) => r.to_json(),
+            Frame::Response(r) => r.into_json(),
             Frame::Trace { session, event } => Json::Obj(vec![
                 ("frame".into(), Json::str("trace")),
-                ("session".into(), Json::str(session)),
-                ("event".into(), event.clone()),
+                ("session".into(), Json::Str(session)),
+                ("event".into(), event),
             ]),
         }
     }
 
-    /// Parses any server-to-client frame by its `frame` tag.
+    /// Parses any server-to-client frame by its `frame` tag. Consumes
+    /// the frame, so a report document or trace event moves out of it.
     ///
     /// # Errors
     ///
     /// A [`ProtoError`] naming the first problem.
-    pub fn parse(json: &Json) -> Result<Frame, ProtoError> {
+    pub fn parse(mut json: Json) -> Result<Frame, ProtoError> {
         let Some(tag) = json.get("frame").and_then(Json::as_str) else {
             return err("frame object lacks a \"frame\" tag");
         };
         match tag {
-            "hello" => Ok(Frame::Hello(Hello::parse(json)?)),
+            "hello" => Ok(Frame::Hello(Hello::parse(&json)?)),
             "response" => Ok(Frame::Response(Response::parse(json)?)),
             "trace" => {
-                let f = Fields::of(json, &["frame", "session", "event"])?;
+                let f = Fields::of(&json, &["frame", "session", "event"])?;
+                let session = f.req_str("session")?.to_owned();
+                f.req("event")?;
                 Ok(Frame::Trace {
-                    session: f.req_str("session")?.to_owned(),
-                    event: f.req("event")?.clone(),
+                    session,
+                    event: take_field(&mut json, "event"),
                 })
             }
             other => err(format!("unknown frame tag {other:?}")),
         }
+    }
+}
+
+/// Moves the value at `key` out of an object (leaving `null` behind),
+/// or returns `null` when `json` is not an object holding `key`. Decoders
+/// call it only after [`Fields`] validated the object.
+fn take_field(json: &mut Json, key: &str) -> Json {
+    match json {
+        Json::Obj(fields) => fields
+            .iter_mut()
+            .find(|(k, _)| k == key)
+            .map_or(Json::Null, |(_, v)| std::mem::replace(v, Json::Null)),
+        _ => Json::Null,
     }
 }
 
@@ -1761,11 +1792,184 @@ mod tests {
             },
         ] {
             let text = resp.to_json().to_string();
-            let back = Response::parse(&parse(&text).expect("valid json")).expect("parses");
+            let back = Response::parse(parse(&text).expect("valid json")).expect("parses");
             assert_eq!(back, resp, "wire text: {text}");
             // And through the generic frame parser.
-            let frame = Frame::parse(&parse(&text).expect("valid json")).expect("parses");
+            let frame = Frame::parse(parse(&text).expect("valid json")).expect("parses");
             assert_eq!(frame, Frame::Response(resp));
+        }
+    }
+
+    /// The borrowing encoder the by-value [`Response::into_json`] and
+    /// [`Frame::into_json`] replaced, kept as the byte-identity oracle.
+    fn oracle_frame(frame: &Frame) -> Json {
+        let response = match frame {
+            Frame::Hello(h) => return h.to_json(),
+            Frame::Trace { session, event } => {
+                return Json::Obj(vec![
+                    ("frame".into(), Json::str("trace")),
+                    ("session".into(), Json::str(session)),
+                    ("event".into(), event.clone()),
+                ])
+            }
+            Frame::Response(r) => r,
+        };
+        if let Response::Error { id, kind, message } = response {
+            return Json::Obj(vec![
+                ("frame".into(), Json::str("response")),
+                ("id".into(), id.map_or(Json::Null, Json::from)),
+                ("ok".into(), Json::from(false)),
+                (
+                    "error".into(),
+                    Json::Obj(vec![
+                        ("kind".into(), Json::str(kind.token())),
+                        ("message".into(), Json::str(message)),
+                    ]),
+                ),
+            ]);
+        }
+        let (id, result) = match response {
+            Response::Opened {
+                id,
+                session,
+                design_hash,
+                reused_session,
+                shared_cache,
+                summary,
+            } => (
+                *id,
+                Json::Obj(vec![
+                    ("session".into(), Json::str(session)),
+                    ("design_hash".into(), Json::str(design_hash)),
+                    ("reused_session".into(), Json::from(*reused_session)),
+                    ("shared_cache".into(), Json::from(*shared_cache)),
+                    ("summary".into(), summary.to_json()),
+                ]),
+            ),
+            Response::Applied { id, summary } | Response::Ran { id, summary } => {
+                (*id, Json::Obj(vec![("summary".into(), summary.to_json())]))
+            }
+            Response::Report { id, report, effort } => (
+                *id,
+                Json::Obj(vec![
+                    ("effort".into(), Json::from(*effort)),
+                    ("report".into(), report.clone()),
+                ]),
+            ),
+            Response::Subscribed { id, mode } => (
+                *id,
+                Json::Obj(vec![("mode".into(), Json::str(mode.token()))]),
+            ),
+            Response::Closed { id, pooled } => {
+                (*id, Json::Obj(vec![("pooled".into(), Json::from(*pooled))]))
+            }
+            Response::Stats { id, stats } => (*id, stats.to_json()),
+            Response::ShuttingDown { id } => (*id, Json::Obj(vec![])),
+            Response::Error { .. } => unreachable!("handled above"),
+        };
+        Json::Obj(vec![
+            ("frame".into(), Json::str("response")),
+            ("id".into(), Json::from(id)),
+            ("ok".into(), Json::from(true)),
+            (
+                "cmd".into(),
+                Json::str(response.cmd().expect("success responses name their cmd")),
+            ),
+            ("result".into(), result),
+        ])
+    }
+
+    #[test]
+    fn frames_match_the_borrowing_encoder_oracle() {
+        let summary = RunSummary {
+            clean: true,
+            violations: 0,
+            warm: false,
+            seeded_prims: 1665,
+            total_prims: 1665,
+            events: 9000,
+            evaluations: 12000,
+            wall_ns: 1,
+            cache: None,
+            sweep: None,
+        };
+        // A report-shaped document: nested objects, arrays, escapes,
+        // non-ASCII, nulls and numbers of every writer path.
+        let report = parse(
+            r#"{"schema":"scald-tv-report","version":2,"design":"d \"q\"\né",
+                "clean":false,"engine":{"wall_ns":null,"period_ns":50,"x":-0.5,"big":1e300},
+                "cases":[{"name":"case 1","violations":[{"at":{"start_ns":49,"width_ns":2.25},
+                "observed":["CK = 0 0.0 R 36.5","\t"]}]}],"assumed_stable":[],"summary":[]}"#,
+        )
+        .expect("valid json");
+        let frames = [
+            Frame::Hello(Hello {
+                proto: PROTO_VERSION,
+                server: "scald-serve/0.1.0".into(),
+                jobs: 2,
+            }),
+            Frame::Trace {
+                session: "s1".into(),
+                event: parse(r#"{"event":"warm_start","copied_signals":3}"#).expect("valid"),
+            },
+            Frame::Response(Response::Opened {
+                id: 1,
+                session: "s1".into(),
+                design_hash: "00ff00ff00ff00ff".into(),
+                reused_session: false,
+                shared_cache: true,
+                summary,
+            }),
+            Frame::Response(Response::Applied { id: 2, summary }),
+            Frame::Response(Response::Ran { id: 3, summary }),
+            Frame::Response(Response::Report {
+                id: 4,
+                report: report.clone(),
+                effort: false,
+            }),
+            Frame::Response(Response::Report {
+                id: u64::MAX,
+                report,
+                effort: true,
+            }),
+            Frame::Response(Response::Subscribed {
+                id: 5,
+                mode: TraceMode::Full,
+            }),
+            Frame::Response(Response::Closed {
+                id: 6,
+                pooled: false,
+            }),
+            Frame::Response(Response::Stats {
+                id: 7,
+                stats: DaemonStats {
+                    connections: 1,
+                    active_runs: 0,
+                    jobs_total: 2,
+                    shutting_down: true,
+                    designs: vec![],
+                },
+            }),
+            Frame::Response(Response::ShuttingDown { id: 8 }),
+            Frame::Response(Response::Error {
+                id: Some(9),
+                kind: ErrorKind::Compile,
+                message: "line 3: \"x\" is not a signal".into(),
+            }),
+            Frame::Response(Response::Error {
+                id: None,
+                kind: ErrorKind::Parse,
+                message: "malformed JSON".into(),
+            }),
+        ];
+        for frame in frames {
+            let text = frame.clone().into_json().to_string();
+            assert_eq!(text, oracle_frame(&frame).to_string(), "frame bytes");
+            if let Frame::Response(r) = &frame {
+                assert_eq!(r.to_json().to_string(), text, "borrowing encoder");
+            }
+            let back = Frame::parse(parse(&text).expect("valid json")).expect("parses");
+            assert_eq!(back, frame, "by-value decode round-trips: {text}");
         }
     }
 

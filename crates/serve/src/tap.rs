@@ -92,7 +92,7 @@ impl TraceSink for TapSink {
             session: t.session.clone(),
             event: event.to_json(),
         };
-        let line = frame.to_json().to_string();
+        let line = frame.into_json().to_string();
         let failed = {
             let mut w = t.writer.lock().expect("connection writer poisoned");
             writeln!(w, "{line}").and_then(|()| w.flush()).is_err()

@@ -9,6 +9,7 @@ use std::io::Write;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Barrier};
 use std::thread;
 use std::time::Duration;
 
@@ -22,17 +23,44 @@ fn socket_path(tag: &str) -> PathBuf {
     path
 }
 
-/// Starts an in-process daemon and waits until its socket accepts.
+/// Starts an in-process daemon and waits until its socket accepts and
+/// a fresh client's `stats` counts that client alone, so no probe
+/// connection is still live when a test asserts the connection count.
 fn start_daemon(opts: ServeOptions) -> (PathBuf, thread::JoinHandle<()>) {
     let path = opts.socket.clone().expect("test daemons listen on sockets");
     let handle = thread::spawn(move || serve(&opts).expect("daemon runs"));
     for _ in 0..400 {
-        if UnixStream::connect(&path).is_ok() {
-            return (path, handle);
+        if let Ok(probe) = UnixStream::connect(&path) {
+            if live_connections(probe) == 1 {
+                return (path, handle);
+            }
         }
         thread::sleep(Duration::from_millis(5));
     }
-    panic!("daemon socket {} never came up", path.display());
+    panic!("daemon socket {} never came up alone", path.display());
+}
+
+/// The daemon's live-connection count as `probe` sees it. The probe
+/// then half-closes and reads to EOF, so the daemon has dropped its side
+/// of the connection before this returns.
+fn live_connections(probe: UnixStream) -> u64 {
+    let stream = |s: &UnixStream| s.try_clone().expect("probe clones");
+    probe
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("probe takes a timeout");
+    let mut client = Client::from_streams(
+        Box::new(std::io::BufReader::new(stream(&probe))),
+        Box::new(stream(&probe)),
+    )
+    .expect("probe handshakes");
+    let Response::Stats { stats, .. } = client.stats().expect("probe stats") else {
+        panic!("expected stats");
+    };
+    probe
+        .shutdown(std::net::Shutdown::Write)
+        .expect("probe half-closes");
+    let _ = std::io::Read::read_to_end(&mut stream(&probe), &mut Vec::new());
+    stats.connections
 }
 
 fn small_design(seed: u64) -> String {
@@ -73,15 +101,19 @@ fn four_concurrent_clients_get_identical_reports_and_share_the_cache() {
     let reference = report_text(warmup.report(&s, false).expect("reports"));
     warmup.close(&s).expect("closes");
 
-    // Four clients now open the same design concurrently.
+    // Four clients now open the same design concurrently: none closes
+    // (and so parks its session for the next) before all have opened.
+    let opened_all = Arc::new(Barrier::new(4));
     let reports: Vec<(String, bool)> = {
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let path = path.clone();
                 let src = src.clone();
+                let opened_all = Arc::clone(&opened_all);
                 thread::spawn(move || {
                     let mut client = Client::connect_unix(&path).expect("connects");
                     let (s, _, shared) = opened(client.open_source(&src, "shared").expect("opens"));
+                    opened_all.wait();
                     let text = report_text(client.report(&s, false).expect("reports"));
                     client.close(&s).expect("closes");
                     (text, shared)
@@ -595,18 +627,15 @@ fn run_reply_sweep_block_matches_the_in_process_outcome() {
     // Same design, same sweep, run in-process: the wire block must be
     // a verbatim copy of the outcome's counters.
     let mut session = Session::open(DesignInput::source(&src), "sweepfx").expect("opens");
-    let outcome = session
+    let stats = session
         .apply(Delta::Cases(spec.to_case_set().into_cases()))
         .expect("applies");
-    assert_eq!(wire.prefix_nodes, outcome.stats.prefix.nodes as u64);
-    assert_eq!(wire.prefix_evaluations, outcome.stats.prefix.evaluations);
-    assert_eq!(wire.leaf_check_evals, outcome.stats.memo.leaf_check_evals);
-    assert_eq!(wire.leaf_check_hits, outcome.stats.memo.leaf_check_hits);
-    assert_eq!(
-        wire.leaf_storage_evals,
-        outcome.stats.memo.leaf_storage_evals
-    );
-    assert_eq!(wire.leaf_storage_hits, outcome.stats.memo.leaf_storage_hits);
+    assert_eq!(wire.prefix_nodes, stats.prefix.nodes as u64);
+    assert_eq!(wire.prefix_evaluations, stats.prefix.evaluations);
+    assert_eq!(wire.leaf_check_evals, stats.memo.leaf_check_evals);
+    assert_eq!(wire.leaf_check_hits, stats.memo.leaf_check_hits);
+    assert_eq!(wire.leaf_storage_evals, stats.memo.leaf_storage_evals);
+    assert_eq!(wire.leaf_storage_hits, stats.memo.leaf_storage_hits);
     assert!(
         wire.leaf_check_hits > wire.leaf_check_evals,
         "most per-leaf checker work should be inherited, got {} hits / {} evals",

@@ -586,7 +586,7 @@ impl VerifierBuilder {
         } else {
             None
         };
-        let mut v = Verifier::init(netlist);
+        let mut v = Verifier::init(Arc::new(netlist));
         if let Some(cache) = cache {
             // Intern every primitive's static descriptor once: unchanged
             // prims of a rebuilt (incr-session) netlist land on the same
@@ -633,7 +633,10 @@ impl VerifierBuilder {
 /// ```
 #[derive(Clone)]
 pub struct Verifier {
-    netlist: Netlist,
+    /// Shared, never mutated: a checkpoint clone (and anything else
+    /// that clones the verifier) shares the netlist instead of copying
+    /// it.
+    netlist: Arc<Netlist>,
     /// Computed (pre-case-mapping) states, struct-of-arrays.
     raw: SoaState,
     /// Effective states seen by evaluation: raw with case overrides applied.
@@ -715,7 +718,7 @@ impl Verifier {
     /// Initializes all signal states per §2.9: asserted signals take
     /// their asserted values, undriven unasserted signals are assumed
     /// stable (and cross-referenced), everything else starts `U`.
-    fn init(netlist: Netlist) -> Verifier {
+    fn init(netlist: Arc<Netlist>) -> Verifier {
         let period = netlist.config().timing.period;
         let timing = netlist.config().timing;
         let n = netlist.signals().len();

@@ -359,11 +359,18 @@ impl CaseResult {
         self.violations.is_empty()
     }
 
-    fn json_value(&self) -> Json {
+    /// The case's JSON object; without `effort` the event and
+    /// evaluation counters read zero, as after [`Report::strip_effort`].
+    fn json_value(&self, effort: bool) -> Json {
+        let (events, evaluations) = if effort {
+            (self.events, self.evaluations)
+        } else {
+            (0, 0)
+        };
         Json::Obj(vec![
             ("name".into(), Json::str(&self.name)),
-            ("events".into(), Json::from(self.events)),
-            ("evaluations".into(), Json::from(self.evaluations)),
+            ("events".into(), Json::from(events)),
+            ("evaluations".into(), Json::from(evaluations)),
             (
                 "value_records".into(),
                 Json::from(self.value_records as u64),
@@ -655,23 +662,51 @@ impl Report {
     /// may append extra top-level sections before printing.
     #[must_use]
     pub fn json_value(&self) -> Json {
+        self.document(true)
+    }
+
+    /// The document of the [effort-stripped](Self::strip_effort) report:
+    /// byte-identical to `strip_effort().json_value()`, but built
+    /// straight from this report without copying it first.
+    #[must_use]
+    pub fn stripped_json_value(&self) -> Json {
+        self.document(false)
+    }
+
+    /// The one document builder. Without `effort`, every field that
+    /// [`strip_effort`](Self::strip_effort) resets is written at its
+    /// reset value.
+    fn document(&self, effort: bool) -> Json {
         let mut doc;
+        let stats = if effort {
+            self.engine
+        } else {
+            EngineStats {
+                jobs: 0,
+                case_strategy: CaseStrategy::default(),
+                events: 0,
+                evaluations: 0,
+                verify_wall: None,
+                eval_cache: None,
+                ..self.engine
+            }
+        };
         let engine = Json::Obj(vec![
-            ("signals".into(), Json::from(self.engine.signals as u64)),
-            ("prims".into(), Json::from(self.engine.prims as u64)),
-            ("cases".into(), Json::from(self.engine.cases as u64)),
-            ("jobs".into(), Json::from(self.engine.jobs as u64)),
+            ("signals".into(), Json::from(stats.signals as u64)),
+            ("prims".into(), Json::from(stats.prims as u64)),
+            ("cases".into(), Json::from(stats.cases as u64)),
+            ("jobs".into(), Json::from(stats.jobs as u64)),
             // Schema v1 additive extension: which case-scheduling path
             // the run resolved to ("auto" until the engine has run).
             (
                 "case_strategy".into(),
-                Json::Str(self.engine.case_strategy.as_str().into()),
+                Json::Str(stats.case_strategy.as_str().into()),
             ),
-            ("events".into(), Json::from(self.engine.events)),
-            ("evaluations".into(), Json::from(self.engine.evaluations)),
+            ("events".into(), Json::from(stats.events)),
+            ("evaluations".into(), Json::from(stats.evaluations)),
             (
                 "wall_ns".into(),
-                self.engine.verify_wall.map_or(Json::Null, |d| {
+                stats.verify_wall.map_or(Json::Null, |d| {
                     Json::from(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
                 }),
             ),
@@ -679,19 +714,17 @@ impl Report {
             // the evaluation cache is disabled (`--no-eval-cache`).
             (
                 "cache_hits".into(),
-                self.engine
-                    .eval_cache
-                    .map_or(Json::Null, |c| Json::from(c.hits)),
+                stats.eval_cache.map_or(Json::Null, |c| Json::from(c.hits)),
             ),
             (
                 "cache_misses".into(),
-                self.engine
+                stats
                     .eval_cache
                     .map_or(Json::Null, |c| Json::from(c.misses)),
             ),
             (
                 "cache_entries".into(),
-                self.engine
+                stats
                     .eval_cache
                     .map_or(Json::Null, |c| Json::from(c.entries as u64)),
             ),
@@ -760,7 +793,7 @@ impl Report {
             ("engine".into(), engine),
             (
                 "cases".into(),
-                Json::Arr(self.cases.iter().map(CaseResult::json_value).collect()),
+                Json::Arr(self.cases.iter().map(|c| c.json_value(effort)).collect()),
             ),
             ("slack".into(), slack),
             ("storage".into(), storage),

@@ -45,8 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     delta.retime(target.clone(), DelayRange::from_ns(2.0, 6.5));
     println!("eco: retime {target} to 2.0:6.5 ns");
 
-    let outcome = session.apply(Delta::Netlist(delta.clone()))?;
-    let warm = outcome.stats;
+    let warm = session.apply(Delta::Netlist(delta.clone()))?;
     println!(
         "warm apply: {} events, seeded {}/{} prims, cone {:.1}% of the design",
         warm.events,
@@ -65,7 +64,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let results = cold_verifier.run(&RunOptions::new())?.cases;
     let cold_report = cold_verifier.report("incr example", &results);
     assert_eq!(
-        outcome.report.strip_effort().to_json(),
+        session.report().strip_effort().to_json(),
         cold_report.strip_effort().to_json(),
         "warm-started report must be byte-identical to the cold run"
     );

@@ -466,14 +466,14 @@ fn run_watch(opts: &Options) -> ExitCode {
             continue;
         }
         match session.apply(source_delta(opts, src.clone())) {
-            Ok(outcome) => {
+            Ok(stats) => {
                 pending_bad = None;
                 last_src = src;
                 edits += 1;
-                violations = outcome.report.total_violations();
+                violations = session.report().total_violations();
                 println!(
                     "[watch] edit {edits}: {violations} violation(s); {}",
-                    effort_line(&outcome.stats)
+                    effort_line(&stats)
                 );
             }
             Err(e) => match &mut pending_bad {
@@ -514,18 +514,19 @@ fn run_baseline(opts: &Options, old_path: &str) -> ExitCode {
         let new_src = read(&opts.path)?;
         let mut session = open_session(opts, &old_src)?;
         let before = session.report().clone();
-        let outcome = session
+        session
             .apply(source_delta(opts, new_src))
             .map_err(|e| e.to_string())?;
-        Ok((before, outcome))
+        Ok((before, session))
     });
-    let (before, outcome) = match result {
+    let (before, session) = match result {
         Ok(pair) => pair,
         Err(e) => {
             eprintln!("scald-tv: {e}");
             return ExitCode::from(2);
         }
     };
+    let outcome = session.outcome();
     let diff = report_diff(&before, &outcome.report);
     println!("baseline {old_path} -> {}", opts.path);
     if diff.is_empty() {
