@@ -18,11 +18,30 @@ cargo test --workspace -q
 # The CLI integration suite alone, named so a red run points here.
 cargo test -q --test cli
 
-# The engine-determinism property suites alone, same reason: the wave
-# engine, the case fan-out and the evaluation cache must stay
-# byte-identical for every worker count (and cache on/off), and the
-# interning store must stay bounded.
+# The engine-determinism property suites alone, same reason: reports
+# from the wave engine and the case fan-out must stay byte-identical for
+# every worker count, eval-cache hit and miss counts included (a miss
+# that another worker's insert beat counts as a hit, as one worker would
+# see it); with the cache on and off they differ only in those counts;
+# and the interning store must stay bounded.
 cargo test -q -p scald-verifier --test parallel_settle --test parallel_cases --test eval_cache --test store_growth
+
+# The eval-cache counting rule alone: every interleaving of three
+# workers' lookups and inserts, for shared and distinct keys, counts
+# what one worker counts.
+cargo test -q -p scald-verifier --lib counts_match_one_worker_in_every_interleaving
+
+# The delta checker pass against its oracle: the walk-everything pass it
+# replaced runs beside every node and leaf delta pass of seeded case-tree
+# runs (sweeps, S-1 sweeps, corner crosses, the register file, hazard
+# and assertion designs) and must agree on violations, firing sets and
+# counts; the corpus must keep every firing set non-empty.
+cargo test -q -p scald-verifier --lib delta_passes_match_the_walk_oracle
+
+# MemoStats and PrefixStats pinned at 1/2/8 workers to values captured
+# from the walk: the case_sched design at 10 and 100 cases, and two
+# sweeps with violations.
+cargo test -q -p scald-verifier --test memo_pins
 
 # The case-tree suite alone: 50-seed property that tree-factored sweeps
 # produce stripped reports byte-identical to the independent path at
@@ -34,6 +53,11 @@ cargo test -q -p scald-wave --test store_props
 # lines, disconnects, timeouts, shutdown-while-busy) and the 50-design
 # property that daemon reports are byte-identical to direct runs.
 cargo test -q -p scald-serve --test daemon --test serve_props
+
+# The frame cap alone: a frame over MAX_FRAME_BYTES and a frame that is
+# not UTF-8 each get a parse error and the connection answers on; a torn
+# oversized final frame ends the connection unanswered.
+cargo test -q -p scald-serve --test daemon -- oversized_and_non_utf8_frames_are_parse_errors_and_the_connection_lives a_torn_oversized_final_frame_ends_the_connection
 
 # The HDL expander pins: golden FNV-1a hashes of every expansion of the
 # shipped designs, s1_like_hdl and the rtl_pairs twins, and the

@@ -13,13 +13,13 @@
 use crate::pool::{CheckoutInfo, PooledSession, SessionPool};
 use crate::proto::{
     CacheDelta, DaemonStats, DeltaSpec, ErrorKind, Frame, Frontend, Hello, Request, Response,
-    RunSummary, SweepEffort, SweepSpec, PROTO_VERSION,
+    RunSummary, SweepEffort, SweepSpec, MAX_FRAME_BYTES, PROTO_VERSION,
 };
 use crate::tap::SharedWriter;
 use scald_incr::{compile_source, compile_verilog, Delta, IncrStats, SessionError, SessionOutcome};
 use scald_verifier::{Case, EvalCacheStats};
 use std::collections::BTreeMap;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -261,10 +261,12 @@ struct ConnState {
 }
 
 /// The protocol loop for one client: handshake, then one strict JSONL
-/// request per line. Malformed frames get a structured parse error and
-/// the connection lives on; only EOF (or an unterminated final line,
-/// i.e. a client that died mid-write) ends it. Any session still checked
-/// out at the end returns to the pool.
+/// request per line. Malformed frames — invalid JSON, an invalid
+/// request, bytes that are not UTF-8, a line longer than
+/// [`MAX_FRAME_BYTES`] — get a structured parse error and the connection
+/// lives on; only EOF (or an unterminated final line, i.e. a client that
+/// died mid-write) ends it. Any session still checked out at the end
+/// returns to the pool.
 fn handle_connection(
     mut reader: impl BufRead,
     writer: Box<dyn Write + Send>,
@@ -277,19 +279,32 @@ fn handle_connection(
         sessions: BTreeMap::new(),
         next_session: 1,
     };
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
-        line.clear();
-        let n = reader.read_line(&mut line)?;
-        if n == 0 {
-            break; // clean EOF
-        }
-        if !line.ends_with('\n') {
-            // The client vanished mid-frame; the fragment was never a
-            // complete request, so it must not be processed.
-            break;
-        }
-        let text = line.trim();
+        let text = match read_frame(&mut reader, &mut line)? {
+            // Clean EOF, or a client that vanished mid-frame: the
+            // fragment was never a complete request, so it must not be
+            // processed.
+            FrameRead::End => break,
+            FrameRead::TooLong => Err(format!(
+                "frame exceeds the protocol limit of {MAX_FRAME_BYTES} bytes"
+            )),
+            FrameRead::Line => {
+                std::str::from_utf8(&line).map_err(|e| format!("frame is not UTF-8: {e}"))
+            }
+        };
+        let text = match text {
+            Ok(text) => text.trim(),
+            Err(message) => {
+                let resp = Response::Error {
+                    id: None,
+                    kind: ErrorKind::Parse,
+                    message,
+                };
+                write_frame(&writer, Frame::Response(resp))?;
+                continue;
+            }
+        };
         if text.is_empty() {
             continue;
         }
@@ -325,6 +340,50 @@ fn handle_connection(
         shared.pool.checkin(pooled);
     }
     Ok(())
+}
+
+/// What [`read_frame`] found.
+enum FrameRead {
+    /// A complete line, `\n` included, is in the buffer.
+    Line,
+    /// A complete line longer than [`MAX_FRAME_BYTES`], read past and
+    /// dropped.
+    TooLong,
+    /// EOF, clean or after an unterminated final line.
+    End,
+}
+
+/// Reads one frame into `line` as bytes, buffering at most
+/// [`MAX_FRAME_BYTES`] plus one. The rest of a longer line is read and
+/// discarded a buffer at a time, without keeping it.
+fn read_frame(reader: &mut impl BufRead, line: &mut Vec<u8>) -> io::Result<FrameRead> {
+    line.clear();
+    let limit = MAX_FRAME_BYTES + 1;
+    let n = Read::take(&mut *reader, limit as u64).read_until(b'\n', line)?;
+    if line.last() == Some(&b'\n') {
+        return Ok(FrameRead::Line);
+    }
+    if n < limit {
+        return Ok(FrameRead::End);
+    }
+    // Over the cap: free the buffer and skip to the end of the line.
+    *line = Vec::new();
+    loop {
+        let (found, used) = {
+            let available = reader.fill_buf()?;
+            if available.is_empty() {
+                return Ok(FrameRead::End);
+            }
+            match available.iter().position(|&b| b == b'\n') {
+                Some(at) => (true, at + 1),
+                None => (false, available.len()),
+            }
+        };
+        reader.consume(used);
+        if found {
+            return Ok(FrameRead::TooLong);
+        }
+    }
 }
 
 fn write_frame(writer: &SharedWriter, frame: Frame) -> io::Result<()> {

@@ -49,7 +49,7 @@ pub use daemon::{serve, JobsLease, JobsLedger, ServeOptions, DEFAULT_MAX_SWEEP_C
 pub use pool::{CheckoutInfo, PooledSession, SessionPool};
 pub use proto::{
     CacheDelta, DaemonStats, DeltaSpec, DesignStats, ErrorKind, Frame, Frontend, Hello, ProtoError,
-    Request, Response, RunSummary, SweepEffort, SweepSpec, TraceMode, PROTO_KEY, PROTO_VERSION,
-    SWEEP_MAX_CASES,
+    Request, Response, RunSummary, SweepEffort, SweepSpec, TraceMode, MAX_FRAME_BYTES, PROTO_KEY,
+    PROTO_VERSION, SWEEP_MAX_CASES,
 };
 pub use tap::TapSink;

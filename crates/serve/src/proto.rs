@@ -268,6 +268,13 @@ const SWEEP_MAX_DEPTH: usize = 8;
 /// configurable limit on top (`ServeOptions::max_sweep_cases`).
 pub const SWEEP_MAX_CASES: u64 = 1 << 20;
 
+/// Protocol-level cap on one frame's length in bytes, not counting its
+/// `\n`: far above any real request (an `open` of the 6,357-chip S-1
+/// design is about 230 KB), and low enough that a client that never
+/// ends its line cannot grow the daemon's buffer without bound. A
+/// longer frame is answered with a `parse` error and skipped.
+pub const MAX_FRAME_BYTES: usize = 64 << 20;
+
 impl SweepSpec {
     /// The spec as a JSON object (the wire shape).
     #[must_use]

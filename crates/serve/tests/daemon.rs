@@ -3,11 +3,13 @@
 
 use scald_gen::s1::{s1_like_hdl, S1Options};
 use scald_serve::{
-    serve, Client, DeltaSpec, ErrorKind, Request, Response, ServeOptions, TraceMode,
+    serve, Client, DeltaSpec, ErrorKind, Frame, Request, Response, ServeOptions, TraceMode,
+    MAX_FRAME_BYTES,
 };
-use std::io::Write;
+use scald_trace::json;
+use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread;
@@ -243,6 +245,140 @@ fn a_deeply_nested_frame_is_a_parse_error_and_the_daemon_lives() {
     client.shutdown().expect("shutdown");
     drop(client);
     drop(second);
+    daemon.join().expect("daemon drains");
+}
+
+/// A raw connection past its hello frame: a line reader and the write
+/// half, for frames a `Client` cannot send.
+fn raw_connection(path: &Path) -> (BufReader<UnixStream>, UnixStream) {
+    let stream = UnixStream::connect(path).expect("connects");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("takes a timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clones"));
+    let mut hello = String::new();
+    reader.read_line(&mut hello).expect("hello frame");
+    assert!(hello.contains("hello"), "{hello}");
+    (reader, stream)
+}
+
+/// The next response frame on a raw connection; `None` at EOF.
+fn raw_response(reader: &mut BufReader<UnixStream>) -> Option<Response> {
+    let mut line = String::new();
+    if reader.read_line(&mut line).expect("reads a frame") == 0 {
+        return None;
+    }
+    let frame = json::parse(line.trim()).expect("server frames are JSON");
+    match Frame::parse(frame).expect("server frames parse") {
+        Frame::Response(response) => Some(response),
+        other => panic!("expected a response, got {other:?}"),
+    }
+}
+
+/// Writes `frame` followed by spaces up to `len` bytes, a megabyte at a
+/// time. Trimmed, the frame is `frame` itself.
+fn write_padded(w: &mut UnixStream, frame: &str, len: usize) {
+    w.write_all(frame.as_bytes()).expect("writes");
+    let spaces = vec![b' '; 1 << 20];
+    let mut left = len - frame.len();
+    while left > 0 {
+        let n = left.min(spaces.len());
+        w.write_all(&spaces[..n]).expect("writes");
+        left -= n;
+    }
+}
+
+fn assert_stats(response: Option<Response>) {
+    assert!(
+        matches!(response, Some(Response::Stats { .. })),
+        "expected stats, got {response:?}"
+    );
+}
+
+fn assert_parse_error(response: Option<Response>, needle: &str) {
+    match response {
+        Some(Response::Error { id, kind, message }) => {
+            assert_eq!(id, None);
+            assert_eq!(kind, ErrorKind::Parse);
+            assert!(message.contains(needle), "{message}");
+        }
+        other => panic!("expected a parse error, got {other:?}"),
+    }
+}
+
+/// A frame over `MAX_FRAME_BYTES` and a frame that is not UTF-8 each get
+/// a parse error, and the same connection answers the next request; a
+/// frame of exactly the cap is served.
+#[test]
+fn oversized_and_non_utf8_frames_are_parse_errors_and_the_connection_lives() {
+    let (path, daemon) = start_daemon(ServeOptions {
+        socket: Some(socket_path("frames")),
+        ..ServeOptions::default()
+    });
+    let (mut reader, mut writer) = raw_connection(&path);
+
+    // Trimmed, this is a valid `stats` request: only the cap rejects it.
+    write_padded(
+        &mut writer,
+        r#"{"id":1,"cmd":"stats"}"#,
+        MAX_FRAME_BYTES + 1,
+    );
+    writer.write_all(b"\n").expect("writes");
+    assert_parse_error(raw_response(&mut reader), &MAX_FRAME_BYTES.to_string());
+    writer
+        .write_all(b"{\"id\":2,\"cmd\":\"stats\"}\n")
+        .expect("writes");
+    assert_stats(raw_response(&mut reader));
+
+    writer.write_all(b"\xff\xfe\n").expect("writes");
+    assert_parse_error(raw_response(&mut reader), "UTF-8");
+    writer
+        .write_all(b"{\"id\":3,\"cmd\":\"stats\"}\n")
+        .expect("writes");
+    assert_stats(raw_response(&mut reader));
+
+    write_padded(&mut writer, r#"{"id":4,"cmd":"stats"}"#, MAX_FRAME_BYTES);
+    writer.write_all(b"\n").expect("writes");
+    assert_stats(raw_response(&mut reader));
+
+    writer
+        .write_all(b"{\"id\":5,\"cmd\":\"shutdown\"}\n")
+        .expect("writes");
+    assert!(matches!(
+        raw_response(&mut reader),
+        Some(Response::ShuttingDown { .. })
+    ));
+    drop(writer);
+    drop(reader);
+    daemon.join().expect("daemon drains");
+}
+
+/// An oversized final frame with no `\n` is a torn frame: the daemon
+/// drops it unanswered, ends the connection, and serves other clients.
+#[test]
+fn a_torn_oversized_final_frame_ends_the_connection() {
+    let (path, daemon) = start_daemon(ServeOptions {
+        socket: Some(socket_path("torn-oversized")),
+        ..ServeOptions::default()
+    });
+    let (mut reader, mut writer) = raw_connection(&path);
+    write_padded(
+        &mut writer,
+        r#"{"id":1,"cmd":"shutdown"}"#,
+        MAX_FRAME_BYTES + 4096,
+    );
+    writer
+        .shutdown(std::net::Shutdown::Write)
+        .expect("half-closes");
+    assert!(raw_response(&mut reader).is_none(), "no answer, then EOF");
+
+    let mut client = Client::connect_unix(&path).expect("daemon still alive");
+    assert!(matches!(
+        client.stats().expect("stats"),
+        Response::Stats { .. }
+    ));
+    client.shutdown().expect("shutdown");
+    drop(client);
     daemon.join().expect("daemon drains");
 }
 

@@ -21,6 +21,7 @@
 //! misses insert under the shard write-lock, so the wave engine's
 //! evaluation workers share one cache without serializing.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasher, RandomState};
@@ -63,11 +64,23 @@ pub(crate) struct EvalKey {
 
 /// Hit/miss/size counters for an [`EvalCache`], surfaced through the
 /// report's engine-stats listing and the `cache_stats` trace event.
+///
+/// The counts are those of a serial run at every worker count. Workers
+/// that evaluate one key at the same time all miss their lookups, but
+/// only the evaluation that stores the outcome first stays a miss; the
+/// others find it stored and count as the hits a serial run would have
+/// seen. So within one run that owns its cache — a single case, a case
+/// sweep on either scheduler, any `--jobs` — every key new to the table
+/// is one miss, and every other lookup a hit. A cache shared by runs in
+/// flight at once (the daemon's) splits its counts between them by
+/// timing, so per-request attribution there is approximate. Stripped
+/// reports (`Report::strip_effort`) leave these counters out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EvalCacheStats {
-    /// Lookups served from the table.
+    /// Lookups served from the table (including evaluations a
+    /// concurrent worker stored first).
     pub hits: u64,
-    /// Lookups that fell through to the evaluation kernels.
+    /// Evaluations that stored a new outcome in the table.
     pub misses: u64,
     /// Distinct evaluation outcomes currently stored.
     pub entries: usize,
@@ -173,7 +186,8 @@ impl EvalCache {
         }
     }
 
-    /// Looks `key` up, counting a hit or a miss.
+    /// Looks `key` up, counting a hit or a miss (a miss becomes a hit if
+    /// its [`insert`](Self::insert) finds another worker's outcome).
     pub(crate) fn lookup(&self, key: &EvalKey) -> Option<EvalOutcome> {
         let shard = self.shard_of(key);
         let found = self.shards[shard]
@@ -189,16 +203,25 @@ impl EvalCache {
         found
     }
 
-    /// Stores the outcome for `key`. Racing inserts of the same key keep
-    /// the first value; outcomes for equal keys are equal, so which copy
-    /// wins is unobservable.
+    /// Stores the outcome for `key` after a [`lookup`](Self::lookup)
+    /// missed. Racing inserts of the same key keep the first value;
+    /// outcomes for equal keys are equal, so which copy wins is
+    /// unobservable. An insert that finds the key already stored turns
+    /// its lookup's miss into a hit: another worker evaluated the key
+    /// first, and a serial run would have found it in the table.
     pub(crate) fn insert(&self, key: EvalKey, outcome: &EvalOutcome) {
         let shard = self.shard_of(&key);
-        self.shards[shard]
-            .write()
-            .expect("eval cache poisoned")
-            .entry(key)
-            .or_insert_with(|| outcome.clone());
+        let mut table = self.shards[shard].write().expect("eval cache poisoned");
+        match table.entry(key) {
+            Entry::Vacant(slot) => {
+                slot.insert(outcome.clone());
+            }
+            Entry::Occupied(_) => {
+                drop(table);
+                self.misses.fetch_sub(1, Ordering::Relaxed);
+                self.hits.fetch_add(1, Ordering::Relaxed);
+            }
+        }
     }
 
     fn shard_of(&self, key: &EvalKey) -> usize {
@@ -364,6 +387,85 @@ mod tests {
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 2, 1));
         assert!((stats.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
+    }
+
+    /// Every order in which racing workers' lookups and inserts can land:
+    /// each worker looks its key up, then stores its outcome if the
+    /// lookup missed. For keys all shared, partly shared and distinct,
+    /// with and without a key already in the table, every interleaving
+    /// counts what one worker evaluating the keys in turn counts.
+    #[test]
+    fn counts_match_one_worker_in_every_interleaving() {
+        let n = tiny();
+        let prim = &n.prims()[0];
+        let period = n.config().timing.period;
+        let key = |v: Value| {
+            let states = [SignalState::new(Waveform::constant(period, v))];
+            EvalCache::key_for(0, prim, states.as_slice(), DelayCorner::Worst)
+        };
+        let states = [SignalState::new(Waveform::constant(period, Value::Zero))];
+        let outcome = crate::eval::evaluate(&n, prim, states.as_slice(), DelayCorner::Worst);
+        let counts = |c: &EvalCache| {
+            let s = c.stats();
+            (s.hits, s.misses, s.entries)
+        };
+        let cache_with = |stored: &[Value]| {
+            let cache = EvalCache::new();
+            for &v in stored {
+                cache.insert(key(v), &outcome);
+            }
+            cache
+        };
+        // Every sequence of worker indices naming each of three workers
+        // twice: its first step is its lookup, its second its insert.
+        let mut orders: Vec<Vec<usize>> = vec![Vec::new()];
+        for _ in 0..6 {
+            let mut longer = Vec::new();
+            for o in &orders {
+                for w in 0..3 {
+                    if o.iter().filter(|&&x| x == w).count() < 2 {
+                        let mut next = o.clone();
+                        next.push(w);
+                        longer.push(next);
+                    }
+                }
+            }
+            orders = longer;
+        }
+        assert_eq!(orders.len(), 90);
+
+        use Value::{One, Stable, Zero};
+        for stored in [&[][..], &[Zero][..]] {
+            for keys in [[Zero, Zero, Zero], [Zero, One, Zero], [One, Zero, Stable]] {
+                let serial = cache_with(stored);
+                for &v in &keys {
+                    if serial.lookup(&key(v)).is_none() {
+                        serial.insert(key(v), &outcome);
+                    }
+                }
+                let expected = counts(&serial);
+                for order in &orders {
+                    let cache = cache_with(stored);
+                    let mut missed = [false; 3];
+                    let mut looked = [false; 3];
+                    for &w in order {
+                        if looked[w] {
+                            if missed[w] {
+                                cache.insert(key(keys[w]), &outcome);
+                            }
+                        } else {
+                            looked[w] = true;
+                            missed[w] = cache.lookup(&key(keys[w])).is_none();
+                        }
+                    }
+                    assert_eq!(
+                        counts(&cache),
+                        expected,
+                        "stored {stored:?}, keys {keys:?}, order {order:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,8 @@
 use scald_logic::Value;
 use scald_netlist::{Netlist, PrimId, PrimKind, Primitive, Signal, SignalId};
 use scald_wave::{edge_windows, pulses, DelayCorner, Edge, EdgeWindow, Span, Time, Waveform};
-use std::collections::{BTreeSet, HashSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
+use std::sync::Arc;
 
 use crate::eval::{pin_wave, pin_wave_pulse_view};
 use crate::report::{Provenance, ProvenanceHop, Violation, ViolationKind};
@@ -337,6 +338,17 @@ pub(crate) fn slack_report<S: StateView + ?Sized>(
     out
 }
 
+/// The design's static checker units: fixed by the netlist, recorded by
+/// a full pass and shared down the case tree, so that a delta pass can
+/// count what it inherits without walking the design.
+#[derive(Debug)]
+pub(crate) struct StaticUnits {
+    /// Checker primitives (`SetupHold`/`SetupRiseHoldFall`/`MinPulseWidth`).
+    pub checker_prims: u64,
+    /// Signals carrying an assertion-check unit, in id order.
+    pub assert_signals: Vec<SignalId>,
+}
+
 /// The empty-verdict summary of one checker pass: which units (checker
 /// primitives, hazard-flagged gates, asserted signals) fired at least one
 /// violation. Everything *not* listed here produced an empty verdict, and
@@ -344,7 +356,7 @@ pub(crate) fn slack_report<S: StateView + ?Sized>(
 /// child state whose inputs to that unit are unchanged can inherit the
 /// emptiness without re-running the check (§2.7 incremental case
 /// analysis, applied to the checker pass).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub(crate) struct CheckCache {
     /// Checker primitives (`SetupHold`/`SetupRiseHoldFall`/`MinPulseWidth`)
     /// that reported at least one violation.
@@ -353,6 +365,9 @@ pub(crate) struct CheckCache {
     pub violating_hazards: BTreeSet<(PrimId, usize)>,
     /// Asserted generated signals whose assertion check reported.
     pub violating_asserts: BTreeSet<SignalId>,
+    /// The design's static units, from the full pass this cache chains
+    /// back to.
+    pub units: Arc<StaticUnits>,
 }
 
 /// Parent context for a memoized checker pass.
@@ -363,9 +378,9 @@ pub(crate) struct CheckMemo<'a> {
     /// inherited if the parent actually checked it.
     pub hazards: &'a BTreeSet<(PrimId, usize)>,
     /// Signal indices whose state differs from the parent (effective
-    /// view). A unit touching none of these has the same inputs as the
-    /// parent's pass.
-    pub dirty: &'a HashSet<usize>,
+    /// view), ascending. A unit touching none of these has the same
+    /// inputs as the parent's pass.
+    pub dirty: &'a [usize],
 }
 
 /// Outcome of one (possibly memoized) checker pass.
@@ -378,9 +393,11 @@ pub(crate) struct CheckPass {
     pub inherited: u64,
 }
 
-/// True if every direct input signal of `prim` is outside `dirty`.
-fn inputs_clean(prim: &Primitive, dirty: &HashSet<usize>) -> bool {
-    prim.input_signals().all(|s| !dirty.contains(&s.index()))
+/// True if every direct input signal of `prim` is outside `dirty`
+/// (ascending signal indices).
+fn inputs_clean(prim: &Primitive, dirty: &[usize]) -> bool {
+    prim.input_signals()
+        .all(|s| dirty.binary_search(&s.index()).is_err())
 }
 
 /// Runs one checker primitive (the three `PrimKind` checker variants)
@@ -637,6 +654,11 @@ fn check_signal_assertion<S: StateView + ?Sized>(
 /// pass; units with a dirty input are re-evaluated because their verdict
 /// may have changed. Violations are appended in netlist order, the same
 /// order as a full pass, so the memoized result *is* the full result.
+///
+/// Only the full pass walks the design. A delta pass finds its units
+/// from the dirty signals and the parent's firing sets, so it costs the
+/// dirty cone, and counts the rest as inherited against the design's
+/// [`StaticUnits`].
 pub(crate) fn run_checks_cached<S: StateView + ?Sized>(
     netlist: &Netlist,
     states: &S,
@@ -644,44 +666,131 @@ pub(crate) fn run_checks_cached<S: StateView + ?Sized>(
     corner: DelayCorner,
     parent: Option<&CheckMemo<'_>>,
 ) -> CheckPass {
+    let Some(memo) = parent else {
+        return run_full_pass(netlist, states, hazards, corner);
+    };
+    let pass = run_delta_pass(netlist, states, hazards, corner, memo);
+    #[cfg(test)]
+    delta_oracle::cross_check(netlist, states, hazards, corner, memo, &pass);
+    pass
+}
+
+/// The full pass: every unit of the design, evaluated. Records the
+/// design's [`StaticUnits`] for the delta passes that chain off it.
+fn run_full_pass<S: StateView + ?Sized>(
+    netlist: &Netlist,
+    states: &S,
+    hazards: &[(PrimId, usize)],
+    corner: DelayCorner,
+) -> CheckPass {
     let mut out = Vec::new();
-    let mut cache = CheckCache::default();
+    let mut violating_prims = BTreeSet::new();
+    let mut violating_hazards = BTreeSet::new();
+    let mut violating_asserts = BTreeSet::new();
+    let mut checker_prims = 0u64;
+    let mut assert_signals = Vec::new();
+
+    for (pid, prim) in netlist.iter_prims() {
+        if !prim.kind.is_checker() {
+            continue;
+        }
+        checker_prims += 1;
+        let before = out.len();
+        check_checker_prim(netlist, states, prim, corner, &mut out);
+        if out.len() > before {
+            violating_prims.insert(pid);
+        }
+    }
+    for &(pid, clock_idx) in hazards {
+        let before = out.len();
+        check_hazard_gate(netlist, states, pid, clock_idx, corner, &mut out);
+        if out.len() > before {
+            violating_hazards.insert((pid, clock_idx));
+        }
+    }
+    for (sid, sig) in netlist.iter_signals() {
+        if !has_assertion_unit(netlist, sid, sig) {
+            continue;
+        }
+        assert_signals.push(sid);
+        let before = out.len();
+        check_signal_assertion(netlist, states, sid, sig, &mut out);
+        if out.len() > before {
+            violating_asserts.insert(sid);
+        }
+    }
+
+    let evaluated = checker_prims + hazards.len() as u64 + assert_signals.len() as u64;
+    CheckPass {
+        violations: out,
+        cache: CheckCache {
+            violating_prims,
+            violating_hazards,
+            violating_asserts,
+            units: Arc::new(StaticUnits {
+                checker_prims,
+                assert_signals,
+            }),
+        },
+        evaluated,
+        inherited: 0,
+    }
+}
+
+/// The delta pass: evaluates the checker primitives on a dirty signal's
+/// CALL LIST row, the assertion units on dirty signals, the hazard units
+/// with a dirty input or new to this state, and every unit that fired at
+/// the parent; inherits the rest. Each unit list is sorted and
+/// deduplicated (one checker may read two dirty signals) and evaluated
+/// in id order, so violations come out in the full pass's order.
+fn run_delta_pass<S: StateView + ?Sized>(
+    netlist: &Netlist,
+    states: &S,
+    hazards: &[(PrimId, usize)],
+    corner: DelayCorner,
+    memo: &CheckMemo<'_>,
+) -> CheckPass {
+    let units = &memo.cache.units;
+    let mut out = Vec::new();
+    let mut cache = CheckCache {
+        violating_prims: BTreeSet::new(),
+        violating_hazards: BTreeSet::new(),
+        violating_asserts: BTreeSet::new(),
+        units: Arc::clone(units),
+    };
     let mut evaluated = 0u64;
     let mut inherited = 0u64;
 
-    for (pid, prim) in netlist.iter_prims() {
-        if !matches!(
-            prim.kind,
-            PrimKind::SetupHold { .. }
-                | PrimKind::SetupRiseHoldFall { .. }
-                | PrimKind::MinPulseWidth { .. }
-        ) {
-            continue;
-        }
-        let clean = parent.is_some_and(|m| {
-            !m.cache.violating_prims.contains(&pid) && inputs_clean(prim, m.dirty)
-        });
-        if clean {
-            inherited += 1;
-            continue;
-        }
-        evaluated += 1;
+    let fanout = netlist.fanout_csr();
+    let mut prims: Vec<PrimId> = memo.cache.violating_prims.iter().copied().collect();
+    for &idx in memo.dirty {
+        prims.extend(
+            fanout
+                .row(idx)
+                .iter()
+                .copied()
+                .filter(|&pid| netlist.prim(pid).kind.is_checker()),
+        );
+    }
+    prims.sort_unstable();
+    prims.dedup();
+    for &pid in &prims {
         let before = out.len();
-        check_checker_prim(netlist, states, prim, corner, &mut out);
+        check_checker_prim(netlist, states, netlist.prim(pid), corner, &mut out);
         if out.len() > before {
             cache.violating_prims.insert(pid);
         }
     }
+    evaluated += prims.len() as u64;
+    inherited += units.checker_prims - prims.len() as u64;
 
     for &(pid, clock_idx) in hazards {
         // A hazard unit may only be inherited if the parent's hazard set
         // contained the same (gate, input) pair — a unit new to this
         // state was never checked before.
-        let clean = parent.is_some_and(|m| {
-            m.hazards.contains(&(pid, clock_idx))
-                && !m.cache.violating_hazards.contains(&(pid, clock_idx))
-                && inputs_clean(netlist.prim(pid), m.dirty)
-        });
+        let clean = memo.hazards.contains(&(pid, clock_idx))
+            && !memo.cache.violating_hazards.contains(&(pid, clock_idx))
+            && inputs_clean(netlist.prim(pid), memo.dirty);
         if clean {
             inherited += 1;
             continue;
@@ -694,24 +803,25 @@ pub(crate) fn run_checks_cached<S: StateView + ?Sized>(
         }
     }
 
-    for (sid, sig) in netlist.iter_signals() {
-        if !has_assertion_unit(netlist, sid, sig) {
-            continue;
-        }
-        let clean = parent.is_some_and(|m| {
-            !m.cache.violating_asserts.contains(&sid) && !m.dirty.contains(&sid.index())
-        });
-        if clean {
-            inherited += 1;
-            continue;
-        }
-        evaluated += 1;
+    let mut asserts: Vec<SignalId> = memo.cache.violating_asserts.iter().copied().collect();
+    asserts.extend(memo.dirty.iter().filter_map(|&idx| {
+        units
+            .assert_signals
+            .binary_search_by_key(&idx, |s| s.index())
+            .ok()
+            .map(|at| units.assert_signals[at])
+    }));
+    asserts.sort_unstable();
+    asserts.dedup();
+    for &sid in &asserts {
         let before = out.len();
-        check_signal_assertion(netlist, states, sid, sig, &mut out);
+        check_signal_assertion(netlist, states, sid, netlist.signal(sid), &mut out);
         if out.len() > before {
             cache.violating_asserts.insert(sid);
         }
     }
+    evaluated += asserts.len() as u64;
+    inherited += units.assert_signals.len() as u64 - asserts.len() as u64;
 
     CheckPass {
         violations: out,
@@ -731,8 +841,11 @@ pub(crate) fn run_all_checks<S: StateView + ?Sized>(
     hazards: &[(PrimId, usize)],
     corner: DelayCorner,
 ) -> Vec<Violation> {
-    run_checks_cached(netlist, states, hazards, corner, None).violations
+    run_full_pass(netlist, states, hazards, corner).violations
 }
+
+#[cfg(test)]
+mod delta_oracle;
 
 #[cfg(test)]
 mod tests {

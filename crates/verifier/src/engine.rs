@@ -23,7 +23,7 @@ use scald_netlist::{Netlist, PrimId, SignalId};
 use scald_trace::{TraceEvent, TraceSink};
 use scald_wave::{DelayCorner, WaveRef, Waveform};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
@@ -91,19 +91,24 @@ impl Case {
     /// travels (reports, traces, incremental-session design hashes).
     #[must_use]
     pub fn label(&self) -> String {
-        let mut parts: Vec<String> = Vec::new();
+        let mut out = String::new();
+        self.write_label(&mut out);
+        out
+    }
+
+    /// Appends [`label`](Self::label) to `out`.
+    fn write_label(&self, out: &mut String) {
+        let mut sep = "";
         if self.corner != DelayCorner::Worst {
-            parts.push(format!("corner={}", self.corner));
+            let _ = write!(out, "corner={}", self.corner);
+            sep = "; ";
         }
-        parts.extend(
-            self.assigns
-                .iter()
-                .map(|(s, v)| format!("{s} = {}", u8::from(*v))),
-        );
-        if parts.is_empty() {
-            "no case overrides".to_owned()
-        } else {
-            parts.join("; ")
+        for (s, v) in &self.assigns {
+            let _ = write!(out, "{sep}{s} = {}", u8::from(*v));
+            sep = "; ";
+        }
+        if sep.is_empty() {
+            out.push_str("no case overrides");
         }
     }
 }
@@ -600,7 +605,7 @@ impl VerifierBuilder {
             );
             v.eval_cache = Some(cache);
         }
-        v.jobs = self.jobs.unwrap_or_else(default_jobs);
+        v.jobs = self.jobs.unwrap_or_else(hardware_threads);
         v.budget = budget;
         v.trace = self.trace;
         v
@@ -1159,7 +1164,6 @@ impl Verifier {
             .as_deref()
             .map(|c| (c, self.prim_sigs.as_slice()));
         let trace: Option<&dyn TraceSink> = self.trace.as_deref();
-        let labels: Vec<String> = cases.iter().map(Case::label).collect();
         let events_total = AtomicU64::new(0);
         let evaluations_total = AtomicU64::new(0);
         // Node-settle and memoization counters; atomics because under
@@ -1202,7 +1206,7 @@ impl Verifier {
                     if let Some(t) = trace {
                         t.record(&TraceEvent::CaseStart {
                             case: i as u32,
-                            label: &labels[i],
+                            label: &cases[i].label(),
                         });
                     }
                     let case_started = Instant::now();
@@ -1440,7 +1444,7 @@ impl Verifier {
                     if let Some(t) = trace {
                         t.record(&TraceEvent::CaseStart {
                             case: i as u32,
-                            label: &labels[i],
+                            label: &cases[i].label(),
                         });
                     }
                     let case_started = Instant::now();
@@ -1617,10 +1621,16 @@ impl Verifier {
         // Merge in input-case order; the first error (by case index) wins.
         let mut results = Vec::with_capacity(cases.len());
         let mut last: Option<CaseOutcome> = None;
+        // Each name is written into one scratch buffer, then copied out
+        // at its exact length.
+        let mut name = String::new();
         for (i, slot) in outcomes.iter_mut().enumerate() {
             let mut outcome = slot.take().expect("worker filled every case slot")?;
+            name.clear();
+            let _ = write!(name, "case {}: ", i + 1);
+            cases[i].write_label(&mut name);
             results.push(CaseResult {
-                name: format!("case {}: {}", i + 1, cases[i].label()),
+                name: name.clone(),
                 violations: std::mem::take(&mut outcome.violations),
                 events: outcome.events + if i == 0 && first_run { base_events } else { 0 },
                 evaluations: outcome.evaluations
@@ -1788,10 +1798,14 @@ impl Verifier {
     }
 }
 
-/// The default worker budget for [`Verifier::run`]: the machine's
-/// available parallelism, or 1 if it cannot be determined.
-fn default_jobs() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+/// The machine's available parallelism, or 1 if it cannot be
+/// determined: the default worker budget for [`Verifier::run`] and the
+/// cap on a settle's wave workers. Probed once per process, since the
+/// probe reads the cgroup CPU quota from the file system on every call,
+/// which costs more than a small settle.
+fn hardware_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
 }
 
 /// Applies a case override to a computed state: the override replaces the
@@ -1953,9 +1967,7 @@ where
     // More workers than hardware threads measures nothing but spawn
     // overhead, so an oversized `--jobs` is capped here; the trajectory
     // is worker-count-independent either way.
-    let wave_jobs = p
-        .jobs
-        .min(std::thread::available_parallelism().map_or(1, usize::from));
+    let wave_jobs = p.jobs.min(hardware_threads());
     let mut wave_ordinal = 0u64;
     // Wave-local scratch, reused across waves: after the first few waves
     // the settle loop allocates nothing proportional to the wave width.
@@ -2257,14 +2269,13 @@ impl CaseTree {
         }
         // Comparison key: `Value` here is only ever One/Zero, so the
         // pair (signal index, is-one) sorts assignment lists totally.
-        let key = |case: usize| -> Vec<(usize, bool)> {
+        let key = |case: usize| {
             resolved[case]
                 .iter()
                 .map(|&(sid, v)| (sid.index(), v == Value::One))
-                .collect()
         };
         for (corner, mut idxs) in groups {
-            idxs.sort_by(|&a, &b| key(a).cmp(&key(b)).then(a.cmp(&b)));
+            idxs.sort_by(|&a, &b| key(a).cmp(key(b)).then(a.cmp(&b)));
             let root = if corner == DelayCorner::Worst {
                 None
             } else {

@@ -22,7 +22,7 @@
 //! base settle and the [`ConeState`] overlay of a case settle implement
 //! both traits, so one settle loop serves every path.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use scald_wave::{Skew, WaveRef};
 
@@ -226,18 +226,21 @@ impl<'a> ConeState<'a> {
         }
     }
 
-    /// Signal indices whose state differs from `parent` — the dirty cone
-    /// of this overlay relative to the state it forked from. Complete
-    /// because a fork's `local` map only ever grows: any signal absent
-    /// from `local` falls through to the same base entry on both sides.
-    /// Entries the settle re-computed to the parent's value drop out via
-    /// the interned-handle compare.
-    pub(crate) fn dirty_vs<S: StateView + ?Sized>(&self, parent: &S) -> HashSet<usize> {
-        self.local
+    /// Signal indices whose state differs from `parent`, ascending — the
+    /// dirty cone of this overlay relative to the state it forked from.
+    /// Complete because a fork's `local` map only ever grows: any signal
+    /// absent from `local` falls through to the same base entry on both
+    /// sides. Entries the settle re-computed to the parent's value drop
+    /// out via the interned-handle compare.
+    pub(crate) fn dirty_vs<S: StateView + ?Sized>(&self, parent: &S) -> Vec<usize> {
+        let mut dirty: Vec<usize> = self
+            .local
             .iter()
             .filter(|&(&idx, st)| parent.state_at(idx) != *st)
             .map(|(&idx, _)| idx)
-            .collect()
+            .collect();
+        dirty.sort_unstable();
+        dirty
     }
 
     /// Total value-record count (Table 3-3) computed as a delta against a
