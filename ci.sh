@@ -38,6 +38,21 @@ cargo test -q -p scald-verifier --lib counts_match_one_worker_in_every_interleav
 # counts; the corpus must keep every firing set non-empty.
 cargo test -q -p scald-verifier --lib delta_passes_match_the_walk_oracle
 
+# The checker-key oracles: the per-instance full pass and the
+# per-checker slack loop run beside every keyed full pass and slack view
+# over corpora where each part of the key decides a verdict (inverted
+# pins, wire-delay overrides, Z/H heads, skews, corner crosses, pulse
+# widths, the register file, shared keys), and must agree on violations,
+# firing sets, counts and every margin; keys from two wave stores must
+# never collide.
+cargo test -q -p scald-verifier --lib -- keyed_checker_passes_match_the_per_instance_oracle keyed_slack_matches_the_per_checker_loop keys_tell_wave_stores_apart
+
+# The report's summary rows against the sorted-copy path they replaced:
+# the Fig 3-10 listing, the JSON summary rows, the timing diagram and
+# Report::waves, over names whose base and full orders differ, names
+# sharing more than 16 leading bytes, multi-byte names and an empty design.
+cargo test -q -p scald-verifier --test summary_view
+
 # MemoStats and PrefixStats pinned at 1/2/8 workers to values captured
 # from the walk: the case_sched design at 10 and 100 cases, and two
 # sweeps with violations.
@@ -54,6 +69,11 @@ cargo test -q -p scald-wave --test store_props
 # property that daemon reports are byte-identical to direct runs.
 cargo test -q -p scald-serve --test daemon --test serve_props
 
+# The open deadline alone: a source whose compile takes ten times the
+# request deadline and then fails answers a timeout, the orphaned
+# compile gives back its run, and the daemon still opens and drains.
+cargo test -q -p scald-serve --test daemon -- open_compiles_under_the_request_deadline
+
 # The frame cap alone: a frame over MAX_FRAME_BYTES and a frame that is
 # not UTF-8 each get a parse error and the connection answers on; a torn
 # oversized final frame ends the connection unanswered.
@@ -64,9 +84,10 @@ cargo test -q -p scald-serve --test daemon -- oversized_and_non_utf8_frames_are_
 # allocation budget per emitted primitive (a counting global allocator).
 cargo test -q --test expand_golden --test expand_allocs
 
-# The render-path pins: the allocation budget per signal for turning a
-# finished report into its JSON document and summary listing (a
-# counting global allocator), and the oracle suites that keep the
+# The render-path pins: the allocation budgets per signal for building a
+# report from a settled verifier (2) and for turning it into its JSON
+# document and summary listing (8), with a counting global allocator,
+# and the oracle suites that keep the
 # earlier `f64` time formatter, `segments()` waveform listing and two
 # JSON writers as references for the rewritten text forms.
 cargo test -q --test render_allocs
@@ -74,8 +95,8 @@ cargo test -q -p scald-wave --test display_oracle
 cargo test -q -p scald-trace --test json_oracle
 
 # The warm-edit pins: the allocation budgets of a one-line source edit
-# (per primitive, beyond compiling it) and of the daemon's `report` frame
-# encode + decode (per signal), and the oracles that keep the earlier
+# (8 per primitive, beyond compiling it) and of the daemon's `report`
+# frame encode + decode (16 per signal), and the oracles that keep the earlier
 # `format!`-based content keys and `BTreeMap` diff, the copy-then-strip
 # report document and the borrowing frame encoder as references.
 cargo test -q --test apply_allocs

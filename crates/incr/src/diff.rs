@@ -79,7 +79,8 @@ pub fn report_diff(old: &Report, new: &Report) -> ReportDiff {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scald_verifier::{CaseResult, EngineStats, Report, StorageReport, ViolationKind};
+    use scald_netlist::{Config, NetlistBuilder};
+    use scald_verifier::{CaseResult, Report, Verifier, ViolationKind};
     use scald_wave::Time;
 
     fn violation(kind: ViolationKind, source: &str) -> Violation {
@@ -94,47 +95,22 @@ mod tests {
         }
     }
 
+    /// A report of an empty design carrying `cases`.
     fn report(cases: Vec<(&str, Vec<Violation>)>) -> Report {
-        Report {
-            design: "T".to_owned(),
-            cases: cases
-                .into_iter()
-                .map(|(name, violations)| CaseResult {
-                    name: name.to_owned(),
-                    violations,
-                    events: 0,
-                    evaluations: 0,
-                    value_records: 0,
-                })
-                .collect(),
-            engine: EngineStats {
-                signals: 0,
-                prims: 0,
-                cases: 1,
-                jobs: 1,
-                case_strategy: scald_verifier::CaseStrategy::default(),
+        let netlist = NetlistBuilder::new(Config::s1_example())
+            .finish()
+            .expect("an empty design builds");
+        let cases: Vec<CaseResult> = cases
+            .into_iter()
+            .map(|(name, violations)| CaseResult {
+                name: name.to_owned(),
+                violations,
                 events: 0,
                 evaluations: 0,
-                verify_wall: None,
-                eval_cache: None,
-            },
-            slack: Vec::new(),
-            storage: StorageReport {
-                circuit_description: 0,
-                signal_values: 0,
-                signal_names: 0,
-                string_space: 0,
-                call_list: 0,
-                miscellaneous: 0,
                 value_records: 0,
-                signal_count: 0,
-            },
-            assumed_stable: Vec::new(),
-            clock_driver_notes: Vec::new(),
-            waves: Vec::new(),
-            period: Time::from_ns(50.0),
-            probabilistic: None,
-        }
+            })
+            .collect();
+        Verifier::new(netlist).report("T", &cases)
     }
 
     #[test]

@@ -555,8 +555,9 @@ impl Drop for RunGuard {
     }
 }
 
-/// `open`: compile inline (cheap, bounded by source size), then check
-/// out / verify on a worker thread under the request deadline.
+/// `open`: compile, then check out / verify, on a worker thread under
+/// the request deadline and one jobs lease. A compile error comes back
+/// through the same channel as a checkout error.
 fn do_open(
     id: u64,
     source: String,
@@ -565,24 +566,21 @@ fn do_open(
     conn: &mut ConnState,
     shared: &Arc<Shared>,
 ) -> Response {
-    let compiled = match frontend {
-        Frontend::Scald => compile_source(&source),
-        Frontend::Verilog => compile_verilog(&source),
-    };
-    let (netlist, cases) = match compiled {
-        Ok(pair) => pair,
-        Err(e) => return session_error(id, &e),
-    };
-
     let worker_shared = Arc::clone(shared);
     shared.active_runs.fetch_add(1, Ordering::AcqRel);
     let (tx, rx) = mpsc::channel();
     thread::spawn(move || {
         let _guard = RunGuard(Arc::clone(&worker_shared));
         let lease = worker_shared.jobs.lease();
-        let result = worker_shared
-            .pool
-            .checkout(netlist, cases, &label, Some(lease.share()));
+        let compiled = match frontend {
+            Frontend::Scald => compile_source(&source),
+            Frontend::Verilog => compile_verilog(&source),
+        };
+        let result = compiled.and_then(|(netlist, cases)| {
+            worker_shared
+                .pool
+                .checkout(netlist, cases, &label, Some(lease.share()))
+        });
         let _ = tx.send(result);
     });
 
@@ -686,7 +684,7 @@ enum OpKind {
 
 /// Collects a timed-out `open` in the background: when the checkout
 /// finally finishes, its session goes straight to the pool so the work
-/// is not wasted.
+/// is not wasted. A compile or checkout error is dropped.
 fn reap_checkout(
     rx: mpsc::Receiver<Result<(PooledSession, CheckoutInfo), SessionError>>,
     shared: Arc<Shared>,

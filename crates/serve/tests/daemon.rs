@@ -13,7 +13,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A fresh socket path per test (tests run in parallel in one process).
 fn socket_path(tag: &str) -> PathBuf {
@@ -883,6 +883,92 @@ fn overwide_bit_range_is_a_compile_error_and_shutdown_drains() {
         Response::Ran { .. }
     ));
 
+    assert!(matches!(
+        client.shutdown().expect("shutdown"),
+        Response::ShuttingDown { .. }
+    ));
+    client.close(&s).expect("closes");
+    drop(client);
+    daemon
+        .join()
+        .expect("daemon drains after the last connection");
+}
+
+/// `open` compiles under the request deadline: a source whose compile
+/// takes ten times the deadline and then fails answers
+/// `kind:"timeout"` once the deadline passes, not the compile error
+/// once the compile ends. The orphaned compile finishes in the
+/// background and gives back its run; a small design then opens, and
+/// shutdown drains.
+#[test]
+fn open_compiles_under_the_request_deadline() {
+    // A large design with a syntax error on its last line, and a
+    // deadline a tenth of its compile (the faster of two) on this host.
+    let mut late_error = s1_like_hdl(S1Options {
+        chips: 20_000,
+        seed: 0x1a7e,
+    });
+    late_error.push_str("buf (A) -> ;\n");
+    let compile = (0..2)
+        .map(|_| {
+            let started = Instant::now();
+            let compiled = scald_incr::compile_source(&late_error);
+            assert!(compiled.is_err(), "the source must fail to compile");
+            started.elapsed()
+        })
+        .min()
+        .expect("two compiles");
+    let deadline = (compile / 10).max(Duration::from_millis(1));
+
+    let (path, daemon) = start_daemon(ServeOptions {
+        socket: Some(socket_path("compile-deadline")),
+        request_timeout: deadline,
+        ..ServeOptions::default()
+    });
+    let mut client = Client::connect_unix(&path).expect("connects");
+    match client
+        .open_source(&late_error, "late error")
+        .expect("answered")
+    {
+        Response::Error { kind, .. } => assert_eq!(kind, ErrorKind::Timeout),
+        other => panic!("expected a timeout, got {other:?}"),
+    }
+
+    let wait_idle = |client: &mut Client| {
+        let idle = (0..1_000).any(|_| {
+            let Response::Stats { stats, .. } = client.stats().expect("stats") else {
+                panic!("expected stats");
+            };
+            if stats.active_runs == 0 {
+                true
+            } else {
+                thread::sleep(Duration::from_millis(10));
+                false
+            }
+        });
+        assert!(idle, "every orphaned run should give back its lease");
+    };
+    wait_idle(&mut client);
+    // A small design opens. Its first open may itself outlast a short
+    // deadline; the session it settles is then parked, and a retry
+    // checks it out again.
+    let mut small = None;
+    for _ in 0..20 {
+        match client
+            .open_source(small_design(0x0DEA), "small")
+            .expect("answered")
+        {
+            Response::Error {
+                kind: ErrorKind::Timeout,
+                ..
+            } => wait_idle(&mut client),
+            other => {
+                small = Some(opened(other).0);
+                break;
+            }
+        }
+    }
+    let s = small.expect("the small design opens");
     assert!(matches!(
         client.shutdown().expect("shutdown"),
         Response::ShuttingDown { .. }

@@ -3,13 +3,17 @@
 //! stable assertion on a generated signal.
 
 use scald_logic::Value;
-use scald_netlist::{Netlist, PrimId, PrimKind, Primitive, Signal, SignalId};
-use scald_wave::{edge_windows, pulses, DelayCorner, Edge, EdgeWindow, Span, Time, Waveform};
-use std::collections::{BTreeSet, VecDeque};
+use scald_netlist::{Conn, Netlist, PrimId, PrimKind, Primitive, Signal, SignalId};
+use scald_wave::{
+    edge_windows, pulses, DelayCorner, DelayRange, Edge, EdgeWindow, Skew, Span, Time, WaveId,
+    Waveform,
+};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use crate::eval::{pin_wave, pin_wave_pulse_view};
 use crate::report::{Provenance, ProvenanceHop, Violation, ViolationKind};
+use crate::state::{Directive, EvalStr};
 use crate::view::StateView;
 
 /// Fan-in walk caps: deep enough to cross several levels of gating, small
@@ -245,87 +249,219 @@ pub struct CheckMargin {
     pub pulse_slack: Option<Time>,
 }
 
+/// What `prep_input` reads for one checker pin with the gate delay off:
+/// the source wave handle and skew, the inversion, and the wire delay
+/// that reaches the pin (after the corner collapse, zero when the
+/// directive head zeroes the wire). The pin's prepared wave is a pure
+/// function of these, so pins with equal keys see equal waves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct PinKey {
+    /// The issuing store's tag: ids are unique only within one store.
+    store: u32,
+    wave: WaveId,
+    skew: Skew,
+    invert: bool,
+    wire: DelayRange,
+}
+
+impl PinKey {
+    fn of<S: StateView + ?Sized>(
+        netlist: &Netlist,
+        conn: &Conn,
+        states: &S,
+        corner: DelayCorner,
+    ) -> PinKey {
+        let src = states.state_at(conn.signal.index());
+        // The directive head, read from the first letter directly: a
+        // connection's own string wins over the one riding on the value.
+        let head = match &conn.directive {
+            Some(d) => d.chars().next().and_then(Directive::from_letter),
+            None => src.eval.as_ref().and_then(EvalStr::head),
+        };
+        let wire = if head.is_some_and(Directive::zeroes_wire) {
+            DelayRange::ZERO
+        } else {
+            corner.collapse(netlist.wire_delay(conn))
+        };
+        PinKey {
+            store: src.wave.store_tag(),
+            wave: src.wave.id(),
+            skew: src.skew,
+            invert: conn.invert,
+            wire,
+        }
+    }
+}
+
+/// Everything a checker primitive's verdict and margins depend on: its
+/// kind with both parameters, and the key of each pin the kind reads
+/// (the clock is absent for `MinPulseWidth`). The period is the
+/// design's. Names and provenance enter only a violation's text, so two
+/// primitives with equal keys are both clean or both fire, with equal
+/// margins.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct CheckerKey {
+    kind: PrimKind,
+    data: PinKey,
+    clock: Option<PinKey>,
+}
+
+impl CheckerKey {
+    /// The key of checker primitive `prim` against `states`; allocates
+    /// nothing.
+    fn of<S: StateView + ?Sized>(
+        netlist: &Netlist,
+        prim: &Primitive,
+        states: &S,
+        corner: DelayCorner,
+    ) -> CheckerKey {
+        let pin = |i: usize| PinKey::of(netlist, &prim.inputs[i], states, corner);
+        CheckerKey {
+            kind: prim.kind,
+            data: pin(0),
+            clock: match prim.kind {
+                PrimKind::MinPulseWidth { .. } => None,
+                _ => Some(pin(1)),
+            },
+        }
+    }
+}
+
+/// The checker primitives of one pass, evaluated once per distinct
+/// clean key. A primitive whose key is already known clean is counted
+/// by the caller but not re-run; one that fires is always evaluated in
+/// full, because its text and provenance are its own.
+struct CheckerRun<'a, S: ?Sized> {
+    netlist: &'a Netlist,
+    states: &'a S,
+    corner: DelayCorner,
+    clean: HashSet<CheckerKey>,
+}
+
+impl<'a, S: StateView + ?Sized> CheckerRun<'a, S> {
+    fn new(netlist: &'a Netlist, states: &'a S, corner: DelayCorner) -> CheckerRun<'a, S> {
+        CheckerRun {
+            netlist,
+            states,
+            corner,
+            clean: HashSet::new(),
+        }
+    }
+
+    /// Checks `prim`, appending its violations; `true` if it fired.
+    fn check(&mut self, prim: &Primitive, out: &mut Vec<Violation>) -> bool {
+        let key = CheckerKey::of(self.netlist, prim, self.states, self.corner);
+        if self.clean.contains(&key) {
+            return false;
+        }
+        let before = out.len();
+        check_checker_prim(self.netlist, self.states, prim, self.corner, out);
+        let fired = out.len() > before;
+        if !fired {
+            self.clean.insert(key);
+        }
+        fired
+    }
+}
+
+/// One checker's worst margins, as [`CheckMargin`] carries them.
+#[derive(Debug, Clone, Copy)]
+struct Margins {
+    setup: Option<Time>,
+    hold: Option<Time>,
+    pulse: Option<Time>,
+}
+
+/// The margins of one checker primitive against `states`.
+fn checker_margins<S: StateView + ?Sized>(
+    netlist: &Netlist,
+    prim: &Primitive,
+    states: &S,
+    corner: DelayCorner,
+) -> Margins {
+    let period = netlist.config().timing.period;
+    let worst = |acc: &mut Option<Time>, s: Time| *acc = Some(acc.map_or(s, |m| m.min(s)));
+    let mut m = Margins {
+        setup: None,
+        hold: None,
+        pulse: None,
+    };
+    match prim.kind {
+        PrimKind::SetupHold { setup, hold } => {
+            let input = pin_wave(netlist, prim, &prim.inputs[0], states, corner);
+            let clock = pin_wave(netlist, prim, &prim.inputs[1], states, corner);
+            for e in edge_windows(&clock, Edge::Rising) {
+                let avail_setup = if input.quiescent_throughout(e.span) {
+                    quiescent_before(&input, e.span.start())
+                } else {
+                    Time::ZERO
+                };
+                worst(&mut m.setup, avail_setup - setup);
+                worst(
+                    &mut m.hold,
+                    quiescent_after(&input, e.span.end(period)) - hold,
+                );
+            }
+        }
+        PrimKind::SetupRiseHoldFall { setup, hold } => {
+            let input = pin_wave(netlist, prim, &prim.inputs[0], states, corner);
+            let clock = pin_wave(netlist, prim, &prim.inputs[1], states, corner);
+            for (r, f) in clock_pulses(&clock) {
+                worst(
+                    &mut m.setup,
+                    quiescent_before(&input, r.span.start()) - setup,
+                );
+                worst(
+                    &mut m.hold,
+                    quiescent_after(&input, f.span.end(period)) - hold,
+                );
+            }
+        }
+        PrimKind::MinPulseWidth { high, low } => {
+            let input = pin_wave_pulse_view(netlist, prim, &prim.inputs[0], states, corner);
+            if high > Time::ZERO {
+                for p in pulses(&input, true) {
+                    worst(&mut m.pulse, p.min_possible_width - high);
+                }
+            }
+            if low > Time::ZERO {
+                for p in pulses(&input, false) {
+                    worst(&mut m.pulse, p.min_possible_width - low);
+                }
+            }
+        }
+        _ => {}
+    }
+    m
+}
+
 /// Computes the timing margins of every checker primitive against the
 /// settled states — the slack view designers use to see how much headroom
-/// a passing design has (and by how much a failing one misses).
+/// a passing design has (and by how much a failing one misses). Margins
+/// are computed once per [`CheckerKey`]; rows come in netlist order,
+/// then sort worst first.
 pub(crate) fn slack_report<S: StateView + ?Sized>(
     netlist: &Netlist,
     states: &S,
     corner: DelayCorner,
 ) -> Vec<CheckMargin> {
-    let period = netlist.config().timing.period;
+    let mut table: HashMap<CheckerKey, Margins> = HashMap::new();
     let mut out = Vec::new();
     for (_, prim) in netlist.iter_prims() {
-        match prim.kind {
-            PrimKind::SetupHold { setup, hold } => {
-                let input = pin_wave(netlist, prim, &prim.inputs[0], states, corner);
-                let clock = pin_wave(netlist, prim, &prim.inputs[1], states, corner);
-                let mut setup_slack: Option<Time> = None;
-                let mut hold_slack: Option<Time> = None;
-                for e in edge_windows(&clock, Edge::Rising) {
-                    let avail_setup = if input.quiescent_throughout(e.span) {
-                        quiescent_before(&input, e.span.start())
-                    } else {
-                        Time::ZERO
-                    };
-                    let s = avail_setup - setup;
-                    setup_slack = Some(setup_slack.map_or(s, |m| m.min(s)));
-                    let avail_hold = quiescent_after(&input, e.span.end(period));
-                    let h = avail_hold - hold;
-                    hold_slack = Some(hold_slack.map_or(h, |m| m.min(h)));
-                }
-                out.push(CheckMargin {
-                    checker: prim.name.clone(),
-                    signal: netlist.signal(prim.inputs[0].signal).name.clone(),
-                    setup_slack,
-                    hold_slack,
-                    pulse_slack: None,
-                });
-            }
-            PrimKind::SetupRiseHoldFall { setup, hold } => {
-                let input = pin_wave(netlist, prim, &prim.inputs[0], states, corner);
-                let clock = pin_wave(netlist, prim, &prim.inputs[1], states, corner);
-                let mut setup_slack: Option<Time> = None;
-                let mut hold_slack: Option<Time> = None;
-                for (r, f) in clock_pulses(&clock) {
-                    let s = quiescent_before(&input, r.span.start()) - setup;
-                    setup_slack = Some(setup_slack.map_or(s, |m| m.min(s)));
-                    let h = quiescent_after(&input, f.span.end(period)) - hold;
-                    hold_slack = Some(hold_slack.map_or(h, |m| m.min(h)));
-                }
-                out.push(CheckMargin {
-                    checker: prim.name.clone(),
-                    signal: netlist.signal(prim.inputs[0].signal).name.clone(),
-                    setup_slack,
-                    hold_slack,
-                    pulse_slack: None,
-                });
-            }
-            PrimKind::MinPulseWidth { high, low } => {
-                let input = pin_wave_pulse_view(netlist, prim, &prim.inputs[0], states, corner);
-                let mut pulse_slack: Option<Time> = None;
-                if high > Time::ZERO {
-                    for p in pulses(&input, true) {
-                        let s = p.min_possible_width - high;
-                        pulse_slack = Some(pulse_slack.map_or(s, |m| m.min(s)));
-                    }
-                }
-                if low > Time::ZERO {
-                    for p in pulses(&input, false) {
-                        let s = p.min_possible_width - low;
-                        pulse_slack = Some(pulse_slack.map_or(s, |m| m.min(s)));
-                    }
-                }
-                out.push(CheckMargin {
-                    checker: prim.name.clone(),
-                    signal: netlist.signal(prim.inputs[0].signal).name.clone(),
-                    setup_slack: None,
-                    hold_slack: None,
-                    pulse_slack,
-                });
-            }
-            _ => {}
+        if !prim.kind.is_checker() {
+            continue;
         }
+        let key = CheckerKey::of(netlist, prim, states, corner);
+        let m = *table
+            .entry(key)
+            .or_insert_with(|| checker_margins(netlist, prim, states, corner));
+        out.push(CheckMargin {
+            checker: prim.name.clone(),
+            signal: netlist.signal(prim.inputs[0].signal).name.clone(),
+            setup_slack: m.setup,
+            hold_slack: m.hold,
+            pulse_slack: m.pulse,
+        });
     }
     // Worst margins first.
     out.sort_by_key(|m| {
@@ -335,6 +471,8 @@ pub(crate) fn slack_report<S: StateView + ?Sized>(
             .min()
             .unwrap_or(Time::from_ps(i64::MAX))
     });
+    #[cfg(test)]
+    key_oracle::cross_check_slack(netlist, states, corner, &out);
     out
 }
 
@@ -667,7 +805,10 @@ pub(crate) fn run_checks_cached<S: StateView + ?Sized>(
     parent: Option<&CheckMemo<'_>>,
 ) -> CheckPass {
     let Some(memo) = parent else {
-        return run_full_pass(netlist, states, hazards, corner);
+        let pass = run_full_pass(netlist, states, hazards, corner);
+        #[cfg(test)]
+        key_oracle::cross_check_full(netlist, states, hazards, corner, &pass);
+        return pass;
     };
     let pass = run_delta_pass(netlist, states, hazards, corner, memo);
     #[cfg(test)]
@@ -690,14 +831,13 @@ fn run_full_pass<S: StateView + ?Sized>(
     let mut checker_prims = 0u64;
     let mut assert_signals = Vec::new();
 
+    let mut checkers = CheckerRun::new(netlist, states, corner);
     for (pid, prim) in netlist.iter_prims() {
         if !prim.kind.is_checker() {
             continue;
         }
         checker_prims += 1;
-        let before = out.len();
-        check_checker_prim(netlist, states, prim, corner, &mut out);
-        if out.len() > before {
+        if checkers.check(prim, &mut out) {
             violating_prims.insert(pid);
         }
     }
@@ -774,10 +914,9 @@ fn run_delta_pass<S: StateView + ?Sized>(
     }
     prims.sort_unstable();
     prims.dedup();
+    let mut checkers = CheckerRun::new(netlist, states, corner);
     for &pid in &prims {
-        let before = out.len();
-        check_checker_prim(netlist, states, netlist.prim(pid), corner, &mut out);
-        if out.len() > before {
+        if checkers.check(netlist.prim(pid), &mut out) {
             cache.violating_prims.insert(pid);
         }
     }
@@ -841,11 +980,14 @@ pub(crate) fn run_all_checks<S: StateView + ?Sized>(
     hazards: &[(PrimId, usize)],
     corner: DelayCorner,
 ) -> Vec<Violation> {
-    run_full_pass(netlist, states, hazards, corner).violations
+    run_checks_cached(netlist, states, hazards, corner, None).violations
 }
 
 #[cfg(test)]
 mod delta_oracle;
+
+#[cfg(test)]
+mod key_oracle;
 
 #[cfg(test)]
 mod tests {

@@ -59,8 +59,16 @@ pub fn render_diagram(signals: &[(String, Waveform)], columns: usize) -> String 
         .unwrap_or(0)
         .max(4);
 
+    let mut out = header(label_width, period, columns);
+    for (name, wave) in signals {
+        let _ = writeln!(out, "{name:<label_width$}  {}", glyph_row(wave, columns));
+    }
+    out
+}
+
+/// The diagram's time-scale line: a mark roughly every eight columns.
+pub(crate) fn header(label_width: usize, period: Time, columns: usize) -> String {
     let mut out = String::new();
-    // Time scale header: a mark roughly every eight columns.
     let _ = write!(out, "{:<label_width$}  ", "time");
     let mut col = 0;
     while col < columns {
@@ -70,17 +78,19 @@ pub fn render_diagram(signals: &[(String, Waveform)], columns: usize) -> String 
         col += 8;
     }
     out.push_str("ns\n");
-
-    for (name, wave) in signals {
-        let _ = write!(out, "{name:<label_width$}  ");
-        for c in 0..columns {
-            // Sample the bucket's midpoint.
-            let t = Time::from_ps(period.as_ps() * (2 * c as i64 + 1) / (2 * columns as i64));
-            out.push(glyph(wave.value_at(t)));
-        }
-        out.push('\n');
-    }
     out
+}
+
+/// One glyph per bucket of `wave`, each sampled at the bucket's
+/// midpoint.
+pub(crate) fn glyph_row(wave: &Waveform, columns: usize) -> String {
+    let period = wave.period();
+    (0..columns)
+        .map(|c| {
+            let t = Time::from_ps(period.as_ps() * (2 * c as i64 + 1) / (2 * columns as i64));
+            glyph(wave.value_at(t))
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -34,7 +34,7 @@ use crate::checkers::{
     run_all_checks, run_checks_cached, slack_report, CheckCache, CheckMargin, CheckMemo,
 };
 use crate::eval::{evaluate, EvalOutcome};
-use crate::report::{CaseResult, EngineStats, Report, Violation};
+use crate::report::{CaseResult, EngineStats, Report, SummaryRows, Violation};
 use crate::state::SignalState;
 use crate::storage::StorageReport;
 use crate::view::{ConeState, SoaState, StateRef, StateStore, StateView};
@@ -1301,8 +1301,7 @@ impl Verifier {
                     })
                 };
                 let base_total_records = || -> usize {
-                    *base_records
-                        .get_or_init(|| StorageReport::measure(netlist, base_raw).value_records)
+                    *base_records.get_or_init(|| crate::storage::value_records(netlist, base_raw))
                 };
                 // Settles one internal node on its parent's state, then
                 // runs the node's own checker/storage pass (a delta off
@@ -1704,7 +1703,7 @@ impl Verifier {
     /// with its value over the cycle.
     #[must_use]
     pub fn summary_listing(&self) -> String {
-        crate::report::format_summary(&self.sorted_waves())
+        self.summary_rows().text()
     }
 
     /// The cross-reference listing of undriven, unasserted signals the
@@ -1731,22 +1730,19 @@ impl Verifier {
     /// An ASCII timing diagram of all signals (sorted by name), `columns`
     /// buckets wide — the visual companion to
     /// [`summary_listing`](Self::summary_listing).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `columns` is zero.
     #[must_use]
     pub fn timing_diagram(&self, columns: usize) -> String {
-        crate::diagram::render_diagram(&self.sorted_waves(), columns)
+        self.summary_rows().diagram(columns)
     }
 
-    /// Every signal's resolved waveform against the current settled
-    /// state, sorted by full name — the rows behind the summary listing
-    /// and the timing diagram.
-    fn sorted_waves(&self) -> Vec<(String, Waveform)> {
-        let mut rows: Vec<(String, Waveform)> = self
-            .netlist
-            .iter_signals()
-            .map(|(sid, sig)| (sig.full_name(), self.resolved(sid)))
-            .collect();
-        rows.sort_by(|a, b| a.0.cmp(&b.0));
-        rows
+    /// Every signal's settled state in full-name order — the rows behind
+    /// the summary listing, the timing diagram and a report's summary.
+    fn summary_rows(&self) -> SummaryRows {
+        SummaryRows::new(Arc::clone(&self.netlist), &self.eff)
     }
 
     fn assumed_stable_names(&self) -> Vec<String> {
@@ -1791,7 +1787,7 @@ impl Verifier {
             storage: self.storage_report(),
             assumed_stable: self.assumed_stable_names(),
             clock_driver_notes: self.clock_driver_notes(),
-            waves: self.sorted_waves(),
+            summary: self.summary_rows(),
             period: self.netlist.config().timing.period,
             probabilistic: None,
         }
@@ -2539,7 +2535,7 @@ fn case_outcome(
         }
         None => {
             let pass = run_checks_cached(netlist, &eff, &hazard_list, corner, None);
-            let value_records = StorageReport::measure(netlist, &raw).value_records;
+            let value_records = crate::storage::value_records(netlist, &raw);
             (pass, value_records, signals)
         }
     };

@@ -83,15 +83,19 @@
 //! distribution data — `scald-tv --prob RHO`, via `scald-stats` — attach
 //! it before rendering.
 
+use scald_netlist::{Netlist, SignalId};
 use scald_trace::json::Json;
-use scald_wave::{Span, Time, Waveform};
-use std::fmt;
+use scald_wave::{Skew, Span, Time, WaveId, WaveRef, Waveform};
+use std::collections::HashMap;
+use std::fmt::{self, Write as _};
+use std::sync::Arc;
 use std::time::Duration;
 
 use crate::cache::EvalCacheStats;
 use crate::checkers::CheckMargin;
 use crate::engine::CaseStrategy;
 use crate::storage::StorageReport;
+use crate::view::StateView;
 
 /// The JSON document identifier emitted in the `"schema"` field.
 pub const REPORT_SCHEMA: &str = "scald-tv-report";
@@ -547,9 +551,10 @@ pub struct Report {
     pub assumed_stable: Vec<String>,
     /// Notes about generated signals whose clock assertion pins them.
     pub clock_driver_notes: Vec<String>,
-    /// `(full signal name, settled waveform)`, sorted by name — the data
-    /// behind the Fig 3-10 summary and the timing diagram.
-    pub waves: Vec<(String, Waveform)>,
+    /// Every signal's settled state in full-name order — the data
+    /// behind the Fig 3-10 summary and the timing diagram; read it
+    /// through [`waves`](Self::waves).
+    pub(crate) summary: SummaryRows,
     /// Clock period, for interpreting wrapping spans.
     pub period: Time,
     /// Distribution-valued arrival/slack results, when the caller ran a
@@ -597,16 +602,31 @@ impl Report {
         r
     }
 
+    /// `(full signal name, settled waveform)` for every signal, sorted
+    /// by name — the rows of the Fig 3-10 summary and the timing
+    /// diagram. Each waveform has its skew folded in, computed as the
+    /// iterator reaches it.
+    pub fn waves(&self) -> impl ExactSizeIterator<Item = (&str, Waveform)> + '_ {
+        self.summary
+            .rows
+            .iter()
+            .map(|row| (self.summary.name(row), row.wave.with_skew_applied(row.skew)))
+    }
+
     /// The signal-value summary listing of Fig 3-10.
     #[must_use]
     pub fn summary_text(&self) -> String {
-        format_summary(&self.waves)
+        self.summary.text()
     }
 
     /// An ASCII timing diagram of all signals, `columns` buckets wide.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `columns` is zero.
     #[must_use]
     pub fn diagram_text(&self, columns: usize) -> String {
-        crate::diagram::render_diagram(&self.waves, columns)
+        self.summary.diagram(columns)
     }
 
     /// The §2.5 cross-reference listing of assumed-stable signals.
@@ -770,17 +790,7 @@ impl Report {
                 Json::from(self.storage.value_records_per_signal()),
             ),
         ]);
-        let summary = Json::Arr(
-            self.waves
-                .iter()
-                .map(|(name, wave)| {
-                    Json::Obj(vec![
-                        ("signal".into(), Json::str(name)),
-                        ("wave".into(), Json::str(wave.to_string())),
-                    ])
-                })
-                .collect(),
-        );
+        let summary = self.summary.json();
         doc = Json::Obj(vec![
             ("schema".into(), Json::str(REPORT_SCHEMA)),
             ("version".into(), Json::from(REPORT_VERSION)),
@@ -819,18 +829,201 @@ impl Report {
     }
 }
 
-/// Formats the Fig 3-10 signal-value summary from sorted waveform rows,
-/// every row straight into one buffer. The name column is as wide as the
-/// longest name in bytes, and names are padded by char count (as
-/// `{:width$}` pads).
-pub(crate) fn format_summary(waves: &[(String, Waveform)]) -> String {
-    use fmt::Write as _;
-    let width = waves.iter().map(|(n, _)| n.len()).max().unwrap_or(0);
-    let mut out = String::new();
-    for (name, wave) in waves {
-        writeln!(out, "{name:width$}  {wave}").expect("String write cannot fail");
+/// One signal's row of the summary: its settled wave handle and skew,
+/// and where its full name lives.
+#[derive(Debug, Clone)]
+struct Row {
+    sid: SignalId,
+    wave: WaveRef,
+    skew: Skew,
+    /// The byte range of an asserted signal's full name in
+    /// [`SummaryRows::names`]; `None` borrows the netlist's base name,
+    /// which is then the full name.
+    name: Option<(u32, u32)>,
+}
+
+/// The settled state as the Fig 3-10 summary reads it: one row per
+/// signal, in the order of a stable sort on full names, over the
+/// verifier's netlist. A row holds the interned wave handle and the
+/// skew, not a copy of the waveform; a name is borrowed from the
+/// netlist unless the signal is asserted, and then its full name is
+/// formatted once, into one buffer shared by all rows.
+#[derive(Clone)]
+pub(crate) struct SummaryRows {
+    netlist: Arc<Netlist>,
+    rows: Vec<Row>,
+    /// The full names of asserted signals, back to back.
+    names: String,
+}
+
+impl fmt::Debug for SummaryRows {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SummaryRows")
+            .field("rows", &self.rows.len())
+            .finish_non_exhaustive()
     }
-    out
+}
+
+/// The first 16 bytes of `name`, zero-padded, as a big-endian integer:
+/// ordering these orders the names, except that equal prefixes need
+/// the whole names to decide.
+fn name_prefix(name: &str) -> u128 {
+    let mut buf = [0u8; 16];
+    let n = name.len().min(16);
+    buf[..n].copy_from_slice(&name.as_bytes()[..n]);
+    u128::from_be_bytes(buf)
+}
+
+/// The identity of one folded wave: the wave handle and the skew.
+type WaveKey = (u32, WaveId, Skew);
+
+impl SummaryRows {
+    /// The rows of every signal of `netlist` against `states`.
+    pub(crate) fn new<S: StateView + ?Sized>(netlist: Arc<Netlist>, states: &S) -> SummaryRows {
+        let mut names = String::new();
+        let spans: Vec<Option<(u32, u32)>> = netlist
+            .signals()
+            .iter()
+            .map(|sig| {
+                sig.assertion.as_ref().map(|a| {
+                    let start = names.len() as u32;
+                    write!(names, "{} {a}", sig.name).expect("String write cannot fail");
+                    (start, names.len() as u32)
+                })
+            })
+            .collect();
+        let full_name = |sid: SignalId| match spans[sid.index()] {
+            Some((a, b)) => &names[a as usize..b as usize],
+            None => netlist.signal(sid).name.as_str(),
+        };
+        // Sort packed keys; the signal id breaks ties, as a stable sort
+        // on the names would.
+        let mut order: Vec<(u128, SignalId)> = netlist
+            .iter_signals()
+            .map(|(sid, _)| (name_prefix(full_name(sid)), sid))
+            .collect();
+        order.sort_unstable_by(|a, b| {
+            a.0.cmp(&b.0)
+                .then_with(|| full_name(a.1).cmp(full_name(b.1)))
+                .then(a.1.cmp(&b.1))
+        });
+        let rows = order
+            .iter()
+            .map(|&(_, sid)| {
+                let st = states.state_at(sid.index());
+                Row {
+                    sid,
+                    wave: st.wave.clone(),
+                    skew: st.skew,
+                    name: spans[sid.index()],
+                }
+            })
+            .collect();
+        SummaryRows {
+            netlist,
+            rows,
+            names,
+        }
+    }
+
+    fn name(&self, row: &Row) -> &str {
+        match row.name {
+            Some((a, b)) => &self.names[a as usize..b as usize],
+            None => &self.netlist.signal(row.sid).name,
+        }
+    }
+
+    /// Applies `render` to each distinct folded wave once, and returns
+    /// per row the index of its result in the returned list.
+    fn per_wave<T>(&self, mut render: impl FnMut(&Waveform) -> T) -> (Vec<u32>, Vec<T>) {
+        let mut seen: HashMap<WaveKey, u32> = HashMap::new();
+        let mut out = Vec::new();
+        let index = self
+            .rows
+            .iter()
+            .map(|row| {
+                let key = (row.wave.store_tag(), row.wave.id(), row.skew);
+                *seen.entry(key).or_insert_with(|| {
+                    out.push(render(&row.wave.with_skew_applied(row.skew)));
+                    (out.len() - 1) as u32
+                })
+            })
+            .collect();
+        (index, out)
+    }
+
+    /// The Fig 3-10 listing. The name column is as wide as the longest
+    /// name in bytes, and names are padded by char count (as `{:width$}`
+    /// pads).
+    pub(crate) fn text(&self) -> String {
+        let (index, waves) = self.per_wave(ToString::to_string);
+        let width = self
+            .rows
+            .iter()
+            .map(|r| self.name(r).len())
+            .max()
+            .unwrap_or(0);
+        let mut out = String::new();
+        for (row, &w) in self.rows.iter().zip(&index) {
+            let name = self.name(row);
+            out.push_str(name);
+            let pad = width.saturating_sub(name.chars().count());
+            out.extend(std::iter::repeat_n(' ', pad + 2));
+            out.push_str(&waves[w as usize]);
+            out.push('\n');
+        }
+        out
+    }
+
+    /// The document's `summary` rows.
+    fn json(&self) -> Json {
+        let (index, waves) = self.per_wave(ToString::to_string);
+        Json::Arr(
+            self.rows
+                .iter()
+                .zip(&index)
+                .map(|(row, &w)| {
+                    Json::Obj(vec![
+                        ("signal".into(), Json::str(self.name(row))),
+                        ("wave".into(), Json::str(waves[w as usize].as_str())),
+                    ])
+                })
+                .collect(),
+        )
+    }
+
+    /// The timing diagram, `columns` buckets wide.
+    pub(crate) fn diagram(&self, columns: usize) -> String {
+        assert!(columns > 0, "diagram needs at least one column");
+        let Some(first) = self.rows.first() else {
+            return String::new();
+        };
+        let period = first.wave.period();
+        let (index, glyphs) = self.per_wave(|w| {
+            assert!(
+                w.period() == period,
+                "all diagram waveforms must share one period"
+            );
+            crate::diagram::glyph_row(w, columns)
+        });
+        let label_width = self
+            .rows
+            .iter()
+            .map(|r| self.name(r).len())
+            .max()
+            .unwrap_or(0)
+            .max(4);
+        let mut out = crate::diagram::header(label_width, period, columns);
+        for (row, &g) in self.rows.iter().zip(&index) {
+            let _ = writeln!(
+                out,
+                "{:<label_width$}  {}",
+                self.name(row),
+                glyphs[g as usize]
+            );
+        }
+        out
+    }
 }
 
 /// Formats the §2.5 assumed-stable cross-reference listing.

@@ -9,8 +9,8 @@
 //! pack records: four bytes per field, one byte per char/boolean) so the
 //! *percentages* are directly comparable.
 
-use scald_netlist::Netlist;
-use std::fmt;
+use scald_netlist::{Netlist, Signal};
+use std::fmt::{self, Write as _};
 
 use crate::view::StateView;
 
@@ -58,13 +58,8 @@ impl StorageReport {
         // Signal values: VALUE BASE record (free-storage link, skew,
         // eval-string pointer, value-list pointer — 4 fields) plus a VALUE
         // record (value, width — 2 fields) per run-length node.
-        let mut signal_values = 0usize;
-        let mut value_records = 0usize;
-        for i in 0..netlist.signals().len() {
-            let records = states.state_at(i).value_records();
-            value_records += records;
-            signal_values += 4 * FIELD + records * 2 * FIELD;
-        }
+        let value_records = value_records(netlist, states);
+        let signal_values = netlist.signals().len() * 4 * FIELD + value_records * 2 * FIELD;
 
         // Signal names: per signal, pointers to the value definition, the
         // defining primitive and the user list, plus width/assertion
@@ -72,11 +67,7 @@ impl StorageReport {
         let signal_names = netlist.signals().len() * 6 * FIELD;
 
         // String space: the actual name text.
-        let string_space: usize = netlist
-            .signals()
-            .iter()
-            .map(|s| s.full_name().len())
-            .sum::<usize>()
+        let string_space: usize = netlist.signals().iter().map(full_name_len).sum::<usize>()
             + netlist.prims().iter().map(|p| p.name.len()).sum::<usize>();
 
         // CALL LIST ARRAY: one pointer per (signal, using primitive) pair.
@@ -141,6 +132,36 @@ impl StorageReport {
     }
 }
 
+/// Total value records (Fig 2-7 run-length nodes plus base records)
+/// across every signal of `states`: the one Table 3-3 figure a run
+/// changes.
+pub(crate) fn value_records<S: StateView + ?Sized>(netlist: &Netlist, states: &S) -> usize {
+    (0..netlist.signals().len())
+        .map(|i| states.state_at(i).value_records())
+        .sum()
+}
+
+/// Counts the bytes written through it.
+struct ByteCount(usize);
+
+impl fmt::Write for ByteCount {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 += s.len();
+        Ok(())
+    }
+}
+
+/// `sig.full_name().len()` without formatting the name: the base name
+/// plus a space and the assertion suffix, measured as it is written.
+fn full_name_len(sig: &Signal) -> usize {
+    let suffix = sig.assertion.as_ref().map_or(0, |a| {
+        let mut n = ByteCount(0);
+        write!(n, " {a}").expect("counting cannot fail");
+        n.0
+    });
+    sig.name.len() + suffix
+}
+
 impl fmt::Display for StorageReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "{:<22} {:>12} {:>8}", "STORAGE AREA", "BYTES", "PERCENT")?;
@@ -153,5 +174,39 @@ impl fmt::Display for StorageReport {
             "value records per signal: {:.2}",
             self.value_records_per_signal()
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use scald_netlist::{Config, NetlistBuilder};
+
+    /// The measured length equals the formatted name's, for every
+    /// assertion shape: stable and clock kinds, several ranges, a
+    /// `+ns` width, explicit skew and active-low clocks.
+    #[test]
+    fn full_name_len_matches_the_formatted_name() {
+        let mut b = NetlistBuilder::new(Config::s1_example());
+        for name in [
+            "PLAIN",
+            "W DATA .S0-6",
+            "CK .P2-3",
+            "CKC .C2-3,5-6 L",
+            "SK .P1-2 (-0.5,1.25)",
+            "WIDE .S2+10.25",
+            "ÄPFEL .S0-4",
+        ] {
+            b.signal(name).unwrap();
+        }
+        let netlist = b.finish().unwrap();
+        for sig in netlist.signals() {
+            assert_eq!(
+                full_name_len(sig),
+                sig.full_name().len(),
+                "{}",
+                sig.full_name()
+            );
+        }
     }
 }

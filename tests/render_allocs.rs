@@ -1,11 +1,12 @@
-//! Allocation budget of report rendering, as a deterministic counter: a
-//! counting global allocator tallies the heap allocations made on the
-//! calling thread while a finished report becomes text — the JSON
-//! document (`Report::json_value` + `Json::to_string_pretty`) and the
-//! Fig 3-10 summary listing (`Report::summary_text`), the calls a
-//! `scald-tv --format json --summary` run makes. The count per signal
-//! must stay within budget. Unlike wall clock, the count does not depend
-//! on the host.
+//! Allocation budgets of building and rendering a report, as
+//! deterministic counters: a counting global allocator tallies the heap
+//! allocations made on the calling thread while a settled verifier
+//! builds its report (`Verifier::report`), and while the finished
+//! report becomes text — the JSON document (`Report::json_value` +
+//! `Json::to_string_pretty`) and the Fig 3-10 summary listing
+//! (`Report::summary_text`), the calls a `scald-tv --format json
+//! --summary` run makes. Each count per signal must stay within its
+//! budget. Unlike wall clock, the counts do not depend on the host.
 //!
 //! This binary holds a single test so no other test's allocations can
 //! interleave with the measured calls.
@@ -57,9 +58,12 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
+/// Largest number of allocations (reallocations included) building the
+/// report may cost per signal of the design.
+const REPORT_BUDGET_PER_SIGNAL: f64 = 2.0;
 /// Largest number of allocations (reallocations included) rendering may
 /// cost per signal of the design.
-const BUDGET_PER_SIGNAL: f64 = 10.0;
+const BUDGET_PER_SIGNAL: f64 = 8.0;
 
 #[test]
 fn s1_report_renders_within_its_allocation_budget() {
@@ -75,7 +79,11 @@ fn s1_report_renders_within_its_allocation_budget() {
     let outcome = v
         .run(&RunOptions::new())
         .expect("generated design verifies");
+    ALLOCATIONS.store(0, Ordering::Relaxed);
+    COUNTING.with(|c| c.set(true));
     let report = v.report("s1_like_hdl", &outcome.cases);
+    COUNTING.with(|c| c.set(false));
+    let report_allocations = ALLOCATIONS.load(Ordering::Relaxed);
 
     ALLOCATIONS.store(0, Ordering::Relaxed);
     COUNTING.with(|c| c.set(true));
@@ -87,8 +95,18 @@ fn s1_report_renders_within_its_allocation_budget() {
     let signals = report.engine.signals;
     assert_eq!(signals, 791, "the measured design changed");
     assert!(text.len() > 100_000);
+    let report_per_signal = report_allocations as f64 / signals as f64;
+    println!(
+        "report: {report_allocations} allocations for {signals} signals: \
+         {report_per_signal:.2} per signal"
+    );
     let per_signal = allocations as f64 / signals as f64;
     println!("{allocations} allocations for {signals} signals: {per_signal:.1} per signal");
+    assert!(
+        report_per_signal <= REPORT_BUDGET_PER_SIGNAL,
+        "building the report made {report_allocations} allocations for {signals} signals \
+         ({report_per_signal:.2} per signal, budget {REPORT_BUDGET_PER_SIGNAL})"
+    );
     assert!(
         per_signal <= BUDGET_PER_SIGNAL,
         "rendering made {allocations} allocations for {signals} signals \
