@@ -47,6 +47,22 @@ cargo test -q -p scald-verifier --lib delta_passes_match_the_walk_oracle
 # never collide.
 cargo test -q -p scald-verifier --lib -- keyed_checker_passes_match_the_per_instance_oracle keyed_slack_matches_the_per_checker_loop keys_tell_wave_stores_apart
 
+# The eval-cache key oracle: every packed key (inline pins, one carried
+# hash, interned tail ids) is also built as the `Vec` key it replaced,
+# and two keys must be equal exactly when their old keys are, over
+# seeded S-1, scale and sweep runs with cases and corner crosses,
+# propagating directive chains, fan-in above the inline pins, skews, and
+# keys differing in one part each (two wave stores, each skew half, the
+# tail, the pin count, the corner).
+cargo test -q -p scald-verifier --lib -- packed_keys_match_the_vec_key_oracle keys_differing_in_one_part_stay_apart
+
+# The packed descriptor signatures against the `Debug`-string interner:
+# generated and figure designs plus one setting every field the packing
+# must keep apart (long and prefix-sharing directives, every `Const`,
+# `Mux`/`Reg`/`Latch` parameters, `Delay`, edge delays on `Not` and
+# `Buf`), and two netlists numbered in first-occurrence order.
+cargo test -q -p scald-verifier --lib -- descriptor_signatures_match_the_debug_string_interner two_netlists_number_in_first_occurrence_order
+
 # The report's summary rows against the sorted-copy path they replaced:
 # the Fig 3-10 listing, the JSON summary rows, the timing diagram and
 # Report::waves, over names whose base and full orders differ, names
@@ -94,8 +110,13 @@ cargo test -q --test render_allocs
 cargo test -q -p scald-wave --test display_oracle
 cargo test -q -p scald-trace --test json_oracle
 
+# The eval-cache hit pin: a warm settle of a 400-chip S-1 design against
+# a cache an identical settle filled makes no miss and at most 0.05
+# allocations per hit (a counting global allocator).
+cargo test -q --test settle_allocs
+
 # The warm-edit pins: the allocation budgets of a one-line source edit
-# (8 per primitive, beyond compiling it) and of the daemon's `report`
+# (2.5 per primitive, beyond compiling it) and of the daemon's `report`
 # frame encode + decode (16 per signal), and the oracles that keep the earlier
 # `format!`-based content keys and `BTreeMap` diff, the copy-then-strip
 # report document and the borrowing frame encoder as references.

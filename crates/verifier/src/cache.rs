@@ -5,61 +5,166 @@
 //! description (kind, delays, per-connection inversion/directive/wire
 //! delay, and the clock period) and the dynamic states of its input
 //! signals. With waveforms hash-consed ([`scald_wave::WaveStore`]), a
-//! dynamic input state is fully captured by the compact triple *(interned
-//! wave handle, skew, remaining eval string)* — so a small key identifies
-//! an evaluation exactly and the outcome can be served from a table
-//! instead of re-running the kernels.
+//! dynamic input state is fully captured by a few words — *(store tag,
+//! interned wave id, skew, interned remaining eval string)* — so a small
+//! key identifies an evaluation exactly and the outcome can be served
+//! from a table instead of re-running the kernels.
 //!
 //! Invalidation is by construction: everything `evaluate` reads is in the
-//! key. The static half is gathered once per primitive into a
-//! [`PrimDescriptor`] and interned to a `u32` signature, so netlist
-//! edits between `scald-incr` re-verifications produce new signatures for
-//! changed primitives and identical ones for untouched primitives —
-//! stale entries are unreachable, not purged.
+//! key. The static half is packed once per primitive into a word slice
+//! and interned to a `u32` signature, so netlist edits between
+//! `scald-incr` re-verifications produce new signatures for changed
+//! primitives and identical ones for untouched primitives — stale
+//! entries are unreachable, not purged.
 //!
-//! The table is sharded like the wave store: hits take a shard read-lock,
-//! misses insert under the shard write-lock, so the wave engine's
-//! evaluation workers share one cache without serializing.
+//! A lookup costs one keyed hash and no allocation: a key holds up to
+//! four pins inline and carries the hash it was built with, which picks
+//! both the shard and the slot within it. The table is sharded like the
+//! wave store: hits take a shard read-lock, misses insert under the
+//! shard write-lock, so the wave engine's evaluation workers share one
+//! cache without serializing.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasher, RandomState};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher, RandomState};
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, RwLock};
 
-use scald_netlist::{EdgeDelays, Netlist, PrimKind, Primitive};
-use scald_wave::{DelayCorner, DelayRange, Skew, Time, WaveId};
+use scald_netlist::{Conn, Netlist, PrimKind, Primitive};
+use scald_wave::{DelayCorner, Time};
 
 use crate::eval::EvalOutcome;
 use crate::view::StateView;
 
 const SHARD_BITS: u32 = 4;
 const SHARDS: usize = 1 << SHARD_BITS;
+/// Where a key's shard index sits in its hash: above the low bits the
+/// shard's table takes for its bucket index and below the top seven it
+/// keeps as its control tag, so the shard choice correlates with
+/// neither.
+const SHARD_SHIFT: u32 = 32;
+/// Pins a key stores inline; a wider fan-in spills to a boxed slice.
+const INLINE_PINS: usize = 4;
+/// Words per pin in the hashed form: wave, both skew halves, tail.
+const PIN_WORDS: usize = 4;
 
-/// The dynamic half of the key: one input signal's state, compressed to
-/// the interned wave handle plus the fields `evaluate` actually reads.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct InputKey {
-    /// Tag of the store that issued the handle (ids are only comparable
-    /// within one store).
-    store: u32,
-    wave: WaveId,
-    skew: Skew,
-    /// Remaining letters of the propagating evaluation string, if any.
-    eval: Option<Box<str>>,
+/// The dynamic half of the key: one input signal's state, reduced to
+/// the words `evaluate` reads from it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+struct PinKey {
+    /// Tag of the store that issued the wave handle in the high half
+    /// (ids are only comparable within one store), the `WaveId` in the
+    /// low half.
+    wave: u64,
+    /// The separated skew's halves, in picoseconds.
+    minus: i64,
+    plus: i64,
+    /// The cache's id for the remaining letters of the riding evaluation
+    /// string; 0 when the value carries none.
+    tail: u32,
 }
 
-/// Full cache key: the primitive's interned descriptor signature plus
-/// the dynamic state of each input, in connection order.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+impl PinKey {
+    fn words(self) -> [u64; PIN_WORDS] {
+        [
+            self.wave,
+            self.minus as u64,
+            self.plus as u64,
+            u64::from(self.tail),
+        ]
+    }
+}
+
+#[derive(Debug, Clone)]
+enum Pins {
+    /// The first `len` entries are in use, the rest are zero.
+    Inline([PinKey; INLINE_PINS]),
+    Spilled(Box<[PinKey]>),
+}
+
+/// Full cache key: the primitive's interned descriptor signature, the
+/// delay corner in force, and the dynamic state of each input in
+/// connection order — plus the hash of all of them, computed once by the
+/// cache that built the key.
+#[derive(Debug, Clone)]
 pub(crate) struct EvalKey {
+    hash: u64,
     sig: u32,
-    /// The delay corner in force — corner sweeps collapse every
+    /// Corner sweeps collapse every
     /// [`DelayRange`](scald_wave::DelayRange) the kernels read, so
     /// outcomes from different corners must never alias.
     corner: DelayCorner,
-    inputs: Vec<InputKey>,
+    len: u32,
+    pins: Pins,
+}
+
+impl EvalKey {
+    fn pins(&self) -> &[PinKey] {
+        match &self.pins {
+            Pins::Inline(pins) => &pins[..self.len as usize],
+            Pins::Spilled(pins) => pins,
+        }
+    }
+
+    fn shard(&self) -> usize {
+        (self.hash >> SHARD_SHIFT) as usize & (SHARDS - 1)
+    }
+}
+
+impl PartialEq for EvalKey {
+    fn eq(&self, other: &EvalKey) -> bool {
+        self.sig == other.sig
+            && self.corner == other.corner
+            && self.len == other.len
+            && self.pins() == other.pins()
+    }
+}
+
+impl Eq for EvalKey {}
+
+/// Writes only the carried hash: the shard tables pass it through.
+impl Hash for EvalKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// The shard tables' hasher: hands back the hash an [`EvalKey`] carries.
+#[derive(Default)]
+struct CarriedHash(u64);
+
+impl Hasher for CarriedHash {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("eval keys hash themselves once, through `write_u64`");
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
+type Shard = HashMap<EvalKey, EvalOutcome, BuildHasherDefault<CarriedHash>>;
+
+/// A value alone on its cache lines (128 bytes: the pair of lines x86
+/// prefetches together), so that a counter or lock one worker writes
+/// does not evict what another worker reads — the hasher's keys, or a
+/// neighbouring shard's lock.
+#[derive(Default)]
+#[repr(align(128))]
+struct Padded<T>(T);
+
+impl<T> Deref for Padded<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.0
+    }
 }
 
 /// Hit/miss/size counters for an [`EvalCache`], surfaced through the
@@ -121,15 +226,24 @@ impl EvalCacheStats {
 ///
 /// [`VerifierBuilder::shared_eval_cache`]: crate::VerifierBuilder::shared_eval_cache
 pub struct EvalCache {
-    /// Descriptor → signature interner, numbering descriptors in order of
-    /// first occurrence. Identical primitive descriptions (across
-    /// netlists, sessions, rebuilds) map to the same signature, which is
-    /// what makes warm-session reuse work.
-    sigs: Mutex<HashMap<PrimDescriptor, u32>>,
+    /// Packed descriptor → signature interner, numbering descriptors in
+    /// order of first occurrence. Identical primitive descriptions
+    /// (across netlists, sessions, rebuilds) map to the same signature,
+    /// which is what makes warm-session reuse work.
+    sigs: Mutex<HashMap<Box<[u64]>, u32>>,
+    /// Remaining evaluation-string letters → tail id, from 1 (0 in a key
+    /// means no string rides on the value).
+    tails: RwLock<HashMap<Box<str>, u32>>,
+    /// Keyed, so keys derived from client designs (the daemon shares
+    /// one cache) cannot be chosen to collide.
     hasher: RandomState,
-    shards: [RwLock<HashMap<EvalKey, EvalOutcome>>; SHARDS],
-    hits: AtomicU64,
-    misses: AtomicU64,
+    shards: [Padded<RwLock<Shard>>; SHARDS],
+    hits: Padded<AtomicU64>,
+    misses: Padded<AtomicU64>,
+    /// Every key built, paired with the key as it was built before keys
+    /// were packed: the exactness oracle of the unit-test build.
+    #[cfg(test)]
+    oracle: Mutex<key_oracle::SideMaps>,
 }
 
 impl EvalCache {
@@ -138,59 +252,123 @@ impl EvalCache {
     pub fn new() -> EvalCache {
         EvalCache {
             sigs: Mutex::new(HashMap::new()),
+            tails: RwLock::new(HashMap::new()),
             hasher: RandomState::new(),
-            shards: std::array::from_fn(|_| RwLock::new(HashMap::new())),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            shards: std::array::from_fn(|_| Padded::default()),
+            hits: Padded::default(),
+            misses: Padded::default(),
+            #[cfg(test)]
+            oracle: Mutex::default(),
         }
     }
 
-    /// Interns the static descriptor of `prim`, returning its signature —
-    /// or `None` for checker kinds, which compute nothing during the
-    /// fixed point and are not worth a table slot.
-    pub(crate) fn sig_for_prim(&self, netlist: &Netlist, prim: &Primitive) -> Option<u32> {
-        if prim.kind.is_checker() {
-            return None;
-        }
-        let desc = PrimDescriptor::of(netlist, prim);
+    /// Interns the static descriptor of every primitive of `netlist`
+    /// under one lock, returning each one's signature by `PrimId` index —
+    /// `None` for checker kinds, which compute nothing during the fixed
+    /// point and are not worth a table slot. Only a descriptor new to
+    /// the cache allocates.
+    pub(crate) fn sigs_for(&self, netlist: &Netlist) -> Vec<Option<u32>> {
+        let period = netlist.config().timing.period;
+        let mut words = Vec::new();
         let mut sigs = self.sigs.lock().expect("eval cache poisoned");
-        let next = sigs.len() as u32;
-        Some(*sigs.entry(desc).or_insert(next))
+        netlist
+            .prims()
+            .iter()
+            .map(|prim| {
+                if prim.kind.is_checker() {
+                    return None;
+                }
+                words.clear();
+                pack_descriptor(netlist, period, prim, &mut words);
+                if let Some(&sig) = sigs.get(words.as_slice()) {
+                    return Some(sig);
+                }
+                let next = sigs.len() as u32;
+                sigs.insert(words.as_slice().into(), next);
+                Some(next)
+            })
+            .collect()
     }
 
     /// Builds the full key for evaluating `prim` (signature `sig`)
-    /// against the input states visible in `states`.
+    /// against the input states visible in `states`, hashed once.
     pub(crate) fn key_for<S: StateView + ?Sized>(
+        &self,
         sig: u32,
         prim: &Primitive,
         states: &S,
         corner: DelayCorner,
     ) -> EvalKey {
-        let inputs = prim
-            .inputs
-            .iter()
-            .map(|conn| {
-                let src = states.state_at(conn.signal.index());
-                InputKey {
-                    store: src.wave.store_tag(),
-                    wave: src.wave.id(),
-                    skew: src.skew,
-                    eval: src.eval.as_ref().map(|e| e.remaining().into()),
-                }
-            })
-            .collect();
-        EvalKey {
+        let pin = |conn: &Conn| {
+            let src = states.state_at(conn.signal.index());
+            PinKey {
+                wave: (u64::from(src.wave.store_tag()) << 32) | u64::from(src.wave.id().index()),
+                minus: src.skew.minus.as_ps(),
+                plus: src.skew.plus.as_ps(),
+                tail: src.eval.as_ref().map_or(0, |e| self.tail_id(e.remaining())),
+            }
+        };
+        let pins = if prim.inputs.len() <= INLINE_PINS {
+            let mut inline = [PinKey::default(); INLINE_PINS];
+            for (slot, conn) in inline.iter_mut().zip(&prim.inputs) {
+                *slot = pin(conn);
+            }
+            Pins::Inline(inline)
+        } else {
+            Pins::Spilled(prim.inputs.iter().map(pin).collect())
+        };
+        let mut key = EvalKey {
+            hash: 0,
             sig,
             corner,
-            inputs,
+            len: prim.inputs.len() as u32,
+            pins,
+        };
+        key.hash = self.hash_key(&key);
+        #[cfg(test)]
+        key_oracle::cross_check(self, &key, sig, prim, states, corner);
+        key
+    }
+
+    /// The keyed hash of everything `key` compares, as one byte stream:
+    /// a header word (signature, corner, pin count), then each pin's
+    /// words. Up to [`INLINE_PINS`] pins this is a single `write`.
+    fn hash_key(&self, key: &EvalKey) -> u64 {
+        let mut h = self.hasher.build_hasher();
+        let mut buf = [0u8; 8 * (1 + INLINE_PINS * PIN_WORDS)];
+        let header = u64::from(key.sig) | ((key.corner as u64) << 32) | (u64::from(key.len) << 40);
+        buf[..8].copy_from_slice(&header.to_ne_bytes());
+        let mut at = 8;
+        for pin in key.pins() {
+            if at + 8 * PIN_WORDS > buf.len() {
+                h.write(&buf);
+                at = 0;
+            }
+            for word in pin.words() {
+                buf[at..at + 8].copy_from_slice(&word.to_ne_bytes());
+                at += 8;
+            }
         }
+        h.write(&buf[..at]);
+        h.finish()
+    }
+
+    /// The id of a riding evaluation string's remaining letters, interned
+    /// on first sight.
+    fn tail_id(&self, tail: &str) -> u32 {
+        if let Some(&id) = self.tails.read().expect("eval cache poisoned").get(tail) {
+            return id;
+        }
+        let mut tails = self.tails.write().expect("eval cache poisoned");
+        let next = tails.len() as u32 + 1;
+        *tails.entry(tail.into()).or_insert(next)
     }
 
     /// Looks `key` up, counting a hit or a miss (a miss becomes a hit if
-    /// its [`insert`](Self::insert) finds another worker's outcome).
+    /// its [`insert`](Self::insert) finds another worker's outcome). A
+    /// hit's clone shares the stored outcome's handles.
     pub(crate) fn lookup(&self, key: &EvalKey) -> Option<EvalOutcome> {
-        let shard = self.shard_of(key);
-        let found = self.shards[shard]
+        let found = self.shards[key.shard()]
             .read()
             .expect("eval cache poisoned")
             .get(key)
@@ -210,8 +388,9 @@ impl EvalCache {
     /// its lookup's miss into a hit: another worker evaluated the key
     /// first, and a serial run would have found it in the table.
     pub(crate) fn insert(&self, key: EvalKey, outcome: &EvalOutcome) {
-        let shard = self.shard_of(&key);
-        let mut table = self.shards[shard].write().expect("eval cache poisoned");
+        let mut table = self.shards[key.shard()]
+            .write()
+            .expect("eval cache poisoned");
         match table.entry(key) {
             Entry::Vacant(slot) => {
                 slot.insert(outcome.clone());
@@ -222,10 +401,6 @@ impl EvalCache {
                 self.hits.fetch_add(1, Ordering::Relaxed);
             }
         }
-    }
-
-    fn shard_of(&self, key: &EvalKey) -> usize {
-        (self.hasher.hash_one(key) as usize) & (SHARDS - 1)
     }
 
     /// Distinct outcomes currently stored.
@@ -271,47 +446,75 @@ impl fmt::Debug for EvalCache {
     }
 }
 
-/// Everything `evaluate` reads from the netlist for one primitive:
-/// period, kind (with parameters), delays, and each connection's
-/// inversion, directive and *resolved* wire delay. Two primitives with
-/// equal descriptors evaluate identically on equal inputs — the
-/// invalidation-by-construction invariant.
-#[derive(Debug, PartialEq, Eq, Hash)]
-struct PrimDescriptor {
-    period: Time,
-    kind: PrimKind,
-    delay: DelayRange,
-    edge_delays: Option<EdgeDelays>,
-    inputs: Vec<ConnDescriptor>,
-}
-
-/// One input connection's share of a [`PrimDescriptor`].
-#[derive(Debug, PartialEq, Eq, Hash)]
-struct ConnDescriptor {
-    invert: bool,
-    directive: Option<String>,
-    wire_delay: DelayRange,
-}
-
-impl PrimDescriptor {
-    fn of(netlist: &Netlist, prim: &Primitive) -> PrimDescriptor {
-        PrimDescriptor {
-            period: netlist.config().timing.period,
-            kind: prim.kind,
-            delay: prim.delay,
-            edge_delays: prim.edge_delays,
-            inputs: prim
-                .inputs
-                .iter()
-                .map(|conn| ConnDescriptor {
-                    invert: conn.invert,
-                    directive: conn.directive.clone(),
-                    wire_delay: netlist.wire_delay(conn),
-                })
-                .collect(),
+/// Appends to `words` everything `evaluate` reads from the netlist for
+/// one primitive: the period, the kind with its parameters, the delay,
+/// the edge delays behind a presence word, and per connection a word of
+/// inversion and directive length, the *resolved* wire delay, and the
+/// directive's bytes eight to a word. Two primitives with equal words
+/// evaluate identically on equal inputs — the
+/// invalidation-by-construction invariant — and every length is in the
+/// words, so equal words mean equal descriptors.
+fn pack_descriptor(netlist: &Netlist, period: Time, prim: &Primitive, words: &mut Vec<u64>) {
+    let ps = |t: Time| t.as_ps() as u64;
+    words.extend([
+        ps(period),
+        kind_code(prim.kind),
+        ps(prim.delay.min),
+        ps(prim.delay.max),
+    ]);
+    match prim.edge_delays {
+        None => words.push(0),
+        Some(ed) => words.extend([
+            1,
+            ps(ed.rise.min),
+            ps(ed.rise.max),
+            ps(ed.fall.min),
+            ps(ed.fall.max),
+        ]),
+    }
+    for conn in &prim.inputs {
+        let wire = netlist.wire_delay(conn);
+        // 0 for no directive, else its length plus one.
+        let directive = conn.directive.as_ref().map_or(0, |d| d.len() as u64 + 1);
+        words.extend([
+            u64::from(conn.invert) | directive << 1,
+            ps(wire.min),
+            ps(wire.max),
+        ]);
+        for chunk in conn.directive.iter().flat_map(|d| d.as_bytes().chunks(8)) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            words.push(u64::from_le_bytes(word));
         }
     }
 }
+
+/// A cached kind and its parameters as one word: the kind in the low
+/// byte, its parameter above it.
+fn kind_code(kind: PrimKind) -> u64 {
+    match kind {
+        PrimKind::And => 0,
+        PrimKind::Or => 1,
+        PrimKind::Nand => 2,
+        PrimKind::Nor => 3,
+        PrimKind::Xor => 4,
+        PrimKind::Xnor => 5,
+        PrimKind::Not => 6,
+        PrimKind::Buf => 7,
+        PrimKind::Chg => 8,
+        PrimKind::Delay => 9,
+        PrimKind::Mux { data } => 10 | u64::from(data) << 8,
+        PrimKind::Reg { set_reset } => 11 | u64::from(set_reset) << 8,
+        PrimKind::Latch { set_reset } => 12 | u64::from(set_reset) << 8,
+        PrimKind::Const(v) => 13 | (v as u64) << 8,
+        PrimKind::SetupHold { .. }
+        | PrimKind::SetupRiseHoldFall { .. }
+        | PrimKind::MinPulseWidth { .. } => unreachable!("checkers are not cached"),
+    }
+}
+
+#[cfg(test)]
+mod key_oracle;
 
 #[cfg(test)]
 mod tests {
@@ -348,12 +551,14 @@ mod tests {
     fn signatures_distinguish_prims_and_dedupe_equal_descriptors() {
         let n = tiny();
         let cache = EvalCache::new();
-        let buf = cache.sig_for_prim(&n, &n.prims()[0]).unwrap();
-        let inv = cache.sig_for_prim(&n, &n.prims()[1]).unwrap();
-        assert_ne!(buf, inv, "different kinds, different signatures");
+        let sigs = cache.sigs_for(&n);
+        assert_eq!(
+            sigs,
+            [Some(0), Some(1)],
+            "different kinds, different signatures"
+        );
         // Re-interning (as a rebuilt session would) is stable.
-        assert_eq!(cache.sig_for_prim(&n, &n.prims()[0]), Some(buf));
-        assert_eq!(cache.sig_for_prim(&n, &n.prims()[1]), Some(inv));
+        assert_eq!(cache.sigs_for(&n), sigs);
     }
 
     #[test]
@@ -361,14 +566,14 @@ mod tests {
         let n = tiny();
         let cache = EvalCache::new();
         let prim = &n.prims()[0];
-        let sig = cache.sig_for_prim(&n, prim).unwrap();
+        let sig = cache.sigs_for(&n)[0].unwrap();
         let period = n.config().timing.period;
         let states = vec![
             SignalState::new(Waveform::constant(period, Value::Zero)),
             SignalState::new(Waveform::constant(period, Value::Unknown)),
             SignalState::new(Waveform::constant(period, Value::Unknown)),
         ];
-        let key = EvalCache::key_for(sig, prim, states.as_slice(), DelayCorner::Worst);
+        let key = cache.key_for(sig, prim, states.as_slice(), DelayCorner::Worst);
         assert!(cache.lookup(&key).is_none());
         let outcome = crate::eval::evaluate(&n, prim, states.as_slice(), DelayCorner::Worst);
         cache.insert(key.clone(), &outcome);
@@ -380,7 +585,7 @@ mod tests {
             SignalState::new(Waveform::constant(period, Value::One)),
             states[1].clone(),
         ];
-        let miss = EvalCache::key_for(sig, prim, other.as_slice(), DelayCorner::Worst);
+        let miss = cache.key_for(sig, prim, other.as_slice(), DelayCorner::Worst);
         assert_ne!(key, miss);
         assert!(cache.lookup(&miss).is_none());
 
@@ -399,9 +604,10 @@ mod tests {
         let n = tiny();
         let prim = &n.prims()[0];
         let period = n.config().timing.period;
-        let key = |v: Value| {
+        // Keys are hashed by the cache that builds them.
+        let key = |c: &EvalCache, v: Value| {
             let states = [SignalState::new(Waveform::constant(period, v))];
-            EvalCache::key_for(0, prim, states.as_slice(), DelayCorner::Worst)
+            c.key_for(0, prim, states.as_slice(), DelayCorner::Worst)
         };
         let states = [SignalState::new(Waveform::constant(period, Value::Zero))];
         let outcome = crate::eval::evaluate(&n, prim, states.as_slice(), DelayCorner::Worst);
@@ -412,7 +618,7 @@ mod tests {
         let cache_with = |stored: &[Value]| {
             let cache = EvalCache::new();
             for &v in stored {
-                cache.insert(key(v), &outcome);
+                cache.insert(key(&cache, v), &outcome);
             }
             cache
         };
@@ -439,8 +645,8 @@ mod tests {
             for keys in [[Zero, Zero, Zero], [Zero, One, Zero], [One, Zero, Stable]] {
                 let serial = cache_with(stored);
                 for &v in &keys {
-                    if serial.lookup(&key(v)).is_none() {
-                        serial.insert(key(v), &outcome);
+                    if serial.lookup(&key(&serial, v)).is_none() {
+                        serial.insert(key(&serial, v), &outcome);
                     }
                 }
                 let expected = counts(&serial);
@@ -451,11 +657,11 @@ mod tests {
                     for &w in order {
                         if looked[w] {
                             if missed[w] {
-                                cache.insert(key(keys[w]), &outcome);
+                                cache.insert(key(&cache, keys[w]), &outcome);
                             }
                         } else {
                             looked[w] = true;
-                            missed[w] = cache.lookup(&key(keys[w])).is_none();
+                            missed[w] = cache.lookup(&key(&cache, keys[w])).is_none();
                         }
                     }
                     assert_eq!(
@@ -485,7 +691,7 @@ mod tests {
         );
         let n = b.finish().unwrap();
         let cache = EvalCache::new();
-        assert_eq!(cache.sig_for_prim(&n, &n.prims()[0]), None);
+        assert_eq!(cache.sigs_for(&n), [None]);
         assert!(cache.is_empty());
     }
 
@@ -514,48 +720,102 @@ mod tests {
         d
     }
 
+    /// Signatures the Debug-string interner gives `designs` interned in
+    /// turn into one table: checkers `None`, the rest numbered in order
+    /// of first occurrence.
+    fn oracle_sigs(designs: &[&Netlist]) -> Vec<Vec<Option<u32>>> {
+        let mut oracle: HashMap<String, u32> = HashMap::new();
+        designs
+            .iter()
+            .map(|n| {
+                n.prims()
+                    .iter()
+                    .map(|prim| {
+                        (!prim.kind.is_checker()).then(|| {
+                            let next = oracle.len() as u32;
+                            *oracle.entry(oracle_descriptor(n, prim)).or_insert(next)
+                        })
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
     /// A design that sets every descriptor field the generators leave at
-    /// their defaults: asymmetric edge delays, directive strings, wire
-    /// overrides, inversion and a second period.
+    /// their defaults, and the values the packing must keep apart:
+    /// asymmetric edge delays on `Not` and `Buf` (two differing only in
+    /// the fall delay), directive strings (longer than a packed word,
+    /// sharing a prefix, empty, absent), wire overrides, inversion,
+    /// `Const` of every value, the parameters of `Mux`, `Reg` and
+    /// `Latch`, `Delay`, and a second period.
     fn every_descriptor_field(period_ns: f64) -> Netlist {
+        use scald_netlist::Conn;
         let mut config = Config::s1_example();
         config.timing.period = Time::from_ns(period_ns);
         let mut b = NetlistBuilder::new(config);
         let a = b.signal("A").unwrap();
         let c = b.signal("C .C2-3").unwrap();
-        let outs: Vec<_> = (0..6)
+        let outs: Vec<_> = (0..40)
             .map(|i| b.signal(&format!("O{i}")).unwrap())
             .collect();
+        let mut outs = outs.into_iter();
         let d = |ns: f64| DelayRange::from_ns(ns, ns + 1.0);
-        b.not_asym("N", d(1.0), d(2.0), a, outs[0]);
-        b.buf_asym("B", d(2.0), d(1.0), a, outs[1]);
+        b.not_asym("N", d(1.0), d(2.0), a, outs.next().unwrap());
+        b.not_asym("N2", d(2.0), d(1.0), a, outs.next().unwrap());
+        b.buf_asym("B", d(2.0), d(1.0), a, outs.next().unwrap());
+        b.buf_asym("B2", d(1.0), d(2.0), a, outs.next().unwrap());
+        // Equal rise delays and envelopes, different fall delays.
+        let wide = DelayRange::from_ns(1.0, 4.0);
+        b.not_asym("N4", wide, d(2.0), a, outs.next().unwrap());
+        b.not_asym("N5", wide, d(1.0), a, outs.next().unwrap());
+        b.buf_asym("B4", wide, d(2.0), a, outs.next().unwrap());
+        b.buf_asym("B5", wide, d(1.0), a, outs.next().unwrap());
+        b.not("N3", d(1.0), a, outs.next().unwrap());
+        b.buf("B3", d(1.0), a, outs.next().unwrap());
         b.buf(
             "W",
             d(1.0),
-            scald_netlist::Conn::new(a).with_wire_delay(d(0.5)),
-            outs[2],
+            Conn::new(a).with_wire_delay(d(0.5)),
+            outs.next().unwrap(),
         );
-        b.and2(
-            "G",
-            d(1.0),
-            a,
-            scald_netlist::Conn::new(c).with_directive("HZ"),
-            outs[3],
-        );
-        b.and2(
-            "H",
-            d(1.0),
-            a,
-            scald_netlist::Conn::new(c).with_directive("A"),
-            outs[4],
-        );
+        for (i, directive) in ["HZ", "HZZ", "A", "HZZWEAZWE", "HZZWEAZWA", "HZZWEAZW", ""]
+            .into_iter()
+            .enumerate()
+        {
+            b.and2(
+                format!("G{i}"),
+                d(1.0),
+                a,
+                Conn::new(c).with_directive(directive),
+                outs.next().unwrap(),
+            );
+        }
         b.and2(
             "I",
             d(1.0),
-            scald_netlist::Conn::new(a).inverted(),
+            Conn::new(a).inverted(),
             c,
-            outs[5],
+            outs.next().unwrap(),
         );
+        // No directive at all, beside the empty one above.
+        b.and2("P", d(1.0), a, c, outs.next().unwrap());
+        for (i, v) in scald_logic::ALL_VALUES.into_iter().enumerate() {
+            b.constant(format!("K{i}"), v, outs.next().unwrap());
+        }
+        b.mux2("M2", d(1.0), c, a, a, outs.next().unwrap());
+        b.prim(
+            "M3",
+            PrimKind::Mux { data: 3 },
+            d(1.0),
+            vec![c.into(), a.into(), a.into(), a.into()],
+            Some(outs.next().unwrap()),
+        );
+        b.reg("R", d(1.0), c, a, outs.next().unwrap());
+        b.reg_sr("RS", d(1.0), c, a, a, a, outs.next().unwrap());
+        b.latch("L", d(1.0), c, a, outs.next().unwrap());
+        b.latch_sr("LS", d(1.0), c, a, a, a, outs.next().unwrap());
+        b.delay("D", d(1.0), a, outs.next().unwrap());
+        b.chg("X", d(1.0), [a, c], outs.next().unwrap());
         b.set_wire_delay(c, DelayRange::ZERO);
         b.finish().unwrap()
     }
@@ -595,22 +855,45 @@ mod tests {
         let twice: Vec<&Netlist> = designs.iter().chain(designs.iter()).collect();
 
         let cache = EvalCache::new();
-        let mut oracle: HashMap<String, u32> = HashMap::new();
-        let (mut got, mut want) = (Vec::new(), Vec::new());
-        for n in &twice {
-            for prim in n.prims() {
-                got.push(cache.sig_for_prim(n, prim));
-                want.push((!prim.kind.is_checker()).then(|| {
-                    let next = oracle.len() as u32;
-                    *oracle.entry(oracle_descriptor(n, prim)).or_insert(next)
-                }));
-            }
-        }
+        let got: Vec<Vec<Option<u32>>> = twice.iter().map(|n| cache.sigs_for(n)).collect();
+        let want = oracle_sigs(&twice);
         assert_eq!(got, want);
-        assert!(
-            oracle.len() > 50,
-            "only {} distinct descriptors",
-            oracle.len()
-        );
+        let distinct = want.iter().flatten().flatten().max().map_or(0, |&s| s + 1);
+        assert!(distinct > 50, "only {distinct} distinct descriptors");
+        // Every prim of the field design has its own descriptor.
+        let fields = cache.sigs_for(&designs[designs.len() - 1]);
+        let mut unique: Vec<u32> = fields.iter().flatten().copied().collect();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), fields.len(), "{fields:?}");
+    }
+
+    /// Two netlists sharing some descriptors, interned into one cache in
+    /// either order: the second keeps the first's numbers for what they
+    /// share and numbers its new descriptors next, in its own order of
+    /// occurrence.
+    #[test]
+    fn two_netlists_number_in_first_occurrence_order() {
+        use scald_gen::s1::{s1_like_netlist, S1Options};
+        let small = s1_like_netlist(S1Options { chips: 40, seed: 3 }).0;
+        let fields = every_descriptor_field(50.0);
+        for pair in [[&small, &fields], [&fields, &small]] {
+            let cache = EvalCache::new();
+            let got = [cache.sigs_for(pair[0]), cache.sigs_for(pair[1])];
+            assert_eq!(got.to_vec(), oracle_sigs(&pair));
+            let known = got[0].iter().flatten().max().map_or(0, |&s| s + 1);
+            let mut new = Vec::new();
+            for &sig in got[1].iter().flatten() {
+                if sig >= known && !new.contains(&sig) {
+                    new.push(sig);
+                }
+            }
+            assert!(
+                got[1].iter().flatten().any(|&s| s < known),
+                "the netlists share descriptors"
+            );
+            assert!(!new.is_empty(), "the second netlist brings new descriptors");
+            assert_eq!(new, (known..known + new.len() as u32).collect::<Vec<_>>());
+        }
     }
 }

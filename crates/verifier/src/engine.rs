@@ -596,13 +596,7 @@ impl VerifierBuilder {
             // Intern every primitive's static descriptor once: unchanged
             // prims of a rebuilt (incr-session) netlist land on the same
             // signature, which is what makes warm re-runs hit.
-            v.prim_sigs = Arc::new(
-                v.netlist
-                    .prims()
-                    .iter()
-                    .map(|p| cache.sig_for_prim(&v.netlist, p))
-                    .collect(),
-            );
+            v.prim_sigs = Arc::new(cache.sigs_for(&v.netlist));
             v.eval_cache = Some(cache);
         }
         v.jobs = self.jobs.unwrap_or_else(hardware_threads);
@@ -722,11 +716,14 @@ impl Verifier {
 
     /// Initializes all signal states per §2.9: asserted signals take
     /// their asserted values, undriven unasserted signals are assumed
-    /// stable (and cross-referenced), everything else starts `U`.
+    /// stable (and cross-referenced), everything else starts `U`. The
+    /// `U` and `S` states are interned once and shared.
     fn init(netlist: Arc<Netlist>) -> Verifier {
         let period = netlist.config().timing.period;
         let timing = netlist.config().timing;
         let n = netlist.signals().len();
+        let unknown = SignalState::new(Waveform::constant(period, Value::Unknown));
+        let stable = SignalState::new(Waveform::constant(period, Value::Stable));
         let mut raw = SoaState::with_capacity(n);
         let mut pinned = vec![false; n];
         let mut assumed_stable = Vec::new();
@@ -749,7 +746,7 @@ impl Verifier {
                 }
                 Some(a) => {
                     if driven {
-                        SignalState::new(Waveform::constant(period, Value::Unknown))
+                        unknown.clone()
                     } else {
                         pinned[sid.index()] = true;
                         let (wave, skew) = a.to_state(&timing);
@@ -762,11 +759,11 @@ impl Verifier {
                 }
                 None => {
                     if driven {
-                        SignalState::new(Waveform::constant(period, Value::Unknown))
+                        unknown.clone()
                     } else {
                         pinned[sid.index()] = true;
                         assumed_stable.push(sid);
-                        SignalState::new(Waveform::constant(period, Value::Stable))
+                        stable.clone()
                     }
                 }
             };
@@ -2006,8 +2003,8 @@ where
                     active,
                 });
             }
-            for idx in &outcomes[i].hazard_inputs {
-                hazards.insert((pid, *idx));
+            for &idx in outcomes[i].hazard_inputs.as_deref().unwrap_or_default() {
+                hazards.insert((pid, idx as usize));
             }
             let (out, new_eff) = match std::mem::replace(&mut plans[i], CommitPlan::Skip) {
                 CommitPlan::Skip => continue,
@@ -2120,7 +2117,7 @@ fn evaluate_wave<R, E>(
         let prim = netlist.prim(pid);
         if let Some((cache, sigs)) = p.cache {
             if let Some(sig) = sigs[pid.index()] {
-                let key = EvalCache::key_for(sig, prim, eff, p.corner);
+                let key = cache.key_for(sig, prim, eff, p.corner);
                 if let Some(hit) = cache.lookup(&key) {
                     return hit;
                 }
@@ -2144,7 +2141,7 @@ fn evaluate_wave<R, E>(
     }
     outcomes.resize_with(wave.len(), || EvalOutcome {
         output: None,
-        hazard_inputs: Vec::new(),
+        hazard_inputs: None,
     });
     plans.resize_with(wave.len(), || CommitPlan::Skip);
     // A few chunks per worker balances uneven evaluation costs without

@@ -12,6 +12,8 @@
 //! connection, or of the string riding on the incoming signal value; the
 //! string's tail is passed along with the output value.
 
+use std::sync::Arc;
+
 use scald_logic::{mux as mux_value, Value};
 use scald_netlist::{Conn, Netlist, PrimKind, Primitive};
 use scald_wave::{
@@ -22,16 +24,17 @@ use crate::state::{Directive, EvalStr, SignalState};
 use crate::view::StateView;
 
 /// The result of evaluating one primitive. `Clone` lets the evaluation
-/// cache hand out stored outcomes; the clone is cheap because the states
-/// inside hold interned [`WaveRef`] handles.
+/// cache hand out stored outcomes; a clone never allocates, because the
+/// state inside holds an interned [`WaveRef`] handle and a shared
+/// evaluation string, and the hazard inputs are shared too.
 #[derive(Debug, Clone)]
 pub(crate) struct EvalOutcome {
     /// New output state (`None` for checkers, which drive nothing).
     pub output: Option<SignalState>,
     /// Indices of inputs whose directive requests the asserted-stability
-    /// check (`A`/`H`, §2.6); collected by the engine and verified after
-    /// the fixed point.
-    pub hazard_inputs: Vec<usize>,
+    /// check (`A`/`H`, §2.6), `None` when there are none; collected by
+    /// the engine and verified after the fixed point.
+    pub hazard_inputs: Option<Arc<[u32]>>,
 }
 
 /// An input as seen at the gate pin: inversion applied, wire (and possibly
@@ -85,6 +88,19 @@ fn prep_input<S: StateView + ?Sized>(
         had_string,
         tail,
     }
+}
+
+/// Positions of the pins whose directive requests the asserted-stability
+/// check, `None` when no pin does.
+fn asserted_pins(pins: &[Pin]) -> Option<Arc<[u32]>> {
+    let asserted = |p: &Pin| p.directive.is_some_and(Directive::checks_assertion);
+    pins.iter().any(asserted).then(|| {
+        (0u32..)
+            .zip(pins)
+            .filter(|&(_, p)| asserted(p))
+            .map(|(i, _)| i)
+            .collect()
+    })
 }
 
 /// Output eval string: the tail of the (single) input string, per §2.8.
@@ -152,7 +168,7 @@ pub(crate) fn evaluate<S: StateView + ?Sized>(
         PrimKind::Latch { set_reset } => eval_latch(netlist, prim, states, set_reset, corner),
         PrimKind::Const(v) => EvalOutcome {
             output: Some(SignalState::new(Waveform::constant(period, v))),
-            hazard_inputs: Vec::new(),
+            hazard_inputs: None,
         },
         // Checkers compute nothing during the fixed point; they are
         // examined afterwards (§2.9). Their hazard semantics are fixed, so
@@ -161,7 +177,7 @@ pub(crate) fn evaluate<S: StateView + ?Sized>(
         | PrimKind::SetupRiseHoldFall { .. }
         | PrimKind::MinPulseWidth { .. } => EvalOutcome {
             output: None,
-            hazard_inputs: Vec::new(),
+            hazard_inputs: None,
         },
     }
 }
@@ -202,25 +218,19 @@ fn eval_gate<S: StateView + ?Sized>(
         .iter()
         .map(|c| prep_input(netlist, prim, c, states, true, corner))
         .collect();
-    let hazard_inputs: Vec<usize> = pins
-        .iter()
-        .enumerate()
-        .filter(|(_, p)| p.directive.is_some_and(Directive::checks_assertion))
-        .map(|(i, _)| i)
-        .collect();
+    let hazard_inputs = asserted_pins(&pins);
 
     let period = netlist.config().timing.period;
     // Assume-enabling (§2.6): with an A/H input present, the other inputs
     // are replaced by the gate's identity so the output value is
     // determined only by the asserted (clock) input.
     let ident = SignalState::new(Waveform::constant(period, enabling_identity(prim.kind)));
-    let participating: Vec<&SignalState> = if hazard_inputs.is_empty() {
+    let participating: Vec<&SignalState> = if hazard_inputs.is_none() {
         pins.iter().map(|p| &p.state).collect()
     } else {
         pins.iter()
-            .enumerate()
-            .map(|(i, p)| {
-                if hazard_inputs.contains(&i) {
+            .map(|p| {
+                if p.directive.is_some_and(Directive::checks_assertion) {
                     &p.state
                 } else {
                     &ident
@@ -265,26 +275,19 @@ fn eval_unary<S: StateView + ?Sized>(
                 skew: scald_wave::Skew::ZERO,
                 eval: pin.tail.clone(),
             }),
-            hazard_inputs: if pin.directive.is_some_and(Directive::checks_assertion) {
-                vec![0]
-            } else {
-                Vec::new()
-            },
+            hazard_inputs: asserted_pins(std::slice::from_ref(&pin)),
         };
     }
     let pin = prep_input(netlist, prim, &prim.inputs[0], states, true, corner);
+    let hazard_inputs = asserted_pins(std::slice::from_ref(&pin));
     let mut st = pin.state;
     if prim.kind == PrimKind::Not {
         st.wave = st.wave.map(Value::not).into();
     }
-    st.eval = pin.tail.clone();
+    st.eval = pin.tail;
     EvalOutcome {
         output: Some(st),
-        hazard_inputs: if pin.directive.is_some_and(Directive::checks_assertion) {
-            vec![0]
-        } else {
-            Vec::new()
-        },
+        hazard_inputs,
     }
 }
 
@@ -402,12 +405,7 @@ fn eval_mux<S: StateView + ?Sized>(
     out.eval = output_eval(&pins);
     EvalOutcome {
         output: Some(out),
-        hazard_inputs: pins
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.directive.is_some_and(Directive::checks_assertion))
-            .map(|(i, _)| i)
-            .collect(),
+        hazard_inputs: asserted_pins(&pins),
     }
 }
 
@@ -510,7 +508,7 @@ fn eval_reg<S: StateView + ?Sized>(
 
     EvalOutcome {
         output: Some(SignalState::new(wave)),
-        hazard_inputs: Vec::new(),
+        hazard_inputs: None,
     }
 }
 
@@ -684,6 +682,6 @@ fn eval_latch<S: StateView + ?Sized>(
 
     EvalOutcome {
         output: Some(SignalState::new(wave)),
-        hazard_inputs: Vec::new(),
+        hazard_inputs: None,
     }
 }

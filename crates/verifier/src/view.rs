@@ -8,12 +8,13 @@
 //!
 //! The engine's own backing is [`SoaState`], a struct-of-arrays layout:
 //! wave handles, skews and eval strings live in three parallel arrays
-//! instead of one `Vec<SignalState>` of padded records. The hot loops
-//! (cache keying, commit compares, storage accounting) touch mostly the
-//! wave-handle column, so the narrow arrays keep them in cache at
-//! 10^5–10^6 signals. Reads hand out a borrowed [`StateRef`]; an owned
-//! [`SignalState`] is materialized only where a value actually travels
-//! (into an evaluator's pin prep or an overlay).
+//! instead of one `Vec<SignalState>` of padded records. Storage
+//! accounting reads the wave-handle column alone and keeps it in cache
+//! at 10^5–10^6 signals; eval-cache keying and the commit compares read
+//! all three columns of every signal they touch (handle, skew, and
+//! whether a string rides on the value). Reads hand out a borrowed
+//! [`StateRef`]; an owned [`SignalState`] is materialized only where a
+//! value actually travels (into an evaluator's pin prep or an overlay).
 //!
 //! The wave engine reuses the same machinery in the other direction:
 //! during a wave's evaluation phase many worker threads read one frozen
