@@ -70,13 +70,15 @@ cargo test -q -p scald-verifier --lib -- descriptor_signatures_match_the_debug_s
 cargo test -q -p scald-verifier --test summary_view
 
 # MemoStats and PrefixStats pinned at 1/2/8 workers to values captured
-# from the walk: the case_sched design at 10 and 100 cases, and two
-# sweeps with violations.
+# from the walk: the case-sweep bench design at 10 and 100 cases, two
+# sweeps with violations, and the register file as one case (no node
+# pass) and as cases sharing no prefix (one base pass).
 cargo test -q -p scald-verifier --test memo_pins
 
-# The case-tree suite alone: 50-seed property that tree-factored sweeps
-# produce stripped reports byte-identical to the independent path at
-# 1/2/8 workers, plus the shared-prefix error-path test.
+# The case-tree suite alone: 50-seed property that every case of a sweep
+# matches that case run alone on a clone of the settled verifier, with
+# stripped reports byte-identical at 1/2/8 workers, plus the
+# unknown-signal and failing-prefix error paths.
 cargo test -q -p scald-verifier --test case_tree
 cargo test -q -p scald-wave --test store_props
 
@@ -148,15 +150,11 @@ cargo run -q -p scald-bench --release --bin scale_sweep -- --steps 5000 --reps 1
 # (the committed BENCH_serve.json uses --chips 400 --rounds 3).
 cargo run -q -p scald-bench --release --bin loadtest -- --clients 4 --chips 60 --rounds 1 --out target/BENCH_serve_smoke.json
 
-# Smoke the case-tree sweep bench, 1000 cases on a slimmed design (the
-# committed BENCH_cases.json uses the default --master 1500): proves the
-# sweep generator + trie engine handle a 1000-case run end to end.
-cargo run -q -p scald-bench --release --bin case_tree -- --counts 10,1000 --master 100 --block 4 --out target/BENCH_cases_smoke.json
-
-# Smoke the scheduler/memoization bench with the scheduler forced on
-# (case_sched always runs the Tree strategy against the naive baseline):
-# a 1000-case sweep must finish and the per-leaf fixed work must drop.
-cargo run -q -p scald-bench --release --bin case_sched -- --counts 10,1000 --master 100 --block 4 --out target/BENCH_sched_smoke.json
+# Smoke the case-sweep bench, 1000 cases on a slimmed design (the
+# committed BENCH_cases.json and BENCH_sched.json use the default
+# --master 1500): one sweep run and each case run alone must find the
+# same violations, and both records must be written.
+cargo run -q -p scald-bench --release --bin case_tree -- --counts 10,1000 --master 100 --block 4 --out-dir target/bench_cases_smoke
 
 # The benchmark's self-tests: all four workloads at tiny size, in both
 # trace modes (its own Cargo package; see e2ebench/README.md).

@@ -1,30 +1,36 @@
-//! Case-tree benchmark: naive independent cases vs. the shared-prefix
-//! trie, at 10/100/1000 cases of one exhaustive mode sweep.
+//! Case-analysis benchmark: one sweep run against each of its cases run
+//! alone, at 10/100/1000 cases of one exhaustive mode sweep.
 //!
 //! The [`scald_gen::sweep`] design has one heavy master mode bit and
-//! many light block bits, so every case of the exhaustive sweep pays
-//! the master's cone under the naive engine while the case tree settles
-//! it once per root branch. This harness records, per case count and
-//! per strategy: wall clock, settle effort (prefix + per-case events
-//! and evaluations), and the trie shape — into `BENCH_cases.json`. The
-//! acceptance signal is the *settle-event growth*: naive effort grows
-//! linearly with the case count; tree effort grows sublinearly because
-//! the shared master cone amortizes.
+//! many light block bits. A case run alone pays the master's cone and a
+//! full checker and storage pass; the sweep's case tree settles the
+//! master cone once per root branch and memoizes the checker and storage
+//! passes on its prefix nodes, so a leaf re-checks only its dirty cone.
+//! Each case count is measured once as one sweep run (`tree`/`sched`)
+//! and once as each case run alone (`naive`) — a single-case
+//! `Verifier::run` on a clone of the settled verifier, the definition
+//! the sweep must meet (`crates/verifier/tests/case_tree.rs`). Both
+//! sides start from a settled base, so their counters hold only case
+//! effort. The harness writes two records:
 //!
-//! Both strategies produce byte-identical stripped reports (property
-//! tested in `crates/verifier/tests/case_tree.rs`); this harness
-//! measures only cost, but still cross-checks violations counts.
+//! * `BENCH_cases.json` — settle effort: wall clock, events and
+//!   evaluations (prefix + per-case), prefix nodes. Alone, effort grows
+//!   linearly with the case count; the sweep's grows sublinearly
+//!   because the shared master cone amortizes.
+//! * `BENCH_sched.json` — per-leaf fixed work: checker evaluations,
+//!   storage measurements and the leaf hit rate of the memoized passes.
 //!
 //! Usage: `cargo run -p scald-bench --bin case_tree --release`
 //! (`--counts 10,100,1000` for the sweep sizes, `--master N` /
 //! `--block N` for slice counts, `--jobs N` for the worker pool, and
-//! `--out FILE` to redirect the record, as the CI smoke run does.)
+//! `--out-dir DIR` to write both records into `DIR` instead of the
+//! current directory, as the CI smoke run does.)
 
 use std::time::Instant;
 
 use scald_gen::sweep::{sweep_netlist, SweepOptions};
 use scald_trace::json::Json;
-use scald_verifier::{CaseSet, CaseStrategy, RunOptions, Verifier};
+use scald_verifier::{CaseSet, MemoStats, RunOptions, RunOutcome, Verifier};
 
 fn flag_value(flag: &str) -> Option<String> {
     let mut args = std::env::args().skip(1);
@@ -36,53 +42,92 @@ fn flag_value(flag: &str) -> Option<String> {
     None
 }
 
-/// One measured run: the sweep applied on a warm engine (the base
-/// settle is paid before the clock starts, so per-case counters hold
-/// only sweep effort).
+/// Wall clock and counters of one or more timed runs, summed.
+#[derive(Default)]
 struct Measured {
     wall_ns: u64,
     events: u64,
     evaluations: u64,
     prefix_nodes: usize,
     violations: usize,
+    cases: u64,
+    memo: MemoStats,
 }
 
-fn measure(
-    netlist: &scald_netlist::Netlist,
-    cases: &CaseSet,
-    strategy: CaseStrategy,
-    jobs: usize,
-) -> Measured {
-    let mut v = Verifier::new(netlist.clone());
-    v.run(&RunOptions::new().jobs(jobs)).expect("base settles");
-    let t = Instant::now();
-    let outcome = v
-        .run(
-            &RunOptions::new()
-                .cases(cases.clone())
-                .jobs(jobs)
-                .strategy(strategy),
-        )
-        .expect("sweep settles");
-    let wall_ns = u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    Measured {
-        wall_ns,
-        events: outcome.prefix.events + outcome.cases.iter().map(|c| c.events).sum::<u64>(),
-        evaluations: outcome.prefix.evaluations
-            + outcome.cases.iter().map(|c| c.evaluations).sum::<u64>(),
-        prefix_nodes: outcome.prefix.nodes,
-        violations: outcome.cases.iter().map(|c| c.violations.len()).sum(),
+impl Measured {
+    /// Adds one run that took `wall_ns`.
+    fn add(&mut self, wall_ns: u64, out: &RunOutcome) {
+        self.wall_ns += wall_ns;
+        self.events += out.prefix.events + out.cases.iter().map(|c| c.events).sum::<u64>();
+        self.evaluations +=
+            out.prefix.evaluations + out.cases.iter().map(|c| c.evaluations).sum::<u64>();
+        self.prefix_nodes += out.prefix.nodes;
+        self.violations += out.cases.iter().map(|c| c.violations.len()).sum::<usize>();
+        self.cases += out.cases.len() as u64;
+        let (sum, m) = (&mut self.memo, out.memo);
+        sum.node_passes += m.node_passes;
+        sum.node_check_evals += m.node_check_evals;
+        sum.node_check_hits += m.node_check_hits;
+        sum.leaf_check_evals += m.leaf_check_evals;
+        sum.leaf_check_hits += m.leaf_check_hits;
+        sum.leaf_storage_evals += m.leaf_storage_evals;
+        sum.leaf_storage_hits += m.leaf_storage_hits;
+        sum.releases += m.releases;
+    }
+
+    /// Checker evaluations + storage measurements actually executed per
+    /// leaf — the fixed work the memoization attacks. Node passes count
+    /// against the whole sweep, amortized here over the leaves.
+    fn fixed_work_per_leaf(&self) -> f64 {
+        let evals =
+            self.memo.leaf_check_evals + self.memo.leaf_storage_evals + self.memo.node_check_evals;
+        evals as f64 / self.cases.max(1) as f64
+    }
+
+    /// The `BENCH_cases.json` columns.
+    fn settle_json(&self) -> Json {
+        Json::Obj(vec![
+            ("wall_ns".into(), Json::from(self.wall_ns)),
+            ("settle_events".into(), Json::from(self.events)),
+            ("settle_evaluations".into(), Json::from(self.evaluations)),
+            ("prefix_nodes".into(), Json::from(self.prefix_nodes as u64)),
+            ("violations".into(), Json::from(self.violations as u64)),
+        ])
+    }
+
+    /// The `BENCH_sched.json` columns.
+    fn memo_json(&self) -> Json {
+        let m = &self.memo;
+        Json::Obj(vec![
+            ("wall_ns".into(), Json::from(self.wall_ns)),
+            ("prefix_nodes".into(), Json::from(self.prefix_nodes as u64)),
+            ("node_passes".into(), Json::from(m.node_passes)),
+            ("node_check_evals".into(), Json::from(m.node_check_evals)),
+            ("leaf_check_evals".into(), Json::from(m.leaf_check_evals)),
+            ("leaf_check_hits".into(), Json::from(m.leaf_check_hits)),
+            (
+                "leaf_storage_evals".into(),
+                Json::from(m.leaf_storage_evals),
+            ),
+            ("leaf_storage_hits".into(), Json::from(m.leaf_storage_hits)),
+            ("leaf_hit_rate".into(), Json::from(m.leaf_hit_rate())),
+            (
+                "fixed_work_per_leaf".into(),
+                Json::from(self.fixed_work_per_leaf()),
+            ),
+            ("violations".into(), Json::from(self.violations as u64)),
+        ])
     }
 }
 
-fn measured_json(m: &Measured) -> Json {
-    Json::Obj(vec![
-        ("wall_ns".into(), Json::from(m.wall_ns)),
-        ("settle_events".into(), Json::from(m.events)),
-        ("settle_evaluations".into(), Json::from(m.evaluations)),
-        ("prefix_nodes".into(), Json::from(m.prefix_nodes as u64)),
-        ("violations".into(), Json::from(m.violations as u64)),
-    ])
+/// Times `options` on `v`.
+fn timed(v: &mut Verifier, options: &RunOptions, into: &mut Measured) {
+    let t = Instant::now();
+    let out = v.run(options).expect("sweep cases settle");
+    into.add(
+        u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX),
+        &out,
+    );
 }
 
 fn main() {
@@ -98,74 +143,115 @@ fn main() {
     };
     let jobs = flag_value("--jobs")
         .map_or_else(scald_bench::default_jobs, |s| s.parse().expect("--jobs N"));
-    let out = flag_value("--out").unwrap_or_else(|| "BENCH_cases.json".to_owned());
+    let out_dir = std::path::PathBuf::from(flag_value("--out-dir").unwrap_or_else(|| ".".into()));
 
     let (netlist, stats) = sweep_netlist(&opts);
     let full = CaseSet::exhaustive(stats.mode_bits.iter().cloned());
+    // Each side gets its own settled verifier, so neither reads
+    // evaluations the other cached.
+    let settled = || {
+        let mut v = Verifier::new(netlist.clone());
+        v.run(&RunOptions::new().jobs(jobs)).expect("base settles");
+        v
+    };
     println!(
-        "CASE-TREE SWEEP — {} prims, {} mode bits ({} exhaustive cases), {jobs} jobs\n",
+        "CASE SWEEP — {} prims, {} mode bits ({} exhaustive cases), {jobs} jobs\n",
         stats.prims,
         stats.mode_bits.len(),
         full.len()
     );
     println!(
-        "{:>7} {:>14} {:>14} {:>12} {:>12} {:>8} {:>8}",
-        "CASES", "NAIVE WALL", "TREE WALL", "NAIVE EVAL", "TREE EVAL", "NODES", "RATIO"
+        "{:>7} {:>14} {:>14} {:>12} {:>12} {:>8} {:>12} {:>12} {:>9}",
+        "CASES",
+        "ALONE WALL",
+        "SWEEP WALL",
+        "ALONE EVAL",
+        "SWEEP EVAL",
+        "NODES",
+        "ALONE /LEAF",
+        "SWEEP /LEAF",
+        "HIT RATE"
     );
 
-    let mut steps = Vec::new();
+    let mut cases_steps = Vec::new();
+    let mut sched_steps = Vec::new();
     for &count in &counts {
         let count = count.min(full.len());
         let cases = CaseSet::list(full.cases()[..count].iter().cloned());
-        let naive = measure(&netlist, &cases, CaseStrategy::Independent, jobs);
-        let tree = measure(&netlist, &cases, CaseStrategy::Tree, jobs);
+        let mut sweep = Measured::default();
+        timed(
+            &mut settled(),
+            &RunOptions::new().cases(cases.clone()).jobs(jobs),
+            &mut sweep,
+        );
+        let mut alone = Measured::default();
+        let base = settled();
+        for case in cases.cases() {
+            timed(
+                &mut base.clone(),
+                &RunOptions::new().case(case.clone()).jobs(jobs),
+                &mut alone,
+            );
+        }
         assert_eq!(
-            naive.violations, tree.violations,
-            "strategies must agree on violations"
+            alone.violations, sweep.violations,
+            "a sweep must find the violations of its cases run alone"
         );
+        let evaluations_ratio = alone.evaluations as f64 / sweep.evaluations.max(1) as f64;
+        let fixed_work_drop = alone.fixed_work_per_leaf() / sweep.fixed_work_per_leaf().max(1e-9);
         println!(
-            "{:>7} {:>12.2?}ms {:>12.2?}ms {:>12} {:>12} {:>8} {:>7.1}x",
+            "{:>7} {:>12.2}ms {:>12.2}ms {:>12} {:>12} {:>8} {:>12.1} {:>12.1} {:>8.1}%",
             count,
-            naive.wall_ns as f64 / 1e6,
-            tree.wall_ns as f64 / 1e6,
-            naive.evaluations,
-            tree.evaluations,
-            tree.prefix_nodes,
-            naive.evaluations as f64 / tree.evaluations.max(1) as f64,
+            alone.wall_ns as f64 / 1e6,
+            sweep.wall_ns as f64 / 1e6,
+            alone.evaluations,
+            sweep.evaluations,
+            sweep.prefix_nodes,
+            alone.fixed_work_per_leaf(),
+            sweep.fixed_work_per_leaf(),
+            100.0 * sweep.memo.leaf_hit_rate(),
         );
-        steps.push(Json::Obj(vec![
+        cases_steps.push(Json::Obj(vec![
             ("cases".into(), Json::from(count as u64)),
-            ("naive".into(), measured_json(&naive)),
-            ("tree".into(), measured_json(&tree)),
-            (
-                "evaluations_ratio".into(),
-                Json::from(naive.evaluations as f64 / tree.evaluations.max(1) as f64),
-            ),
+            ("naive".into(), alone.settle_json()),
+            ("tree".into(), sweep.settle_json()),
+            ("evaluations_ratio".into(), Json::from(evaluations_ratio)),
+        ]));
+        sched_steps.push(Json::Obj(vec![
+            ("cases".into(), Json::from(count as u64)),
+            ("naive".into(), alone.memo_json()),
+            ("sched".into(), sweep.memo_json()),
+            ("fixed_work_drop".into(), Json::from(fixed_work_drop)),
         ]));
     }
 
-    let doc = Json::Obj(vec![
-        ("schema".into(), Json::str("scald-bench-cases")),
-        ("version".into(), Json::from(1u64)),
-        ("jobs".into(), Json::from(jobs as u64)),
+    let design = Json::Obj(vec![
+        ("prims".into(), Json::from(stats.prims as u64)),
+        ("signals".into(), Json::from(stats.signals as u64)),
         (
-            "design".into(),
-            Json::Obj(vec![
-                ("prims".into(), Json::from(stats.prims as u64)),
-                ("signals".into(), Json::from(stats.signals as u64)),
-                (
-                    "mode_bits".into(),
-                    Json::Arr(stats.mode_bits.iter().map(Json::str).collect()),
-                ),
-                (
-                    "master_slices".into(),
-                    Json::from(opts.master_slices as u64),
-                ),
-                ("block_slices".into(), Json::from(opts.block_slices as u64)),
-            ]),
+            "mode_bits".into(),
+            Json::Arr(stats.mode_bits.iter().map(Json::str).collect()),
         ),
-        ("steps".into(), Json::Arr(steps)),
+        (
+            "master_slices".into(),
+            Json::from(opts.master_slices as u64),
+        ),
+        ("block_slices".into(), Json::from(opts.block_slices as u64)),
     ]);
-    std::fs::write(&out, doc.to_string_pretty() + "\n").expect("write the JSON record");
-    println!("\nwrote {out}");
+    std::fs::create_dir_all(&out_dir).expect("create the output directory");
+    for (file, schema, steps) in [
+        ("BENCH_cases.json", "scald-bench-cases", cases_steps),
+        ("BENCH_sched.json", "scald-bench-sched", sched_steps),
+    ] {
+        let doc = Json::Obj(vec![
+            ("schema".into(), Json::str(schema)),
+            ("version".into(), Json::from(1u64)),
+            ("jobs".into(), Json::from(jobs as u64)),
+            ("design".into(), design.clone()),
+            ("steps".into(), Json::Arr(steps)),
+        ]);
+        let path = out_dir.join(file);
+        std::fs::write(&path, doc.to_string_pretty() + "\n").expect("write the JSON record");
+        println!("wrote {}", path.display());
+    }
 }

@@ -14,11 +14,11 @@
 //!   private block of `block_slices` slices.
 //!
 //! An exhaustive sweep over `[master, block 0, block 1, ...]` therefore
-//! re-settles the expensive master cone on *every* case under the naive
-//! independent-case engine, but only once per root branch under the
-//! case tree — the per-case settle effort collapses from
-//! `O(master + blocks)` to `O(block)`, which is what
-//! `BENCH_cases.json` records at 10/100/1000 cases.
+//! re-settles the expensive master cone on *every* case run alone, but
+//! only once per root branch when the case tree runs the sweep — the
+//! per-case settle effort collapses from `O(master + blocks)` to
+//! `O(block)`, which is what `BENCH_cases.json` records at 10/100/1000
+//! cases.
 //!
 //! Every slice is the clean datapath cell of [`crate::scale`] (stable
 //! asserted data, late capture clock, set-up/hold checker), so sweep

@@ -102,11 +102,11 @@ pub struct IncrStats {
     pub events: u64,
     /// Primitive evaluations this re-verification processed.
     pub evaluations: u64,
-    /// Shared-prefix settle effort, when the run scheduled its cases as
-    /// a tree (zero under the independent path).
+    /// Shared-prefix settle effort of the case tree (zero when no two
+    /// cases share a prefix and every case is at the worst-case corner).
     pub prefix: PrefixStats,
-    /// Checker/storage memoization counters of the sweep scheduler
-    /// (zero under the independent path).
+    /// Checker/storage memoization counters of the case tree (no node
+    /// pass and no hits for a single case at the worst-case corner).
     pub memo: MemoStats,
     /// Wall-clock time of the re-verification.
     pub wall: Duration,

@@ -770,19 +770,20 @@ fn open_summary(pooled: &PooledSession, info: &CheckoutInfo) -> RunSummary {
 }
 
 fn outcome_summary(outcome: &SessionOutcome, cache: Option<CacheDelta>) -> RunSummary {
-    // The sweep block is reported only when the pass actually amortized
-    // something across cases (the independent path leaves every counter
-    // at zero), so single-case clients never see it.
+    // The sweep block is reported when the run computed a shared pass
+    // for its cases to inherit from: a prefix node, a corner root or the
+    // base pass. A lone leaf (one case at the worst-case corner, as
+    // after every plain edit) checks its own state in full and computes
+    // none, so single-case clients never see the block.
     let (prefix, memo) = (outcome.stats.prefix, outcome.stats.memo);
-    let sweep = (prefix.nodes > 0 || memo.leaf_check_hits > 0 || memo.leaf_storage_hits > 0)
-        .then_some(SweepEffort {
-            prefix_nodes: prefix.nodes as u64,
-            prefix_evaluations: prefix.evaluations,
-            leaf_check_evals: memo.leaf_check_evals,
-            leaf_check_hits: memo.leaf_check_hits,
-            leaf_storage_evals: memo.leaf_storage_evals,
-            leaf_storage_hits: memo.leaf_storage_hits,
-        });
+    let sweep = (memo.node_passes > 0).then_some(SweepEffort {
+        prefix_nodes: prefix.nodes as u64,
+        prefix_evaluations: prefix.evaluations,
+        leaf_check_evals: memo.leaf_check_evals,
+        leaf_check_hits: memo.leaf_check_hits,
+        leaf_storage_evals: memo.leaf_storage_evals,
+        leaf_storage_hits: memo.leaf_storage_hits,
+    });
     RunSummary {
         clean: outcome.report.is_clean(),
         violations: outcome.report.total_violations() as u64,

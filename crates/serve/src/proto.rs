@@ -516,7 +516,7 @@ pub enum Request {
         /// cases), so pre-sweep clients emit byte-identical frames.
         cases: Option<SweepSpec>,
     },
-    /// Fetch the session's current `scald-tv-report` v1 document.
+    /// Fetch the session's current `scald-tv-report` v2 document.
     Report {
         /// Correlation tag.
         id: u64,
@@ -815,8 +815,9 @@ pub struct RunSummary {
     pub cache: Option<CacheDelta>,
     /// Sweep-amortization effort: shared-prefix settles and per-leaf
     /// checker/storage memoization. `None` when the pass ran no
-    /// verification (a pooled reuse) or scheduled its cases
-    /// independently. Additive protocol-v1 extension.
+    /// verification (a pooled reuse) or computed no shared checker pass:
+    /// a single case at the worst-case corner checks its own state in
+    /// full. Additive protocol-v1 extension.
     pub sweep: Option<SweepEffort>,
 }
 
@@ -1135,7 +1136,7 @@ pub enum Response {
     Report {
         /// Echoed request id.
         id: u64,
-        /// The `scald-tv-report` v1 document. With `effort:false`
+        /// The `scald-tv-report` v2 document. With `effort:false`
         /// (default) it is effort-stripped and therefore byte-identical
         /// to `Report::strip_effort().to_json()` of a direct
         /// `Verifier::run` of the same design.

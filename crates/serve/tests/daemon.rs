@@ -69,6 +69,18 @@ fn small_design(seed: u64) -> String {
     s1_like_hdl(S1Options { chips: 9, seed })
 }
 
+/// The CTL control signals a generated design references, sorted: a
+/// seed-dependent subset of the generator's 24.
+fn ctl_signals(src: &str) -> Vec<&str> {
+    let mut ctls: Vec<&str> = src
+        .match_indices("'CTL ")
+        .filter_map(|(i, _)| src[i + 1..].split(" .").next())
+        .collect();
+    ctls.sort_unstable();
+    ctls.dedup();
+    ctls
+}
+
 fn opened(response: Response) -> (String, bool, bool) {
     match response {
         Response::Opened {
@@ -682,14 +694,8 @@ fn sweep_delta_is_byte_identical_to_the_expanded_case_list() {
         ..ServeOptions::default()
     });
     let src = small_design(0x51EEB);
-    // The generated HDL references a seed-dependent subset of the CTL
-    // control signals; sweep over the first two that actually exist.
-    let mut ctls: Vec<&str> = src
-        .match_indices("'CTL ")
-        .filter_map(|(i, _)| src[i + 1..].split(" .").next())
-        .collect();
-    ctls.sort();
-    ctls.dedup();
+    // Sweep over the first two control signals that actually exist.
+    let ctls = ctl_signals(&src);
     assert!(ctls.len() >= 2, "design must have control signals to sweep");
     let spec = SweepSpec::Product(vec![
         SweepSpec::Exhaustive(ctls.iter().take(2).map(|s| (*s).to_owned()).collect()),
@@ -739,12 +745,7 @@ fn run_reply_sweep_block_matches_the_in_process_outcome() {
         ..ServeOptions::default()
     });
     let src = small_design(0x5EFF);
-    let mut ctls: Vec<&str> = src
-        .match_indices("'CTL ")
-        .filter_map(|(i, _)| src[i + 1..].split(" .").next())
-        .collect();
-    ctls.sort();
-    ctls.dedup();
+    let ctls = ctl_signals(&src);
     assert!(ctls.len() >= 3, "design must have control signals to sweep");
     let spec = SweepSpec::Exhaustive(ctls.iter().take(3).map(|s| (*s).to_owned()).collect());
 
@@ -778,6 +779,54 @@ fn run_reply_sweep_block_matches_the_in_process_outcome() {
         wire.leaf_check_hits,
         wire.leaf_check_evals
     );
+}
+
+/// The reply's `sweep` block appears exactly when the run computed a
+/// shared checker pass. A single-case `apply-delta` is a lone leaf that
+/// checks in full, so its reply has none; a `list` sweep of cases that
+/// share no prefix roots every case on the settled base's pass, so its
+/// reply has one, with no prefix nodes.
+#[test]
+fn sweep_block_appears_only_when_cases_share_a_pass() {
+    use scald_serve::SweepSpec;
+
+    let (path, daemon) = start_daemon(ServeOptions {
+        socket: Some(socket_path("sweepblk")),
+        ..ServeOptions::default()
+    });
+    let src = small_design(0xB10C);
+    let ctls = ctl_signals(&src);
+    assert!(ctls.len() >= 2, "design must have control signals to sweep");
+
+    let mut client = Client::connect_unix(&path).expect("connects");
+    let (s, _, _) = opened(client.open_source(&src, "sweepblk").expect("opens"));
+    let summary = |response: Response| match response {
+        Response::Applied { summary, .. } => summary,
+        other => panic!("expected applied, got {other:?}"),
+    };
+    let single = summary(
+        client
+            .apply(&s, DeltaSpec::Cases(vec![vec![(ctls[0].to_owned(), true)]]))
+            .expect("applies"),
+    );
+    assert_eq!(single.sweep, None, "a single case computes no shared pass");
+
+    let list = SweepSpec::List(vec![
+        vec![(ctls[0].to_owned(), true)],
+        vec![(ctls[1].to_owned(), false)],
+    ]);
+    let swept = summary(client.apply(&s, DeltaSpec::Sweep(list)).expect("applies"));
+    let block = swept
+        .sweep
+        .expect("cases sharing no prefix inherit from the base pass");
+    assert_eq!(block.prefix_nodes, 0, "the cases share no prefix");
+    assert!(
+        block.leaf_check_hits > 0,
+        "leaves inherit the base pass's verdicts outside their cones"
+    );
+    client.shutdown().expect("shutdown");
+    drop(client);
+    daemon.join().expect("daemon drains");
 }
 
 /// A short untrusted frame must not be able to make the shared daemon

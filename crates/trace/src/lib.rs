@@ -159,9 +159,9 @@ pub enum TraceEvent<'a> {
     /// Per-case checker/storage memoization counters, emitted just
     /// before [`CaseEnd`](Self::CaseEnd): how much of the per-leaf fixed
     /// cost (checker units, storage measurements) the case evaluated
-    /// versus inherited from its prefix node's cached pass. On the
-    /// independent path every unit is evaluated and the hit counters are
-    /// zero. Deterministic per case — the counters depend on the case
+    /// versus inherited from its prefix node's cached pass. A lone case
+    /// (the run's only case, at the worst-case corner) evaluates every
+    /// unit and its hit counters are zero. Deterministic per case — the counters depend on the case
     /// set and the netlist, never on worker count.
     LeafChecks {
         /// Case index (0-based input order).

@@ -136,7 +136,7 @@ mod tests {
 
     use super::*;
     use crate::state::{EvalStr, SignalState};
-    use crate::{CaseSet, CaseStrategy, RunOptions, VerifierBuilder};
+    use crate::{CaseSet, RunOptions, VerifierBuilder};
     use scald_gen::s1::{s1_like_netlist, S1Options};
     use scald_gen::scale::{scale_netlist, ScaleOptions};
     use scald_gen::sweep::{sweep_netlist, SweepOptions};
@@ -166,12 +166,8 @@ mod tests {
                 .expect("corpus designs settle");
         };
         let set = || CaseSet::exhaustive(cases.iter().copied());
-        verify(RunOptions::new().cases(set()).strategy(CaseStrategy::Tree));
-        verify(
-            RunOptions::new()
-                .cases(set().cross_corners(DelayCorner::ALL))
-                .strategy(CaseStrategy::Tree),
-        );
+        verify(RunOptions::new().cases(set()));
+        verify(RunOptions::new().cases(set().cross_corners(DelayCorner::ALL)));
     }
 
     /// Directive strings whose tails propagate through chains of

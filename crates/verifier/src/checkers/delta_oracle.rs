@@ -175,7 +175,7 @@ pub(super) fn cross_check<S: StateView + ?Sized>(
 
 mod tests {
     use super::*;
-    use crate::{Case, CaseSet, CaseStrategy, RunOptions, Verifier};
+    use crate::{Case, CaseSet, RunOptions, Verifier};
     use scald_gen::figures::hazard_circuit;
     use scald_gen::s1::{s1_like_netlist, S1Options};
     use scald_gen::sweep::{sweep_netlist, SweepOptions};
@@ -191,13 +191,8 @@ mod tests {
     fn tree_runs(netlist: &Netlist, set: &CaseSet) -> Coverage {
         let run = |jobs: usize| {
             let mut v = Verifier::new(netlist.clone());
-            v.run(
-                &RunOptions::new()
-                    .cases(set.clone())
-                    .jobs(jobs)
-                    .strategy(CaseStrategy::Tree),
-            )
-            .expect("corpus designs settle");
+            v.run(&RunOptions::new().cases(set.clone()).jobs(jobs))
+                .expect("corpus designs settle");
             v.eval_cache_stats()
         };
         COVERAGE.with(|c| *c.borrow_mut() = Some(Coverage::default()));

@@ -248,7 +248,7 @@ pub(super) fn cross_check_slack<S: StateView + ?Sized>(
 mod tests {
     use super::*;
     use crate::state::SignalState;
-    use crate::{Case, CaseSet, CaseStrategy, RunOptions, Verifier};
+    use crate::{Case, CaseSet, RunOptions, Verifier};
     use scald_gen::figures::hazard_circuit;
     use scald_gen::s1::{s1_like_netlist, S1Options};
     use scald_gen::scale::{scale_netlist, ScaleOptions};
@@ -396,10 +396,7 @@ mod tests {
             if !cases.is_empty() {
                 let set =
                     CaseSet::exhaustive(cases.iter().copied()).cross_corners(DelayCorner::ALL);
-                let _ = run(
-                    netlist,
-                    &RunOptions::new().cases(set).strategy(CaseStrategy::Tree),
-                );
+                let _ = run(netlist, &RunOptions::new().cases(set));
             }
         })
     }

@@ -173,9 +173,9 @@ impl fmt::Display for MultiCaseError {
 impl std::error::Error for MultiCaseError {}
 
 /// Options for one [`Verifier::run`]: the cases to analyse, an optional
-/// per-run worker override, the case-scheduling strategy, and whether
-/// to checkpoint the settled base. The default (`RunOptions::new()`)
-/// verifies the single no-override base case.
+/// per-run worker override, and whether to checkpoint the settled base.
+/// The default (`RunOptions::new()`) verifies the single no-override
+/// base case.
 ///
 /// # Examples
 ///
@@ -193,7 +193,6 @@ pub struct RunOptions {
     cases: CaseSet,
     jobs: Option<usize>,
     checkpoint: CheckpointPolicy,
-    strategy: CaseStrategy,
 }
 
 impl RunOptions {
@@ -203,10 +202,9 @@ impl RunOptions {
     }
 
     /// Sets the cases to analyse (§2.7), replacing any set before —
-    /// usually a [`CaseSet`] built with its sweep constructors; a plain
-    /// `Vec<Case>` still converts via the deprecated compatibility
-    /// shim. An empty set means "just the base case": the outcome then
-    /// holds one [`CaseResult`] with no overrides.
+    /// usually a [`CaseSet`] built with its sweep constructors. An empty
+    /// set means "just the base case": the outcome then holds one
+    /// [`CaseResult`] with no overrides.
     pub fn cases(mut self, cases: impl Into<CaseSet>) -> RunOptions {
         self.cases = cases.into();
         self
@@ -215,14 +213,6 @@ impl RunOptions {
     /// Adds one case to the analysis.
     pub fn case(mut self, case: Case) -> RunOptions {
         self.cases.push(case);
-        self
-    }
-
-    /// Sets the case-scheduling strategy; see [`CaseStrategy`]. Every
-    /// strategy produces byte-identical per-case results — this knob
-    /// only trades settle effort for scheduling overhead.
-    pub fn strategy(mut self, strategy: CaseStrategy) -> RunOptions {
-        self.strategy = strategy;
         self
     }
 
@@ -242,66 +232,9 @@ impl RunOptions {
     }
 }
 
-/// How [`Verifier::run`] schedules a multi-case analysis. Every
-/// strategy yields byte-identical per-case violations, waveforms and
-/// value-record counts; only effort counters (events/evaluations per
-/// case, prefix totals) differ.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CaseStrategy {
-    /// Factor shared work through the case tree when the run's cases
-    /// actually share assignment prefixes or delay corners; fall back
-    /// to [`Independent`](Self::Independent) otherwise. The default.
-    #[default]
-    Auto,
-    /// Settle every case independently from the settled base — the
-    /// thesis' §2.7 scheme, and the baseline the case tree is
-    /// property-tested against.
-    Independent,
-    /// Always build the case tree: organize cases into a trie on
-    /// shared assignment prefixes, settle each internal node's overlay
-    /// once on its parent's state, and fan only the leaf suffixes
-    /// across the worker pool (DESIGN.md § "The case tree").
-    Tree,
-}
-
-impl CaseStrategy {
-    /// Stable token for reports and the `--case-strategy` CLI flag:
-    /// `auto`, `naive` (the independent path) or `tree`.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            CaseStrategy::Auto => "auto",
-            CaseStrategy::Independent => "naive",
-            CaseStrategy::Tree => "tree",
-        }
-    }
-}
-
-impl fmt::Display for CaseStrategy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl std::str::FromStr for CaseStrategy {
-    type Err = String;
-
-    /// Parses a `--case-strategy` value; `independent` is accepted as a
-    /// spelled-out alias of `naive`.
-    fn from_str(s: &str) -> Result<CaseStrategy, String> {
-        match s {
-            "auto" => Ok(CaseStrategy::Auto),
-            "naive" | "independent" => Ok(CaseStrategy::Independent),
-            "tree" => Ok(CaseStrategy::Tree),
-            other => Err(format!(
-                "unknown case strategy '{other}' (expected auto, tree or naive)"
-            )),
-        }
-    }
-}
-
 /// Effort spent settling shared-prefix case-tree nodes in one
-/// [`Verifier::run`] (zero for independent scheduling). Node effort is
+/// [`Verifier::run`] (zero when no two cases share a prefix and every
+/// case is at the worst-case corner). Node effort is
 /// paid once per prefix on behalf of all its leaves, so it is *not*
 /// folded into any per-case counters; it does count toward the engine
 /// totals and the `RunEnd` trace event.
@@ -318,11 +251,11 @@ pub struct PrefixStats {
 /// Checker/storage memoization counters of one [`Verifier::run`] — the
 /// per-leaf *fixed* cost the case tree amortizes. Checker units are
 /// checker primitives, `&A`/`&H` hazard pairs and signal assertions;
-/// storage units are per-signal value-record measurements. On the
-/// independent path every leaf evaluates every unit (all evals, zero
-/// hits), so these counters are directly comparable across strategies.
-/// All fields are deterministic: they depend on the case set and the
-/// netlist, never on worker count or timing.
+/// storage units are per-signal value-record measurements. A lone leaf
+/// (a run of one case at the worst-case corner) computes no node pass
+/// and evaluates every unit itself: all evals, zero hits. All fields
+/// are deterministic: they depend on the case set and the netlist,
+/// never on worker count or timing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MemoStats {
     /// Checker/storage passes run at tree nodes (shared prefixes,
@@ -684,10 +617,6 @@ pub struct Verifier {
     /// Per-primitive descriptor signature in the cache (`None` for
     /// checkers); indexed by `PrimId::index()`. Empty when uncached.
     prim_sigs: Arc<Vec<Option<u32>>>,
-    /// The [`CaseStrategy`] requested by the last [`run`](Self::run) —
-    /// echoed in [`EngineStats`] so reports record which scheduling
-    /// path produced them.
-    last_strategy: CaseStrategy,
 }
 
 impl fmt::Debug for Verifier {
@@ -793,7 +722,6 @@ impl Verifier {
             trace: None,
             eval_cache: None,
             prim_sigs: Arc::new(Vec::new()),
-            last_strategy: CaseStrategy::default(),
         }
     }
 
@@ -1050,8 +978,10 @@ impl Verifier {
     /// base (no-override) fixed point is settled once — the full
     /// evaluation of §2.9 on a cold verifier, only the dirty cone after
     /// a [`warm_start`](Self::warm_start) — then every case re-evaluates
-    /// the cone its overrides dirty on its own copy-on-write overlay,
-    /// fanned across the worker budget.
+    /// the cone its overrides dirty on its own copy-on-write overlay.
+    /// The cases run as a trie on their shared assignment prefixes (each
+    /// prefix settled once), fanned across the worker budget; each case's
+    /// result equals that case run alone.
     ///
     /// Results are deterministic: waveforms, violation lists, report
     /// JSON and per-case trace streams are byte-identical for every
@@ -1076,24 +1006,21 @@ impl Verifier {
             cases,
             options.jobs.unwrap_or(self.jobs),
             options.checkpoint == CheckpointPolicy::SettledBase,
-            options.strategy,
         )
     }
 
     /// The engine behind [`run`](Self::run): resolves case names, settles
     /// the base with the full worker budget, optionally checkpoints, then
-    /// fans the cases across the pool with the budget split between case
-    /// workers and per-case wave evaluation.
+    /// runs the case tree across the pool with the budget split between
+    /// case workers and per-case wave evaluation.
     fn run_impl(
         &mut self,
         cases: &[Case],
         jobs: usize,
         checkpoint: bool,
-        strategy: CaseStrategy,
     ) -> Result<RunOutcome, VerifyError> {
         let run_started = Instant::now();
         let effort_before = (self.total_events, self.total_evaluations);
-        self.last_strategy = strategy;
         // Split the worker budget: W case workers each evaluating waves
         // J/W wide never oversubscribe a J-job budget.
         let jobs = jobs.max(1);
@@ -1124,19 +1051,13 @@ impl Verifier {
             resolved.push(assigns);
         }
         let corners: Vec<DelayCorner> = cases.iter().map(Case::delay_corner).collect();
-        // Factor shared work through the case tree when asked to — or,
-        // under `Auto`, when the trie actually found sharing (a prefix
-        // node or a corner root). The `Auto` fallback keeps runs whose
-        // cases share nothing on the independent path, effort counters
-        // and all.
-        let tree = match strategy {
-            CaseStrategy::Independent => None,
-            CaseStrategy::Tree => Some(CaseTree::build(&resolved, &corners)),
-            CaseStrategy::Auto => {
-                let t = CaseTree::build(&resolved, &corners);
-                (!t.nodes.is_empty()).then_some(t)
-            }
-        };
+        // Organize the cases into the trie. A lone leaf (one case at the
+        // worst-case corner, so a tree with no node) checks its own
+        // state in full: rooting it on a base pass would compute that
+        // pass only to discard it, then re-check every checker the case
+        // fires.
+        let tree = CaseTree::build(&resolved, &corners);
+        let lone_leaf = tree.nodes.is_empty() && tree.leaves.len() == 1;
 
         // Establish (or return to) the settled base: no overrides, at
         // the worst-case corner. The base settle gets the whole budget —
@@ -1145,10 +1066,15 @@ impl Verifier {
         let (base_events, base_evaluations) = self.settle(jobs)?;
         let checkpoint = checkpoint.then(|| Box::new(self.clone()));
 
-        // Fan the cases across the pool. Each worker repeatedly claims
-        // the next unclaimed unit of work (a case, or a case-tree leaf)
-        // and settles it against shared immutable state; per-case effort
-        // is summed into the totals with atomics as workers finish.
+        // Dependency-aware scheduling: every node and leaf is a work
+        // unit released the moment its parent node settles, so prefix
+        // settles overlap leaf suffixes under one jobs budget instead of
+        // running in a serial phase. Each unit reads shared immutable
+        // state; per-case effort is summed into the totals with atomics
+        // as workers finish. Results are byte-identical for every
+        // worker count because each unit is a pure function of its
+        // parent's settled state (DESIGN.md § "Dependency-release
+        // scheduling").
         let netlist = &self.netlist;
         let base_raw: &SoaState = &self.raw;
         let base_eff: &SoaState = &self.eff;
@@ -1163,9 +1089,9 @@ impl Verifier {
         let trace: Option<&dyn TraceSink> = self.trace.as_deref();
         let events_total = AtomicU64::new(0);
         let evaluations_total = AtomicU64::new(0);
-        // Node-settle and memoization counters; atomics because under
-        // dependency-aware scheduling nodes settle concurrently. Each
-        // total is deterministic even though accumulation order is not.
+        // Node-settle and memoization counters; atomics because nodes
+        // settle concurrently. Each total is deterministic even though
+        // accumulation order is not.
         let prefix_nodes = AtomicUsize::new(0);
         let prefix_events = AtomicU64::new(0);
         let prefix_evaluations = AtomicU64::new(0);
@@ -1173,431 +1099,388 @@ impl Verifier {
         let memo_node_evals = AtomicU64::new(0);
         let memo_node_hits = AtomicU64::new(0);
         let memo_releases = AtomicU64::new(0);
-        let record_case_end =
-            |i: usize, started: Instant, outcome: &Result<CaseOutcome, VerifyError>| {
-                if let Ok(o) = outcome {
-                    events_total.fetch_add(o.events, Ordering::Relaxed);
-                    evaluations_total.fetch_add(o.evaluations, Ordering::Relaxed);
-                    if let Some(t) = trace {
-                        t.record(&TraceEvent::LeafChecks {
-                            case: i as u32,
-                            check_evals: o.check_evals,
-                            check_hits: o.check_hits,
-                            storage_evals: o.storage_evals,
-                            storage_hits: o.storage_hits,
-                        });
-                        t.record(&TraceEvent::CaseEnd {
-                            case: i as u32,
-                            wall_nanos: u64::try_from(started.elapsed().as_nanos())
-                                .unwrap_or(u64::MAX),
-                            events: o.events,
-                            evaluations: o.evaluations,
-                            violations: o.violations.len(),
-                        });
+        let mut node_children: Vec<Vec<Unit>> = vec![Vec::new(); tree.nodes.len()];
+        let mut ready: Vec<Unit> = Vec::new();
+        for (ni, node) in tree.nodes.iter().enumerate() {
+            match node.parent {
+                Some(p) => node_children[p].push(Unit::Node(ni)),
+                None => ready.push(Unit::Node(ni)),
+            }
+        }
+        for (li, leaf) in tree.leaves.iter().enumerate() {
+            match leaf.node {
+                Some(n) => node_children[n].push(Unit::Leaf(li)),
+                None => ready.push(Unit::Leaf(li)),
+            }
+        }
+        // Settled node states, handed from the worker that settles a
+        // node to the workers running its children (`OnceLock::set`/
+        // `get` order the hand-off).
+        let node_states: Vec<OnceLock<NodeState<'_>>> =
+            (0..tree.nodes.len()).map(|_| OnceLock::new()).collect();
+        // The base checker pass and storage total, computed lazily by
+        // whichever worker first reaches a unit that roots directly on
+        // the settled base.
+        let base_check: OnceLock<CheckCache> = OnceLock::new();
+        let base_records: OnceLock<usize> = OnceLock::new();
+        let base_check_pass = || -> &CheckCache {
+            base_check.get_or_init(|| {
+                let hazard_list: Vec<(PrimId, usize)> = base_hazards.iter().copied().collect();
+                let pass =
+                    run_checks_cached(netlist, base_eff, &hazard_list, DelayCorner::Worst, None);
+                memo_node_passes.fetch_add(1, Ordering::Relaxed);
+                memo_node_evals.fetch_add(pass.evaluated, Ordering::Relaxed);
+                pass.cache
+            })
+        };
+        let base_total_records = || -> usize {
+            *base_records.get_or_init(|| crate::storage::value_records(netlist, base_raw))
+        };
+        // Settles one internal node on its parent's state, then
+        // runs the node's own checker/storage pass (a delta off
+        // the parent's cached pass) so every descendant inherits
+        // from it. A node error skips the pass and fails the
+        // whole subtree — children still run, propagate the
+        // error to their leaves immediately, and the scheduler
+        // drains without deadlocking.
+        let node_work = |ni: usize| {
+            let node = &tree.nodes[ni];
+            let parent = node
+                .parent
+                .map(|p| node_states[p].get().expect("parent settled before release"));
+            let (mut st, parent_error) = match parent {
+                None => (
+                    NodeState {
+                        raw: ConeState::new(base_raw),
+                        eff: ConeState::new(base_eff),
+                        hazards: base_hazards.clone(),
+                        wired: base_wired.clone(),
+                        overrides: BTreeMap::new(),
+                        error: None,
+                        cache: None,
+                        value_records: 0,
+                    },
+                    None,
+                ),
+                Some(ps) => (
+                    NodeState {
+                        raw: ps.raw.fork(),
+                        eff: ps.eff.fork(),
+                        hazards: ps.hazards.clone(),
+                        wired: ps.wired.clone(),
+                        overrides: ps.overrides.clone(),
+                        error: None,
+                        cache: None,
+                        value_records: 0,
+                    },
+                    ps.error.clone(),
+                ),
+            };
+            for &(sid, v) in &node.chunk {
+                st.overrides.insert(sid, v);
+            }
+            let mut events = 0u64;
+            let mut evaluations = 0u64;
+            st.error = match parent_error {
+                Some(e) => Some(e),
+                None => settle_overlay(
+                    netlist,
+                    pinned,
+                    &mut st.raw,
+                    &mut st.eff,
+                    &mut st.hazards,
+                    &mut st.wired,
+                    &node.chunk,
+                    &st.overrides,
+                    node.corner,
+                    node.reseed_all,
+                    budget,
+                    wave_jobs,
+                    cache,
+                    trace.map(|t| (t, None)),
+                    &mut events,
+                    &mut evaluations,
+                )
+                .err(),
+            };
+            if st.error.is_none() {
+                // The node's checker pass. Violations are
+                // discarded (a node is not a case); the
+                // empty-verdict summary seeds every descendant's
+                // delta pass. A corner root re-times every wave,
+                // so nothing from the Worst-corner base pass is
+                // inheritable there.
+                let hazard_list: Vec<(PrimId, usize)> = st.hazards.iter().copied().collect();
+                let pass = if node.reseed_all {
+                    run_checks_cached(netlist, &st.eff, &hazard_list, node.corner, None)
+                } else {
+                    let (cache, hazards, eff_parent): (
+                        &CheckCache,
+                        &BTreeSet<(PrimId, usize)>,
+                        &dyn StateView,
+                    ) = match parent {
+                        Some(ps) => (
+                            ps.cache.as_ref().expect("settled parent has a cache"),
+                            &ps.hazards,
+                            &ps.eff,
+                        ),
+                        None => (base_check_pass(), base_hazards, base_eff),
+                    };
+                    let dirty = st.eff.dirty_vs(eff_parent);
+                    run_checks_cached(
+                        netlist,
+                        &st.eff,
+                        &hazard_list,
+                        node.corner,
+                        Some(&CheckMemo {
+                            cache,
+                            hazards,
+                            dirty: &dirty,
+                        }),
+                    )
+                };
+                memo_node_passes.fetch_add(1, Ordering::Relaxed);
+                memo_node_evals.fetch_add(pass.evaluated, Ordering::Relaxed);
+                memo_node_hits.fetch_add(pass.inherited, Ordering::Relaxed);
+                st.cache = Some(pass.cache);
+                // Storage is corner-independent, so the records
+                // chain runs through corner roots too.
+                let (raw_parent, parent_records): (&dyn StateView, usize) = match parent {
+                    Some(ps) => (&ps.raw, ps.value_records),
+                    None => (base_raw, base_total_records()),
+                };
+                st.value_records = st.raw.value_records_vs(raw_parent, parent_records).0;
+            }
+            prefix_nodes.fetch_add(1, Ordering::Relaxed);
+            prefix_events.fetch_add(events, Ordering::Relaxed);
+            prefix_evaluations.fetch_add(evaluations, Ordering::Relaxed);
+            if let Some(t) = trace {
+                let label = node_label(netlist, node.corner, &st.overrides);
+                t.record(&TraceEvent::PrefixSettled {
+                    node: ni as u32,
+                    label: &label,
+                    cases: node.leaf_count,
+                    events,
+                    evaluations,
+                });
+            }
+            st
+        };
+        // Settles one leaf: forks its parent's settled overlay (the
+        // node's, or the base's for a node-less leaf) and settles only
+        // the suffix of assignments the parent did not already apply.
+        // The fixed point, and therefore the leaf's violations,
+        // waveforms and value records, equals a settle of the full
+        // assignment list from the base, because the fixed point is
+        // unique and the seed diff re-dirties exactly the signals whose
+        // override mapping changed (DESIGN.md § "The case tree"). The
+        // leaf inherits its parent's cached checker verdicts and storage
+        // total, re-checking only the units its settle dirtied — except
+        // a lone leaf, which has no parent pass and checks in full.
+        let settle_leaf = |leaf: &LeafTask| -> Result<CaseOutcome, VerifyError> {
+            let i = leaf.case;
+            let (mut raw, mut eff, mut hazards, mut wired, memo) = match leaf.node {
+                None => {
+                    // Node-less leaves exist only in the Worst-corner
+                    // group (every other corner gets a root node), which
+                    // makes the base pass their valid parent.
+                    debug_assert_eq!(corners[i], DelayCorner::Worst);
+                    let memo = (!lone_leaf).then(|| LeafMemo {
+                        cache: base_check_pass(),
+                        hazards: base_hazards,
+                        raw_parent: base_raw,
+                        eff_parent: base_eff,
+                        value_records: base_total_records(),
+                    });
+                    let (raw, eff) = (ConeState::new(base_raw), ConeState::new(base_eff));
+                    (raw, eff, base_hazards.clone(), base_wired.clone(), memo)
+                }
+                Some(n) => {
+                    let node = node_states[n].get().expect("node settled before release");
+                    if let Some(e) = &node.error {
+                        return Err(e.clone());
                     }
+                    // A settled node always carries a cache (built right
+                    // after its settle).
+                    let memo = node.cache.as_ref().map(|cache| LeafMemo {
+                        cache,
+                        hazards: &node.hazards,
+                        raw_parent: &node.raw,
+                        eff_parent: &node.eff,
+                        value_records: node.value_records,
+                    });
+                    let (raw, eff) = (node.raw.fork(), node.eff.fork());
+                    (raw, eff, node.hazards.clone(), node.wired.clone(), memo)
                 }
             };
-        let mut outcomes: Vec<Option<Result<CaseOutcome, VerifyError>>> = match &tree {
-            None => {
-                let work = |i: usize| {
-                    if let Some(t) = trace {
-                        t.record(&TraceEvent::CaseStart {
-                            case: i as u32,
-                            label: &cases[i].label(),
-                        });
-                    }
-                    let case_started = Instant::now();
-                    let outcome = settle_case(
-                        netlist,
-                        base_raw,
-                        base_eff,
-                        pinned,
-                        base_hazards,
-                        base_wired,
-                        &resolved[i],
-                        corners[i],
-                        budget,
-                        wave_jobs,
-                        cache,
-                        trace.map(|t| (t, i as u32)),
-                        None,
-                    );
-                    record_case_end(i, case_started, &outcome);
-                    outcome
-                };
-                if case_workers == 1 {
-                    (0..cases.len()).map(|i| Some(work(i))).collect()
-                } else {
-                    let slots: Vec<Mutex<Option<Result<CaseOutcome, VerifyError>>>> =
-                        (0..cases.len()).map(|_| Mutex::new(None)).collect();
-                    let next = AtomicUsize::new(0);
-                    std::thread::scope(|s| {
-                        for _ in 0..case_workers {
-                            s.spawn(|| loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                if i >= cases.len() {
-                                    break;
-                                }
-                                let outcome = work(i);
-                                *slots[i].lock().expect("case slot poisoned") = Some(outcome);
-                            });
-                        }
+            let overrides: BTreeMap<SignalId, Value> = resolved[i].iter().copied().collect();
+            let mut events = 0u64;
+            let mut evaluations = 0u64;
+            settle_overlay(
+                netlist,
+                pinned,
+                &mut raw,
+                &mut eff,
+                &mut hazards,
+                &mut wired,
+                &resolved[i][leaf.suffix_start..],
+                &overrides,
+                corners[i],
+                false,
+                budget,
+                wave_jobs,
+                cache,
+                trace.map(|t| (t, Some(i as u32))),
+                &mut events,
+                &mut evaluations,
+            )?;
+            Ok(case_outcome(
+                netlist,
+                corners[i],
+                raw,
+                eff,
+                hazards,
+                wired,
+                overrides,
+                events,
+                evaluations,
+                memo.as_ref(),
+            ))
+        };
+        let leaf_work = |li: usize| -> (usize, Result<CaseOutcome, VerifyError>) {
+            let i = tree.leaves[li].case;
+            if let Some(t) = trace {
+                t.record(&TraceEvent::CaseStart {
+                    case: i as u32,
+                    label: &cases[i].label(),
+                });
+            }
+            let case_started = Instant::now();
+            let outcome = settle_leaf(&tree.leaves[li]);
+            if let Ok(o) = &outcome {
+                events_total.fetch_add(o.events, Ordering::Relaxed);
+                evaluations_total.fetch_add(o.evaluations, Ordering::Relaxed);
+                if let Some(t) = trace {
+                    t.record(&TraceEvent::LeafChecks {
+                        case: i as u32,
+                        check_evals: o.check_evals,
+                        check_hits: o.check_hits,
+                        storage_evals: o.storage_evals,
+                        storage_hits: o.storage_hits,
                     });
-                    slots
-                        .into_iter()
-                        .map(|m| m.into_inner().expect("case slot poisoned"))
-                        .collect()
+                    t.record(&TraceEvent::CaseEnd {
+                        case: i as u32,
+                        wall_nanos: u64::try_from(case_started.elapsed().as_nanos())
+                            .unwrap_or(u64::MAX),
+                        events: o.events,
+                        evaluations: o.evaluations,
+                        violations: o.violations.len(),
+                    });
                 }
             }
-            Some(tree) => {
-                // Dependency-aware scheduling: every node and leaf is a
-                // work unit released the moment its parent node settles,
-                // so prefix settles overlap leaf suffixes under one jobs
-                // budget instead of running in a serial phase. Results
-                // are byte-identical for every worker count because each
-                // unit is a pure function of its parent's settled state
-                // (DESIGN.md § "Dependency-release scheduling").
-                let mut node_children: Vec<Vec<Unit>> = vec![Vec::new(); tree.nodes.len()];
-                let mut ready: Vec<Unit> = Vec::new();
-                for (ni, node) in tree.nodes.iter().enumerate() {
-                    match node.parent {
-                        Some(p) => node_children[p].push(Unit::Node(ni)),
-                        None => ready.push(Unit::Node(ni)),
-                    }
-                }
-                for (li, leaf) in tree.leaves.iter().enumerate() {
-                    match leaf.node {
-                        Some(n) => node_children[n].push(Unit::Leaf(li)),
-                        None => ready.push(Unit::Leaf(li)),
-                    }
-                }
-                // Settled node states, handed from the worker that
-                // settles a node to the workers running its children
-                // (`OnceLock::set`/`get` order the hand-off).
-                let node_states: Vec<OnceLock<NodeState<'_>>> =
-                    (0..tree.nodes.len()).map(|_| OnceLock::new()).collect();
-                // The base checker pass and storage total, computed
-                // lazily by whichever worker first reaches a unit that
-                // roots directly on the settled base.
-                let base_check: OnceLock<CheckCache> = OnceLock::new();
-                let base_records: OnceLock<usize> = OnceLock::new();
-                let base_check_pass = || -> &CheckCache {
-                    base_check.get_or_init(|| {
-                        let hazard_list: Vec<(PrimId, usize)> =
-                            base_hazards.iter().copied().collect();
-                        let pass = run_checks_cached(
-                            netlist,
-                            base_eff,
-                            &hazard_list,
-                            DelayCorner::Worst,
-                            None,
-                        );
-                        memo_node_passes.fetch_add(1, Ordering::Relaxed);
-                        memo_node_evals.fetch_add(pass.evaluated, Ordering::Relaxed);
-                        pass.cache
-                    })
-                };
-                let base_total_records = || -> usize {
-                    *base_records.get_or_init(|| crate::storage::value_records(netlist, base_raw))
-                };
-                // Settles one internal node on its parent's state, then
-                // runs the node's own checker/storage pass (a delta off
-                // the parent's cached pass) so every descendant inherits
-                // from it. A node error skips the pass and fails the
-                // whole subtree — children still run, propagate the
-                // error to their leaves immediately, and the scheduler
-                // drains without deadlocking.
-                let node_work = |ni: usize| {
-                    let node = &tree.nodes[ni];
-                    let parent = node
-                        .parent
-                        .map(|p| node_states[p].get().expect("parent settled before release"));
-                    let (mut st, parent_error) = match parent {
-                        None => (
-                            NodeState {
-                                raw: ConeState::new(base_raw),
-                                eff: ConeState::new(base_eff),
-                                hazards: base_hazards.clone(),
-                                wired: base_wired.clone(),
-                                overrides: BTreeMap::new(),
-                                error: None,
-                                cache: None,
-                                value_records: 0,
-                            },
-                            None,
-                        ),
-                        Some(ps) => (
-                            NodeState {
-                                raw: ps.raw.fork(),
-                                eff: ps.eff.fork(),
-                                hazards: ps.hazards.clone(),
-                                wired: ps.wired.clone(),
-                                overrides: ps.overrides.clone(),
-                                error: None,
-                                cache: None,
-                                value_records: 0,
-                            },
-                            ps.error.clone(),
-                        ),
-                    };
-                    for &(sid, v) in &node.chunk {
-                        st.overrides.insert(sid, v);
-                    }
-                    let mut events = 0u64;
-                    let mut evaluations = 0u64;
-                    st.error = match parent_error {
-                        Some(e) => Some(e),
-                        None => settle_overlay(
-                            netlist,
-                            pinned,
-                            &mut st.raw,
-                            &mut st.eff,
-                            &mut st.hazards,
-                            &mut st.wired,
-                            &node.chunk,
-                            &st.overrides,
-                            node.corner,
-                            node.reseed_all,
-                            budget,
-                            wave_jobs,
-                            cache,
-                            trace.map(|t| (t, None)),
-                            &mut events,
-                            &mut evaluations,
-                        )
-                        .err(),
-                    };
-                    if st.error.is_none() {
-                        // The node's checker pass. Violations are
-                        // discarded (a node is not a case); the
-                        // empty-verdict summary seeds every descendant's
-                        // delta pass. A corner root re-times every wave,
-                        // so nothing from the Worst-corner base pass is
-                        // inheritable there.
-                        let hazard_list: Vec<(PrimId, usize)> =
-                            st.hazards.iter().copied().collect();
-                        let pass = if node.reseed_all {
-                            run_checks_cached(netlist, &st.eff, &hazard_list, node.corner, None)
-                        } else {
-                            let (cache, hazards, eff_parent): (
-                                &CheckCache,
-                                &BTreeSet<(PrimId, usize)>,
-                                &dyn StateView,
-                            ) = match parent {
-                                Some(ps) => (
-                                    ps.cache.as_ref().expect("settled parent has a cache"),
-                                    &ps.hazards,
-                                    &ps.eff,
-                                ),
-                                None => (base_check_pass(), base_hazards, base_eff),
-                            };
-                            let dirty = st.eff.dirty_vs(eff_parent);
-                            run_checks_cached(
-                                netlist,
-                                &st.eff,
-                                &hazard_list,
-                                node.corner,
-                                Some(&CheckMemo {
-                                    cache,
-                                    hazards,
-                                    dirty: &dirty,
-                                }),
-                            )
-                        };
-                        memo_node_passes.fetch_add(1, Ordering::Relaxed);
-                        memo_node_evals.fetch_add(pass.evaluated, Ordering::Relaxed);
-                        memo_node_hits.fetch_add(pass.inherited, Ordering::Relaxed);
-                        st.cache = Some(pass.cache);
-                        // Storage is corner-independent, so the records
-                        // chain runs through corner roots too.
-                        let (raw_parent, parent_records): (&dyn StateView, usize) = match parent {
-                            Some(ps) => (&ps.raw, ps.value_records),
-                            None => (base_raw, base_total_records()),
-                        };
-                        st.value_records = st.raw.value_records_vs(raw_parent, parent_records).0;
-                    }
-                    prefix_nodes.fetch_add(1, Ordering::Relaxed);
-                    prefix_events.fetch_add(events, Ordering::Relaxed);
-                    prefix_evaluations.fetch_add(evaluations, Ordering::Relaxed);
-                    if let Some(t) = trace {
-                        let label = node_label(netlist, node.corner, &st.overrides);
-                        t.record(&TraceEvent::PrefixSettled {
-                            node: ni as u32,
-                            label: &label,
-                            cases: node.leaf_count,
-                            events,
-                            evaluations,
-                        });
-                    }
-                    st
-                };
-                // Each leaf forks its node's settled overlay, settles
-                // only its unshared suffix, and inherits the node's
-                // cached checker verdicts outside its dirty cone.
-                let leaf_work = |li: usize| -> (usize, Result<CaseOutcome, VerifyError>) {
-                    let leaf = &tree.leaves[li];
-                    let i = leaf.case;
-                    if let Some(t) = trace {
-                        t.record(&TraceEvent::CaseStart {
-                            case: i as u32,
-                            label: &cases[i].label(),
-                        });
-                    }
-                    let case_started = Instant::now();
-                    let outcome = match leaf.node {
-                        None => {
-                            // Node-less leaves exist only in the
-                            // Worst-corner group (every other corner
-                            // gets a root node), which makes the base
-                            // pass their valid parent; the corner guard
-                            // is belt-and-braces, since inheriting
-                            // across corners would be unsound.
-                            let memo = (corners[i] == DelayCorner::Worst).then(|| LeafMemo {
-                                cache: base_check_pass(),
-                                hazards: base_hazards,
-                                raw_parent: base_raw,
-                                eff_parent: base_eff,
-                                value_records: base_total_records(),
-                            });
-                            settle_case(
-                                netlist,
-                                base_raw,
-                                base_eff,
-                                pinned,
-                                base_hazards,
-                                base_wired,
-                                &resolved[i],
-                                corners[i],
-                                budget,
-                                wave_jobs,
-                                cache,
-                                trace.map(|t| (t, i as u32)),
-                                memo.as_ref(),
-                            )
+            (i, outcome)
+        };
+        // Releases a completed node's children into the ready
+        // set (the caller publishes the state first, since the
+        // `OnceLock` element type pins the state's lifetime).
+        let release_children = |ni: usize, push: &mut dyn FnMut(Unit)| {
+            let children = &node_children[ni];
+            memo_releases.fetch_add(children.len() as u64, Ordering::Relaxed);
+            if let Some(t) = trace {
+                t.record(&TraceEvent::SubtreeReleased {
+                    node: ni as u32,
+                    children: children.len(),
+                });
+            }
+            for &u in children {
+                push(u);
+            }
+        };
+        let mut outcomes: Vec<Option<Result<CaseOutcome, VerifyError>>> = if case_workers == 1 {
+            // Single worker: drain the ready queue in release
+            // order on this thread (roots first, children as
+            // their parents complete).
+            let mut out: Vec<Option<Result<CaseOutcome, VerifyError>>> =
+                (0..cases.len()).map(|_| None).collect();
+            let mut queue: VecDeque<Unit> = ready.into();
+            while let Some(unit) = queue.pop_front() {
+                match unit {
+                    Unit::Node(ni) => {
+                        let st = node_work(ni);
+                        if node_states[ni].set(st).is_err() {
+                            unreachable!("each node is settled exactly once");
                         }
-                        Some(n) => settle_leaf(
-                            netlist,
-                            pinned,
-                            node_states[n].get().expect("node settled before release"),
-                            &resolved[i],
-                            leaf.suffix_start,
-                            corners[i],
-                            budget,
-                            wave_jobs,
-                            cache,
-                            trace.map(|t| (t, i as u32)),
-                        ),
-                    };
-                    record_case_end(i, case_started, &outcome);
-                    (i, outcome)
-                };
-                // Releases a completed node's children into the ready
-                // set (the caller publishes the state first, since the
-                // `OnceLock` element type pins the state's lifetime).
-                let release_children = |ni: usize, push: &mut dyn FnMut(Unit)| {
-                    let children = &node_children[ni];
-                    memo_releases.fetch_add(children.len() as u64, Ordering::Relaxed);
-                    if let Some(t) = trace {
-                        t.record(&TraceEvent::SubtreeReleased {
-                            node: ni as u32,
-                            children: children.len(),
-                        });
+                        release_children(ni, &mut |u| queue.push_back(u));
                     }
-                    for &u in children {
-                        push(u);
+                    Unit::Leaf(li) => {
+                        let (i, outcome) = leaf_work(li);
+                        out[i] = Some(outcome);
                     }
-                };
-                if case_workers == 1 {
-                    // Single worker: drain the ready queue in release
-                    // order on this thread (roots first, children as
-                    // their parents complete).
-                    let mut out: Vec<Option<Result<CaseOutcome, VerifyError>>> =
-                        (0..cases.len()).map(|_| None).collect();
-                    let mut queue: VecDeque<Unit> = ready.into();
-                    while let Some(unit) = queue.pop_front() {
+                }
+            }
+            out
+        } else {
+            // Worker pool over one shared ready queue. Workers
+            // exit when every leaf has completed: each leaf is
+            // reachable from the ready set through its ancestor
+            // chain, every node completes (errors included) and
+            // releases its children, so the count always drains
+            // — a failing prefix cannot deadlock the pool.
+            let slots: Vec<Mutex<Option<Result<CaseOutcome, VerifyError>>>> =
+                (0..cases.len()).map(|_| Mutex::new(None)).collect();
+            let sched: Mutex<(VecDeque<Unit>, usize)> =
+                Mutex::new((ready.into(), tree.leaves.len()));
+            let ready_cv = Condvar::new();
+            std::thread::scope(|s| {
+                for _ in 0..case_workers {
+                    s.spawn(|| loop {
+                        let unit = {
+                            let mut guard = sched.lock().expect("scheduler lock poisoned");
+                            loop {
+                                if guard.1 == 0 {
+                                    break None;
+                                }
+                                if let Some(u) = guard.0.pop_front() {
+                                    break Some(u);
+                                }
+                                guard = ready_cv.wait(guard).expect("scheduler lock poisoned");
+                            }
+                        };
+                        let Some(unit) = unit else { break };
                         match unit {
                             Unit::Node(ni) => {
                                 let st = node_work(ni);
                                 if node_states[ni].set(st).is_err() {
                                     unreachable!("each node is settled exactly once");
                                 }
-                                release_children(ni, &mut |u| queue.push_back(u));
+                                let mut released = Vec::new();
+                                release_children(ni, &mut |u| released.push(u));
+                                if !released.is_empty() {
+                                    let mut guard = sched.lock().expect("scheduler lock poisoned");
+                                    guard.0.extend(released);
+                                    drop(guard);
+                                    ready_cv.notify_all();
+                                }
                             }
                             Unit::Leaf(li) => {
                                 let (i, outcome) = leaf_work(li);
-                                out[i] = Some(outcome);
+                                *slots[i].lock().expect("case slot poisoned") = Some(outcome);
+                                let mut guard = sched.lock().expect("scheduler lock poisoned");
+                                guard.1 -= 1;
+                                let all_done = guard.1 == 0;
+                                drop(guard);
+                                if all_done {
+                                    ready_cv.notify_all();
+                                }
                             }
                         }
-                    }
-                    out
-                } else {
-                    // Worker pool over one shared ready queue. Workers
-                    // exit when every leaf has completed: each leaf is
-                    // reachable from the ready set through its ancestor
-                    // chain, every node completes (errors included) and
-                    // releases its children, so the count always drains
-                    // — a failing prefix cannot deadlock the pool.
-                    let slots: Vec<Mutex<Option<Result<CaseOutcome, VerifyError>>>> =
-                        (0..cases.len()).map(|_| Mutex::new(None)).collect();
-                    let sched: Mutex<(VecDeque<Unit>, usize)> =
-                        Mutex::new((ready.into(), tree.leaves.len()));
-                    let ready_cv = Condvar::new();
-                    std::thread::scope(|s| {
-                        for _ in 0..case_workers {
-                            s.spawn(|| loop {
-                                let unit = {
-                                    let mut guard = sched.lock().expect("scheduler lock poisoned");
-                                    loop {
-                                        if guard.1 == 0 {
-                                            break None;
-                                        }
-                                        if let Some(u) = guard.0.pop_front() {
-                                            break Some(u);
-                                        }
-                                        guard =
-                                            ready_cv.wait(guard).expect("scheduler lock poisoned");
-                                    }
-                                };
-                                let Some(unit) = unit else { break };
-                                match unit {
-                                    Unit::Node(ni) => {
-                                        let st = node_work(ni);
-                                        if node_states[ni].set(st).is_err() {
-                                            unreachable!("each node is settled exactly once");
-                                        }
-                                        let mut released = Vec::new();
-                                        release_children(ni, &mut |u| released.push(u));
-                                        if !released.is_empty() {
-                                            let mut guard =
-                                                sched.lock().expect("scheduler lock poisoned");
-                                            guard.0.extend(released);
-                                            drop(guard);
-                                            ready_cv.notify_all();
-                                        }
-                                    }
-                                    Unit::Leaf(li) => {
-                                        let (i, outcome) = leaf_work(li);
-                                        *slots[i].lock().expect("case slot poisoned") =
-                                            Some(outcome);
-                                        let mut guard =
-                                            sched.lock().expect("scheduler lock poisoned");
-                                        guard.1 -= 1;
-                                        let all_done = guard.1 == 0;
-                                        drop(guard);
-                                        if all_done {
-                                            ready_cv.notify_all();
-                                        }
-                                    }
-                                }
-                            });
-                        }
                     });
-                    slots
-                        .into_iter()
-                        .map(|m| m.into_inner().expect("case slot poisoned"))
-                        .collect()
                 }
-            }
+            });
+            slots
+                .into_iter()
+                .map(|m| m.into_inner().expect("case slot poisoned"))
+                .collect()
         };
         let prefix = PrefixStats {
             nodes: prefix_nodes.into_inner(),
@@ -1645,7 +1528,7 @@ impl Verifier {
         }
 
         // Install the last case's state so `state`/`resolved`/listings
-        // reflect it, exactly as the serial path left things.
+        // reflect it.
         let last = last.expect("cases is non-empty");
         for (idx, st) in last.raw_overlay {
             self.raw.set(idx, st);
@@ -1774,7 +1657,6 @@ impl Verifier {
                 prims: self.netlist.prims().len(),
                 cases: results.len(),
                 jobs: self.jobs,
-                case_strategy: self.last_strategy,
                 events: self.total_events,
                 evaluations: self.total_evaluations,
                 verify_wall: None,
@@ -2551,146 +2433,6 @@ fn case_outcome(
         wired,
         overrides,
     }
-}
-
-/// Settles one case against the shared settled base state (§2.7, §3.3.2).
-///
-/// This is the per-case unit of work for both the serial path and the
-/// worker pool: it reads the base immutably, re-evaluates only the cone
-/// the case's overrides dirty (on a [`ConeState`] copy-on-write overlay)
-/// — or, at a non-worst delay corner, the whole design — and runs all
-/// checks against the overlaid state. Because every input is the same
-/// settled base and the worklist seeding order is fixed, the outcome is
-/// a pure function of `(base, assigns, corner)` — which is what makes
-/// parallel case analysis byte-identical to serial. (An attached trace
-/// sink observes the work but cannot influence it; `wave_jobs` changes
-/// only who computes each wave entry, never any result.)
-#[allow(clippy::too_many_arguments)]
-fn settle_case(
-    netlist: &Netlist,
-    base_raw: &SoaState,
-    base_eff: &SoaState,
-    pinned: &[bool],
-    base_hazards: &BTreeSet<(PrimId, usize)>,
-    base_wired: &BTreeMap<(SignalId, PrimId), SignalState>,
-    assigns: &[(SignalId, Value)],
-    corner: DelayCorner,
-    budget: u64,
-    wave_jobs: usize,
-    cache: Option<(&EvalCache, &[Option<u32>])>,
-    trace: Option<(&dyn TraceSink, u32)>,
-    memo: Option<&LeafMemo<'_>>,
-) -> Result<CaseOutcome, VerifyError> {
-    let overrides: BTreeMap<SignalId, Value> = assigns.iter().copied().collect();
-    let mut raw = ConeState::new(base_raw);
-    let mut eff = ConeState::new(base_eff);
-    let mut hazards = base_hazards.clone();
-    let mut wired = base_wired.clone();
-    let mut events = 0u64;
-    let mut evaluations = 0u64;
-    settle_overlay(
-        netlist,
-        pinned,
-        &mut raw,
-        &mut eff,
-        &mut hazards,
-        &mut wired,
-        assigns,
-        &overrides,
-        corner,
-        corner != DelayCorner::Worst,
-        budget,
-        wave_jobs,
-        cache,
-        trace.map(|(t, c)| (t, Some(c))),
-        &mut events,
-        &mut evaluations,
-    )?;
-    Ok(case_outcome(
-        netlist,
-        corner,
-        raw,
-        eff,
-        hazards,
-        wired,
-        overrides,
-        events,
-        evaluations,
-        memo,
-    ))
-}
-
-/// Settles one case-tree leaf: forks its node's settled overlay and
-/// settles only the suffix of assignments the prefix didn't already
-/// apply. The resulting fixed point — and therefore the leaf's
-/// violations, waveforms and value-record counts — is byte-identical to
-/// [`settle_case`] from the base with the full assignment list, because
-/// the settle's fixed point is unique and the seed diff re-dirties
-/// exactly the signals whose override mapping changed (see DESIGN.md
-/// § "The case tree" for the argument).
-#[allow(clippy::too_many_arguments)]
-fn settle_leaf(
-    netlist: &Netlist,
-    pinned: &[bool],
-    node: &NodeState<'_>,
-    assigns: &[(SignalId, Value)],
-    suffix_start: usize,
-    corner: DelayCorner,
-    budget: u64,
-    wave_jobs: usize,
-    cache: Option<(&EvalCache, &[Option<u32>])>,
-    trace: Option<(&dyn TraceSink, u32)>,
-) -> Result<CaseOutcome, VerifyError> {
-    if let Some(e) = &node.error {
-        return Err(e.clone());
-    }
-    let overrides: BTreeMap<SignalId, Value> = assigns.iter().copied().collect();
-    let mut raw = node.raw.fork();
-    let mut eff = node.eff.fork();
-    let mut hazards = node.hazards.clone();
-    let mut wired = node.wired.clone();
-    let mut events = 0u64;
-    let mut evaluations = 0u64;
-    settle_overlay(
-        netlist,
-        pinned,
-        &mut raw,
-        &mut eff,
-        &mut hazards,
-        &mut wired,
-        &assigns[suffix_start..],
-        &overrides,
-        corner,
-        false,
-        budget,
-        wave_jobs,
-        cache,
-        trace.map(|(t, c)| (t, Some(c))),
-        &mut events,
-        &mut evaluations,
-    )?;
-    // Inherit the node's cached checker verdicts and storage total; the
-    // leaf re-checks only units its suffix settle dirtied. A settled
-    // node always carries a cache (built right after its settle).
-    let memo = node.cache.as_ref().map(|cache| LeafMemo {
-        cache,
-        hazards: &node.hazards,
-        raw_parent: &node.raw,
-        eff_parent: &node.eff,
-        value_records: node.value_records,
-    });
-    Ok(case_outcome(
-        netlist,
-        corner,
-        raw,
-        eff,
-        hazards,
-        wired,
-        overrides,
-        events,
-        evaluations,
-        memo.as_ref(),
-    ))
 }
 
 /// Checks that the interface signals of separately verified design

@@ -90,8 +90,8 @@ mod view;
 
 pub use diagram::render_diagram;
 pub use engine::{
-    check_interfaces, BaseResult, Case, CaseStrategy, CheckpointPolicy, MemoStats, MultiCaseError,
-    PrefixStats, RunOptions, RunOutcome, Verifier, VerifierBuilder, VerifyError,
+    check_interfaces, BaseResult, Case, CheckpointPolicy, MemoStats, MultiCaseError, PrefixStats,
+    RunOptions, RunOutcome, Verifier, VerifierBuilder, VerifyError,
 };
 pub use report::{
     CaseResult, EngineStats, ProbEndpoint, ProbSection, Provenance, ProvenanceHop, Report,

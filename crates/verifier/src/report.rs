@@ -18,7 +18,7 @@
 //!   "engine": {
 //!     "signals": 61, "prims": 50,       // design size
 //!     "cases": 1, "jobs": 4,            // case-analysis shape
-//!     "case_strategy": "auto",          // resolved scheduling path
+//!     "case_strategy": "auto",          // constant; see below
 //!     "events": 123, "evaluations": 456,// cumulative effort (§3.3.2)
 //!     "wall_ns": 183042,                // null when not measured
 //!     "period_ns": 50
@@ -74,6 +74,10 @@
 //! when no distribution analysis ran, so version-1 consumers keep
 //! working unchanged.
 //!
+//! `engine.case_strategy` is always `"auto"`. It once named the case
+//! scheduler a run took; the engine now has one, and the field stays
+//! because a field is never removed within a major version.
+//!
 //! The probabilistic section reports each checked endpoint's arrival
 //! time and slack as normal distributions (mean + sigma, nanoseconds)
 //! instead of single worst-case numbers, plus the probability the
@@ -93,7 +97,6 @@ use std::time::Duration;
 
 use crate::cache::EvalCacheStats;
 use crate::checkers::CheckMargin;
-use crate::engine::CaseStrategy;
 use crate::storage::StorageReport;
 use crate::view::StateView;
 
@@ -514,9 +517,6 @@ pub struct EngineStats {
     pub cases: usize,
     /// Worker-pool size used for case analysis.
     pub jobs: usize,
-    /// Case-analysis strategy the run resolved to, echoed so benches
-    /// and CI can confirm which scheduling path executed.
-    pub case_strategy: CaseStrategy,
     /// Cumulative signal-change events (§3.3.2).
     pub events: u64,
     /// Cumulative primitive evaluations.
@@ -590,7 +590,6 @@ impl Report {
     pub fn strip_effort(&self) -> Report {
         let mut r = self.clone();
         r.engine.jobs = 0;
-        r.engine.case_strategy = CaseStrategy::default();
         r.engine.events = 0;
         r.engine.evaluations = 0;
         r.engine.verify_wall = None;
@@ -703,7 +702,6 @@ impl Report {
         } else {
             EngineStats {
                 jobs: 0,
-                case_strategy: CaseStrategy::default(),
                 events: 0,
                 evaluations: 0,
                 verify_wall: None,
@@ -716,12 +714,9 @@ impl Report {
             ("prims".into(), Json::from(stats.prims as u64)),
             ("cases".into(), Json::from(stats.cases as u64)),
             ("jobs".into(), Json::from(stats.jobs as u64)),
-            // Schema v1 additive extension: which case-scheduling path
-            // the run resolved to ("auto" until the engine has run).
-            (
-                "case_strategy".into(),
-                Json::Str(stats.case_strategy.as_str().into()),
-            ),
+            // Schema v1 additive extension, kept as a constant (see the
+            // module doc).
+            ("case_strategy".into(), Json::str("auto")),
             ("events".into(), Json::from(stats.events)),
             ("evaluations".into(), Json::from(stats.evaluations)),
             (

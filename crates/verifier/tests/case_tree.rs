@@ -1,19 +1,22 @@
-//! Property tests for the case-tree engine: tree-factored sweeps must be
-//! observably indistinguishable from the naive independent-case path.
+//! Property tests for the case tree against its definition: a sweep
+//! must be observably indistinguishable from running each of its cases
+//! alone.
 //!
 //! The engine settles shared assignment prefixes once per trie node and
-//! fans only the leaf suffixes across workers, so effort counters differ —
-//! but everything a user can observe (violations, waveforms, storage
-//! records, the installed final state, the report JSON) must be
-//! byte-identical for every strategy and every worker count. These tests
-//! pin that down over seeded random sweeps, and check the error path: a
-//! failure inside a shared prefix takes down the whole run cleanly.
+//! fans only the leaf suffixes across workers, so effort counters differ
+//! from a case run alone — but each case's violations and value records,
+//! and the state the sweep leaves installed (slack, storage, summary),
+//! must equal a single-case `Verifier::run` of that case on a clone of
+//! the settled verifier, at every worker count. These tests pin that
+//! down over seeded random sweeps, and check the error paths: an unknown
+//! signal fails the run before any evaluation, and a failure inside a
+//! shared prefix takes down the whole run cleanly.
 
 use scald_gen::s1::{s1_like_netlist, S1Options};
 use scald_netlist::{Config, Conn, Netlist, NetlistBuilder, PrimKind};
 use scald_rng::Rng;
 use scald_verifier::{
-    Case, CaseSet, CaseStrategy, MemoStats, RunOptions, Verifier, VerifierBuilder, VerifyError,
+    Case, CaseSet, MemoStats, RunOptions, RunOutcome, Verifier, VerifierBuilder, VerifyError,
 };
 use scald_wave::{DelayCorner, DelayRange};
 
@@ -29,6 +32,13 @@ fn fresh_verifier(chips: usize) -> Verifier {
         seed: 0x5ca1d,
     });
     Verifier::new(netlist)
+}
+
+/// A verifier whose base is settled: the state every oracle run clones.
+fn settled_verifier(chips: usize) -> Verifier {
+    let mut v = fresh_verifier(chips);
+    v.settle_base().unwrap();
+    v
 }
 
 /// A random sweep with deliberate prefix sharing: a few groups, each a
@@ -66,114 +76,127 @@ fn random_sweep(rng: &mut Rng) -> CaseSet {
     set
 }
 
-/// Runs one sweep and renders the effort-stripped report — the full
-/// user-observable surface (violations, waves, storage, slack) minus
-/// the scheduling-dependent counters.
-fn stripped_report(v: &mut Verifier, set: &CaseSet, jobs: usize, strategy: CaseStrategy) -> String {
-    let outcome = v
-        .run(
-            &RunOptions::new()
-                .cases(set.clone())
-                .jobs(jobs)
-                .strategy(strategy),
-        )
-        .unwrap();
-    v.report("case-tree", &outcome.cases)
-        .strip_effort()
-        .to_json()
-        .to_string()
+/// The installed state's stripped slack, storage and summary sections —
+/// what `state`, the listings and a report read after a run.
+fn installed_state(v: &Verifier) -> String {
+    let doc = v.report("case-tree", &[]).stripped_json_value();
+    ["slack", "storage", "summary"]
+        .iter()
+        .map(|key| doc.get(key).expect("report section").to_string())
+        .collect::<Vec<_>>()
+        .join("\n")
 }
 
-/// The tentpole property: over 50 seeded random sweeps, the tree engine
-/// at 1, 2 and 8 workers produces stripped reports byte-identical to the
-/// naive independent path. Verifiers are reused (warm) across seeds so
-/// the property also covers warm-start bases and corner-state resets.
+/// The definition: `case` run alone, as a single-case `Verifier::run` on
+/// a clone of the settled verifier. Returns the run's outcome and the
+/// state it installed.
+fn run_alone(settled: &Verifier, case: &Case) -> (RunOutcome, String) {
+    let mut v = settled.clone();
+    let outcome = v.run(&RunOptions::new().case(case.clone())).unwrap();
+    (outcome, installed_state(&v))
+}
+
+/// Runs `set` as one sweep on `v` at `jobs` workers and checks it
+/// against the definition: every case's violations and value records
+/// equal that case run alone on `settled`, and the state the sweep
+/// installs equals the last case's run alone. Returns the outcome and
+/// the sweep's stripped report.
+fn assert_sweep_matches_alone(
+    v: &mut Verifier,
+    settled: &Verifier,
+    set: &CaseSet,
+    jobs: usize,
+    what: &str,
+) -> (RunOutcome, String) {
+    let outcome = v
+        .run(&RunOptions::new().cases(set.clone()).jobs(jobs))
+        .unwrap();
+    assert_eq!(outcome.cases.len(), set.len(), "{what}");
+    let mut last_state = String::new();
+    for (i, (case, got)) in set.cases().iter().zip(&outcome.cases).enumerate() {
+        let (alone, state) = run_alone(settled, case);
+        let alone = alone.sole();
+        assert_eq!(got.violations, alone.violations, "{what}, case {i}");
+        assert_eq!(got.value_records, alone.value_records, "{what}, case {i}");
+        last_state = state;
+    }
+    assert_eq!(installed_state(v), last_state, "{what}: installed state");
+    let report = v
+        .report("case-tree", &outcome.cases)
+        .stripped_json_value()
+        .to_string();
+    (outcome, report)
+}
+
+/// The central property: over 50 seeded random sweeps, the case tree at
+/// 1, 2 and 8 workers matches each case run alone, and the three
+/// stripped reports are byte-identical. Sweep verifiers are reused
+/// (warm) across seeds, so the property also covers returns to the base
+/// from an installed case and corner-state resets.
 #[test]
-fn tree_matches_independent_over_50_seeds() {
-    let mut naive = fresh_verifier(16);
-    let mut tree: Vec<Verifier> = (0..3).map(|_| fresh_verifier(16)).collect();
+fn sweeps_match_each_case_run_alone_over_50_seeds() {
+    let settled = settled_verifier(16);
+    let mut sweepers: Vec<Verifier> = (0..3).map(|_| fresh_verifier(16)).collect();
 
     for seed in 0..50u64 {
         let mut rng = Rng::seed_from_u64(seed);
         let sweep = random_sweep(&mut rng);
-        let baseline = stripped_report(&mut naive, &sweep, 1, CaseStrategy::Independent);
-        for (v, jobs) in tree.iter_mut().zip([1usize, 2, 8]) {
-            let got = stripped_report(v, &sweep, jobs, CaseStrategy::Tree);
-            assert_eq!(
-                got, baseline,
-                "seed {seed}, jobs {jobs}: tree diverged from independent"
-            );
+        let mut reference: Option<String> = None;
+        for (v, jobs) in sweepers.iter_mut().zip([1usize, 2, 8]) {
+            let what = format!("seed {seed}, jobs {jobs}");
+            let (_, report) = assert_sweep_matches_alone(v, &settled, &sweep, jobs, &what);
+            match &reference {
+                None => reference = Some(report),
+                Some(first) => assert_eq!(&report, first, "{what}: report differs from jobs 1"),
+            }
         }
     }
 }
 
 /// Delay-corner sweeps are first-class case axes: a `cross_corners`
 /// sweep (which forces a reseed-everything root per corner group) must
-/// be byte-identical between strategies, cold, at several worker counts.
+/// match each case run alone, cold, at several worker counts.
 #[test]
-fn corner_sweeps_match_between_strategies() {
+fn corner_sweeps_match_each_case_run_alone() {
     let sweep = CaseSet::exhaustive([ctl(0), ctl(1)]).cross_corners(DelayCorner::ALL);
-    let baseline = stripped_report(
-        &mut fresh_verifier(12),
-        &sweep,
-        1,
-        CaseStrategy::Independent,
-    );
+    let settled = settled_verifier(12);
     for jobs in [1usize, 4] {
-        let got = stripped_report(&mut fresh_verifier(12), &sweep, jobs, CaseStrategy::Tree);
-        assert_eq!(got, baseline, "jobs {jobs}");
-        let auto = stripped_report(&mut fresh_verifier(12), &sweep, jobs, CaseStrategy::Auto);
-        assert_eq!(auto, baseline, "auto, jobs {jobs}");
+        let what = format!("jobs {jobs}");
+        assert_sweep_matches_alone(&mut fresh_verifier(12), &settled, &sweep, jobs, &what);
     }
 }
 
 /// The point of the trie: shared prefixes settle once. On an exhaustive
-/// sweep the tree run must report prefix nodes, and the total settle
-/// effort (prefix + per-case) must come in strictly below the naive
-/// path's per-case total.
+/// sweep the run must report prefix nodes, and its total settle effort
+/// (prefix + per-case) must come in strictly below the sum of the cases
+/// run alone.
 #[test]
 fn tree_spends_less_settle_effort_on_shared_prefixes() {
     let sweep = CaseSet::exhaustive((0..5).map(ctl));
+    let settled = settled_verifier(16);
 
-    let mut naive = fresh_verifier(16);
-    let naive_out = naive
-        .run(
-            &RunOptions::new()
-                .cases(sweep.clone())
-                .strategy(CaseStrategy::Independent),
-        )
-        .unwrap();
-    assert_eq!(naive_out.prefix.nodes, 0, "independent path has no trie");
-    let naive_evals: u64 = naive_out.cases.iter().map(|c| c.evaluations).sum();
+    let alone_evals: u64 = sweep
+        .cases()
+        .iter()
+        .map(|case| {
+            let (outcome, _) = run_alone(&settled, case);
+            assert_eq!(outcome.prefix.nodes, 0, "a case run alone has no trie");
+            outcome.sole().evaluations
+        })
+        .sum();
 
-    let mut factored = fresh_verifier(16);
-    let tree_out = factored
-        .run(
-            &RunOptions::new()
-                .cases(sweep.clone())
-                .strategy(CaseStrategy::Tree),
-        )
+    // Both sides start from the settled base, so no base settle is
+    // folded into either side's per-case counters.
+    let tree_out = settled
+        .clone()
+        .run(&RunOptions::new().cases(sweep))
         .unwrap();
     assert!(tree_out.prefix.nodes > 0, "exhaustive sweep must share");
     let tree_evals: u64 =
         tree_out.prefix.evaluations + tree_out.cases.iter().map(|c| c.evaluations).sum::<u64>();
-
-    // Cold runs fold the base settle into case 1 on both paths; remove
-    // it from both sides by comparing the per-case remainders only.
     assert!(
-        tree_evals < naive_evals,
-        "tree ({tree_evals} evals) must beat naive ({naive_evals} evals)"
-    );
-
-    // Auto picks the tree for this sweep: same outcome as explicit Tree.
-    let mut auto = fresh_verifier(16);
-    let auto_out = auto
-        .run(&RunOptions::new().cases(sweep).strategy(CaseStrategy::Auto))
-        .unwrap();
-    assert_eq!(auto_out.prefix, tree_out.prefix);
-    assert_eq!(
-        format!("{:?}", auto_out.cases),
-        format!("{:?}", tree_out.cases)
+        tree_evals < alone_evals,
+        "tree ({tree_evals} evals) must beat the cases alone ({alone_evals} evals)"
     );
 }
 
@@ -190,60 +213,49 @@ fn unknown_signal_in_shared_prefix_fails_whole_subtree() {
             .assign("NO SUCH SIGNAL", true)
             .assign(ctl(0), true),
     ]);
-    for strategy in [CaseStrategy::Tree, CaseStrategy::Auto] {
-        let mut v = fresh_verifier(8);
-        let err = v
-            .run(&RunOptions::new().cases(sweep.clone()).strategy(strategy))
-            .unwrap_err();
-        assert_eq!(
-            err,
-            VerifyError::UnknownCaseSignal {
-                name: "NO SUCH SIGNAL".to_owned()
-            },
-            "{strategy:?}"
-        );
-        assert_eq!(
-            v.total_evaluations(),
-            0,
-            "{strategy:?}: resolution must precede all settling"
-        );
-    }
+    let mut v = fresh_verifier(8);
+    let err = v.run(&RunOptions::new().cases(sweep)).unwrap_err();
+    assert_eq!(
+        err,
+        VerifyError::UnknownCaseSignal {
+            name: "NO SUCH SIGNAL".to_owned()
+        }
+    );
+    assert_eq!(
+        v.total_evaluations(),
+        0,
+        "resolution must precede all settling"
+    );
 }
 
 /// The memoization ledger must balance: every leaf examines the same
-/// unit universe under both strategies (evaluated + inherited under the
-/// tree equals evaluated under the naive path, for checkers and for
-/// storage), the tree actually inherits most of it, and the counters
-/// are deterministic totals — identical for every worker count.
+/// unit universe as the case run alone (evaluated + inherited in the
+/// sweep equals evaluated alone, for checkers and for storage), the
+/// sweep actually inherits most of it, and the counters are
+/// deterministic totals — identical for every worker count.
 #[test]
 fn memo_counters_account_for_every_checker_unit() {
     let sweep = CaseSet::exhaustive((0..5).map(ctl));
+    let settled = settled_verifier(16);
 
-    let mut naive = fresh_verifier(16);
-    let naive_out = naive
-        .run(
-            &RunOptions::new()
-                .cases(sweep.clone())
-                .strategy(CaseStrategy::Independent),
-        )
-        .unwrap();
-    assert_eq!(naive_out.memo.node_passes, 0, "no nodes on the naive path");
-    assert_eq!(naive_out.memo.leaf_check_hits, 0);
-    assert_eq!(naive_out.memo.leaf_storage_hits, 0);
-    let check_units = naive_out.memo.leaf_check_evals;
-    let storage_units = naive_out.memo.leaf_storage_evals;
+    let mut alone = MemoStats::default();
+    for case in sweep.cases() {
+        let (outcome, _) = run_alone(&settled, case);
+        let memo = outcome.memo;
+        assert_eq!(memo.node_passes, 0, "a case run alone has no node pass");
+        assert_eq!((memo.leaf_check_hits, memo.leaf_storage_hits), (0, 0));
+        alone.leaf_check_evals += memo.leaf_check_evals;
+        alone.leaf_storage_evals += memo.leaf_storage_evals;
+    }
+    let check_units = alone.leaf_check_evals;
+    let storage_units = alone.leaf_storage_evals;
     assert!(check_units > 0 && storage_units > 0);
 
     let mut reference: Option<MemoStats> = None;
     for jobs in [1usize, 2, 8] {
         let mut v = fresh_verifier(16);
         let out = v
-            .run(
-                &RunOptions::new()
-                    .cases(sweep.clone())
-                    .jobs(jobs)
-                    .strategy(CaseStrategy::Tree),
-            )
+            .run(&RunOptions::new().cases(sweep.clone()).jobs(jobs))
             .unwrap();
         let memo = out.memo;
         assert_eq!(
@@ -271,14 +283,12 @@ fn memo_counters_account_for_every_checker_unit() {
     }
 }
 
-/// A design whose *base* settles in one evaluation per primitive
-/// (every input merely assumed-stable, so nothing propagates), but
-/// where asserting `GATE` cascades an inverter chain one wave per
-/// stage, re-evaluating the wide collector gate on every wave — the
-/// settle costs ~2×`depth` evaluations, roughly double the base. A
-/// budget between the two trips *only* the case-tree's `GATE = 1`
-/// prefix-node settle. `SEL` is an unrelated input giving two such
-/// cases distinct suffixes, which forces `GATE` into a shared node.
+/// A design where asserting `GATE` cascades an inverter chain one wave
+/// per stage, re-evaluating the wide collector gate on every wave: the
+/// `GATE = 1` settle costs about 2×`depth` evaluations. (A cold base
+/// settle cascades the same chain from `U`, about 3×`depth`.) `SEL` is
+/// an unrelated input giving two such cases distinct suffixes, which
+/// forces `GATE` into a shared node.
 fn triangle_cone_netlist(depth: u64) -> Netlist {
     let mut b = NetlistBuilder::new(Config::s1_example());
     let w = |s| Conn::new(s).with_wire_delay(DelayRange::ZERO);
@@ -312,9 +322,18 @@ fn triangle_cone_netlist(depth: u64) -> Netlist {
 /// deadlock — identically at 1, 2 and 8 workers.
 #[test]
 fn failing_prefix_node_fails_its_subtree_without_deadlocking() {
-    // Base ≈ 42 evaluations (one per prim), the GATE=1 cone ≈ 80: a
-    // budget of 60 settles the base and trips the shared prefix node.
+    // The cold base (about 120 evaluations) settles under the default
+    // budget; a verifier with a budget of 60 warm-starts from it, so its
+    // base settle costs nothing and only the GATE = 1 prefix node
+    // (about 80) trips the budget.
     let netlist = triangle_cone_netlist(40);
+    let mut cold = Verifier::new(netlist.clone());
+    cold.settle_base().unwrap();
+    let signals: Vec<_> = netlist.iter_signals().map(|(s, _)| (s, s)).collect();
+    let prims: Vec<_> = netlist.iter_prims().map(|(p, _)| (p, p)).collect();
+    let mut settled = VerifierBuilder::new(netlist).oscillation_budget(60).build();
+    settled.warm_start(&cold, &signals, &prims, &[]);
+    assert_eq!(settled.settle_base().unwrap(), (0, 0));
     let sweep = CaseSet::list([
         Case::new().assign("GATE", true).assign("SEL", false),
         Case::new().assign("GATE", true).assign("SEL", true),
@@ -322,16 +341,9 @@ fn failing_prefix_node_fails_its_subtree_without_deadlocking() {
 
     let mut reference: Option<VerifyError> = None;
     for jobs in [1usize, 2, 8] {
-        let mut v = VerifierBuilder::new(netlist.clone())
-            .oscillation_budget(60)
-            .build();
-        let err = v
-            .run(
-                &RunOptions::new()
-                    .cases(sweep.clone())
-                    .jobs(jobs)
-                    .strategy(CaseStrategy::Tree),
-            )
+        let err = settled
+            .clone()
+            .run(&RunOptions::new().cases(sweep.clone()).jobs(jobs))
             .unwrap_err();
         assert!(
             matches!(err, VerifyError::Oscillation { .. }),
@@ -343,16 +355,14 @@ fn failing_prefix_node_fails_its_subtree_without_deadlocking() {
         }
     }
 
-    // The naive path fails the same sweep too (each case independently).
-    let mut naive = VerifierBuilder::new(netlist).oscillation_budget(60).build();
-    let err = naive
-        .run(
-            &RunOptions::new()
-                .cases(sweep)
-                .strategy(CaseStrategy::Independent),
-        )
-        .unwrap_err();
-    assert!(matches!(err, VerifyError::Oscillation { .. }));
+    // Each case run alone fails too.
+    for case in sweep.cases() {
+        let err = settled
+            .clone()
+            .run(&RunOptions::new().case(case.clone()))
+            .unwrap_err();
+        assert!(matches!(err, VerifyError::Oscillation { .. }), "{err:?}");
+    }
 }
 
 /// `RunOutcome::try_sole` is the non-panicking accessor: `Ok` for a

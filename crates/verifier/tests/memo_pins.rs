@@ -9,13 +9,13 @@
 //! on a settled verifier, as the bench runs them; and two sweeps with
 //! violations — the thesis' register file, and a small design whose
 //! checker, hazard and assertion verdicts change from case to case,
-//! crossed with a delay corner.
+//! crossed with a delay corner. The register file also runs as one
+//! case, which computes no node pass, and as a list of cases sharing no
+//! prefix, which check against the base pass.
 
 use scald_gen::sweep::{sweep_netlist, SweepOptions};
 use scald_netlist::{Config, Conn, Netlist, NetlistBuilder};
-use scald_verifier::{
-    CaseSet, CaseStrategy, DelayCorner, MemoStats, PrefixStats, RunOptions, Verifier,
-};
+use scald_verifier::{Case, CaseSet, DelayCorner, MemoStats, PrefixStats, RunOptions, Verifier};
 use scald_wave::{DelayRange, Time};
 
 const JOBS: [usize; 3] = [1, 2, 8];
@@ -48,21 +48,11 @@ const fn prefix(nodes: usize, events: u64, evaluations: u64) -> PrefixStats {
 
 /// Runs `set` at each worker count on a copy of `base` and asserts the
 /// pinned counters and the total violation count.
-fn assert_pinned(
-    base: &Verifier,
-    set: &CaseSet,
-    strategy: CaseStrategy,
-    pins: (MemoStats, PrefixStats, usize),
-) {
+fn assert_pinned(base: &Verifier, set: &CaseSet, pins: (MemoStats, PrefixStats, usize)) {
     for jobs in JOBS {
         let mut v = base.clone();
         let out = v
-            .run(
-                &RunOptions::new()
-                    .cases(set.clone())
-                    .jobs(jobs)
-                    .strategy(strategy),
-            )
+            .run(&RunOptions::new().cases(set.clone()).jobs(jobs))
             .expect("pinned sweeps settle");
         let violations: usize = out.cases.iter().map(|c| c.violations.len()).sum();
         assert_eq!(
@@ -89,7 +79,6 @@ fn case_sched_counters_are_pinned_at_10_and_100_cases() {
     assert_pinned(
         &base,
         &first(10),
-        CaseStrategy::Tree,
         (
             memo((10, 1590, 14310), (0, 15900), (0, 47810), 18),
             prefix(9, 0, 1650),
@@ -99,7 +88,6 @@ fn case_sched_counters_are_pinned_at_10_and_100_cases() {
     assert_pinned(
         &base,
         &first(100),
-        CaseStrategy::Tree,
         (
             memo((100, 1590, 157_410), (0, 159_000), (0, 478_100), 198),
             prefix(99, 0, 2530),
@@ -110,18 +98,48 @@ fn case_sched_counters_are_pinned_at_10_and_100_cases() {
 
 #[test]
 fn register_file_sweep_counters_are_pinned() {
-    let netlist = scald_hdl::compile(include_str!("../../../designs/register_file.scald"))
-        .expect("shipped design compiles")
-        .netlist;
     assert_pinned(
-        &Verifier::new(netlist),
+        &Verifier::new(register_file()),
         &CaseSet::exhaustive(["BYPASS", "WRITE", "W DATA"]),
-        CaseStrategy::Auto,
         (
             memo((7, 23, 12), (16, 24), (8, 120), 12),
             prefix(6, 0, 6),
             16,
         ),
+    );
+}
+
+fn register_file() -> Netlist {
+    scald_hdl::compile(include_str!("../../../designs/register_file.scald"))
+        .expect("shipped design compiles")
+        .netlist
+}
+
+/// A lone leaf (one case at the worst-case corner) checks its own state
+/// in full and computes no base pass: no node passes, and every checker
+/// unit and every signal counted as a leaf evaluation.
+#[test]
+fn one_case_run_checks_in_full_without_a_node_pass() {
+    assert_pinned(
+        &Verifier::new(register_file()),
+        &CaseSet::list([]),
+        (memo((0, 0, 0), (5, 0), (16, 0), 0), prefix(0, 0, 0), 3),
+    );
+}
+
+/// Cases that share no prefix root directly on the settled base: one
+/// base pass, then each leaf a delta pass over its own cone.
+#[test]
+fn cases_sharing_no_prefix_check_against_the_base_pass() {
+    let set = CaseSet::list([
+        Case::new().assign("BYPASS", true),
+        Case::new().assign("WRITE", false),
+        Case::new().assign("W DATA", true),
+    ]);
+    assert_pinned(
+        &Verifier::new(register_file()),
+        &set,
+        (memo((1, 5, 0), (8, 7), (2, 46), 0), prefix(0, 0, 0), 7),
     );
 }
 
@@ -160,7 +178,6 @@ fn selectable_violation_sweep_counters_are_pinned() {
     assert_pinned(
         &Verifier::new(selectable_violations()),
         &set,
-        CaseStrategy::Auto,
         (
             memo((14, 54, 16), (48, 32), (38, 138), 26),
             prefix(13, 12, 33),

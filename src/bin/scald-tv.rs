@@ -38,11 +38,6 @@
 //!     --trace FILE     stream engine trace events (one JSON object per
 //!                      line) to FILE while verifying
 //!     --no-cases       ignore the design's case blocks (single pass)
-//!     --case-strategy S  case scheduling: auto (default; the engine
-//!                      picks), tree (force the shared-prefix scheduler
-//!                      with memoized checker/storage passes), or naive
-//!                      (force independent full passes per case); the
-//!                      resolved choice is echoed in the report JSON
 //!     --no-eval-cache  disable the evaluation memo table (the A/B
 //!                      baseline for benchmarking; results are
 //!                      byte-identical with the cache on)
@@ -85,8 +80,7 @@ use scald::serve::{serve, ServeOptions};
 use scald::trace::json::Json;
 use scald::trace::JsonlSink;
 use scald::verifier::{
-    Case, CaseResult, CaseSet, CaseStrategy, RunOptions, Verifier, VerifierBuilder, VerifyError,
-    Violation,
+    Case, CaseResult, CaseSet, RunOptions, Verifier, VerifierBuilder, VerifyError, Violation,
 };
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -142,7 +136,7 @@ const USAGE: &str = "usage: scald-tv [--frontend scald|verilog] \
                      [--summary] [--diagram] [--slack] \
                      [--paths] [--prob RHO] [--netlist] [--xref] [--stats] [--storage] \
                      [--format text|json] [--trace FILE] \
-                     [--no-cases] [--case-strategy auto|tree|naive] \
+                     [--no-cases] \
                      [--no-eval-cache] [--jobs N] \
                      [--watch] [--watch-poll-ms N] [--watch-max-edits N] \
                      [--baseline OLD.scald] <DESIGN.scald | DESIGN.v>\n\
@@ -179,7 +173,6 @@ struct Options {
     format: Format,
     trace: Option<String>,
     no_cases: bool,
-    case_strategy: CaseStrategy,
     no_eval_cache: bool,
     jobs: Option<usize>,
     watch: bool,
@@ -204,7 +197,6 @@ fn parse_args() -> Result<Options, String> {
         format: Format::Text,
         trace: None,
         no_cases: false,
-        case_strategy: CaseStrategy::default(),
         no_eval_cache: false,
         jobs: None,
         watch: false,
@@ -223,12 +215,6 @@ fn parse_args() -> Result<Options, String> {
         }
         match arg.as_str() {
             "--no-cases" => opts.no_cases = true,
-            "--case-strategy" => {
-                opts.case_strategy = args
-                    .next()
-                    .ok_or_else(|| "--case-strategy expects auto, tree or naive".to_owned())?
-                    .parse()?;
-            }
             "--no-eval-cache" => opts.no_eval_cache = true,
             "--frontend" => {
                 frontend = Some(match args.next().as_deref() {
@@ -597,9 +583,7 @@ fn run_verifier(
     verifier: &mut Verifier,
     cases: &[Case],
 ) -> Result<Vec<CaseResult>, VerifyError> {
-    let mut options = RunOptions::new()
-        .cases(CaseSet::list(cases.iter().cloned()))
-        .strategy(opts.case_strategy);
+    let mut options = RunOptions::new().cases(CaseSet::list(cases.iter().cloned()));
     if let Some(n) = opts.jobs {
         // Default (no flag): the engine picks its own worker budget.
         options = options.jobs(n);
