@@ -156,6 +156,18 @@ cargo run -q -p scald-bench --release --bin loadtest -- --clients 4 --chips 60 -
 # same violations, and both records must be written.
 cargo run -q -p scald-bench --release --bin case_tree -- --counts 10,1000 --master 100 --block 4 --out-dir target/bench_cases_smoke
 
+# Smoke the incremental-vs-full bench on a tiny design (the committed
+# BENCH_incr.json uses the default 400 chips): a one-primitive retime
+# must re-verify with under 10% of the full run's events.
+cargo run -q -p scald-bench --release --bin incr_vs_full -- --chips 40 --out target/BENCH_incr_smoke.json
+
+# A mistyped bench flag is a usage error (exit 2), not a run at the
+# default size. (A `!`-negated command cannot fail a `set -e` script,
+# so the status is tested.)
+status=0
+cargo run -q -p scald-bench --release --bin settle_scaling -- --chip 40 || status=$?
+test "$status" -eq 2
+
 # The benchmark's self-tests: all four workloads at tiny size, in both
 # trace modes (its own Cargo package; see e2ebench/README.md).
 cargo test --release --manifest-path e2ebench/Cargo.toml

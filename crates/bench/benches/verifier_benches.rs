@@ -3,18 +3,19 @@
 //! comparison. Std-only harness — run with `cargo bench`, filter by
 //! substring: `cargo bench --bench verifier_benches -- fig_2_6`.
 
-use scald_bench::harness::Bench;
+use scald_bench::harness::{
+    ctl_cases, logic_prim, muxed_paths_circuit, retime_replay, s1_netlist, verify, Bench,
+};
 use scald_gen::figures::{
     alu_stage, case_analysis_circuit, correlation_circuit, hazard_circuit, register_file_circuit,
 };
-use scald_gen::s1::{s1_like_netlist, S1Options};
 use scald_incr::{Delta, DesignInput, NetlistDelta, Session, SessionBuilder};
-use scald_netlist::{Config, Conn, Netlist, NetlistBuilder, SignalId};
+use scald_netlist::SignalId;
 use scald_paths::PathAnalysis;
 use scald_sim::{primary_inputs, simulate, Stimulus};
 use scald_trace::CounterSink;
 use scald_verifier::{Case, CaseSet, RunOptions, Verifier, VerifierBuilder};
-use scald_wave::{DelayRange, Time};
+use scald_wave::DelayRange;
 use std::sync::Arc;
 
 /// Fig 2-5 / Fig 3-11: verify the register-file circuit.
@@ -22,23 +23,13 @@ fn fig_3_10_3_11(b: &Bench) {
     b.bench_with_setup(
         "fig_3_11/register_file_verify",
         || register_file_circuit().0,
-        |netlist| {
-            let mut v = Verifier::new(netlist);
-            v.run(&RunOptions::new()).expect("settles").into_sole()
-        },
+        verify,
     );
 }
 
 /// Fig 1-5: hazard detection via the &A directive.
 fn fig_1_5(b: &Bench) {
-    b.bench_with_setup(
-        "fig_1_5/hazard_verify",
-        || hazard_circuit(true),
-        |netlist| {
-            let mut v = Verifier::new(netlist);
-            v.run(&RunOptions::new()).expect("settles").into_sole()
-        },
-    );
+    b.bench_with_setup("fig_1_5/hazard_verify", || hazard_circuit(true), verify);
 }
 
 /// Fig 2-6: two-case analysis, showing the incremental second case.
@@ -56,21 +47,11 @@ fn fig_2_6(b: &Bench) {
 
 /// Fig 3-12 and Fig 4-1: the remaining figure circuits.
 fn other_figures(b: &Bench) {
-    b.bench_with_setup(
-        "fig_3_12/alu_stage_verify",
-        || alu_stage().0,
-        |netlist| {
-            let mut v = Verifier::new(netlist);
-            v.run(&RunOptions::new()).expect("settles").into_sole()
-        },
-    );
+    b.bench_with_setup("fig_3_12/alu_stage_verify", || alu_stage().0, verify);
     b.bench_with_setup(
         "fig_4_1/correlation_verify",
         || correlation_circuit(false),
-        |netlist| {
-            let mut v = Verifier::new(netlist);
-            v.run(&RunOptions::new()).expect("settles").into_sole()
-        },
+        verify,
     );
 }
 
@@ -79,17 +60,11 @@ fn other_figures(b: &Bench) {
 /// binary runs the full 6357).
 fn table_3_1_scaling(b: &Bench) {
     for chips in [100usize, 400, 1600] {
-        let (netlist, _) = s1_like_netlist(S1Options {
-            chips,
-            ..S1Options::default()
-        });
+        let (netlist, _) = s1_netlist(chips);
         b.bench_with_setup(
             &format!("table_3_1/verify_s1_like/{chips}"),
             || netlist.clone(),
-            |netlist| {
-                let mut v = Verifier::new(netlist);
-                v.run(&RunOptions::new()).expect("settles").into_sole()
-            },
+            verify,
         );
     }
 }
@@ -97,10 +72,7 @@ fn table_3_1_scaling(b: &Bench) {
 /// §2.7 at scale: many-case analysis over an S-1-like design, serial vs
 /// the worker pool — the experiment behind the `--jobs` flag.
 fn par_cases(b: &Bench) {
-    let (netlist, _) = s1_like_netlist(S1Options {
-        chips: 400,
-        ..S1Options::default()
-    });
+    let (netlist, _) = s1_netlist(400);
     // 16 cases, each flipping three of the generator's global controls so
     // every case dirties a sizeable cone. The engine is pre-settled in the
     // untimed setup, so the timed region is exactly the case sweep — the
@@ -143,10 +115,7 @@ fn par_cases(b: &Bench) {
 /// A single implicit case, so none of the parallelism comes from the
 /// case fan-out — this times `--jobs` for the intra-run settle path.
 fn par_settle(b: &Bench) {
-    let (netlist, _) = s1_like_netlist(S1Options {
-        chips: 400,
-        ..S1Options::default()
-    });
+    let (netlist, _) = s1_netlist(400);
     for jobs in [1usize, 2, 4, 8] {
         let label = if jobs == 1 {
             "serial".to_owned()
@@ -172,18 +141,8 @@ fn par_settle(b: &Bench) {
 /// the ≤ 2 % overhead claim: compare `trace_overhead/disabled/400`
 /// against `table_3_1/verify_s1_like/400` from the same bench run.
 fn trace_overhead(b: &Bench) {
-    let (netlist, _) = s1_like_netlist(S1Options {
-        chips: 400,
-        ..S1Options::default()
-    });
-    b.bench_with_setup(
-        "trace_overhead/disabled/400",
-        || netlist.clone(),
-        |netlist| {
-            let mut v = Verifier::new(netlist);
-            v.run(&RunOptions::new()).expect("settles").into_sole()
-        },
-    );
+    let (netlist, _) = s1_netlist(400);
+    b.bench_with_setup("trace_overhead/disabled/400", || netlist.clone(), verify);
     b.bench_with_setup(
         "trace_overhead/counter_sink/400",
         || netlist.clone(),
@@ -205,25 +164,9 @@ fn trace_overhead(b: &Bench) {
 ///
 /// [`Session::apply`]: scald_incr::Session::apply
 fn incr_vs_full(b: &Bench) {
-    let (netlist, _) = s1_like_netlist(S1Options {
-        chips: 400,
-        ..S1Options::default()
-    });
-    b.bench_with_setup(
-        "incr_vs_full/full_verify/400",
-        || netlist.clone(),
-        |netlist| {
-            let mut v = Verifier::new(netlist);
-            v.run(&RunOptions::new()).expect("settles").into_sole()
-        },
-    );
-    let target = netlist
-        .prims()
-        .iter()
-        .find(|p| p.name.ends_with("/LOGIC"))
-        .expect("generated design has datapath slices")
-        .name
-        .clone();
+    let (netlist, _) = s1_netlist(400);
+    b.bench_with_setup("incr_vs_full/full_verify/400", || netlist.clone(), verify);
+    let (target, _) = logic_prim(&netlist);
     let mut session = Session::open(
         DesignInput::netlist(netlist.clone(), vec![Case::new()]),
         "bench",
@@ -249,13 +192,9 @@ fn incr_vs_full(b: &Bench) {
 /// session replay alternates one retime back and forth, so half the
 /// edits re-enter a previously cached design state.
 fn eval_cache(b: &Bench) {
-    let (netlist, _) = s1_like_netlist(S1Options {
-        chips: 400,
-        ..S1Options::default()
-    });
-    let cases: CaseSet = (0..8)
-        .map(|i| Case::new().assign(format!("CTL {i}"), i % 2 == 0))
-        .collect();
+    let (netlist, _) = s1_netlist(400);
+    let cases = CaseSet::list(ctl_cases());
+    let (target, original) = logic_prim(&netlist);
     for cached in [false, true] {
         let mode = if cached { "cached" } else { "uncached" };
         b.bench_with_setup(
@@ -275,19 +214,6 @@ fn eval_cache(b: &Bench) {
                     .expect("settles")
             },
         );
-        let target = netlist
-            .prims()
-            .iter()
-            .find(|p| p.name.ends_with("/LOGIC"))
-            .expect("generated design has datapath slices")
-            .name
-            .clone();
-        let original = netlist
-            .prims()
-            .iter()
-            .find(|p| p.name == target)
-            .expect("target exists")
-            .delay;
         let mut session = SessionBuilder::new()
             .eval_cache(cached)
             .open(
@@ -295,67 +221,10 @@ fn eval_cache(b: &Bench) {
                 "bench",
             )
             .expect("settles");
-        b.bench(&format!("eval_cache/session_replay10/{mode}"), move || {
-            let mut events = 0u64;
-            for edit in 0..10 {
-                let delay = if edit % 2 == 0 {
-                    DelayRange::from_ns(2.0, 6.5)
-                } else {
-                    original
-                };
-                let mut delta = NetlistDelta::new();
-                delta.retime(target.clone(), delay);
-                events += session
-                    .apply(Delta::Netlist(delta))
-                    .expect("retime applies")
-                    .events;
-            }
-            events
+        b.bench(&format!("eval_cache/session_replay10/{mode}"), || {
+            retime_replay(&mut session, &target, original).1
         });
     }
-}
-
-fn muxed_paths_circuit(n: usize) -> Netlist {
-    let mut b = NetlistBuilder::new(Config::s1_example());
-    let clk = b.signal("CK .P6-7 (0,0)").expect("valid");
-    let z = |s: SignalId| Conn::new(s).with_wire_delay(DelayRange::ZERO);
-    for i in 0..n {
-        let sel = b.signal(&format!("SEL{i}")).expect("valid");
-        let fast = b.signal(&format!("FAST{i} .S0-1")).expect("valid");
-        let slow_in = b.signal(&format!("SLOWIN{i} .S0-1")).expect("valid");
-        let slow = b.signal(&format!("SLOW{i}")).expect("valid");
-        let m = b.signal(&format!("M{i}")).expect("valid");
-        let q = b.signal(&format!("Q{i}")).expect("valid");
-        b.buf(
-            format!("SB{i}"),
-            DelayRange::from_ns(33.0, 36.0),
-            z(slow_in),
-            slow,
-        );
-        b.mux2(
-            format!("MX{i}"),
-            DelayRange::from_ns(1.2, 3.3),
-            z(sel),
-            z(fast),
-            z(slow),
-            m,
-        );
-        b.reg(
-            format!("R{i}"),
-            DelayRange::from_ns(1.5, 4.5),
-            z(clk),
-            z(m),
-            q,
-        );
-        b.setup_hold(
-            format!("C{i}"),
-            Time::from_ns(2.5),
-            Time::from_ns(1.5),
-            z(m),
-            z(clk),
-        );
-    }
-    b.finish().expect("well-formed")
 }
 
 /// The headline comparison: one symbolic pass vs 2^n simulated patterns.
@@ -365,10 +234,7 @@ fn verifier_vs_sim(b: &Bench) {
         b.bench_with_setup(
             &format!("scaling/verifier_one_pass/{n}"),
             || netlist.clone(),
-            |netlist| {
-                let mut v = Verifier::new(netlist);
-                v.run(&RunOptions::new()).expect("settles").into_sole()
-            },
+            verify,
         );
         let sweep: Vec<SignalId> = primary_inputs(&netlist)
             .into_iter()

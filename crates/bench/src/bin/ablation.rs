@@ -8,40 +8,20 @@
 //!
 //! Usage: `cargo run -p scald-bench --bin ablation --release [--chips N]`
 
+use scald_bench::harness::{flags, s1_netlist, timed, verify};
 use scald_gen::ablation::bit_blast;
-use scald_gen::s1::{s1_like_netlist, S1Options};
-use scald_verifier::{RunOptions, Verifier};
-use std::time::Instant;
 
 fn main() {
-    let chips = {
-        // Default smaller than the tables: the blasted design is ~7x
-        // bigger.
-        let n = scald_bench::chips_arg();
-        if n == 6357 {
-            1500
-        } else {
-            n
-        }
-    };
-    let (vector, stats) = s1_like_netlist(S1Options {
-        chips,
-        ..S1Options::default()
-    });
+    // Default smaller than the tables: the blasted design is ~7x bigger.
+    let chips = flags(|f| f.get("--chips", 1500));
+    let (vector, stats) = s1_netlist(chips);
     println!("ABLATION — vector-width symmetry ({} chips)\n", stats.chips);
 
-    let t = Instant::now();
-    let blasted = bit_blast(&vector);
-    let blast_time = t.elapsed();
+    let (blasted, blast_time) = timed(|| bit_blast(&vector));
 
-    let run = |netlist: scald_netlist::Netlist| {
-        let t = Instant::now();
-        let mut v = Verifier::new(netlist);
-        let r = v
-            .run(&RunOptions::new())
-            .expect("design settles")
-            .into_sole();
-        (t.elapsed(), r.events, r.evaluations, r.violations.len())
+    let run = |netlist| {
+        let (r, wall) = timed(|| verify(netlist));
+        (wall, r.events, r.evaluations, r.violations.len())
     };
 
     let vec_prims = vector.prims().len();

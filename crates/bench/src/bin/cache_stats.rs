@@ -12,61 +12,15 @@
 //! to redirect the JSON.)
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use scald_gen::s1::{s1_like_netlist, S1Options};
-use scald_incr::{Delta, DesignInput, NetlistDelta, Session, SessionBuilder};
+use scald_bench::harness::{
+    ctl_cases, flags, logic_prim, nanos, obj, retime_replay, s1_netlist, timed, write_record,
+};
+use scald_incr::{DesignInput, SessionBuilder};
 use scald_netlist::Netlist;
 use scald_trace::json::Json;
 use scald_verifier::{Case, CaseSet, EvalCache, RunOptions, VerifierBuilder};
-use scald_wave::DelayRange;
-
-struct Args {
-    chips: usize,
-    out: String,
-}
-
-fn parse_args() -> Args {
-    let mut parsed = Args {
-        chips: 400,
-        out: "BENCH_cache.json".to_owned(),
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--chips" => {
-                if let Some(n) = args.next().and_then(|s| s.parse().ok()) {
-                    parsed.chips = n;
-                }
-            }
-            "--out" => {
-                if let Some(p) = args.next() {
-                    parsed.out = p;
-                }
-            }
-            other => panic!("unknown argument: {other}"),
-        }
-    }
-    parsed
-}
-
-/// Eight single-assignment cases over the generated design's global
-/// control signals.
-fn cases() -> Vec<Case> {
-    (0..8)
-        .map(|i| Case::new().assign(format!("CTL {i}"), i % 2 == 0))
-        .collect()
-}
-
-fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
-    let start = Instant::now();
-    let value = f();
-    (value, start.elapsed())
-}
-
-fn wall_ns(d: Duration) -> u64 {
-    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
-}
 
 fn run_cases(
     netlist: &Netlist,
@@ -76,38 +30,20 @@ fn run_cases(
         .eval_cache(cached)
         .build();
     let (_, wall) = timed(|| {
-        v.run(&RunOptions::new().cases(CaseSet::list(cases())).jobs(1))
+        v.run(&RunOptions::new().cases(CaseSet::list(ctl_cases())).jobs(1))
             .expect("design settles")
     });
     (wall, v.eval_cache_stats())
 }
 
-/// A 10-edit session: one datapath primitive retimed back and forth five
-/// times, so every second edit replays a previously seen design state.
-fn replay_session(mut session: Session, target: &str, original: DelayRange) -> Duration {
-    let mut wall = Duration::ZERO;
-    for edit in 0..10 {
-        let delay = if edit % 2 == 0 {
-            DelayRange::from_ns(2.0, 6.5)
-        } else {
-            original
-        };
-        let mut delta = NetlistDelta::new();
-        delta.retime(target.to_owned(), delay);
-        let stats = session
-            .apply(Delta::Netlist(delta))
-            .expect("retime applies");
-        wall += stats.wall;
-    }
-    wall
-}
-
 fn main() {
-    let args = parse_args();
-    let (netlist, stats) = s1_like_netlist(S1Options {
-        chips: args.chips,
-        ..S1Options::default()
+    let (chips, out) = flags(|f| {
+        (
+            f.get("--chips", 400),
+            f.get("--out", "BENCH_cache.json".to_owned()),
+        )
     });
+    let (netlist, stats) = s1_netlist(chips);
     println!(
         "design: {} chips, {} primitives, {} signals",
         stats.chips, stats.prims, stats.signals
@@ -151,6 +87,7 @@ fn main() {
     );
 
     // C. A 10-edit incremental session replay, cache off vs on.
+    let (target, original) = logic_prim(&netlist);
     let open = |cached: bool| {
         SessionBuilder::new()
             .eval_cache(cached)
@@ -160,76 +97,58 @@ fn main() {
             )
             .expect("session opens")
     };
-    let session_off = open(false);
-    let session_on = open(true);
-    let target = session_on
-        .netlist()
-        .prims()
-        .iter()
-        .find(|p| p.name.ends_with("/LOGIC"))
-        .expect("generated design has datapath slices")
-        .name
-        .clone();
-    let original = session_on
-        .netlist()
-        .prims()
-        .iter()
-        .find(|p| p.name == target)
-        .unwrap()
-        .delay;
-    let incr_off = replay_session(session_off, &target, original);
-    let incr_on = replay_session(session_on, &target, original);
+    let (mut session_off, mut session_on) = (open(false), open(true));
+    let (incr_off, _) = retime_replay(&mut session_off, &target, original);
+    let (incr_on, _) = retime_replay(&mut session_on, &target, original);
     let incr_speedup = incr_off.as_secs_f64() / incr_on.as_secs_f64().max(1e-9);
     println!(
         "incr session (10 edits on {target}): {incr_off:.2?} uncached, {incr_on:.2?} cached \
          ({incr_speedup:.2}x)"
     );
 
-    let doc = Json::Obj(vec![
-        ("schema".to_owned(), Json::str("scald-bench-cache")),
-        ("version".to_owned(), Json::from(1u64)),
-        ("chips".to_owned(), Json::from(args.chips as u64)),
-        (
-            "multi_case".to_owned(),
-            Json::Obj(vec![
-                ("cases".to_owned(), Json::from(8u64)),
-                ("uncached_wall_ns".to_owned(), Json::from(wall_ns(case_off))),
-                ("cached_wall_ns".to_owned(), Json::from(wall_ns(case_on))),
-                ("speedup".to_owned(), Json::from(case_speedup)),
-                ("hits".to_owned(), Json::from(case_stats.hits)),
-                ("misses".to_owned(), Json::from(case_stats.misses)),
-                ("hit_rate".to_owned(), Json::from(case_stats.hit_rate())),
-                ("entries".to_owned(), Json::from(case_stats.entries as u64)),
-            ]),
-        ),
-        (
-            "warm_replay".to_owned(),
-            Json::Obj(vec![
-                ("cold_wall_ns".to_owned(), Json::from(wall_ns(cold_wall))),
-                (
-                    "uncached_wall_ns".to_owned(),
-                    Json::from(wall_ns(uncached_wall)),
-                ),
-                ("warm_wall_ns".to_owned(), Json::from(wall_ns(warm_wall))),
-                ("speedup".to_owned(), Json::from(warm_speedup)),
-                ("hits".to_owned(), Json::from(warm_hits)),
-                ("misses".to_owned(), Json::from(warm_misses)),
-                ("hit_rate".to_owned(), Json::from(warm_rate)),
-            ]),
-        ),
-        (
-            "incr_session".to_owned(),
-            Json::Obj(vec![
-                ("edits".to_owned(), Json::from(10u64)),
-                ("retimed_prim".to_owned(), Json::str(target)),
-                ("uncached_wall_ns".to_owned(), Json::from(wall_ns(incr_off))),
-                ("cached_wall_ns".to_owned(), Json::from(wall_ns(incr_on))),
-                ("speedup".to_owned(), Json::from(incr_speedup)),
-            ]),
-        ),
-    ]);
-    std::fs::write(&args.out, doc.to_string_pretty() + "\n").expect("write BENCH_cache.json");
-    println!("recorded {}", args.out);
+    write_record(
+        &out,
+        "scald-bench-cache",
+        1,
+        [
+            ("chips", Json::from(chips as u64)),
+            (
+                "multi_case",
+                obj([
+                    ("cases", Json::from(8u64)),
+                    ("uncached_wall_ns", Json::from(nanos(case_off))),
+                    ("cached_wall_ns", Json::from(nanos(case_on))),
+                    ("speedup", Json::from(case_speedup)),
+                    ("hits", Json::from(case_stats.hits)),
+                    ("misses", Json::from(case_stats.misses)),
+                    ("hit_rate", Json::from(case_stats.hit_rate())),
+                    ("entries", Json::from(case_stats.entries as u64)),
+                ]),
+            ),
+            (
+                "warm_replay",
+                obj([
+                    ("cold_wall_ns", Json::from(nanos(cold_wall))),
+                    ("uncached_wall_ns", Json::from(nanos(uncached_wall))),
+                    ("warm_wall_ns", Json::from(nanos(warm_wall))),
+                    ("speedup", Json::from(warm_speedup)),
+                    ("hits", Json::from(warm_hits)),
+                    ("misses", Json::from(warm_misses)),
+                    ("hit_rate", Json::from(warm_rate)),
+                ]),
+            ),
+            (
+                "incr_session",
+                obj([
+                    ("edits", Json::from(10u64)),
+                    ("retimed_prim", Json::str(&target)),
+                    ("uncached_wall_ns", Json::from(nanos(incr_off))),
+                    ("cached_wall_ns", Json::from(nanos(incr_on))),
+                    ("speedup", Json::from(incr_speedup)),
+                ]),
+            ),
+        ],
+    );
 
     // The cache's headline invariant on any box, regardless of size or
     // core count: replaying an unchanged design through a shared table

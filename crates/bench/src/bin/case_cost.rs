@@ -11,23 +11,12 @@
 //!
 //! Usage: `cargo run -p scald-bench --bin case_cost --release [--chips N]`
 
-use scald_gen::s1::{s1_like_netlist, S1Options};
+use scald_bench::harness::{ctl_cases, flags, s1_netlist, timed};
 use scald_verifier::{Case, CaseSet, RunOptions, Verifier};
-use std::time::Instant;
 
 fn main() {
-    let chips = {
-        let n = scald_bench::chips_arg();
-        if n == 6357 {
-            2000
-        } else {
-            n
-        }
-    };
-    let (netlist, stats) = s1_like_netlist(S1Options {
-        chips,
-        ..S1Options::default()
-    });
+    let chips = flags(|f| f.get("--chips", 2000));
+    let (netlist, stats) = s1_netlist(chips);
     println!(
         "INCREMENTAL CASE COST — {} chips, {} primitives\n",
         stats.chips, stats.prims
@@ -36,17 +25,14 @@ fn main() {
     // Case 0: no overrides (the full pass). Cases 1..: flip one global
     // control signal each, alternating polarity.
     let mut cases = vec![Case::new()];
-    for i in 0..8 {
-        cases.push(Case::new().assign(format!("CTL {i}"), i % 2 == 0));
-    }
+    cases.extend(ctl_cases());
 
     let mut v = Verifier::new(netlist);
-    let t = Instant::now();
-    let results = v
-        .run(&RunOptions::new().cases(CaseSet::list(cases.iter().cloned())))
-        .expect("design settles")
-        .cases;
-    let total = t.elapsed();
+    let (outcome, total) = timed(|| {
+        v.run(&RunOptions::new().cases(CaseSet::list(cases.iter().cloned())))
+            .expect("design settles")
+    });
+    let results = outcome.cases;
 
     println!(
         "{:<34} {:>12} {:>10} {:>12}",
@@ -77,26 +63,19 @@ fn main() {
     // engines so both paths pay the same base settle.
     println!("\nSERIAL VS PARALLEL WALL-CLOCK (same cases, fresh engine each)");
     println!("{:<10} {:>14} {:>10}", "JOBS", "WALL", "SPEEDUP");
-    let time_with = |jobs: Option<usize>| {
-        let (netlist, _) = s1_like_netlist(S1Options {
-            chips,
-            ..S1Options::default()
-        });
+    let time_with = |jobs: usize| {
+        let (netlist, _) = s1_netlist(chips);
         let mut v = Verifier::new(netlist);
-        let t = Instant::now();
-        let jobs = jobs.unwrap_or(1);
-        v.run(
-            &RunOptions::new()
-                .cases(CaseSet::list(cases.iter().cloned()))
-                .jobs(jobs),
-        )
-        .expect("design settles");
-        t.elapsed()
+        let options = RunOptions::new()
+            .cases(CaseSet::list(cases.iter().cloned()))
+            .jobs(jobs);
+        let (_, wall) = timed(|| v.run(&options).expect("design settles"));
+        wall
     };
-    let serial = time_with(None);
+    let serial = time_with(1);
     println!("{:<10} {:>14.2?} {:>9.2}x", "serial", serial, 1.0);
     for jobs in [2, 4, scald_bench::default_jobs()] {
-        let par = time_with(Some(jobs));
+        let par = time_with(jobs);
         println!(
             "{:<10} {:>14.2?} {:>9.2}x",
             jobs,

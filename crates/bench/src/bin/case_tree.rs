@@ -26,21 +26,12 @@
 //! `--out-dir DIR` to write both records into `DIR` instead of the
 //! current directory, as the CI smoke run does.)
 
-use std::time::Instant;
+use std::path::PathBuf;
 
+use scald_bench::harness::{flags, nanos, obj, timed, write_record};
 use scald_gen::sweep::{sweep_netlist, SweepOptions};
 use scald_trace::json::Json;
-use scald_verifier::{CaseSet, MemoStats, RunOptions, RunOutcome, Verifier};
-
-fn flag_value(flag: &str) -> Option<String> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        }
-    }
-    None
-}
+use scald_verifier::{CaseSet, MemoStats, RunOptions, Verifier};
 
 /// Wall clock and counters of one or more timed runs, summed.
 #[derive(Default)]
@@ -55,9 +46,10 @@ struct Measured {
 }
 
 impl Measured {
-    /// Adds one run that took `wall_ns`.
-    fn add(&mut self, wall_ns: u64, out: &RunOutcome) {
-        self.wall_ns += wall_ns;
+    /// Times `options` on `v` and adds the run.
+    fn run(&mut self, v: &mut Verifier, options: &RunOptions) {
+        let (out, wall) = timed(|| v.run(options).expect("sweep cases settle"));
+        self.wall_ns += nanos(wall);
         self.events += out.prefix.events + out.cases.iter().map(|c| c.events).sum::<u64>();
         self.evaluations +=
             out.prefix.evaluations + out.cases.iter().map(|c| c.evaluations).sum::<u64>();
@@ -86,64 +78,48 @@ impl Measured {
 
     /// The `BENCH_cases.json` columns.
     fn settle_json(&self) -> Json {
-        Json::Obj(vec![
-            ("wall_ns".into(), Json::from(self.wall_ns)),
-            ("settle_events".into(), Json::from(self.events)),
-            ("settle_evaluations".into(), Json::from(self.evaluations)),
-            ("prefix_nodes".into(), Json::from(self.prefix_nodes as u64)),
-            ("violations".into(), Json::from(self.violations as u64)),
+        obj([
+            ("wall_ns", Json::from(self.wall_ns)),
+            ("settle_events", Json::from(self.events)),
+            ("settle_evaluations", Json::from(self.evaluations)),
+            ("prefix_nodes", Json::from(self.prefix_nodes as u64)),
+            ("violations", Json::from(self.violations as u64)),
         ])
     }
 
     /// The `BENCH_sched.json` columns.
     fn memo_json(&self) -> Json {
         let m = &self.memo;
-        Json::Obj(vec![
-            ("wall_ns".into(), Json::from(self.wall_ns)),
-            ("prefix_nodes".into(), Json::from(self.prefix_nodes as u64)),
-            ("node_passes".into(), Json::from(m.node_passes)),
-            ("node_check_evals".into(), Json::from(m.node_check_evals)),
-            ("leaf_check_evals".into(), Json::from(m.leaf_check_evals)),
-            ("leaf_check_hits".into(), Json::from(m.leaf_check_hits)),
+        obj([
+            ("wall_ns", Json::from(self.wall_ns)),
+            ("prefix_nodes", Json::from(self.prefix_nodes as u64)),
+            ("node_passes", Json::from(m.node_passes)),
+            ("node_check_evals", Json::from(m.node_check_evals)),
+            ("leaf_check_evals", Json::from(m.leaf_check_evals)),
+            ("leaf_check_hits", Json::from(m.leaf_check_hits)),
+            ("leaf_storage_evals", Json::from(m.leaf_storage_evals)),
+            ("leaf_storage_hits", Json::from(m.leaf_storage_hits)),
+            ("leaf_hit_rate", Json::from(m.leaf_hit_rate())),
             (
-                "leaf_storage_evals".into(),
-                Json::from(m.leaf_storage_evals),
-            ),
-            ("leaf_storage_hits".into(), Json::from(m.leaf_storage_hits)),
-            ("leaf_hit_rate".into(), Json::from(m.leaf_hit_rate())),
-            (
-                "fixed_work_per_leaf".into(),
+                "fixed_work_per_leaf",
                 Json::from(self.fixed_work_per_leaf()),
             ),
-            ("violations".into(), Json::from(self.violations as u64)),
+            ("violations", Json::from(self.violations as u64)),
         ])
     }
 }
 
-/// Times `options` on `v`.
-fn timed(v: &mut Verifier, options: &RunOptions, into: &mut Measured) {
-    let t = Instant::now();
-    let out = v.run(options).expect("sweep cases settle");
-    into.add(
-        u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX),
-        &out,
-    );
-}
-
 fn main() {
-    let counts: Vec<usize> = flag_value("--counts")
-        .unwrap_or_else(|| "10,100,1000".to_owned())
-        .split(',')
-        .map(|s| s.trim().parse().expect("--counts takes case counts"))
-        .collect();
-    let opts = SweepOptions {
-        master_slices: flag_value("--master").map_or(1500, |s| s.parse().expect("--master N")),
-        block_slices: flag_value("--block").map_or(10, |s| s.parse().expect("--block N")),
-        ..SweepOptions::default()
-    };
-    let jobs = flag_value("--jobs")
-        .map_or_else(scald_bench::default_jobs, |s| s.parse().expect("--jobs N"));
-    let out_dir = std::path::PathBuf::from(flag_value("--out-dir").unwrap_or_else(|| ".".into()));
+    let (counts, opts, jobs, out_dir) = flags(|f| {
+        let counts: Vec<usize> = f.list("--counts", vec![10, 100, 1000]);
+        let opts = SweepOptions {
+            master_slices: f.get("--master", 1500),
+            block_slices: f.get("--block", 10),
+            ..SweepOptions::default()
+        };
+        let jobs = f.get("--jobs", scald_bench::default_jobs());
+        (counts, opts, jobs, f.get("--out-dir", PathBuf::from(".")))
+    });
 
     let (netlist, stats) = sweep_netlist(&opts);
     let full = CaseSet::exhaustive(stats.mode_bits.iter().cloned());
@@ -179,18 +155,16 @@ fn main() {
         let count = count.min(full.len());
         let cases = CaseSet::list(full.cases()[..count].iter().cloned());
         let mut sweep = Measured::default();
-        timed(
+        sweep.run(
             &mut settled(),
             &RunOptions::new().cases(cases.clone()).jobs(jobs),
-            &mut sweep,
         );
         let mut alone = Measured::default();
         let base = settled();
         for case in cases.cases() {
-            timed(
+            alone.run(
                 &mut base.clone(),
                 &RunOptions::new().case(case.clone()).jobs(jobs),
-                &mut alone,
             );
         }
         assert_eq!(
@@ -211,47 +185,44 @@ fn main() {
             sweep.fixed_work_per_leaf(),
             100.0 * sweep.memo.leaf_hit_rate(),
         );
-        cases_steps.push(Json::Obj(vec![
-            ("cases".into(), Json::from(count as u64)),
-            ("naive".into(), alone.settle_json()),
-            ("tree".into(), sweep.settle_json()),
-            ("evaluations_ratio".into(), Json::from(evaluations_ratio)),
+        cases_steps.push(obj([
+            ("cases", Json::from(count as u64)),
+            ("naive", alone.settle_json()),
+            ("tree", sweep.settle_json()),
+            ("evaluations_ratio", Json::from(evaluations_ratio)),
         ]));
-        sched_steps.push(Json::Obj(vec![
-            ("cases".into(), Json::from(count as u64)),
-            ("naive".into(), alone.memo_json()),
-            ("sched".into(), sweep.memo_json()),
-            ("fixed_work_drop".into(), Json::from(fixed_work_drop)),
+        sched_steps.push(obj([
+            ("cases", Json::from(count as u64)),
+            ("naive", alone.memo_json()),
+            ("sched", sweep.memo_json()),
+            ("fixed_work_drop", Json::from(fixed_work_drop)),
         ]));
     }
 
-    let design = Json::Obj(vec![
-        ("prims".into(), Json::from(stats.prims as u64)),
-        ("signals".into(), Json::from(stats.signals as u64)),
+    let design = obj([
+        ("prims", Json::from(stats.prims as u64)),
+        ("signals", Json::from(stats.signals as u64)),
         (
-            "mode_bits".into(),
+            "mode_bits",
             Json::Arr(stats.mode_bits.iter().map(Json::str).collect()),
         ),
-        (
-            "master_slices".into(),
-            Json::from(opts.master_slices as u64),
-        ),
-        ("block_slices".into(), Json::from(opts.block_slices as u64)),
+        ("master_slices", Json::from(opts.master_slices as u64)),
+        ("block_slices", Json::from(opts.block_slices as u64)),
     ]);
     std::fs::create_dir_all(&out_dir).expect("create the output directory");
     for (file, schema, steps) in [
         ("BENCH_cases.json", "scald-bench-cases", cases_steps),
         ("BENCH_sched.json", "scald-bench-sched", sched_steps),
     ] {
-        let doc = Json::Obj(vec![
-            ("schema".into(), Json::str(schema)),
-            ("version".into(), Json::from(1u64)),
-            ("jobs".into(), Json::from(jobs as u64)),
-            ("design".into(), design.clone()),
-            ("steps".into(), Json::Arr(steps)),
-        ]);
-        let path = out_dir.join(file);
-        std::fs::write(&path, doc.to_string_pretty() + "\n").expect("write the JSON record");
-        println!("wrote {}", path.display());
+        write_record(
+            out_dir.join(file),
+            schema,
+            1,
+            [
+                ("jobs", Json::from(jobs as u64)),
+                ("design", design.clone()),
+                ("steps", Json::Arr(steps)),
+            ],
+        );
     }
 }

@@ -16,6 +16,7 @@ fn ns(x: f64) -> Time {
 }
 
 fn main() {
+    scald_bench::harness::flags(|_| ());
     println!("== Fig 1-5: gated-clock hazard ==");
     let mut v = Verifier::new(hazard_circuit(true));
     let r = v.run(&RunOptions::new()).expect("settles").into_sole();

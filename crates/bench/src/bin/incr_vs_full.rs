@@ -8,39 +8,31 @@
 //! directory.
 //!
 //! Usage: `cargo run -p scald-bench --bin incr_vs_full --release`
-//! (`--chips N` to override the default 400-chip design).
+//! (`--chips N` to override the default 400-chip design, `--out PATH`
+//! to redirect the JSON.)
 //!
 //! [`Session`]: scald_incr::Session
 //! [`Session::apply`]: scald_incr::Session::apply
 
-use scald_gen::s1::{s1_like_netlist, S1Options};
+use scald_bench::harness::{flags, logic_prim, nanos, obj, s1_netlist, write_record};
 use scald_incr::{Case, Delta, DesignInput, NetlistDelta, Session};
 use scald_trace::json::Json;
 use scald_wave::DelayRange;
 
-fn chips_arg() -> usize {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--chips" {
-            if let Some(n) = args.next().and_then(|s| s.parse().ok()) {
-                return n;
-            }
-        }
-    }
-    400
-}
-
 fn main() {
-    let chips = chips_arg();
-    let (netlist, stats) = s1_like_netlist(S1Options {
-        chips,
-        ..S1Options::default()
+    let (chips, out) = flags(|f| {
+        (
+            f.get("--chips", 400),
+            f.get("--out", "BENCH_incr.json".to_owned()),
+        )
     });
+    let (netlist, stats) = s1_netlist(chips);
     println!(
         "design: {} chips, {} primitives, {} signals",
         stats.chips, stats.prims, stats.signals
     );
 
+    let (target, _) = logic_prim(&netlist);
     let mut session = Session::open(
         DesignInput::netlist(netlist, vec![Case::new()]),
         "incr_vs_full",
@@ -52,14 +44,6 @@ fn main() {
         full.events, full.wall
     );
 
-    let target = session
-        .netlist()
-        .prims()
-        .iter()
-        .find(|p| p.name.ends_with("/LOGIC"))
-        .expect("generated design has datapath slices")
-        .name
-        .clone();
     let mut delta = NetlistDelta::new();
     delta.retime(target.clone(), DelayRange::from_ns(2.0, 6.5));
     let warm = session
@@ -77,38 +61,34 @@ fn main() {
         100.0 * warm.cone_fraction()
     );
 
-    let wall_ns = |d: std::time::Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
-    let doc = Json::Obj(vec![
-        ("schema".to_owned(), Json::str("scald-bench-incr")),
-        ("version".to_owned(), Json::from(1u64)),
-        ("chips".to_owned(), Json::from(chips as u64)),
-        ("retimed_prim".to_owned(), Json::str(target)),
-        (
-            "full".to_owned(),
-            Json::Obj(vec![
-                ("events".to_owned(), Json::from(full.events)),
-                ("wall_ns".to_owned(), Json::from(wall_ns(full.wall))),
-                ("prims".to_owned(), Json::from(full.total_prims as u64)),
-            ]),
-        ),
-        (
-            "warm_retime".to_owned(),
-            Json::Obj(vec![
-                ("events".to_owned(), Json::from(warm.events)),
-                ("wall_ns".to_owned(), Json::from(wall_ns(warm.wall))),
-                (
-                    "seeded_prims".to_owned(),
-                    Json::from(warm.seeded_prims as u64),
-                ),
-                ("cone_prims".to_owned(), Json::from(warm.cone_prims as u64)),
-                ("cone_fraction".to_owned(), Json::from(warm.cone_fraction())),
-                ("event_ratio".to_owned(), Json::from(ratio)),
-            ]),
-        ),
-    ]);
-    std::fs::write("BENCH_incr.json", doc.to_string_pretty() + "\n")
-        .expect("write BENCH_incr.json");
-    println!("recorded BENCH_incr.json");
+    write_record(
+        &out,
+        "scald-bench-incr",
+        1,
+        [
+            ("chips", Json::from(chips as u64)),
+            ("retimed_prim", Json::str(target)),
+            (
+                "full",
+                obj([
+                    ("events", Json::from(full.events)),
+                    ("wall_ns", Json::from(nanos(full.wall))),
+                    ("prims", Json::from(full.total_prims as u64)),
+                ]),
+            ),
+            (
+                "warm_retime",
+                obj([
+                    ("events", Json::from(warm.events)),
+                    ("wall_ns", Json::from(nanos(warm.wall))),
+                    ("seeded_prims", Json::from(warm.seeded_prims as u64)),
+                    ("cone_prims", Json::from(warm.cone_prims as u64)),
+                    ("cone_fraction", Json::from(warm.cone_fraction())),
+                    ("event_ratio", Json::from(ratio)),
+                ]),
+            ),
+        ],
+    );
 
     // The subsystem's headline claim: a one-primitive ECO re-verifies
     // with a small fraction of the full run's settling work.

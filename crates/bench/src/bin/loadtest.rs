@@ -15,55 +15,20 @@
 //! Usage: `cargo run -p scald-bench --bin loadtest --release`
 //! (`--clients N`, `--chips N`, `--rounds N`, `--out PATH` to override.)
 
+use scald_bench::harness::{flags, nanos, obj, percentile, timed, write_record};
 use scald_gen::s1::{s1_like_hdl, S1Options};
 use scald_serve::{serve, Client, Response, ServeOptions};
 use scald_trace::json::Json;
 use std::os::unix::net::UnixStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 struct Args {
     clients: usize,
     chips: usize,
     rounds: usize,
     out: String,
-}
-
-fn parse_args() -> Args {
-    let mut parsed = Args {
-        clients: 4,
-        chips: 400,
-        rounds: 3,
-        out: "BENCH_serve.json".to_owned(),
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--clients" => {
-                if let Some(n) = args.next().and_then(|s| s.parse().ok()) {
-                    parsed.clients = n;
-                }
-            }
-            "--chips" => {
-                if let Some(n) = args.next().and_then(|s| s.parse().ok()) {
-                    parsed.chips = n;
-                }
-            }
-            "--rounds" => {
-                if let Some(n) = args.next().and_then(|s| s.parse().ok()) {
-                    parsed.rounds = n;
-                }
-            }
-            "--out" => {
-                if let Some(p) = args.next() {
-                    parsed.out = p;
-                }
-            }
-            other => panic!("unknown argument: {other}"),
-        }
-    }
-    parsed
 }
 
 /// Latencies of every request one client issued, in nanoseconds.
@@ -78,15 +43,14 @@ struct ClientRun {
 fn drive_client(path: &PathBuf, src: &str, label: &str, rounds: usize) -> ClientRun {
     let mut client = Client::connect_unix(path).expect("connects");
     let mut latencies = Vec::new();
-    let mut timed = |f: &mut dyn FnMut(&mut Client) -> Response| {
-        let t = Instant::now();
-        let response = f(&mut client);
-        latencies.push(u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX));
+    let mut request = |f: &mut dyn FnMut(&mut Client) -> Response| {
+        let (response, wall) = timed(|| f(&mut client));
+        latencies.push(nanos(wall));
         response
     };
 
     let (session, reused_session, shared_cache) =
-        match timed(&mut |c| c.open_source(src, label).expect("opens")) {
+        match request(&mut |c| c.open_source(src, label).expect("opens")) {
             Response::Opened {
                 session,
                 reused_session,
@@ -98,18 +62,18 @@ fn drive_client(path: &PathBuf, src: &str, label: &str, rounds: usize) -> Client
     for _ in 0..rounds {
         let s = session.clone();
         assert!(matches!(
-            timed(&mut |c| c.run(&s).expect("runs")),
+            request(&mut |c| c.run(&s).expect("runs")),
             Response::Ran { .. }
         ));
         let s = session.clone();
         assert!(matches!(
-            timed(&mut |c| c.report(&s, false).expect("reports")),
+            request(&mut |c| c.report(&s, false).expect("reports")),
             Response::Report { .. }
         ));
     }
     let s = session;
     assert!(matches!(
-        timed(&mut |c| c.close(&s).expect("closes")),
+        request(&mut |c| c.close(&s).expect("closes")),
         Response::Closed { .. }
     ));
     ClientRun {
@@ -119,12 +83,26 @@ fn drive_client(path: &PathBuf, src: &str, label: &str, rounds: usize) -> Client
     }
 }
 
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = (p * (sorted.len() - 1) as f64).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
+/// One phase: `--clients` concurrent clients, client `i` driving the
+/// `(source, label)` of `design(i)`. Returns their runs and the phase's
+/// wall clock, design generation included.
+fn concurrent(
+    path: &Path,
+    args: &Args,
+    design: impl Fn(usize) -> (String, String),
+) -> (Vec<ClientRun>, Duration) {
+    timed(|| {
+        let handles: Vec<_> = (0..args.clients)
+            .map(|i| {
+                let (path, (src, label), rounds) = (path.to_path_buf(), design(i), args.rounds);
+                thread::spawn(move || drive_client(&path, &src, &label, rounds))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("client"))
+            .collect()
+    })
 }
 
 /// Latency digest + sharing counters for one phase.
@@ -167,26 +145,20 @@ impl PhaseResult {
     }
 
     fn json(&self) -> Json {
-        Json::Obj(vec![
-            ("requests".into(), Json::from(self.requests as u64)),
+        obj([
+            ("requests", Json::from(self.requests as u64)),
+            ("wall_ns", Json::from(nanos(self.wall))),
+            ("p50_ns", Json::from(self.p50_ns)),
+            ("p99_ns", Json::from(self.p99_ns)),
+            ("max_ns", Json::from(self.max_ns)),
+            ("reused_sessions", Json::from(self.reused_sessions as u64)),
             (
-                "wall_ns".into(),
-                Json::from(u64::try_from(self.wall.as_nanos()).unwrap_or(u64::MAX)),
-            ),
-            ("p50_ns".into(), Json::from(self.p50_ns)),
-            ("p99_ns".into(), Json::from(self.p99_ns)),
-            ("max_ns".into(), Json::from(self.max_ns)),
-            (
-                "reused_sessions".into(),
-                Json::from(self.reused_sessions as u64),
-            ),
-            (
-                "shared_cache_opens".into(),
+                "shared_cache_opens",
                 Json::from(self.shared_cache_opens as u64),
             ),
-            ("cache_hits".into(), Json::from(self.cache_hits)),
-            ("cache_misses".into(), Json::from(self.cache_misses)),
-            ("cache_hit_rate".into(), Json::from(self.hit_rate())),
+            ("cache_hits", Json::from(self.cache_hits)),
+            ("cache_misses", Json::from(self.cache_misses)),
+            ("cache_hit_rate", Json::from(self.hit_rate())),
         ])
     }
 }
@@ -203,7 +175,12 @@ fn cache_totals(client: &mut Client) -> (u64, u64) {
 }
 
 fn main() {
-    let args = parse_args();
+    let args = flags(|f| Args {
+        clients: f.get("--clients", 4),
+        chips: f.get("--chips", 400),
+        rounds: f.get("--rounds", 3),
+        out: f.get("--out", "BENCH_serve.json".to_owned()),
+    });
     let path = std::env::temp_dir().join(format!("scald-loadtest-{}.sock", std::process::id()));
     let _ = std::fs::remove_file(&path);
     let daemon = {
@@ -229,43 +206,20 @@ fn main() {
     let mut probe = Client::connect_unix(&path).expect("connects");
     let (base_hits, base_misses) = cache_totals(&mut probe);
 
-    let t = Instant::now();
-    let handles: Vec<_> = (0..args.clients)
-        .map(|_| {
-            let path = path.clone();
-            let src = shared_src.clone();
-            let rounds = args.rounds;
-            thread::spawn(move || drive_client(&path, &src, "loadtest-shared", rounds))
-        })
-        .collect();
-    let runs: Vec<ClientRun> = handles
-        .into_iter()
-        .map(|h| h.join().expect("client"))
-        .collect();
-    let shared_wall = t.elapsed();
+    let (runs, shared_wall) = concurrent(&path, &args, |_| {
+        (shared_src.clone(), "loadtest-shared".to_owned())
+    });
     let (hits, misses) = cache_totals(&mut probe);
     let shared = PhaseResult::digest(runs, shared_wall, hits - base_hits, misses - base_misses);
 
     // Phase 2 — N clients, N distinct designs: nothing to share.
-    let t = Instant::now();
-    let handles: Vec<_> = (0..args.clients)
-        .map(|i| {
-            let path = path.clone();
-            let src = s1_like_hdl(S1Options {
-                chips: args.chips,
-                seed: 0xd157 + i as u64,
-            });
-            let rounds = args.rounds;
-            thread::spawn(move || {
-                drive_client(&path, &src, &format!("loadtest-distinct-{i}"), rounds)
-            })
-        })
-        .collect();
-    let runs: Vec<ClientRun> = handles
-        .into_iter()
-        .map(|h| h.join().expect("client"))
-        .collect();
-    let distinct_wall = t.elapsed();
+    let (runs, distinct_wall) = concurrent(&path, &args, |i| {
+        let src = s1_like_hdl(S1Options {
+            chips: args.chips,
+            seed: 0xd157 + i as u64,
+        });
+        (src, format!("loadtest-distinct-{i}"))
+    });
     let (hits2, misses2) = cache_totals(&mut probe);
     let distinct = PhaseResult::digest(runs, distinct_wall, hits2 - hits, misses2 - misses);
 
@@ -291,15 +245,16 @@ fn main() {
         100.0 * distinct.hit_rate(),
     );
 
-    let doc = Json::Obj(vec![
-        ("schema".into(), Json::str("scald-bench-serve")),
-        ("version".into(), Json::from(1u64)),
-        ("clients".into(), Json::from(args.clients as u64)),
-        ("chips".into(), Json::from(args.chips as u64)),
-        ("rounds".into(), Json::from(args.rounds as u64)),
-        ("shared".into(), shared.json()),
-        ("distinct".into(), distinct.json()),
-    ]);
-    std::fs::write(&args.out, doc.to_string_pretty()).expect("writes the JSON report");
-    println!("wrote {}", args.out);
+    write_record(
+        &args.out,
+        "scald-bench-serve",
+        1,
+        [
+            ("clients", Json::from(args.clients as u64)),
+            ("chips", Json::from(args.chips as u64)),
+            ("rounds", Json::from(args.rounds as u64)),
+            ("shared", shared.json()),
+            ("distinct", distinct.json()),
+        ],
+    );
 }

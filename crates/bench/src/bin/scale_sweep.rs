@@ -15,55 +15,26 @@
 //! for the wave-worker pool, and `--out FILE` to redirect the record, as
 //! the CI smoke run does to avoid clobbering the committed sweep).
 
-use std::time::Instant;
-
+use scald_bench::harness::{flags, median, nanos, obj, timed, write_record};
 use scald_gen::scale::{scale_netlist, ScaleOptions};
 use scald_trace::json::Json;
 use scald_verifier::{RunOptions, Verifier};
 
-fn flag_value(flag: &str) -> Option<String> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        }
-    }
-    None
-}
-
-fn median(samples: &mut [u64]) -> u64 {
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
-
 fn main() {
-    let steps: Vec<usize> = flag_value("--steps")
-        .map(|s| {
-            s.split(',')
-                .map(|n| {
-                    n.trim()
-                        .parse()
-                        .expect("--steps takes sizes like 1000,10000")
-                })
-                .collect()
-        })
-        .unwrap_or_else(|| vec![1_000, 10_000, 100_000]);
-    let reps: usize = flag_value("--reps")
-        .map(|s| s.parse().expect("--reps takes a count"))
-        .unwrap_or(3)
-        .max(1);
-    let jobs: usize = flag_value("--jobs")
-        .map(|s| s.parse().expect("--jobs takes a worker count"))
-        .unwrap_or(1)
-        .max(1);
-    let out = flag_value("--out").unwrap_or_else(|| "BENCH_scale.json".to_owned());
+    let (steps, reps, jobs, out) = flags(|f| {
+        (
+            f.list("--steps", vec![1_000usize, 10_000, 100_000]),
+            f.get("--reps", 3usize).max(1),
+            f.get("--jobs", 1usize).max(1),
+            f.get("--out", "BENCH_scale.json".to_owned()),
+        )
+    });
 
     let mut records = Vec::new();
     for &target in &steps {
         let opts = ScaleOptions::prims(target);
-        let started = Instant::now();
-        let (netlist, stats) = scale_netlist(&opts);
-        let gen_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let ((netlist, stats), gen_time) = timed(|| scale_netlist(&opts));
+        let gen_ns = nanos(gen_time);
         println!(
             "target {target:>8}: {} prims, {} signals, {} chains (max depth {}), {} hubs, generated in {:.2}s",
             stats.prims,
@@ -84,9 +55,8 @@ fn main() {
         let mut storage: Option<scald_verifier::StorageReport> = None;
         for _ in 0..step_reps {
             let mut v = Verifier::new(netlist.clone());
-            let started = Instant::now();
-            let outcome = v.run(&RunOptions::new().jobs(jobs)).expect("settles");
-            samples.push(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
+            let (outcome, wall) = timed(|| v.run(&RunOptions::new().jobs(jobs)).expect("settles"));
+            samples.push(nanos(wall));
             let sole = outcome.into_sole();
             events = sole.events;
             evaluations = sole.evaluations;
@@ -108,44 +78,42 @@ fn main() {
         );
 
         // The Table 3-3 categories, bytes per storage area.
-        let table_3_3 = Json::Obj(
-            storage
-                .rows()
-                .into_iter()
-                .map(|(name, bytes, _)| (name.to_owned(), Json::from(bytes as u64)))
-                .chain([
-                    ("TOTAL".to_owned(), Json::from(storage.total() as u64)),
-                    (
-                        "value_records_per_signal".to_owned(),
-                        Json::from(storage.value_records_per_signal()),
-                    ),
-                ])
-                .collect(),
-        );
-        records.push(Json::Obj(vec![
-            ("target_prims".to_owned(), Json::from(target as u64)),
-            ("prims".to_owned(), Json::from(stats.prims as u64)),
-            ("signals".to_owned(), Json::from(stats.signals as u64)),
-            ("chains".to_owned(), Json::from(stats.chains as u64)),
-            ("max_depth".to_owned(), Json::from(stats.max_depth as u64)),
-            ("hubs".to_owned(), Json::from(stats.hubs as u64)),
-            ("gen_ns".to_owned(), Json::from(gen_ns)),
-            ("reps".to_owned(), Json::from(step_reps as u64)),
-            ("wall_ns".to_owned(), Json::from(wall_ns)),
-            ("min_ns".to_owned(), Json::from(min_ns)),
-            ("events".to_owned(), Json::from(events)),
-            ("evaluations".to_owned(), Json::from(evaluations)),
-            ("violations".to_owned(), Json::from(violations)),
-            ("table_3_3".to_owned(), table_3_3),
+        let table_3_3 = obj(storage
+            .rows()
+            .into_iter()
+            .map(|(name, bytes, _)| (name, Json::from(bytes as u64)))
+            .chain([
+                ("TOTAL", Json::from(storage.total() as u64)),
+                (
+                    "value_records_per_signal",
+                    Json::from(storage.value_records_per_signal()),
+                ),
+            ]));
+        records.push(obj([
+            ("target_prims", Json::from(target as u64)),
+            ("prims", Json::from(stats.prims as u64)),
+            ("signals", Json::from(stats.signals as u64)),
+            ("chains", Json::from(stats.chains as u64)),
+            ("max_depth", Json::from(stats.max_depth as u64)),
+            ("hubs", Json::from(stats.hubs as u64)),
+            ("gen_ns", Json::from(gen_ns)),
+            ("reps", Json::from(step_reps as u64)),
+            ("wall_ns", Json::from(wall_ns)),
+            ("min_ns", Json::from(min_ns)),
+            ("events", Json::from(events)),
+            ("evaluations", Json::from(evaluations)),
+            ("violations", Json::from(violations)),
+            ("table_3_3", table_3_3),
         ]));
     }
 
-    let doc = Json::Obj(vec![
-        ("schema".to_owned(), Json::str("scald-bench-scale")),
-        ("version".to_owned(), Json::from(1u64)),
-        ("jobs".to_owned(), Json::from(jobs as u64)),
-        ("steps".to_owned(), Json::Arr(records)),
-    ]);
-    std::fs::write(&out, doc.to_string_pretty() + "\n").expect("write the JSON record");
-    println!("recorded {out}");
+    write_record(
+        &out,
+        "scald-bench-scale",
+        1,
+        [
+            ("jobs", Json::from(jobs as u64)),
+            ("steps", Json::Arr(records)),
+        ],
+    );
 }

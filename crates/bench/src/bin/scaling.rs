@@ -16,59 +16,13 @@
 //!
 //! Usage: `cargo run -p scald-bench --bin scaling --release`
 
-use scald_netlist::{Config, Conn, Netlist, NetlistBuilder, SignalId};
+use scald_bench::harness::{flags, muxed_paths_circuit, timed, verify};
 use scald_paths::PathAnalysis;
 use scald_sim::{primary_inputs, simulate, Stimulus};
-use scald_verifier::{RunOptions, Verifier};
-use scald_wave::{DelayRange, Time};
 use std::time::Instant;
 
-/// A register bank fed by `n` mux-selected paths: each select input
-/// doubles the number of distinct timing paths.
-fn muxed_paths_circuit(n: usize) -> Netlist {
-    let mut b = NetlistBuilder::new(Config::s1_example());
-    let clk = b.signal("CK .P6-7 (0,0)").expect("valid");
-    let z = |s: SignalId| Conn::new(s).with_wire_delay(DelayRange::ZERO);
-    for i in 0..n {
-        let sel = b.signal(&format!("SEL{i}")).expect("valid");
-        let fast = b.signal(&format!("FAST{i} .S0-1")).expect("valid");
-        let slow_in = b.signal(&format!("SLOWIN{i} .S0-1")).expect("valid");
-        let slow = b.signal(&format!("SLOW{i}")).expect("valid");
-        let m = b.signal(&format!("M{i}")).expect("valid");
-        let q = b.signal(&format!("Q{i}")).expect("valid");
-        b.buf(
-            format!("SLOWBUF{i}"),
-            DelayRange::from_ns(33.0, 36.0),
-            z(slow_in),
-            slow,
-        );
-        b.mux2(
-            format!("MUX{i}"),
-            DelayRange::from_ns(1.2, 3.3),
-            z(sel),
-            z(fast),
-            z(slow),
-            m,
-        );
-        b.reg(
-            format!("R{i}"),
-            DelayRange::from_ns(1.5, 4.5),
-            z(clk),
-            z(m),
-            q,
-        );
-        b.setup_hold(
-            format!("R{i} CHK"),
-            Time::from_ns(2.5),
-            Time::from_ns(1.5),
-            z(m),
-            z(clk),
-        );
-    }
-    b.finish().expect("circuit is well-formed")
-}
-
 fn main() {
+    flags(|_| ());
     println!(
         "{:>3} {:>10} {:>14} {:>14} {:>14} {:>10}",
         "n", "patterns", "verifier", "simulation", "path search", "ratio"
@@ -76,10 +30,7 @@ fn main() {
     for n in [1usize, 2, 4, 6, 8, 10, 12] {
         let netlist = muxed_paths_circuit(n);
 
-        let t = Instant::now();
-        let mut v = Verifier::new(netlist.clone());
-        let result = v.run(&RunOptions::new()).expect("settles").into_sole();
-        let verifier_time = t.elapsed();
+        let (result, verifier_time) = timed(|| verify(netlist.clone()));
         let found = result.violations.len();
 
         let inputs = primary_inputs(&netlist);
@@ -119,9 +70,7 @@ fn main() {
         }
         let sim_time = t.elapsed();
 
-        let t = Instant::now();
-        let analysis = PathAnalysis::analyze(&netlist);
-        let path_time = t.elapsed();
+        let (analysis, path_time) = timed(|| PathAnalysis::analyze(&netlist));
         let _ = analysis.violations();
 
         let ratio = sim_time.as_secs_f64() / verifier_time.as_secs_f64().max(1e-9);

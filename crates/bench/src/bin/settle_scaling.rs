@@ -13,9 +13,7 @@
 //! up to `N`; `--out FILE` to redirect the JSON record, as the CI smoke
 //! run does to avoid clobbering the committed 400-chip snapshot).
 
-use std::time::Instant;
-
-use scald_gen::s1::{s1_like_netlist, S1Options};
+use scald_bench::harness::{flags, median, nanos, obj, s1_netlist, timed, write_record};
 use scald_trace::json::Json;
 use scald_trace::CounterSink;
 use scald_verifier::{RunOptions, Verifier, VerifierBuilder};
@@ -27,44 +25,15 @@ use scald_verifier::{RunOptions, Verifier, VerifierBuilder};
 /// as the best-case floor.
 const REPS: usize = 3;
 
-/// Median of the collected wall clocks (odd `REPS` makes this exact).
-fn median(samples: &mut [u64]) -> u64 {
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
-
-fn usize_arg(flag: &str, default: usize) -> usize {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == flag {
-            if let Some(n) = args.next().and_then(|s| s.parse().ok()) {
-                return n;
-            }
-        }
-    }
-    default
-}
-
-fn out_arg() -> String {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--out" {
-            if let Some(path) = args.next() {
-                return path;
-            }
-        }
-    }
-    "BENCH_settle.json".to_owned()
-}
-
 fn main() {
-    let chips = usize_arg("--chips", 400);
-    let max_workers = usize_arg("--workers", 8).max(1);
-    let out = out_arg();
-    let (netlist, stats) = s1_like_netlist(S1Options {
-        chips,
-        ..S1Options::default()
+    let (chips, max_workers, out) = flags(|f| {
+        (
+            f.get("--chips", 400),
+            f.get("--workers", 8usize).max(1),
+            f.get("--out", "BENCH_settle.json".to_owned()),
+        )
     });
+    let (netlist, stats) = s1_netlist(chips);
     println!(
         "design: {} chips, {} primitives, {} signals",
         stats.chips, stats.prims, stats.signals
@@ -99,9 +68,8 @@ fn main() {
         let mut events = 0u64;
         for _ in 0..REPS {
             let mut v = Verifier::new(netlist.clone());
-            let started = Instant::now();
-            let outcome = v.run(&RunOptions::new().jobs(jobs)).expect("settles");
-            samples.push(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
+            let (outcome, wall) = timed(|| v.run(&RunOptions::new().jobs(jobs)).expect("settles"));
+            samples.push(nanos(wall));
             let sole = outcome.into_sole();
             evaluations = sole.evaluations;
             events = sole.events;
@@ -120,28 +88,29 @@ fn main() {
         println!(
             "jobs {jobs:>2}: {median_ns:>12} ns median ({min_ns:>12} ns min, {speedup:.2}x vs serial)"
         );
-        runs.push(Json::Obj(vec![
-            ("jobs".to_owned(), Json::from(jobs as u64)),
-            ("wall_ns".to_owned(), Json::from(median_ns)),
-            ("min_ns".to_owned(), Json::from(min_ns)),
-            ("events".to_owned(), Json::from(events)),
-            ("evaluations".to_owned(), Json::from(evaluations)),
-            ("speedup".to_owned(), Json::from(speedup)),
+        runs.push(obj([
+            ("jobs", Json::from(jobs as u64)),
+            ("wall_ns", Json::from(median_ns)),
+            ("min_ns", Json::from(min_ns)),
+            ("events", Json::from(events)),
+            ("evaluations", Json::from(evaluations)),
+            ("speedup", Json::from(speedup)),
         ]));
     }
 
-    let doc = Json::Obj(vec![
-        ("schema".to_owned(), Json::str("scald-bench-settle")),
-        // v2: `wall_ns` is the median over `reps` (was the min); the min
-        // moved to `min_ns`.
-        ("version".to_owned(), Json::from(2u64)),
-        ("reps".to_owned(), Json::from(REPS as u64)),
-        ("chips".to_owned(), Json::from(chips as u64)),
-        ("prims".to_owned(), Json::from(stats.prims as u64)),
-        ("waves".to_owned(), Json::from(shape.waves)),
-        ("max_wave".to_owned(), Json::from(shape.max_wave as u64)),
-        ("runs".to_owned(), Json::Arr(runs)),
-    ]);
-    std::fs::write(&out, doc.to_string_pretty() + "\n").expect("write the JSON record");
-    println!("recorded {out}");
+    // v2: `wall_ns` is the median over `reps` (was the min); the min
+    // moved to `min_ns`.
+    write_record(
+        &out,
+        "scald-bench-settle",
+        2,
+        [
+            ("reps", Json::from(REPS as u64)),
+            ("chips", Json::from(chips as u64)),
+            ("prims", Json::from(stats.prims as u64)),
+            ("waves", Json::from(shape.waves)),
+            ("max_wave", Json::from(shape.max_wave as u64)),
+            ("runs", Json::Arr(runs)),
+        ],
+    );
 }

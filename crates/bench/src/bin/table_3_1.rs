@@ -18,12 +18,12 @@
 //!
 //! Usage: `cargo run -p scald-bench --bin table_3_1 --release [--chips N]`
 
+use scald_bench::harness::{flags, timed};
 use scald_gen::s1::{s1_like_hdl, S1Options};
 use scald_verifier::{RunOptions, Verifier};
-use std::time::Instant;
 
 fn main() {
-    let chips = scald_bench::chips_arg();
+    let chips = flags(|f| f.get("--chips", 6357));
     let opts = S1Options {
         chips,
         ..S1Options::default()
@@ -32,13 +32,8 @@ fn main() {
     println!("TABLE 3-1 — execution statistics ({chips} chips)\n");
 
     // --- Macro expansion phases ---
-    let t = Instant::now();
-    let src = s1_like_hdl(opts);
-    let gen_time = t.elapsed();
-
-    let t = Instant::now();
-    let design = scald_hdl::parse(&src).expect("generated HDL parses");
-    let read_time = t.elapsed();
+    let (src, gen_time) = timed(|| s1_like_hdl(opts));
+    let (design, read_time) = timed(|| scald_hdl::parse(&src).expect("generated HDL parses"));
 
     let expansion = scald_hdl::expand(&design).expect("generated HDL expands");
     let stats = expansion.stats;
@@ -69,24 +64,15 @@ fn main() {
     let netlist = expansion.netlist;
     let n_prims = netlist.prims().len();
 
-    let t = Instant::now();
-    let mut verifier = Verifier::new(netlist);
-    let build_time = t.elapsed();
-
-    let t = Instant::now();
-    let xref = verifier.xref_listing();
-    let xref_time = t.elapsed();
-
-    let t = Instant::now();
-    let result = verifier
-        .run(&RunOptions::new())
-        .expect("design settles")
-        .into_sole();
-    let verify_time = t.elapsed();
-
-    let t = Instant::now();
-    let summary = verifier.summary_listing();
-    let summary_time = t.elapsed();
+    let (mut verifier, build_time) = timed(|| Verifier::new(netlist));
+    let (xref, xref_time) = timed(|| verifier.xref_listing());
+    let (result, verify_time) = timed(|| {
+        verifier
+            .run(&RunOptions::new())
+            .expect("design settles")
+            .into_sole()
+    });
+    let (summary, summary_time) = timed(|| verifier.summary_listing());
 
     println!("TIMING VERIFIER EXECUTION STATISTICS        measured      paper");
     println!(

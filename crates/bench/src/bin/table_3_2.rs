@@ -8,14 +8,11 @@
 //!
 //! Usage: `cargo run -p scald-bench --bin table_3_2 --release [--chips N]`
 
-use scald_gen::s1::{s1_like_netlist, S1Options};
+use scald_bench::harness::{flags, s1_netlist};
 
 fn main() {
-    let chips = scald_bench::chips_arg();
-    let (netlist, stats) = s1_like_netlist(S1Options {
-        chips,
-        ..S1Options::default()
-    });
+    let chips = flags(|f| f.get("--chips", 6357));
+    let (netlist, stats) = s1_netlist(chips);
 
     println!(
         "TABLE 3-2 — primitive definitions generated ({} chips)\n",

@@ -9,15 +9,13 @@
 //!
 //! Usage: `cargo run -p scald-bench --bin table_3_3 --release [--chips N]`
 
-use scald_gen::s1::{s1_like_netlist, S1Options};
 use scald_verifier::{RunOptions, Verifier};
 
+use scald_bench::harness::{flags, s1_netlist};
+
 fn main() {
-    let chips = scald_bench::chips_arg();
-    let (netlist, stats) = s1_like_netlist(S1Options {
-        chips,
-        ..S1Options::default()
-    });
+    let chips = flags(|f| f.get("--chips", 6357));
+    let (netlist, stats) = s1_netlist(chips);
     let n_prims = netlist.prims().len();
 
     let mut verifier = Verifier::new(netlist);

@@ -12,17 +12,3 @@ pub mod harness;
 pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)
 }
-
-/// Parses an optional `--chips N` argument (default: the thesis' 6357).
-#[must_use]
-pub fn chips_arg() -> usize {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--chips" {
-            if let Some(n) = args.next().and_then(|s| s.parse().ok()) {
-                return n;
-            }
-        }
-    }
-    6357
-}

@@ -259,8 +259,8 @@ impl SessionBuilder {
         label: impl Into<String>,
     ) -> Result<Session, SessionError> {
         let (netlist, cases) = match input {
-            DesignInput::Source(src) => compile(&src)?,
-            DesignInput::Verilog(src) => compile_rtl(&src)?,
+            DesignInput::Source(src) => compile_source(&src)?,
+            DesignInput::Verilog(src) => compile_verilog(&src)?,
             DesignInput::Netlist { netlist, cases } => (netlist, cases),
         };
         let eval_cache = match &self.shared_cache {
@@ -427,8 +427,8 @@ impl Session {
     /// verification fails.
     pub fn apply(&mut self, delta: Delta) -> Result<IncrStats, SessionError> {
         let (netlist, cases) = match delta {
-            Delta::Source(src) => compile(&src)?,
-            Delta::Verilog(src) => compile_rtl(&src)?,
+            Delta::Source(src) => compile_source(&src)?,
+            Delta::Verilog(src) => compile_verilog(&src)?,
             Delta::Netlist(d) => (d.apply(self.settled.netlist())?, self.cases.clone()),
             Delta::Cases(cases) => (self.settled.netlist().clone(), cases),
         };
@@ -545,7 +545,8 @@ impl Settings {
 ///
 /// [`SessionError::Compile`] when the source fails to compile.
 pub fn compile_source(src: &str) -> Result<(Netlist, Vec<Case>), SessionError> {
-    compile(src)
+    let expansion = scald_hdl::compile(src)?;
+    Ok(with_cases(expansion.netlist, expansion.cases))
 }
 
 /// Compiles Verilog source into the `(netlist, cases)` pair that
@@ -557,47 +558,19 @@ pub fn compile_source(src: &str) -> Result<(Netlist, Vec<Case>), SessionError> {
 ///
 /// [`SessionError::Rtl`] when the source fails to compile.
 pub fn compile_verilog(src: &str) -> Result<(Netlist, Vec<Case>), SessionError> {
-    compile_rtl(src)
-}
-
-/// Compiles Verilog source into a netlist plus its case set (one empty
-/// base case when the design declares none), mirroring [`compile`].
-fn compile_rtl(src: &str) -> Result<(Netlist, Vec<Case>), SessionError> {
     let expansion = scald_rtl::compile(src)?;
-    let cases: Vec<Case> = if expansion.cases.is_empty() {
-        vec![Case::new()]
-    } else {
-        expansion
-            .cases
-            .iter()
-            .map(|assigns| {
-                assigns
-                    .iter()
-                    .fold(Case::new(), |c, (s, v)| c.assign(s.clone(), *v))
-            })
-            .collect()
-    };
-    Ok((expansion.netlist, cases))
+    Ok(with_cases(expansion.netlist, expansion.cases))
 }
 
-/// Compiles HDL source into a netlist plus its case set (one empty base
-/// case when the design declares none), mirroring `scald-tv`.
-fn compile(src: &str) -> Result<(Netlist, Vec<Case>), SessionError> {
-    let expansion = scald_hdl::compile(src)?;
-    let cases: Vec<Case> = if expansion.cases.is_empty() {
+/// A compiled netlist with the cases its source declares, or one empty
+/// base case when it declares none, mirroring `scald-tv`.
+fn with_cases(netlist: Netlist, declared: Vec<Vec<(String, bool)>>) -> (Netlist, Vec<Case>) {
+    let cases = if declared.is_empty() {
         vec![Case::new()]
     } else {
-        expansion
-            .cases
-            .iter()
-            .map(|assigns| {
-                assigns
-                    .iter()
-                    .fold(Case::new(), |c, (s, v)| c.assign(s.clone(), *v))
-            })
-            .collect()
+        declared.into_iter().map(Case::from_iter).collect()
     };
-    Ok((expansion.netlist, cases))
+    (netlist, cases)
 }
 
 /// Content hash of a whole design: the netlist configuration (period,
@@ -952,7 +925,7 @@ mod tests {
     }
 
     fn compiled(src: &str) -> Netlist {
-        compile(src).expect("corpus design compiles").0
+        compile_source(src).expect("corpus design compiles").0
     }
 
     /// A one-line edit of an `s1_like_hdl` design in the style of the
@@ -1044,7 +1017,7 @@ mod tests {
             .map(|path| {
                 let src = std::fs::read_to_string(path).expect("design is readable");
                 let netlist = match path.extension().and_then(|e| e.to_str()) {
-                    Some("v") => compile_rtl(&src).expect("shipped Verilog compiles").0,
+                    Some("v") => compile_verilog(&src).expect("shipped Verilog compiles").0,
                     _ => compiled(&src),
                 };
                 (path.display().to_string(), netlist)
@@ -1081,7 +1054,7 @@ mod tests {
         let mut previous: Option<Netlist> = None;
         for seed in 0..50 {
             let pair = paired_design(seed);
-            let rtl = compile_rtl(&pair.verilog).expect("twin compiles").0;
+            let rtl = compile_verilog(&pair.verilog).expect("twin compiles").0;
             let hdl = compiled(&pair.scald);
             check(&format!("twins {seed}"), &rtl, &hdl, &mut tally);
             if let Some(prev) = &previous {

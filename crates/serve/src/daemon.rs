@@ -256,8 +256,17 @@ fn connection_on_stream(stream: UnixStream, shared: &Arc<Shared>) -> io::Result<
 /// One session checked out to a connection, under the name the client
 /// knows it by.
 struct ConnState {
-    sessions: BTreeMap<String, PooledSession>,
+    sessions: BTreeMap<String, Checkout>,
     next_session: u64,
+}
+
+/// A checked-out session and the frontend it was opened in, which its
+/// `source` deltas compile in. The frontend lives here, not on the
+/// pooled session: HDL and Verilog twins share a design hash, so one
+/// pooled session can serve opens in either frontend.
+struct Checkout {
+    pooled: PooledSession,
+    frontend: Frontend,
 }
 
 /// The protocol loop for one client: handshake, then one strict JSONL
@@ -336,8 +345,8 @@ fn handle_connection(
     }
 
     // Disconnect (clean or torn): park every remaining session.
-    for (_, pooled) in std::mem::take(&mut conn.sessions) {
-        shared.pool.checkin(pooled);
+    for (_, checkout) in std::mem::take(&mut conn.sessions) {
+        shared.pool.checkin(checkout.pooled);
     }
     Ok(())
 }
@@ -422,13 +431,13 @@ fn dispatch(
                     return resp;
                 }
             }
-            let Some(pooled) = conn.sessions.remove(&session) else {
+            let Some(checkout) = conn.sessions.remove(&session) else {
                 return unknown_session(id, &session);
             };
             do_verify_op(
                 id,
                 session,
-                pooled,
+                checkout,
                 VerifyOp::Apply(delta),
                 OpKind::Applied,
                 conn,
@@ -441,7 +450,7 @@ fn dispatch(
                     return resp;
                 }
             }
-            let Some(pooled) = conn.sessions.remove(&session) else {
+            let Some(checkout) = conn.sessions.remove(&session) else {
                 return unknown_session(id, &session);
             };
             // A `run` with a sweep spec is sugar for applying the
@@ -450,17 +459,17 @@ fn dispatch(
                 Some(spec) => VerifyOp::Apply(DeltaSpec::Sweep(spec)),
                 None => VerifyOp::Reverify,
             };
-            do_verify_op(id, session, pooled, op, OpKind::Ran, conn, shared)
+            do_verify_op(id, session, checkout, op, OpKind::Ran, conn, shared)
         }
         Request::Report {
             id,
             session,
             effort,
         } => {
-            let Some(pooled) = conn.sessions.get(&session) else {
+            let Some(checkout) = conn.sessions.get(&session) else {
                 return unknown_session(id, &session);
             };
-            let report = pooled.session.report();
+            let report = checkout.pooled.session.report();
             let doc = if effort {
                 report.json_value()
             } else {
@@ -473,17 +482,20 @@ fn dispatch(
             }
         }
         Request::SubscribeTrace { id, session, mode } => {
-            let Some(pooled) = conn.sessions.get(&session) else {
+            let Some(checkout) = conn.sessions.get(&session) else {
                 return unknown_session(id, &session);
             };
-            pooled.tap.subscribe(mode, session, Arc::clone(writer));
+            checkout
+                .pooled
+                .tap
+                .subscribe(mode, session, Arc::clone(writer));
             Response::Subscribed { id, mode }
         }
         Request::Close { id, session } => {
-            let Some(pooled) = conn.sessions.remove(&session) else {
+            let Some(checkout) = conn.sessions.remove(&session) else {
                 return unknown_session(id, &session);
             };
-            let pooled = shared.pool.checkin(pooled);
+            let pooled = shared.pool.checkin(checkout.pooled);
             Response::Closed { id, pooled }
         }
         Request::Stats { id } => Response::Stats {
@@ -597,7 +609,7 @@ fn do_open(
                 shared_cache: info.shared_cache,
                 summary,
             };
-            conn.sessions.insert(name, pooled);
+            conn.sessions.insert(name, Checkout { pooled, frontend });
             response
         }
         Ok(Err(e)) => session_error(id, &e),
@@ -620,7 +632,10 @@ enum VerifyOp {
 fn do_verify_op(
     id: u64,
     name: String,
-    mut pooled: PooledSession,
+    Checkout {
+        mut pooled,
+        frontend,
+    }: Checkout,
     op: VerifyOp,
     kind: OpKind,
     conn: &mut ConnState,
@@ -635,10 +650,13 @@ fn do_verify_op(
         pooled.session.set_jobs(Some(lease.share()));
         let before = pooled.session.cache_stats();
         let result = match op {
-            VerifyOp::Apply(DeltaSpec::Source(src)) => pooled.session.apply(Delta::Source(src)),
-            VerifyOp::Apply(DeltaSpec::Cases(cases)) => pooled
-                .session
-                .apply(Delta::Cases(cases.into_iter().map(build_case).collect())),
+            VerifyOp::Apply(DeltaSpec::Source(src)) => pooled.session.apply(match frontend {
+                Frontend::Scald => Delta::Source(src),
+                Frontend::Verilog => Delta::Verilog(src),
+            }),
+            VerifyOp::Apply(DeltaSpec::Cases(cases)) => pooled.session.apply(Delta::Cases(
+                cases.into_iter().map(Case::from_iter).collect(),
+            )),
             // The sweep expands server-side through the same CaseSet
             // builders the in-process API uses, so a swept run is
             // byte-identical to handing the expanded list to `cases`.
@@ -665,7 +683,7 @@ fn do_verify_op(
                 }
                 Err(e) => session_error(id, e),
             };
-            conn.sessions.insert(name, pooled);
+            conn.sessions.insert(name, Checkout { pooled, frontend });
             response
         }
         Err(_) => {
@@ -710,12 +728,6 @@ fn reap_verify(
             shared.pool.checkin(pooled);
         }
     });
-}
-
-fn build_case(assigns: Vec<(String, bool)>) -> Case {
-    assigns
-        .into_iter()
-        .fold(Case::new(), |c, (signal, value)| c.assign(signal, value))
 }
 
 fn cache_delta(

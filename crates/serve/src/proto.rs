@@ -43,7 +43,7 @@
 //! frame never tears down the session state behind it.
 
 use scald_trace::json::Json;
-use scald_verifier::{Case, CaseSet, DelayCorner};
+use scald_verifier::{CaseSet, DelayCorner};
 use std::fmt;
 
 /// Protocol version spoken by this build. Bumped only on breaking
@@ -183,7 +183,9 @@ impl Frontend {
 /// [`SweepSpec`] instead of a hand-enumerated list.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DeltaSpec {
-    /// Replace the whole design from HDL source (case blocks included).
+    /// Replace the whole design from source (case blocks included),
+    /// compiled in the frontend the session was opened in: SCALD HDL, or
+    /// Verilog for an `open` with `"frontend":"verilog"`.
     Source(String),
     /// Replace the case set; the netlist carries over.
     Cases(Vec<Vec<(String, bool)>>),
@@ -425,11 +427,11 @@ impl SweepSpec {
             SweepSpec::Exhaustive(signals) => CaseSet::exhaustive(signals.iter().cloned()),
             SweepSpec::Product(axes) => CaseSet::product(axes.iter().map(SweepSpec::to_case_set)),
             SweepSpec::Corners(corners) => CaseSet::corners(corners.iter().copied()),
-            SweepSpec::List(cases) => CaseSet::list(cases.iter().map(|assigns| {
-                assigns
+            SweepSpec::List(cases) => CaseSet::list(
+                cases
                     .iter()
-                    .fold(Case::new(), |c, (signal, value)| c.assign(signal, *value))
-            })),
+                    .map(|assigns| assigns.iter().cloned().collect()),
+            ),
         }
     }
 }

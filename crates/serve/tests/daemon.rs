@@ -598,15 +598,8 @@ fn apply_delta_reverifies_and_bad_deltas_leave_the_session_usable() {
     daemon.join().expect("daemon drains");
 }
 
-#[test]
-fn verilog_frontend_is_served_and_bad_rtl_is_a_compile_error() {
-    let (path, daemon) = start_daemon(ServeOptions {
-        socket: Some(socket_path("verilog")),
-        ..ServeOptions::default()
-    });
-    let mut client = Client::connect_unix(&path).expect("connects");
-
-    let src = "\
+/// A four-bit Verilog counter with an asynchronous reset.
+const COUNTER_V: &str = "\
 // scald: period 50.0
 module counter(input wire clk, input wire rst, output reg [3:0] q);
   // scald: input clk .P0-4(0,0)
@@ -617,7 +610,16 @@ module counter(input wire clk, input wire rst, output reg [3:0] q);
   end
 endmodule
 ";
-    let (s, _, _) = opened(client.open_verilog(src, "rtl").expect("opens"));
+
+#[test]
+fn verilog_frontend_is_served_and_bad_rtl_is_a_compile_error() {
+    let (path, daemon) = start_daemon(ServeOptions {
+        socket: Some(socket_path("verilog")),
+        ..ServeOptions::default()
+    });
+    let mut client = Client::connect_unix(&path).expect("connects");
+
+    let (s, _, _) = opened(client.open_verilog(COUNTER_V, "rtl").expect("opens"));
     assert!(matches!(
         client.run(&s).expect("runs"),
         Response::Ran { .. }
@@ -641,6 +643,39 @@ endmodule
         other => panic!("expected a compile error, got {other:?}"),
     }
     client.close(&s).expect("closes");
+    client.shutdown().expect("shutdown");
+    drop(client);
+    daemon.join().expect("daemon drains");
+}
+
+#[test]
+fn a_verilog_session_compiles_source_deltas_as_verilog() {
+    let (path, daemon) = start_daemon(ServeOptions {
+        socket: Some(socket_path("verilog-delta")),
+        ..ServeOptions::default()
+    });
+    let mut client = Client::connect_unix(&path).expect("connects");
+    let (s, _, _) = opened(client.open_verilog(COUNTER_V, "rtl").expect("opens"));
+    let before = report_text(client.report(&s, false).expect("reports"));
+
+    // A wider counter whose reset settles later.
+    let edited = COUNTER_V
+        .replace("[3:0]", "[7:0]")
+        .replace(".S0-8", ".S0-12")
+        .replace("4'd", "8'd");
+    match client
+        .apply(&s, DeltaSpec::Source(edited.clone()))
+        .expect("answered")
+    {
+        Response::Applied { .. } => {}
+        other => panic!("expected applied, got {other:?}"),
+    }
+    let applied = report_text(client.report(&s, false).expect("reports"));
+    assert_ne!(applied, before, "the edit changes the report");
+
+    let (fresh, _, _) = opened(client.open_verilog(&edited, "rtl").expect("opens"));
+    let expected = report_text(client.report(&fresh, false).expect("reports"));
+    assert_eq!(applied, expected);
     client.shutdown().expect("shutdown");
     drop(client);
     daemon.join().expect("daemon drains");

@@ -24,15 +24,7 @@ fn direct_report(src: &str, label: &str) -> String {
     let cases: Vec<Case> = if expansion.cases.is_empty() {
         vec![Case::new()]
     } else {
-        expansion
-            .cases
-            .iter()
-            .map(|assigns| {
-                assigns
-                    .iter()
-                    .fold(Case::new(), |c, (s, v)| c.assign(s.clone(), *v))
-            })
-            .collect()
+        expansion.cases.into_iter().map(Case::from_iter).collect()
     };
     let mut verifier = VerifierBuilder::new(expansion.netlist).build();
     let results = verifier

@@ -113,6 +113,18 @@ impl Case {
     }
 }
 
+/// A worst-corner case of `(signal, value)` assignments, in order — the
+/// form the frontends declare cases in.
+impl<S: Into<String>> FromIterator<(S, bool)> for Case {
+    fn from_iter<I: IntoIterator<Item = (S, bool)>>(assigns: I) -> Case {
+        assigns
+            .into_iter()
+            .fold(Case::new(), |case, (signal, value)| {
+                case.assign(signal, value)
+            })
+    }
+}
+
 /// Errors raised while running the verifier.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum VerifyError {

@@ -688,14 +688,7 @@ fn main() -> ExitCode {
     let cases: Vec<Case> = if opts.no_cases || raw_cases.is_empty() {
         vec![Case::new()]
     } else {
-        raw_cases
-            .iter()
-            .map(|assigns| {
-                assigns
-                    .iter()
-                    .fold(Case::new(), |c, (s, v)| c.assign(s.clone(), *v))
-            })
-            .collect()
+        raw_cases.into_iter().map(Case::from_iter).collect()
     };
 
     let mut builder = VerifierBuilder::new(netlist);
