@@ -23,7 +23,7 @@ cargo test -q --test cli
 # every worker count, eval-cache hit and miss counts included (a miss
 # that another worker's insert beat counts as a hit, as one worker would
 # see it); with the cache on and off they differ only in those counts;
-# and the interning store must stay bounded.
+# and the wave and state interning stores must stay bounded.
 cargo test -q -p scald-verifier --test parallel_settle --test parallel_cases --test eval_cache --test store_growth
 
 # The eval-cache counting rule alone: every interleaving of three
@@ -47,13 +47,13 @@ cargo test -q -p scald-verifier --lib delta_passes_match_the_walk_oracle
 # never collide.
 cargo test -q -p scald-verifier --lib -- keyed_checker_passes_match_the_per_instance_oracle keyed_slack_matches_the_per_checker_loop keys_tell_wave_stores_apart
 
-# The eval-cache key oracle: every packed key (inline pins, one carried
-# hash, interned tail ids) is also built as the `Vec` key it replaced,
-# and two keys must be equal exactly when their old keys are, over
-# seeded S-1, scale and sweep runs with cases and corner crosses,
-# propagating directive chains, fan-in above the inline pins, skews, and
-# keys differing in one part each (two wave stores, each skew half, the
-# tail, the pin count, the corner).
+# The eval-cache key oracle: every packed key (inline state-id pins, one
+# carried hash) is also built as the `Vec` key it replaced, and two keys
+# must be equal exactly when their old keys are, over seeded S-1, scale
+# and sweep runs with cases and corner crosses, propagating directive
+# chains, fan-in above the inline pins, skews, and keys differing in one
+# part each (the wave, each skew half, the tail, the pin count, the
+# corner); a wave interned in two wave stores is one pin.
 cargo test -q -p scald-verifier --lib -- packed_keys_match_the_vec_key_oracle keys_differing_in_one_part_stay_apart
 
 # The packed descriptor signatures against the `Debug`-string interner:
@@ -105,20 +105,23 @@ cargo test -q --test expand_golden --test expand_allocs
 # The render-path pins: the allocation budgets per signal for building a
 # report from a settled verifier (2) and for turning it into its JSON
 # document and summary listing (8), with a counting global allocator,
-# and the oracle suites that keep the
+# the bytes a small design's listings ask for, which must not grow with
+# the states the process has interned, and the oracle suites that keep the
 # earlier `f64` time formatter, `segments()` waveform listing and two
 # JSON writers as references for the rewritten text forms.
 cargo test -q --test render_allocs
 cargo test -q -p scald-wave --test display_oracle
 cargo test -q -p scald-trace --test json_oracle
 
-# The eval-cache hit pin: a warm settle of a 400-chip S-1 design against
-# a cache an identical settle filled makes no miss and at most 0.05
-# allocations per hit (a counting global allocator).
+# The settle's allocation pins (a counting global allocator): a warm
+# settle of a 400-chip S-1 design against a cache an identical settle
+# filled makes no miss and at most 0.02 allocations per hit, and a
+# 4,096-case mode sweep asks for no more bytes per case-tree unit when
+# the master cone grows sixteenfold.
 cargo test -q --test settle_allocs
 
 # The warm-edit pins: the allocation budgets of a one-line source edit
-# (2.5 per primitive, beyond compiling it) and of the daemon's `report`
+# (1.6 per primitive, beyond compiling it) and of the daemon's `report`
 # frame encode + decode (16 per signal), and the oracles that keep the earlier
 # `format!`-based content keys and `BTreeMap` diff, the copy-then-strip
 # report document and the borrowing frame encoder as references.
@@ -134,8 +137,10 @@ cargo test -q -p scald-rtl --test cascade_race --test failures
 cargo test -q --test cross_frontend
 
 # The gated-clock RTL design must be *red*: the verifier has to flag the
-# cascade race (exit 1), not pass it.
-! cargo run -q --release --bin scald-tv -- designs/cascade_race.v
+# cascade race (exit 1), not pass it, fail on usage (2) or panic (101).
+status=0
+cargo run -q --release --bin scald-tv -- designs/cascade_race.v || status=$?
+test "$status" -eq 1
 
 # Smoke the settle-scaling and cache A/B bench harnesses (tiny design);
 # the full runs regenerate BENCH_settle.json / BENCH_cache.json.

@@ -4,11 +4,11 @@
 //! [`evaluate`](crate::eval) is a pure function of a primitive's static
 //! description (kind, delays, per-connection inversion/directive/wire
 //! delay, and the clock period) and the dynamic states of its input
-//! signals. With waveforms hash-consed ([`scald_wave::WaveStore`]), a
-//! dynamic input state is fully captured by a few words — *(store tag,
-//! interned wave id, skew, interned remaining eval string)* — so a small
-//! key identifies an evaluation exactly and the outcome can be served
-//! from a table instead of re-running the kernels.
+//! signals. Every distinct input state is interned once into the global
+//! [`StateStore`](crate::StateStore), so a pin of the key is its input's
+//! [`StateId`] — one `u32` read from the state column — and a small key
+//! identifies an evaluation exactly; the outcome is served from a table
+//! instead of re-running the kernels.
 //!
 //! Invalidation is by construction: everything `evaluate` reads is in the
 //! key. The static half is packed once per primitive into a word slice
@@ -20,15 +20,15 @@
 //! A lookup costs one keyed hash and no allocation: a key holds up to
 //! four pins inline and carries the hash it was built with, which picks
 //! both the shard and the slot within it. The table is sharded like the
-//! wave store: hits take a shard read-lock, misses insert under the
-//! shard write-lock, so the wave engine's evaluation workers share one
-//! cache without serializing.
+//! wave store: a lookup takes a shard read-lock, a miss inserts under
+//! the shard write-lock. An outcome is `Copy`, so a hit takes no
+//! reference count; each worker counts its hits and misses in its own
+//! [`Tally`], added to the shared counters once per wave.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher, RandomState};
-use std::ops::Deref;
+use std::hash::{BuildHasher, Hash, Hasher, RandomState};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, RwLock};
 
@@ -36,6 +36,7 @@ use scald_netlist::{Conn, Netlist, PrimKind, Primitive};
 use scald_wave::{DelayCorner, Time};
 
 use crate::eval::EvalOutcome;
+use crate::state::{CarriedMap, Padded, StateId};
 use crate::view::StateView;
 
 const SHARD_BITS: u32 = 4;
@@ -47,47 +48,18 @@ const SHARDS: usize = 1 << SHARD_BITS;
 const SHARD_SHIFT: u32 = 32;
 /// Pins a key stores inline; a wider fan-in spills to a boxed slice.
 const INLINE_PINS: usize = 4;
-/// Words per pin in the hashed form: wave, both skew halves, tail.
-const PIN_WORDS: usize = 4;
-
-/// The dynamic half of the key: one input signal's state, reduced to
-/// the words `evaluate` reads from it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-struct PinKey {
-    /// Tag of the store that issued the wave handle in the high half
-    /// (ids are only comparable within one store), the `WaveId` in the
-    /// low half.
-    wave: u64,
-    /// The separated skew's halves, in picoseconds.
-    minus: i64,
-    plus: i64,
-    /// The cache's id for the remaining letters of the riding evaluation
-    /// string; 0 when the value carries none.
-    tail: u32,
-}
-
-impl PinKey {
-    fn words(self) -> [u64; PIN_WORDS] {
-        [
-            self.wave,
-            self.minus as u64,
-            self.plus as u64,
-            u64::from(self.tail),
-        ]
-    }
-}
 
 #[derive(Debug, Clone)]
 enum Pins {
-    /// The first `len` entries are in use, the rest are zero.
-    Inline([PinKey; INLINE_PINS]),
-    Spilled(Box<[PinKey]>),
+    /// The first `len` entries are in use, the rest are `StateId(0)`.
+    Inline([StateId; INLINE_PINS]),
+    Spilled(Box<[StateId]>),
 }
 
 /// Full cache key: the primitive's interned descriptor signature, the
-/// delay corner in force, and the dynamic state of each input in
-/// connection order — plus the hash of all of them, computed once by the
-/// cache that built the key.
+/// delay corner in force, and the state of each input in connection
+/// order — plus the hash of all of them, computed once by the cache that
+/// built the key.
 #[derive(Debug, Clone)]
 pub(crate) struct EvalKey {
     hash: u64,
@@ -101,7 +73,7 @@ pub(crate) struct EvalKey {
 }
 
 impl EvalKey {
-    fn pins(&self) -> &[PinKey] {
+    fn pins(&self) -> &[StateId] {
         match &self.pins {
             Pins::Inline(pins) => &pins[..self.len as usize],
             Pins::Spilled(pins) => pins,
@@ -128,42 +100,6 @@ impl Eq for EvalKey {}
 impl Hash for EvalKey {
     fn hash<H: Hasher>(&self, state: &mut H) {
         state.write_u64(self.hash);
-    }
-}
-
-/// The shard tables' hasher: hands back the hash an [`EvalKey`] carries.
-#[derive(Default)]
-struct CarriedHash(u64);
-
-impl Hasher for CarriedHash {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("eval keys hash themselves once, through `write_u64`");
-    }
-
-    fn write_u64(&mut self, hash: u64) {
-        self.0 = hash;
-    }
-}
-
-type Shard = HashMap<EvalKey, EvalOutcome, BuildHasherDefault<CarriedHash>>;
-
-/// A value alone on its cache lines (128 bytes: the pair of lines x86
-/// prefetches together), so that a counter or lock one worker writes
-/// does not evict what another worker reads — the hasher's keys, or a
-/// neighbouring shard's lock.
-#[derive(Default)]
-#[repr(align(128))]
-struct Padded<T>(T);
-
-impl<T> Deref for Padded<T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        &self.0
     }
 }
 
@@ -217,6 +153,14 @@ impl EvalCacheStats {
     }
 }
 
+/// One worker's hits and misses on an [`EvalCache`], not yet added to
+/// the cache's counters ([`EvalCache::add`]).
+#[derive(Debug, Default)]
+pub(crate) struct Tally {
+    hits: u64,
+    misses: u64,
+}
+
 /// A sharded memo table of primitive-evaluation outcomes.
 ///
 /// One cache is created per [`Verifier`](crate::Verifier) unless a shared
@@ -231,13 +175,10 @@ pub struct EvalCache {
     /// (across netlists, sessions, rebuilds) map to the same signature,
     /// which is what makes warm-session reuse work.
     sigs: Mutex<HashMap<Box<[u64]>, u32>>,
-    /// Remaining evaluation-string letters → tail id, from 1 (0 in a key
-    /// means no string rides on the value).
-    tails: RwLock<HashMap<Box<str>, u32>>,
     /// Keyed, so keys derived from client designs (the daemon shares
     /// one cache) cannot be chosen to collide.
     hasher: RandomState,
-    shards: [Padded<RwLock<Shard>>; SHARDS],
+    shards: [Padded<RwLock<CarriedMap<EvalKey, EvalOutcome>>>; SHARDS],
     hits: Padded<AtomicU64>,
     misses: Padded<AtomicU64>,
     /// Every key built, paired with the key as it was built before keys
@@ -252,7 +193,6 @@ impl EvalCache {
     pub fn new() -> EvalCache {
         EvalCache {
             sigs: Mutex::new(HashMap::new()),
-            tails: RwLock::new(HashMap::new()),
             hasher: RandomState::new(),
             shards: std::array::from_fn(|_| Padded::default()),
             hits: Padded::default(),
@@ -299,17 +239,9 @@ impl EvalCache {
         states: &S,
         corner: DelayCorner,
     ) -> EvalKey {
-        let pin = |conn: &Conn| {
-            let src = states.state_at(conn.signal.index());
-            PinKey {
-                wave: (u64::from(src.wave.store_tag()) << 32) | u64::from(src.wave.id().index()),
-                minus: src.skew.minus.as_ps(),
-                plus: src.skew.plus.as_ps(),
-                tail: src.eval.as_ref().map_or(0, |e| self.tail_id(e.remaining())),
-            }
-        };
+        let pin = |conn: &Conn| states.state_at(conn.signal.index());
         let pins = if prim.inputs.len() <= INLINE_PINS {
-            let mut inline = [PinKey::default(); INLINE_PINS];
+            let mut inline = [StateId::default(); INLINE_PINS];
             for (slot, conn) in inline.iter_mut().zip(&prim.inputs) {
                 *slot = pin(conn);
             }
@@ -331,74 +263,71 @@ impl EvalCache {
     }
 
     /// The keyed hash of everything `key` compares, as one byte stream:
-    /// a header word (signature, corner, pin count), then each pin's
-    /// words. Up to [`INLINE_PINS`] pins this is a single `write`.
+    /// a header word (signature, corner, pin count), then each pin's id.
+    /// Up to [`INLINE_PINS`] pins this is a single `write`.
     fn hash_key(&self, key: &EvalKey) -> u64 {
         let mut h = self.hasher.build_hasher();
-        let mut buf = [0u8; 8 * (1 + INLINE_PINS * PIN_WORDS)];
+        let mut buf = [0u8; 8 + 4 * INLINE_PINS];
         let header = u64::from(key.sig) | ((key.corner as u64) << 32) | (u64::from(key.len) << 40);
         buf[..8].copy_from_slice(&header.to_ne_bytes());
         let mut at = 8;
         for pin in key.pins() {
-            if at + 8 * PIN_WORDS > buf.len() {
+            if at == buf.len() {
                 h.write(&buf);
                 at = 0;
             }
-            for word in pin.words() {
-                buf[at..at + 8].copy_from_slice(&word.to_ne_bytes());
-                at += 8;
-            }
+            buf[at..at + 4].copy_from_slice(&(pin.index() as u32).to_ne_bytes());
+            at += 4;
         }
         h.write(&buf[..at]);
         h.finish()
     }
 
-    /// The id of a riding evaluation string's remaining letters, interned
-    /// on first sight.
-    fn tail_id(&self, tail: &str) -> u32 {
-        if let Some(&id) = self.tails.read().expect("eval cache poisoned").get(tail) {
-            return id;
-        }
-        let mut tails = self.tails.write().expect("eval cache poisoned");
-        let next = tails.len() as u32 + 1;
-        *tails.entry(tail.into()).or_insert(next)
-    }
-
-    /// Looks `key` up, counting a hit or a miss (a miss becomes a hit if
-    /// its [`insert`](Self::insert) finds another worker's outcome). A
-    /// hit's clone shares the stored outcome's handles.
-    pub(crate) fn lookup(&self, key: &EvalKey) -> Option<EvalOutcome> {
+    /// Looks `key` up, counting a hit or a miss in `tally` (a miss
+    /// becomes a hit if its [`insert`](Self::insert) finds another
+    /// worker's outcome).
+    pub(crate) fn lookup(&self, key: &EvalKey, tally: &mut Tally) -> Option<EvalOutcome> {
         let found = self.shards[key.shard()]
             .read()
             .expect("eval cache poisoned")
             .get(key)
-            .cloned();
-        if found.is_some() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
+            .copied();
+        match found {
+            Some(_) => tally.hits += 1,
+            None => tally.misses += 1,
         }
         found
     }
 
     /// Stores the outcome for `key` after a [`lookup`](Self::lookup)
-    /// missed. Racing inserts of the same key keep the first value;
-    /// outcomes for equal keys are equal, so which copy wins is
-    /// unobservable. An insert that finds the key already stored turns
-    /// its lookup's miss into a hit: another worker evaluated the key
-    /// first, and a serial run would have found it in the table.
-    pub(crate) fn insert(&self, key: EvalKey, outcome: &EvalOutcome) {
+    /// counted in `tally` missed. Racing inserts of the same key
+    /// keep the first value; outcomes for equal keys are equal, so which
+    /// copy wins is unobservable. An insert that finds the key already
+    /// stored turns its lookup's miss into a hit: another worker
+    /// evaluated the key first, and a serial run would have found it in
+    /// the table.
+    pub(crate) fn insert(&self, key: EvalKey, outcome: EvalOutcome, tally: &mut Tally) {
         let mut table = self.shards[key.shard()]
             .write()
             .expect("eval cache poisoned");
         match table.entry(key) {
             Entry::Vacant(slot) => {
-                slot.insert(outcome.clone());
+                slot.insert(outcome);
             }
             Entry::Occupied(_) => {
-                drop(table);
-                self.misses.fetch_sub(1, Ordering::Relaxed);
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                tally.misses -= 1;
+                tally.hits += 1;
+            }
+        }
+    }
+
+    /// Adds the hits and misses counted in `tally` to this cache's
+    /// counters. Call it once every missed lookup it counts has had its
+    /// [`insert`](Self::insert), which may turn that miss into a hit.
+    pub(crate) fn add(&self, tally: Tally) {
+        for (count, total) in [(tally.hits, &self.hits), (tally.misses, &self.misses)] {
+            if count > 0 {
+                total.fetch_add(count, Ordering::Relaxed);
             }
         }
     }
@@ -525,6 +454,14 @@ mod tests {
 
     use crate::state::SignalState;
 
+    /// The ids of constant states of `values`.
+    fn constants(period: Time, values: &[Value]) -> Vec<StateId> {
+        values
+            .iter()
+            .map(|&v| StateId::of(&SignalState::new(Waveform::constant(period, v))))
+            .collect()
+    }
+
     fn tiny() -> Netlist {
         let mut b = NetlistBuilder::new(Config::s1_example());
         let a = b.signal("A").unwrap();
@@ -568,27 +505,32 @@ mod tests {
         let prim = &n.prims()[0];
         let sig = cache.sigs_for(&n)[0].unwrap();
         let period = n.config().timing.period;
-        let states = vec![
-            SignalState::new(Waveform::constant(period, Value::Zero)),
-            SignalState::new(Waveform::constant(period, Value::Unknown)),
-            SignalState::new(Waveform::constant(period, Value::Unknown)),
-        ];
+        let states = constants(period, &[Value::Zero, Value::Unknown, Value::Unknown]);
+        let mut tally = Tally::default();
         let key = cache.key_for(sig, prim, states.as_slice(), DelayCorner::Worst);
-        assert!(cache.lookup(&key).is_none());
+        assert!(cache.lookup(&key, &mut tally).is_none());
         let outcome = crate::eval::evaluate(&n, prim, states.as_slice(), DelayCorner::Worst);
-        cache.insert(key.clone(), &outcome);
-        let back = cache.lookup(&key).expect("second lookup hits");
+        cache.insert(key.clone(), outcome, &mut tally);
+        // Another worker reads the stored outcome from the shared table.
+        let mut other_tally = Tally::default();
+        let back = cache
+            .lookup(&key, &mut other_tally)
+            .expect("second lookup hits");
         assert_eq!(format!("{back:?}"), format!("{outcome:?}"));
 
         // A different input wave is a different key.
-        let other = vec![
-            SignalState::new(Waveform::constant(period, Value::One)),
-            states[1].clone(),
-        ];
+        let other = constants(period, &[Value::One, Value::Unknown]);
         let miss = cache.key_for(sig, prim, other.as_slice(), DelayCorner::Worst);
         assert_ne!(key, miss);
-        assert!(cache.lookup(&miss).is_none());
+        assert!(cache.lookup(&miss, &mut tally).is_none());
 
+        assert_eq!(
+            cache.stats().hits + cache.stats().misses,
+            0,
+            "not yet added"
+        );
+        cache.add(tally);
+        cache.add(other_tally);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 2, 1));
         assert!((stats.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
@@ -606,10 +548,14 @@ mod tests {
         let period = n.config().timing.period;
         // Keys are hashed by the cache that builds them.
         let key = |c: &EvalCache, v: Value| {
-            let states = [SignalState::new(Waveform::constant(period, v))];
-            c.key_for(0, prim, states.as_slice(), DelayCorner::Worst)
+            c.key_for(
+                0,
+                prim,
+                constants(period, &[v]).as_slice(),
+                DelayCorner::Worst,
+            )
         };
-        let states = [SignalState::new(Waveform::constant(period, Value::Zero))];
+        let states = constants(period, &[Value::Zero]);
         let outcome = crate::eval::evaluate(&n, prim, states.as_slice(), DelayCorner::Worst);
         let counts = |c: &EvalCache| {
             let s = c.stats();
@@ -617,9 +563,12 @@ mod tests {
         };
         let cache_with = |stored: &[Value]| {
             let cache = EvalCache::new();
+            let mut filler = Tally::default();
             for &v in stored {
-                cache.insert(key(&cache, v), &outcome);
+                assert!(cache.lookup(&key(&cache, v), &mut filler).is_none());
+                cache.insert(key(&cache, v), outcome, &mut filler);
             }
+            cache.add(filler);
             cache
         };
         // Every sequence of worker indices naming each of three workers
@@ -644,25 +593,32 @@ mod tests {
         for stored in [&[][..], &[Zero][..]] {
             for keys in [[Zero, Zero, Zero], [Zero, One, Zero], [One, Zero, Stable]] {
                 let serial = cache_with(stored);
+                let mut one = Tally::default();
                 for &v in &keys {
-                    if serial.lookup(&key(&serial, v)).is_none() {
-                        serial.insert(key(&serial, v), &outcome);
+                    if serial.lookup(&key(&serial, v), &mut one).is_none() {
+                        serial.insert(key(&serial, v), outcome, &mut one);
                     }
                 }
+                serial.add(one);
                 let expected = counts(&serial);
                 for order in &orders {
                     let cache = cache_with(stored);
+                    let mut workers: [Tally; 3] = Default::default();
                     let mut missed = [false; 3];
                     let mut looked = [false; 3];
                     for &w in order {
+                        let tally = &mut workers[w];
                         if looked[w] {
                             if missed[w] {
-                                cache.insert(key(&cache, keys[w]), &outcome);
+                                cache.insert(key(&cache, keys[w]), outcome, tally);
                             }
                         } else {
                             looked[w] = true;
-                            missed[w] = cache.lookup(&key(&cache, keys[w])).is_none();
+                            missed[w] = cache.lookup(&key(&cache, keys[w]), tally).is_none();
                         }
+                    }
+                    for tally in workers {
+                        cache.add(tally);
                     }
                     assert_eq!(
                         counts(&cache),

@@ -8,11 +8,16 @@
 //! would serve another evaluation's outcome; were it to split one, hit
 //! and miss counts would change. The tests below drive corpora in which
 //! every part of the key varies, and assert that each feature occurs.
+//!
+//! A pin of the packed key is its input's state id, so two pins are
+//! equal when their states are: the oracle's record holds the waveform
+//! itself, compared structurally, and a waveform interned in two
+//! [`WaveStore`](scald_wave::WaveStore)s is one pin.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use scald_netlist::Primitive;
-use scald_wave::{DelayCorner, Skew, WaveId};
+use scald_wave::{DelayCorner, Skew, Waveform};
 
 use super::{EvalCache, EvalKey, INLINE_PINS};
 use crate::view::StateView;
@@ -20,8 +25,7 @@ use crate::view::StateView;
 /// One input signal's state, as the old key held it.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct InputKey {
-    store: u32,
-    wave: WaveId,
+    wave: Waveform,
     skew: Skew,
     eval: Option<Box<str>>,
 }
@@ -45,10 +49,9 @@ fn oracle_key<S: StateView + ?Sized>(
         .inputs
         .iter()
         .map(|conn| {
-            let src = states.state_at(conn.signal.index());
+            let src = states.state_at(conn.signal.index()).get();
             InputKey {
-                store: src.wave.store_tag(),
-                wave: src.wave.id(),
+                wave: src.wave.to_waveform(),
                 skew: src.skew,
                 eval: src.eval.as_ref().map(|e| e.remaining().into()),
             }
@@ -78,8 +81,6 @@ struct Coverage {
     long_tails: u64,
     /// Pins with a non-zero skew.
     skewed: u64,
-    /// Wave-store tags seen.
-    stores: HashSet<u32>,
 }
 
 /// Every key a cache built, both ways round.
@@ -110,7 +111,6 @@ pub(super) fn cross_check<S: StateView + ?Sized>(
         cov.tails += u64::from(input.eval.is_some());
         cov.long_tails += u64::from(input.eval.as_ref().is_some_and(|e| e.len() >= 2));
         cov.skewed += u64::from(!input.skew.is_zero());
-        cov.stores.insert(input.store);
     }
     if let Some(seen) = maps.by_oracle.get(&oracle) {
         assert!(
@@ -135,7 +135,7 @@ mod tests {
     use std::sync::Arc;
 
     use super::*;
-    use crate::state::{EvalStr, SignalState};
+    use crate::state::{EvalStr, SignalState, StateId};
     use crate::{CaseSet, RunOptions, VerifierBuilder};
     use scald_gen::s1::{s1_like_netlist, S1Options};
     use scald_gen::scale::{scale_netlist, ScaleOptions};
@@ -253,9 +253,11 @@ mod tests {
         assert!(cov.skewed > 0, "skewed pins: {cov:?}");
     }
 
-    /// Keys that differ in exactly one part — store tag, each skew half,
-    /// tail, pin count, corner, signature — built by one cache: each
-    /// pair must stay apart, and rebuilding either key must land on it.
+    /// Keys that differ in exactly one part — the wave (here one with
+    /// the same id in another store), each skew half, tail, pin count,
+    /// corner, signature — built by one cache: each pair must stay
+    /// apart, and rebuilding either key must land on it. A wave equal to
+    /// the plain one but interned in another store is the same pin.
     #[test]
     fn keys_differing_in_one_part_stay_apart() {
         let mut b = NetlistBuilder::new(Config::s1_example());
@@ -288,14 +290,16 @@ mod tests {
             })
             .find(|w| w.id() == quiet.id())
             .expect("some wave lands on the same id");
-        let state = |wave: &scald_wave::WaveRef, skew: Skew, eval: Option<&str>| SignalState {
-            wave: wave.clone(),
-            skew,
-            eval: eval.map(EvalStr::new),
+        let state = |wave: &scald_wave::WaveRef, skew: Skew, eval: Option<&str>| {
+            StateId::of(&SignalState {
+                wave: wave.clone(),
+                skew,
+                eval: eval.map(EvalStr::new),
+            })
         };
         let plain = state(&quiet, Skew::ZERO, None);
         let variants = [
-            plain.clone(),
+            plain,
             state(&twin, Skew::ZERO, None),
             state(&quiet, Skew::new(ns(1.0), Time::ZERO), None),
             state(&quiet, Skew::new(Time::ZERO, ns(1.0)), None),
@@ -304,10 +308,10 @@ mod tests {
         ];
         let cache = EvalCache::new();
         let mut keys = Vec::new();
-        for last in &variants {
-            let mut states = vec![plain.clone(); 6];
-            states[5] = last.clone();
-            states[2] = last.clone();
+        for &last in &variants {
+            let mut states = vec![plain; 6];
+            states[5] = last;
+            states[2] = last;
             for prim in [and3, and6] {
                 for corner in [DelayCorner::Worst, DelayCorner::Min] {
                     for sig in [0, 1] {
@@ -318,7 +322,7 @@ mod tests {
         }
         // The first key's signature, corner and first two pins, and one
         // pin fewer.
-        let all_plain = vec![plain.clone(); 6];
+        let all_plain = vec![plain; 6];
         keys.push(cache.key_for(0, and2, all_plain.as_slice(), DelayCorner::Worst));
         for (i, a) in keys.iter().enumerate() {
             for b in &keys[i + 1..] {
@@ -327,7 +331,6 @@ mod tests {
         }
         let cov = coverage(&cache);
         assert_eq!(cov.keys, keys.len() as u64);
-        assert_eq!(cov.stores.len(), 2, "{cov:?}");
         assert!(
             cov.spilled > 0 && cov.tails > 0 && cov.skewed > 0,
             "{cov:?}"
@@ -336,5 +339,13 @@ mod tests {
         let again = cache.key_for(0, and6, all_plain.as_slice(), DelayCorner::Worst);
         assert_eq!(again, keys[4]);
         assert_eq!(again.hash, keys[4].hash);
+        // The plain wave interned in the other store is the plain state.
+        let copy = other.intern(quiet.to_waveform());
+        assert_ne!(copy.store_tag(), quiet.store_tag());
+        let mut copies = vec![plain; 6];
+        copies[5] = state(&copy, Skew::ZERO, None);
+        let shared = cache.key_for(0, and6, copies.as_slice(), DelayCorner::Worst);
+        assert_eq!(shared, keys[4]);
+        assert_eq!(shared.hash, keys[4].hash);
     }
 }

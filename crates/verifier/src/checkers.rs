@@ -5,15 +5,14 @@
 use scald_logic::Value;
 use scald_netlist::{Conn, Netlist, PrimId, PrimKind, Primitive, Signal, SignalId};
 use scald_wave::{
-    edge_windows, pulses, DelayCorner, DelayRange, Edge, EdgeWindow, Skew, Span, Time, WaveId,
-    Waveform,
+    edge_windows, pulses, DelayCorner, DelayRange, Edge, EdgeWindow, Span, Time, Waveform,
 };
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use crate::eval::{pin_wave, pin_wave_pulse_view};
 use crate::report::{Provenance, ProvenanceHop, Violation, ViolationKind};
-use crate::state::{Directive, EvalStr};
+use crate::state::{Directive, EvalStr, StateId};
 use crate::view::StateView;
 
 /// Fan-in walk caps: deep enough to cross several levels of gating, small
@@ -44,7 +43,7 @@ pub(crate) fn provenance_for<S: StateView + ?Sized>(
         }
         let sig = netlist.signal(sid);
         let driver = netlist.driver(sid);
-        let wave = states.state_at(sid.index()).resolved();
+        let wave = states.state_at(sid.index()).get().resolved();
         hops.push(ProvenanceHop {
             signal: sig.full_name(),
             depth,
@@ -250,16 +249,13 @@ pub struct CheckMargin {
 }
 
 /// What `prep_input` reads for one checker pin with the gate delay off:
-/// the source wave handle and skew, the inversion, and the wire delay
-/// that reaches the pin (after the corner collapse, zero when the
-/// directive head zeroes the wire). The pin's prepared wave is a pure
-/// function of these, so pins with equal keys see equal waves.
+/// the source state (wave, skew and riding string), the inversion, and
+/// the wire delay that reaches the pin (after the corner collapse, zero
+/// when the directive head zeroes the wire). The pin's prepared wave is
+/// a pure function of these, so pins with equal keys see equal waves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct PinKey {
-    /// The issuing store's tag: ids are unique only within one store.
-    store: u32,
-    wave: WaveId,
-    skew: Skew,
+    state: StateId,
     invert: bool,
     wire: DelayRange,
 }
@@ -271,12 +267,12 @@ impl PinKey {
         states: &S,
         corner: DelayCorner,
     ) -> PinKey {
-        let src = states.state_at(conn.signal.index());
+        let state = states.state_at(conn.signal.index());
         // The directive head, read from the first letter directly: a
         // connection's own string wins over the one riding on the value.
         let head = match &conn.directive {
             Some(d) => d.chars().next().and_then(Directive::from_letter),
-            None => src.eval.as_ref().and_then(EvalStr::head),
+            None => state.get().eval.as_ref().and_then(EvalStr::head),
         };
         let wire = if head.is_some_and(Directive::zeroes_wire) {
             DelayRange::ZERO
@@ -284,9 +280,7 @@ impl PinKey {
             corner.collapse(netlist.wire_delay(conn))
         };
         PinKey {
-            store: src.wave.store_tag(),
-            wave: src.wave.id(),
-            skew: src.skew,
+            state,
             invert: conn.invert,
             wire,
         }
@@ -763,7 +757,7 @@ fn check_signal_assertion<S: StateView + ?Sized>(
     let timing = netlist.config().timing;
     let assertion = sig.assertion.as_ref().expect("assertion unit");
     let (asserted_wave, _) = assertion.to_state(&timing);
-    let actual = states.state_at(sid.index()).resolved();
+    let actual = states.state_at(sid.index()).get().resolved();
     for span in asserted_wave.spans_where(|v| v == Value::Stable) {
         if !actual.quiescent_throughout(span) {
             out.push(Violation {

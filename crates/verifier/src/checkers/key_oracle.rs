@@ -171,7 +171,7 @@ fn tally<S: StateView + ?Sized>(
         };
         cov.inverted += u64::from(pins.iter().any(|c| c.invert));
         for conn in pins {
-            let src = states.state_at(conn.signal.index());
+            let src = states.state_at(conn.signal.index()).get();
             let head = match &conn.directive {
                 Some(d) => d.chars().next().and_then(Directive::from_letter),
                 None => src.eval.as_ref().and_then(EvalStr::head),
@@ -247,7 +247,7 @@ pub(super) fn cross_check_slack<S: StateView + ?Sized>(
 
 mod tests {
     use super::*;
-    use crate::state::SignalState;
+    use crate::state::{SignalState, StateId};
     use crate::{Case, CaseSet, RunOptions, Verifier};
     use scald_gen::figures::hazard_circuit;
     use scald_gen::s1::{s1_like_netlist, S1Options};
@@ -524,10 +524,12 @@ mod tests {
         assert_ne!(clean.store_tag(), colliding.store_tag());
         let clock =
             Waveform::from_intervals(period, Value::Zero, [(ns(12.0), ns(18.0), Value::One)]);
-        let state = |wave| SignalState {
-            wave,
-            skew: scald_wave::Skew::ZERO,
-            eval: None,
+        let state = |wave| {
+            StateId::of(&SignalState {
+                wave,
+                skew: scald_wave::Skew::ZERO,
+                eval: None,
+            })
         };
         let states = [
             state(clean),

@@ -28,16 +28,16 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
 
-use crate::cache::EvalCache;
+use crate::cache::{EvalCache, Tally};
 use crate::caseset::CaseSet;
 use crate::checkers::{
     run_all_checks, run_checks_cached, slack_report, CheckCache, CheckMargin, CheckMemo,
 };
 use crate::eval::{evaluate, EvalOutcome};
 use crate::report::{CaseResult, EngineStats, Report, SummaryRows, Violation};
-use crate::state::SignalState;
+use crate::state::{SignalState, StateId, StateStore};
 use crate::storage::StorageReport;
-use crate::view::{ConeState, SoaState, StateRef, StateStore, StateView};
+use crate::view::{ConeState, StateView, StateWrite};
 
 /// One case for case analysis (§2.7.1): a set of `signal = 0/1`
 /// assignments applied wherever the circuit would set the signal
@@ -581,10 +581,10 @@ pub struct Verifier {
     /// that clones the verifier) shares the netlist instead of copying
     /// it.
     netlist: Arc<Netlist>,
-    /// Computed (pre-case-mapping) states, struct-of-arrays.
-    raw: SoaState,
+    /// Computed (pre-case-mapping) states, one id per signal.
+    raw: Vec<StateId>,
     /// Effective states seen by evaluation: raw with case overrides applied.
-    eff: SoaState,
+    eff: Vec<StateId>,
     /// Signals whose state is fixed by an assertion (clocks, asserted or
     /// assumed-stable undriven signals) and never overwritten by a driver.
     pinned: Vec<bool>,
@@ -603,7 +603,7 @@ pub struct Verifier {
     /// Per-driver output states for wired-OR signals (§3.1, Fig 3-1's
     /// ECL bus): the signal's effective value is the worst-case OR of all
     /// contributions. `BTreeMap` keeps every walk of it deterministic.
-    wired_contributions: BTreeMap<(SignalId, PrimId), SignalState>,
+    wired_contributions: BTreeMap<(SignalId, PrimId), StateId>,
     /// The delay corner of the currently installed state — the last
     /// run's final case's corner. Post-run inspection (`check_now`,
     /// `slack_report`) evaluates at this corner, and the next base
@@ -663,9 +663,19 @@ impl Verifier {
         let period = netlist.config().timing.period;
         let timing = netlist.config().timing;
         let n = netlist.signals().len();
-        let unknown = SignalState::new(Waveform::constant(period, Value::Unknown));
-        let stable = SignalState::new(Waveform::constant(period, Value::Stable));
-        let mut raw = SoaState::with_capacity(n);
+        let unknown = StateId::of(&SignalState::new(Waveform::constant(
+            period,
+            Value::Unknown,
+        )));
+        let stable = StateId::of(&SignalState::new(Waveform::constant(period, Value::Stable)));
+        let asserted = |wave: Waveform, skew| {
+            StateId::of(&SignalState {
+                wave: wave.into(),
+                skew,
+                eval: None,
+            })
+        };
+        let mut raw = Vec::with_capacity(n);
         let mut pinned = vec![false; n];
         let mut assumed_stable = Vec::new();
         let mut pinned_clock_drivers = Vec::new();
@@ -679,32 +689,24 @@ impl Verifier {
                     if driven {
                         pinned_clock_drivers.push(sid);
                     }
-                    SignalState {
-                        wave: wave.into(),
-                        skew,
-                        eval: None,
-                    }
+                    asserted(wave, skew)
                 }
                 Some(a) => {
                     if driven {
-                        unknown.clone()
+                        unknown
                     } else {
                         pinned[sid.index()] = true;
                         let (wave, skew) = a.to_state(&timing);
-                        SignalState {
-                            wave: wave.into(),
-                            skew,
-                            eval: None,
-                        }
+                        asserted(wave, skew)
                     }
                 }
                 None => {
                     if driven {
-                        unknown.clone()
+                        unknown
                     } else {
                         pinned[sid.index()] = true;
                         assumed_stable.push(sid);
-                        stable.clone()
+                        stable
                     }
                 }
             };
@@ -744,19 +746,18 @@ impl Verifier {
     }
 
     /// The settled effective state of a signal (after [`run`](Self::run)).
-    /// Owned: the engine keeps states in parallel arrays, so there is no
-    /// single record to borrow; the clone is a reference-count bump on
-    /// the interned wave handle.
+    /// Owned: the engine keeps one interned state id per signal; the
+    /// clone is a reference-count bump on the interned wave handle.
     #[must_use]
     pub fn state(&self, id: SignalId) -> SignalState {
-        self.eff.state(id.index())
+        self.eff[id.index()].get().clone()
     }
 
     /// The fully resolved (skew-folded) waveform of a signal. The fold is
     /// computed as a plain copy, not interned into the wave store.
     #[must_use]
     pub fn resolved(&self, id: SignalId) -> Waveform {
-        let state = self.eff.get(id.index());
+        let state = self.eff[id.index()].get();
         state.wave.with_skew_applied(state.skew)
     }
 
@@ -787,10 +788,6 @@ impl Verifier {
         self.total_evaluations
     }
 
-    fn apply_override(&self, sid: SignalId, state: StateRef<'_>) -> SignalState {
-        override_state(self.overrides.get(&sid).copied(), state)
-    }
-
     fn enqueue(&mut self, pid: PrimId) {
         if !self.queued[pid.index()] {
             self.queued[pid.index()] = true;
@@ -812,6 +809,7 @@ impl Verifier {
     fn settle(&mut self, wave_jobs: usize) -> Result<(u64, u64), VerifyError> {
         let mut events = 0u64;
         let mut evaluations = 0u64;
+        let mut scratch = WaveScratch::default();
         let result = settle_waves(
             &WaveParams {
                 netlist: &self.netlist,
@@ -835,8 +833,9 @@ impl Verifier {
                 events: &mut events,
                 evaluations: &mut evaluations,
             },
-            &mut self.raw,
-            &mut self.eff,
+            &mut scratch,
+            self.raw.as_mut_slice(),
+            self.eff.as_mut_slice(),
         );
         self.total_events += events;
         self.total_evaluations += evaluations;
@@ -861,9 +860,9 @@ impl Verifier {
             .collect();
         self.overrides = new_overrides;
         for sid in affected {
-            let eff = self.apply_override(sid, self.raw.get(sid.index()));
-            if self.eff.get(sid.index()) != eff {
-                self.eff.set(sid.index(), eff);
+            let eff = override_state(self.overrides.get(&sid).copied(), self.raw[sid.index()]);
+            if self.eff[sid.index()] != eff {
+                self.eff[sid.index()] = eff;
                 self.enqueue_fanout(sid);
             }
         }
@@ -951,9 +950,9 @@ impl Verifier {
             if self.pinned[new.index()] {
                 continue; // init already pinned it to its asserted value
             }
-            let st = prior.raw.state(old.index());
-            self.eff.set(new.index(), st.clone());
-            self.raw.set(new.index(), st);
+            let st = prior.raw[old.index()];
+            self.eff[new.index()] = st;
+            self.raw[new.index()] = st;
             copied += 1;
         }
         let prim_back: HashMap<PrimId, PrimId> =
@@ -965,10 +964,10 @@ impl Verifier {
                 self.hazards.insert((np, idx));
             }
         }
-        for (&(sid, pid), st) in &prior.wired_contributions {
+        for (&(sid, pid), &st) in &prior.wired_contributions {
             if let (Some(&ns), Some(&np)) = (sig_back.get(&sid), prim_back.get(&pid)) {
                 if self.netlist.drivers(ns).contains(&np) {
-                    self.wired_contributions.insert((ns, np), st.clone());
+                    self.wired_contributions.insert((ns, np), st);
                 }
             }
         }
@@ -1088,8 +1087,11 @@ impl Verifier {
         // parent's settled state (DESIGN.md § "Dependency-release
         // scheduling").
         let netlist = &self.netlist;
-        let base_raw: &SoaState = &self.raw;
-        let base_eff: &SoaState = &self.eff;
+        let base_raw: &[StateId] = &self.raw;
+        let base_eff: &[StateId] = &self.eff;
+        // The base as a parent view with nothing dirtied, beside the
+        // prefix nodes' overlays.
+        let (base_raw_view, base_eff_view) = (ConeState::new(base_raw), ConeState::new(base_eff));
         let pinned: &[bool] = &self.pinned;
         let base_hazards = &self.hazards;
         let base_wired = &self.wired_contributions;
@@ -1155,7 +1157,7 @@ impl Verifier {
         // whole subtree — children still run, propagate the
         // error to their leaves immediately, and the scheduler
         // drains without deadlocking.
-        let node_work = |ni: usize| {
+        let node_work = |ni: usize, scratch: &mut CaseScratch| {
             let node = &tree.nodes[ni];
             let parent = node
                 .parent
@@ -1198,6 +1200,7 @@ impl Verifier {
                 None => settle_overlay(
                     netlist,
                     pinned,
+                    scratch,
                     &mut st.raw,
                     &mut st.eff,
                     &mut st.hazards,
@@ -1229,14 +1232,14 @@ impl Verifier {
                     let (cache, hazards, eff_parent): (
                         &CheckCache,
                         &BTreeSet<(PrimId, usize)>,
-                        &dyn StateView,
+                        &ConeState<'_>,
                     ) = match parent {
                         Some(ps) => (
                             ps.cache.as_ref().expect("settled parent has a cache"),
                             &ps.hazards,
                             &ps.eff,
                         ),
-                        None => (base_check_pass(), base_hazards, base_eff),
+                        None => (base_check_pass(), base_hazards, &base_eff_view),
                     };
                     let dirty = st.eff.dirty_vs(eff_parent);
                     run_checks_cached(
@@ -1257,9 +1260,9 @@ impl Verifier {
                 st.cache = Some(pass.cache);
                 // Storage is corner-independent, so the records
                 // chain runs through corner roots too.
-                let (raw_parent, parent_records): (&dyn StateView, usize) = match parent {
+                let (raw_parent, parent_records) = match parent {
                     Some(ps) => (&ps.raw, ps.value_records),
-                    None => (base_raw, base_total_records()),
+                    None => (&base_raw_view, base_total_records()),
                 };
                 st.value_records = st.raw.value_records_vs(raw_parent, parent_records).0;
             }
@@ -1289,7 +1292,7 @@ impl Verifier {
         // leaf inherits its parent's cached checker verdicts and storage
         // total, re-checking only the units its settle dirtied — except
         // a lone leaf, which has no parent pass and checks in full.
-        let settle_leaf = |leaf: &LeafTask| -> Result<CaseOutcome, VerifyError> {
+        let settle_leaf = |leaf: &LeafTask, scratch: &mut CaseScratch| -> Result<_, VerifyError> {
             let i = leaf.case;
             let (mut raw, mut eff, mut hazards, mut wired, memo) = match leaf.node {
                 None => {
@@ -1300,8 +1303,8 @@ impl Verifier {
                     let memo = (!lone_leaf).then(|| LeafMemo {
                         cache: base_check_pass(),
                         hazards: base_hazards,
-                        raw_parent: base_raw,
-                        eff_parent: base_eff,
+                        raw_parent: &base_raw_view,
+                        eff_parent: &base_eff_view,
                         value_records: base_total_records(),
                     });
                     let (raw, eff) = (ConeState::new(base_raw), ConeState::new(base_eff));
@@ -1331,6 +1334,7 @@ impl Verifier {
             settle_overlay(
                 netlist,
                 pinned,
+                scratch,
                 &mut raw,
                 &mut eff,
                 &mut hazards,
@@ -1359,7 +1363,7 @@ impl Verifier {
                 memo.as_ref(),
             ))
         };
-        let leaf_work = |li: usize| -> (usize, Result<CaseOutcome, VerifyError>) {
+        let leaf_work = |li: usize, scratch: &mut CaseScratch| {
             let i = tree.leaves[li].case;
             if let Some(t) = trace {
                 t.record(&TraceEvent::CaseStart {
@@ -1368,7 +1372,7 @@ impl Verifier {
                 });
             }
             let case_started = Instant::now();
-            let outcome = settle_leaf(&tree.leaves[li]);
+            let outcome = settle_leaf(&tree.leaves[li], scratch);
             if let Ok(o) = &outcome {
                 events_total.fetch_add(o.events, Ordering::Relaxed);
                 evaluations_total.fetch_add(o.evaluations, Ordering::Relaxed);
@@ -1414,18 +1418,19 @@ impl Verifier {
             // their parents complete).
             let mut out: Vec<Option<Result<CaseOutcome, VerifyError>>> =
                 (0..cases.len()).map(|_| None).collect();
+            let mut scratch = CaseScratch::default();
             let mut queue: VecDeque<Unit> = ready.into();
             while let Some(unit) = queue.pop_front() {
                 match unit {
                     Unit::Node(ni) => {
-                        let st = node_work(ni);
+                        let st = node_work(ni, &mut scratch);
                         if node_states[ni].set(st).is_err() {
                             unreachable!("each node is settled exactly once");
                         }
                         release_children(ni, &mut |u| queue.push_back(u));
                     }
                     Unit::Leaf(li) => {
-                        let (i, outcome) = leaf_work(li);
+                        let (i, outcome) = leaf_work(li, &mut scratch);
                         out[i] = Some(outcome);
                     }
                 }
@@ -1445,44 +1450,48 @@ impl Verifier {
             let ready_cv = Condvar::new();
             std::thread::scope(|s| {
                 for _ in 0..case_workers {
-                    s.spawn(|| loop {
-                        let unit = {
-                            let mut guard = sched.lock().expect("scheduler lock poisoned");
-                            loop {
-                                if guard.1 == 0 {
-                                    break None;
-                                }
-                                if let Some(u) = guard.0.pop_front() {
-                                    break Some(u);
-                                }
-                                guard = ready_cv.wait(guard).expect("scheduler lock poisoned");
-                            }
-                        };
-                        let Some(unit) = unit else { break };
-                        match unit {
-                            Unit::Node(ni) => {
-                                let st = node_work(ni);
-                                if node_states[ni].set(st).is_err() {
-                                    unreachable!("each node is settled exactly once");
-                                }
-                                let mut released = Vec::new();
-                                release_children(ni, &mut |u| released.push(u));
-                                if !released.is_empty() {
-                                    let mut guard = sched.lock().expect("scheduler lock poisoned");
-                                    guard.0.extend(released);
-                                    drop(guard);
-                                    ready_cv.notify_all();
-                                }
-                            }
-                            Unit::Leaf(li) => {
-                                let (i, outcome) = leaf_work(li);
-                                *slots[i].lock().expect("case slot poisoned") = Some(outcome);
+                    s.spawn(|| {
+                        let mut scratch = CaseScratch::default();
+                        loop {
+                            let unit = {
                                 let mut guard = sched.lock().expect("scheduler lock poisoned");
-                                guard.1 -= 1;
-                                let all_done = guard.1 == 0;
-                                drop(guard);
-                                if all_done {
-                                    ready_cv.notify_all();
+                                loop {
+                                    if guard.1 == 0 {
+                                        break None;
+                                    }
+                                    if let Some(u) = guard.0.pop_front() {
+                                        break Some(u);
+                                    }
+                                    guard = ready_cv.wait(guard).expect("scheduler lock poisoned");
+                                }
+                            };
+                            let Some(unit) = unit else { break };
+                            match unit {
+                                Unit::Node(ni) => {
+                                    let st = node_work(ni, &mut scratch);
+                                    if node_states[ni].set(st).is_err() {
+                                        unreachable!("each node is settled exactly once");
+                                    }
+                                    let mut released = Vec::new();
+                                    release_children(ni, &mut |u| released.push(u));
+                                    if !released.is_empty() {
+                                        let mut guard =
+                                            sched.lock().expect("scheduler lock poisoned");
+                                        guard.0.extend(released);
+                                        drop(guard);
+                                        ready_cv.notify_all();
+                                    }
+                                }
+                                Unit::Leaf(li) => {
+                                    let (i, outcome) = leaf_work(li, &mut scratch);
+                                    *slots[i].lock().expect("case slot poisoned") = Some(outcome);
+                                    let mut guard = sched.lock().expect("scheduler lock poisoned");
+                                    guard.1 -= 1;
+                                    let all_done = guard.1 == 0;
+                                    drop(guard);
+                                    if all_done {
+                                        ready_cv.notify_all();
+                                    }
                                 }
                             }
                         }
@@ -1543,10 +1552,10 @@ impl Verifier {
         // reflect it.
         let last = last.expect("cases is non-empty");
         for (idx, st) in last.raw_overlay {
-            self.raw.set(idx, st);
+            self.raw[idx] = st;
         }
         for (idx, st) in last.eff_overlay {
-            self.eff.set(idx, st);
+            self.eff[idx] = st;
         }
         self.overrides = last.overrides;
         self.hazards = last.hazards;
@@ -1588,7 +1597,7 @@ impl Verifier {
     #[must_use]
     pub fn check_now(&self) -> Vec<Violation> {
         let hazards: Vec<(PrimId, usize)> = self.hazards.iter().copied().collect();
-        run_all_checks(&self.netlist, &self.eff, &hazards, self.corner)
+        run_all_checks(&self.netlist, &self.eff[..], &hazards, self.corner)
     }
 
     /// The signal-value summary listing of Fig 3-10: one line per signal
@@ -1608,7 +1617,7 @@ impl Verifier {
     /// Storage accounting in the categories of Table 3-3.
     #[must_use]
     pub fn storage_report(&self) -> StorageReport {
-        StorageReport::measure(&self.netlist, &self.raw)
+        StorageReport::measure(&self.netlist, &self.raw[..])
     }
 
     /// Timing margins of every checker against the current settled state:
@@ -1616,7 +1625,7 @@ impl Verifier {
     /// a reported violation.
     #[must_use]
     pub fn slack_report(&self) -> Vec<CheckMargin> {
-        slack_report(&self.netlist, &self.eff, self.corner)
+        slack_report(&self.netlist, &self.eff[..], self.corner)
     }
 
     /// An ASCII timing diagram of all signals (sorted by name), `columns`
@@ -1634,7 +1643,7 @@ impl Verifier {
     /// Every signal's settled state in full-name order — the rows behind
     /// the summary listing, the timing diagram and a report's summary.
     fn summary_rows(&self) -> SummaryRows {
-        SummaryRows::new(Arc::clone(&self.netlist), &self.eff)
+        SummaryRows::new(Arc::clone(&self.netlist), &self.eff[..])
     }
 
     fn assumed_stable_names(&self) -> Vec<String> {
@@ -1698,23 +1707,15 @@ fn hardware_threads() -> usize {
 /// Applies a case override to a computed state: the override replaces the
 /// signal's value wherever the circuit would leave it merely *stable*
 /// (§2.7.1) — asserted changing windows and computed constants win.
-fn override_state(over: Option<Value>, state: StateRef<'_>) -> SignalState {
+fn override_state(over: Option<Value>, state: StateId) -> StateId {
     match over {
-        None => state.to_state(),
-        Some(v) => SignalState {
-            wave: state
-                .wave
-                .map(|x| if x == Value::Stable { v } else { x })
-                .into(),
-            skew: state.skew,
-            eval: state.eval.clone(),
-        },
+        None => state,
+        Some(v) => StateStore::global().overridden(state, v),
     }
 }
 
 /// Immutable inputs of one settle loop, shared by the base settle (the
-/// engine's struct-of-arrays state) and the per-case settle (cone
-/// overlays).
+/// engine's state columns) and the per-case settle (cone overlays).
 struct WaveParams<'a> {
     netlist: &'a Netlist,
     pinned: &'a [bool],
@@ -1742,29 +1743,34 @@ struct WaveParams<'a> {
 /// against are exactly the live values at its commit slot. Wired-OR
 /// buses (several drivers possibly in one wave) recombine against live
 /// state and stay on the serial path.
+#[derive(Debug, Clone, Copy)]
 enum CommitPlan {
     /// Nothing to apply: a checker, a pinned output, or an output whose
     /// recomputed state equals the committed one.
     Skip,
     /// The raw state changes but the effective (override-mapped) state
-    /// does not: store the outcome's output, emit no event.
+    /// does not: store the new raw state, emit no event.
     Raw {
         /// The driven signal.
         out: SignalId,
+        raw: StateId,
     },
     /// Both raw and effective state change: store both, count an event,
     /// enqueue the fan-out.
     RawEff {
         /// The driven signal.
         out: SignalId,
-        /// The already-override-mapped effective state.
-        new_eff: SignalState,
+        raw: StateId,
+        /// The override-mapped effective state.
+        eff: StateId,
     },
     /// A wired-OR bus: must be recombined serially against the live
     /// contribution map.
     Wired {
         /// The driven signal.
         out: SignalId,
+        /// This driver's contribution.
+        raw: StateId,
     },
 }
 
@@ -1773,7 +1779,7 @@ enum CommitPlan {
 fn plan_commit<R, E>(
     p: &WaveParams<'_>,
     pid: PrimId,
-    outcome: &EvalOutcome,
+    outcome: EvalOutcome,
     raw: &R,
     eff: &E,
 ) -> CommitPlan
@@ -1782,37 +1788,52 @@ where
     E: StateView + ?Sized,
 {
     let prim = p.netlist.prim(pid);
-    let (Some(new_state), Some(out)) = (&outcome.output, prim.output) else {
+    let (Some(new_raw), Some(out)) = (outcome.output, prim.output) else {
         return CommitPlan::Skip;
     };
     if p.pinned[out.index()] {
         return CommitPlan::Skip; // asserted clocks keep their asserted value
     }
     if p.netlist.drivers(out).len() > 1 {
-        return CommitPlan::Wired { out };
+        return CommitPlan::Wired { out, raw: new_raw };
     }
-    if raw.state_at(out.index()) == *new_state {
+    if raw.state_at(out.index()) == new_raw {
         return CommitPlan::Skip;
     }
-    let new_eff = override_state(p.overrides.get(&out).copied(), new_state.into());
+    let new_eff = override_state(p.overrides.get(&out).copied(), new_raw);
     if eff.state_at(out.index()) == new_eff {
-        CommitPlan::Raw { out }
+        CommitPlan::Raw { out, raw: new_raw }
     } else {
-        CommitPlan::RawEff { out, new_eff }
+        CommitPlan::RawEff {
+            out,
+            raw: new_raw,
+            eff: new_eff,
+        }
     }
 }
 
 /// Mutable bookkeeping of one settle loop, borrowed from whoever owns
-/// it (the [`Verifier`] for the base settle, the case worker's locals
+/// it (the [`Verifier`] for the base settle, the case worker's scratch
 /// for a case settle). `events`/`evaluations` accumulate even when the
 /// loop errors out, so callers can fold partial effort into totals.
 struct WaveBooks<'a> {
     hazards: &'a mut BTreeSet<(PrimId, usize)>,
-    wired: &'a mut BTreeMap<(SignalId, PrimId), SignalState>,
+    wired: &'a mut BTreeMap<(SignalId, PrimId), StateId>,
     queue: &'a mut VecDeque<PrimId>,
     queued: &'a mut [bool],
     events: &'a mut u64,
     evaluations: &'a mut u64,
+}
+
+/// Buffers a settle loop reuses from wave to wave (and a case worker
+/// from unit to unit): the drained wave, its outcomes and commit plans.
+/// After the first few waves a settle allocates nothing proportional to
+/// a wave's width.
+#[derive(Default)]
+struct WaveScratch {
+    wave: Vec<PrimId>,
+    outcomes: Vec<EvalOutcome>,
+    plans: Vec<CommitPlan>,
 }
 
 /// One level-synchronized settle loop — the wave engine. Each iteration
@@ -1835,12 +1856,13 @@ struct WaveBooks<'a> {
 fn settle_waves<R, E>(
     p: &WaveParams<'_>,
     books: WaveBooks<'_>,
+    scratch: &mut WaveScratch,
     raw: &mut R,
     eff: &mut E,
 ) -> Result<(), VerifyError>
 where
-    R: StateStore + ?Sized,
-    E: StateStore + ?Sized,
+    R: StateWrite + ?Sized,
+    E: StateWrite + ?Sized,
 {
     let WaveBooks {
         hazards,
@@ -1856,23 +1878,19 @@ where
     // is worker-count-independent either way.
     let wave_jobs = p.jobs.min(hardware_threads());
     let mut wave_ordinal = 0u64;
-    // Wave-local scratch, reused across waves: after the first few waves
-    // the settle loop allocates nothing proportional to the wave width.
-    let mut wave: Vec<PrimId> = Vec::new();
-    let mut outcomes: Vec<EvalOutcome> = Vec::new();
-    let mut plans: Vec<CommitPlan> = Vec::new();
     while !queue.is_empty() {
+        let wave = &mut scratch.wave;
         wave.clear();
         wave.extend(queue.drain(..));
-        for pid in &wave {
+        for pid in wave.iter() {
             queued[pid.index()] = false;
         }
         // Commit in primitive-id order: canonical, and independent of
         // how last wave's commits happened to interleave enqueues.
         wave.sort_unstable();
-        evaluate_wave(p, &wave, &*raw, &*eff, wave_jobs, &mut outcomes, &mut plans);
-        for i in 0..wave.len() {
-            let pid = wave[i];
+        evaluate_wave(p, &*raw, &*eff, wave_jobs, scratch);
+        let wave = &scratch.wave;
+        for (i, &pid) in wave.iter().enumerate() {
             *evaluations += 1;
             if let Some(t) = p.trace {
                 t.record(&TraceEvent::Evaluation {
@@ -1897,31 +1915,29 @@ where
                     active,
                 });
             }
-            for &idx in outcomes[i].hazard_inputs.as_deref().unwrap_or_default() {
+            for &idx in scratch.outcomes[i].hazard_inputs.unwrap_or_default() {
                 hazards.insert((pid, idx as usize));
             }
-            let (out, new_eff) = match std::mem::replace(&mut plans[i], CommitPlan::Skip) {
+            let (out, new_eff) = match scratch.plans[i] {
                 CommitPlan::Skip => continue,
-                CommitPlan::Raw { out } => {
-                    let new_state = outcomes[i].output.take().expect("Raw plan has an output");
-                    raw.set_state(out.index(), new_state);
+                CommitPlan::Raw { out, raw: new_raw } => {
+                    raw.set_state(out.index(), new_raw);
                     continue;
                 }
-                CommitPlan::RawEff { out, new_eff } => {
-                    let new_state = outcomes[i]
-                        .output
-                        .take()
-                        .expect("RawEff plan has an output");
-                    raw.set_state(out.index(), new_state);
+                CommitPlan::RawEff {
+                    out,
+                    raw: new_raw,
+                    eff: new_eff,
+                } => {
+                    raw.set_state(out.index(), new_raw);
                     (out, new_eff)
                 }
-                CommitPlan::Wired { out } => {
+                CommitPlan::Wired { out, raw: term } => {
                     // Wired-OR buses: this driver contributes one term;
                     // the signal's state is the worst-case OR of all
                     // drivers, recombined against the live contribution
                     // map (another driver may have committed this wave).
-                    let new_state = outcomes[i].output.take().expect("Wired plan has an output");
-                    wired.insert((out, pid), new_state);
+                    wired.insert((out, pid), term);
                     let resolved: Vec<WaveRef> = p
                         .netlist
                         .drivers(out)
@@ -1929,20 +1945,20 @@ where
                         .map(|d| {
                             wired.get(&(out, *d)).map_or_else(
                                 || Waveform::constant(period, Value::Unknown).into(),
-                                SignalState::resolved,
+                                |term| term.get().resolved(),
                             )
                         })
                         .collect();
                     let refs: Vec<&Waveform> = resolved.iter().map(WaveRef::as_wave).collect();
-                    let new_state = SignalState::new(Waveform::combine_many(&refs, |vals| {
-                        scald_logic::or_all(vals.iter().copied())
-                    }));
-                    if raw.state_at(out.index()) == new_state {
+                    let new_raw =
+                        StateId::of(&SignalState::new(Waveform::combine_many(&refs, |vals| {
+                            scald_logic::or_all(vals.iter().copied())
+                        })));
+                    if raw.state_at(out.index()) == new_raw {
                         continue;
                     }
-                    let new_eff =
-                        override_state(p.overrides.get(&out).copied(), (&new_state).into());
-                    raw.set_state(out.index(), new_state);
+                    let new_eff = override_state(p.overrides.get(&out).copied(), new_raw);
+                    raw.set_state(out.index(), new_raw);
                     if eff.state_at(out.index()) == new_eff {
                         continue;
                     }
@@ -1979,10 +1995,10 @@ where
     Ok(())
 }
 
-/// Evaluates every primitive of `wave` against the frozen pre-wave
-/// state and plans its commit, fanning across a scoped worker pool when
-/// `jobs` allows. `outcomes` and `plans` are caller-owned scratch,
-/// cleared and refilled indexed like `wave` regardless of which worker
+/// Evaluates every primitive of `scratch.wave` against the frozen
+/// pre-wave state and plans its commit, fanning across a scoped worker
+/// pool when `jobs` allows. `scratch.outcomes` and `scratch.plans` are
+/// cleared and refilled indexed like the wave regardless of which worker
 /// computed which entry — callers observe nothing but the wall-clock.
 ///
 /// Workers claim contiguous *chunks* of the wave (not single slots) and
@@ -1991,81 +2007,97 @@ where
 ///
 /// With a `cache`, each evaluation first checks the memo table: because
 /// `evaluate` is a pure function of the primitive descriptor (interned
-/// as the signature) and the input states (interned wave handles, skew,
-/// eval string), a hit returns the identical outcome the kernel would
-/// recompute — serving from cache is unobservable in every result.
-fn evaluate_wave<R, E>(
-    p: &WaveParams<'_>,
-    wave: &[PrimId],
-    raw: &R,
-    eff: &E,
-    jobs: usize,
-    outcomes: &mut Vec<EvalOutcome>,
-    plans: &mut Vec<CommitPlan>,
-) where
+/// as the signature) and the input states (interned as state ids), a hit
+/// returns the identical outcome the kernel would recompute — serving
+/// from cache is unobservable in every result. Each worker counts its
+/// hits and misses in its own [`Tally`], added to the table's counters
+/// once the worker is done with the wave.
+fn evaluate_wave<R, E>(p: &WaveParams<'_>, raw: &R, eff: &E, jobs: usize, scratch: &mut WaveScratch)
+where
     R: StateView + ?Sized,
     E: StateView + ?Sized,
 {
     let netlist = p.netlist;
-    let eval_one = |pid: PrimId| -> EvalOutcome {
+    let eval_one = |pid: PrimId, tally: &mut Tally| -> EvalOutcome {
         let prim = netlist.prim(pid);
         if let Some((cache, sigs)) = p.cache {
             if let Some(sig) = sigs[pid.index()] {
                 let key = cache.key_for(sig, prim, eff, p.corner);
-                if let Some(hit) = cache.lookup(&key) {
+                if let Some(hit) = cache.lookup(&key, tally) {
                     return hit;
                 }
                 let out = evaluate(netlist, prim, eff, p.corner);
-                cache.insert(key, &out);
+                cache.insert(key, out, tally);
                 return out;
             }
         }
         evaluate(netlist, prim, eff, p.corner)
     };
+    let add = |tally: Tally| {
+        if let Some((cache, _)) = p.cache {
+            cache.add(tally);
+        }
+    };
+    let WaveScratch {
+        wave,
+        outcomes,
+        plans,
+    } = scratch;
     outcomes.clear();
     plans.clear();
-    let workers = jobs.min(wave.len());
-    if workers <= 1 {
-        for &pid in wave {
-            let out = eval_one(pid);
-            plans.push(plan_commit(p, pid, &out, raw, eff));
+    let workers = jobs.min(wave.len()).max(1);
+    if workers == 1 {
+        let mut tally = Tally::default();
+        outcomes.reserve(wave.len());
+        plans.reserve(wave.len());
+        for &pid in wave.iter() {
+            let out = eval_one(pid, &mut tally);
+            plans.push(plan_commit(p, pid, out, raw, eff));
             outcomes.push(out);
         }
-        return;
+        add(tally);
+    } else {
+        outcomes.resize(
+            wave.len(),
+            EvalOutcome {
+                output: None,
+                hazard_inputs: None,
+            },
+        );
+        plans.resize(wave.len(), CommitPlan::Skip);
+        // A few chunks per worker balances uneven evaluation costs without
+        // per-primitive synchronization.
+        type Slot<'w> = Mutex<(&'w [PrimId], &'w mut [EvalOutcome], &'w mut [CommitPlan])>;
+        let chunk = wave.len().div_ceil(workers * 4).max(8);
+        let slots: Vec<Slot<'_>> = wave
+            .chunks(chunk)
+            .zip(outcomes.chunks_mut(chunk))
+            .zip(plans.chunks_mut(chunk))
+            .map(|((w, o), pl)| Mutex::new((w, o, pl)))
+            .collect();
+        let next = AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            for _ in 0..workers {
+                s.spawn(|| {
+                    let mut tally = Tally::default();
+                    loop {
+                        let c = next.fetch_add(1, Ordering::Relaxed);
+                        if c >= slots.len() {
+                            break;
+                        }
+                        let mut slot = slots[c].lock().expect("wave chunk poisoned");
+                        let (pids, outs, pls) = &mut *slot;
+                        for i in 0..pids.len() {
+                            let out = eval_one(pids[i], &mut tally);
+                            pls[i] = plan_commit(p, pids[i], out, raw, eff);
+                            outs[i] = out;
+                        }
+                    }
+                    add(tally);
+                });
+            }
+        });
     }
-    outcomes.resize_with(wave.len(), || EvalOutcome {
-        output: None,
-        hazard_inputs: None,
-    });
-    plans.resize_with(wave.len(), || CommitPlan::Skip);
-    // A few chunks per worker balances uneven evaluation costs without
-    // per-primitive synchronization.
-    type Slot<'w> = Mutex<(&'w [PrimId], &'w mut [EvalOutcome], &'w mut [CommitPlan])>;
-    let chunk = wave.len().div_ceil(workers * 4).max(8);
-    let slots: Vec<Slot<'_>> = wave
-        .chunks(chunk)
-        .zip(outcomes.chunks_mut(chunk))
-        .zip(plans.chunks_mut(chunk))
-        .map(|((w, o), pl)| Mutex::new((w, o, pl)))
-        .collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let c = next.fetch_add(1, Ordering::Relaxed);
-                if c >= slots.len() {
-                    break;
-                }
-                let mut slot = slots[c].lock().expect("wave chunk poisoned");
-                let (pids, outs, pls) = &mut *slot;
-                for i in 0..pids.len() {
-                    let out = eval_one(pids[i]);
-                    pls[i] = plan_commit(p, pids[i], &out, raw, eff);
-                    outs[i] = out;
-                }
-            });
-        }
-    });
 }
 
 /// Everything one case worker produced: the check results, its effort
@@ -2083,11 +2115,23 @@ struct CaseOutcome {
     storage_evals: u64,
     storage_hits: u64,
     /// Dirtied (index, state) pairs in index order.
-    raw_overlay: Vec<(usize, SignalState)>,
-    eff_overlay: Vec<(usize, SignalState)>,
+    raw_overlay: Vec<(usize, StateId)>,
+    eff_overlay: Vec<(usize, StateId)>,
     hazards: BTreeSet<(PrimId, usize)>,
-    wired: BTreeMap<(SignalId, PrimId), SignalState>,
+    wired: BTreeMap<(SignalId, PrimId), StateId>,
     overrides: BTreeMap<SignalId, Value>,
+}
+
+/// What one case worker keeps from unit to unit, so that a unit's
+/// settle allocates nothing the size of the design: the worklist, its
+/// membership flags and the wave buffers. Between settles `queue` is
+/// empty and `queued` all `false` — a settle that drains its queue
+/// leaves it so, and an aborted one clears what it queued.
+#[derive(Default)]
+struct CaseScratch {
+    queue: VecDeque<PrimId>,
+    queued: Vec<bool>,
+    wave: WaveScratch,
 }
 
 /// One unit of dependency-scheduled work in a tree run: settling an
@@ -2251,7 +2295,7 @@ struct NodeState<'a> {
     raw: ConeState<'a>,
     eff: ConeState<'a>,
     hazards: BTreeSet<(PrimId, usize)>,
-    wired: BTreeMap<(SignalId, PrimId), SignalState>,
+    wired: BTreeMap<(SignalId, PrimId), StateId>,
     /// Cumulative overrides from the root down to this node.
     overrides: BTreeMap<SignalId, Value>,
     /// A settle failure here (or above) fails every descendant leaf.
@@ -2276,8 +2320,8 @@ struct LeafMemo<'a> {
     /// checked by the parent and must be evaluated).
     hazards: &'a BTreeSet<(PrimId, usize)>,
     /// The parent's raw/effective states, for dirty-cone diffs.
-    raw_parent: &'a dyn StateView,
-    eff_parent: &'a dyn StateView,
+    raw_parent: &'a ConeState<'a>,
+    eff_parent: &'a ConeState<'a>,
     /// The parent's total value-record count.
     value_records: usize,
 }
@@ -2312,16 +2356,17 @@ fn node_label(
 /// leaf re-seeds exactly the signals whose override map changed since
 /// its node settled), optionally re-enqueues every primitive (corner
 /// roots, where every delay changes), and runs the wave loop to the
-/// fixed point. Effort accumulates into `events`/`evaluations` even on
-/// the error path.
+/// fixed point on the case worker's `scratch`. Effort accumulates into
+/// `events`/`evaluations` even on the error path.
 #[allow(clippy::too_many_arguments)]
 fn settle_overlay(
     netlist: &Netlist,
     pinned: &[bool],
+    scratch: &mut CaseScratch,
     raw: &mut ConeState<'_>,
     eff: &mut ConeState<'_>,
     hazards: &mut BTreeSet<(PrimId, usize)>,
-    wired: &mut BTreeMap<(SignalId, PrimId), SignalState>,
+    wired: &mut BTreeMap<(SignalId, PrimId), StateId>,
     seeds: &[(SignalId, Value)],
     overrides: &BTreeMap<SignalId, Value>,
     corner: DelayCorner,
@@ -2333,8 +2378,12 @@ fn settle_overlay(
     events: &mut u64,
     evaluations: &mut u64,
 ) -> Result<(), VerifyError> {
-    let mut queue: VecDeque<PrimId> = VecDeque::new();
-    let mut queued = vec![false; netlist.prims().len()];
+    let CaseScratch {
+        queue,
+        queued,
+        wave,
+    } = scratch;
+    queued.resize(netlist.prims().len(), false);
 
     // Seed: apply the new overrides (in SignalId order) and dirty their
     // fan-out cones.
@@ -2359,7 +2408,7 @@ fn settle_overlay(
         }
     }
 
-    settle_waves(
+    let settled = settle_waves(
         &WaveParams {
             netlist,
             pinned,
@@ -2374,14 +2423,19 @@ fn settle_overlay(
         WaveBooks {
             hazards,
             wired,
-            queue: &mut queue,
-            queued: &mut queued,
+            queue,
+            queued,
             events,
             evaluations,
         },
+        wave,
         raw,
         eff,
-    )
+    );
+    for pid in queue.drain(..) {
+        queued[pid.index()] = false;
+    }
+    settled
 }
 
 /// Runs the check pass over a settled overlay and packages everything
@@ -2399,7 +2453,7 @@ fn case_outcome(
     raw: ConeState<'_>,
     eff: ConeState<'_>,
     hazards: BTreeSet<(PrimId, usize)>,
-    wired: BTreeMap<(SignalId, PrimId), SignalState>,
+    wired: BTreeMap<(SignalId, PrimId), StateId>,
     overrides: BTreeMap<SignalId, Value>,
     events: u64,
     evaluations: u64,

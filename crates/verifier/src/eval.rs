@@ -12,7 +12,8 @@
 //! connection, or of the string riding on the incoming signal value; the
 //! string's tail is passed along with the output value.
 
-use std::sync::Arc;
+use std::collections::HashSet;
+use std::sync::{OnceLock, RwLock};
 
 use scald_logic::{mux as mux_value, Value};
 use scald_netlist::{Conn, Netlist, PrimKind, Primitive};
@@ -20,21 +21,48 @@ use scald_wave::{
     edge_windows, DelayCorner, DelayRange, Edge, Skew, Span, Time, WaveRef, Waveform,
 };
 
-use crate::state::{Directive, EvalStr, SignalState};
+use crate::state::{Directive, EvalStr, SignalState, StateId};
 use crate::view::StateView;
 
-/// The result of evaluating one primitive. `Clone` lets the evaluation
-/// cache hand out stored outcomes; a clone never allocates, because the
-/// state inside holds an interned [`WaveRef`] handle and a shared
-/// evaluation string, and the hazard inputs are shared too.
-#[derive(Debug, Clone)]
+/// The result of evaluating one primitive: two words, copied out of the
+/// evaluation cache on a hit without touching anything shared.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct EvalOutcome {
     /// New output state (`None` for checkers, which drive nothing).
-    pub output: Option<SignalState>,
+    pub output: Option<StateId>,
     /// Indices of inputs whose directive requests the asserted-stability
     /// check (`A`/`H`, §2.6), `None` when there are none; collected by
-    /// the engine and verified after the fixed point.
-    pub hazard_inputs: Option<Arc<[u32]>>,
+    /// the engine and verified after the fixed point. Interned (see
+    /// [`interned_pins`]).
+    pub hazard_inputs: Option<&'static [u32]>,
+}
+
+impl EvalOutcome {
+    /// The outcome of a primitive driving `output`.
+    fn driving(output: &SignalState, hazard_inputs: Option<&'static [u32]>) -> EvalOutcome {
+        EvalOutcome {
+            output: Some(StateId::of(output)),
+            hazard_inputs,
+        }
+    }
+}
+
+/// The one process-wide copy of a hazard pin list. Distinct lists are
+/// few (one per shape of asserting gate), so like states they are kept
+/// for the life of the process, which is what lets an outcome be `Copy`.
+fn interned_pins(pins: &[u32]) -> &'static [u32] {
+    static PINS: OnceLock<RwLock<HashSet<&'static [u32]>>> = OnceLock::new();
+    let table = PINS.get_or_init(RwLock::default);
+    if let Some(&known) = table.read().expect("pin table poisoned").get(pins) {
+        return known;
+    }
+    let mut table = table.write().expect("pin table poisoned");
+    if let Some(&known) = table.get(pins) {
+        return known;
+    }
+    let leaked: &'static [u32] = Box::leak(pins.into());
+    table.insert(leaked);
+    leaked
 }
 
 /// An input as seen at the gate pin: inversion applied, wire (and possibly
@@ -56,7 +84,7 @@ fn prep_input<S: StateView + ?Sized>(
     include_gate_delay: bool,
     corner: DelayCorner,
 ) -> Pin {
-    let src = states.state_at(conn.signal.index());
+    let src = states.state_at(conn.signal.index()).get();
     let eval = conn
         .directive
         .as_ref()
@@ -76,7 +104,7 @@ fn prep_input<S: StateView + ?Sized>(
     } else {
         DelayRange::ZERO
     };
-    let mut st = src.to_state();
+    let mut st = src.clone();
     if conn.invert {
         st.wave = st.wave.map(Value::not).into();
     }
@@ -92,14 +120,15 @@ fn prep_input<S: StateView + ?Sized>(
 
 /// Positions of the pins whose directive requests the asserted-stability
 /// check, `None` when no pin does.
-fn asserted_pins(pins: &[Pin]) -> Option<Arc<[u32]>> {
+fn asserted_pins(pins: &[Pin]) -> Option<&'static [u32]> {
     let asserted = |p: &Pin| p.directive.is_some_and(Directive::checks_assertion);
     pins.iter().any(asserted).then(|| {
-        (0u32..)
+        let list: Vec<u32> = (0u32..)
             .zip(pins)
             .filter(|&(_, p)| asserted(p))
             .map(|(i, _)| i)
-            .collect()
+            .collect();
+        interned_pins(&list)
     })
 }
 
@@ -166,10 +195,9 @@ pub(crate) fn evaluate<S: StateView + ?Sized>(
         PrimKind::Mux { .. } => eval_mux(netlist, prim, states, corner),
         PrimKind::Reg { set_reset } => eval_reg(netlist, prim, states, set_reset, corner),
         PrimKind::Latch { set_reset } => eval_latch(netlist, prim, states, set_reset, corner),
-        PrimKind::Const(v) => EvalOutcome {
-            output: Some(SignalState::new(Waveform::constant(period, v))),
-            hazard_inputs: None,
-        },
+        PrimKind::Const(v) => {
+            EvalOutcome::driving(&SignalState::new(Waveform::constant(period, v)), None)
+        }
         // Checkers compute nothing during the fixed point; they are
         // examined afterwards (§2.9). Their hazard semantics are fixed, so
         // no directive scan is needed either.
@@ -241,10 +269,7 @@ fn eval_gate<S: StateView + ?Sized>(
 
     let mut out = combine_pins(&participating, |vals| gate_fold(prim.kind, vals));
     out.eval = output_eval(&pins);
-    EvalOutcome {
-        output: Some(out),
-        hazard_inputs,
-    }
+    EvalOutcome::driving(&out, hazard_inputs)
 }
 
 fn eval_unary<S: StateView + ?Sized>(
@@ -269,14 +294,12 @@ fn eval_unary<S: StateView + ?Sized>(
             (false, true) => delayed_per_edge(&resolved, ed).into(),
             (false, false) => resolved,
         };
-        return EvalOutcome {
-            output: Some(SignalState {
-                wave,
-                skew: scald_wave::Skew::ZERO,
-                eval: pin.tail.clone(),
-            }),
-            hazard_inputs: asserted_pins(std::slice::from_ref(&pin)),
+        let out = SignalState {
+            wave,
+            skew: scald_wave::Skew::ZERO,
+            eval: pin.tail.clone(),
         };
+        return EvalOutcome::driving(&out, asserted_pins(std::slice::from_ref(&pin)));
     }
     let pin = prep_input(netlist, prim, &prim.inputs[0], states, true, corner);
     let hazard_inputs = asserted_pins(std::slice::from_ref(&pin));
@@ -285,10 +308,7 @@ fn eval_unary<S: StateView + ?Sized>(
         st.wave = st.wave.map(Value::not).into();
     }
     st.eval = pin.tail;
-    EvalOutcome {
-        output: Some(st),
-        hazard_inputs,
-    }
+    EvalOutcome::driving(&st, hazard_inputs)
 }
 
 /// Applies per-edge propagation delays to an (output-polarity) waveform:
@@ -403,10 +423,7 @@ fn eval_mux<S: StateView + ?Sized>(
         }
     };
     out.eval = output_eval(&pins);
-    EvalOutcome {
-        output: Some(out),
-        hazard_inputs: asserted_pins(&pins),
-    }
+    EvalOutcome::driving(&out, asserted_pins(&pins))
 }
 
 /// Joins the values a waveform takes over a (possibly zero-width) window.
@@ -506,10 +523,7 @@ fn eval_reg<S: StateView + ?Sized>(
         clocked
     };
 
-    EvalOutcome {
-        output: Some(SignalState::new(wave)),
-        hazard_inputs: None,
-    }
+    EvalOutcome::driving(&SignalState::new(wave), None)
 }
 
 /// Asynchronous SET/RESET overlay shared by registers and latches
@@ -680,8 +694,5 @@ fn eval_latch<S: StateView + ?Sized>(
         transparent
     };
 
-    EvalOutcome {
-        output: Some(SignalState::new(wave)),
-        hazard_inputs: None,
-    }
+    EvalOutcome::driving(&SignalState::new(wave), None)
 }

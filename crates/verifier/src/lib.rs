@@ -97,7 +97,7 @@ pub use report::{
     CaseResult, EngineStats, ProbEndpoint, ProbSection, Provenance, ProvenanceHop, Report,
     Violation, ViolationKind, REPORT_SCHEMA, REPORT_VERSION,
 };
-pub use state::{Directive, EvalStr, SignalState};
+pub use state::{Directive, EvalStr, SignalState, StateStore};
 pub use storage::StorageReport;
 
 // Re-exported so `CaseSet::corners`/`Case::corner` callers need not

@@ -89,14 +89,14 @@
 
 use scald_netlist::{Netlist, SignalId};
 use scald_trace::json::Json;
-use scald_wave::{Skew, Span, Time, WaveId, WaveRef, Waveform};
-use std::collections::HashMap;
+use scald_wave::{Span, Time, Waveform};
 use std::fmt::{self, Write as _};
 use std::sync::Arc;
 use std::time::Duration;
 
 use crate::cache::EvalCacheStats;
 use crate::checkers::CheckMargin;
+use crate::state::StateId;
 use crate::storage::StorageReport;
 use crate::view::StateView;
 
@@ -609,7 +609,7 @@ impl Report {
         self.summary
             .rows
             .iter()
-            .map(|row| (self.summary.name(row), row.wave.with_skew_applied(row.skew)))
+            .map(|row| (self.summary.name(row), folded(row.state)))
     }
 
     /// The signal-value summary listing of Fig 3-10.
@@ -824,13 +824,12 @@ impl Report {
     }
 }
 
-/// One signal's row of the summary: its settled wave handle and skew,
-/// and where its full name lives.
+/// One signal's row of the summary: its settled state, and where its
+/// full name lives.
 #[derive(Debug, Clone)]
 struct Row {
     sid: SignalId,
-    wave: WaveRef,
-    skew: Skew,
+    state: StateId,
     /// The byte range of an asserted signal's full name in
     /// [`SummaryRows::names`]; `None` borrows the netlist's base name,
     /// which is then the full name.
@@ -839,10 +838,10 @@ struct Row {
 
 /// The settled state as the Fig 3-10 summary reads it: one row per
 /// signal, in the order of a stable sort on full names, over the
-/// verifier's netlist. A row holds the interned wave handle and the
-/// skew, not a copy of the waveform; a name is borrowed from the
-/// netlist unless the signal is asserted, and then its full name is
-/// formatted once, into one buffer shared by all rows.
+/// verifier's netlist. A row holds the signal's state id, not a copy of
+/// the waveform; a name is borrowed from the netlist unless the signal
+/// is asserted, and then its full name is formatted once, into one
+/// buffer shared by all rows.
 #[derive(Clone)]
 pub(crate) struct SummaryRows {
     netlist: Arc<Netlist>,
@@ -869,8 +868,11 @@ fn name_prefix(name: &str) -> u128 {
     u128::from_be_bytes(buf)
 }
 
-/// The identity of one folded wave: the wave handle and the skew.
-type WaveKey = (u32, WaveId, Skew);
+/// A state's waveform with its skew folded in.
+fn folded(state: StateId) -> Waveform {
+    let st = state.get();
+    st.wave.with_skew_applied(st.skew)
+}
 
 impl SummaryRows {
     /// The rows of every signal of `netlist` against `states`.
@@ -904,14 +906,10 @@ impl SummaryRows {
         });
         let rows = order
             .iter()
-            .map(|&(_, sid)| {
-                let st = states.state_at(sid.index());
-                Row {
-                    sid,
-                    wave: st.wave.clone(),
-                    skew: st.skew,
-                    name: spans[sid.index()],
-                }
+            .map(|&(_, sid)| Row {
+                sid,
+                state: states.state_at(sid.index()),
+                name: spans[sid.index()],
             })
             .collect();
         SummaryRows {
@@ -928,22 +926,24 @@ impl SummaryRows {
         }
     }
 
-    /// Applies `render` to each distinct folded wave once, and returns
-    /// per row the index of its result in the returned list.
+    /// Applies `render` to each distinct state's folded wave once, and
+    /// returns per row the index of its result in the returned list,
+    /// which holds the rows' distinct states in id order. The work is
+    /// sized by the rows, not by how many states the process has
+    /// interned.
     fn per_wave<T>(&self, mut render: impl FnMut(&Waveform) -> T) -> (Vec<u32>, Vec<T>) {
-        let mut seen: HashMap<WaveKey, u32> = HashMap::new();
-        let mut out = Vec::new();
+        let mut ids: Vec<StateId> = self.rows.iter().map(|row| row.state).collect();
+        ids.sort_unstable();
+        ids.dedup();
         let index = self
             .rows
             .iter()
             .map(|row| {
-                let key = (row.wave.store_tag(), row.wave.id(), row.skew);
-                *seen.entry(key).or_insert_with(|| {
-                    out.push(render(&row.wave.with_skew_applied(row.skew)));
-                    (out.len() - 1) as u32
-                })
+                ids.binary_search(&row.state)
+                    .expect("a row's state is listed") as u32
             })
             .collect();
+        let out = ids.iter().map(|&id| render(&folded(id))).collect();
         (index, out)
     }
 
@@ -993,7 +993,7 @@ impl SummaryRows {
         let Some(first) = self.rows.first() else {
             return String::new();
         };
-        let period = first.wave.period();
+        let period = first.state.get().wave.period();
         let (index, glyphs) = self.per_wave(|w| {
             assert!(
                 w.period() == period,

@@ -137,7 +137,7 @@ impl StorageReport {
 /// changes.
 pub(crate) fn value_records<S: StateView + ?Sized>(netlist: &Netlist, states: &S) -> usize {
     (0..netlist.signals().len())
-        .map(|i| states.state_at(i).value_records())
+        .map(|i| states.state_at(i).get().value_records())
         .sum()
 }
 

@@ -1,193 +1,52 @@
 //! Read and write access to signal states, abstracted so the evaluators,
 //! checkers and the wave-based settle loop work both on the engine's flat
-//! state arrays and on a per-case *cone overlay* (§2.7): the settled base
+//! state columns and on a per-case *cone overlay* (§2.7): the settled base
 //! state plus only the signals a case's overrides actually dirtied. The
 //! overlay is what lets case workers run concurrently without cloning the
-//! whole design state — each worker copies just the slice of
-//! [`SignalState`]s in its case's fan-out cone.
+//! whole design state — each worker copies just the slice of states in
+//! its case's fan-out cone.
 //!
-//! The engine's own backing is [`SoaState`], a struct-of-arrays layout:
-//! wave handles, skews and eval strings live in three parallel arrays
-//! instead of one `Vec<SignalState>` of padded records. Storage
-//! accounting reads the wave-handle column alone and keeps it in cache
-//! at 10^5–10^6 signals; eval-cache keying and the commit compares read
-//! all three columns of every signal they touch (handle, skew, and
-//! whether a string rides on the value). Reads hand out a borrowed
-//! [`StateRef`]; an owned [`SignalState`] is materialized only where a
-//! value actually travels (into an evaluator's pin prep or an overlay).
+//! A state is a [`StateId`]: one `u32` naming an interned (wave, skew,
+//! remaining evaluation letters) in [`StateStore`](crate::StateStore).
+//! The engine's backing is one `Vec<StateId>` per state kind (raw and
+//! effective), indexed by `SignalId::index()`, so an eval-cache pin is
+//! one read, the commit's convergence check one compare, and a commit or
+//! an overlay copy one word per signal. Readers that need the wave itself
+//! resolve the id with [`StateId::get`], a lock-free read.
 //!
 //! The wave engine reuses the same machinery in the other direction:
 //! during a wave's evaluation phase many worker threads read one frozen
 //! state through a shared [`StateView`]; the single commit phase then
-//! writes through [`StateStore`]. Both the [`SoaState`] backing of the
-//! base settle and the [`ConeState`] overlay of a case settle implement
-//! both traits, so one settle loop serves every path.
+//! writes through [`StateWrite`]. Both the flat columns of the base
+//! settle and the [`ConeState`] overlay of a case settle implement both
+//! traits, so one settle loop serves every path.
 
 use std::collections::HashMap;
 
-use scald_wave::{Skew, WaveRef};
-
-use crate::state::{EvalStr, SignalState};
-
-/// A borrowed view of one signal's state: the three columns of
-/// [`SoaState`] re-associated, without materializing a [`SignalState`].
-/// Mirrors the read-only surface of [`SignalState`].
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct StateRef<'a> {
-    /// The signal's interned waveform handle.
-    pub wave: &'a WaveRef,
-    /// Separated transition-time uncertainty (§2.8).
-    pub skew: Skew,
-    /// Evaluation string travelling with the value (§2.6).
-    pub eval: &'a Option<EvalStr>,
-}
-
-impl StateRef<'_> {
-    /// Materializes an owned [`SignalState`] (wave clone is a
-    /// reference-count bump).
-    pub(crate) fn to_state(self) -> SignalState {
-        SignalState {
-            wave: self.wave.clone(),
-            skew: self.skew,
-            eval: self.eval.clone(),
-        }
-    }
-
-    /// The worst-case waveform with the separated skew folded back in —
-    /// see [`SignalState::resolved`].
-    pub(crate) fn resolved(self) -> WaveRef {
-        if self.skew.is_zero() {
-            self.wave.clone()
-        } else {
-            self.wave.with_skew_applied(self.skew).into()
-        }
-    }
-
-    /// Value-record count as Table 3-3 counts them — see
-    /// [`SignalState::value_records`].
-    pub(crate) fn value_records(self) -> usize {
-        self.wave.value_record_count()
-    }
-}
-
-impl<'a> From<&'a SignalState> for StateRef<'a> {
-    fn from(s: &'a SignalState) -> StateRef<'a> {
-        StateRef {
-            wave: &s.wave,
-            skew: s.skew,
-            eval: &s.eval,
-        }
-    }
-}
-
-/// Field-wise equality with an owned state — the commit phase's
-/// convergence check. Matches `SignalState`'s derived `PartialEq`
-/// (interned handles make the wave compare an id compare).
-impl PartialEq<SignalState> for StateRef<'_> {
-    fn eq(&self, other: &SignalState) -> bool {
-        *self.wave == other.wave && self.skew == other.skew && *self.eval == other.eval
-    }
-}
-
-/// Struct-of-arrays signal state: the engine's backing store. One entry
-/// per signal, indexed by `SignalId::index()`; the columns are kept in
-/// lock-step by construction (only [`push`](Self::push) and
-/// [`set`](Self::set) write them).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct SoaState {
-    waves: Vec<WaveRef>,
-    skews: Vec<Skew>,
-    evals: Vec<Option<EvalStr>>,
-}
-
-impl SoaState {
-    pub(crate) fn with_capacity(n: usize) -> SoaState {
-        SoaState {
-            waves: Vec::with_capacity(n),
-            skews: Vec::with_capacity(n),
-            evals: Vec::with_capacity(n),
-        }
-    }
-
-    /// Appends one signal's state.
-    pub(crate) fn push(&mut self, state: SignalState) {
-        self.waves.push(state.wave);
-        self.skews.push(state.skew);
-        self.evals.push(state.eval);
-    }
-
-    /// Borrowed view of signal `idx`.
-    pub(crate) fn get(&self, idx: usize) -> StateRef<'_> {
-        StateRef {
-            wave: &self.waves[idx],
-            skew: self.skews[idx],
-            eval: &self.evals[idx],
-        }
-    }
-
-    /// Owned clone of signal `idx`'s state.
-    pub(crate) fn state(&self, idx: usize) -> SignalState {
-        self.get(idx).to_state()
-    }
-
-    /// Replaces signal `idx`'s state across all three columns.
-    pub(crate) fn set(&mut self, idx: usize, state: SignalState) {
-        self.waves[idx] = state.wave;
-        self.skews[idx] = state.skew;
-        self.evals[idx] = state.eval;
-    }
-}
-
-impl FromIterator<SignalState> for SoaState {
-    fn from_iter<I: IntoIterator<Item = SignalState>>(iter: I) -> SoaState {
-        let iter = iter.into_iter();
-        let mut soa = SoaState::with_capacity(iter.size_hint().0);
-        for st in iter {
-            soa.push(st);
-        }
-        soa
-    }
-}
+use crate::state::StateId;
 
 /// Read-only view of all signal states, indexed by `SignalId::index()`.
 pub(crate) trait StateView: Sync {
     /// The state of signal `idx`.
-    fn state_at(&self, idx: usize) -> StateRef<'_>;
+    fn state_at(&self, idx: usize) -> StateId;
 }
 
-impl StateView for SoaState {
-    fn state_at(&self, idx: usize) -> StateRef<'_> {
-        self.get(idx)
-    }
-}
-
-impl StateView for [SignalState] {
-    fn state_at(&self, idx: usize) -> StateRef<'_> {
-        let s = &self[idx];
-        StateRef {
-            wave: &s.wave,
-            skew: s.skew,
-            eval: &s.eval,
-        }
+impl StateView for [StateId] {
+    fn state_at(&self, idx: usize) -> StateId {
+        self[idx]
     }
 }
 
 /// A writable [`StateView`]: what the wave engine's commit phase needs.
 /// Writes never happen concurrently with reads — the engine evaluates a
 /// whole wave against a frozen view, then commits on one thread.
-pub(crate) trait StateStore: StateView {
+pub(crate) trait StateWrite: StateView {
     /// Replaces the state of signal `idx`.
-    fn set_state(&mut self, idx: usize, state: SignalState);
+    fn set_state(&mut self, idx: usize, state: StateId);
 }
 
-impl StateStore for SoaState {
-    fn set_state(&mut self, idx: usize, state: SignalState) {
-        self.set(idx, state);
-    }
-}
-
-impl StateStore for [SignalState] {
-    fn set_state(&mut self, idx: usize, state: SignalState) {
+impl StateWrite for [StateId] {
+    fn set_state(&mut self, idx: usize, state: StateId) {
         self[idx] = state;
     }
 }
@@ -198,12 +57,12 @@ impl StateStore for [SignalState] {
 /// share one immutable base.
 #[derive(Debug)]
 pub(crate) struct ConeState<'a> {
-    base: &'a SoaState,
-    local: HashMap<usize, SignalState>,
+    base: &'a [StateId],
+    local: HashMap<usize, StateId>,
 }
 
 impl<'a> ConeState<'a> {
-    pub(crate) fn new(base: &'a SoaState) -> ConeState<'a> {
+    pub(crate) fn new(base: &'a [StateId]) -> ConeState<'a> {
         ConeState {
             base,
             local: HashMap::new(),
@@ -211,7 +70,7 @@ impl<'a> ConeState<'a> {
     }
 
     /// Replaces the state of signal `idx` in the overlay.
-    pub(crate) fn set(&mut self, idx: usize, state: SignalState) {
+    pub(crate) fn set(&mut self, idx: usize, state: StateId) {
         self.local.insert(idx, state);
     }
 
@@ -232,12 +91,12 @@ impl<'a> ConeState<'a> {
     /// Complete because a fork's `local` map only ever grows: any signal
     /// absent from `local` falls through to the same base entry on both
     /// sides. Entries the settle re-computed to the parent's value drop
-    /// out via the interned-handle compare.
+    /// out via the id compare.
     pub(crate) fn dirty_vs<S: StateView + ?Sized>(&self, parent: &S) -> Vec<usize> {
         let mut dirty: Vec<usize> = self
             .local
             .iter()
-            .filter(|&(&idx, st)| parent.state_at(idx) != *st)
+            .filter(|&(&idx, &st)| parent.state_at(idx) != st)
             .map(|(&idx, _)| idx)
             .collect();
         dirty.sort_unstable();
@@ -248,7 +107,7 @@ impl<'a> ConeState<'a> {
     /// parent state whose total is already known: `parent_total` plus,
     /// per locally-dirtied signal, this overlay's records minus the
     /// parent's. Exact, because signals outside `local` are shared with
-    /// the parent and equal entries contribute zero. Returns
+    /// the parent and equal ids contribute zero. Returns
     /// `(total, examined)` where `examined` counts the signals actually
     /// measured (the overlay size) — versus a full pass over every
     /// signal.
@@ -258,8 +117,11 @@ impl<'a> ConeState<'a> {
         parent_total: usize,
     ) -> (usize, u64) {
         let mut total = parent_total as i64;
-        for (&idx, st) in &self.local {
-            total += st.value_records() as i64 - parent.state_at(idx).value_records() as i64;
+        for (&idx, &st) in &self.local {
+            let before = parent.state_at(idx);
+            if before != st {
+                total += st.get().value_records() as i64 - before.get().value_records() as i64;
+            }
         }
         (total as usize, self.local.len() as u64)
     }
@@ -267,28 +129,24 @@ impl<'a> ConeState<'a> {
     /// The dirtied slice: every (index, state) this case re-computed,
     /// sorted by index so overlay order never inherits `HashMap`
     /// iteration order (the byte-identical-reports guarantee).
-    pub(crate) fn into_overlay(self) -> Vec<(usize, SignalState)> {
-        let mut overlay: Vec<(usize, SignalState)> = self.local.into_iter().collect();
+    pub(crate) fn into_overlay(self) -> Vec<(usize, StateId)> {
+        let mut overlay: Vec<(usize, StateId)> = self.local.into_iter().collect();
         overlay.sort_unstable_by_key(|&(idx, _)| idx);
         overlay
     }
 }
 
 impl StateView for ConeState<'_> {
-    fn state_at(&self, idx: usize) -> StateRef<'_> {
+    fn state_at(&self, idx: usize) -> StateId {
         match self.local.get(&idx) {
-            Some(s) => StateRef {
-                wave: &s.wave,
-                skew: s.skew,
-                eval: &s.eval,
-            },
-            None => self.base.get(idx),
+            Some(&s) => s,
+            None => self.base[idx],
         }
     }
 }
 
-impl StateStore for ConeState<'_> {
-    fn set_state(&mut self, idx: usize, state: SignalState) {
+impl StateWrite for ConeState<'_> {
+    fn set_state(&mut self, idx: usize, state: StateId) {
         self.set(idx, state);
     }
 }
@@ -296,45 +154,55 @@ impl StateStore for ConeState<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::SignalState;
     use scald_logic::Value;
     use scald_wave::{Time, Waveform};
 
-    fn st(v: Value) -> SignalState {
-        SignalState::new(Waveform::constant(Time::from_ps(50_000), v))
-    }
-
-    #[test]
-    fn soa_round_trips_states() {
-        let states = [st(Value::Zero), st(Value::One)];
-        let soa: SoaState = states.iter().cloned().collect();
-        assert_eq!(soa.state(0), states[0]);
-        assert_eq!(soa.state(1), states[1]);
-        assert!(soa.state_at(0) == states[0]);
+    fn st(v: Value) -> StateId {
+        StateId::of(&SignalState::new(Waveform::constant(
+            Time::from_ps(50_000),
+            v,
+        )))
     }
 
     #[test]
     fn overlay_shadows_base() {
-        let base: SoaState = [st(Value::Zero), st(Value::One)].into_iter().collect();
+        let base = [st(Value::Zero), st(Value::One)];
         let mut cone = ConeState::new(&base);
-        assert!(cone.state_at(0) == base.state(0));
+        assert_eq!(cone.state_at(0), base[0]);
         cone.set(0, st(Value::Stable));
-        assert!(cone.state_at(0) == st(Value::Stable));
-        assert!(cone.state_at(1) == base.state(1));
+        assert_eq!(cone.state_at(0), st(Value::Stable));
+        assert_eq!(cone.state_at(1), base[1]);
+        assert_eq!(cone.dirty_vs(&base[..]), [0]);
         let overlay = cone.into_overlay();
-        assert_eq!(overlay.len(), 1);
-        assert_eq!(overlay[0], (0, st(Value::Stable)));
+        assert_eq!(overlay, [(0, st(Value::Stable))]);
     }
 
     #[test]
     fn store_writes_through_both_backends() {
-        let mut flat: SoaState = [st(Value::Zero)].into_iter().collect();
+        let mut flat = [st(Value::Zero)];
         flat.set_state(0, st(Value::One));
-        assert_eq!(flat.state(0), st(Value::One));
+        assert_eq!(flat.state_at(0), st(Value::One));
 
-        let base: SoaState = [st(Value::Zero)].into_iter().collect();
+        let base = [st(Value::Zero)];
         let mut cone = ConeState::new(&base);
         cone.set_state(0, st(Value::One));
-        assert!(cone.state_at(0) == st(Value::One));
-        assert_eq!(base.state(0), st(Value::Zero), "base untouched");
+        assert_eq!(cone.state_at(0), st(Value::One));
+        assert_eq!(base[0], st(Value::Zero), "base untouched");
+    }
+
+    #[test]
+    fn a_recomputed_parent_value_is_not_dirty() {
+        let base = [st(Value::Zero), st(Value::One)];
+        let mut cone = ConeState::new(&base);
+        cone.set(1, st(Value::One));
+        cone.set(0, st(Value::Stable));
+        assert_eq!(cone.dirty_vs(&base[..]), [0]);
+        let records = |ids: &[StateId]| ids.iter().map(|id| id.get().value_records()).sum();
+        let (total, examined) = cone.value_records_vs(&base[..], records(&base));
+        assert_eq!(
+            (total, examined),
+            (records(&[st(Value::Stable), base[1]]), 2)
+        );
     }
 }

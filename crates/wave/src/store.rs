@@ -170,14 +170,15 @@ pub struct WaveStore {
     hits: AtomicU64,
 }
 
-/// Effort counters for a [`WaveStore`].
+/// Effort counters of an interning store: a [`WaveStore`], or the
+/// verifier's store of signal states.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreStats {
-    /// Total [`WaveStore::intern`] calls.
+    /// Total intern calls.
     pub interns: u64,
     /// Calls that found an existing canonical copy.
     pub hits: u64,
-    /// Distinct waveforms currently interned.
+    /// Distinct values currently interned.
     pub unique: usize,
 }
 

@@ -73,7 +73,7 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
 
 /// Largest number of allocations a warm one-line edit may add to
 /// compiling its source, per primitive of the design.
-const APPLY_BUDGET_PER_PRIM: f64 = 2.5;
+const APPLY_BUDGET_PER_PRIM: f64 = 1.6;
 /// Largest number of allocations the `report` answer's encode plus
 /// decode may cost, per signal of the design.
 const FRAME_BUDGET_PER_SIGNAL: f64 = 16.0;
