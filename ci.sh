@@ -142,9 +142,8 @@ status=0
 cargo run -q --release --bin scald-tv -- designs/cascade_race.v || status=$?
 test "$status" -eq 1
 
-# Smoke the settle-scaling and cache A/B bench harnesses (tiny design);
-# the full runs regenerate BENCH_settle.json / BENCH_cache.json.
-cargo run -q -p scald-bench --release --bin settle_scaling -- --chips 40 --workers 1 --out target/BENCH_settle_smoke.json
+# Smoke the cache A/B bench harness (tiny design); the full run
+# regenerates BENCH_cache.json.
 cargo run -q -p scald-bench --release --bin cache_stats -- --chips 40 --out target/BENCH_cache_smoke.json
 
 # Smoke the scale sweep at ~5k primitives (the committed BENCH_scale.json
@@ -170,7 +169,7 @@ cargo run -q -p scald-bench --release --bin incr_vs_full -- --chips 40 --out tar
 # default size. (A `!`-negated command cannot fail a `set -e` script,
 # so the status is tested.)
 status=0
-cargo run -q -p scald-bench --release --bin settle_scaling -- --chip 40 || status=$?
+cargo run -q -p scald-bench --release --bin scale_sweep -- --step 40 || status=$?
 test "$status" -eq 2
 
 # The benchmark's self-tests: all four workloads at tiny size, in both

@@ -110,31 +110,6 @@ fn par_cases(b: &Bench) {
     }
 }
 
-/// The wave engine *inside* one settle: the cold base fixed point of a
-/// 400-chip design evaluated serially vs across 2/4/8 wave workers.
-/// A single implicit case, so none of the parallelism comes from the
-/// case fan-out — this times `--jobs` for the intra-run settle path.
-fn par_settle(b: &Bench) {
-    let (netlist, _) = s1_netlist(400);
-    for jobs in [1usize, 2, 4, 8] {
-        let label = if jobs == 1 {
-            "serial".to_owned()
-        } else {
-            format!("jobs{jobs}")
-        };
-        b.bench_with_setup(
-            &format!("par_settle/{label}"),
-            || netlist.clone(),
-            |n| {
-                let mut v = Verifier::new(n);
-                v.run(&RunOptions::new().jobs(jobs))
-                    .expect("settles")
-                    .into_sole()
-            },
-        );
-    }
-}
-
 /// Observability cost: the same full verification pass with tracing
 /// disabled (`Verifier::new`, the `Option<Arc<dyn TraceSink>>` is
 /// `None`) and with a live counter sink attached. The disabled run is
@@ -262,7 +237,6 @@ fn main() {
     other_figures(&b);
     table_3_1_scaling(&b);
     par_cases(&b);
-    par_settle(&b);
     trace_overhead(&b);
     incr_vs_full(&b);
     eval_cache(&b);

@@ -6,14 +6,14 @@
 //! This harness sweeps the [`scald_gen::scale`] generator across decades
 //! of that size and records, per step: generation and settle wall clocks
 //! (median over `--reps`, min kept honest alongside), the
-//! worker-count-independent event/evaluation trajectory, and the same
+//! event/evaluation trajectory, and the same
 //! storage categories Table 3-3 itemizes, into `BENCH_scale.json`.
 //!
 //! Usage: `cargo run -p scald-bench --bin scale_sweep --release`
 //! (`--steps 1000,10000,100000` to choose sizes, `--reps N` per-step
-//! repetitions — sizes of 100k+ default to a single rep — `--jobs N`
-//! for the wave-worker pool, and `--out FILE` to redirect the record, as
-//! the CI smoke run does to avoid clobbering the committed sweep).
+//! repetitions — sizes of 100k+ default to a single rep — and
+//! `--out FILE` to redirect the record, as the CI smoke run does to
+//! avoid clobbering the committed sweep).
 
 use scald_bench::harness::{flags, median, nanos, obj, timed, write_record};
 use scald_gen::scale::{scale_netlist, ScaleOptions};
@@ -21,11 +21,10 @@ use scald_trace::json::Json;
 use scald_verifier::{RunOptions, Verifier};
 
 fn main() {
-    let (steps, reps, jobs, out) = flags(|f| {
+    let (steps, reps, out) = flags(|f| {
         (
             f.list("--steps", vec![1_000usize, 10_000, 100_000]),
             f.get("--reps", 3usize).max(1),
-            f.get("--jobs", 1usize).max(1),
             f.get("--out", "BENCH_scale.json".to_owned()),
         )
     });
@@ -55,7 +54,7 @@ fn main() {
         let mut storage: Option<scald_verifier::StorageReport> = None;
         for _ in 0..step_reps {
             let mut v = Verifier::new(netlist.clone());
-            let (outcome, wall) = timed(|| v.run(&RunOptions::new().jobs(jobs)).expect("settles"));
+            let (outcome, wall) = timed(|| v.run(&RunOptions::new()).expect("settles"));
             samples.push(nanos(wall));
             let sole = outcome.into_sole();
             events = sole.events;
@@ -107,13 +106,11 @@ fn main() {
         ]));
     }
 
+    // v2: the `jobs` field is gone — a settle runs on one thread.
     write_record(
         &out,
         "scald-bench-scale",
-        1,
-        [
-            ("jobs", Json::from(jobs as u64)),
-            ("steps", Json::Arr(records)),
-        ],
+        2,
+        [("steps", Json::Arr(records))],
     );
 }

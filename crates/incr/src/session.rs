@@ -357,8 +357,8 @@ impl Session {
         &self.settings.label
     }
 
-    /// Overrides the worker budget for every subsequent verification
-    /// (`None` lets the engine choose). `scald-serve` uses this to split
+    /// Overrides the case-worker budget for every subsequent
+    /// verification (`None` lets the engine choose). `scald-serve` uses this to split
     /// one daemon-wide `--jobs` budget across concurrent clients;
     /// results are byte-identical for any value.
     pub fn set_jobs(&mut self, jobs: Option<usize>) {

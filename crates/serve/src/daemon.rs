@@ -79,8 +79,13 @@ impl Default for ServeOptions {
 
 /// Splits one daemon-wide worker budget across concurrent requests: a
 /// lease taken while `n` requests are active gets `max(1, total / n)`
-/// workers. Deliberately simple — shares are computed at acquisition and
-/// not rebalanced mid-run, so a request's worker count is stable for its
+/// workers. A share sizes only the request's case pool (its
+/// verification's case workers, capped by its case count and the
+/// machine's hardware threads); each settle runs on one thread, so a
+/// single-case request uses one thread whatever its share, and the
+/// parallelism across requests comes from the requests themselves.
+/// Deliberately simple — shares are computed at acquisition and not
+/// rebalanced mid-run, so a request's worker count is stable for its
 /// whole verification.
 pub struct JobsLedger {
     total: usize,

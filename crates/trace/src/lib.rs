@@ -56,12 +56,13 @@ pub enum TraceEvent<'a> {
         prims: usize,
         /// Cases about to be analysed.
         cases: usize,
-        /// Worker-pool size for the case fan-out.
+        /// Case workers the run fans its cases across: the jobs budget
+        /// capped by the case count and the machine's hardware threads.
         jobs: usize,
     },
-    /// One primitive evaluation inside a settle loop. Emitted on the
-    /// settle loop's single commit thread in commit order, so the stream
-    /// is identical for every worker count.
+    /// One primitive evaluation inside a settle loop. Emitted by the
+    /// thread running the settle loop, in commit order, so the stream is
+    /// identical for every worker count.
     Evaluation {
         /// Case index, or `None` for the base settle.
         case: Option<u32>,
@@ -78,8 +79,8 @@ pub enum TraceEvent<'a> {
     /// One wave of the level-synchronized settle loop finished
     /// committing: the worklist was drained into a deduplicated wave,
     /// every primitive of the wave was evaluated against the frozen
-    /// pre-wave state (possibly concurrently), and the results were
-    /// committed in primitive-id order.
+    /// pre-wave state, and the results were committed in primitive-id
+    /// order.
     Wave {
         /// Case index, or `None` for the base settle.
         case: Option<u32>,

@@ -9,13 +9,13 @@
 //! signals' cones.
 //!
 //! Settling is *level-synchronized*: the worklist is drained into a
-//! deduplicated wave, every primitive of the wave is evaluated against
-//! the frozen pre-wave state (concurrently when the jobs budget allows),
-//! and the results are committed on one thread in primitive-id order.
-//! Because each wave reads only state committed by previous waves,
-//! in-wave evaluation order is unobservable — waveforms, violation
-//! lists, report JSON and trace streams are byte-identical for every
-//! worker count (DESIGN.md § "The wave engine";
+//! deduplicated wave, every primitive of the wave is evaluated on the
+//! calling thread against the frozen pre-wave state, and the results
+//! are then committed in primitive-id order. That order fixes the
+//! trajectory — events, evaluations and trace streams. Parallelism lives
+//! one level up, across the cases of a run: waveforms, violation lists,
+//! report JSON and per-case trace streams are byte-identical for every
+//! case-worker count (DESIGN.md § "The wave engine";
 //! `tests/parallel_settle.rs` proves it over seeded designs).
 
 use scald_logic::Value;
@@ -185,19 +185,35 @@ impl fmt::Display for MultiCaseError {
 impl std::error::Error for MultiCaseError {}
 
 /// Options for one [`Verifier::run`]: the cases to analyse, an optional
-/// per-run worker override, and whether to checkpoint the settled base.
-/// The default (`RunOptions::new()`) verifies the single no-override
-/// base case.
+/// per-run case-worker override, and whether to checkpoint the settled
+/// base. The default (`RunOptions::new()`) verifies the single
+/// no-override base case.
 ///
 /// # Examples
 ///
-/// ```ignore
+/// ```
+/// use scald_netlist::{Config, NetlistBuilder};
+/// use scald_verifier::{CaseSet, CheckpointPolicy, RunOptions, Verifier};
+/// use scald_wave::DelayRange;
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let mut b = NetlistBuilder::new(Config::s1_example());
+/// let mode0 = b.signal("MODE0")?;
+/// let mode1 = b.signal("MODE1")?;
+/// let both = b.signal("BOTH")?;
+/// b.and2("AND", DelayRange::from_ns(1.0, 2.0), mode0, mode1, both);
+///
+/// let mut verifier = Verifier::new(b.finish()?);
 /// let outcome = verifier.run(
 ///     &RunOptions::new()
 ///         .cases(CaseSet::exhaustive(["MODE0", "MODE1"]))
-///         .jobs(4)
+///         .jobs(2)
 ///         .checkpoint(CheckpointPolicy::SettledBase),
 /// )?;
+/// assert_eq!(outcome.cases.len(), 4);
+/// assert!(outcome.checkpoint.is_some());
+/// # Ok(())
+/// # }
 /// ```
 #[derive(Debug, Clone, Default)]
 #[must_use]
@@ -228,10 +244,10 @@ impl RunOptions {
         self
     }
 
-    /// Overrides the verifier's worker budget for this run only (clamped
-    /// to at least 1). The budget covers case fan-out *and* intra-settle
-    /// wave evaluation — see [`VerifierBuilder::jobs`]. Results are
-    /// byte-identical for every value.
+    /// Overrides the verifier's case-worker budget for this run only
+    /// (clamped to at least 1, and capped like
+    /// [`VerifierBuilder::jobs`] by the cases and the machine's hardware
+    /// threads). Results are byte-identical for every value.
     pub fn jobs(mut self, jobs: usize) -> RunOptions {
         self.jobs = Some(jobs.max(1));
         self
@@ -413,7 +429,7 @@ impl RunOutcome {
 }
 
 /// Configures and builds a [`Verifier`]: the front door for everything
-/// beyond a plain run — worker-pool size, oscillation budget, and an
+/// beyond a plain run — case-pool size, oscillation budget, and an
 /// observability [`TraceSink`].
 ///
 /// [`Verifier::new`] is a shim over the all-defaults builder, so simple
@@ -459,8 +475,8 @@ pub struct VerifierBuilder {
 }
 
 impl VerifierBuilder {
-    /// Starts a builder for verifying `netlist`, with default worker
-    /// count (available parallelism), default oscillation budget
+    /// Starts a builder for verifying `netlist`, with default case-worker
+    /// budget (available parallelism), default oscillation budget
     /// (256 evaluations per primitive, plus slack for tiny designs) and
     /// no tracing.
     pub fn new(netlist: Netlist) -> VerifierBuilder {
@@ -470,12 +486,12 @@ impl VerifierBuilder {
         }
     }
 
-    /// Sets the run's worker budget (clamped to at least 1). One budget
-    /// governs *both* parallel dimensions: case fan-out across the case
-    /// pool and wave evaluation inside every settle loop. Nested settles
-    /// split the budget — with `jobs(8)` and 4 cases, 4 case workers
-    /// each evaluate waves 2 wide — so a run never oversubscribes the
-    /// machine. [`RunOptions::jobs`] overrides this per run; results are
+    /// Sets the run's case-worker budget (clamped to at least 1). It
+    /// sizes only the case pool: a run spreads its cases over
+    /// `min(jobs, cases, hardware threads)` workers, the calling thread
+    /// among them, while every settle evaluates its waves on the thread
+    /// that runs it. A single-case run therefore uses one thread at any
+    /// budget. [`RunOptions::jobs`] overrides this per run; results are
     /// byte-identical for every value.
     pub fn jobs(mut self, jobs: usize) -> VerifierBuilder {
         self.jobs = Some(jobs.max(1));
@@ -616,8 +632,7 @@ pub struct Verifier {
     /// happened yet (a warm verifier whose dirty cone is empty must not
     /// re-evaluate the whole design).
     warmed: bool,
-    /// Default worker budget for [`run`](Self::run): case fan-out and
-    /// intra-settle wave evaluation share it.
+    /// Default case-worker budget for [`run`](Self::run).
     jobs: usize,
     /// Evaluation budget per settle pass before declaring oscillation.
     budget: u64,
@@ -648,8 +663,8 @@ impl fmt::Debug for Verifier {
 
 impl Verifier {
     /// Creates a verifier with all defaults — a shim over
-    /// [`VerifierBuilder`], which configures worker count, oscillation
-    /// budget and tracing.
+    /// [`VerifierBuilder`], which configures case-worker budget,
+    /// oscillation budget and tracing.
     #[must_use]
     pub fn new(netlist: Netlist) -> Verifier {
         VerifierBuilder::new(netlist).build()
@@ -802,11 +817,10 @@ impl Verifier {
         }
     }
 
-    /// Runs the worklist to a fixed point with `wave_jobs` evaluation
-    /// workers per wave; returns `(events, evaluations)`. Effort is
-    /// folded into the running totals on the error path too, matching
-    /// the thesis' effort accounting.
-    fn settle(&mut self, wave_jobs: usize) -> Result<(u64, u64), VerifyError> {
+    /// Runs the worklist to a fixed point; returns `(events,
+    /// evaluations)`. Effort is folded into the running totals on the
+    /// error path too, matching the thesis' effort accounting.
+    fn settle(&mut self) -> Result<(u64, u64), VerifyError> {
         let mut events = 0u64;
         let mut evaluations = 0u64;
         let mut scratch = WaveScratch::default();
@@ -816,7 +830,6 @@ impl Verifier {
                 pinned: &self.pinned,
                 overrides: &self.overrides,
                 budget: self.budget,
-                jobs: wave_jobs,
                 corner: self.corner,
                 case: None,
                 trace: self.trace.as_deref(),
@@ -887,7 +900,7 @@ impl Verifier {
     /// settle.
     pub fn settle_base(&mut self) -> Result<(u64, u64), VerifyError> {
         self.prepare_base()?;
-        self.settle(self.jobs)
+        self.settle()
     }
 
     /// Returns the verifier to the base configuration (no overrides,
@@ -991,7 +1004,7 @@ impl Verifier {
     /// a [`warm_start`](Self::warm_start) — then every case re-evaluates
     /// the cone its overrides dirty on its own copy-on-write overlay.
     /// The cases run as a trie on their shared assignment prefixes (each
-    /// prefix settled once), fanned across the worker budget; each case's
+    /// prefix settled once), fanned across the case pool; each case's
     /// result equals that case run alone.
     ///
     /// Results are deterministic: waveforms, violation lists, report
@@ -1021,9 +1034,8 @@ impl Verifier {
     }
 
     /// The engine behind [`run`](Self::run): resolves case names, settles
-    /// the base with the full worker budget, optionally checkpoints, then
-    /// runs the case tree across the pool with the budget split between
-    /// case workers and per-case wave evaluation.
+    /// the base, optionally checkpoints, then runs the case tree across
+    /// the case pool.
     fn run_impl(
         &mut self,
         cases: &[Case],
@@ -1032,11 +1044,10 @@ impl Verifier {
     ) -> Result<RunOutcome, VerifyError> {
         let run_started = Instant::now();
         let effort_before = (self.total_events, self.total_evaluations);
-        // Split the worker budget: W case workers each evaluating waves
-        // J/W wide never oversubscribe a J-job budget.
-        let jobs = jobs.max(1);
-        let case_workers = jobs.min(cases.len());
-        let wave_jobs = (jobs / case_workers).max(1);
+        // More case workers than cases or hardware threads measure
+        // nothing but spawn overhead; the results are the same at every
+        // count.
+        let case_workers = jobs.min(cases.len()).min(hardware_threads()).max(1);
         if let Some(trace) = &self.trace {
             trace.record(&TraceEvent::RunStart {
                 signals: self.netlist.signals().len(),
@@ -1071,10 +1082,9 @@ impl Verifier {
         let lone_leaf = tree.nodes.is_empty() && tree.leaves.len() == 1;
 
         // Establish (or return to) the settled base: no overrides, at
-        // the worst-case corner. The base settle gets the whole budget —
-        // no case worker is running yet.
+        // the worst-case corner.
         let first_run = self.prepare_base()?;
-        let (base_events, base_evaluations) = self.settle(jobs)?;
+        let (base_events, base_evaluations) = self.settle()?;
         let checkpoint = checkpoint.then(|| Box::new(self.clone()));
 
         // Dependency-aware scheduling: every node and leaf is a work
@@ -1210,7 +1220,6 @@ impl Verifier {
                     node.corner,
                     node.reseed_all,
                     budget,
-                    wave_jobs,
                     cache,
                     trace.map(|t| (t, None)),
                     &mut events,
@@ -1344,7 +1353,6 @@ impl Verifier {
                 corners[i],
                 false,
                 budget,
-                wave_jobs,
                 cache,
                 trace.map(|t| (t, Some(i as u32))),
                 &mut events,
@@ -1396,113 +1404,78 @@ impl Verifier {
             }
             (i, outcome)
         };
-        // Releases a completed node's children into the ready
-        // set (the caller publishes the state first, since the
-        // `OnceLock` element type pins the state's lifetime).
-        let release_children = |ni: usize, push: &mut dyn FnMut(Unit)| {
-            let children = &node_children[ni];
-            memo_releases.fetch_add(children.len() as u64, Ordering::Relaxed);
-            if let Some(t) = trace {
-                t.record(&TraceEvent::SubtreeReleased {
-                    node: ni as u32,
-                    children: children.len(),
-                });
-            }
-            for &u in children {
-                push(u);
-            }
-        };
-        let mut outcomes: Vec<Option<Result<CaseOutcome, VerifyError>>> = if case_workers == 1 {
-            // Single worker: drain the ready queue in release
-            // order on this thread (roots first, children as
-            // their parents complete).
-            let mut out: Vec<Option<Result<CaseOutcome, VerifyError>>> =
-                (0..cases.len()).map(|_| None).collect();
+        // The case pool: `case_workers` workers drain one shared ready
+        // queue — the calling thread and `case_workers - 1` helpers. A
+        // worker exits once every leaf has completed: each leaf is
+        // reachable from the ready set through its ancestor chain, and
+        // every node completes (errors included) and releases its
+        // children, so the count always drains — a failing prefix cannot
+        // deadlock the pool. On one worker the queue runs in release
+        // order: roots first, children as their parents complete.
+        let slots: Vec<Mutex<Option<Result<CaseOutcome, VerifyError>>>> =
+            (0..cases.len()).map(|_| Mutex::new(None)).collect();
+        let sched: Mutex<(VecDeque<Unit>, usize)> = Mutex::new((ready.into(), tree.leaves.len()));
+        let ready_cv = Condvar::new();
+        let worker = || {
             let mut scratch = CaseScratch::default();
-            let mut queue: VecDeque<Unit> = ready.into();
-            while let Some(unit) = queue.pop_front() {
+            loop {
+                let unit = {
+                    let mut guard = sched.lock().expect("scheduler lock poisoned");
+                    loop {
+                        if guard.1 == 0 {
+                            break None;
+                        }
+                        if let Some(u) = guard.0.pop_front() {
+                            break Some(u);
+                        }
+                        guard = ready_cv.wait(guard).expect("scheduler lock poisoned");
+                    }
+                };
+                let Some(unit) = unit else { break };
                 match unit {
                     Unit::Node(ni) => {
                         let st = node_work(ni, &mut scratch);
                         if node_states[ni].set(st).is_err() {
                             unreachable!("each node is settled exactly once");
                         }
-                        release_children(ni, &mut |u| queue.push_back(u));
+                        // Release the node's children into the ready
+                        // queue (the state is published first, since the
+                        // `OnceLock` element type pins its lifetime).
+                        let children = &node_children[ni];
+                        memo_releases.fetch_add(children.len() as u64, Ordering::Relaxed);
+                        if let Some(t) = trace {
+                            t.record(&TraceEvent::SubtreeReleased {
+                                node: ni as u32,
+                                children: children.len(),
+                            });
+                        }
+                        if !children.is_empty() {
+                            let mut guard = sched.lock().expect("scheduler lock poisoned");
+                            guard.0.extend(children);
+                            drop(guard);
+                            ready_cv.notify_all();
+                        }
                     }
                     Unit::Leaf(li) => {
                         let (i, outcome) = leaf_work(li, &mut scratch);
-                        out[i] = Some(outcome);
+                        *slots[i].lock().expect("case slot poisoned") = Some(outcome);
+                        let mut guard = sched.lock().expect("scheduler lock poisoned");
+                        guard.1 -= 1;
+                        let all_done = guard.1 == 0;
+                        drop(guard);
+                        if all_done {
+                            ready_cv.notify_all();
+                        }
                     }
                 }
             }
-            out
-        } else {
-            // Worker pool over one shared ready queue. Workers
-            // exit when every leaf has completed: each leaf is
-            // reachable from the ready set through its ancestor
-            // chain, every node completes (errors included) and
-            // releases its children, so the count always drains
-            // — a failing prefix cannot deadlock the pool.
-            let slots: Vec<Mutex<Option<Result<CaseOutcome, VerifyError>>>> =
-                (0..cases.len()).map(|_| Mutex::new(None)).collect();
-            let sched: Mutex<(VecDeque<Unit>, usize)> =
-                Mutex::new((ready.into(), tree.leaves.len()));
-            let ready_cv = Condvar::new();
-            std::thread::scope(|s| {
-                for _ in 0..case_workers {
-                    s.spawn(|| {
-                        let mut scratch = CaseScratch::default();
-                        loop {
-                            let unit = {
-                                let mut guard = sched.lock().expect("scheduler lock poisoned");
-                                loop {
-                                    if guard.1 == 0 {
-                                        break None;
-                                    }
-                                    if let Some(u) = guard.0.pop_front() {
-                                        break Some(u);
-                                    }
-                                    guard = ready_cv.wait(guard).expect("scheduler lock poisoned");
-                                }
-                            };
-                            let Some(unit) = unit else { break };
-                            match unit {
-                                Unit::Node(ni) => {
-                                    let st = node_work(ni, &mut scratch);
-                                    if node_states[ni].set(st).is_err() {
-                                        unreachable!("each node is settled exactly once");
-                                    }
-                                    let mut released = Vec::new();
-                                    release_children(ni, &mut |u| released.push(u));
-                                    if !released.is_empty() {
-                                        let mut guard =
-                                            sched.lock().expect("scheduler lock poisoned");
-                                        guard.0.extend(released);
-                                        drop(guard);
-                                        ready_cv.notify_all();
-                                    }
-                                }
-                                Unit::Leaf(li) => {
-                                    let (i, outcome) = leaf_work(li, &mut scratch);
-                                    *slots[i].lock().expect("case slot poisoned") = Some(outcome);
-                                    let mut guard = sched.lock().expect("scheduler lock poisoned");
-                                    guard.1 -= 1;
-                                    let all_done = guard.1 == 0;
-                                    drop(guard);
-                                    if all_done {
-                                        ready_cv.notify_all();
-                                    }
-                                }
-                            }
-                        }
-                    });
-                }
-            });
-            slots
-                .into_iter()
-                .map(|m| m.into_inner().expect("case slot poisoned"))
-                .collect()
         };
+        std::thread::scope(|s| {
+            for _ in 1..case_workers {
+                s.spawn(worker);
+            }
+            worker();
+        });
         let prefix = PrefixStats {
             nodes: prefix_nodes.into_inner(),
             events: prefix_events.into_inner(),
@@ -1524,8 +1497,11 @@ impl Verifier {
         // Each name is written into one scratch buffer, then copied out
         // at its exact length.
         let mut name = String::new();
-        for (i, slot) in outcomes.iter_mut().enumerate() {
-            let mut outcome = slot.take().expect("worker filled every case slot")?;
+        for (i, slot) in slots.into_iter().enumerate() {
+            let mut outcome = slot
+                .into_inner()
+                .expect("case slot poisoned")
+                .expect("worker filled every case slot")?;
             name.clear();
             let _ = write!(name, "case {}: ", i + 1);
             cases[i].write_label(&mut name);
@@ -1695,8 +1671,8 @@ impl Verifier {
 }
 
 /// The machine's available parallelism, or 1 if it cannot be
-/// determined: the default worker budget for [`Verifier::run`] and the
-/// cap on a settle's wave workers. Probed once per process, since the
+/// determined: the default case-worker budget for [`Verifier::run`] and
+/// the cap on a run's case workers. Probed once per process, since the
 /// probe reads the cgroup CPU quota from the file system on every call,
 /// which costs more than a small settle.
 fn hardware_threads() -> usize {
@@ -1721,8 +1697,6 @@ struct WaveParams<'a> {
     pinned: &'a [bool],
     overrides: &'a BTreeMap<SignalId, Value>,
     budget: u64,
-    /// Wave-evaluation workers; 1 keeps everything on this thread.
-    jobs: usize,
     /// Delay corner every evaluation collapses its delay ranges at.
     corner: DelayCorner,
     /// Case index for trace events; `None` for the base settle.
@@ -1731,85 +1705,6 @@ struct WaveParams<'a> {
     /// Evaluation memo table plus per-primitive descriptor signatures;
     /// `None` when caching is disabled.
     cache: Option<(&'a EvalCache, &'a [Option<u32>])>,
-}
-
-/// What the serial commit phase must do for one wave entry — precomputed
-/// during the (possibly parallel) evaluation phase against the frozen
-/// pre-wave state, so the serial residue only *applies* effects.
-///
-/// The precompute is sound for single-driver signals because a wave is a
-/// deduplicated primitive list: a signal's sole driver appears at most
-/// once per wave, so the frozen pre-wave `raw`/`eff` values it compared
-/// against are exactly the live values at its commit slot. Wired-OR
-/// buses (several drivers possibly in one wave) recombine against live
-/// state and stay on the serial path.
-#[derive(Debug, Clone, Copy)]
-enum CommitPlan {
-    /// Nothing to apply: a checker, a pinned output, or an output whose
-    /// recomputed state equals the committed one.
-    Skip,
-    /// The raw state changes but the effective (override-mapped) state
-    /// does not: store the new raw state, emit no event.
-    Raw {
-        /// The driven signal.
-        out: SignalId,
-        raw: StateId,
-    },
-    /// Both raw and effective state change: store both, count an event,
-    /// enqueue the fan-out.
-    RawEff {
-        /// The driven signal.
-        out: SignalId,
-        raw: StateId,
-        /// The override-mapped effective state.
-        eff: StateId,
-    },
-    /// A wired-OR bus: must be recombined serially against the live
-    /// contribution map.
-    Wired {
-        /// The driven signal.
-        out: SignalId,
-        /// This driver's contribution.
-        raw: StateId,
-    },
-}
-
-/// Plans the commit of one evaluated primitive against the frozen
-/// pre-wave state. See [`CommitPlan`] for the soundness argument.
-fn plan_commit<R, E>(
-    p: &WaveParams<'_>,
-    pid: PrimId,
-    outcome: EvalOutcome,
-    raw: &R,
-    eff: &E,
-) -> CommitPlan
-where
-    R: StateView + ?Sized,
-    E: StateView + ?Sized,
-{
-    let prim = p.netlist.prim(pid);
-    let (Some(new_raw), Some(out)) = (outcome.output, prim.output) else {
-        return CommitPlan::Skip;
-    };
-    if p.pinned[out.index()] {
-        return CommitPlan::Skip; // asserted clocks keep their asserted value
-    }
-    if p.netlist.drivers(out).len() > 1 {
-        return CommitPlan::Wired { out, raw: new_raw };
-    }
-    if raw.state_at(out.index()) == new_raw {
-        return CommitPlan::Skip;
-    }
-    let new_eff = override_state(p.overrides.get(&out).copied(), new_raw);
-    if eff.state_at(out.index()) == new_eff {
-        CommitPlan::Raw { out, raw: new_raw }
-    } else {
-        CommitPlan::RawEff {
-            out,
-            raw: new_raw,
-            eff: new_eff,
-        }
-    }
 }
 
 /// Mutable bookkeeping of one settle loop, borrowed from whoever owns
@@ -1826,26 +1721,28 @@ struct WaveBooks<'a> {
 }
 
 /// Buffers a settle loop reuses from wave to wave (and a case worker
-/// from unit to unit): the drained wave, its outcomes and commit plans.
-/// After the first few waves a settle allocates nothing proportional to
-/// a wave's width.
+/// from unit to unit): the drained wave and, for each of its
+/// primitives, the driven signal (`None` for a checker) and the
+/// evaluation outcome. After the first few waves a settle allocates
+/// nothing proportional to a wave's width.
 #[derive(Default)]
 struct WaveScratch {
     wave: Vec<PrimId>,
-    outcomes: Vec<EvalOutcome>,
-    plans: Vec<CommitPlan>,
+    outcomes: Vec<(Option<SignalId>, EvalOutcome)>,
 }
 
 /// One level-synchronized settle loop — the wave engine. Each iteration
 /// drains the worklist into a deduplicated wave, evaluates every
-/// primitive of the wave against the frozen pre-wave state
-/// (concurrently when `jobs` allows), then commits the results on this
-/// thread in primitive-id order.
+/// primitive of the wave against the frozen pre-wave state, then commits
+/// the results in primitive-id order.
 ///
-/// Determinism: an evaluation reads only state committed by *previous*
-/// waves, so in-wave evaluation order is unobservable; the serial,
-/// sorted commit makes event emission, wired-OR recombination, hazard
-/// recording and fan-out enqueueing identical for every worker count.
+/// The commit decides each output against the live state: unchanged,
+/// raw only (the override mapping hides the change), or raw and
+/// effective (an event). A single-driver output's live state is its
+/// pre-wave state, since a deduplicated wave writes it at most once;
+/// a wired-OR bus recombines its drivers' terms against the live
+/// contribution map, where another driver may have committed this wave.
+///
 /// The oscillation budget is charged per committed evaluation, and a
 /// budget overrun aborts *before* the offending primitive's effects are
 /// applied — exactly the single-worklist engine's semantics. A commit
@@ -1873,10 +1770,6 @@ where
         evaluations,
     } = books;
     let period = p.netlist.config().timing.period;
-    // More workers than hardware threads measures nothing but spawn
-    // overhead, so an oversized `--jobs` is capped here; the trajectory
-    // is worker-count-independent either way.
-    let wave_jobs = p.jobs.min(hardware_threads());
     let mut wave_ordinal = 0u64;
     while !queue.is_empty() {
         let wave = &mut scratch.wave;
@@ -1888,9 +1781,9 @@ where
         // Commit in primitive-id order: canonical, and independent of
         // how last wave's commits happened to interleave enqueues.
         wave.sort_unstable();
-        evaluate_wave(p, &*raw, &*eff, wave_jobs, scratch);
+        evaluate_wave(p, &*eff, scratch);
         let wave = &scratch.wave;
-        for (i, &pid) in wave.iter().enumerate() {
+        for (i, (&pid, &(out, outcome))) in wave.iter().zip(&scratch.outcomes).enumerate() {
             *evaluations += 1;
             if let Some(t) = p.trace {
                 t.record(&TraceEvent::Evaluation {
@@ -1915,56 +1808,47 @@ where
                     active,
                 });
             }
-            for &idx in scratch.outcomes[i].hazard_inputs.unwrap_or_default() {
+            for &idx in outcome.hazard_inputs.unwrap_or_default() {
                 hazards.insert((pid, idx as usize));
             }
-            let (out, new_eff) = match scratch.plans[i] {
-                CommitPlan::Skip => continue,
-                CommitPlan::Raw { out, raw: new_raw } => {
-                    raw.set_state(out.index(), new_raw);
-                    continue;
-                }
-                CommitPlan::RawEff {
-                    out,
-                    raw: new_raw,
-                    eff: new_eff,
-                } => {
-                    raw.set_state(out.index(), new_raw);
-                    (out, new_eff)
-                }
-                CommitPlan::Wired { out, raw: term } => {
-                    // Wired-OR buses: this driver contributes one term;
-                    // the signal's state is the worst-case OR of all
-                    // drivers, recombined against the live contribution
-                    // map (another driver may have committed this wave).
-                    wired.insert((out, pid), term);
-                    let resolved: Vec<WaveRef> = p
-                        .netlist
-                        .drivers(out)
-                        .iter()
-                        .map(|d| {
-                            wired.get(&(out, *d)).map_or_else(
-                                || Waveform::constant(period, Value::Unknown).into(),
-                                |term| term.get().resolved(),
-                            )
-                        })
-                        .collect();
-                    let refs: Vec<&Waveform> = resolved.iter().map(WaveRef::as_wave).collect();
-                    let new_raw =
-                        StateId::of(&SignalState::new(Waveform::combine_many(&refs, |vals| {
-                            scald_logic::or_all(vals.iter().copied())
-                        })));
-                    if raw.state_at(out.index()) == new_raw {
-                        continue;
-                    }
-                    let new_eff = override_state(p.overrides.get(&out).copied(), new_raw);
-                    raw.set_state(out.index(), new_raw);
-                    if eff.state_at(out.index()) == new_eff {
-                        continue;
-                    }
-                    (out, new_eff)
-                }
+            // Checkers drive nothing; asserted clocks keep their asserted
+            // value.
+            let (Some(term), Some(out)) = (outcome.output, out) else {
+                continue;
             };
+            if p.pinned[out.index()] {
+                continue;
+            }
+            let new_raw = if p.netlist.drivers(out).len() > 1 {
+                // Wired-OR buses: this driver contributes one term; the
+                // signal's state is the worst-case OR of all drivers.
+                wired.insert((out, pid), term);
+                let resolved: Vec<WaveRef> = p
+                    .netlist
+                    .drivers(out)
+                    .iter()
+                    .map(|d| {
+                        wired.get(&(out, *d)).map_or_else(
+                            || Waveform::constant(period, Value::Unknown).into(),
+                            |term| term.get().resolved(),
+                        )
+                    })
+                    .collect();
+                let refs: Vec<&Waveform> = resolved.iter().map(WaveRef::as_wave).collect();
+                StateId::of(&SignalState::new(Waveform::combine_many(&refs, |vals| {
+                    scald_logic::or_all(vals.iter().copied())
+                })))
+            } else {
+                term
+            };
+            if raw.state_at(out.index()) == new_raw {
+                continue;
+            }
+            raw.set_state(out.index(), new_raw);
+            let new_eff = override_state(p.overrides.get(&out).copied(), new_raw);
+            if eff.state_at(out.index()) == new_eff {
+                continue;
+            }
             eff.set_state(out.index(), new_eff);
             *events += 1;
             if let Some(t) = p.trace {
@@ -1996,107 +1880,46 @@ where
 }
 
 /// Evaluates every primitive of `scratch.wave` against the frozen
-/// pre-wave state and plans its commit, fanning across a scoped worker
-/// pool when `jobs` allows. `scratch.outcomes` and `scratch.plans` are
-/// cleared and refilled indexed like the wave regardless of which worker
-/// computed which entry — callers observe nothing but the wall-clock.
-///
-/// Workers claim contiguous *chunks* of the wave (not single slots) and
-/// write results in place through per-chunk locks, so synchronization
-/// and allocation are per chunk, not per primitive.
+/// pre-wave state, refilling `scratch.outcomes` indexed like the wave.
+/// Each outcome carries its primitive's driven signal, read here while
+/// the primitive is in cache: on a wide wave the commit would otherwise
+/// reload every primitive from memory.
 ///
 /// With a `cache`, each evaluation first checks the memo table: because
 /// `evaluate` is a pure function of the primitive descriptor (interned
 /// as the signature) and the input states (interned as state ids), a hit
 /// returns the identical outcome the kernel would recompute — serving
-/// from cache is unobservable in every result. Each worker counts its
-/// hits and misses in its own [`Tally`], added to the table's counters
-/// once the worker is done with the wave.
-fn evaluate_wave<R, E>(p: &WaveParams<'_>, raw: &R, eff: &E, jobs: usize, scratch: &mut WaveScratch)
+/// from cache is unobservable in every result. The wave's hits and
+/// misses are counted in one [`Tally`], added to the table's counters
+/// once the wave is done.
+fn evaluate_wave<E>(p: &WaveParams<'_>, eff: &E, scratch: &mut WaveScratch)
 where
-    R: StateView + ?Sized,
     E: StateView + ?Sized,
 {
     let netlist = p.netlist;
-    let eval_one = |pid: PrimId, tally: &mut Tally| -> EvalOutcome {
-        let prim = netlist.prim(pid);
-        if let Some((cache, sigs)) = p.cache {
-            if let Some(sig) = sigs[pid.index()] {
-                let key = cache.key_for(sig, prim, eff, p.corner);
-                if let Some(hit) = cache.lookup(&key, tally) {
-                    return hit;
-                }
-                let out = evaluate(netlist, prim, eff, p.corner);
-                cache.insert(key, out, tally);
-                return out;
-            }
-        }
-        evaluate(netlist, prim, eff, p.corner)
-    };
-    let add = |tally: Tally| {
-        if let Some((cache, _)) = p.cache {
-            cache.add(tally);
-        }
-    };
-    let WaveScratch {
-        wave,
-        outcomes,
-        plans,
-    } = scratch;
+    let mut tally = Tally::default();
+    let WaveScratch { wave, outcomes } = scratch;
     outcomes.clear();
-    plans.clear();
-    let workers = jobs.min(wave.len()).max(1);
-    if workers == 1 {
-        let mut tally = Tally::default();
-        outcomes.reserve(wave.len());
-        plans.reserve(wave.len());
-        for &pid in wave.iter() {
-            let out = eval_one(pid, &mut tally);
-            plans.push(plan_commit(p, pid, out, raw, eff));
-            outcomes.push(out);
-        }
-        add(tally);
-    } else {
-        outcomes.resize(
-            wave.len(),
-            EvalOutcome {
-                output: None,
-                hazard_inputs: None,
-            },
-        );
-        plans.resize(wave.len(), CommitPlan::Skip);
-        // A few chunks per worker balances uneven evaluation costs without
-        // per-primitive synchronization.
-        type Slot<'w> = Mutex<(&'w [PrimId], &'w mut [EvalOutcome], &'w mut [CommitPlan])>;
-        let chunk = wave.len().div_ceil(workers * 4).max(8);
-        let slots: Vec<Slot<'_>> = wave
-            .chunks(chunk)
-            .zip(outcomes.chunks_mut(chunk))
-            .zip(plans.chunks_mut(chunk))
-            .map(|((w, o), pl)| Mutex::new((w, o, pl)))
-            .collect();
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| {
-                    let mut tally = Tally::default();
-                    loop {
-                        let c = next.fetch_add(1, Ordering::Relaxed);
-                        if c >= slots.len() {
-                            break;
-                        }
-                        let mut slot = slots[c].lock().expect("wave chunk poisoned");
-                        let (pids, outs, pls) = &mut *slot;
-                        for i in 0..pids.len() {
-                            let out = eval_one(pids[i], &mut tally);
-                            pls[i] = plan_commit(p, pids[i], out, raw, eff);
-                            outs[i] = out;
-                        }
-                    }
-                    add(tally);
-                });
+    outcomes.extend(wave.iter().map(|&pid| {
+        let prim = netlist.prim(pid);
+        let memo = p
+            .cache
+            .and_then(|(cache, sigs)| Some((cache, sigs[pid.index()]?)));
+        let outcome = match memo {
+            Some((cache, sig)) => {
+                let key = cache.key_for(sig, prim, eff, p.corner);
+                cache.lookup(&key, &mut tally).unwrap_or_else(|| {
+                    let out = evaluate(netlist, prim, eff, p.corner);
+                    cache.insert(key, out, &mut tally);
+                    out
+                })
             }
-        });
+            None => evaluate(netlist, prim, eff, p.corner),
+        };
+        (prim.output, outcome)
+    }));
+    if let Some((cache, _)) = p.cache {
+        cache.add(tally);
     }
 }
 
@@ -2372,7 +2195,6 @@ fn settle_overlay(
     corner: DelayCorner,
     reseed_all: bool,
     budget: u64,
-    wave_jobs: usize,
     cache: Option<(&EvalCache, &[Option<u32>])>,
     trace: Option<(&dyn TraceSink, Option<u32>)>,
     events: &mut u64,
@@ -2414,7 +2236,6 @@ fn settle_overlay(
             pinned,
             overrides,
             budget,
-            jobs: wave_jobs,
             corner,
             case: trace.and_then(|(_, c)| c),
             trace: trace.map(|(t, _)| t),

@@ -22,23 +22,24 @@
 //! with incremental re-evaluation (§2.7), the assumed-stable cross-reference
 //! listing (§2.5), and storage/event statistics matching Tables 3-1 and 3-3.
 //!
-//! # Parallel settling and case analysis
+//! # Settling and parallel case analysis
 //!
 //! [`Verifier::run`] is the single entry point: it settles the base
 //! (no-override) state once, then fans the per-case incremental
-//! re-evaluations of §2.7 across a `std::thread::scope` worker pool
+//! re-evaluations of §2.7 across a `std::thread::scope` case pool
 //! (`--jobs` in `scald-tv`). Each case worker reads the settled base
 //! immutably and re-evaluates only the cone its case's overrides dirty,
 //! on a private copy-on-write overlay — no locks are held during
-//! evaluation, and no external crates are involved.
+//! evaluation, and no external crates are involved. The pool's size is
+//! the worker budget ([`VerifierBuilder::jobs`], overridable per run
+//! with [`RunOptions::jobs`]) capped by the case count and the
+//! machine's hardware threads.
 //!
-//! The settle loop itself is parallel too: it is *level-synchronized*,
-//! draining the worklist into deduplicated waves, evaluating each wave
-//! concurrently against the frozen pre-wave state, and committing
-//! results serially in primitive-id order. One worker budget
-//! ([`VerifierBuilder::jobs`], overridable per run with
-//! [`RunOptions::jobs`]) covers both dimensions — nested settles split
-//! it rather than oversubscribing.
+//! Every settle loop runs on the thread that calls it, as the thesis'
+//! event list does (§2.9). It is *level-synchronized*: it drains the
+//! worklist into deduplicated waves, evaluates each wave against the
+//! frozen pre-wave state, and commits the results in primitive-id
+//! order.
 //!
 //! **Determinism guarantee:** every evaluation in a wave reads only
 //! state committed by previous waves, every case is computed by the same

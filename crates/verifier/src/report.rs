@@ -515,7 +515,9 @@ pub struct EngineStats {
     pub prims: usize,
     /// Cases analysed.
     pub cases: usize,
-    /// Worker-pool size used for case analysis.
+    /// The case-worker budget the run was given (`--jobs`). The pool
+    /// that ran is capped by the case count and the machine's hardware
+    /// threads; a traced run's `run_start` event reports that count.
     pub jobs: usize,
     /// Cumulative signal-change events (§3.3.2).
     pub events: u64,

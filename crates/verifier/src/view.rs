@@ -38,8 +38,8 @@ impl StateView for [StateId] {
 }
 
 /// A writable [`StateView`]: what the wave engine's commit phase needs.
-/// Writes never happen concurrently with reads — the engine evaluates a
-/// whole wave against a frozen view, then commits on one thread.
+/// Writes never interleave with a wave's reads — the engine evaluates a
+/// whole wave against the frozen view, then commits it.
 pub(crate) trait StateWrite: StateView {
     /// Replaces the state of signal `idx`.
     fn set_state(&mut self, idx: usize, state: StateId);

@@ -2,12 +2,17 @@
 //! engine (§2.7): `run` must produce byte-identical results for any
 //! worker budget, and the engine's two error variants (`Oscillation`,
 //! `UnknownCaseSignal`) must surface deterministically regardless of
-//! scheduling. (`parallel_settle.rs` covers the intra-run wave engine;
-//! this file covers the case fan-out dimension.)
+//! scheduling. The case pool is the engine's only parallel dimension,
+//! and it never runs more workers than the machine has hardware
+//! threads. (`parallel_settle.rs` covers the wave engine inside one
+//! settle; this file covers the case fan-out.)
+
+use std::sync::{Arc, Mutex};
 
 use scald_gen::s1::{s1_like_netlist, S1Options};
 use scald_netlist::{Config, Conn, NetlistBuilder};
-use scald_verifier::{Case, CaseSet, RunOptions, Verifier, VerifyError};
+use scald_trace::{TraceEvent, TraceSink};
+use scald_verifier::{Case, CaseSet, RunOptions, Verifier, VerifierBuilder, VerifyError};
 use scald_wave::DelayRange;
 
 /// Twelve cases over the generated design's global control signals —
@@ -197,4 +202,44 @@ fn unknown_case_signal_rejected_before_any_evaluation() {
             "name resolution must precede evaluation"
         );
     }
+}
+
+/// Keeps the case-worker count of every `run_start` event.
+#[derive(Default)]
+struct RunStartJobs(Mutex<Vec<usize>>);
+
+impl TraceSink for RunStartJobs {
+    fn record(&self, event: &TraceEvent<'_>) {
+        if let TraceEvent::RunStart { jobs, .. } = event {
+            self.0.lock().expect("sink poisoned").push(*jobs);
+        }
+    }
+}
+
+/// An oversized budget is capped by the machine, not only by the case
+/// count: eight cases at `.jobs(64)` run on no more case workers than
+/// the host has hardware threads.
+#[test]
+fn case_workers_are_capped_by_the_hardware_threads() {
+    let cases: CaseSet = (0..8)
+        .map(|i| Case::new().assign(format!("CTL {i}"), i % 2 == 0))
+        .collect();
+    let (netlist, _) = s1_like_netlist(S1Options {
+        chips: 40,
+        seed: 0x5ca1d,
+    });
+    let sink = Arc::new(RunStartJobs::default());
+    let mut v = VerifierBuilder::new(netlist)
+        .jobs(64)
+        .trace(sink.clone())
+        .build();
+    v.run(&RunOptions::new().cases(cases)).unwrap();
+    let threads = std::thread::available_parallelism().map_or(1, usize::from);
+    let jobs = sink.0.lock().unwrap().clone();
+    assert_eq!(jobs.len(), 1, "one run, one run_start");
+    assert!(
+        (1..=threads.min(8)).contains(&jobs[0]),
+        "run_start reports {} case workers on {threads} hardware threads",
+        jobs[0]
+    );
 }

@@ -2,8 +2,12 @@
 //! any worker budget, a run must produce a byte-identical report and —
 //! after partitioning worker-interleaved streams by case — an identical
 //! ordered trace stream, including when the oscillation budget trips in
-//! the middle of a wave. (`parallel_cases.rs` covers the case fan-out
-//! dimension; this file covers settling *inside* one case.)
+//! the middle of a wave. A settle runs on one thread whatever the
+//! budget, which sizes only the case pool; these tests pin that the
+//! settle's trajectory (events, evaluations, trace order) stays the same
+//! when the budget and the case workers beside it change.
+//! (`parallel_cases.rs` covers the case fan-out; this file covers
+//! settling *inside* one case.)
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -34,7 +38,7 @@ impl TraceSink for CollectSink {
 /// normalizes away the only legitimately nondeterministic fields
 /// (`wall_nanos`) and the only configuration-dependent one (`jobs`).
 ///
-/// Within one settle loop all events come from the single commit thread
+/// Within one settle loop all events come from the thread running it,
 /// in commit order, so each partition must match byte-for-byte across
 /// worker budgets; only the interleaving *between* case workers (and the
 /// position of the global run_start/run_end markers) may differ.
@@ -103,8 +107,8 @@ fn fifty_seeded_designs_settle_identically_for_any_worker_count() {
             chips: rng.range_usize(6, 30),
             seed: rng.next_u64(),
         });
-        // Half the designs also exercise the case fan-out so the split
-        // worker budget (case workers × wave width) is covered.
+        // Half the designs also exercise the case fan-out, so settles
+        // run on case workers beside each other.
         let cases = if designs.is_multiple_of(2) {
             vec![
                 Case::new().assign(format!("CTL {}", rng.range_u32(0, 24)), rng.bool()),

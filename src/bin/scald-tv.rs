@@ -41,10 +41,10 @@
 //!     --no-eval-cache  disable the evaluation memo table (the A/B
 //!                      baseline for benchmarking; results are
 //!                      byte-identical with the cache on)
-//!     --jobs N         worker budget, shared by the case-analysis
-//!                      fan-out and the wave-parallel settle loop inside
-//!                      each case (default: CPU cores; capped at the
-//!                      machine's available parallelism)
+//!     --jobs N         case-analysis workers (default: CPU cores;
+//!                      capped at the case count and the machine's
+//!                      available parallelism); every settle runs on
+//!                      one thread
 //!     --watch          stay resident and re-verify DESIGN.scald on every
 //!                      file change, warm-starting from the prior fixed
 //!                      point and printing per-edit effort

@@ -8,7 +8,9 @@
 //!   hit is what serving an outcome from the table costs — the key, the
 //!   lookup and the outcome — plus the settle loop's own amortized
 //!   bookkeeping. The design's `&H` pins make some outcomes carry hazard
-//!   inputs, which a hit hands out too.
+//!   inputs, which a hit hands out too. The same settle on a verifier
+//!   built with `.jobs(4)` must allocate exactly as much: the budget
+//!   sizes only the case pool, so a settle spawns nothing.
 //! - Per case-tree unit: an exhaustive mode sweep on one worker, after
 //!   the base is settled, must ask for no more bytes per unit (node or
 //!   leaf) when the design's master cone grows sixteenfold: a unit's
@@ -112,20 +114,25 @@ fn a_warm_settle_stays_within_its_allocation_budget_per_cache_hit() {
         .count();
     assert!(hazard_pins > 0, "the design has `&H` pins");
     let cache = Arc::new(EvalCache::new());
-    let build = || {
+    let build = |jobs| {
         VerifierBuilder::new(netlist.clone())
             .shared_eval_cache(Arc::clone(&cache))
-            .jobs(1)
+            .jobs(jobs)
             .build()
     };
-    build().settle_base().expect("the design settles");
+    build(1).settle_base().expect("the design settles");
 
-    let mut warm = build();
-    let before = cache.stats();
-    let (settled, tally) = counted(|| warm.settle_base());
+    // One warm settle, counted: its allocations and bytes, its
+    // evaluations and the cache counters it moved.
+    let warm_settle = |jobs| {
+        let mut warm = build(jobs);
+        let before = cache.stats();
+        let (settled, tally) = counted(|| warm.settle_base());
+        let (_, evaluations) = settled.expect("the design settles");
+        (tally, evaluations, cache.stats().since(&before))
+    };
+    let (tally, evaluations, stats) = warm_settle(1);
     let allocs = tally.allocations;
-    let (_, evaluations) = settled.expect("the design settles");
-    let stats = cache.stats().since(&before);
     assert_eq!(
         stats.misses, 0,
         "every evaluation was stored by the first settle"
@@ -136,12 +143,27 @@ fn a_warm_settle_stays_within_its_allocation_budget_per_cache_hit() {
     );
     let per_hit = allocs as f64 / stats.hits as f64;
     println!(
-        "{allocs} allocations for {} hits in {evaluations} evaluations: {per_hit:.4} per hit",
-        stats.hits
+        "{allocs} allocations ({} bytes) for {} hits in {evaluations} evaluations: \
+         {per_hit:.4} per hit",
+        tally.bytes, stats.hits
     );
     assert!(
         per_hit <= HIT_BUDGET,
         "a warm settle made {per_hit:.4} allocations per cache hit (budget {HIT_BUDGET})"
+    );
+
+    let (four, four_evaluations, four_stats) = warm_settle(4);
+    assert_eq!(four_evaluations, evaluations, "the same trajectory");
+    assert_eq!(four_stats.hits, stats.hits, "the same cache hits");
+    assert_eq!(
+        (four.allocations, four.bytes),
+        (tally.allocations, tally.bytes),
+        "a warm settle at .jobs(4) allocated {} times ({} bytes) against {} ({} bytes) \
+         at .jobs(1): a settle must spawn nothing",
+        four.allocations,
+        four.bytes,
+        tally.allocations,
+        tally.bytes
     );
 }
 
