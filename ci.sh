@@ -18,17 +18,19 @@ cargo test --workspace -q
 # The CLI integration suite alone, named so a red run points here.
 cargo test -q --test cli
 
-# The engine-determinism property suites alone, same reason: reports
-# from the wave engine and the case fan-out must stay byte-identical for
-# every worker count, eval-cache hit and miss counts included (a miss
-# that another worker's insert beat counts as a hit, as one worker would
-# see it); with the cache on and off they differ only in those counts;
-# and the wave and state interning stores must stay bounded.
-cargo test -q -p scald-verifier --test parallel_settle --test parallel_cases --test eval_cache --test store_growth
+# The engine-determinism property suites alone, same reason: a run,
+# a 64-case sweep included, emits every trace event on the calling
+# thread; its error paths (oscillation, mid-wave budget trips, unknown
+# case signals), checkpoint and wave telemetry hold; reports with the
+# eval cache on and off differ only in its counts; and the wave and
+# state interning stores must stay bounded.
+cargo test -q -p scald-verifier --test run_contract --test eval_cache --test store_growth
+cargo test -q -p scald-verifier --test run_contract -- a_sweep_runs_on_the_calling_thread
 
 # The eval-cache counting rule alone: every interleaving of three
-# workers' lookups and inserts, for shared and distinct keys, counts
-# what one worker counts.
+# threads' lookups and inserts on one shared cache (daemon requests on
+# one design), for shared and distinct keys, counts what one thread
+# counts.
 cargo test -q -p scald-verifier --lib counts_match_one_worker_in_every_interleaving
 
 # The delta checker pass against its oracle: the walk-everything pass it
@@ -69,16 +71,14 @@ cargo test -q -p scald-verifier --lib -- descriptor_signatures_match_the_debug_s
 # sharing more than 16 leading bytes, multi-byte names and an empty design.
 cargo test -q -p scald-verifier --test summary_view
 
-# MemoStats and PrefixStats pinned at 1/2/8 workers to values captured
-# from the walk: the case-sweep bench design at 10 and 100 cases, two
+# MemoStats and PrefixStats pinned to values captured from the walk: the case-sweep bench design at 10 and 100 cases, two
 # sweeps with violations, and the register file as one case (no node
 # pass) and as cases sharing no prefix (one base pass).
 cargo test -q -p scald-verifier --test memo_pins
 
 # The case-tree suite alone: 50-seed property that every case of a sweep
-# matches that case run alone on a clone of the settled verifier, with
-# stripped reports byte-identical at 1/2/8 workers, plus the
-# unknown-signal and failing-prefix error paths.
+# matches that case run alone on a clone of the settled verifier, plus
+# the unknown-signal and failing-prefix error paths.
 cargo test -q -p scald-verifier --test case_tree
 cargo test -q -p scald-wave --test store_props
 

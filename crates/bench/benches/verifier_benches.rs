@@ -69,47 +69,6 @@ fn table_3_1_scaling(b: &Bench) {
     }
 }
 
-/// §2.7 at scale: many-case analysis over an S-1-like design, serial vs
-/// the worker pool — the experiment behind the `--jobs` flag.
-fn par_cases(b: &Bench) {
-    let (netlist, _) = s1_netlist(400);
-    // 16 cases, each flipping three of the generator's global controls so
-    // every case dirties a sizeable cone. The engine is pre-settled in the
-    // untimed setup, so the timed region is exactly the case sweep — the
-    // part the worker pool parallelizes.
-    let cases: CaseSet = (0..16)
-        .map(|i| {
-            Case::new()
-                .assign(format!("CTL {i}"), i % 2 == 0)
-                .assign(format!("CTL {}", (i + 5) % 24), i % 3 == 0)
-                .assign(format!("CTL {}", (i + 11) % 24), i % 2 == 1)
-        })
-        .collect();
-    let settled = || {
-        let mut v = Verifier::new(netlist.clone());
-        v.run(&RunOptions::new()).expect("settles");
-        v
-    };
-    b.bench_with_setup(
-        &format!("par_cases/serial/{}", cases.len()),
-        settled,
-        |mut v| {
-            v.run(&RunOptions::new().cases(cases.clone()).jobs(1))
-                .expect("settles")
-        },
-    );
-    for jobs in [2usize, 4] {
-        b.bench_with_setup(
-            &format!("par_cases/jobs{jobs}/{}", cases.len()),
-            settled,
-            |mut v| {
-                v.run(&RunOptions::new().cases(cases.clone()).jobs(jobs))
-                    .expect("settles")
-            },
-        );
-    }
-}
-
 /// Observability cost: the same full verification pass with tracing
 /// disabled (`Verifier::new`, the `Option<Arc<dyn TraceSink>>` is
 /// `None`) and with a live counter sink attached. The disabled run is
@@ -185,7 +144,7 @@ fn eval_cache(b: &Bench) {
             || netlist.clone(),
             |n| {
                 let mut v = VerifierBuilder::new(n).eval_cache(cached).build();
-                v.run(&RunOptions::new().cases(cases.clone()).jobs(1))
+                v.run(&RunOptions::new().cases(cases.clone()))
                     .expect("settles")
             },
         );
@@ -236,7 +195,6 @@ fn main() {
     fig_2_6(&b);
     other_figures(&b);
     table_3_1_scaling(&b);
-    par_cases(&b);
     trace_overhead(&b);
     incr_vs_full(&b);
     eval_cache(&b);

@@ -30,7 +30,7 @@ fn run_cases(
         .eval_cache(cached)
         .build();
     let (_, wall) = timed(|| {
-        v.run(&RunOptions::new().cases(CaseSet::list(ctl_cases())).jobs(1))
+        v.run(&RunOptions::new().cases(CaseSet::list(ctl_cases())))
             .expect("design settles")
     });
     (wall, v.eval_cache_stats())

@@ -58,31 +58,6 @@ fn main() {
         "total wall time for all {} cases: {total:.2?}",
         results.len()
     );
-
-    // Serial vs. parallel wall-clock for the same case sweep, on fresh
-    // engines so both paths pay the same base settle.
-    println!("\nSERIAL VS PARALLEL WALL-CLOCK (same cases, fresh engine each)");
-    println!("{:<10} {:>14} {:>10}", "JOBS", "WALL", "SPEEDUP");
-    let time_with = |jobs: usize| {
-        let (netlist, _) = s1_netlist(chips);
-        let mut v = Verifier::new(netlist);
-        let options = RunOptions::new()
-            .cases(CaseSet::list(cases.iter().cloned()))
-            .jobs(jobs);
-        let (_, wall) = timed(|| v.run(&options).expect("design settles"));
-        wall
-    };
-    let serial = time_with(1);
-    println!("{:<10} {:>14.2?} {:>9.2}x", "serial", serial, 1.0);
-    for jobs in [2, 4, scald_bench::default_jobs()] {
-        let par = time_with(jobs);
-        println!(
-            "{:<10} {:>14.2?} {:>9.2}x",
-            jobs,
-            par,
-            serial.as_secs_f64() / par.as_secs_f64()
-        );
-    }
     println!(
         "\npaper (§3.3.2): the cost of an additional case is proportional \
          to the events its overrides trigger — not to design size."

@@ -22,9 +22,9 @@
 //!
 //! Usage: `cargo run -p scald-bench --bin case_tree --release`
 //! (`--counts 10,100,1000` for the sweep sizes, `--master N` /
-//! `--block N` for slice counts, `--jobs N` for the worker pool, and
-//! `--out-dir DIR` to write both records into `DIR` instead of the
-//! current directory, as the CI smoke run does.)
+//! `--block N` for slice counts, and `--out-dir DIR` to write both
+//! records into `DIR` instead of the current directory, as the CI smoke
+//! run does.)
 
 use std::path::PathBuf;
 
@@ -110,15 +110,14 @@ impl Measured {
 }
 
 fn main() {
-    let (counts, opts, jobs, out_dir) = flags(|f| {
+    let (counts, opts, out_dir) = flags(|f| {
         let counts: Vec<usize> = f.list("--counts", vec![10, 100, 1000]);
         let opts = SweepOptions {
             master_slices: f.get("--master", 1500),
             block_slices: f.get("--block", 10),
             ..SweepOptions::default()
         };
-        let jobs = f.get("--jobs", scald_bench::default_jobs());
-        (counts, opts, jobs, f.get("--out-dir", PathBuf::from(".")))
+        (counts, opts, f.get("--out-dir", PathBuf::from(".")))
     });
 
     let (netlist, stats) = sweep_netlist(&opts);
@@ -127,11 +126,11 @@ fn main() {
     // evaluations the other cached.
     let settled = || {
         let mut v = Verifier::new(netlist.clone());
-        v.run(&RunOptions::new().jobs(jobs)).expect("base settles");
+        v.run(&RunOptions::new()).expect("base settles");
         v
     };
     println!(
-        "CASE SWEEP — {} prims, {} mode bits ({} exhaustive cases), {jobs} jobs\n",
+        "CASE SWEEP — {} prims, {} mode bits ({} exhaustive cases)\n",
         stats.prims,
         stats.mode_bits.len(),
         full.len()
@@ -155,17 +154,11 @@ fn main() {
         let count = count.min(full.len());
         let cases = CaseSet::list(full.cases()[..count].iter().cloned());
         let mut sweep = Measured::default();
-        sweep.run(
-            &mut settled(),
-            &RunOptions::new().cases(cases.clone()).jobs(jobs),
-        );
+        sweep.run(&mut settled(), &RunOptions::new().cases(cases.clone()));
         let mut alone = Measured::default();
         let base = settled();
         for case in cases.cases() {
-            alone.run(
-                &mut base.clone(),
-                &RunOptions::new().case(case.clone()).jobs(jobs),
-            );
+            alone.run(&mut base.clone(), &RunOptions::new().case(case.clone()));
         }
         assert_eq!(
             alone.violations, sweep.violations,
@@ -217,12 +210,8 @@ fn main() {
         write_record(
             out_dir.join(file),
             schema,
-            1,
-            [
-                ("jobs", Json::from(jobs as u64)),
-                ("design", design.clone()),
-                ("steps", Json::Arr(steps)),
-            ],
+            2,
+            [("design", design.clone()), ("steps", Json::Arr(steps))],
         );
     }
 }

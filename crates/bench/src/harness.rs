@@ -304,7 +304,7 @@ pub fn s1_netlist(chips: usize) -> (Netlist, S1Stats) {
     })
 }
 
-/// One plain verification pass over `netlist` (no cases, default jobs).
+/// One plain verification pass over `netlist` (no cases).
 #[must_use]
 pub fn verify(netlist: Netlist) -> CaseResult {
     let mut v = Verifier::new(netlist);

@@ -5,10 +5,3 @@
 #![warn(missing_docs)]
 
 pub mod harness;
-
-/// The machine's available parallelism — the `Verifier::run` default worker
-/// count, used by benches comparing serial vs. parallel case analysis.
-#[must_use]
-pub fn default_jobs() -> usize {
-    std::thread::available_parallelism().map_or(1, usize::from)
-}

@@ -189,7 +189,6 @@ impl From<VerifyError> for SessionError {
 /// Configures and opens a [`Session`].
 #[derive(Default)]
 pub struct SessionBuilder {
-    jobs: Option<usize>,
     trace: Option<Arc<dyn TraceSink>>,
     /// Inverted so `Default` means "cache on".
     no_eval_cache: bool,
@@ -198,18 +197,17 @@ pub struct SessionBuilder {
 }
 
 impl SessionBuilder {
-    /// A builder with defaults: worker count chosen by the engine, no
-    /// trace sink.
+    /// A builder with defaults: the evaluation cache on, no trace sink.
     #[must_use]
     pub fn new() -> SessionBuilder {
         SessionBuilder::default()
     }
 
-    /// Case-analysis worker count for every verification this session
-    /// runs.
+    /// Has no effect: every verification walks its cases on the calling
+    /// thread. It stays only until the `e2ebench` benchmark stops
+    /// passing its `JOBS` constant here.
     #[must_use]
-    pub fn jobs(mut self, jobs: usize) -> SessionBuilder {
-        self.jobs = Some(jobs.max(1));
+    pub fn jobs(self, _jobs: usize) -> SessionBuilder {
         self
     }
 
@@ -269,7 +267,6 @@ impl SessionBuilder {
         };
         let settings = Settings {
             label: label.into(),
-            jobs: self.jobs,
             trace: self.trace,
             eval_cache,
         };
@@ -285,10 +282,9 @@ impl SessionBuilder {
 }
 
 /// What every verification of a session shares: the report label, the
-/// worker budget, the trace sink and the memo table.
+/// trace sink and the memo table.
 struct Settings {
     label: String,
-    jobs: Option<usize>,
     trace: Option<Arc<dyn TraceSink>>,
     /// One memo table across every re-verification of this session
     /// (`None` when disabled): unchanged regions of an edited design
@@ -355,14 +351,6 @@ impl Session {
     #[must_use]
     pub fn label(&self) -> &str {
         &self.settings.label
-    }
-
-    /// Overrides the case-worker budget for every subsequent
-    /// verification (`None` lets the engine choose). `scald-serve` uses this to split
-    /// one daemon-wide `--jobs` budget across concurrent clients;
-    /// results are byte-identical for any value.
-    pub fn set_jobs(&mut self, jobs: Option<usize>) {
-        self.settings.jobs = jobs.map(|j| j.max(1));
     }
 
     /// The shared evaluation memo table, when caching is enabled.
@@ -465,9 +453,6 @@ impl Settings {
             .map(|(v, prior_keys)| (v, Diff::of(v.netlist(), prior_keys, &netlist, &keys)));
 
         let mut builder = VerifierBuilder::new(netlist);
-        if let Some(jobs) = self.jobs {
-            builder = builder.jobs(jobs);
-        }
         if let Some(trace) = &self.trace {
             builder = builder.trace(Arc::clone(trace));
         }
@@ -512,9 +497,6 @@ impl Settings {
 
         let mut report = verifier.report(self.label.clone(), &results);
         report.engine.verify_wall = Some(wall);
-        if let Some(jobs) = self.jobs {
-            report.engine.jobs = jobs;
-        }
         let stats = IncrStats {
             warm,
             dirty_prims,

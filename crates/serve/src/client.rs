@@ -73,7 +73,7 @@ impl Client {
         })
     }
 
-    /// The server's handshake (name, protocol version, jobs budget).
+    /// The server's handshake (name and protocol version).
     #[must_use]
     pub fn hello(&self) -> &Hello {
         &self.hello

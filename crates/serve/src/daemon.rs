@@ -1,14 +1,13 @@
-//! The daemon: accept loop, per-connection protocol handling, the
-//! jobs-budget ledger, per-request timeouts, and graceful shutdown.
+//! The daemon: accept loop, per-connection protocol handling,
+//! per-request timeouts, and graceful shutdown.
 //!
 //! One [`serve`] call owns everything: a [`SessionPool`] shared by all
-//! connections, a [`JobsLedger`] splitting the single `--jobs` budget
-//! across whatever is verifying right now, and the listener(s). Each
-//! connection is one thread; each potentially-slow request (`open`,
-//! `apply-delta`, `run`) runs on a worker thread the connection waits on
-//! with a deadline, so a pathological design can time out one request
-//! without wedging the connection — the orphaned verification finishes
-//! in the background and its session rejoins the pool.
+//! connections and the listener(s). Each connection is one thread; each
+//! potentially-slow request (`open`, `apply-delta`, `run`) runs on a
+//! worker thread the connection waits on with a deadline, so a
+//! pathological design can time out one request without wedging the
+//! connection — the orphaned verification finishes in the background
+//! and its session rejoins the pool.
 
 use crate::pool::{CheckoutInfo, PooledSession, SessionPool};
 use crate::proto::{
@@ -36,8 +35,9 @@ pub struct ServeOptions {
     /// Speak the protocol on stdin/stdout as one implicit connection;
     /// its EOF begins graceful shutdown.
     pub stdio: bool,
-    /// Daemon-wide verification worker budget, split across concurrent
-    /// requests (`0` = available parallelism).
+    /// Has no effect: each request verifies on one thread. It stays
+    /// only until the `e2ebench` benchmark stops setting its `JOBS`
+    /// constant here.
     pub jobs: usize,
     /// Deadline for `open` / `apply-delta` / `run`. A request that
     /// exceeds it gets an [`ErrorKind::Timeout`] response; its session
@@ -77,77 +77,9 @@ impl Default for ServeOptions {
     }
 }
 
-/// Splits one daemon-wide worker budget across concurrent requests: a
-/// lease taken while `n` requests are active gets `max(1, total / n)`
-/// workers. A share sizes only the request's case pool (its
-/// verification's case workers, capped by its case count and the
-/// machine's hardware threads); each settle runs on one thread, so a
-/// single-case request uses one thread whatever its share, and the
-/// parallelism across requests comes from the requests themselves.
-/// Deliberately simple — shares are computed at acquisition and not
-/// rebalanced mid-run, so a request's worker count is stable for its
-/// whole verification.
-pub struct JobsLedger {
-    total: usize,
-    active: AtomicUsize,
-}
-
-impl JobsLedger {
-    /// A ledger over `total` workers (`0` = available parallelism).
-    #[must_use]
-    pub fn new(total: usize) -> JobsLedger {
-        let total = if total == 0 {
-            thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        } else {
-            total
-        };
-        JobsLedger {
-            total,
-            active: AtomicUsize::new(0),
-        }
-    }
-
-    /// The daemon-wide budget.
-    #[must_use]
-    pub fn total(&self) -> usize {
-        self.total
-    }
-
-    /// Takes a share for one request; released when the lease drops.
-    #[must_use]
-    pub fn lease(self: &Arc<JobsLedger>) -> JobsLease {
-        let active = self.active.fetch_add(1, Ordering::AcqRel) + 1;
-        JobsLease {
-            ledger: Arc::clone(self),
-            share: (self.total / active).max(1),
-        }
-    }
-}
-
-/// One request's slice of the jobs budget (RAII).
-pub struct JobsLease {
-    ledger: Arc<JobsLedger>,
-    share: usize,
-}
-
-impl JobsLease {
-    /// The worker count this request may use.
-    #[must_use]
-    pub fn share(&self) -> usize {
-        self.share
-    }
-}
-
-impl Drop for JobsLease {
-    fn drop(&mut self) {
-        self.ledger.active.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
 /// State shared by every connection of one [`serve`] call.
 struct Shared {
     pool: SessionPool,
-    jobs: Arc<JobsLedger>,
     timeout: Duration,
     max_sweep_cases: u64,
     shutting_down: AtomicBool,
@@ -159,7 +91,6 @@ impl Shared {
     fn new(opts: &ServeOptions) -> Arc<Shared> {
         Arc::new(Shared {
             pool: SessionPool::new(opts.idle_cap, opts.eval_cache),
-            jobs: Arc::new(JobsLedger::new(opts.jobs)),
             timeout: opts.request_timeout,
             max_sweep_cases: opts.max_sweep_cases,
             shutting_down: AtomicBool::new(false),
@@ -172,7 +103,7 @@ impl Shared {
         Hello {
             proto: PROTO_VERSION,
             server: concat!("scald-serve/", env!("CARGO_PKG_VERSION")).to_owned(),
-            jobs: self.jobs.total() as u64,
+            jobs: 1,
         }
     }
 
@@ -508,7 +439,7 @@ fn dispatch(
             stats: DaemonStats {
                 connections: shared.connections.load(Ordering::Acquire) as u64,
                 active_runs: shared.active_runs.load(Ordering::Acquire) as u64,
-                jobs_total: shared.jobs.total() as u64,
+                jobs_total: 1,
                 shutting_down: shared.shutting_down.load(Ordering::Acquire),
                 designs: shared.pool.stats(),
             },
@@ -573,8 +504,8 @@ impl Drop for RunGuard {
 }
 
 /// `open`: compile, then check out / verify, on a worker thread under
-/// the request deadline and one jobs lease. A compile error comes back
-/// through the same channel as a checkout error.
+/// the request deadline. A compile error comes back through the same
+/// channel as a checkout error.
 fn do_open(
     id: u64,
     source: String,
@@ -588,16 +519,12 @@ fn do_open(
     let (tx, rx) = mpsc::channel();
     thread::spawn(move || {
         let _guard = RunGuard(Arc::clone(&worker_shared));
-        let lease = worker_shared.jobs.lease();
         let compiled = match frontend {
             Frontend::Scald => compile_source(&source),
             Frontend::Verilog => compile_verilog(&source),
         };
-        let result = compiled.and_then(|(netlist, cases)| {
-            worker_shared
-                .pool
-                .checkout(netlist, cases, &label, Some(lease.share()))
-        });
+        let result = compiled
+            .and_then(|(netlist, cases)| worker_shared.pool.checkout(netlist, cases, &label));
         let _ = tx.send(result);
     });
 
@@ -651,8 +578,6 @@ fn do_verify_op(
     let (tx, rx) = mpsc::channel();
     thread::spawn(move || {
         let _guard = RunGuard(Arc::clone(&worker_shared));
-        let lease = worker_shared.jobs.lease();
-        pooled.session.set_jobs(Some(lease.share()));
         let before = pooled.session.cache_stats();
         let result = match op {
             VerifyOp::Apply(DeltaSpec::Source(src)) => pooled.session.apply(match frontend {

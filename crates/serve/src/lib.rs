@@ -16,7 +16,7 @@
 //! `scald-trace` JSON. The handshake pins the version:
 //!
 //! ```text
-//! S: {"frame":"hello","scald-serve-proto":1,"server":"scald-serve/0.1.0","jobs":8}
+//! S: {"frame":"hello","scald-serve-proto":1,"server":"scald-serve/0.1.0","jobs":1}
 //! C: {"id":1,"cmd":"open","source":"...","label":"alu"}
 //! S: {"frame":"response","id":1,"ok":true,"cmd":"open","result":{"session":"s1",...}}
 //! ```
@@ -32,9 +32,9 @@
 //! (`scald_verifier`), so the second client opening a popular design
 //! replays the first client's evaluations; a closed session parks
 //! settled in the pool and a later identical `open` reuses it with zero
-//! work. The daemon-wide `--jobs` budget is split across whatever is
-//! verifying at the moment ([`JobsLedger`]), so one daemon saturates a
-//! machine without oversubscribing it.
+//! work. Each request verifies on one thread, and the parallelism across
+//! requests comes from the requests themselves: concurrent clients
+//! verify side by side.
 //!
 //! [`EvalCache`]: scald_verifier::EvalCache
 
@@ -45,7 +45,7 @@ pub mod proto;
 mod tap;
 
 pub use client::Client;
-pub use daemon::{serve, JobsLease, JobsLedger, ServeOptions, DEFAULT_MAX_SWEEP_CASES};
+pub use daemon::{serve, ServeOptions, DEFAULT_MAX_SWEEP_CASES};
 pub use pool::{CheckoutInfo, PooledSession, SessionPool};
 pub use proto::{
     CacheDelta, DaemonStats, DeltaSpec, DesignStats, ErrorKind, Frame, Frontend, Hello, ProtoError,

@@ -78,9 +78,6 @@ impl SessionPool {
     /// design's shared cache. The verification runs outside the pool
     /// lock.
     ///
-    /// `jobs` is the worker budget for the opening verification (the
-    /// caller's lease share).
-    ///
     /// # Errors
     ///
     /// Any [`SessionError`] from the opening verification.
@@ -89,7 +86,6 @@ impl SessionPool {
         netlist: Netlist,
         cases: Vec<Case>,
         label: &str,
-        jobs: Option<usize>,
     ) -> Result<(PooledSession, CheckoutInfo), SessionError> {
         let hash = design_hash(&netlist, &cases);
         let (cache, reused, shared) = {
@@ -107,9 +103,8 @@ impl SessionPool {
             }
             (Arc::clone(&entry.cache), reused, existed)
         };
-        if let Some(mut pooled) = reused {
+        if let Some(pooled) = reused {
             pooled.tap.reset();
-            pooled.session.set_jobs(jobs);
             return Ok((
                 pooled,
                 CheckoutInfo {
@@ -125,9 +120,6 @@ impl SessionPool {
             builder = builder.shared_eval_cache(cache);
         } else {
             builder = builder.eval_cache(false);
-        }
-        if let Some(jobs) = jobs {
-            builder = builder.jobs(jobs);
         }
         let session = builder.open(DesignInput::Netlist { netlist, cases }, label)?;
         Ok((
@@ -214,7 +206,7 @@ mod tests {
         let pool = SessionPool::new(4, true);
         let netlist = tiny_netlist();
         let (a, info_a) = pool
-            .checkout(netlist.clone(), vec![Case::new()], "demo", None)
+            .checkout(netlist.clone(), vec![Case::new()], "demo")
             .expect("opens");
         assert!(!info_a.reused_session);
         assert!(!info_a.shared_cache);
@@ -222,7 +214,7 @@ mod tests {
         // A second concurrent open of the same design: fresh session,
         // shared cache.
         let (b, info_b) = pool
-            .checkout(netlist.clone(), vec![Case::new()], "demo", None)
+            .checkout(netlist.clone(), vec![Case::new()], "demo")
             .expect("opens");
         assert!(!info_b.reused_session);
         assert!(info_b.shared_cache);
@@ -231,14 +223,14 @@ mod tests {
         // Check one in; the next open reuses it outright.
         assert!(pool.checkin(a));
         let (_c, info_c) = pool
-            .checkout(netlist.clone(), vec![Case::new()], "demo", None)
+            .checkout(netlist.clone(), vec![Case::new()], "demo")
             .expect("opens");
         assert!(info_c.reused_session);
 
         // A different label never reuses (reports carry the label).
         assert!(pool.checkin(b));
         let (_d, info_d) = pool
-            .checkout(netlist, vec![Case::new()], "other", None)
+            .checkout(netlist, vec![Case::new()], "other")
             .expect("opens");
         assert!(!info_d.reused_session);
         assert!(info_d.shared_cache);
@@ -254,10 +246,10 @@ mod tests {
         let pool = SessionPool::new(1, true);
         let netlist = tiny_netlist();
         let (a, _) = pool
-            .checkout(netlist.clone(), vec![Case::new()], "demo", None)
+            .checkout(netlist.clone(), vec![Case::new()], "demo")
             .expect("opens");
         let (b, _) = pool
-            .checkout(netlist, vec![Case::new()], "demo", None)
+            .checkout(netlist, vec![Case::new()], "demo")
             .expect("opens");
         assert!(pool.checkin(a));
         assert!(!pool.checkin(b), "second checkin exceeds idle_cap=1");
@@ -268,9 +260,9 @@ mod tests {
     fn distinct_cases_key_distinct_designs() {
         let pool = SessionPool::new(4, true);
         let netlist = tiny_netlist();
-        pool.checkout(netlist.clone(), vec![Case::new()], "demo", None)
+        pool.checkout(netlist.clone(), vec![Case::new()], "demo")
             .expect("opens");
-        pool.checkout(netlist, vec![Case::new().assign("D", true)], "demo", None)
+        pool.checkout(netlist, vec![Case::new().assign("D", true)], "demo")
             .expect("opens");
         assert_eq!(pool.stats().len(), 2);
     }

@@ -13,7 +13,7 @@
 //!
 //! ```text
 //! server -> client on connect:
-//!   {"frame":"hello","scald-serve-proto":1,"server":"scald-serve/0.1.0","jobs":4}
+//!   {"frame":"hello","scald-serve-proto":1,"server":"scald-serve/0.1.0","jobs":1}
 //!
 //! client -> server (one per line; "id" is the client's correlation tag):
 //!   {"id":1,"cmd":"open","source":"design D; ...","label":"demo"}
@@ -75,7 +75,9 @@ pub struct Hello {
     pub proto: u64,
     /// Server name/version string, informational.
     pub server: String,
-    /// The daemon-wide worker budget requests are multiplexed over.
+    /// Threads one request verifies on: always 1, since a run walks
+    /// its cases on one thread. Kept because protocol v1 removes no
+    /// field.
     pub jobs: u64,
 }
 
@@ -824,12 +826,12 @@ pub struct RunSummary {
 }
 
 /// Sweep-amortization counters over one request: how much of the
-/// per-case fixed cost the case-tree scheduler shared or inherited
+/// per-case fixed cost the case tree shared or inherited
 /// instead of recomputing. Mirrors the engine's `PrefixStats` +
 /// `MemoStats` so clients can compute the same hit rates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SweepEffort {
-    /// Internal prefix nodes the scheduler settled (each shared by ≥ 2
+    /// Internal prefix nodes the case tree settled (each shared by ≥ 2
     /// cases).
     pub prefix_nodes: u64,
     /// Primitive evaluations spent settling those shared prefixes.
@@ -1010,7 +1012,7 @@ pub struct DaemonStats {
     pub connections: u64,
     /// Requests currently verifying on worker threads.
     pub active_runs: u64,
-    /// The daemon-wide `--jobs` budget.
+    /// Threads one request verifies on: always 1 (see [`Hello::jobs`]).
     pub jobs_total: u64,
     /// `true` once graceful shutdown has begun.
     pub shutting_down: bool,

@@ -687,15 +687,14 @@ fn a_verilog_session_compiles_source_deltas_as_verilog() {
 fn stats_reflect_live_connections() {
     let (path, daemon) = start_daemon(ServeOptions {
         socket: Some(socket_path("stats")),
-        jobs: 3,
         ..ServeOptions::default()
     });
     let mut client = Client::connect_unix(&path).expect("connects");
-    assert_eq!(client.hello().jobs, 3);
+    assert_eq!(client.hello().jobs, 1);
     let Response::Stats { stats, .. } = client.stats().expect("stats") else {
         panic!("expected stats");
     };
-    assert_eq!(stats.jobs_total, 3);
+    assert_eq!(stats.jobs_total, 1);
     assert_eq!(stats.connections, 1);
     assert!(!stats.shutting_down);
     assert!(stats.designs.is_empty());

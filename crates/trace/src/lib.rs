@@ -44,8 +44,9 @@ pub use sinks::{
 /// Events borrow names from the engine's netlist; sinks that outlive the
 /// call must copy what they keep. `case` is `None` for the base
 /// (no-override) settle pass and `Some(i)` for case-analysis case `i`
-/// (0-based input order); case events may arrive from worker threads
-/// concurrently, so sinks must be thread-safe.
+/// (0-based input order). A run emits its events on the thread that
+/// calls it: the base settle, then the case tree's units in pre-order
+/// (each prefix node before its subtree).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TraceEvent<'a> {
     /// A verification run (`Verifier::run`-level) is starting.
@@ -56,13 +57,9 @@ pub enum TraceEvent<'a> {
         prims: usize,
         /// Cases about to be analysed.
         cases: usize,
-        /// Case workers the run fans its cases across: the jobs budget
-        /// capped by the case count and the machine's hardware threads.
-        jobs: usize,
     },
-    /// One primitive evaluation inside a settle loop. Emitted by the
-    /// thread running the settle loop, in commit order, so the stream is
-    /// identical for every worker count.
+    /// One primitive evaluation inside a settle loop, emitted in commit
+    /// order.
     Evaluation {
         /// Case index, or `None` for the base settle.
         case: Option<u32>,
@@ -105,14 +102,14 @@ pub enum TraceEvent<'a> {
         /// Evaluation ordinal at which the change happened.
         ordinal: u64,
     },
-    /// A case worker picked up a case.
+    /// A leaf case is starting.
     CaseStart {
         /// Case index (0-based input order).
         case: u32,
         /// The case's human-readable label.
         label: &'a str,
     },
-    /// A case worker finished a case.
+    /// A leaf case finished.
     CaseEnd {
         /// Case index (0-based input order).
         case: u32,
@@ -145,16 +142,15 @@ pub enum TraceEvent<'a> {
         /// Primitive evaluations within the node's settle.
         evaluations: u64,
     },
-    /// A case-tree node finished settling and the scheduler released its
-    /// dependent children (child nodes and leaf cases) to the worker
-    /// pool. Under dependency-aware scheduling, release order — and
-    /// therefore the arrival order of this event — depends on which
-    /// worker finishes which node first, like the interleaving of
-    /// per-case events; the *content* per node is deterministic.
+    /// A case-tree node finished settling and hands its state on to its
+    /// children (child nodes and leaf cases), which the walk runs next.
+    /// Emitted right after the node's
+    /// [`PrefixSettled`](Self::PrefixSettled), even when the node
+    /// failed: its children then fail with it.
     SubtreeReleased {
         /// 0-based node index in the run's case tree.
         node: u32,
-        /// Work units (child nodes plus leaves) released.
+        /// Work units (child nodes plus leaves) the node hands on to.
         children: usize,
     },
     /// Per-case checker/storage memoization counters, emitted just
@@ -162,8 +158,8 @@ pub enum TraceEvent<'a> {
     /// cost (checker units, storage measurements) the case evaluated
     /// versus inherited from its prefix node's cached pass. A lone case
     /// (the run's only case, at the worst-case corner) evaluates every
-    /// unit and its hit counters are zero. Deterministic per case — the counters depend on the case
-    /// set and the netlist, never on worker count.
+    /// unit and its hit counters are zero. Deterministic per case: the
+    /// counters depend on the case set and the netlist.
     LeafChecks {
         /// Case index (0-based input order).
         case: u32,
@@ -245,12 +241,10 @@ impl TraceEvent<'_> {
                 signals,
                 prims,
                 cases,
-                jobs,
             } => {
                 obj.push(("signals".into(), Json::from(signals as u64)));
                 obj.push(("prims".into(), Json::from(prims as u64)));
                 obj.push(("cases".into(), Json::from(cases as u64)));
-                obj.push(("jobs".into(), Json::from(jobs as u64)));
             }
             TraceEvent::Evaluation {
                 ref case,
@@ -368,10 +362,11 @@ impl TraceEvent<'_> {
 
 /// A consumer of engine observability events.
 ///
-/// Sinks must be `Send + Sync`: case-analysis workers emit events
-/// concurrently from a `std::thread::scope` pool. A sink that cannot
-/// keep up slows the engine down (events are delivered synchronously),
-/// so heavy sinks should aggregate cheaply and defer formatting.
+/// Sinks must be `Send + Sync`: a verifier moves between threads with
+/// its sink (a daemon request runs on a worker thread), and one sink
+/// may serve several verifiers at once. A sink that cannot keep up
+/// slows the engine down (events are delivered synchronously), so heavy
+/// sinks should aggregate cheaply and defer formatting.
 pub trait TraceSink: Send + Sync {
     /// Receives one event. Called from the engine's hot loop when
     /// tracing is enabled; implementations should be quick.

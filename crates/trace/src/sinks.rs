@@ -16,7 +16,7 @@ pub struct CaseSummary {
     pub case: u32,
     /// The case's label.
     pub label: String,
-    /// Wall-clock nanoseconds the case took on its worker.
+    /// Wall-clock nanoseconds the case took.
     pub wall_nanos: u64,
     /// Signal-change events within the case.
     pub events: u64,
@@ -88,10 +88,10 @@ pub struct CounterSnapshot {
     pub leaf_storage_evals: u64,
     /// Per-case storage measurements inherited from the prefix.
     pub leaf_storage_hits: u64,
-    /// Subtree releases performed by the dependency-aware scheduler
-    /// (one per settled case-tree node).
+    /// Subtree releases: one per settled case-tree node, which hands
+    /// its state on to its children.
     pub subtree_releases: u64,
-    /// Work units (child nodes + leaves) those releases made runnable.
+    /// Work units (child nodes + leaves) those releases handed on to.
     pub released_units: u64,
 }
 
@@ -405,9 +405,9 @@ impl TraceSink for TimelineSink {
 /// Streams every event as one JSON object per line to a writer — the
 /// machine-readable event log behind `scald-tv --trace FILE`.
 ///
-/// Lines from concurrent case workers interleave, but each line is
-/// written atomically under the sink's lock; consumers can partition by
-/// the `case` field.
+/// Each line is written atomically under the sink's lock, so verifiers
+/// sharing one sink never tear a line; consumers can partition by the
+/// `case` field.
 pub struct JsonlSink<W: Write + Send> {
     writer: Mutex<W>,
 }

@@ -22,7 +22,7 @@
 //! both the shard and the slot within it. The table is sharded like the
 //! wave store: a lookup takes a shard read-lock, a miss inserts under
 //! the shard write-lock. An outcome is `Copy`, so a hit takes no
-//! reference count; each worker counts its hits and misses in its own
+//! reference count; each settle counts its hits and misses in its own
 //! [`Tally`], added to the shared counters once per wave.
 
 use std::collections::hash_map::Entry;
@@ -106,15 +106,16 @@ impl Hash for EvalKey {
 /// Hit/miss/size counters for an [`EvalCache`], surfaced through the
 /// report's engine-stats listing and the `cache_stats` trace event.
 ///
-/// The counts are those of a serial run at every worker count. Workers
-/// that evaluate one key at the same time all miss their lookups, but
-/// only the evaluation that stores the outcome first stays a miss; the
-/// others find it stored and count as the hits a serial run would have
-/// seen. So within one run that owns its cache — a single case, a case
-/// sweep on either scheduler, any `--jobs` — every key new to the table
-/// is one miss, and every other lookup a hit. A cache shared by runs in
-/// flight at once (the daemon's) splits its counts between them by
-/// timing, so per-request attribution there is approximate. Stripped
+/// The counts are those of one thread evaluating every key in turn.
+/// Threads that evaluate one key at the same time (daemon requests on
+/// one design's shared cache) all miss their lookups, but only the
+/// evaluation that stores the outcome first stays a miss; the others
+/// find it stored and count as the hits a serial run would have seen.
+/// So within one run that owns its cache — a single case or a case
+/// sweep — every key new to the table is one miss, and every other
+/// lookup a hit. A cache shared by runs in flight at once (the
+/// daemon's) splits its counts between them by timing, so per-request
+/// attribution there is approximate. Stripped
 /// reports (`Report::strip_effort`) leave these counters out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EvalCacheStats {

@@ -156,11 +156,10 @@ mod tests {
     /// Runs `netlist` over `cases` (the base alone when empty) and over
     /// the same cases crossed with every delay corner, all through
     /// `cache`.
-    fn runs(cache: &Arc<EvalCache>, netlist: &Netlist, cases: &[&str], jobs: usize) {
+    fn runs(cache: &Arc<EvalCache>, netlist: &Netlist, cases: &[&str]) {
         let verify = |options: RunOptions| {
             VerifierBuilder::new(netlist.clone())
                 .shared_eval_cache(Arc::clone(cache))
-                .jobs(jobs)
                 .build()
                 .run(&options)
                 .expect("corpus designs settle");
@@ -222,17 +221,17 @@ mod tests {
     }
 
     /// The corpus: seeded S-1 designs with cases, a scale design, a
-    /// sweep with its exhaustive mode cases on two workers, and the
-    /// chain design — every case set also crossed with the corners.
+    /// sweep with its exhaustive mode cases, and the chain design —
+    /// every case set also crossed with the corners.
     #[test]
     fn packed_keys_match_the_vec_key_oracle() {
         let cache = Arc::new(EvalCache::new());
         for seed in 0..3 {
             let (s1, _) = s1_like_netlist(S1Options { chips: 60, seed });
-            runs(&cache, &s1, &["CTL 0", "CTL 1"], 1);
+            runs(&cache, &s1, &["CTL 0", "CTL 1"]);
         }
         let (scale, _) = scale_netlist(&ScaleOptions::prims(2_000));
-        runs(&cache, &scale, &[], 1);
+        runs(&cache, &scale, &[]);
         let (sweep, stats) = sweep_netlist(&SweepOptions {
             mode_bits: 3,
             master_slices: 30,
@@ -240,8 +239,8 @@ mod tests {
             seed: 9,
         });
         let bits: Vec<&str> = stats.mode_bits.iter().map(String::as_str).collect();
-        runs(&cache, &sweep, &bits, 2);
-        runs(&cache, &chains_and_wide_gates(), &[], 1);
+        runs(&cache, &sweep, &bits);
+        runs(&cache, &chains_and_wide_gates(), &[]);
 
         let cov = coverage(&cache);
         assert!(cov.keys > 10_000, "{cov:?}");

@@ -6,8 +6,7 @@
 //! must agree with it exactly: the violations, the three firing sets,
 //! and the evaluated and inherited counts. The tests below drive seeded
 //! case-tree runs over corpora chosen so that every firing set is
-//! non-empty at some parent, at 1, 2 and 8 workers, whose eval-cache
-//! counts must repeat too.
+//! non-empty at some parent.
 
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashSet};
@@ -183,27 +182,17 @@ mod tests {
     use scald_rng::Rng;
     use scald_wave::{DelayRange, Time};
 
-    /// Runs `set` on the case tree at 1, 2 and 8 workers (every delta
-    /// pass is cross-checked inside the engine) and returns what the
-    /// one-worker run covered: at one worker every unit runs on this
-    /// thread, so its passes are the ones recorded. Units running at
-    /// once share the eval cache, and its counts must still repeat.
+    /// Runs `set` on the case tree (every delta pass is cross-checked
+    /// inside the engine) and returns what the run covered: every unit
+    /// runs on this thread, so its passes are the ones recorded.
     fn tree_runs(netlist: &Netlist, set: &CaseSet) -> Coverage {
-        let run = |jobs: usize| {
-            let mut v = Verifier::new(netlist.clone());
-            v.run(&RunOptions::new().cases(set.clone()).jobs(jobs))
-                .expect("corpus designs settle");
-            v.eval_cache_stats()
-        };
         COVERAGE.with(|c| *c.borrow_mut() = Some(Coverage::default()));
-        let serial = run(1);
-        let covered = COVERAGE
+        Verifier::new(netlist.clone())
+            .run(&RunOptions::new().cases(set.clone()))
+            .expect("corpus designs settle");
+        COVERAGE
             .with(|c| c.borrow_mut().take())
-            .expect("recording was on");
-        for jobs in [2, 8] {
-            assert_eq!(run(jobs), serial, "eval-cache counts at {jobs} workers");
-        }
-        covered
+            .expect("recording was on")
     }
 
     fn add(total: &mut Coverage, c: Coverage) {

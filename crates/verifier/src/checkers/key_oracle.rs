@@ -378,8 +378,7 @@ mod tests {
 
     fn run(netlist: &Netlist, options: &RunOptions) -> Verifier {
         let mut v = Verifier::new(netlist.clone());
-        v.run(&options.clone().jobs(1))
-            .expect("corpus designs settle");
+        v.run(options).expect("corpus designs settle");
         v
     }
 

@@ -9,14 +9,13 @@
 //! signals' cones.
 //!
 //! Settling is *level-synchronized*: the worklist is drained into a
-//! deduplicated wave, every primitive of the wave is evaluated on the
-//! calling thread against the frozen pre-wave state, and the results
-//! are then committed in primitive-id order. That order fixes the
-//! trajectory — events, evaluations and trace streams. Parallelism lives
-//! one level up, across the cases of a run: waveforms, violation lists,
-//! report JSON and per-case trace streams are byte-identical for every
-//! case-worker count (DESIGN.md § "The wave engine";
-//! `tests/parallel_settle.rs` proves it over seeded designs).
+//! deduplicated wave, every primitive of the wave is evaluated against
+//! the frozen pre-wave state, and the results are then committed in
+//! primitive-id order. That order fixes the trajectory — events,
+//! evaluations and trace streams. A run's cases are walked one after
+//! another on the calling thread, as the thesis analyses them (§2.7):
+//! the case trie in pre-order, each unit settled on its parent's state
+//! (DESIGN.md § "The wave engine" and § "The case tree").
 
 use scald_logic::Value;
 use scald_netlist::{Netlist, PrimId, SignalId};
@@ -24,8 +23,7 @@ use scald_trace::{TraceEvent, TraceSink};
 use scald_wave::{DelayCorner, WaveRef, Waveform};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt::{self, Write as _};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 use crate::cache::{EvalCache, Tally};
@@ -184,10 +182,9 @@ impl fmt::Display for MultiCaseError {
 
 impl std::error::Error for MultiCaseError {}
 
-/// Options for one [`Verifier::run`]: the cases to analyse, an optional
-/// per-run case-worker override, and whether to checkpoint the settled
-/// base. The default (`RunOptions::new()`) verifies the single
-/// no-override base case.
+/// Options for one [`Verifier::run`]: the cases to analyse and whether
+/// to checkpoint the settled base. The default (`RunOptions::new()`)
+/// verifies the single no-override base case.
 ///
 /// # Examples
 ///
@@ -207,7 +204,6 @@ impl std::error::Error for MultiCaseError {}
 /// let outcome = verifier.run(
 ///     &RunOptions::new()
 ///         .cases(CaseSet::exhaustive(["MODE0", "MODE1"]))
-///         .jobs(2)
 ///         .checkpoint(CheckpointPolicy::SettledBase),
 /// )?;
 /// assert_eq!(outcome.cases.len(), 4);
@@ -219,7 +215,6 @@ impl std::error::Error for MultiCaseError {}
 #[must_use]
 pub struct RunOptions {
     cases: CaseSet,
-    jobs: Option<usize>,
     checkpoint: CheckpointPolicy,
 }
 
@@ -241,15 +236,6 @@ impl RunOptions {
     /// Adds one case to the analysis.
     pub fn case(mut self, case: Case) -> RunOptions {
         self.cases.push(case);
-        self
-    }
-
-    /// Overrides the verifier's case-worker budget for this run only
-    /// (clamped to at least 1, and capped like
-    /// [`VerifierBuilder::jobs`] by the cases and the machine's hardware
-    /// threads). Results are byte-identical for every value.
-    pub fn jobs(mut self, jobs: usize) -> RunOptions {
-        self.jobs = Some(jobs.max(1));
         self
     }
 
@@ -283,7 +269,7 @@ pub struct PrefixStats {
 /// (a run of one case at the worst-case corner) computes no node pass
 /// and evaluates every unit itself: all evals, zero hits. All fields
 /// are deterministic: they depend on the case set and the netlist,
-/// never on worker count or timing.
+/// never on timing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MemoStats {
     /// Checker/storage passes run at tree nodes (shared prefixes,
@@ -302,8 +288,8 @@ pub struct MemoStats {
     pub leaf_storage_evals: u64,
     /// Signals whose storage measurement was inherited from the node.
     pub leaf_storage_hits: u64,
-    /// Work units (child nodes and leaves) released by the scheduler
-    /// when their parent node settled.
+    /// Work units (child nodes and leaves) each settled node handed
+    /// its state on to: one per unit whose parent is a tree node.
     pub releases: u64,
 }
 
@@ -429,7 +415,7 @@ impl RunOutcome {
 }
 
 /// Configures and builds a [`Verifier`]: the front door for everything
-/// beyond a plain run — case-pool size, oscillation budget, and an
+/// beyond a plain run — oscillation budget, evaluation cache and an
 /// observability [`TraceSink`].
 ///
 /// [`Verifier::new`] is a shim over the all-defaults builder, so simple
@@ -454,7 +440,6 @@ impl RunOutcome {
 ///
 /// let sink = Arc::new(CounterSink::new());
 /// let mut v = VerifierBuilder::new(b.finish()?)
-///     .jobs(2)
 ///     .trace(Arc::clone(&sink) as Arc<_>)
 ///     .build();
 /// let outcome = v.run(&RunOptions::new())?;
@@ -466,7 +451,6 @@ impl RunOutcome {
 #[derive(Default)]
 #[must_use]
 pub struct VerifierBuilder {
-    jobs: Option<usize>,
     oscillation_budget: Option<u64>,
     trace: Option<Arc<dyn TraceSink>>,
     netlist: Option<Netlist>,
@@ -475,10 +459,9 @@ pub struct VerifierBuilder {
 }
 
 impl VerifierBuilder {
-    /// Starts a builder for verifying `netlist`, with default case-worker
-    /// budget (available parallelism), default oscillation budget
-    /// (256 evaluations per primitive, plus slack for tiny designs) and
-    /// no tracing.
+    /// Starts a builder for verifying `netlist`, with the default
+    /// oscillation budget (256 evaluations per primitive, plus slack for
+    /// tiny designs), the evaluation cache on and no tracing.
     pub fn new(netlist: Netlist) -> VerifierBuilder {
         VerifierBuilder {
             netlist: Some(netlist),
@@ -486,15 +469,10 @@ impl VerifierBuilder {
         }
     }
 
-    /// Sets the run's case-worker budget (clamped to at least 1). It
-    /// sizes only the case pool: a run spreads its cases over
-    /// `min(jobs, cases, hardware threads)` workers, the calling thread
-    /// among them, while every settle evaluates its waves on the thread
-    /// that runs it. A single-case run therefore uses one thread at any
-    /// budget. [`RunOptions::jobs`] overrides this per run; results are
-    /// byte-identical for every value.
-    pub fn jobs(mut self, jobs: usize) -> VerifierBuilder {
-        self.jobs = Some(jobs.max(1));
+    /// Has no effect: a run walks its cases on the calling thread. It
+    /// stays only until the `e2ebench` benchmark stops passing its
+    /// `JOBS` constant here.
+    pub fn jobs(self, _jobs: usize) -> VerifierBuilder {
         self
     }
 
@@ -560,7 +538,6 @@ impl VerifierBuilder {
             v.prim_sigs = Arc::new(cache.sigs_for(&v.netlist));
             v.eval_cache = Some(cache);
         }
-        v.jobs = self.jobs.unwrap_or_else(hardware_threads);
         v.budget = budget;
         v.trace = self.trace;
         v
@@ -632,8 +609,6 @@ pub struct Verifier {
     /// happened yet (a warm verifier whose dirty cone is empty must not
     /// re-evaluate the whole design).
     warmed: bool,
-    /// Default case-worker budget for [`run`](Self::run).
-    jobs: usize,
     /// Evaluation budget per settle pass before declaring oscillation.
     budget: u64,
     /// Observability sink; `None` keeps the hot loops branch-only.
@@ -651,7 +626,6 @@ impl fmt::Debug for Verifier {
         f.debug_struct("Verifier")
             .field("signals", &self.netlist.signals().len())
             .field("prims", &self.netlist.prims().len())
-            .field("jobs", &self.jobs)
             .field("budget", &self.budget)
             .field("traced", &self.trace.is_some())
             .field("cached", &self.eval_cache.is_some())
@@ -663,8 +637,8 @@ impl fmt::Debug for Verifier {
 
 impl Verifier {
     /// Creates a verifier with all defaults — a shim over
-    /// [`VerifierBuilder`], which configures case-worker budget,
-    /// oscillation budget and tracing.
+    /// [`VerifierBuilder`], which configures the oscillation budget, the
+    /// evaluation cache and tracing.
     #[must_use]
     pub fn new(netlist: Netlist) -> Verifier {
         VerifierBuilder::new(netlist).build()
@@ -746,7 +720,6 @@ impl Verifier {
             total_events: 0,
             total_evaluations: 0,
             warmed: false,
-            jobs: 1,
             budget: 0,
             trace: None,
             eval_cache: None,
@@ -1004,12 +977,12 @@ impl Verifier {
     /// a [`warm_start`](Self::warm_start) — then every case re-evaluates
     /// the cone its overrides dirty on its own copy-on-write overlay.
     /// The cases run as a trie on their shared assignment prefixes (each
-    /// prefix settled once), fanned across the case pool; each case's
-    /// result equals that case run alone.
+    /// prefix settled once), walked in pre-order on the calling thread;
+    /// each case's result equals that case run alone.
     ///
     /// Results are deterministic: waveforms, violation lists, report
-    /// JSON and per-case trace streams are byte-identical for every
-    /// worker budget (`tests/parallel_settle.rs` proves it).
+    /// JSON and per-case trace streams depend only on the netlist and
+    /// the cases.
     ///
     /// # Errors
     ///
@@ -1026,34 +999,20 @@ impl Verifier {
         } else {
             options.cases.cases()
         };
-        self.run_impl(
-            cases,
-            options.jobs.unwrap_or(self.jobs),
-            options.checkpoint == CheckpointPolicy::SettledBase,
-        )
+        self.run_impl(cases, options.checkpoint == CheckpointPolicy::SettledBase)
     }
 
     /// The engine behind [`run`](Self::run): resolves case names, settles
-    /// the base, optionally checkpoints, then runs the case tree across
-    /// the case pool.
-    fn run_impl(
-        &mut self,
-        cases: &[Case],
-        jobs: usize,
-        checkpoint: bool,
-    ) -> Result<RunOutcome, VerifyError> {
+    /// the base, optionally checkpoints, walks the case tree, then
+    /// installs the last case's state.
+    fn run_impl(&mut self, cases: &[Case], checkpoint: bool) -> Result<RunOutcome, VerifyError> {
         let run_started = Instant::now();
         let effort_before = (self.total_events, self.total_evaluations);
-        // More case workers than cases or hardware threads measure
-        // nothing but spawn overhead; the results are the same at every
-        // count.
-        let case_workers = jobs.min(cases.len()).min(hardware_threads()).max(1);
         if let Some(trace) = &self.trace {
             trace.record(&TraceEvent::RunStart {
                 signals: self.netlist.signals().len(),
                 prims: self.netlist.prims().len(),
                 cases: cases.len(),
-                jobs: case_workers,
             });
         }
         // Resolve every case's signal names up front, so an unknown name
@@ -1068,18 +1027,12 @@ impl Verifier {
                     .ok_or_else(|| VerifyError::UnknownCaseSignal { name: name.clone() })?;
                 assigns.push((sid, if *v { Value::One } else { Value::Zero }));
             }
-            // Deterministic seeding order for the worker's worklist.
+            // Deterministic seeding order for the unit's worklist.
             assigns.sort_by_key(|(sid, _)| sid.index());
             resolved.push(assigns);
         }
         let corners: Vec<DelayCorner> = cases.iter().map(Case::delay_corner).collect();
-        // Organize the cases into the trie. A lone leaf (one case at the
-        // worst-case corner, so a tree with no node) checks its own
-        // state in full: rooting it on a base pass would compute that
-        // pass only to discard it, then re-check every checker the case
-        // fires.
         let tree = CaseTree::build(&resolved, &corners);
-        let lone_leaf = tree.nodes.is_empty() && tree.leaves.len() == 1;
 
         // Establish (or return to) the settled base: no overrides, at
         // the worst-case corner.
@@ -1087,446 +1040,105 @@ impl Verifier {
         let (base_events, base_evaluations) = self.settle()?;
         let checkpoint = checkpoint.then(|| Box::new(self.clone()));
 
-        // Dependency-aware scheduling: every node and leaf is a work
-        // unit released the moment its parent node settles, so prefix
-        // settles overlap leaf suffixes under one jobs budget instead of
-        // running in a serial phase. Each unit reads shared immutable
-        // state; per-case effort is summed into the totals with atomics
-        // as workers finish. Results are byte-identical for every
-        // worker count because each unit is a pure function of its
-        // parent's settled state (DESIGN.md § "Dependency-release
-        // scheduling").
-        let netlist = &self.netlist;
-        let base_raw: &[StateId] = &self.raw;
-        let base_eff: &[StateId] = &self.eff;
-        // The base as a parent view with nothing dirtied, beside the
-        // prefix nodes' overlays.
-        let (base_raw_view, base_eff_view) = (ConeState::new(base_raw), ConeState::new(base_eff));
-        let pinned: &[bool] = &self.pinned;
-        let base_hazards = &self.hazards;
-        let base_wired = &self.wired_contributions;
-        let budget = self.budget;
-        let cache: Option<(&EvalCache, &[Option<u32>])> = self
-            .eval_cache
-            .as_deref()
-            .map(|c| (c, self.prim_sigs.as_slice()));
-        let trace: Option<&dyn TraceSink> = self.trace.as_deref();
-        let events_total = AtomicU64::new(0);
-        let evaluations_total = AtomicU64::new(0);
-        // Node-settle and memoization counters; atomics because nodes
-        // settle concurrently. Each total is deterministic even though
-        // accumulation order is not.
-        let prefix_nodes = AtomicUsize::new(0);
-        let prefix_events = AtomicU64::new(0);
-        let prefix_evaluations = AtomicU64::new(0);
-        let memo_node_passes = AtomicU64::new(0);
-        let memo_node_evals = AtomicU64::new(0);
-        let memo_node_hits = AtomicU64::new(0);
-        let memo_releases = AtomicU64::new(0);
-        let mut node_children: Vec<Vec<Unit>> = vec![Vec::new(); tree.nodes.len()];
-        let mut ready: Vec<Unit> = Vec::new();
-        for (ni, node) in tree.nodes.iter().enumerate() {
-            match node.parent {
-                Some(p) => node_children[p].push(Unit::Node(ni)),
-                None => ready.push(Unit::Node(ni)),
+        // Walk the trie in pre-order. The stack holds the settled states
+        // of the current unit's ancestors, so a node's state lives only
+        // while its subtree runs. Each unit is a pure function of its
+        // parent's settled state (DESIGN.md § "The case tree").
+        let mut walk = CaseWalk {
+            netlist: &self.netlist,
+            pinned: &self.pinned,
+            base_raw: &self.raw,
+            base_eff: &self.eff,
+            base_raw_view: ConeState::new(&self.raw),
+            base_eff_view: ConeState::new(&self.eff),
+            base_hazards: &self.hazards,
+            base_wired: &self.wired_contributions,
+            budget: self.budget,
+            cache: self
+                .eval_cache
+                .as_deref()
+                .map(|c| (c, self.prim_sigs.as_slice())),
+            trace: self.trace.as_deref(),
+            lone_leaf: tree.nodes.is_empty() && tree.leaves.len() == 1,
+            scratch: CaseScratch::default(),
+            base_check: None,
+            base_records: None,
+            prefix: PrefixStats::default(),
+            memo: MemoStats::default(),
+        };
+        let last_case = cases.len() - 1;
+        let mut outcomes: Vec<Option<Result<CaseOutcome, VerifyError>>> =
+            (0..cases.len()).map(|_| None).collect();
+        let mut stack: Vec<(usize, NodeState<'_>)> = Vec::new();
+        for &unit in &tree.order {
+            let parent = match unit {
+                Unit::Node(ni) => tree.nodes[ni].parent,
+                Unit::Leaf(li) => tree.leaves[li].node,
+            };
+            while stack.last().is_some_and(|&(top, _)| Some(top) != parent) {
+                stack.pop();
+            }
+            let parent_state = stack.last().map(|(_, st)| st);
+            match unit {
+                Unit::Node(ni) => {
+                    let st = walk.node(ni, &tree.nodes[ni], parent_state);
+                    stack.push((ni, st));
+                }
+                Unit::Leaf(li) => {
+                    let leaf = &tree.leaves[li];
+                    let i = leaf.case;
+                    let outcome = walk.leaf(
+                        leaf,
+                        &resolved[i],
+                        corners[i],
+                        &cases[i],
+                        parent_state,
+                        i == last_case,
+                    );
+                    outcomes[i] = Some(outcome);
+                }
             }
         }
-        for (li, leaf) in tree.leaves.iter().enumerate() {
-            match leaf.node {
-                Some(n) => node_children[n].push(Unit::Leaf(li)),
-                None => ready.push(Unit::Leaf(li)),
-            }
+        drop(stack);
+        let (prefix, mut memo) = (walk.prefix, walk.memo);
+        // Every leaf that settled counts, including those after the
+        // first failing case.
+        self.total_events += prefix.events;
+        self.total_evaluations += prefix.evaluations;
+        for settled in outcomes.iter().flatten().flatten() {
+            self.total_events += settled.events;
+            self.total_evaluations += settled.evaluations;
         }
-        // Settled node states, handed from the worker that settles a
-        // node to the workers running its children (`OnceLock::set`/
-        // `get` order the hand-off).
-        let node_states: Vec<OnceLock<NodeState<'_>>> =
-            (0..tree.nodes.len()).map(|_| OnceLock::new()).collect();
-        // The base checker pass and storage total, computed lazily by
-        // whichever worker first reaches a unit that roots directly on
-        // the settled base.
-        let base_check: OnceLock<CheckCache> = OnceLock::new();
-        let base_records: OnceLock<usize> = OnceLock::new();
-        let base_check_pass = || -> &CheckCache {
-            base_check.get_or_init(|| {
-                let hazard_list: Vec<(PrimId, usize)> = base_hazards.iter().copied().collect();
-                let pass =
-                    run_checks_cached(netlist, base_eff, &hazard_list, DelayCorner::Worst, None);
-                memo_node_passes.fetch_add(1, Ordering::Relaxed);
-                memo_node_evals.fetch_add(pass.evaluated, Ordering::Relaxed);
-                pass.cache
-            })
-        };
-        let base_total_records = || -> usize {
-            *base_records.get_or_init(|| crate::storage::value_records(netlist, base_raw))
-        };
-        // Settles one internal node on its parent's state, then
-        // runs the node's own checker/storage pass (a delta off
-        // the parent's cached pass) so every descendant inherits
-        // from it. A node error skips the pass and fails the
-        // whole subtree — children still run, propagate the
-        // error to their leaves immediately, and the scheduler
-        // drains without deadlocking.
-        let node_work = |ni: usize, scratch: &mut CaseScratch| {
-            let node = &tree.nodes[ni];
-            let parent = node
-                .parent
-                .map(|p| node_states[p].get().expect("parent settled before release"));
-            let (mut st, parent_error) = match parent {
-                None => (
-                    NodeState {
-                        raw: ConeState::new(base_raw),
-                        eff: ConeState::new(base_eff),
-                        hazards: base_hazards.clone(),
-                        wired: base_wired.clone(),
-                        overrides: BTreeMap::new(),
-                        error: None,
-                        cache: None,
-                        value_records: 0,
-                    },
-                    None,
-                ),
-                Some(ps) => (
-                    NodeState {
-                        raw: ps.raw.fork(),
-                        eff: ps.eff.fork(),
-                        hazards: ps.hazards.clone(),
-                        wired: ps.wired.clone(),
-                        overrides: ps.overrides.clone(),
-                        error: None,
-                        cache: None,
-                        value_records: 0,
-                    },
-                    ps.error.clone(),
-                ),
-            };
-            for &(sid, v) in &node.chunk {
-                st.overrides.insert(sid, v);
-            }
-            let mut events = 0u64;
-            let mut evaluations = 0u64;
-            st.error = match parent_error {
-                Some(e) => Some(e),
-                None => settle_overlay(
-                    netlist,
-                    pinned,
-                    scratch,
-                    &mut st.raw,
-                    &mut st.eff,
-                    &mut st.hazards,
-                    &mut st.wired,
-                    &node.chunk,
-                    &st.overrides,
-                    node.corner,
-                    node.reseed_all,
-                    budget,
-                    cache,
-                    trace.map(|t| (t, None)),
-                    &mut events,
-                    &mut evaluations,
-                )
-                .err(),
-            };
-            if st.error.is_none() {
-                // The node's checker pass. Violations are
-                // discarded (a node is not a case); the
-                // empty-verdict summary seeds every descendant's
-                // delta pass. A corner root re-times every wave,
-                // so nothing from the Worst-corner base pass is
-                // inheritable there.
-                let hazard_list: Vec<(PrimId, usize)> = st.hazards.iter().copied().collect();
-                let pass = if node.reseed_all {
-                    run_checks_cached(netlist, &st.eff, &hazard_list, node.corner, None)
-                } else {
-                    let (cache, hazards, eff_parent): (
-                        &CheckCache,
-                        &BTreeSet<(PrimId, usize)>,
-                        &ConeState<'_>,
-                    ) = match parent {
-                        Some(ps) => (
-                            ps.cache.as_ref().expect("settled parent has a cache"),
-                            &ps.hazards,
-                            &ps.eff,
-                        ),
-                        None => (base_check_pass(), base_hazards, &base_eff_view),
-                    };
-                    let dirty = st.eff.dirty_vs(eff_parent);
-                    run_checks_cached(
-                        netlist,
-                        &st.eff,
-                        &hazard_list,
-                        node.corner,
-                        Some(&CheckMemo {
-                            cache,
-                            hazards,
-                            dirty: &dirty,
-                        }),
-                    )
-                };
-                memo_node_passes.fetch_add(1, Ordering::Relaxed);
-                memo_node_evals.fetch_add(pass.evaluated, Ordering::Relaxed);
-                memo_node_hits.fetch_add(pass.inherited, Ordering::Relaxed);
-                st.cache = Some(pass.cache);
-                // Storage is corner-independent, so the records
-                // chain runs through corner roots too.
-                let (raw_parent, parent_records) = match parent {
-                    Some(ps) => (&ps.raw, ps.value_records),
-                    None => (&base_raw_view, base_total_records()),
-                };
-                st.value_records = st.raw.value_records_vs(raw_parent, parent_records).0;
-            }
-            prefix_nodes.fetch_add(1, Ordering::Relaxed);
-            prefix_events.fetch_add(events, Ordering::Relaxed);
-            prefix_evaluations.fetch_add(evaluations, Ordering::Relaxed);
-            if let Some(t) = trace {
-                let label = node_label(netlist, node.corner, &st.overrides);
-                t.record(&TraceEvent::PrefixSettled {
-                    node: ni as u32,
-                    label: &label,
-                    cases: node.leaf_count,
-                    events,
-                    evaluations,
-                });
-            }
-            st
-        };
-        // Settles one leaf: forks its parent's settled overlay (the
-        // node's, or the base's for a node-less leaf) and settles only
-        // the suffix of assignments the parent did not already apply.
-        // The fixed point, and therefore the leaf's violations,
-        // waveforms and value records, equals a settle of the full
-        // assignment list from the base, because the fixed point is
-        // unique and the seed diff re-dirties exactly the signals whose
-        // override mapping changed (DESIGN.md § "The case tree"). The
-        // leaf inherits its parent's cached checker verdicts and storage
-        // total, re-checking only the units its settle dirtied — except
-        // a lone leaf, which has no parent pass and checks in full.
-        let settle_leaf = |leaf: &LeafTask, scratch: &mut CaseScratch| -> Result<_, VerifyError> {
-            let i = leaf.case;
-            let (mut raw, mut eff, mut hazards, mut wired, memo) = match leaf.node {
-                None => {
-                    // Node-less leaves exist only in the Worst-corner
-                    // group (every other corner gets a root node), which
-                    // makes the base pass their valid parent.
-                    debug_assert_eq!(corners[i], DelayCorner::Worst);
-                    let memo = (!lone_leaf).then(|| LeafMemo {
-                        cache: base_check_pass(),
-                        hazards: base_hazards,
-                        raw_parent: &base_raw_view,
-                        eff_parent: &base_eff_view,
-                        value_records: base_total_records(),
-                    });
-                    let (raw, eff) = (ConeState::new(base_raw), ConeState::new(base_eff));
-                    (raw, eff, base_hazards.clone(), base_wired.clone(), memo)
-                }
-                Some(n) => {
-                    let node = node_states[n].get().expect("node settled before release");
-                    if let Some(e) = &node.error {
-                        return Err(e.clone());
-                    }
-                    // A settled node always carries a cache (built right
-                    // after its settle).
-                    let memo = node.cache.as_ref().map(|cache| LeafMemo {
-                        cache,
-                        hazards: &node.hazards,
-                        raw_parent: &node.raw,
-                        eff_parent: &node.eff,
-                        value_records: node.value_records,
-                    });
-                    let (raw, eff) = (node.raw.fork(), node.eff.fork());
-                    (raw, eff, node.hazards.clone(), node.wired.clone(), memo)
-                }
-            };
-            let overrides: BTreeMap<SignalId, Value> = resolved[i].iter().copied().collect();
-            let mut events = 0u64;
-            let mut evaluations = 0u64;
-            settle_overlay(
-                netlist,
-                pinned,
-                scratch,
-                &mut raw,
-                &mut eff,
-                &mut hazards,
-                &mut wired,
-                &resolved[i][leaf.suffix_start..],
-                &overrides,
-                corners[i],
-                false,
-                budget,
-                cache,
-                trace.map(|t| (t, Some(i as u32))),
-                &mut events,
-                &mut evaluations,
-            )?;
-            Ok(case_outcome(
-                netlist,
-                corners[i],
-                raw,
-                eff,
-                hazards,
-                wired,
-                overrides,
-                events,
-                evaluations,
-                memo.as_ref(),
-            ))
-        };
-        let leaf_work = |li: usize, scratch: &mut CaseScratch| {
-            let i = tree.leaves[li].case;
-            if let Some(t) = trace {
-                t.record(&TraceEvent::CaseStart {
-                    case: i as u32,
-                    label: &cases[i].label(),
-                });
-            }
-            let case_started = Instant::now();
-            let outcome = settle_leaf(&tree.leaves[li], scratch);
-            if let Ok(o) = &outcome {
-                events_total.fetch_add(o.events, Ordering::Relaxed);
-                evaluations_total.fetch_add(o.evaluations, Ordering::Relaxed);
-                if let Some(t) = trace {
-                    t.record(&TraceEvent::LeafChecks {
-                        case: i as u32,
-                        check_evals: o.check_evals,
-                        check_hits: o.check_hits,
-                        storage_evals: o.storage_evals,
-                        storage_hits: o.storage_hits,
-                    });
-                    t.record(&TraceEvent::CaseEnd {
-                        case: i as u32,
-                        wall_nanos: u64::try_from(case_started.elapsed().as_nanos())
-                            .unwrap_or(u64::MAX),
-                        events: o.events,
-                        evaluations: o.evaluations,
-                        violations: o.violations.len(),
-                    });
-                }
-            }
-            (i, outcome)
-        };
-        // The case pool: `case_workers` workers drain one shared ready
-        // queue — the calling thread and `case_workers - 1` helpers. A
-        // worker exits once every leaf has completed: each leaf is
-        // reachable from the ready set through its ancestor chain, and
-        // every node completes (errors included) and releases its
-        // children, so the count always drains — a failing prefix cannot
-        // deadlock the pool. On one worker the queue runs in release
-        // order: roots first, children as their parents complete.
-        let slots: Vec<Mutex<Option<Result<CaseOutcome, VerifyError>>>> =
-            (0..cases.len()).map(|_| Mutex::new(None)).collect();
-        let sched: Mutex<(VecDeque<Unit>, usize)> = Mutex::new((ready.into(), tree.leaves.len()));
-        let ready_cv = Condvar::new();
-        let worker = || {
-            let mut scratch = CaseScratch::default();
-            loop {
-                let unit = {
-                    let mut guard = sched.lock().expect("scheduler lock poisoned");
-                    loop {
-                        if guard.1 == 0 {
-                            break None;
-                        }
-                        if let Some(u) = guard.0.pop_front() {
-                            break Some(u);
-                        }
-                        guard = ready_cv.wait(guard).expect("scheduler lock poisoned");
-                    }
-                };
-                let Some(unit) = unit else { break };
-                match unit {
-                    Unit::Node(ni) => {
-                        let st = node_work(ni, &mut scratch);
-                        if node_states[ni].set(st).is_err() {
-                            unreachable!("each node is settled exactly once");
-                        }
-                        // Release the node's children into the ready
-                        // queue (the state is published first, since the
-                        // `OnceLock` element type pins its lifetime).
-                        let children = &node_children[ni];
-                        memo_releases.fetch_add(children.len() as u64, Ordering::Relaxed);
-                        if let Some(t) = trace {
-                            t.record(&TraceEvent::SubtreeReleased {
-                                node: ni as u32,
-                                children: children.len(),
-                            });
-                        }
-                        if !children.is_empty() {
-                            let mut guard = sched.lock().expect("scheduler lock poisoned");
-                            guard.0.extend(children);
-                            drop(guard);
-                            ready_cv.notify_all();
-                        }
-                    }
-                    Unit::Leaf(li) => {
-                        let (i, outcome) = leaf_work(li, &mut scratch);
-                        *slots[i].lock().expect("case slot poisoned") = Some(outcome);
-                        let mut guard = sched.lock().expect("scheduler lock poisoned");
-                        guard.1 -= 1;
-                        let all_done = guard.1 == 0;
-                        drop(guard);
-                        if all_done {
-                            ready_cv.notify_all();
-                        }
-                    }
-                }
-            }
-        };
-        std::thread::scope(|s| {
-            for _ in 1..case_workers {
-                s.spawn(worker);
-            }
-            worker();
-        });
-        let prefix = PrefixStats {
-            nodes: prefix_nodes.into_inner(),
-            events: prefix_events.into_inner(),
-            evaluations: prefix_evaluations.into_inner(),
-        };
-        let mut memo = MemoStats {
-            node_passes: memo_node_passes.into_inner(),
-            node_check_evals: memo_node_evals.into_inner(),
-            node_check_hits: memo_node_hits.into_inner(),
-            releases: memo_releases.into_inner(),
-            ..MemoStats::default()
-        };
-        self.total_events += prefix.events + events_total.into_inner();
-        self.total_evaluations += prefix.evaluations + evaluations_total.into_inner();
 
         // Merge in input-case order; the first error (by case index) wins.
         let mut results = Vec::with_capacity(cases.len());
-        let mut last: Option<CaseOutcome> = None;
+        let mut installed: Option<InstalledCase> = None;
         // Each name is written into one scratch buffer, then copied out
         // at its exact length.
         let mut name = String::new();
-        for (i, slot) in slots.into_iter().enumerate() {
-            let mut outcome = slot
-                .into_inner()
-                .expect("case slot poisoned")
-                .expect("worker filled every case slot")?;
+        for (i, outcome) in outcomes.into_iter().enumerate() {
+            let outcome = outcome.expect("the walk visits every leaf")?;
             name.clear();
             let _ = write!(name, "case {}: ", i + 1);
             cases[i].write_label(&mut name);
+            let base_share = |effort| if i == 0 && first_run { effort } else { 0 };
             results.push(CaseResult {
                 name: name.clone(),
-                violations: std::mem::take(&mut outcome.violations),
-                events: outcome.events + if i == 0 && first_run { base_events } else { 0 },
-                evaluations: outcome.evaluations
-                    + if i == 0 && first_run {
-                        base_evaluations
-                    } else {
-                        0
-                    },
+                violations: outcome.violations,
+                events: outcome.events + base_share(base_events),
+                evaluations: outcome.evaluations + base_share(base_evaluations),
                 value_records: outcome.value_records,
             });
             memo.leaf_check_evals += outcome.check_evals;
             memo.leaf_check_hits += outcome.check_hits;
             memo.leaf_storage_evals += outcome.storage_evals;
             memo.leaf_storage_hits += outcome.storage_hits;
-            last = Some(outcome);
+            installed = outcome.installed;
         }
 
         // Install the last case's state so `state`/`resolved`/listings
         // reflect it.
-        let last = last.expect("cases is non-empty");
+        let last = installed.expect("the last case keeps its state");
         for (idx, st) in last.raw_overlay {
             self.raw[idx] = st;
         }
@@ -1536,7 +1148,7 @@ impl Verifier {
         self.overrides = last.overrides;
         self.hazards = last.hazards;
         self.wired_contributions = last.wired;
-        self.corner = *corners.last().expect("cases is non-empty");
+        self.corner = corners[last_case];
         if let Some(trace) = &self.trace {
             // Effort-class observability: cache counters vary with cache
             // configuration and sharing, so (like RunEnd's wall-clock)
@@ -1653,7 +1265,7 @@ impl Verifier {
                 signals: self.netlist.signals().len(),
                 prims: self.netlist.prims().len(),
                 cases: results.len(),
-                jobs: self.jobs,
+                jobs: 1,
                 events: self.total_events,
                 evaluations: self.total_evaluations,
                 verify_wall: None,
@@ -1668,16 +1280,6 @@ impl Verifier {
             probabilistic: None,
         }
     }
-}
-
-/// The machine's available parallelism, or 1 if it cannot be
-/// determined: the default case-worker budget for [`Verifier::run`] and
-/// the cap on a run's case workers. Probed once per process, since the
-/// probe reads the cgroup CPU quota from the file system on every call,
-/// which costs more than a small settle.
-fn hardware_threads() -> usize {
-    static THREADS: OnceLock<usize> = OnceLock::new();
-    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
 }
 
 /// Applies a case override to a computed state: the override replaces the
@@ -1708,7 +1310,7 @@ struct WaveParams<'a> {
 }
 
 /// Mutable bookkeeping of one settle loop, borrowed from whoever owns
-/// it (the [`Verifier`] for the base settle, the case worker's scratch
+/// it (the [`Verifier`] for the base settle, the walk's scratch
 /// for a case settle). `events`/`evaluations` accumulate even when the
 /// loop errors out, so callers can fold partial effort into totals.
 struct WaveBooks<'a> {
@@ -1720,7 +1322,7 @@ struct WaveBooks<'a> {
     evaluations: &'a mut u64,
 }
 
-/// Buffers a settle loop reuses from wave to wave (and a case worker
+/// Buffers a settle loop reuses from wave to wave (and a run
 /// from unit to unit): the drained wave and, for each of its
 /// primitives, the driven signal (`None` for a checker) and the
 /// evaluation outcome. After the first few waves a settle allocates
@@ -1923,9 +1525,9 @@ where
     }
 }
 
-/// Everything one case worker produced: the check results, its effort
-/// counters, and the dirtied-cone overlays needed to install the case's
-/// state back into the [`Verifier`].
+/// Everything one leaf produced: the check results and its effort
+/// counters, plus — for the last input case only — the state the run
+/// installs back into the [`Verifier`].
 struct CaseOutcome {
     violations: Vec<Violation>,
     events: u64,
@@ -1937,6 +1539,13 @@ struct CaseOutcome {
     /// Signals measured / inherited for this case's storage accounting.
     storage_evals: u64,
     storage_hits: u64,
+    /// The case's settled state; `None` for every case but the last.
+    installed: Option<InstalledCase>,
+}
+
+/// The settled state of a run's last case, which the run installs so
+/// that `state`, `resolved` and the listings reflect it.
+struct InstalledCase {
     /// Dirtied (index, state) pairs in index order.
     raw_overlay: Vec<(usize, StateId)>,
     eff_overlay: Vec<(usize, StateId)>,
@@ -1945,8 +1554,8 @@ struct CaseOutcome {
     overrides: BTreeMap<SignalId, Value>,
 }
 
-/// What one case worker keeps from unit to unit, so that a unit's
-/// settle allocates nothing the size of the design: the worklist, its
+/// What a run's walk keeps from unit to unit, so that a unit's settle
+/// allocates nothing the size of the design: the worklist, its
 /// membership flags and the wave buffers. Between settles `queue` is
 /// empty and `queued` all `false` — a settle that drains its queue
 /// leaves it so, and an aborted one clears what it queued.
@@ -1957,12 +1566,9 @@ struct CaseScratch {
     wave: WaveScratch,
 }
 
-/// One unit of dependency-scheduled work in a tree run: settling an
-/// internal prefix node, or settling one leaf case. A unit becomes
-/// runnable when its parent node settles (roots and node-less leaves
-/// are runnable immediately); workers release a settled node's children
-/// the moment it completes, so prefix settles overlap leaf suffixes
-/// under one `--jobs` budget.
+/// One unit of a tree run: settling an internal prefix node, or settling
+/// one leaf case. Each unit settles on its parent node's state (the
+/// settled base for roots and node-less leaves).
 #[derive(Debug, Clone, Copy)]
 enum Unit {
     Node(usize),
@@ -1970,12 +1576,13 @@ enum Unit {
 }
 
 /// The run's cases organized as a trie on shared assignment prefixes,
-/// plus one root per non-default delay corner. Internal nodes are
-/// settled once, in `nodes` order (parents strictly before children);
-/// `leaves` carry each case's residual suffix.
+/// plus one root per non-default delay corner. `order` lists every unit
+/// in pre-order (each node before its subtree), the order the run walks
+/// them in; `leaves` carry each case's residual suffix.
 struct CaseTree {
     nodes: Vec<TreeNode>,
     leaves: Vec<LeafTask>,
+    order: Vec<Unit>,
 }
 
 /// One internal trie node: the assignments it adds on top of its parent.
@@ -1991,6 +1598,10 @@ struct TreeNode {
     reseed_all: bool,
     /// Descendant leaf cases, for the `PrefixSettled` trace event.
     leaf_count: usize,
+    /// Child units (nodes and leaves) this node's state is handed on
+    /// to, for the `SubtreeReleased` trace event and
+    /// [`MemoStats::releases`].
+    children: usize,
 }
 
 /// One case's residual work after its deepest shared prefix.
@@ -2016,6 +1627,7 @@ impl CaseTree {
         let mut tree = CaseTree {
             nodes: Vec::new(),
             leaves: Vec::new(),
+            order: Vec::new(),
         };
         let mut groups: BTreeMap<DelayCorner, Vec<usize>> = BTreeMap::new();
         for (i, &corner) in corners.iter().enumerate().take(resolved.len()) {
@@ -2030,25 +1642,24 @@ impl CaseTree {
         };
         for (corner, mut idxs) in groups {
             idxs.sort_by(|&a, &b| key(a).cmp(key(b)).then(a.cmp(&b)));
-            let root = if corner == DelayCorner::Worst {
-                None
-            } else {
-                tree.nodes.push(TreeNode {
+            let root = (corner != DelayCorner::Worst).then(|| {
+                tree.push_node(TreeNode {
                     parent: None,
                     chunk: Vec::new(),
                     corner,
                     reseed_all: true,
                     leaf_count: idxs.len(),
-                });
-                Some(tree.nodes.len() - 1)
-            };
+                    children: 0,
+                })
+            });
             tree.split(resolved, corner, &idxs, 0, root);
         }
         tree
     }
 
     /// Recursively splits a sorted case group whose members all share
-    /// `depth` leading assignments already applied by `parent`.
+    /// `depth` leading assignments already applied by `parent`. Units
+    /// are pushed in pre-order: each node before its subtree.
     fn split(
         &mut self,
         resolved: &[Vec<(SignalId, Value)>],
@@ -2062,7 +1673,7 @@ impl CaseTree {
             let case = idxs[i];
             if resolved[case].len() == depth {
                 // No assignments left: the case *is* its prefix.
-                self.leaves.push(LeafTask {
+                self.push_leaf(LeafTask {
                     case,
                     node: parent,
                     suffix_start: depth,
@@ -2081,7 +1692,7 @@ impl CaseTree {
             }
             if j - i == 1 {
                 // Nothing shares this prefix: leaf directly on `parent`.
-                self.leaves.push(LeafTask {
+                self.push_leaf(LeafTask {
                     case,
                     node: parent,
                     suffix_start: depth,
@@ -2097,18 +1708,38 @@ impl CaseTree {
                         break;
                     }
                 }
-                self.nodes.push(TreeNode {
+                let node = self.push_node(TreeNode {
                     parent,
                     chunk: resolved[case][depth..end].to_vec(),
                     corner,
                     reseed_all: false,
                     leaf_count: group.len(),
+                    children: 0,
                 });
-                let node = Some(self.nodes.len() - 1);
-                self.split(resolved, corner, group, end, node);
+                self.split(resolved, corner, group, end, Some(node));
             }
             i = j;
         }
+    }
+
+    /// Appends a node, counting it as a child of its parent; returns its
+    /// index.
+    fn push_node(&mut self, node: TreeNode) -> usize {
+        if let Some(p) = node.parent {
+            self.nodes[p].children += 1;
+        }
+        self.order.push(Unit::Node(self.nodes.len()));
+        self.nodes.push(node);
+        self.nodes.len() - 1
+    }
+
+    /// Appends a leaf, counting it as a child of its node.
+    fn push_leaf(&mut self, leaf: LeafTask) {
+        if let Some(n) = leaf.node {
+            self.nodes[n].children += 1;
+        }
+        self.order.push(Unit::Leaf(self.leaves.len()));
+        self.leaves.push(leaf);
     }
 }
 
@@ -2149,6 +1780,336 @@ struct LeafMemo<'a> {
     value_records: usize,
 }
 
+/// One run's walk over its case tree: the settled base and settle
+/// parameters every unit reads, the counters the units add to, and the
+/// base checker pass and record total, each computed on first use.
+struct CaseWalk<'a> {
+    netlist: &'a Netlist,
+    pinned: &'a [bool],
+    base_raw: &'a [StateId],
+    base_eff: &'a [StateId],
+    /// The base as a parent view with nothing dirtied, beside the
+    /// prefix nodes' overlays.
+    base_raw_view: ConeState<'a>,
+    base_eff_view: ConeState<'a>,
+    base_hazards: &'a BTreeSet<(PrimId, usize)>,
+    base_wired: &'a BTreeMap<(SignalId, PrimId), StateId>,
+    budget: u64,
+    cache: Option<(&'a EvalCache, &'a [Option<u32>])>,
+    trace: Option<&'a dyn TraceSink>,
+    /// One case at the worst-case corner, so a tree with no node: the
+    /// leaf checks its own state in full. Rooting it on a base pass
+    /// would compute that pass only to discard it, then re-check every
+    /// checker the case fires.
+    lone_leaf: bool,
+    scratch: CaseScratch,
+    base_check: Option<CheckCache>,
+    base_records: Option<usize>,
+    prefix: PrefixStats,
+    memo: MemoStats,
+}
+
+impl<'a> CaseWalk<'a> {
+    /// Runs the base checker pass, unless an earlier unit that roots on
+    /// the settled base already did.
+    fn ensure_base_check(&mut self) {
+        if self.base_check.is_none() {
+            let hazard_list: Vec<(PrimId, usize)> = self.base_hazards.iter().copied().collect();
+            let pass = run_checks_cached(
+                self.netlist,
+                self.base_eff,
+                &hazard_list,
+                DelayCorner::Worst,
+                None,
+            );
+            self.memo.node_passes += 1;
+            self.memo.node_check_evals += pass.evaluated;
+            self.base_check = Some(pass.cache);
+        }
+    }
+
+    /// The base's total value-record count, measured on first use.
+    fn base_records(&mut self) -> usize {
+        let (netlist, base_raw) = (self.netlist, self.base_raw);
+        *self
+            .base_records
+            .get_or_insert_with(|| crate::storage::value_records(netlist, base_raw))
+    }
+
+    /// Settles one internal node on its parent's state (the base for a
+    /// root), then runs the node's own checker/storage pass — a delta
+    /// off the parent's — so every descendant inherits from it. A node
+    /// under a failed parent inherits the error without settling, and a
+    /// failed node skips its pass: its subtree's leaves then fail
+    /// without settling.
+    fn node(
+        &mut self,
+        ni: usize,
+        node: &TreeNode,
+        parent: Option<&NodeState<'a>>,
+    ) -> NodeState<'a> {
+        let mut st = match parent {
+            None => NodeState {
+                raw: ConeState::new(self.base_raw),
+                eff: ConeState::new(self.base_eff),
+                hazards: self.base_hazards.clone(),
+                wired: self.base_wired.clone(),
+                overrides: BTreeMap::new(),
+                error: None,
+                cache: None,
+                value_records: 0,
+            },
+            Some(ps) => NodeState {
+                raw: ps.raw.fork(),
+                eff: ps.eff.fork(),
+                hazards: ps.hazards.clone(),
+                wired: ps.wired.clone(),
+                overrides: ps.overrides.clone(),
+                error: ps.error.clone(),
+                cache: None,
+                value_records: 0,
+            },
+        };
+        for &(sid, v) in &node.chunk {
+            st.overrides.insert(sid, v);
+        }
+        let mut events = 0u64;
+        let mut evaluations = 0u64;
+        if st.error.is_none() {
+            st.error = settle_overlay(
+                self.netlist,
+                self.pinned,
+                &mut self.scratch,
+                &mut st.raw,
+                &mut st.eff,
+                &mut st.hazards,
+                &mut st.wired,
+                &node.chunk,
+                &st.overrides,
+                node.corner,
+                node.reseed_all,
+                self.budget,
+                self.cache,
+                self.trace.map(|t| (t, None)),
+                &mut events,
+                &mut evaluations,
+            )
+            .err();
+        }
+        if st.error.is_none() {
+            // The node's checker pass. Violations are discarded (a node
+            // is not a case); the empty-verdict summary seeds every
+            // descendant's delta pass. A corner root re-times every
+            // wave, so nothing from the Worst-corner base pass is
+            // inheritable there.
+            let hazard_list: Vec<(PrimId, usize)> = st.hazards.iter().copied().collect();
+            let pass = if node.reseed_all {
+                run_checks_cached(self.netlist, &st.eff, &hazard_list, node.corner, None)
+            } else {
+                if parent.is_none() {
+                    self.ensure_base_check();
+                }
+                let (cache, hazards, eff_parent): (
+                    &CheckCache,
+                    &BTreeSet<(PrimId, usize)>,
+                    &ConeState<'_>,
+                ) = match parent {
+                    Some(ps) => (
+                        ps.cache.as_ref().expect("settled parent has a cache"),
+                        &ps.hazards,
+                        &ps.eff,
+                    ),
+                    None => (
+                        self.base_check.as_ref().expect("base pass ran above"),
+                        self.base_hazards,
+                        &self.base_eff_view,
+                    ),
+                };
+                let dirty = st.eff.dirty_vs(eff_parent);
+                run_checks_cached(
+                    self.netlist,
+                    &st.eff,
+                    &hazard_list,
+                    node.corner,
+                    Some(&CheckMemo {
+                        cache,
+                        hazards,
+                        dirty: &dirty,
+                    }),
+                )
+            };
+            self.memo.node_passes += 1;
+            self.memo.node_check_evals += pass.evaluated;
+            self.memo.node_check_hits += pass.inherited;
+            st.cache = Some(pass.cache);
+            // Storage is corner-independent, so the records chain runs
+            // through corner roots too.
+            let parent_records = match parent {
+                Some(ps) => ps.value_records,
+                None => self.base_records(),
+            };
+            let raw_parent = parent.map_or(&self.base_raw_view, |ps| &ps.raw);
+            st.value_records = st.raw.value_records_vs(raw_parent, parent_records).0;
+        }
+        self.prefix.nodes += 1;
+        self.prefix.events += events;
+        self.prefix.evaluations += evaluations;
+        self.memo.releases += node.children as u64;
+        if let Some(t) = self.trace {
+            let label = node_label(self.netlist, node.corner, &st.overrides);
+            t.record(&TraceEvent::PrefixSettled {
+                node: ni as u32,
+                label: &label,
+                cases: node.leaf_count,
+                events,
+                evaluations,
+            });
+            t.record(&TraceEvent::SubtreeReleased {
+                node: ni as u32,
+                children: node.children,
+            });
+        }
+        st
+    }
+
+    /// Runs one leaf case, bracketed by its trace events. `keep_state`
+    /// keeps the settled state for installation.
+    fn leaf(
+        &mut self,
+        leaf: &LeafTask,
+        assigns: &[(SignalId, Value)],
+        corner: DelayCorner,
+        case: &Case,
+        parent: Option<&NodeState<'a>>,
+        keep_state: bool,
+    ) -> Result<CaseOutcome, VerifyError> {
+        let i = leaf.case as u32;
+        if let Some(t) = self.trace {
+            t.record(&TraceEvent::CaseStart {
+                case: i,
+                label: &case.label(),
+            });
+        }
+        let case_started = Instant::now();
+        let outcome = self.settle_leaf(leaf, assigns, corner, parent, keep_state)?;
+        if let Some(t) = self.trace {
+            t.record(&TraceEvent::LeafChecks {
+                case: i,
+                check_evals: outcome.check_evals,
+                check_hits: outcome.check_hits,
+                storage_evals: outcome.storage_evals,
+                storage_hits: outcome.storage_hits,
+            });
+            t.record(&TraceEvent::CaseEnd {
+                case: i,
+                wall_nanos: u64::try_from(case_started.elapsed().as_nanos()).unwrap_or(u64::MAX),
+                events: outcome.events,
+                evaluations: outcome.evaluations,
+                violations: outcome.violations.len(),
+            });
+        }
+        Ok(outcome)
+    }
+
+    /// Settles one leaf: forks its parent's settled overlay (the node's,
+    /// or the base's for a node-less leaf) and settles only the suffix
+    /// of assignments the parent did not already apply. The fixed point,
+    /// and therefore the leaf's violations, waveforms and value records,
+    /// equals a settle of the full assignment list from the base,
+    /// because the fixed point is unique and the seed diff re-dirties
+    /// exactly the signals whose override mapping changed (DESIGN.md
+    /// § "The case tree"). The leaf inherits its parent's cached checker
+    /// verdicts and storage total, re-checking only the units its settle
+    /// dirtied — except a lone leaf, which has no parent pass and checks
+    /// in full.
+    fn settle_leaf(
+        &mut self,
+        leaf: &LeafTask,
+        assigns: &[(SignalId, Value)],
+        corner: DelayCorner,
+        parent: Option<&NodeState<'a>>,
+        keep_state: bool,
+    ) -> Result<CaseOutcome, VerifyError> {
+        let (mut raw, mut eff, mut hazards, mut wired, memo) = match parent {
+            None => {
+                // Node-less leaves exist only in the Worst-corner group
+                // (every other corner gets a root node), which makes the
+                // base pass their valid parent.
+                debug_assert_eq!(corner, DelayCorner::Worst);
+                let value_records = (!self.lone_leaf).then(|| {
+                    self.ensure_base_check();
+                    self.base_records()
+                });
+                let memo = value_records.map(|value_records| LeafMemo {
+                    cache: self.base_check.as_ref().expect("base pass ran above"),
+                    hazards: self.base_hazards,
+                    raw_parent: &self.base_raw_view,
+                    eff_parent: &self.base_eff_view,
+                    value_records,
+                });
+                let (raw, eff) = (ConeState::new(self.base_raw), ConeState::new(self.base_eff));
+                (
+                    raw,
+                    eff,
+                    self.base_hazards.clone(),
+                    self.base_wired.clone(),
+                    memo,
+                )
+            }
+            Some(node) => {
+                if let Some(e) = &node.error {
+                    return Err(e.clone());
+                }
+                // A settled node always carries a cache (built right
+                // after its settle).
+                let memo = node.cache.as_ref().map(|cache| LeafMemo {
+                    cache,
+                    hazards: &node.hazards,
+                    raw_parent: &node.raw,
+                    eff_parent: &node.eff,
+                    value_records: node.value_records,
+                });
+                let (raw, eff) = (node.raw.fork(), node.eff.fork());
+                (raw, eff, node.hazards.clone(), node.wired.clone(), memo)
+            }
+        };
+        let overrides: BTreeMap<SignalId, Value> = assigns.iter().copied().collect();
+        let mut events = 0u64;
+        let mut evaluations = 0u64;
+        settle_overlay(
+            self.netlist,
+            self.pinned,
+            &mut self.scratch,
+            &mut raw,
+            &mut eff,
+            &mut hazards,
+            &mut wired,
+            &assigns[leaf.suffix_start..],
+            &overrides,
+            corner,
+            false,
+            self.budget,
+            self.cache,
+            self.trace.map(|t| (t, Some(leaf.case as u32))),
+            &mut events,
+            &mut evaluations,
+        )?;
+        Ok(case_outcome(
+            self.netlist,
+            corner,
+            raw,
+            eff,
+            hazards,
+            wired,
+            overrides,
+            events,
+            evaluations,
+            memo.as_ref(),
+            keep_state,
+        ))
+    }
+}
+
 /// Human-readable label of a tree node's cumulative overrides, for the
 /// `PrefixSettled` trace event.
 fn node_label(
@@ -2179,7 +2140,7 @@ fn node_label(
 /// leaf re-seeds exactly the signals whose override map changed since
 /// its node settled), optionally re-enqueues every primitive (corner
 /// roots, where every delay changes), and runs the wave loop to the
-/// fixed point on the case worker's `scratch`. Effort accumulates into
+/// fixed point on the walk's `scratch`. Effort accumulates into
 /// `events`/`evaluations` even on the error path.
 #[allow(clippy::too_many_arguments)]
 fn settle_overlay(
@@ -2260,7 +2221,8 @@ fn settle_overlay(
 }
 
 /// Runs the check pass over a settled overlay and packages everything
-/// the merge step needs back into a [`CaseOutcome`].
+/// the merge step needs back into a [`CaseOutcome`]; with `keep_state`,
+/// also the overlay and maps the run installs.
 ///
 /// With `memo: Some`, the checker pass runs as a dirty-cone delta
 /// against the parent's cached pass and storage accounting as a records
@@ -2279,6 +2241,7 @@ fn case_outcome(
     events: u64,
     evaluations: u64,
     memo: Option<&LeafMemo<'_>>,
+    keep_state: bool,
 ) -> CaseOutcome {
     let hazard_list: Vec<(PrimId, usize)> = hazards.iter().copied().collect();
     let signals = netlist.signals().len() as u64;
@@ -2314,11 +2277,13 @@ fn case_outcome(
         check_hits: pass.inherited,
         storage_evals,
         storage_hits: signals.saturating_sub(storage_evals),
-        raw_overlay: raw.into_overlay(),
-        eff_overlay: eff.into_overlay(),
-        hazards,
-        wired,
-        overrides,
+        installed: keep_state.then(|| InstalledCase {
+            raw_overlay: raw.into_overlay(),
+            eff_overlay: eff.into_overlay(),
+            hazards,
+            wired,
+            overrides,
+        }),
     }
 }
 

@@ -22,34 +22,31 @@
 //! with incremental re-evaluation (§2.7), the assumed-stable cross-reference
 //! listing (§2.5), and storage/event statistics matching Tables 3-1 and 3-3.
 //!
-//! # Settling and parallel case analysis
+//! # Settling and case analysis
 //!
 //! [`Verifier::run`] is the single entry point: it settles the base
-//! (no-override) state once, then fans the per-case incremental
-//! re-evaluations of §2.7 across a `std::thread::scope` case pool
-//! (`--jobs` in `scald-tv`). Each case worker reads the settled base
-//! immutably and re-evaluates only the cone its case's overrides dirty,
-//! on a private copy-on-write overlay — no locks are held during
-//! evaluation, and no external crates are involved. The pool's size is
-//! the worker budget ([`VerifierBuilder::jobs`], overridable per run
-//! with [`RunOptions::jobs`]) capped by the case count and the
-//! machine's hardware threads.
+//! (no-override) state once, then runs the per-case incremental
+//! re-evaluations of §2.7 one after another, as the thesis does. Cases
+//! sharing an assignment prefix form a trie whose nodes settle each
+//! prefix once; the run walks it in pre-order, and each unit
+//! re-evaluates only the cone its assignments dirty, on a copy-on-write
+//! overlay over its parent's settled state. A run starts no thread:
+//! every settle and every case runs on the thread that calls `run`.
 //!
-//! Every settle loop runs on the thread that calls it, as the thesis'
-//! event list does (§2.9). It is *level-synchronized*: it drains the
-//! worklist into deduplicated waves, evaluates each wave against the
-//! frozen pre-wave state, and commits the results in primitive-id
-//! order.
+//! Every settle loop is *level-synchronized*, like the thesis' event
+//! list (§2.9): it drains the worklist into deduplicated waves,
+//! evaluates each wave against the frozen pre-wave state, and commits
+//! the results in primitive-id order.
 //!
 //! **Determinism guarantee:** every evaluation in a wave reads only
 //! state committed by previous waves, every case is computed by the same
-//! pure procedure from the same settled base, and results are merged in
-//! input order — so waveforms, violation lists, report JSON and
-//! per-case trace streams are byte-identical for every worker count
-//! (`tests/parallel_settle.rs` proves it over seeded designs). The only
-//! scheduling-sensitive quantities are the *cumulative* effort counters
-//! ([`Verifier::total_events`], [`Verifier::total_evaluations`]) on the
-//! error path, which count whatever work actually completed.
+//! pure procedure from its parent's settled state, and results are
+//! merged in input order — so waveforms, violation lists, report JSON
+//! and per-case trace streams depend only on the netlist and the cases
+//! (`tests/case_tree.rs` checks every case of seeded sweeps against that
+//! case run alone). On the error path the *cumulative* effort counters
+//! ([`Verifier::total_events`], [`Verifier::total_evaluations`]) count
+//! whatever work completed before the error.
 //!
 //! # Quickstart
 //!

@@ -17,7 +17,7 @@
 //!   "total_violations": 3,
 //!   "engine": {
 //!     "signals": 61, "prims": 50,       // design size
-//!     "cases": 1, "jobs": 4,            // case-analysis shape
+//!     "cases": 1, "jobs": 1,            // case count; jobs is always 1
 //!     "case_strategy": "auto",          // constant; see below
 //!     "events": 123, "evaluations": 456,// cumulative effort (§3.3.2)
 //!     "wall_ns": 183042,                // null when not measured
@@ -74,9 +74,10 @@
 //! when no distribution analysis ran, so version-1 consumers keep
 //! working unchanged.
 //!
-//! `engine.case_strategy` is always `"auto"`. It once named the case
-//! scheduler a run took; the engine now has one, and the field stays
-//! because a field is never removed within a major version.
+//! `engine.case_strategy` is always `"auto"`, and `engine.jobs` is
+//! always 1. They once named which case engine a run took and how many
+//! workers ran it; there is now one engine on one thread, and both
+//! fields stay because a field is never removed within a major version.
 //!
 //! The probabilistic section reports each checked endpoint's arrival
 //! time and slack as normal distributions (mean + sigma, nanoseconds)
@@ -515,9 +516,9 @@ pub struct EngineStats {
     pub prims: usize,
     /// Cases analysed.
     pub cases: usize,
-    /// The case-worker budget the run was given (`--jobs`). The pool
-    /// that ran is capped by the case count and the machine's hardware
-    /// threads; a traced run's `run_start` event reports that count.
+    /// Threads the run verified on: always 1, since a run walks its
+    /// cases on the calling thread. Kept because report schema v2
+    /// removes no field; [`Report::strip_effort`] writes 0.
     pub jobs: usize,
     /// Cumulative signal-change events (§3.3.2).
     pub events: u64,
@@ -579,14 +580,14 @@ impl Report {
     }
 
     /// A copy of the report with all *effort* counters zeroed: engine and
-    /// per-case events/evaluations, the worker count, and the wall clock.
+    /// per-case events/evaluations, the thread count, and the wall clock.
     ///
     /// Everything that remains — violations with provenance, slack,
     /// storage, value records, waveforms, cross-references — is a pure
     /// function of the settled fixed point, so two runs that reach the
     /// same fixed point by different routes (a cold run vs. a
-    /// warm-started `scald-incr` re-verification, serial vs. parallel
-    /// case analysis) produce byte-identical stripped reports. Used by
+    /// warm-started `scald-incr` re-verification, a case in a sweep vs.
+    /// the same case run alone) produce byte-identical stripped reports. Used by
     /// the `--baseline` diff and the incremental-vs-cold property tests.
     #[must_use]
     pub fn strip_effort(&self) -> Report {

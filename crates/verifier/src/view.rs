@@ -2,9 +2,9 @@
 //! checkers and the wave-based settle loop work both on the engine's flat
 //! state columns and on a per-case *cone overlay* (§2.7): the settled base
 //! state plus only the signals a case's overrides actually dirtied. The
-//! overlay is what lets case workers run concurrently without cloning the
-//! whole design state — each worker copies just the slice of states in
-//! its case's fan-out cone.
+//! overlay is what lets a case run without cloning the whole design
+//! state — it copies just the slice of states in its case's fan-out
+//! cone.
 //!
 //! A state is a [`StateId`]: one `u32` naming an interned (wave, skew,
 //! remaining evaluation letters) in [`StateStore`](crate::StateStore).
@@ -14,19 +14,18 @@
 //! an overlay copy one word per signal. Readers that need the wave itself
 //! resolve the id with [`StateId::get`], a lock-free read.
 //!
-//! The wave engine reuses the same machinery in the other direction:
-//! during a wave's evaluation phase many worker threads read one frozen
-//! state through a shared [`StateView`]; the single commit phase then
-//! writes through [`StateWrite`]. Both the flat columns of the base
-//! settle and the [`ConeState`] overlay of a case settle implement both
-//! traits, so one settle loop serves every path.
+//! The wave engine reads a wave's frozen state through [`StateView`]
+//! during the evaluation phase; the commit phase then writes through
+//! [`StateWrite`]. Both the flat columns of the base settle and the
+//! [`ConeState`] overlay of a case settle implement both traits, so one
+//! settle loop serves every path.
 
 use std::collections::HashMap;
 
 use crate::state::StateId;
 
 /// Read-only view of all signal states, indexed by `SignalId::index()`.
-pub(crate) trait StateView: Sync {
+pub(crate) trait StateView {
     /// The state of signal `idx`.
     fn state_at(&self, idx: usize) -> StateId;
 }
@@ -53,8 +52,8 @@ impl StateWrite for [StateId] {
 
 /// A copy-on-write overlay over a settled base state: reads fall through
 /// to the base unless the signal was re-evaluated under this case's
-/// overrides. Writes touch only the overlay, so concurrent case workers
-/// share one immutable base.
+/// overrides. Writes touch only the overlay, so every case of a run
+/// shares one immutable base.
 #[derive(Debug)]
 pub(crate) struct ConeState<'a> {
     base: &'a [StateId],

@@ -3,14 +3,14 @@
 //! alone.
 //!
 //! The engine settles shared assignment prefixes once per trie node and
-//! fans only the leaf suffixes across workers, so effort counters differ
+//! settles only the leaf suffixes per case, so effort counters differ
 //! from a case run alone — but each case's violations and value records,
 //! and the state the sweep leaves installed (slack, storage, summary),
 //! must equal a single-case `Verifier::run` of that case on a clone of
-//! the settled verifier, at every worker count. These tests pin that
-//! down over seeded random sweeps, and check the error paths: an unknown
-//! signal fails the run before any evaluation, and a failure inside a
-//! shared prefix takes down the whole run cleanly.
+//! the settled verifier. These tests pin that down over seeded random
+//! sweeps, and check the error paths: an unknown signal fails the run
+//! before any evaluation, and a failure inside a shared prefix takes
+//! down the whole run cleanly.
 
 use scald_gen::s1::{s1_like_netlist, S1Options};
 use scald_netlist::{Config, Conn, Netlist, NetlistBuilder, PrimKind};
@@ -96,8 +96,7 @@ fn run_alone(settled: &Verifier, case: &Case) -> (RunOutcome, String) {
     (outcome, installed_state(&v))
 }
 
-/// Runs `set` as one sweep on `v` at `jobs` workers and checks it
-/// against the definition: every case's violations and value records
+/// Runs `set` as one sweep on `v` and checks it against the definition: every case's violations and value records
 /// equal that case run alone on `settled`, and the state the sweep
 /// installs equals the last case's run alone. Returns the outcome and
 /// the sweep's stripped report.
@@ -105,12 +104,9 @@ fn assert_sweep_matches_alone(
     v: &mut Verifier,
     settled: &Verifier,
     set: &CaseSet,
-    jobs: usize,
     what: &str,
 ) -> (RunOutcome, String) {
-    let outcome = v
-        .run(&RunOptions::new().cases(set.clone()).jobs(jobs))
-        .unwrap();
+    let outcome = v.run(&RunOptions::new().cases(set.clone())).unwrap();
     assert_eq!(outcome.cases.len(), set.len(), "{what}");
     let mut last_state = String::new();
     for (i, (case, got)) in set.cases().iter().zip(&outcome.cases).enumerate() {
@@ -128,42 +124,31 @@ fn assert_sweep_matches_alone(
     (outcome, report)
 }
 
-/// The central property: over 50 seeded random sweeps, the case tree at
-/// 1, 2 and 8 workers matches each case run alone, and the three
-/// stripped reports are byte-identical. Sweep verifiers are reused
-/// (warm) across seeds, so the property also covers returns to the base
-/// from an installed case and corner-state resets.
+/// The central property: over 50 seeded random sweeps, the case tree
+/// matches each case run alone. The sweep verifier is reused (warm)
+/// across seeds, so the property also covers returns to the base from
+/// an installed case and corner-state resets.
 #[test]
 fn sweeps_match_each_case_run_alone_over_50_seeds() {
     let settled = settled_verifier(16);
-    let mut sweepers: Vec<Verifier> = (0..3).map(|_| fresh_verifier(16)).collect();
+    let mut sweeper = fresh_verifier(16);
 
     for seed in 0..50u64 {
         let mut rng = Rng::seed_from_u64(seed);
         let sweep = random_sweep(&mut rng);
-        let mut reference: Option<String> = None;
-        for (v, jobs) in sweepers.iter_mut().zip([1usize, 2, 8]) {
-            let what = format!("seed {seed}, jobs {jobs}");
-            let (_, report) = assert_sweep_matches_alone(v, &settled, &sweep, jobs, &what);
-            match &reference {
-                None => reference = Some(report),
-                Some(first) => assert_eq!(&report, first, "{what}: report differs from jobs 1"),
-            }
-        }
+        let what = format!("seed {seed}");
+        assert_sweep_matches_alone(&mut sweeper, &settled, &sweep, &what);
     }
 }
 
 /// Delay-corner sweeps are first-class case axes: a `cross_corners`
 /// sweep (which forces a reseed-everything root per corner group) must
-/// match each case run alone, cold, at several worker counts.
+/// match each case run alone, cold.
 #[test]
 fn corner_sweeps_match_each_case_run_alone() {
     let sweep = CaseSet::exhaustive([ctl(0), ctl(1)]).cross_corners(DelayCorner::ALL);
     let settled = settled_verifier(12);
-    for jobs in [1usize, 4] {
-        let what = format!("jobs {jobs}");
-        assert_sweep_matches_alone(&mut fresh_verifier(12), &settled, &sweep, jobs, &what);
-    }
+    assert_sweep_matches_alone(&mut fresh_verifier(12), &settled, &sweep, "corners");
 }
 
 /// The point of the trie: shared prefixes settle once. On an exhaustive
@@ -230,9 +215,8 @@ fn unknown_signal_in_shared_prefix_fails_whole_subtree() {
 
 /// The memoization ledger must balance: every leaf examines the same
 /// unit universe as the case run alone (evaluated + inherited in the
-/// sweep equals evaluated alone, for checkers and for storage), the
-/// sweep actually inherits most of it, and the counters are
-/// deterministic totals — identical for every worker count.
+/// sweep equals evaluated alone, for checkers and for storage), and the
+/// sweep actually inherits most of it.
 #[test]
 fn memo_counters_account_for_every_checker_unit() {
     let sweep = CaseSet::exhaustive((0..5).map(ctl));
@@ -251,36 +235,23 @@ fn memo_counters_account_for_every_checker_unit() {
     let storage_units = alone.leaf_storage_evals;
     assert!(check_units > 0 && storage_units > 0);
 
-    let mut reference: Option<MemoStats> = None;
-    for jobs in [1usize, 2, 8] {
-        let mut v = fresh_verifier(16);
-        let out = v
-            .run(&RunOptions::new().cases(sweep.clone()).jobs(jobs))
-            .unwrap();
-        let memo = out.memo;
-        assert_eq!(
-            memo.leaf_check_evals + memo.leaf_check_hits,
-            check_units,
-            "jobs {jobs}: every leaf checks the same checker-unit universe"
-        );
-        assert_eq!(
-            memo.leaf_storage_evals + memo.leaf_storage_hits,
-            storage_units,
-            "jobs {jobs}: every leaf accounts the same signal universe"
-        );
-        assert!(
-            memo.leaf_check_hits > memo.leaf_check_evals,
-            "jobs {jobs}: shared prefixes must carry most checker work"
-        );
-        assert!(memo.node_passes > 0 && memo.releases > 0);
-        match &reference {
-            None => reference = Some(memo),
-            Some(first) => assert_eq!(
-                memo, *first,
-                "jobs {jobs}: memo counters are deterministic totals"
-            ),
-        }
-    }
+    let mut v = fresh_verifier(16);
+    let memo = v.run(&RunOptions::new().cases(sweep)).unwrap().memo;
+    assert_eq!(
+        memo.leaf_check_evals + memo.leaf_check_hits,
+        check_units,
+        "every leaf checks the same checker-unit universe"
+    );
+    assert_eq!(
+        memo.leaf_storage_evals + memo.leaf_storage_hits,
+        storage_units,
+        "every leaf accounts the same signal universe"
+    );
+    assert!(
+        memo.leaf_check_hits > memo.leaf_check_evals,
+        "shared prefixes must carry most checker work"
+    );
+    assert!(memo.node_passes > 0 && memo.releases > 0);
 }
 
 /// A design where asserting `GATE` cascades an inverter chain one wave
@@ -316,12 +287,11 @@ fn triangle_cone_netlist(depth: u64) -> Netlist {
     b.finish().unwrap()
 }
 
-/// Error path of the dependency-release scheduler: when a shared prefix
-/// node's settle fails (here: oscillation budget), every leaf under it
-/// fails, the run returns the error, and the worker pool drains — no
-/// deadlock — identically at 1, 2 and 8 workers.
+/// Error path of the case-tree walk: when a shared prefix node's settle
+/// fails (here: oscillation budget), every leaf under it fails and the
+/// run returns the error.
 #[test]
-fn failing_prefix_node_fails_its_subtree_without_deadlocking() {
+fn failing_prefix_node_fails_its_subtree() {
     // The cold base (about 120 evaluations) settles under the default
     // budget; a verifier with a budget of 60 warm-starts from it, so its
     // base settle costs nothing and only the GATE = 1 prefix node
@@ -339,21 +309,14 @@ fn failing_prefix_node_fails_its_subtree_without_deadlocking() {
         Case::new().assign("GATE", true).assign("SEL", true),
     ]);
 
-    let mut reference: Option<VerifyError> = None;
-    for jobs in [1usize, 2, 8] {
-        let err = settled
-            .clone()
-            .run(&RunOptions::new().cases(sweep.clone()).jobs(jobs))
-            .unwrap_err();
-        assert!(
-            matches!(err, VerifyError::Oscillation { .. }),
-            "jobs {jobs}: expected the prefix settle to trip the budget, got {err:?}"
-        );
-        match &reference {
-            None => reference = Some(err),
-            Some(first) => assert_eq!(err, *first, "jobs {jobs}: error differs"),
-        }
-    }
+    let err = settled
+        .clone()
+        .run(&RunOptions::new().cases(sweep.clone()))
+        .unwrap_err();
+    assert!(
+        matches!(err, VerifyError::Oscillation { .. }),
+        "expected the prefix settle to trip the budget, got {err:?}"
+    );
 
     // Each case run alone fails too.
     for case in sweep.cases() {

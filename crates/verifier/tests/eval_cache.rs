@@ -1,11 +1,9 @@
 //! Property tests for the evaluation memo table: the cache is an
-//! invisible accelerator. For any worker budget, a cache-enabled run
-//! must produce a report and per-case trace streams byte-identical to
-//! the uncached engine — only the effort counters (the `cache_stats`
-//! trace event and `EngineStats::eval_cache`) may differ, and those are
-//! normalized away here exactly as `wall_nanos` is. (`parallel_settle.rs`
-//! proves worker-count independence of the uncached engine; this file
-//! proves cache-on/cache-off equivalence on top of it.)
+//! invisible accelerator. A cache-enabled run must produce a report and
+//! per-case trace streams byte-identical to the uncached engine — only
+//! the effort counters (the `cache_stats` trace event and
+//! `EngineStats::eval_cache`) may differ, and those are normalized away
+//! here exactly as `wall_nanos` is.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -30,9 +28,9 @@ impl TraceSink for CollectSink {
 }
 
 /// Partitions a trace stream into per-case ordered sub-streams,
-/// normalizing away the legitimately varying fields (`wall_nanos`,
-/// `jobs`) and dropping the `cache_stats` effort event — the one trace
-/// line the cache is allowed to add.
+/// normalizing away the wall clock (`wall_nanos`) and dropping the
+/// `cache_stats` effort event — the one trace line the cache is allowed
+/// to add.
 fn partition(lines: &[String]) -> BTreeMap<String, Vec<String>> {
     let mut parts: BTreeMap<String, Vec<String>> = BTreeMap::new();
     for line in lines {
@@ -46,29 +44,27 @@ fn partition(lines: &[String]) -> BTreeMap<String, Vec<String>> {
             Some(c) => format!("case {c}"),
         };
         if let json::Json::Obj(fields) = &mut v {
-            fields.retain(|(k, _)| k != "wall_nanos" && k != "jobs");
+            fields.retain(|(k, _)| k != "wall_nanos");
         }
         parts.entry(key).or_default().push(v.to_string());
     }
     parts
 }
 
-/// Report JSON with the fields that may differ across worker budgets and
-/// cache configurations (pool size, wall clock, cache counters) cleared.
+/// Report JSON with the fields that may differ across cache
+/// configurations (wall clock, cache counters) cleared.
 fn canonical_report(report: &mut Report) -> String {
-    report.engine.jobs = 0;
     report.engine.verify_wall = None;
     report.engine.eval_cache = None;
     report.to_json()
 }
 
-/// One seeded verification under `jobs` workers with the memo table on
-/// or off; returns the canonical report, the partitioned trace, and the
-/// cache's hit count (0 when disabled).
+/// One seeded verification with the memo table on or off; returns the
+/// canonical report, the partitioned trace, and the cache's hit count
+/// (0 when disabled).
 fn run_traced(
     netlist: &Netlist,
     cases: &[Case],
-    jobs: usize,
     cached: bool,
 ) -> (String, BTreeMap<String, Vec<String>>, u64) {
     let sink = Arc::new(CollectSink::default());
@@ -77,11 +73,7 @@ fn run_traced(
         .trace(sink.clone())
         .build();
     let outcome = v
-        .run(
-            &RunOptions::new()
-                .cases(CaseSet::list(cases.iter().cloned()))
-                .jobs(jobs),
-        )
+        .run(&RunOptions::new().cases(CaseSet::list(cases.iter().cloned())))
         .expect("seeded designs settle");
     let mut report = v.report("eval_cache", &outcome.cases);
     let hits = v.eval_cache_stats().map_or(0, |s| s.hits);
@@ -91,14 +83,11 @@ fn run_traced(
 
 /// The headline property, over 50+ seeded designs: with the cache on,
 /// report JSON and per-case trace streams are byte-identical to the
-/// uncached serial engine for 1, 2 and N workers — and the cache is not
-/// vacuous (it hits on at least some designs).
+/// uncached engine — and the cache is not vacuous (it hits on at least
+/// some designs).
 #[test]
 fn fifty_seeded_designs_verify_identically_with_and_without_the_cache() {
     let mut rng = Rng::seed_from_u64(0xcac4e);
-    let n = std::thread::available_parallelism()
-        .map_or(4, usize::from)
-        .max(3);
     let mut designs = 0usize;
     let mut total_hits = 0u64;
     while designs < 50 {
@@ -120,13 +109,11 @@ fn fifty_seeded_designs_verify_identically_with_and_without_the_cache() {
             Vec::new()
         };
 
-        let (base_report, base_trace, _) = run_traced(&netlist, &cases, 1, false);
-        for jobs in [1, 2, n] {
-            let (report, trace, hits) = run_traced(&netlist, &cases, jobs, true);
-            assert_eq!(report, base_report, "design {designs}, jobs={jobs}");
-            assert_eq!(trace, base_trace, "design {designs}, jobs={jobs}");
-            total_hits += hits;
-        }
+        let (base_report, base_trace, _) = run_traced(&netlist, &cases, false);
+        let (report, trace, hits) = run_traced(&netlist, &cases, true);
+        assert_eq!(report, base_report, "design {designs}");
+        assert_eq!(trace, base_trace, "design {designs}");
+        total_hits += hits;
     }
     assert!(designs >= 50);
     assert!(total_hits > 0, "the memo table never hit across the sweep");

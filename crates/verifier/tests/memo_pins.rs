@@ -1,5 +1,5 @@
 //! Pins the case tree's memoization and prefix-settle counters
-//! (`MemoStats`, `PrefixStats`) at 1, 2 and 8 workers. The constants
+//! (`MemoStats`, `PrefixStats`). The constants
 //! were captured from the walk-everything checker pass that preceded
 //! the delta pass; a delta pass that found a different unit set, or
 //! counted its inherited units differently, would move them.
@@ -17,8 +17,6 @@ use scald_gen::sweep::{sweep_netlist, SweepOptions};
 use scald_netlist::{Config, Conn, Netlist, NetlistBuilder};
 use scald_verifier::{Case, CaseSet, DelayCorner, MemoStats, PrefixStats, RunOptions, Verifier};
 use scald_wave::{DelayRange, Time};
-
-const JOBS: [usize; 3] = [1, 2, 8];
 
 const fn memo(
     node: (u64, u64, u64),
@@ -46,22 +44,20 @@ const fn prefix(nodes: usize, events: u64, evaluations: u64) -> PrefixStats {
     }
 }
 
-/// Runs `set` at each worker count on a copy of `base` and asserts the
-/// pinned counters and the total violation count.
+/// Runs `set` on a copy of `base` and asserts the pinned counters and
+/// the total violation count.
 fn assert_pinned(base: &Verifier, set: &CaseSet, pins: (MemoStats, PrefixStats, usize)) {
-    for jobs in JOBS {
-        let mut v = base.clone();
-        let out = v
-            .run(&RunOptions::new().cases(set.clone()).jobs(jobs))
-            .expect("pinned sweeps settle");
-        let violations: usize = out.cases.iter().map(|c| c.violations.len()).sum();
-        assert_eq!(
-            (out.memo, out.prefix, violations),
-            pins,
-            "{} cases, jobs {jobs}",
-            set.len()
-        );
-    }
+    let out = base
+        .clone()
+        .run(&RunOptions::new().cases(set.clone()))
+        .expect("pinned sweeps settle");
+    let violations: usize = out.cases.iter().map(|c| c.violations.len()).sum();
+    assert_eq!(
+        (out.memo, out.prefix, violations),
+        pins,
+        "{} cases",
+        set.len()
+    );
 }
 
 #[test]
@@ -73,7 +69,7 @@ fn case_sched_counters_are_pinned_at_10_and_100_cases() {
     });
     let full = CaseSet::exhaustive(stats.mode_bits.iter().cloned());
     let mut base = Verifier::new(netlist);
-    base.run(&RunOptions::new().jobs(1)).expect("base settles");
+    base.run(&RunOptions::new()).expect("base settles");
     let first = |n: usize| CaseSet::list(full.cases()[..n].iter().cloned());
 
     assert_pinned(

@@ -21,10 +21,11 @@ fn report_matches_seed_engine_golden_on_400_chip_design() {
     });
     let mut verifier = VerifierBuilder::new(netlist).build();
     let outcome = verifier
-        .run(&RunOptions::new().jobs(1))
+        .run(&RunOptions::new())
         .expect("the 400-chip design settles");
     let mut report = verifier.report("golden_s1_400", &outcome.cases);
-    // Wall clock is the only nondeterministic field; jobs is config.
+    // Wall clock is the only nondeterministic field. The golden was
+    // recorded with the worker count zeroed.
     report.engine.jobs = 0;
     report.engine.verify_wall = None;
     let json = report.to_json().to_string();

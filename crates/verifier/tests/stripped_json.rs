@@ -14,11 +14,8 @@ use scald_verifier::{
 };
 use std::time::Duration;
 
-fn report(netlist: Netlist, cases: CaseSet, cache: bool, jobs: usize) -> Report {
-    let mut v = VerifierBuilder::new(netlist)
-        .jobs(jobs)
-        .eval_cache(cache)
-        .build();
+fn report(netlist: Netlist, cases: CaseSet, cache: bool) -> Report {
+    let mut v = VerifierBuilder::new(netlist).eval_cache(cache).build();
     let results = v
         .run(&RunOptions::new().cases(cases))
         .expect("run settles")
@@ -77,7 +74,7 @@ fn stripped_document_matches_strip_effort_oracle() {
         } else {
             sweep
         };
-        let mut r = report(netlist, cases, seed % 3 != 0, 1 + seed as usize % 3);
+        let mut r = report(netlist, cases, seed % 3 != 0);
         assert_oracle(&format!("s1 seed {seed}"), &r);
         r.probabilistic = Some(probabilistic(&mut rng));
         assert_oracle(&format!("s1 seed {seed} + probabilistic"), &r);
@@ -85,7 +82,7 @@ fn stripped_document_matches_strip_effort_oracle() {
 
     // Fig 3-11: violations carrying their fan-in provenance.
     let (netlist, _) = register_file_circuit();
-    let mut r = report(netlist, CaseSet::list([Case::new()]), true, 2);
+    let mut r = report(netlist, CaseSet::list([Case::new()]), true);
     assert!(r.total_violations() > 0, "the register file violates");
     assert!(r
         .cases

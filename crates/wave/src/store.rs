@@ -10,7 +10,7 @@
 //! shared behind an [`Arc`] instead of deep-cloned.
 //!
 //! The store is sharded: reads (hits) take a shard read-lock only, so
-//! concurrent evaluation workers deduplicate against it without
+//! concurrent daemon requests deduplicate against it without
 //! serializing on a single mutex. Misses take the shard write-lock and
 //! double-check before inserting.
 //!

@@ -11,8 +11,8 @@
 //! ```text
 //! USAGE:
 //!     scald-tv [OPTIONS] <DESIGN.scald | DESIGN.v>
-//!     scald-tv serve [--socket PATH] [--stdio] [--jobs N]
-//!                    [--timeout-ms N] [--idle-cap N] [--no-eval-cache]
+//!     scald-tv serve [--socket PATH] [--stdio] [--timeout-ms N]
+//!                    [--idle-cap N] [--no-eval-cache]
 //!
 //! OPTIONS:
 //!     --frontend F     input language: scald or verilog (default: by
@@ -41,10 +41,6 @@
 //!     --no-eval-cache  disable the evaluation memo table (the A/B
 //!                      baseline for benchmarking; results are
 //!                      byte-identical with the cache on)
-//!     --jobs N         case-analysis workers (default: CPU cores;
-//!                      capped at the case count and the machine's
-//!                      available parallelism); every settle runs on
-//!                      one thread
 //!     --watch          stay resident and re-verify DESIGN.scald on every
 //!                      file change, warm-starting from the prior fixed
 //!                      point and printing per-edit effort
@@ -58,8 +54,6 @@
 //!     --socket PATH    listen for clients on a Unix socket at PATH
 //!     --stdio          speak the protocol on stdin/stdout (EOF begins
 //!                      graceful shutdown); combinable with --socket
-//!     --jobs N         daemon-wide worker budget, split across
-//!                      concurrent requests (default: CPU cores)
 //!     --timeout-ms N   per-request deadline for open/apply-delta/run
 //!                      (default 30000)
 //!     --idle-cap N     settled sessions kept pooled per design (default 4)
@@ -137,10 +131,10 @@ const USAGE: &str = "usage: scald-tv [--frontend scald|verilog] \
                      [--paths] [--prob RHO] [--netlist] [--xref] [--stats] [--storage] \
                      [--format text|json] [--trace FILE] \
                      [--no-cases] \
-                     [--no-eval-cache] [--jobs N] \
+                     [--no-eval-cache] \
                      [--watch] [--watch-poll-ms N] [--watch-max-edits N] \
                      [--baseline OLD.scald] <DESIGN.scald | DESIGN.v>\n\
-                     \u{20}      scald-tv serve [--socket PATH] [--stdio] [--jobs N] \
+                     \u{20}      scald-tv serve [--socket PATH] [--stdio] \
                      [--timeout-ms N] [--idle-cap N] [--no-eval-cache] \
                      [--max-sweep-cases N]";
 
@@ -174,7 +168,6 @@ struct Options {
     trace: Option<String>,
     no_cases: bool,
     no_eval_cache: bool,
-    jobs: Option<usize>,
     watch: bool,
     watch_poll_ms: u64,
     watch_max_edits: Option<u64>,
@@ -198,7 +191,6 @@ fn parse_args() -> Result<Options, String> {
         trace: None,
         no_cases: false,
         no_eval_cache: false,
-        jobs: None,
         watch: false,
         watch_poll_ms: 200,
         watch_max_edits: None,
@@ -236,14 +228,6 @@ fn parse_args() -> Result<Options, String> {
                     .filter(|f| !f.is_empty())
                     .ok_or_else(|| "--trace expects a file path".to_owned())?;
                 opts.trace = Some(file);
-            }
-            "--jobs" => {
-                let n = args
-                    .next()
-                    .and_then(|s| s.parse::<usize>().ok())
-                    .filter(|n| *n >= 1)
-                    .ok_or_else(|| "--jobs expects a worker count >= 1".to_owned())?;
-                opts.jobs = Some(n);
             }
             "--watch" => opts.watch = true,
             "--watch-poll-ms" => {
@@ -316,12 +300,9 @@ fn effort_line(stats: &IncrStats) -> String {
 }
 
 /// Builds the incremental session shared by `--watch` and `--baseline`:
-/// same trace/jobs plumbing as a plain run.
+/// same trace and cache plumbing as a plain run.
 fn open_session(opts: &Options, src: &str) -> Result<Session, String> {
     let mut builder = SessionBuilder::new();
-    if let Some(n) = opts.jobs {
-        builder = builder.jobs(n);
-    }
     if opts.no_eval_cache {
         builder = builder.eval_cache(false);
     }
@@ -348,7 +329,7 @@ fn source_delta(opts: &Options, src: String) -> Delta {
 }
 
 const SERVE_USAGE: &str = "usage: scald-tv serve [--socket PATH] [--stdio] \
-                           [--jobs N] [--timeout-ms N] [--idle-cap N] \
+                           [--timeout-ms N] [--idle-cap N] \
                            [--no-eval-cache] [--max-sweep-cases N]  \
                            (at least one of --socket/--stdio)";
 
@@ -370,10 +351,6 @@ fn run_serve(args: impl Iterator<Item = String>) -> ExitCode {
                 None => return parse_err("--socket expects a path".to_owned()),
             },
             "--stdio" => opts.stdio = true,
-            "--jobs" => match args.next().and_then(|s| s.parse::<usize>().ok()) {
-                Some(n) if n >= 1 => opts.jobs = n,
-                _ => return parse_err("--jobs expects a worker count >= 1".to_owned()),
-            },
             "--timeout-ms" => match args.next().and_then(|s| s.parse::<u64>().ok()) {
                 Some(n) if n >= 1 => opts.request_timeout = Duration::from_millis(n),
                 _ => return parse_err("--timeout-ms expects a millisecond count >= 1".to_owned()),
@@ -578,16 +555,8 @@ fn prob_section(netlist: &scald::netlist::Netlist, rho: f64) -> scald::verifier:
     }
 }
 
-fn run_verifier(
-    opts: &Options,
-    verifier: &mut Verifier,
-    cases: &[Case],
-) -> Result<Vec<CaseResult>, VerifyError> {
-    let mut options = RunOptions::new().cases(CaseSet::list(cases.iter().cloned()));
-    if let Some(n) = opts.jobs {
-        // Default (no flag): the engine picks its own worker budget.
-        options = options.jobs(n);
-    }
+fn run_verifier(verifier: &mut Verifier, cases: &[Case]) -> Result<Vec<CaseResult>, VerifyError> {
+    let options = RunOptions::new().cases(CaseSet::list(cases.iter().cloned()));
     Ok(verifier.run(&options)?.cases)
 }
 
@@ -707,7 +676,7 @@ fn main() -> ExitCode {
     let mut verifier = builder.build();
 
     let t = Instant::now();
-    let results = match run_verifier(&opts, &mut verifier, &cases) {
+    let results = match run_verifier(&mut verifier, &cases) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("scald-tv: {e}");
@@ -719,9 +688,6 @@ fn main() -> ExitCode {
     let mut report = verifier.report(&opts.path, &results);
     report.probabilistic = probabilistic;
     report.engine.verify_wall = Some(verify_time);
-    if let Some(n) = opts.jobs {
-        report.engine.jobs = n;
-    }
     let total = report.total_violations();
 
     if text {

@@ -85,7 +85,6 @@ fn warm_edit_and_report_frame_stay_within_their_allocation_budgets() {
         seed: 7,
     });
     let mut session = SessionBuilder::new()
-        .jobs(1)
         .open(DesignInput::source(src.as_str()), "s1_like_hdl")
         .expect("generated design opens");
     // One one-line edit: slice 0's `IN` becomes stable from unit 2.

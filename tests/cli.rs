@@ -53,15 +53,6 @@ fn missing_file_and_bad_usage_exit_two() {
         exit_code(&run(&["--format", "yaml", &design("mini_cpu.scald")])),
         2
     );
-    assert_eq!(
-        exit_code(&run(&["--jobs", "0", &design("mini_cpu.scald")])),
-        2
-    );
-    assert_eq!(
-        exit_code(&run(&["--jobs", "abc", &design("mini_cpu.scald")])),
-        2
-    );
-    assert_eq!(exit_code(&run(&["--jobs", &design("mini_cpu.scald")])), 2);
 }
 
 #[test]
@@ -96,7 +87,6 @@ fn help_usage_names_every_flag() {
         "--format",
         "--trace",
         "--no-cases",
-        "--jobs",
         "--watch",
         "--watch-poll-ms",
         "--watch-max-edits",
@@ -484,9 +474,9 @@ fn spawn_stdio_daemon(extra: &[&str]) -> (std::process::Child, scald::serve::Cli
 #[test]
 fn serve_stdio_answers_the_protocol_and_drains_on_eof() {
     use scald::serve::Response;
-    let (mut child, mut client) = spawn_stdio_daemon(&["--jobs", "2"]);
+    let (mut child, mut client) = spawn_stdio_daemon(&[]);
     assert_eq!(client.hello().proto, scald::serve::PROTO_VERSION);
-    assert_eq!(client.hello().jobs, 2);
+    assert_eq!(client.hello().jobs, 1);
 
     let src = std::fs::read_to_string(design("register_file.scald")).expect("design reads");
     let label = "stdio-design";
@@ -557,7 +547,6 @@ fn serve_usage_errors_exit_two() {
     // Unknown option.
     assert_eq!(exit_code(&run(&["serve", "--frobnicate"])), 2);
     // Bad values.
-    assert_eq!(exit_code(&run(&["serve", "--stdio", "--jobs", "0"])), 2);
     assert_eq!(
         exit_code(&run(&["serve", "--stdio", "--timeout-ms", "abc"])),
         2

@@ -1,12 +1,10 @@
 //! Cross-frontend equivalence: the seeded twin designs of
 //! `scald_gen::rtl_pairs` must lower to structurally identical netlists
 //! through the Verilog frontend and the SCALD macro expander, and the
-//! verifier must then produce **byte-identical** reports from either —
-//! at every worker count, since the engine's results are
-//! schedule-independent.
+//! verifier must then produce **byte-identical** reports from either.
 
 use scald::gen::rtl_pairs::paired_design;
-use scald::incr::{design_hash, DesignInput, SessionBuilder};
+use scald::incr::{design_hash, DesignInput, Session};
 use scald::rtl;
 
 const SEEDS: u64 = 50;
@@ -42,28 +40,23 @@ fn fifty_seeds_lower_to_identical_netlists() {
 }
 
 /// Full-stack equivalence: open the same circuit through each frontend
-/// and require byte-identical stripped report JSON, for the sequential
-/// engine and two parallel worker budgets.
+/// and require byte-identical stripped report JSON.
 #[test]
-fn reports_are_byte_identical_across_frontends_and_worker_counts() {
-    for jobs in [1usize, 2, 8] {
-        for seed in 0..SEEDS {
-            let pair = paired_design(seed);
-            let open = |input: DesignInput| {
-                SessionBuilder::new()
-                    .jobs(jobs)
-                    .open(input, format!("pair-{seed}"))
-                    .unwrap_or_else(|e| panic!("seed {seed} jobs {jobs}: open fails: {e}"))
-            };
-            let rtl_session = open(DesignInput::verilog(&pair.verilog));
-            let hdl_session = open(DesignInput::source(&pair.scald));
-            let rtl_json = rtl_session.report().strip_effort().to_json();
-            let hdl_json = hdl_session.report().strip_effort().to_json();
-            assert_eq!(
-                rtl_json, hdl_json,
-                "seed {seed} jobs {jobs}: reports diverge\n--- verilog\n{}\n--- scald\n{}",
-                pair.verilog, pair.scald
-            );
-        }
+fn reports_are_byte_identical_across_frontends() {
+    for seed in 0..SEEDS {
+        let pair = paired_design(seed);
+        let open = |input: DesignInput| {
+            Session::open(input, format!("pair-{seed}"))
+                .unwrap_or_else(|e| panic!("seed {seed}: open fails: {e}"))
+        };
+        let rtl_session = open(DesignInput::verilog(&pair.verilog));
+        let hdl_session = open(DesignInput::source(&pair.scald));
+        let rtl_json = rtl_session.report().strip_effort().to_json();
+        let hdl_json = hdl_session.report().strip_effort().to_json();
+        assert_eq!(
+            rtl_json, hdl_json,
+            "seed {seed}: reports diverge\n--- verilog\n{}\n--- scald\n{}",
+            pair.verilog, pair.scald
+        );
     }
 }

@@ -25,7 +25,7 @@ use std::sync::Mutex;
 
 use scald::gen::s1::{s1_like_hdl, S1Options};
 use scald::netlist::Netlist;
-use scald::verifier::{Report, RunOptions, VerifierBuilder};
+use scald::verifier::{Report, RunOptions, Verifier};
 
 struct Counting;
 
@@ -110,7 +110,7 @@ fn s1_report_renders_within_its_allocation_budget() {
     let netlist = scald::hdl::expand(&design)
         .expect("generated design expands")
         .netlist;
-    let mut v = VerifierBuilder::new(netlist).jobs(1).build();
+    let mut v = Verifier::new(netlist);
     let outcome = v
         .run(&RunOptions::new())
         .expect("generated design verifies");
@@ -166,7 +166,7 @@ fn delays(delays_ps: impl IntoIterator<Item = u32>) -> Netlist {
 }
 
 fn report_of(netlist: Netlist) -> Report {
-    let mut v = VerifierBuilder::new(netlist).jobs(1).build();
+    let mut v = Verifier::new(netlist);
     let outcome = v.run(&RunOptions::new()).expect("the design verifies");
     v.report("delays", &outcome.cases)
 }

@@ -8,14 +8,12 @@
 //!   hit is what serving an outcome from the table costs — the key, the
 //!   lookup and the outcome — plus the settle loop's own amortized
 //!   bookkeeping. The design's `&H` pins make some outcomes carry hazard
-//!   inputs, which a hit hands out too. The same settle on a verifier
-//!   built with `.jobs(4)` must allocate exactly as much: the budget
-//!   sizes only the case pool, so a settle spawns nothing.
-//! - Per case-tree unit: an exhaustive mode sweep on one worker, after
-//!   the base is settled, must ask for no more bytes per unit (node or
-//!   leaf) when the design's master cone grows sixteenfold: a unit's
-//!   settle reuses its worker's buffers instead of allocating any the
-//!   size of the design.
+//!   inputs, which a hit hands out too.
+//! - Per case-tree unit: an exhaustive mode sweep, after the base is
+//!   settled, must ask for no more bytes per unit (node or leaf) when
+//!   the design's master cone grows sixteenfold: a unit's settle reuses
+//!   the run's buffers instead of allocating any the size of the
+//!   design.
 //!
 //! Unlike wall clock, the counts do not depend on the host. The measured
 //! calls run one at a time (see [`counted`]), so no other test's
@@ -114,24 +112,20 @@ fn a_warm_settle_stays_within_its_allocation_budget_per_cache_hit() {
         .count();
     assert!(hazard_pins > 0, "the design has `&H` pins");
     let cache = Arc::new(EvalCache::new());
-    let build = |jobs| {
+    let build = || {
         VerifierBuilder::new(netlist.clone())
             .shared_eval_cache(Arc::clone(&cache))
-            .jobs(jobs)
             .build()
     };
-    build(1).settle_base().expect("the design settles");
+    build().settle_base().expect("the design settles");
 
     // One warm settle, counted: its allocations and bytes, its
     // evaluations and the cache counters it moved.
-    let warm_settle = |jobs| {
-        let mut warm = build(jobs);
-        let before = cache.stats();
-        let (settled, tally) = counted(|| warm.settle_base());
-        let (_, evaluations) = settled.expect("the design settles");
-        (tally, evaluations, cache.stats().since(&before))
-    };
-    let (tally, evaluations, stats) = warm_settle(1);
+    let mut warm = build();
+    let before = cache.stats();
+    let (settled, tally) = counted(|| warm.settle_base());
+    let (_, evaluations) = settled.expect("the design settles");
+    let stats = cache.stats().since(&before);
     let allocs = tally.allocations;
     assert_eq!(
         stats.misses, 0,
@@ -151,24 +145,10 @@ fn a_warm_settle_stays_within_its_allocation_budget_per_cache_hit() {
         per_hit <= HIT_BUDGET,
         "a warm settle made {per_hit:.4} allocations per cache hit (budget {HIT_BUDGET})"
     );
-
-    let (four, four_evaluations, four_stats) = warm_settle(4);
-    assert_eq!(four_evaluations, evaluations, "the same trajectory");
-    assert_eq!(four_stats.hits, stats.hits, "the same cache hits");
-    assert_eq!(
-        (four.allocations, four.bytes),
-        (tally.allocations, tally.bytes),
-        "a warm settle at .jobs(4) allocated {} times ({} bytes) against {} ({} bytes) \
-         at .jobs(1): a settle must spawn nothing",
-        four.allocations,
-        four.bytes,
-        tally.allocations,
-        tally.bytes
-    );
 }
 
 /// Bytes an exhaustive 4,096-case sweep asks for per case-tree unit (node
-/// or leaf) on one worker, once the base is settled, with
+/// or leaf), once the base is settled, with
 /// `master_slices` slices in the master mode bit's cone.
 ///
 /// The same sweep first runs uncounted on another verifier, so every
@@ -183,7 +163,7 @@ fn sweep_bytes_per_unit(master_slices: usize) -> f64 {
         seed: 5,
     });
     let cases = RunOptions::new().cases(CaseSet::exhaustive(&stats.mode_bits));
-    let build = || VerifierBuilder::new(netlist.clone()).jobs(1).build();
+    let build = || VerifierBuilder::new(netlist.clone()).build();
     build().run(&cases).expect("the sweep settles");
     let mut verifier = build();
     verifier.settle_base().expect("the sweep design settles");
