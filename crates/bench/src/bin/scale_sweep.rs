@@ -6,8 +6,17 @@
 //! This harness sweeps the [`scald_gen::scale`] generator across decades
 //! of that size and records, per step: generation and settle wall clocks
 //! (median over `--reps`, min kept honest alongside), the
-//! event/evaluation trajectory, and the same
-//! storage categories Table 3-3 itemizes, into `BENCH_scale.json`.
+//! event/evaluation trajectory, the same storage categories Table 3-3
+//! itemizes, and the live heap a verdict holds, into `BENCH_scale.json`.
+//!
+//! The heap figures come from a counting global allocator. After each of
+//! generation, `build`, `run` and `report`, a step records the bytes live
+//! above the step's starting point and the allocations made since it
+//! (reallocations included). The first rep moves the generated netlist
+//! into its verifier, so the netlist is counted once. The sweep runs on
+//! one thread, so the counts repeat exactly for a given `--steps` list;
+//! the process-wide wave and state stores carry interned values from one
+//! step into the next, which is why the list matters.
 //!
 //! Usage: `cargo run -p scald-bench --bin scale_sweep --release`
 //! (`--steps 1000,10000,100000` to choose sizes, `--reps N` per-step
@@ -15,10 +24,82 @@
 //! `--out FILE` to redirect the record, as the CI smoke run does to
 //! avoid clobbering the committed sweep).
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use scald_bench::harness::{flags, median, nanos, obj, timed, write_record};
 use scald_gen::scale::{scale_netlist, ScaleOptions};
 use scald_trace::json::Json;
 use scald_verifier::{RunOptions, Verifier};
+
+/// Forwards to the system allocator, counting allocations and the bytes
+/// live on the heap.
+struct Counting;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static LIVE: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every call is forwarded unchanged to the system allocator; the
+// wrapper only counts.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE.fetch_add(new_size as u64, Ordering::Relaxed);
+        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
+        System.dealloc(ptr, layout);
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// The allocator's counters at one point of a step.
+#[derive(Clone, Copy)]
+struct Heap {
+    live: u64,
+    allocations: u64,
+}
+
+impl Heap {
+    fn now() -> Heap {
+        Heap {
+            live: LIVE.load(Ordering::Relaxed),
+            allocations: ALLOCATIONS.load(Ordering::Relaxed),
+        }
+    }
+
+    /// The bytes live above `start` and the allocations made since it.
+    fn since(start: Heap) -> Json {
+        let now = Heap::now();
+        obj([
+            (
+                "live_bytes",
+                Json::from(now.live.saturating_sub(start.live)),
+            ),
+            (
+                "allocations",
+                Json::from(now.allocations - start.allocations),
+            ),
+        ])
+    }
+}
 
 fn main() {
     let (steps, reps, out) = flags(|f| {
@@ -32,8 +113,10 @@ fn main() {
     let mut records = Vec::new();
     for &target in &steps {
         let opts = ScaleOptions::prims(target);
+        let start = Heap::now();
         let ((netlist, stats), gen_time) = timed(|| scale_netlist(&opts));
         let gen_ns = nanos(gen_time);
+        let mut heap = vec![("gen", Heap::since(start))];
         println!(
             "target {target:>8}: {} prims, {} signals, {} chains (max depth {}), {} hubs, generated in {:.2}s",
             stats.prims,
@@ -52,16 +135,39 @@ fn main() {
         let mut evaluations = 0u64;
         let mut violations = 0u64;
         let mut storage: Option<scald_verifier::StorageReport> = None;
+        // The counted rep owns the generated netlist; the others verify
+        // copies of it.
+        let mut counted = Some(netlist);
+        let mut kept = None;
         for _ in 0..step_reps {
-            let mut v = Verifier::new(netlist.clone());
+            let first = counted.is_some();
+            let netlist = match counted.take() {
+                Some(netlist) => netlist,
+                None => kept
+                    .as_ref()
+                    .map(Verifier::netlist)
+                    .cloned()
+                    .expect("rep 1 kept"),
+            };
+            let mut v = Verifier::new(netlist);
+            if first {
+                heap.push(("build", Heap::since(start)));
+            }
             let (outcome, wall) = timed(|| v.run(&RunOptions::new()).expect("settles"));
             samples.push(nanos(wall));
             let sole = outcome.into_sole();
             events = sole.events;
             evaluations = sole.evaluations;
             violations = sole.violations.len() as u64;
-            storage = Some(v.storage_report());
+            if first {
+                heap.push(("run", Heap::since(start)));
+                let report = v.report("scale", std::slice::from_ref(&sole));
+                heap.push(("report", Heap::since(start)));
+                storage = Some(report.storage);
+                kept = Some(v);
+            }
         }
+        drop(kept);
         let min_ns = *samples.iter().min().expect("reps >= 1");
         let wall_ns = median(&mut samples);
         let storage = storage.expect("at least one rep ran");
@@ -75,6 +181,9 @@ fn main() {
             storage.total(),
             storage.value_records_per_signal()
         );
+        for (phase, counts) in &heap {
+            println!("  heap after {phase}: {counts}");
+        }
 
         // The Table 3-3 categories, bytes per storage area.
         let table_3_3 = obj(storage
@@ -103,14 +212,16 @@ fn main() {
             ("evaluations", Json::from(evaluations)),
             ("violations", Json::from(violations)),
             ("table_3_3", table_3_3),
+            ("heap", obj(heap)),
         ]));
     }
 
     // v2: the `jobs` field is gone — a settle runs on one thread.
+    // v3: each step records its live heap and allocations (`heap`).
     write_record(
         &out,
         "scald-bench-scale",
-        2,
+        3,
         [("steps", Json::Arr(records))],
     );
 }
