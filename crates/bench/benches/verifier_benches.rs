@@ -172,7 +172,7 @@ fn verifier_vs_sim(b: &Bench) {
         );
         let sweep: Vec<SignalId> = primary_inputs(&netlist)
             .into_iter()
-            .filter(|s| netlist.signal(*s).assertion.is_none())
+            .filter(|s| netlist.signal(*s).assertion().is_none())
             .collect();
         b.bench(&format!("scaling/sim_exhaustive/{n}"), || {
             let mut total = 0u64;

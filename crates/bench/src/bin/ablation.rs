@@ -24,11 +24,11 @@ fn main() {
         (wall, r.events, r.evaluations, r.violations.len())
     };
 
-    let vec_prims = vector.prims().len();
-    let vec_signals = vector.signals().len();
+    let vec_prims = vector.prim_count();
+    let vec_signals = vector.signal_count();
     let (vec_time, vec_events, vec_evals, vec_viols) = run(vector);
-    let blast_prims = blasted.prims().len();
-    let blast_signals = blasted.signals().len();
+    let blast_prims = blasted.prim_count();
+    let blast_signals = blasted.signal_count();
     let (blast_time_v, blast_events, blast_evals, blast_viols) = run(blasted);
 
     println!(

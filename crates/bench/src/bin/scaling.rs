@@ -41,12 +41,12 @@ fn main() {
         // cycles vs the verifier's single symbolic one.
         let sweep = inputs
             .iter()
-            .filter(|s| netlist.signal(**s).assertion.is_none())
+            .filter(|s| netlist.signal(**s).assertion().is_none())
             .copied()
             .collect::<Vec<_>>();
         let data_inputs: Vec<_> = inputs
             .iter()
-            .filter(|s| netlist.signal(**s).assertion.is_some())
+            .filter(|s| netlist.signal(**s).assertion().is_some())
             .copied()
             .collect();
         let patterns = 1u64 << sweep.len();

@@ -62,7 +62,7 @@ fn main() {
 
     // --- Timing Verifier phases ---
     let netlist = expansion.netlist;
-    let n_prims = netlist.prims().len();
+    let n_prims = netlist.prim_count();
 
     let (mut verifier, build_time) = timed(|| Verifier::new(netlist));
     let (xref, xref_time) = timed(|| verifier.xref_listing());

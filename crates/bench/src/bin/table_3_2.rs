@@ -31,11 +31,10 @@ fn main() {
     let per_chip = total as f64 / stats.chips as f64;
     let avg_width = netlist.average_primitive_width();
     let bit_blasted: u64 = netlist
-        .prims()
-        .iter()
-        .map(|p| {
-            p.output
-                .map_or(1, |out| u64::from(netlist.signal(out).width.max(1)))
+        .iter_prims()
+        .map(|(_, p)| {
+            p.output()
+                .map_or(1, |out| u64::from(netlist.signal(out).width().max(1)))
         })
         .sum();
     println!("\n{:<38} measured      paper", "STATISTIC");
@@ -48,7 +47,10 @@ fn main() {
         "{:<38} {bit_blasted:>8}      53 833",
         "bit-blasted primitive equivalent"
     );
-    let bit_lists: u64 = netlist.signals().iter().map(|s| u64::from(s.width)).sum();
+    let bit_lists: u64 = netlist
+        .iter_signals()
+        .map(|(_, s)| u64::from(s.width()))
+        .sum();
     println!(
         "{:<38} {:>8}      33 152",
         "signal value lists (per-bit)", bit_lists
@@ -56,6 +58,6 @@ fn main() {
     println!(
         "{:<38} {:>8}      (vector nets)",
         "signal vectors",
-        netlist.signals().len()
+        netlist.signal_count()
     );
 }

@@ -16,7 +16,7 @@ use scald_bench::harness::{flags, s1_netlist};
 fn main() {
     let chips = flags(|f| f.get("--chips", 6357));
     let (netlist, stats) = s1_netlist(chips);
-    let n_prims = netlist.prims().len();
+    let n_prims = netlist.prim_count();
 
     let mut verifier = Verifier::new(netlist);
     verifier.run(&RunOptions::new()).expect("design settles");

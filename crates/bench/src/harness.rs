@@ -325,11 +325,11 @@ pub fn ctl_cases() -> Vec<Case> {
 #[must_use]
 pub fn logic_prim(netlist: &Netlist) -> (String, DelayRange) {
     let prim = netlist
-        .prims()
-        .iter()
-        .find(|p| p.name.ends_with("/LOGIC"))
+        .iter_prims()
+        .map(|(_, p)| p)
+        .find(|p| p.name().ends_with("/LOGIC"))
         .expect("generated design has datapath slices");
-    (prim.name.clone(), prim.delay)
+    (prim.name().to_owned(), prim.delay())
 }
 
 /// Ten retimes of `target`, to 2.0–6.5 ns and back to `original` five

@@ -30,21 +30,21 @@ pub fn bit_blast(netlist: &Netlist) -> Netlist {
     let mut bits: HashMap<(SignalId, u32), SignalId> = HashMap::new();
 
     for (sid, sig) in netlist.iter_signals() {
-        for bit in 0..sig.width.max(1) {
-            let base = if sig.width > 1 {
-                format!("{}[{bit}]", sig.name)
+        for bit in 0..sig.width().max(1) {
+            let base = if sig.width() > 1 {
+                format!("{}[{bit}]", sig.name())
             } else {
-                sig.name.clone()
+                sig.name().to_owned()
             };
-            let full = match &sig.assertion {
+            let full = match sig.assertion() {
                 Some(a) => format!("{base} {a}"),
                 None => base,
             };
             let new = b.signal(&full).expect("blasted signal name is valid");
-            if let Some(wd) = sig.wire_delay {
+            if let Some(wd) = sig.wire_delay() {
                 b.set_wire_delay(new, wd);
             }
-            if sig.wired_or {
+            if sig.wired_or() {
                 b.mark_wired_or(new);
             }
             bits.insert((sid, bit), new);
@@ -52,40 +52,27 @@ pub fn bit_blast(netlist: &Netlist) -> Netlist {
     }
 
     let pick = |bits: &HashMap<(SignalId, u32), SignalId>, sid: SignalId, bit: u32| -> SignalId {
-        let w = netlist.signal(sid).width.max(1);
+        let w = netlist.signal(sid).width().max(1);
         bits[&(sid, bit % w)]
     };
 
     for (_, prim) in netlist.iter_prims() {
-        let out_width = prim.output.map_or_else(
-            || netlist.signal(prim.inputs[0].signal).width.max(1),
-            |o| netlist.signal(o).width.max(1),
+        let out_width = prim.output().map_or_else(
+            || netlist.signal(prim.input(0).signal()).width().max(1),
+            |o| netlist.signal(o).width().max(1),
         );
         for bit in 0..out_width {
-            let inputs: Vec<Conn> = prim
-                .inputs
-                .iter()
-                .map(|c| {
-                    let mut conn = Conn::new(pick(&bits, c.signal, bit));
-                    if c.invert {
-                        conn = conn.inverted();
-                    }
-                    if let Some(d) = &c.directive {
-                        conn = conn.with_directive(d.clone());
-                    }
-                    if let Some(wd) = c.wire_delay {
-                        conn = conn.with_wire_delay(wd);
-                    }
-                    conn
-                })
-                .collect();
-            let output = prim.output.map(|o| pick(&bits, o, bit));
+            let inputs = prim.inputs().map(|c| Conn {
+                signal: pick(&bits, c.signal(), bit),
+                ..c.to_conn()
+            });
+            let output = prim.output().map(|o| pick(&bits, o, bit));
             let name = if out_width > 1 {
-                format!("{}[{bit}]", prim.name)
+                format!("{}[{bit}]", prim.name())
             } else {
-                prim.name.clone()
+                prim.name().to_owned()
             };
-            b.prim(name, prim.kind, prim.delay, inputs, output);
+            b.prim(name, prim.kind(), prim.delay(), inputs, output);
         }
     }
     b.finish().expect("blasted netlist is well-formed")
@@ -102,19 +89,18 @@ mod tests {
         let (n, _) = register_file_circuit();
         let blasted = bit_blast(&n);
         let expect: usize = n
-            .prims()
-            .iter()
-            .map(|p| {
-                p.output.map_or_else(
-                    || n.signal(p.inputs[0].signal).width.max(1),
-                    |o| n.signal(o).width.max(1),
+            .iter_prims()
+            .map(|(_, p)| {
+                p.output().map_or_else(
+                    || n.signal(p.input(0).signal()).width().max(1),
+                    |o| n.signal(o).width().max(1),
                 ) as usize
             })
             .sum();
-        assert_eq!(blasted.prims().len(), expect);
-        assert!(blasted.prims().len() > n.prims().len());
+        assert_eq!(blasted.prim_count(), expect);
+        assert!(blasted.prim_count() > n.prim_count());
         // Everything is scalar now.
-        assert!(blasted.signals().iter().all(|s| s.width == 1));
+        assert!(blasted.iter_signals().all(|(_, s)| s.width() == 1));
     }
 
     #[test]
@@ -139,7 +125,7 @@ mod tests {
             seed: 0x5ca1d,
         });
         let blasted = bit_blast(&n);
-        let ratio = blasted.prims().len() as f64 / n.prims().len() as f64;
+        let ratio = blasted.prim_count() as f64 / n.prim_count() as f64;
         // The thesis' ratio was 53 833 / 8 282 ≈ 6.5.
         assert!(ratio > 3.0, "ratio {ratio}");
     }

@@ -87,7 +87,7 @@ mod tests {
         let n = &expansion.netlist;
         // RAM (4 prims incl. checkers... ) + mux macro (2) + reg macro (2)
         // + or (1) + top-level and + const.
-        assert!(n.prims().len() >= 10, "{}", n.prims().len());
+        assert!(n.prim_count() >= 10, "{}", n.prim_count());
         let names: Vec<String> = n
             .primitive_histogram()
             .into_iter()
@@ -97,6 +97,6 @@ mod tests {
         assert!(names.iter().any(|s| s == "MIN PULSE WIDTH"));
         // Vector symmetry: the 32-bit data path is one primitive wide.
         let ram_out = n.signal_by_name("RAM OUT").expect("RAM OUT exists");
-        assert_eq!(n.signal(ram_out).width, 32);
+        assert_eq!(n.signal(ram_out).width(), 32);
     }
 }

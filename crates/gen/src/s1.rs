@@ -300,8 +300,8 @@ pub fn s1_like_netlist(opts: S1Options) -> (Netlist, S1Stats) {
     let netlist = b.finish().expect("generated design is well-formed");
     let stats = S1Stats {
         chips,
-        prims: netlist.prims().len(),
-        signals: netlist.signals().len(),
+        prims: netlist.prim_count(),
+        signals: netlist.signal_count(),
     };
     (netlist, stats)
 }
@@ -372,15 +372,15 @@ mod tests {
         // Average vector width near the thesis' 6.5 bits.
         let avg = n.average_primitive_width();
         assert!((3.0..=11.0).contains(&avg), "avg width {avg}");
-        assert_eq!(stats.prims, n.prims().len());
+        assert_eq!(stats.prims, n.prim_count());
     }
 
     #[test]
     fn generator_is_deterministic() {
         let (a, _) = s1_like_netlist(S1Options::small());
         let (b, _) = s1_like_netlist(S1Options::small());
-        assert_eq!(a.prims().len(), b.prims().len());
-        assert_eq!(a.signals().len(), b.signals().len());
+        assert_eq!(a.prim_count(), b.prim_count());
+        assert_eq!(a.signal_count(), b.signal_count());
         assert_eq!(a.primitive_histogram(), b.primitive_histogram());
     }
 
@@ -401,7 +401,7 @@ mod tests {
     fn hdl_variant_compiles() {
         let src = s1_like_hdl(S1Options { chips: 30, seed: 3 });
         let expansion = scald_hdl::compile(&src).expect("generated HDL must compile");
-        assert!(expansion.netlist.prims().len() >= 40);
+        assert!(expansion.netlist.prim_count() >= 40);
         assert_eq!(expansion.stats.instances_expanded, 10);
     }
 }

@@ -28,6 +28,7 @@
 use scald_netlist::{Config, Conn, Netlist, NetlistBuilder, SignalId};
 use scald_rng::Rng;
 use scald_wave::{DelayRange, Time};
+use std::fmt::Write as _;
 
 /// Fanout shape of the generated design.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,6 +105,13 @@ fn tenths(t: u32) -> String {
     }
 }
 
+/// The name `N{slice}/{suffix}`, written into `buf`.
+fn slice_name<'a>(buf: &'a mut String, slice: usize, suffix: &str) -> &'a str {
+    buf.clear();
+    write!(buf, "N{slice}/{suffix}").expect("String write cannot fail");
+    buf
+}
+
 /// Vector width distribution: mostly narrow with a wide tail, averaging
 /// near the thesis' 6.5 bits.
 fn sample_width(rng: &mut Rng) -> u32 {
@@ -161,9 +169,11 @@ pub fn scale_netlist(opts: &ScaleOptions) -> (Netlist, ScaleStats) {
     let mut slice = 0usize;
     let mut max_depth = 0usize;
 
+    // One name buffer and one input list, reused by every slice.
+    let mut buf = String::new();
+    let mut inputs: Vec<Conn> = Vec::new();
     while prims < opts.target_prims {
         slice += 1;
-        let p = format!("N{slice}");
         let clk = *rng.choose(&clocks);
         let ctl = *rng.choose(&controls);
 
@@ -175,9 +185,11 @@ pub fn scale_netlist(opts: &ScaleOptions) -> (Netlist, ScaleStats) {
             // §4.2.3: a fictitious delay at least as long as the clock
             // skew decorrelates the registered feed-forward path.
             let w = b.signal_width(tail);
-            let piped = b.signal_vec(&format!("{p}/PIPE"), w).expect("valid");
+            let piped = b
+                .signal_vec(slice_name(&mut buf, slice, "PIPE"), w)
+                .expect("valid");
             b.delay(
-                format!("{p}/CORR"),
+                slice_name(&mut buf, slice, "CORR"),
                 DelayRange::from_ns(6.0, 6.0),
                 tail,
                 piped,
@@ -186,14 +198,16 @@ pub fn scale_netlist(opts: &ScaleOptions) -> (Netlist, ScaleStats) {
             (piped.into(), d + 1, w)
         } else {
             let w = sample_width(&mut rng);
-            let din = b.signal_vec(&format!("{p}/IN .S3-8"), w).expect("valid");
+            let din = b
+                .signal_vec(slice_name(&mut buf, slice, "IN .S3-8"), w)
+                .expect("valid");
             (din.into(), 1, w)
         };
 
         // Heavy-tailed fanout: tap hub nets as extra combinational
         // inputs. Drawing uniformly from all hubs alive so far gives the
         // earliest hubs harmonically growing reader counts.
-        let mut inputs: Vec<Conn> = vec![din, Conn::new(ctl)];
+        inputs.extend([din, Conn::new(ctl)]);
         if let Fanout::Hubs { taps, .. } = opts.fanout {
             for _ in 0..taps {
                 if hubs.is_empty() {
@@ -203,22 +217,33 @@ pub fn scale_netlist(opts: &ScaleOptions) -> (Netlist, ScaleStats) {
             }
         }
 
-        let logic = b.signal_vec(&format!("{p}/LOGIC"), w).expect("valid");
-        let q = b.signal_vec(&format!("{p}/Q"), w).expect("valid");
+        let logic = b
+            .signal_vec(slice_name(&mut buf, slice, "LOGIC"), w)
+            .expect("valid");
+        let q = b
+            .signal_vec(slice_name(&mut buf, slice, "Q"), w)
+            .expect("valid");
+        let gate_delay = DelayRange::from_ns(1.5, 3.0);
         b.chg(
-            format!("{p}/LOGIC"),
-            DelayRange::from_ns(1.5, 3.0),
-            inputs,
+            slice_name(&mut buf, slice, "LOGIC"),
+            gate_delay,
+            inputs.drain(..),
             logic,
         );
         b.reg(
-            format!("{p}/REG"),
+            slice_name(&mut buf, slice, "REG"),
             DelayRange::from_ns(1.5, 4.5),
             clk,
             logic,
             q,
         );
-        b.setup_hold(format!("{p}/CHK"), ns(2.5), ns(1.5), logic, clk);
+        b.setup_hold(
+            slice_name(&mut buf, slice, "CHK"),
+            ns(2.5),
+            ns(1.5),
+            logic,
+            clk,
+        );
         prims += 3;
         max_depth = max_depth.max(depth);
         frontier.push((q, depth));
@@ -228,9 +253,11 @@ pub fn scale_netlist(opts: &ScaleOptions) -> (Netlist, ScaleStats) {
                 // Hub taps are also registered feed-forward, so they get
                 // the same decorrelation treatment — once per hub, not
                 // per tap.
-                let hub = b.signal_vec(&format!("{p}/HUB"), w).expect("valid");
+                let hub = b
+                    .signal_vec(slice_name(&mut buf, slice, "HUB"), w)
+                    .expect("valid");
                 b.delay(
-                    format!("{p}/HUB CORR"),
+                    slice_name(&mut buf, slice, "HUB CORR"),
                     DelayRange::from_ns(6.0, 6.0),
                     q,
                     hub,
@@ -243,8 +270,8 @@ pub fn scale_netlist(opts: &ScaleOptions) -> (Netlist, ScaleStats) {
 
     let netlist = b.finish().expect("generated design is well-formed");
     let stats = ScaleStats {
-        prims: netlist.prims().len(),
-        signals: netlist.signals().len(),
+        prims: netlist.prim_count(),
+        signals: netlist.signal_count(),
         chains: frontier.len(),
         max_depth,
         hubs: hubs.len(),

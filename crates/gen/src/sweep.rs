@@ -135,8 +135,8 @@ pub fn sweep_netlist(opts: &SweepOptions) -> (Netlist, SweepStats) {
 
     let netlist = b.finish().expect("sweep design is well-formed");
     let stats = SweepStats {
-        prims: netlist.prims().len(),
-        signals: netlist.signals().len(),
+        prims: netlist.prim_count(),
+        signals: netlist.signal_count(),
         mode_bits,
     };
     (netlist, stats)

@@ -14,10 +14,10 @@ use scald_netlist::Netlist;
 
 fn check_well_formed(n: &Netlist, what: &str) {
     // Rebuild the fan-out relation from the primitive side.
-    let mut rebuilt: Vec<Vec<scald_netlist::PrimId>> = vec![Vec::new(); n.signals().len()];
+    let mut rebuilt: Vec<Vec<scald_netlist::PrimId>> = vec![Vec::new(); n.signal_count()];
     for (pid, p) in n.iter_prims() {
-        for c in &p.inputs {
-            rebuilt[c.signal.index()].push(pid);
+        for &s in p.input_signals() {
+            rebuilt[s.index()].push(pid);
         }
     }
     for row in &mut rebuilt {
@@ -28,13 +28,13 @@ fn check_well_formed(n: &Netlist, what: &str) {
     let csr = n.fanout_csr();
     assert_eq!(
         csr.rows(),
-        n.signals().len(),
+        n.signal_count(),
         "{what}: one CSR row per signal"
     );
     let mut items = 0usize;
     for (sid, sig) in n.iter_signals() {
         assert!(
-            !n.drivers(sid).is_empty() || sig.assertion.is_some(),
+            !n.drivers(sid).is_empty() || sig.assertion().is_some(),
             "{what}: signal {} is neither driven nor asserted",
             sig.full_name()
         );
@@ -60,7 +60,7 @@ fn check_well_formed(n: &Netlist, what: &str) {
     for (sid, _) in n.iter_signals() {
         for &pid in n.drivers(sid) {
             assert_eq!(
-                n.prims()[pid.index()].output,
+                n.prim(pid).output(),
                 Some(sid),
                 "{what}: driver index lists a primitive that does not drive it"
             );

@@ -21,7 +21,7 @@
 use scald_assertions::{split_signal_name, Assertion};
 use scald_logic::Value;
 use scald_netlist::{
-    Config, Conn, EdgeDelays, Netlist, NetlistBuilder, NetlistError, PrimKind, Primitive, SignalId,
+    Config, Conn, EdgeDelays, Netlist, NetlistBuilder, NetlistError, PrimKind, SignalId,
 };
 use scald_wave::{DelayRange, Skew, Time};
 use std::borrow::Cow;
@@ -164,7 +164,7 @@ pub fn expand(design: &Design) -> Result<Expansion, HdlError> {
         macros_defined: design.macros.len(),
         instances_expanded: instances,
         prims_emitted: prims,
-        signals: netlist.signals().len(),
+        signals: netlist.signal_count(),
         pass1: pass1_time,
         pass2: pass2_time,
     };
@@ -287,11 +287,12 @@ struct Scope {
     marked: bool,
 }
 
-/// A primitive recorded by pass 1: its instance name, its spec (an index
-/// into [`Walker::specs`]) and its handles in [`Walker::conns`] — the
-/// inputs, then the output if its kind has one.
+/// A primitive recorded by pass 1: its instance name (a range of
+/// [`Walker::prim_names`]), its spec (an index into [`Walker::specs`])
+/// and its handles in [`Walker::conns`] — the inputs, then the output if
+/// its kind has one.
 struct TapePrim {
-    name: String,
+    name: Range<u32>,
     spec: u32,
     conns: Range<u32>,
 }
@@ -355,6 +356,8 @@ struct Walker<'a> {
     specs: Vec<PrimSpec>,
     directives: Vec<&'a str>,
     tape: Vec<TapePrim>,
+    /// The taped primitives' instance names, back to back.
+    prim_names: String,
     conns: Vec<Handle>,
     /// `wire_delay` statements: signal, bounds in ns, source line.
     wire_delays: Vec<(u32, f64, f64, u32)>,
@@ -402,6 +405,7 @@ impl<'a> Walker<'a> {
             specs: Vec::new(),
             directives: Vec::new(),
             tape: Vec::new(),
+            prim_names: String::new(),
             conns: Vec::new(),
             wire_delays: Vec::new(),
             wired_ors: Vec::new(),
@@ -605,8 +609,9 @@ impl<'a> Walker<'a> {
                         Ok(spec) => *spec,
                         Err(message) => return expand_error(line, message.as_str()),
                     };
-                    let mut name = String::with_capacity(self.path.len() + kind.len() + 8);
-                    let _ = write!(name, "{}/{kind}#{ordinal}", self.path);
+                    let name_start = self.prim_names.len() as u32;
+                    let _ = write!(self.prim_names, "{}/{kind}#{ordinal}", self.path);
+                    let name = name_start..self.prim_names.len() as u32;
                     let first = self.conns.len() as u32;
                     for r in &body.refs[at..at + inputs] {
                         let h = self.resolve(r, scope, line)?;
@@ -854,14 +859,17 @@ impl<'a> Walker<'a> {
                     }
                 }
             };
+        // One input list, reused by every primitive.
+        let mut inputs: Vec<Conn> = Vec::new();
         for prim in self.tape {
             let PrimSpec { kind, delay, edges } = self.specs[prim.spec as usize];
+            let name = &self.prim_names[prim.name.start as usize..prim.name.end as usize];
             let handles = &self.conns[prim.conns.start as usize..prim.conns.end as usize];
             let (ins, out) = match handles.split_last() {
                 Some((out, ins)) if kind.has_output() => (ins, Some(out)),
                 _ => (handles, None),
             };
-            let mut inputs = Vec::with_capacity(ins.len());
+            inputs.clear();
             for h in ins {
                 let mut conn = Conn::new(declare(&mut builder, h)?);
                 conn.invert = h.invert;
@@ -872,22 +880,19 @@ impl<'a> Walker<'a> {
                 Some(h) => Some(declare(&mut builder, h)?),
                 None => None,
             };
-            match edges {
+            match (edges, output) {
                 // §4.2.2 extension: a `not`/`buf` with `rise=`/`fall=`
                 // keeps its first input and takes the edges' envelope as
                 // its delay.
-                Some(ed) => {
-                    inputs.truncate(1);
-                    builder.push_prim(Primitive {
-                        name: prim.name,
-                        kind,
-                        delay: ed.envelope(),
-                        edge_delays: Some(ed),
-                        inputs,
-                        output,
-                    });
+                (Some(ed), Some(output)) if !inputs.is_empty() => {
+                    let input = inputs.swap_remove(0);
+                    if kind == PrimKind::Not {
+                        builder.not_asym(name, ed.rise, ed.fall, input, output);
+                    } else {
+                        builder.buf_asym(name, ed.rise, ed.fall, input, output);
+                    }
                 }
-                None => builder.prim(prim.name, kind, delay, inputs, output),
+                _ => builder.prim(name, kind, delay, inputs.drain(..), output),
             }
         }
         // Apply per-signal wire-delay overrides (§2.5.3) and wired-OR

@@ -30,7 +30,7 @@
 //! end;
 //! ";
 //! let expansion = scald_hdl::compile(src)?;
-//! assert_eq!(expansion.netlist.prims().len(), 2);
+//! assert_eq!(expansion.netlist.prim_count(), 2);
 //! assert_eq!(expansion.stats.instances_expanded, 1);
 //! # Ok::<(), scald_hdl::HdlError>(())
 //! ```

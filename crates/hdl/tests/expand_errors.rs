@@ -134,12 +134,12 @@ fn error_messages_carry_line_numbers() {
 fn edge_delay_attrs_produce_asymmetric_primitive() {
     let src = head("top;\n  not rise=1.0:2.0 fall=3.0:5.0 ('A .P1.6-4.8 (0,0)') -> (B);\nend;\n");
     let expansion = compile(&src).expect("compiles");
-    let prim = &expansion.netlist.prims()[0];
-    let ed = prim.edge_delays.expect("asymmetric delays set");
+    let prim = expansion.netlist.iter_prims().next().unwrap().1;
+    let ed = prim.edge_delays().expect("asymmetric delays set");
     assert_eq!(ed.rise, scald_wave::DelayRange::from_ns(1.0, 2.0));
     assert_eq!(ed.fall, scald_wave::DelayRange::from_ns(3.0, 5.0));
     // The symmetric delay holds the conservative envelope.
-    assert_eq!(prim.delay, scald_wave::DelayRange::from_ns(1.0, 5.0));
+    assert_eq!(prim.delay(), scald_wave::DelayRange::from_ns(1.0, 5.0));
 }
 
 /// Expects an expansion error at `line` whose message contains `needle`.
@@ -164,7 +164,10 @@ fn bit_range_wider_than_u32_is_an_error_not_a_panic() {
     // One bit narrower is the widest range a signal can have.
     let src = head("top;\n  signal BUS<0:4294967294>;\n  buf (BUS) -> (Q);\nend;\n");
     let expansion = compile(&src).expect("widest range compiles");
-    assert_eq!(expansion.netlist.signals()[0].width, u32::MAX);
+    assert_eq!(
+        expansion.netlist.iter_signals().next().unwrap().1.width(),
+        u32::MAX
+    );
 }
 
 #[test]

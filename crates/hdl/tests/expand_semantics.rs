@@ -10,7 +10,7 @@ fn head(src_body: &str) -> String {
 }
 
 fn names(netlist: &Netlist) -> Vec<&str> {
-    netlist.signals().iter().map(|s| s.name.as_str()).collect()
+    netlist.iter_signals().map(|(_, s)| s.name()).collect()
 }
 
 #[test]
@@ -42,7 +42,9 @@ fn the_last_of_two_same_named_ports_wins() {
     let netlist = compile(&src).expect("compiles").netlist;
     assert_eq!(names(&netlist), ["W", "Y"]);
     let w = netlist.signal_by_name("W").expect("declared");
-    assert!(netlist.prims()[0].inputs.iter().all(|c| c.signal == w));
+    assert!(netlist
+        .iter_prims()
+        .all(|(_, p)| p.input_signals().iter().all(|&s| s == w)));
 }
 
 #[test]
@@ -54,10 +56,10 @@ fn untouched_wire_delay_and_wired_or_signals_are_scalars() {
     let netlist = compile(&src).expect("compiles").netlist;
     assert_eq!(names(&netlist), ["X", "Y", "BUS", "OTHER"]);
     let bus = netlist.signal(netlist.signal_by_name("BUS").expect("declared"));
-    assert_eq!(bus.width, 1, "declared after the primitives, as a scalar");
-    assert!(bus.wire_delay.is_some());
+    assert_eq!(bus.width(), 1, "declared after the primitives, as a scalar");
+    assert!(bus.wire_delay().is_some());
     let other = netlist.signal(netlist.signal_by_name("OTHER").expect("declared"));
-    assert!(other.wired_or);
+    assert!(other.wired_or());
 }
 
 #[test]

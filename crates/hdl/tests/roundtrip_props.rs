@@ -263,8 +263,8 @@ fn expansion_agrees_across_round_trip() {
         let printed = print(&d);
         let reparsed = parse(&printed).expect("printed parses");
         let b = expand(&reparsed).expect("round-tripped design expands");
-        assert_eq!(a.netlist.prims().len(), b.netlist.prims().len());
-        assert_eq!(a.netlist.signals().len(), b.netlist.signals().len());
+        assert_eq!(a.netlist.prim_count(), b.netlist.prim_count());
+        assert_eq!(a.netlist.signal_count(), b.netlist.signal_count());
         assert_eq!(
             a.netlist.primitive_histogram(),
             b.netlist.primitive_histogram()
@@ -371,7 +371,10 @@ fn macro_body_edit_keeps_outside_prim_names_stable() {
         let b = expand(&edited).expect("edited design expands");
 
         let names = |e: &scald_hdl::Expansion| -> BTreeSet<String> {
-            e.netlist.prims().iter().map(|p| p.name.clone()).collect()
+            e.netlist
+                .iter_prims()
+                .map(|(_, p)| p.name().to_owned())
+                .collect()
         };
         let outside = |s: &BTreeSet<String>| -> BTreeSet<String> {
             s.iter().filter(|n| !n.contains("HB#")).cloned().collect()
@@ -405,7 +408,7 @@ fn fixed_width_assertions_keep_every_digit() {
     for name in ["CK", "TOP/M#1/L"] {
         let sig = netlist.signal(netlist.signal_by_name(name).expect("declared"));
         assert_eq!(
-            sig.assertion.as_ref().map(|a| a.ranges.clone()),
+            sig.assertion().map(|a| a.ranges.clone()),
             Some(vec![TimeRange::UnitsPlusNs(2.0, 10.25)]),
             "{name}"
         );

@@ -1,7 +1,7 @@
 //! The [`Session`] type: a settled verifier plus content hashes, and the
 //! warm-start re-verification pipeline behind [`Session::apply`].
 
-use scald_netlist::{DeltaError, Netlist, NetlistDelta, PrimId, Primitive, Signal, SignalId};
+use scald_netlist::{DeltaError, Netlist, NetlistDelta, PrimId, PrimRef, SignalId, SignalRef};
 use scald_trace::TraceSink;
 use scald_verifier::{
     Case, CaseSet, CheckpointPolicy, EvalCache, MemoStats, PrefixStats, Report, RunOptions,
@@ -445,7 +445,7 @@ impl Settings {
         cases: &[Case],
     ) -> Result<Pass, SessionError> {
         let keys = Keys::of(&netlist);
-        let total_prims = netlist.prims().len();
+        let total_prims = netlist.prim_count();
         // A configuration change (period, clock units, skews, default
         // wire delay) invalidates every settled waveform: run cold.
         let prior = prior
@@ -584,17 +584,15 @@ fn hash_design(netlist: &Netlist, keys: &Keys, cases: &[Case]) -> u64 {
     // Name order, never id or per-process hash order. Primitive names
     // need not be unique, so equal names fall back to key order.
     let mut sigs: Vec<(&str, u64)> = netlist
-        .signals()
-        .iter()
+        .iter_signals()
         .zip(&keys.sigs)
-        .map(|(s, &k)| (s.name.as_str(), k))
+        .map(|((_, s), &k)| (s.name(), k))
         .collect();
     sigs.sort_unstable();
     let mut prims: Vec<(&str, u64)> = netlist
-        .prims()
-        .iter()
+        .iter_prims()
         .zip(&keys.prims)
-        .map(|(p, &k)| (p.name.as_str(), k))
+        .map(|((_, p), &k)| (p.name(), k))
         .collect();
     prims.sort_unstable();
     sigs.hash(&mut h);
@@ -630,9 +628,8 @@ impl Keys {
                 .map(|(sid, _)| signal_key(netlist, sid, &mut drivers))
                 .collect(),
             prims: netlist
-                .prims()
-                .iter()
-                .map(|p| prim_key(netlist, p))
+                .iter_prims()
+                .map(|(_, p)| prim_key(netlist, p))
                 .collect(),
         }
     }
@@ -645,18 +642,13 @@ impl Keys {
 fn signal_key<'a>(netlist: &'a Netlist, sid: SignalId, drivers: &mut Vec<&'a str>) -> u64 {
     let sig = netlist.signal(sid);
     let mut h = DefaultHasher::new();
-    sig.name.hash(&mut h);
-    sig.width.hash(&mut h);
+    sig.name().hash(&mut h);
+    sig.width().hash(&mut h);
     hash_assertion(sig, &mut h);
-    sig.wire_delay.hash(&mut h);
-    sig.wired_or.hash(&mut h);
+    sig.wire_delay().hash(&mut h);
+    sig.wired_or().hash(&mut h);
     drivers.clear();
-    drivers.extend(
-        netlist
-            .drivers(sid)
-            .iter()
-            .map(|&p| netlist.prim(p).name.as_str()),
-    );
+    drivers.extend(netlist.drivers(sid).iter().map(|&p| netlist.prim(p).name()));
     drivers.sort_unstable();
     drivers.hash(&mut h);
     h.finish()
@@ -667,30 +659,30 @@ fn signal_key<'a>(netlist: &'a Netlist, sid: SignalId, drivers: &mut Vec<&'a str
 /// wire-delay override, inversion, directive, per-connection wire delay
 /// — plus the output signal's name. Any attribute change that could
 /// alter the primitive's evaluation changes the key.
-fn prim_key(netlist: &Netlist, p: &Primitive) -> u64 {
+fn prim_key(netlist: &Netlist, p: PrimRef<'_>) -> u64 {
     let mut h = DefaultHasher::new();
-    p.kind.hash(&mut h);
-    p.delay.hash(&mut h);
-    p.edge_delays.hash(&mut h);
-    p.inputs.len().hash(&mut h);
-    for conn in &p.inputs {
-        let src = netlist.signal(conn.signal);
-        src.name.hash(&mut h);
+    p.kind().hash(&mut h);
+    p.delay().hash(&mut h);
+    p.edge_delays().hash(&mut h);
+    p.input_count().hash(&mut h);
+    for conn in p.inputs() {
+        let src = netlist.signal(conn.signal());
+        src.name().hash(&mut h);
         hash_assertion(src, &mut h);
-        src.wire_delay.hash(&mut h);
-        conn.invert.hash(&mut h);
-        conn.directive.hash(&mut h);
-        conn.wire_delay.hash(&mut h);
+        src.wire_delay().hash(&mut h);
+        conn.invert().hash(&mut h);
+        conn.directive().hash(&mut h);
+        conn.wire_delay().hash(&mut h);
     }
-    p.output
-        .map(|out| netlist.signal(out).name.as_str())
+    p.output()
+        .map(|out| netlist.signal(out).name())
         .hash(&mut h);
     h.finish()
 }
 
 /// Feeds a signal's assertion, or its absence, to `h`.
-fn hash_assertion(sig: &Signal, h: &mut DefaultHasher) {
-    match &sig.assertion {
+fn hash_assertion(sig: SignalRef<'_>, h: &mut DefaultHasher) {
+    match sig.assertion() {
         None => h.write_u8(0),
         Some(a) => {
             h.write_u8(1);
@@ -716,13 +708,13 @@ impl Diff {
     /// nothing, so every primitive carrying it re-verifies dirty.
     fn of(prior: &Netlist, prior_keys: &Keys, next: &Netlist, keys: &Keys) -> Diff {
         let mut diff = Diff {
-            sig_pairs: Vec::with_capacity(next.signals().len()),
-            prim_pairs: Vec::with_capacity(next.prims().len()),
+            sig_pairs: Vec::with_capacity(next.signal_count()),
+            prim_pairs: Vec::with_capacity(next.prim_count()),
             dirty_sigs: Vec::new(),
             dirty_prims: Vec::new(),
         };
         for (nid, sig) in next.iter_signals() {
-            match prior.signal_by_name(&sig.name) {
+            match prior.signal_by_name(sig.name()) {
                 Some(oid) if prior_keys.sigs[oid.index()] == keys.sigs[nid.index()] => {
                     diff.sig_pairs.push((nid, oid));
                 }
@@ -731,22 +723,20 @@ impl Diff {
         }
 
         // `None` marks a name the prior netlist uses more than once.
-        let mut by_name: HashMap<&str, Option<PrimId>> =
-            HashMap::with_capacity(prior.prims().len());
+        let mut by_name: HashMap<&str, Option<PrimId>> = HashMap::with_capacity(prior.prim_count());
         for (oid, p) in prior.iter_prims() {
             by_name
-                .entry(p.name.as_str())
+                .entry(p.name())
                 .and_modify(|id| *id = None)
                 .or_insert(Some(oid));
         }
         let matched: Vec<Option<PrimId>> = next
-            .prims()
-            .iter()
-            .map(|p| by_name.get(p.name.as_str()).copied().flatten())
+            .iter_prims()
+            .map(|(_, p)| by_name.get(p.name()).copied().flatten())
             .collect();
         // More than one claim on a prior primitive marks a name `next`
         // uses more than once.
-        let mut claims = vec![0_u32; prior.prims().len()];
+        let mut claims = vec![0_u32; prior.prim_count()];
         for oid in matched.iter().flatten() {
             claims[oid.index()] += 1;
         }
@@ -780,14 +770,14 @@ mod tests {
     fn hash_signal(netlist: &Netlist, sid: SignalId) -> u64 {
         let sig = netlist.signal(sid);
         let mut h = DefaultHasher::new();
-        sig.width.hash(&mut h);
+        sig.width().hash(&mut h);
         sig.full_name().hash(&mut h);
-        format!("{:?}", sig.wire_delay).hash(&mut h);
-        sig.wired_or.hash(&mut h);
+        format!("{:?}", sig.wire_delay()).hash(&mut h);
+        sig.wired_or().hash(&mut h);
         let mut drivers: Vec<&str> = netlist
             .drivers(sid)
             .iter()
-            .map(|p| netlist.prim(*p).name.as_str())
+            .map(|p| netlist.prim(*p).name())
             .collect();
         drivers.sort_unstable();
         drivers.hash(&mut h);
@@ -797,19 +787,19 @@ mod tests {
     fn hash_prim(netlist: &Netlist, pid: PrimId) -> u64 {
         let p = netlist.prim(pid);
         let mut h = DefaultHasher::new();
-        format!("{:?}", p.kind).hash(&mut h);
-        format!("{:?}", p.delay).hash(&mut h);
-        format!("{:?}", p.edge_delays).hash(&mut h);
-        for conn in &p.inputs {
-            let src = netlist.signal(conn.signal);
+        format!("{:?}", p.kind()).hash(&mut h);
+        format!("{:?}", p.delay()).hash(&mut h);
+        format!("{:?}", p.edge_delays()).hash(&mut h);
+        for conn in p.inputs() {
+            let src = netlist.signal(conn.signal());
             src.full_name().hash(&mut h);
-            format!("{:?}", src.wire_delay).hash(&mut h);
-            conn.invert.hash(&mut h);
-            conn.directive.hash(&mut h);
-            format!("{:?}", conn.wire_delay).hash(&mut h);
+            format!("{:?}", src.wire_delay()).hash(&mut h);
+            conn.invert().hash(&mut h);
+            conn.directive().hash(&mut h);
+            format!("{:?}", conn.wire_delay()).hash(&mut h);
         }
-        match p.output {
-            Some(out) => netlist.signal(out).name.hash(&mut h),
+        match p.output() {
+            Some(out) => netlist.signal(out).name().hash(&mut h),
             None => 0_u8.hash(&mut h),
         }
         h.finish()
@@ -818,7 +808,7 @@ mod tests {
     fn index_signals(netlist: &Netlist) -> BTreeMap<String, (SignalId, u64)> {
         netlist
             .iter_signals()
-            .map(|(sid, sig)| (sig.name.clone(), (sid, hash_signal(netlist, sid))))
+            .map(|(sid, sig)| (sig.name().to_owned(), (sid, hash_signal(netlist, sid))))
             .collect()
     }
 
@@ -827,10 +817,10 @@ mod tests {
         let mut dup: Vec<String> = Vec::new();
         for (pid, p) in netlist.iter_prims() {
             if map
-                .insert(p.name.clone(), (pid, hash_prim(netlist, pid)))
+                .insert(p.name().to_owned(), (pid, hash_prim(netlist, pid)))
                 .is_some()
             {
-                dup.push(p.name.clone());
+                dup.push(p.name().to_owned());
             }
         }
         for name in dup {
@@ -881,11 +871,11 @@ mod tests {
         assert_eq!(diff.dirty_prims, dirty_prims, "{label}: dirty primitives");
         assert_eq!(
             diff.sig_pairs.len() + diff.dirty_sigs.len(),
-            next.signals().len()
+            next.signal_count()
         );
         assert_eq!(
             diff.prim_pairs.len() + diff.dirty_prims.len(),
-            next.prims().len()
+            next.prim_count()
         );
         let mut sig_old: HashMap<u64, u64> = HashMap::new();
         let mut prim_old: HashMap<u64, u64> = HashMap::new();
@@ -947,18 +937,25 @@ mod tests {
     /// splice, assertion change. (Its case-set swaps leave the netlist
     /// as it is; the identical pairs below cover them.)
     fn structural_edit(rng: &mut Rng, netlist: &Netlist, tag: &str) -> NetlistDelta {
-        let prims = netlist.prims();
+        let prim_name = |p: usize| {
+            netlist
+                .iter_prims()
+                .nth(p)
+                .expect("drawn in range")
+                .1
+                .name()
+        };
         let mut d = NetlistDelta::new();
         match rng.range_u32(0, 4) {
             0 => {
-                let p = rng.range_usize(0, prims.len());
+                let p = rng.range_usize(0, netlist.prim_count());
                 let lo = rng.range_f64(0.5, 4.0);
                 let hi = lo + rng.range_f64(0.0, 6.0);
-                d.retime(prims[p].name.clone(), DelayRange::from_ns(lo, hi));
+                d.retime(prim_name(p), DelayRange::from_ns(lo, hi));
             }
             1 => {
-                let p = rng.range_usize(0, prims.len());
-                d.remove_prim(prims[p].name.clone());
+                let p = rng.range_usize(0, netlist.prim_count());
+                d.remove_prim(prim_name(p));
             }
             2 => {
                 let ctl = rng.range_u32(0, 24);
@@ -971,13 +968,18 @@ mod tests {
                 });
             }
             _ => {
-                let sigs = netlist.signals();
-                let s = rng.range_usize(0, sigs.len());
+                let s = rng.range_usize(0, netlist.signal_count());
                 let assertion = rng.bool().then(|| {
                     let lo = ["2", "2.5", "3"][rng.range_usize(0, 3)];
                     format!(".S{lo}-8")
                 });
-                d.set_assertion(sigs[s].name.clone(), assertion);
+                let name = netlist
+                    .iter_signals()
+                    .nth(s)
+                    .expect("drawn in range")
+                    .1
+                    .name();
+                d.set_assertion(name, assertion);
             }
         }
         d

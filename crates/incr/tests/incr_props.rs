@@ -34,22 +34,29 @@ enum Edit {
 /// Draws an edit against the *current* state of the design so scripts
 /// stay valid as they accumulate.
 fn draw_edit(rng: &mut Rng, netlist: &Netlist, tag: String) -> Edit {
-    let prims = netlist.prims();
+    let prim_name = |p: usize| {
+        netlist
+            .iter_prims()
+            .nth(p)
+            .expect("drawn in range")
+            .1
+            .name()
+    };
     match rng.range_u32(0, 5) {
         0 => {
             // ECO retime of a random primitive.
-            let p = rng.range_usize(0, prims.len());
+            let p = rng.range_usize(0, netlist.prim_count());
             let lo = rng.range_f64(0.5, 4.0);
             let hi = lo + rng.range_f64(0.0, 6.0);
             let mut d = NetlistDelta::new();
-            d.retime(prims[p].name.clone(), DelayRange::from_ns(lo, hi));
+            d.retime(prim_name(p), DelayRange::from_ns(lo, hi));
             Edit::Structural(d)
         }
         1 => {
             // Remove a random primitive; its output goes undriven.
-            let p = rng.range_usize(0, prims.len());
+            let p = rng.range_usize(0, netlist.prim_count());
             let mut d = NetlistDelta::new();
-            d.remove_prim(prims[p].name.clone());
+            d.remove_prim(prim_name(p));
             Edit::Structural(d)
         }
         2 => {
@@ -67,8 +74,7 @@ fn draw_edit(rng: &mut Rng, netlist: &Netlist, tag: String) -> Edit {
         }
         3 => {
             // Change (or drop) a random signal's assertion.
-            let sigs = netlist.signals();
-            let s = rng.range_usize(0, sigs.len());
+            let s = rng.range_usize(0, netlist.signal_count());
             let assertion = if rng.bool() {
                 let lo = ["2", "2.5", "3"][rng.range_usize(0, 3)];
                 Some(format!(".S{lo}-8"))
@@ -76,7 +82,13 @@ fn draw_edit(rng: &mut Rng, netlist: &Netlist, tag: String) -> Edit {
                 None
             };
             let mut d = NetlistDelta::new();
-            d.set_assertion(sigs[s].name.clone(), assertion);
+            let name = netlist
+                .iter_signals()
+                .nth(s)
+                .expect("drawn in range")
+                .1
+                .name();
+            d.set_assertion(name, assertion);
             Edit::Structural(d)
         }
         _ => {
@@ -159,12 +171,12 @@ fn single_retime_touches_a_small_cone() {
         seed: 0x5ca1d,
     });
     let target = netlist
-        .prims()
-        .iter()
-        .find(|p| p.name.ends_with("/LOGIC") || p.name.ends_with("/MUX"))
+        .iter_prims()
+        .map(|(_, p)| p)
+        .find(|p| p.name().ends_with("/LOGIC") || p.name().ends_with("/MUX"))
         .expect("generated design has datapath slices")
-        .name
-        .clone();
+        .name()
+        .to_owned();
     let mut session =
         Session::open(DesignInput::netlist(netlist, vec![Case::new()]), "cone").expect("opens");
     let cold_events = session.outcome().stats.events;

@@ -8,10 +8,9 @@
 use scald_assertions::Assertion;
 use scald_logic::Value;
 use scald_wave::{DelayRange, Time};
-use std::collections::HashMap;
 
-use crate::netlist::split_name;
-use crate::{Config, Netlist, NetlistError, PrimKind, Primitive, Signal, SignalId};
+use crate::netlist::{split_name, Span, NO_OUTPUT};
+use crate::{Config, EdgeDelays, Netlist, NetlistError, PrimId, PrimKind, PrimRef, SignalId};
 
 /// A connection from a signal to a primitive input: the signal plus
 /// optional complementation (`- WE` in Fig 3-5), an evaluation-directive
@@ -69,7 +68,9 @@ impl From<SignalId> for Conn {
     }
 }
 
-/// Incremental builder for a [`Netlist`].
+/// Incremental builder for a [`Netlist`]: every call appends straight
+/// to the netlist's columns, and [`finish`](NetlistBuilder::finish)
+/// validates them and fills the driver and fan-out indexes.
 ///
 /// # Examples
 ///
@@ -88,29 +89,29 @@ impl From<SignalId> for Conn {
 /// b.reg("OUT REG", DelayRange::from_ns(1.5, 4.5), clk, d, q);
 /// b.setup_hold("OUT REG CHK", Time::from_ns(2.5), Time::from_ns(1.5), d, clk);
 /// let netlist = b.finish()?;
-/// assert_eq!(netlist.prims().len(), 2);
+/// assert_eq!(netlist.prim_count(), 2);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug)]
 pub struct NetlistBuilder {
-    config: Config,
-    signals: Vec<Signal>,
-    prims: Vec<Primitive>,
-    by_name: HashMap<String, SignalId>,
-    error: Option<NetlistError>,
+    net: Netlist,
+    /// Each signal's index into `net.assertions`, [`NO_ASSERTION`] for
+    /// none. The netlist's table is sorted by signal when the builder
+    /// finishes; until then it is in the order assertions arrived.
+    assertion_at: Vec<u32>,
 }
+
+/// An `assertion_at` entry for a signal without an assertion.
+const NO_ASSERTION: u32 = u32::MAX;
 
 impl NetlistBuilder {
     /// Creates an empty builder with the given design configuration.
     #[must_use]
     pub fn new(config: Config) -> NetlistBuilder {
         NetlistBuilder {
-            config,
-            signals: Vec::new(),
-            prims: Vec::new(),
-            by_name: HashMap::new(),
-            error: None,
+            net: Netlist::empty(config),
+            assertion_at: Vec::new(),
         }
     }
 
@@ -154,121 +155,210 @@ impl NetlistBuilder {
         assertion: Option<&Assertion>,
         width: u32,
     ) -> Result<SignalId, NetlistError> {
-        if let Some(&id) = self.by_name.get(base) {
-            let existing = &mut self.signals[id.index()];
-            if existing.width != width {
+        if let Some(id) = self.find_signal(base) {
+            let existing = self.net.signal_width[id.index()];
+            if existing != width {
                 return Err(NetlistError::ConflictingSignal {
                     name: base.to_owned(),
-                    detail: format!("widths ({} vs {width})", existing.width),
+                    detail: format!("widths ({existing} vs {width})"),
                 });
             }
-            match (&existing.assertion, assertion) {
-                (Some(a), Some(b)) if a != b => {
-                    return Err(NetlistError::ConflictingSignal {
-                        name: base.to_owned(),
-                        detail: format!("assertions ({a} vs {b})"),
-                    });
-                }
-                (None, Some(b)) => {
+            let at = self.assertion_at[id.index()];
+            match (at, assertion) {
+                (NO_ASSERTION, Some(b)) => {
                     // Later reference supplies the assertion.
-                    existing.assertion = Some(b.clone());
+                    self.assert(id, b.clone());
+                }
+                (at, Some(b)) if at != NO_ASSERTION => {
+                    let a = &self.net.assertions[at as usize].1;
+                    if a != b {
+                        return Err(NetlistError::ConflictingSignal {
+                            name: base.to_owned(),
+                            detail: format!("assertions ({a} vs {b})"),
+                        });
+                    }
                 }
                 _ => {}
             }
             return Ok(id);
         }
-        let id = SignalId(self.signals.len() as u32);
-        self.signals.push(Signal {
-            name: base.to_owned(),
-            width,
-            assertion: assertion.cloned(),
-            wire_delay: None,
-            wired_or: false,
-        });
-        self.by_name.insert(base.to_owned(), id);
+        let net = &mut self.net;
+        let id = SignalId(u32::try_from(net.signal_count()).expect("signal count exceeds u32"));
+        net.signal_name.push(Span::push(&mut net.names, base));
+        net.signal_width.push(width);
+        net.signal_wired_or.push(false);
+        net.by_name.insert(&net.names, &net.signal_name, id);
+        self.assertion_at.push(NO_ASSERTION);
+        if let Some(a) = assertion {
+            self.assert(id, a.clone());
+        }
         Ok(id)
+    }
+
+    fn assert(&mut self, id: SignalId, assertion: Assertion) {
+        self.assertion_at[id.index()] = self.net.assertions.len() as u32;
+        self.net.assertions.push((id, assertion));
     }
 
     /// Reserves room for `signals` more signals and `prims` more
     /// primitives, so a caller that knows the design's size builds it
-    /// without reallocating and leaves no spare capacity in the netlist.
+    /// without reallocating the per-signal and per-primitive columns.
     pub fn reserve(&mut self, signals: usize, prims: usize) {
-        self.signals.reserve_exact(signals);
-        self.by_name.reserve(signals);
-        self.prims.reserve_exact(prims);
+        let net = &mut self.net;
+        net.signal_name.reserve_exact(signals);
+        net.signal_width.reserve_exact(signals);
+        net.signal_wired_or.reserve_exact(signals);
+        self.assertion_at.reserve_exact(signals);
+        net.by_name.reserve(&net.names, &net.signal_name, signals);
+        net.prim_name.reserve_exact(prims);
+        net.prim_kind.reserve_exact(prims);
+        net.prim_delay.reserve_exact(prims);
+        net.prim_output.reserve_exact(prims);
+        net.input_start.reserve_exact(prims);
     }
 
     /// Looks up an already-declared signal by base name.
     #[must_use]
     pub fn find_signal(&self, base_name: &str) -> Option<SignalId> {
-        self.by_name.get(base_name).copied()
+        self.net.signal_by_name(base_name)
     }
 
     /// The declared width of a signal.
     #[must_use]
     pub fn signal_width(&self, signal: SignalId) -> u32 {
-        self.signals[signal.index()].width
+        self.net.signal_width[signal.index()]
     }
 
     /// Marks a signal as a wired-OR bus: multiple drivers are permitted
     /// and their values are joined with the worst-case OR (Fig 3-1's ECL
     /// memory-expansion idiom).
     pub fn mark_wired_or(&mut self, signal: SignalId) {
-        self.signals[signal.index()].wired_or = true;
+        self.net.signal_wired_or[signal.index()] = true;
     }
 
     /// Sets a wire-delay override for all connections driven by `signal`
     /// (the designer-specified interconnection delay of §2.5.3, e.g. the
-    /// 0.0–6.0 ns register-file address lines of §3.2).
+    /// 0.0–6.0 ns register-file address lines of §3.2). A later call for
+    /// the same signal replaces an earlier one.
     pub fn set_wire_delay(&mut self, signal: SignalId, delay: DelayRange) {
-        self.signals[signal.index()].wire_delay = Some(delay);
+        self.net.signal_wire_delays.push((signal, delay));
+    }
+
+    /// Appends one primitive's columns and its input slots.
+    fn push(
+        &mut self,
+        name: &str,
+        kind: PrimKind,
+        delay: DelayRange,
+        edge_delays: Option<EdgeDelays>,
+        inputs: impl IntoIterator<Item = Conn>,
+        output: Option<SignalId>,
+    ) {
+        for conn in inputs {
+            self.push_input(
+                conn.signal,
+                conn.invert,
+                conn.directive.as_deref(),
+                conn.wire_delay,
+            );
+        }
+        self.push_header(name, kind, delay, edge_delays, output);
+    }
+
+    /// Appends one input slot of the primitive being added.
+    fn push_input(
+        &mut self,
+        signal: SignalId,
+        invert: bool,
+        directive: Option<&str>,
+        wire_delay: Option<DelayRange>,
+    ) {
+        let net = &mut self.net;
+        let slot = u32::try_from(net.input_signal.len()).expect("input count exceeds u32");
+        net.input_signal.push(signal);
+        net.input_invert.push(invert);
+        if let Some(d) = directive {
+            net.directives
+                .push((slot, Span::push(&mut net.directive_text, d)));
+        }
+        if let Some(w) = wire_delay {
+            net.conn_wire_delays.push((slot, w));
+        }
+    }
+
+    /// Appends the columns of the primitive whose inputs were just
+    /// pushed, closing its input row.
+    fn push_header(
+        &mut self,
+        name: &str,
+        kind: PrimKind,
+        delay: DelayRange,
+        edge_delays: Option<EdgeDelays>,
+        output: Option<SignalId>,
+    ) {
+        let net = &mut self.net;
+        let id = PrimId(u32::try_from(net.prim_count()).expect("primitive count exceeds u32"));
+        net.prim_name.push(Span::push(&mut net.names, name));
+        net.prim_kind.push(kind);
+        net.prim_delay.push(delay);
+        net.prim_output.push(output.map_or(NO_OUTPUT, |s| s.0));
+        net.input_start.push(net.input_signal.len() as u32);
+        if let Some(ed) = edge_delays {
+            net.edge_delays.push((id, ed));
+        }
     }
 
     /// Adds an arbitrary primitive. Prefer the typed helpers below.
     pub fn prim(
         &mut self,
-        name: impl Into<String>,
+        name: impl AsRef<str>,
         kind: PrimKind,
         delay: DelayRange,
-        inputs: Vec<Conn>,
+        inputs: impl IntoIterator<Item = Conn>,
         output: Option<SignalId>,
     ) {
-        self.prims.push(Primitive {
-            name: name.into(),
-            kind,
-            delay,
-            edge_delays: None,
-            inputs,
-            output,
-        });
+        self.push(name.as_ref(), kind, delay, None, inputs, output);
     }
 
-    /// Adds a fully specified primitive verbatim — connections, edge
-    /// delays and all. Used by delta application (`NetlistDelta::apply`)
-    /// to replay an existing primitive table; the referenced signal ids
-    /// must belong to this builder.
-    pub fn push_prim(&mut self, prim: Primitive) {
-        self.prims.push(prim);
+    /// Adds a copy of a primitive of another netlist, connections and
+    /// all, with the given timing. Used by delta application
+    /// (`NetlistDelta::apply`) to replay an existing design; the
+    /// referenced signal ids must mean the same signals in this builder.
+    pub fn copy_prim(
+        &mut self,
+        prim: PrimRef<'_>,
+        delay: DelayRange,
+        edge_delays: Option<EdgeDelays>,
+    ) {
+        for conn in prim.inputs() {
+            self.push_input(
+                conn.signal(),
+                conn.invert(),
+                conn.directive(),
+                conn.wire_delay(),
+            );
+        }
+        self.push_header(prim.name(), prim.kind(), delay, edge_delays, prim.output());
     }
 
     /// Adds a variadic gate (`And`, `Or`, `Xor`, their inverting forms, or
     /// `Chg`).
     pub fn gate<C: Into<Conn>>(
         &mut self,
-        name: impl Into<String>,
+        name: impl AsRef<str>,
         kind: PrimKind,
         delay: DelayRange,
         inputs: impl IntoIterator<Item = C>,
         output: SignalId,
     ) {
-        let conns = inputs.into_iter().map(Into::into).collect();
-        self.prim(name, kind, delay, conns, Some(output));
+        let inputs = inputs.into_iter().map(Into::into);
+        self.prim(name, kind, delay, inputs, Some(output));
     }
 
     /// Adds a 2-input OR gate.
     pub fn or2(
         &mut self,
-        name: impl Into<String>,
+        name: impl AsRef<str>,
         delay: DelayRange,
         a: impl Into<Conn>,
         b: impl Into<Conn>,
@@ -280,7 +370,7 @@ impl NetlistBuilder {
     /// Adds a 2-input AND gate.
     pub fn and2(
         &mut self,
-        name: impl Into<String>,
+        name: impl AsRef<str>,
         delay: DelayRange,
         a: impl Into<Conn>,
         b: impl Into<Conn>,
@@ -292,7 +382,7 @@ impl NetlistBuilder {
     /// Adds an inverter.
     pub fn not(
         &mut self,
-        name: impl Into<String>,
+        name: impl AsRef<str>,
         delay: DelayRange,
         input: impl Into<Conn>,
         output: SignalId,
@@ -304,48 +394,50 @@ impl NetlistBuilder {
     /// extension). The `rise`/`fall` ranges apply to the *output* edges.
     pub fn not_asym(
         &mut self,
-        name: impl Into<String>,
+        name: impl AsRef<str>,
         rise: DelayRange,
         fall: DelayRange,
         input: impl Into<Conn>,
         output: SignalId,
     ) {
-        let ed = crate::EdgeDelays { rise, fall };
-        self.prims.push(Primitive {
-            name: name.into(),
-            kind: PrimKind::Not,
-            delay: ed.envelope(),
-            edge_delays: Some(ed),
-            inputs: vec![input.into()],
-            output: Some(output),
-        });
+        let ed = EdgeDelays { rise, fall };
+        let (name, input) = (name.as_ref(), [input.into()]);
+        self.push(
+            name,
+            PrimKind::Not,
+            ed.envelope(),
+            Some(ed),
+            input,
+            Some(output),
+        );
     }
 
     /// Adds a buffer with separate rising/falling delays (§4.2.2
     /// extension).
     pub fn buf_asym(
         &mut self,
-        name: impl Into<String>,
+        name: impl AsRef<str>,
         rise: DelayRange,
         fall: DelayRange,
         input: impl Into<Conn>,
         output: SignalId,
     ) {
-        let ed = crate::EdgeDelays { rise, fall };
-        self.prims.push(Primitive {
-            name: name.into(),
-            kind: PrimKind::Buf,
-            delay: ed.envelope(),
-            edge_delays: Some(ed),
-            inputs: vec![input.into()],
-            output: Some(output),
-        });
+        let ed = EdgeDelays { rise, fall };
+        let (name, input) = (name.as_ref(), [input.into()]);
+        self.push(
+            name,
+            PrimKind::Buf,
+            ed.envelope(),
+            Some(ed),
+            input,
+            Some(output),
+        );
     }
 
     /// Adds a buffer.
     pub fn buf(
         &mut self,
-        name: impl Into<String>,
+        name: impl AsRef<str>,
         delay: DelayRange,
         input: impl Into<Conn>,
         output: SignalId,
@@ -357,7 +449,7 @@ impl NetlistBuilder {
     /// combinational logic (§2.4.2).
     pub fn chg<C: Into<Conn>>(
         &mut self,
-        name: impl Into<String>,
+        name: impl AsRef<str>,
         delay: DelayRange,
         inputs: impl IntoIterator<Item = C>,
         output: SignalId,
@@ -369,27 +461,21 @@ impl NetlistBuilder {
     /// of §4.2.3).
     pub fn delay(
         &mut self,
-        name: impl Into<String>,
+        name: impl AsRef<str>,
         delay: DelayRange,
         input: impl Into<Conn>,
         output: SignalId,
     ) {
-        self.prim(
-            name,
-            PrimKind::Delay,
-            delay,
-            vec![input.into()],
-            Some(output),
-        );
+        self.prim(name, PrimKind::Delay, delay, [input.into()], Some(output));
     }
 
     /// Adds a constant driver.
-    pub fn constant(&mut self, name: impl Into<String>, value: Value, output: SignalId) {
+    pub fn constant(&mut self, name: impl AsRef<str>, value: Value, output: SignalId) {
         self.prim(
             name,
             PrimKind::Const(value),
             DelayRange::ZERO,
-            Vec::new(),
+            [],
             Some(output),
         );
     }
@@ -397,7 +483,7 @@ impl NetlistBuilder {
     /// Adds a 2-input multiplexer: `output = select ? d1 : d0`.
     pub fn mux2(
         &mut self,
-        name: impl Into<String>,
+        name: impl AsRef<str>,
         delay: DelayRange,
         select: impl Into<Conn>,
         d0: impl Into<Conn>,
@@ -408,7 +494,7 @@ impl NetlistBuilder {
             name,
             PrimKind::Mux { data: 2 },
             delay,
-            vec![select.into(), d0.into(), d1.into()],
+            [select.into(), d0.into(), d1.into()],
             Some(output),
         );
     }
@@ -416,7 +502,7 @@ impl NetlistBuilder {
     /// Adds an edge-triggered register (Fig 2-1, first model).
     pub fn reg(
         &mut self,
-        name: impl Into<String>,
+        name: impl AsRef<str>,
         delay: DelayRange,
         clock: impl Into<Conn>,
         data: impl Into<Conn>,
@@ -426,7 +512,7 @@ impl NetlistBuilder {
             name,
             PrimKind::Reg { set_reset: false },
             delay,
-            vec![clock.into(), data.into()],
+            [clock.into(), data.into()],
             Some(output),
         );
     }
@@ -435,7 +521,7 @@ impl NetlistBuilder {
     #[allow(clippy::too_many_arguments)]
     pub fn reg_sr(
         &mut self,
-        name: impl Into<String>,
+        name: impl AsRef<str>,
         delay: DelayRange,
         clock: impl Into<Conn>,
         data: impl Into<Conn>,
@@ -447,7 +533,7 @@ impl NetlistBuilder {
             name,
             PrimKind::Reg { set_reset: true },
             delay,
-            vec![clock.into(), data.into(), set.into(), reset.into()],
+            [clock.into(), data.into(), set.into(), reset.into()],
             Some(output),
         );
     }
@@ -455,7 +541,7 @@ impl NetlistBuilder {
     /// Adds a transparent latch (Fig 2-2, first model).
     pub fn latch(
         &mut self,
-        name: impl Into<String>,
+        name: impl AsRef<str>,
         delay: DelayRange,
         enable: impl Into<Conn>,
         data: impl Into<Conn>,
@@ -465,7 +551,7 @@ impl NetlistBuilder {
             name,
             PrimKind::Latch { set_reset: false },
             delay,
-            vec![enable.into(), data.into()],
+            [enable.into(), data.into()],
             Some(output),
         );
     }
@@ -474,7 +560,7 @@ impl NetlistBuilder {
     #[allow(clippy::too_many_arguments)]
     pub fn latch_sr(
         &mut self,
-        name: impl Into<String>,
+        name: impl AsRef<str>,
         delay: DelayRange,
         enable: impl Into<Conn>,
         data: impl Into<Conn>,
@@ -486,7 +572,7 @@ impl NetlistBuilder {
             name,
             PrimKind::Latch { set_reset: true },
             delay,
-            vec![enable.into(), data.into(), set.into(), reset.into()],
+            [enable.into(), data.into(), set.into(), reset.into()],
             Some(output),
         );
     }
@@ -495,7 +581,7 @@ impl NetlistBuilder {
     /// `setup` before to `hold` after each rising edge of `clock`.
     pub fn setup_hold(
         &mut self,
-        name: impl Into<String>,
+        name: impl AsRef<str>,
         setup: Time,
         hold: Time,
         input: impl Into<Conn>,
@@ -505,7 +591,7 @@ impl NetlistBuilder {
             name,
             PrimKind::SetupHold { setup, hold },
             DelayRange::ZERO,
-            vec![input.into(), clock.into()],
+            [input.into(), clock.into()],
             None,
         );
     }
@@ -515,7 +601,7 @@ impl NetlistBuilder {
     /// its falling edge.
     pub fn setup_rise_hold_fall(
         &mut self,
-        name: impl Into<String>,
+        name: impl AsRef<str>,
         setup: Time,
         hold: Time,
         input: impl Into<Conn>,
@@ -525,7 +611,7 @@ impl NetlistBuilder {
             name,
             PrimKind::SetupRiseHoldFall { setup, hold },
             DelayRange::ZERO,
-            vec![input.into(), clock.into()],
+            [input.into(), clock.into()],
             None,
         );
     }
@@ -533,7 +619,7 @@ impl NetlistBuilder {
     /// Adds a `MIN PULSE WIDTH` checker (§2.4.5).
     pub fn min_pulse_width(
         &mut self,
-        name: impl Into<String>,
+        name: impl AsRef<str>,
         min_high: Time,
         min_low: Time,
         input: impl Into<Conn>,
@@ -545,7 +631,7 @@ impl NetlistBuilder {
                 low: min_low,
             },
             DelayRange::ZERO,
-            vec![input.into()],
+            [input.into()],
             None,
         );
     }
@@ -553,13 +639,13 @@ impl NetlistBuilder {
     /// Number of signals declared so far.
     #[must_use]
     pub fn signal_count(&self) -> usize {
-        self.signals.len()
+        self.net.signal_count()
     }
 
     /// Number of primitives added so far.
     #[must_use]
     pub fn prim_count(&self) -> usize {
-        self.prims.len()
+        self.net.prim_count()
     }
 
     /// Validates and produces the [`Netlist`].
@@ -569,10 +655,22 @@ impl NetlistBuilder {
     /// Returns the first [`NetlistError`] found: multiple drivers, wrong
     /// input counts, invalid directives, checkers with outputs, etc.
     pub fn finish(self) -> Result<Netlist, NetlistError> {
-        if let Some(e) = self.error {
-            return Err(e);
-        }
-        Netlist::new_validated(self.config, self.signals, self.prims, self.by_name)
+        let NetlistBuilder {
+            mut net,
+            assertion_at,
+        } = self;
+        drop(assertion_at);
+        net.assertions.sort_unstable_by_key(|&(s, _)| s);
+        // The last override of a signal wins.
+        net.signal_wire_delays.sort_by_key(|&(s, _)| s);
+        let mut overrides = std::mem::take(&mut net.signal_wire_delays);
+        overrides.reverse();
+        overrides.dedup_by_key(|&mut (s, _)| s);
+        overrides.reverse();
+        net.signal_wire_delays = overrides;
+        net.shrink_to_fit();
+        net.validate()?;
+        Ok(net)
     }
 }
 
@@ -598,7 +696,7 @@ mod tests {
     fn fixed_width_assertions_keep_every_digit() {
         let mut b = builder();
         let ck = b.signal("CK .P2+10.25").unwrap();
-        let a = b.finish().unwrap().signal(ck).assertion.clone().unwrap();
+        let a = b.finish().unwrap().signal(ck).assertion().cloned().unwrap();
         assert_eq!(
             a.ranges,
             vec![scald_assertions::TimeRange::UnitsPlusNs(2.0, 10.25)]
@@ -630,7 +728,7 @@ mod tests {
         assert_eq!(id, id2);
         let n = b.finish().unwrap();
         assert_eq!(
-            n.signal(id).assertion.as_ref().map(|a| a.kind),
+            n.signal(id).assertion().map(|a| a.kind),
             Some(AssertionKind::Stable)
         );
     }
@@ -723,7 +821,7 @@ mod tests {
         assert_eq!(n.fanout(a).len(), 2);
         assert!(n.driver(a).is_none());
         let d1 = n.driver(q1).unwrap();
-        assert_eq!(n.prim(d1).name, "B1");
+        assert_eq!(n.prim(d1).name(), "B1");
     }
 
     #[test]
@@ -740,15 +838,17 @@ mod tests {
             v,
             q,
         );
+        let q2 = b.signal("Q2").unwrap();
+        b.buf("B", DelayRange::ZERO, a, q2);
         let n = b.finish().unwrap();
         let g = n.prim(n.driver(q).unwrap());
         // Per-connection override wins.
-        assert_eq!(n.wire_delay(&g.inputs[0]), DelayRange::from_ns(1.0, 1.5));
+        assert_eq!(n.wire_delay(g.input(0)), DelayRange::from_ns(1.0, 1.5));
         // Signal-level override next.
-        assert_eq!(n.wire_delay(&g.inputs[1]), DelayRange::from_ns(0.0, 6.0));
+        assert_eq!(n.wire_delay(g.input(1)), DelayRange::from_ns(0.0, 6.0));
         // Default otherwise.
-        let b2 = Conn::new(a);
-        assert_eq!(n.wire_delay(&b2), DelayRange::from_ns(0.0, 2.0));
+        let other = n.prim(n.driver(q2).unwrap());
+        assert_eq!(n.wire_delay(other.input(0)), DelayRange::from_ns(0.0, 2.0));
     }
 
     #[test]

@@ -18,7 +18,7 @@
 use scald_wave::DelayRange;
 use std::collections::HashMap;
 
-use crate::{Conn, Netlist, NetlistBuilder, NetlistError, PrimKind, Primitive};
+use crate::{Conn, Netlist, NetlistBuilder, NetlistError, PrimKind};
 
 /// A connection endpoint in an [`DeltaOp::AddPrim`] request, addressed by
 /// signal name. The name may carry an assertion suffix (`"CLK .P6-7"`);
@@ -220,7 +220,7 @@ impl NetlistDelta {
         let mut retimed: HashMap<&str, DelayRange> = HashMap::new();
         let mut assertions: HashMap<&str, Option<&str>> = HashMap::new();
         let mut added: Vec<&PrimSpec> = Vec::new();
-        let prim_exists = |name: &str| -> bool { base.prims().iter().any(|p| p.name == name) };
+        let prim_exists = |name: &str| -> bool { base.iter_prims().any(|(_, p)| p.name() == name) };
         for op in &self.ops {
             match op {
                 DeltaOp::AddPrim(spec) => {
@@ -254,32 +254,32 @@ impl NetlistDelta {
 
         // Replay the signal table in declaration order so surviving
         // signals keep their ids.
+        b.reserve(base.signal_count(), base.prim_count());
         for (sid, sig) in base.iter_signals() {
-            let new_sid = match assertions.get(sig.name.as_str()) {
-                Some(Some(a)) => b.signal_vec(&format!("{} {}", sig.name, a), sig.width)?,
-                Some(None) => b.signal_parsed(&sig.name, None, sig.width)?,
-                None => b.signal_parsed(&sig.name, sig.assertion.as_ref(), sig.width)?,
+            let (name, width) = (sig.name(), sig.width());
+            let new_sid = match assertions.get(name) {
+                Some(Some(a)) => b.signal_vec(&format!("{name} {a}"), width)?,
+                Some(None) => b.signal_parsed(name, None, width)?,
+                None => b.signal_parsed(name, sig.assertion(), width)?,
             };
             debug_assert_eq!(new_sid, sid);
-            if let Some(wd) = sig.wire_delay {
+            if let Some(wd) = sig.wire_delay() {
                 b.set_wire_delay(new_sid, wd);
             }
-            if sig.wired_or {
+            if sig.wired_or() {
                 b.mark_wired_or(new_sid);
             }
         }
 
         // Replay the primitive table with removals and retimes folded in.
-        for prim in base.prims() {
-            if removed.iter().any(|n| *n == prim.name) {
+        for (_, prim) in base.iter_prims() {
+            if removed.iter().any(|n| *n == prim.name()) {
                 continue;
             }
-            let mut p = prim.clone();
-            if let Some(delay) = retimed.get(prim.name.as_str()) {
-                p.delay = *delay;
-                p.edge_delays = None;
+            match retimed.get(prim.name()) {
+                Some(&delay) => b.copy_prim(prim, delay, None),
+                None => b.copy_prim(prim, prim.delay(), prim.edge_delays()),
             }
-            b.push_prim(p);
         }
 
         // Splice in the additions, declaring any fresh (scalar) signals.
@@ -305,14 +305,7 @@ impl NetlistDelta {
                 Some(name) => Some(resolve(&mut b, name)?),
                 None => None,
             };
-            b.push_prim(Primitive {
-                name: spec.name.clone(),
-                kind: spec.kind,
-                delay: spec.delay,
-                edge_delays: None,
-                inputs,
-                output,
-            });
+            b.prim(&spec.name, spec.kind, spec.delay, inputs, output);
         }
 
         Ok(b.finish()?)
@@ -341,8 +334,8 @@ mod tests {
     fn empty_delta_reproduces_base() {
         let n = base();
         let edited = NetlistDelta::new().apply(&n).expect("applies");
-        assert_eq!(edited.signals().len(), n.signals().len());
-        assert_eq!(edited.prims().len(), n.prims().len());
+        assert_eq!(edited.signal_count(), n.signal_count());
+        assert_eq!(edited.prim_count(), n.prim_count());
         assert_eq!(edited.listing(), n.listing());
     }
 
@@ -352,7 +345,10 @@ mod tests {
         let mut delta = NetlistDelta::new();
         delta.retime("U1", DelayRange::from_ns(3.0, 9.0));
         let edited = delta.apply(&n).expect("applies");
-        assert_eq!(edited.prims()[0].delay, DelayRange::from_ns(3.0, 9.0));
+        assert_eq!(
+            edited.iter_prims().next().expect("U1").1.delay(),
+            DelayRange::from_ns(3.0, 9.0)
+        );
         assert_eq!(
             edited.signal_by_name("Q"),
             n.signal_by_name("Q"),
@@ -372,7 +368,7 @@ mod tests {
         let edited = delta.apply(&n).expect("applies");
         let ck = edited.signal(edited.signal_by_name("CK").expect("kept"));
         assert_eq!(
-            ck.assertion.as_ref().map(|a| a.ranges.clone()),
+            ck.assertion().map(|a| a.ranges.clone()),
             Some(vec![scald_assertions::TimeRange::UnitsPlusNs(2.0, 10.25)])
         );
         assert_eq!(ck.full_name(), "CK .P2+10.25");
@@ -384,7 +380,7 @@ mod tests {
         let mut delta = NetlistDelta::new();
         delta.remove_prim("U1");
         let edited = delta.apply(&n).expect("applies");
-        assert_eq!(edited.prims().len(), n.prims().len() - 1);
+        assert_eq!(edited.prim_count(), n.prim_count() - 1);
         let x = edited.signal_by_name("X").expect("X survives");
         assert!(edited.driver(x).is_none(), "X is now undriven");
     }
@@ -402,8 +398,8 @@ mod tests {
         });
         let edited = delta.apply(&n).expect("applies");
         let fresh = edited.signal_by_name("Q BUF").expect("declared");
-        assert_eq!(fresh.index(), n.signals().len(), "appended after base");
-        assert_eq!(edited.prims().last().expect("added").name, "U4");
+        assert_eq!(fresh.index(), n.signal_count(), "appended after base");
+        assert_eq!(edited.iter_prims().last().expect("added").1.name(), "U4");
     }
 
     #[test]
@@ -416,7 +412,7 @@ mod tests {
         let d = edited.signal_by_name("D").expect("D");
         assert_eq!(edited.signal(d).full_name(), "D .S1-5");
         let clk = edited.signal_by_name("CLK").expect("CLK");
-        assert!(edited.signal(clk).assertion.is_none());
+        assert!(edited.signal(clk).assertion().is_none());
     }
 
     #[test]

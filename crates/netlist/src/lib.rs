@@ -12,6 +12,11 @@
 //! width — the representation symmetry that let the thesis describe a
 //! 6357-chip processor with 8 282 primitives instead of 53 833 (§3.3.2).
 //!
+//! A [`Netlist`] stores the design as columns over one name arena, like
+//! the thesis' flat records and CALL LIST ARRAY (§3.3.2, Table 3-3);
+//! [`Netlist::prim`] and [`Netlist::signal`] hand out `Copy` views
+//! ([`PrimRef`], [`SignalRef`]) that read them.
+//!
 //! ```
 //! use scald_netlist::{Config, NetlistBuilder};
 //! use scald_wave::DelayRange;
@@ -23,7 +28,9 @@
 //! let q = b.signal("Q")?;
 //! b.or2("OR1", DelayRange::from_ns(1.0, 2.9), a, bsig, q);
 //! let netlist = b.finish()?;
-//! assert_eq!(netlist.prims()[0].type_name(), "2 OR");
+//! let or1 = netlist.driver(q).expect("OR1 drives Q");
+//! assert_eq!(netlist.prim(or1).type_name(), "2 OR");
+//! assert_eq!(netlist.prim(or1).input_signals(), [a, bsig]);
 //! # Ok(())
 //! # }
 //! ```
@@ -37,5 +44,7 @@ mod primitive;
 
 pub use builder::{Conn, NetlistBuilder};
 pub use delta::{DeltaConn, DeltaError, DeltaOp, NetlistDelta, PrimSpec};
-pub use netlist::{Config, Csr, Netlist, NetlistError, PrimId, Signal, SignalId};
-pub use primitive::{EdgeDelays, PrimKind, Primitive};
+pub use netlist::{
+    Config, ConnRef, Csr, Netlist, NetlistError, PrimId, PrimRef, SignalId, SignalRef,
+};
+pub use primitive::{EdgeDelays, PrimKind};

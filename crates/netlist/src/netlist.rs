@@ -1,12 +1,18 @@
-//! The flattened circuit: signals, primitives, drivers and the fan-out
-//! index ("CALL LIST ARRAY", Table 3-3).
+//! The flattened circuit, stored as columns: per-primitive and
+//! per-signal arrays, one input CSR, one name arena, sorted side tables
+//! for the rare per-connection, per-primitive and per-signal extras, and
+//! the driver and fan-out indexes ("CALL LIST ARRAY", Table 3-3).
+//!
+//! Nothing here owns a record per primitive or per signal: a
+//! [`PrimRef`], [`ConnRef`] or [`SignalRef`] is a `Copy` view that reads
+//! the columns on demand.
 
 use scald_assertions::{split_signal_name, Assertion, TimingContext};
 use scald_wave::DelayRange;
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::{Conn, PrimKind, Primitive};
+use crate::{Conn, EdgeDelays, PrimKind};
 
 /// Index of a signal in a [`Netlist`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -29,36 +35,6 @@ impl PrimId {
     #[must_use]
     pub const fn index(self) -> usize {
         self.0 as usize
-    }
-}
-
-/// A named signal (vector net). Each signal carries *one* timing value no
-/// matter its bit width — the vector-symmetry saving of §3.3.2.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Signal {
-    /// Base name, without the assertion suffix.
-    pub name: String,
-    /// Bit width of the vector (1 for scalars).
-    pub width: u32,
-    /// The assertion parsed from the signal's full name, if any (§2.5).
-    pub assertion: Option<Assertion>,
-    /// Overrides the design's default interconnection delay for wires
-    /// driven by this signal (§2.5.3).
-    pub wire_delay: Option<DelayRange>,
-    /// Multiple drivers are allowed and joined with worst-case OR — the
-    /// ECL wired-OR bus of the F10145A data sheet ("outputs can be
-    /// wired-OR for easy memory expansion", Fig 3-1).
-    pub wired_or: bool,
-}
-
-impl Signal {
-    /// The full display name including the assertion suffix.
-    #[must_use]
-    pub fn full_name(&self) -> String {
-        match &self.assertion {
-            Some(a) => format!("{} {}", self.name, a),
-            None => self.name.clone(),
-        }
     }
 }
 
@@ -103,20 +79,28 @@ pub struct Csr {
 }
 
 impl Csr {
-    /// Packs per-signal rows into contiguous form. Row order (and any
-    /// duplicates the caller left in) is preserved exactly.
-    fn from_rows(rows: &[Vec<PrimId>]) -> Csr {
-        let total: usize = rows.iter().map(Vec::len).sum();
-        assert!(
-            u32::try_from(total).is_ok(),
-            "adjacency exceeds u32 offsets ({total} entries)"
-        );
-        let mut offsets = Vec::with_capacity(rows.len() + 1);
-        let mut items = Vec::with_capacity(total);
-        offsets.push(0u32);
-        for row in rows {
-            items.extend_from_slice(row);
-            offsets.push(items.len() as u32);
+    /// Packs `rows` rows from `(row, item)` pairs by counting: `pairs` is
+    /// called twice, once to size each row and once, backwards, to fill
+    /// it. A row lists its items in the order `pairs` yields them.
+    pub(crate) fn by_counting<I>(rows: usize, pairs: impl Fn() -> I) -> Csr
+    where
+        I: DoubleEndedIterator<Item = (usize, PrimId)>,
+    {
+        let mut offsets = vec![0u32; rows + 1];
+        for (row, _) in pairs() {
+            offsets[row] += 1;
+        }
+        // Each offset becomes its row's end; filling backwards moves it
+        // to the row's start.
+        let mut end = 0u32;
+        for o in &mut offsets {
+            end = end.checked_add(*o).expect("adjacency exceeds u32 offsets");
+            *o = end;
+        }
+        let mut items = vec![PrimId(0); end as usize];
+        for (row, item) in pairs().rev() {
+            offsets[row] -= 1;
+            items[offsets[row] as usize] = item;
         }
         Csr { offsets, items }
     }
@@ -146,108 +130,301 @@ impl Csr {
     }
 }
 
+/// Where a name sits in the name arena.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Span {
+    start: u32,
+    len: u32,
+}
+
+impl Span {
+    /// Appends `text` to `arena` and returns its span.
+    pub(crate) fn push(arena: &mut String, text: &str) -> Span {
+        let start = u32::try_from(arena.len()).expect("name arena exceeds u32 offsets");
+        let len = u32::try_from(text.len()).expect("name exceeds u32 length");
+        arena.push_str(text);
+        start
+            .checked_add(len)
+            .expect("name arena exceeds u32 offsets");
+        Span { start, len }
+    }
+
+    pub(crate) fn of(self, arena: &str) -> &str {
+        &arena[self.start as usize..(self.start + self.len) as usize]
+    }
+}
+
+/// The `output` column's entry for a primitive that drives nothing.
+pub(crate) const NO_OUTPUT: u32 = u32::MAX;
+
+/// An open-addressing table of signal ids keyed by their names, which it
+/// reads from the name arena instead of owning a copy. Slots hold
+/// `id + 1` (0 is empty); the table doubles before it is three quarters
+/// full, and the hash is fixed, so a design always lays out the same.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct NameIndex {
+    slots: Vec<u32>,
+    len: usize,
+}
+
+impl NameIndex {
+    fn hash(name: &str) -> u64 {
+        const K: u64 = 0x517c_c1b7_2722_0a95;
+        let mut h = name.len() as u64;
+        let mut chunks = name.as_bytes().chunks_exact(8);
+        for c in &mut chunks {
+            let word = u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
+            h = (h.rotate_left(5) ^ word).wrapping_mul(K);
+        }
+        let mut tail = [0u8; 8];
+        tail[..chunks.remainder().len()].copy_from_slice(chunks.remainder());
+        (h.rotate_left(5) ^ u64::from_le_bytes(tail)).wrapping_mul(K)
+    }
+
+    /// The first slot of `name`'s probe sequence.
+    fn home(&self, name: &str) -> usize {
+        let bits = self.slots.len().trailing_zeros();
+        (Self::hash(name) >> (64 - bits)) as usize
+    }
+
+    /// The signal named `name`, reading names through `spans`.
+    pub(crate) fn find(&self, arena: &str, spans: &[Span], name: &str) -> Option<SignalId> {
+        if self.len == 0 {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let mut at = self.home(name);
+        loop {
+            match self.slots[at] {
+                0 => return None,
+                s if spans[s as usize - 1].of(arena) == name => return Some(SignalId(s - 1)),
+                _ => at = (at + 1) & mask,
+            }
+        }
+    }
+
+    /// Adds signal `id`, whose name (read through `spans`) is not yet in
+    /// the table.
+    pub(crate) fn insert(&mut self, arena: &str, spans: &[Span], id: SignalId) {
+        self.reserve(arena, spans, 1);
+        self.place(spans[id.index()].of(arena), id.0 + 1);
+        self.len += 1;
+    }
+
+    /// Makes room for `additional` more names without rehashing.
+    pub(crate) fn reserve(&mut self, arena: &str, spans: &[Span], additional: usize) {
+        let need = self.len + additional;
+        if need * 4 < self.slots.len() * 3 {
+            return;
+        }
+        let size = (need * 4 / 3 + 1).next_power_of_two().max(8);
+        let old = std::mem::replace(&mut self.slots, vec![0; size]);
+        for s in old.into_iter().filter(|&s| s != 0) {
+            self.place(spans[s as usize - 1].of(arena), s);
+        }
+    }
+
+    fn place(&mut self, name: &str, slot: u32) {
+        let mask = self.slots.len() - 1;
+        let mut at = self.home(name);
+        while self.slots[at] != 0 {
+            at = (at + 1) & mask;
+        }
+        self.slots[at] = slot;
+    }
+}
+
 /// A validated, flattened circuit ready for verification.
 ///
 /// Construct one with [`NetlistBuilder`](crate::NetlistBuilder) or via the
-/// HDL macro expander. The netlist owns:
+/// HDL macro expander. The netlist is a set of columns:
 ///
-/// * the signal table (names, widths, assertions, wire-delay overrides),
-/// * the primitive table,
-/// * the driver map (at most one primitive drives each signal), and
-/// * the fan-out index — the thesis' "CALL LIST ARRAY" — listing, for each
-///   signal, the primitives that must be re-evaluated when it changes.
+/// * per primitive: its [`PrimKind`], [`DelayRange`], output signal and
+///   name, with its inputs' signals and invert flags in one CSR;
+/// * per signal: its name, width and wired-OR flag;
+/// * every name in one arena, and a name index of signal ids over it;
+/// * sorted side tables for what few primitives, connections or signals
+///   carry: edge delays, directives, wire-delay overrides, assertions;
+/// * the driver map and the fan-out index — the thesis' "CALL LIST
+///   ARRAY" — listing, for each signal, the primitives that must be
+///   re-evaluated when it changes.
+///
+/// [`prim`](Self::prim), [`signal`](Self::signal) and
+/// [`PrimRef::input`] hand out `Copy` views over these columns.
 #[derive(Debug, Clone)]
 pub struct Netlist {
-    config: Config,
-    signals: Vec<Signal>,
-    prims: Vec<Primitive>,
-    drivers: Csr,
-    fanout: Csr,
-    by_name: HashMap<String, SignalId>,
+    pub(crate) config: Config,
+    /// Every signal and primitive name, back to back.
+    pub(crate) names: String,
+    pub(crate) prim_name: Vec<Span>,
+    pub(crate) prim_kind: Vec<PrimKind>,
+    pub(crate) prim_delay: Vec<DelayRange>,
+    /// The driven signal's index, [`NO_OUTPUT`] for checkers.
+    pub(crate) prim_output: Vec<u32>,
+    /// `input_start[p]..input_start[p + 1]` bounds primitive `p`'s input
+    /// slots in the per-slot columns.
+    pub(crate) input_start: Vec<u32>,
+    pub(crate) input_signal: Vec<SignalId>,
+    pub(crate) input_invert: Vec<bool>,
+    /// Evaluation directives by input slot, their text in `directive_text`.
+    pub(crate) directives: Vec<(u32, Span)>,
+    pub(crate) directive_text: String,
+    /// Per-connection wire-delay overrides by input slot.
+    pub(crate) conn_wire_delays: Vec<(u32, DelayRange)>,
+    /// Asymmetric edge delays by primitive.
+    pub(crate) edge_delays: Vec<(PrimId, EdgeDelays)>,
+    pub(crate) signal_name: Vec<Span>,
+    pub(crate) signal_width: Vec<u32>,
+    pub(crate) signal_wired_or: Vec<bool>,
+    /// Assertions by signal.
+    pub(crate) assertions: Vec<(SignalId, Assertion)>,
+    /// Per-signal wire-delay overrides by signal.
+    pub(crate) signal_wire_delays: Vec<(SignalId, DelayRange)>,
+    pub(crate) by_name: NameIndex,
+    pub(crate) drivers: Csr,
+    pub(crate) fanout: Csr,
+}
+
+/// The value a sorted side table keeps for `key`, if any.
+fn lookup<K: Ord + Copy, V>(table: &[(K, V)], key: K) -> Option<&V> {
+    table
+        .binary_search_by_key(&key, |&(k, _)| k)
+        .ok()
+        .map(|i| &table[i].1)
 }
 
 impl Netlist {
-    pub(crate) fn new_validated(
-        config: Config,
-        signals: Vec<Signal>,
-        prims: Vec<Primitive>,
-        by_name: HashMap<String, SignalId>,
-    ) -> Result<Netlist, NetlistError> {
-        let mut drivers: Vec<Vec<PrimId>> = vec![Vec::new(); signals.len()];
-        let mut fanout: Vec<Vec<PrimId>> = vec![Vec::new(); signals.len()];
+    /// An empty netlist with no rows and empty indexes, the state a
+    /// builder starts appending to.
+    pub(crate) fn empty(config: Config) -> Netlist {
+        Netlist {
+            config,
+            names: String::new(),
+            prim_name: Vec::new(),
+            prim_kind: Vec::new(),
+            prim_delay: Vec::new(),
+            prim_output: Vec::new(),
+            input_start: vec![0],
+            input_signal: Vec::new(),
+            input_invert: Vec::new(),
+            directives: Vec::new(),
+            directive_text: String::new(),
+            conn_wire_delays: Vec::new(),
+            edge_delays: Vec::new(),
+            signal_name: Vec::new(),
+            signal_width: Vec::new(),
+            signal_wired_or: Vec::new(),
+            assertions: Vec::new(),
+            signal_wire_delays: Vec::new(),
+            by_name: NameIndex::default(),
+            drivers: Csr {
+                offsets: vec![0],
+                items: Vec::new(),
+            },
+            fanout: Csr {
+                offsets: vec![0],
+                items: Vec::new(),
+            },
+        }
+    }
 
-        for (i, prim) in prims.iter().enumerate() {
-            let pid = PrimId(i as u32);
-            if let Some(need) = prim.kind.required_inputs() {
-                if prim.inputs.len() != need {
-                    return Err(NetlistError::WrongInputCount {
-                        prim: prim.name.clone(),
-                        kind: prim.kind.type_name(prim.inputs.len()),
-                        expected: need,
-                        found: prim.inputs.len(),
-                    });
-                }
-            } else if prim.inputs.is_empty() {
+    /// Gives back the columns' spare capacity.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.names.shrink_to_fit();
+        self.prim_name.shrink_to_fit();
+        self.prim_kind.shrink_to_fit();
+        self.prim_delay.shrink_to_fit();
+        self.prim_output.shrink_to_fit();
+        self.input_start.shrink_to_fit();
+        self.input_signal.shrink_to_fit();
+        self.input_invert.shrink_to_fit();
+        self.directives.shrink_to_fit();
+        self.directive_text.shrink_to_fit();
+        self.conn_wire_delays.shrink_to_fit();
+        self.edge_delays.shrink_to_fit();
+        self.signal_name.shrink_to_fit();
+        self.signal_width.shrink_to_fit();
+        self.signal_wired_or.shrink_to_fit();
+        self.assertions.shrink_to_fit();
+        self.signal_wire_delays.shrink_to_fit();
+    }
+
+    /// Checks every primitive in id order, reporting the first problem,
+    /// then fills the driver and fan-out indexes.
+    pub(crate) fn validate(&mut self) -> Result<(), NetlistError> {
+        // The first driver seen of each signal, for the multiple-driver
+        // check.
+        let mut first_driver = vec![NO_OUTPUT; self.signal_count()];
+        for (pid, prim) in self.iter_prims() {
+            let found = prim.input_count();
+            let need = prim.kind().required_inputs();
+            if need.is_some_and(|need| need != found) || (need.is_none() && found == 0) {
                 return Err(NetlistError::WrongInputCount {
-                    prim: prim.name.clone(),
-                    kind: prim.kind.type_name(0),
-                    expected: 1,
-                    found: 0,
+                    prim: prim.name().to_owned(),
+                    kind: prim.kind().type_name(found),
+                    expected: need.unwrap_or(1),
+                    found,
                 });
             }
-            for conn in &prim.inputs {
-                if let Some(dir) = &conn.directive {
-                    if let Some(bad) = dir
-                        .chars()
-                        .find(|c| !matches!(c, 'E' | 'W' | 'Z' | 'A' | 'H'))
-                    {
-                        return Err(NetlistError::InvalidDirective {
-                            prim: prim.name.clone(),
-                            directive: dir.clone(),
-                            bad,
+            for dir in prim.inputs().filter_map(ConnRef::directive) {
+                if let Some(bad) = dir
+                    .chars()
+                    .find(|c| !matches!(c, 'E' | 'W' | 'Z' | 'A' | 'H'))
+                {
+                    return Err(NetlistError::InvalidDirective {
+                        prim: prim.name().to_owned(),
+                        directive: dir.to_owned(),
+                        bad,
+                    });
+                }
+            }
+            match (prim.kind().has_output(), prim.output()) {
+                (true, Some(out)) => {
+                    let first = &mut first_driver[out.index()];
+                    if *first == NO_OUTPUT {
+                        *first = pid.0;
+                    } else if !self.signal_wired_or[out.index()] {
+                        return Err(NetlistError::MultipleDrivers {
+                            signal: self.signal(out).name().to_owned(),
+                            first: self.prim(PrimId(*first)).name().to_owned(),
+                            second: prim.name().to_owned(),
                         });
                     }
                 }
-                fanout[conn.signal.index()].push(pid);
-            }
-            match (prim.kind.has_output(), prim.output) {
-                (true, Some(out)) => {
-                    if let Some(&prev) = drivers[out.index()].first() {
-                        if !signals[out.index()].wired_or {
-                            return Err(NetlistError::MultipleDrivers {
-                                signal: signals[out.index()].name.clone(),
-                                first: prims[prev.index()].name.clone(),
-                                second: prim.name.clone(),
-                            });
-                        }
-                    }
-                    drivers[out.index()].push(pid);
-                }
                 (true, None) => {
                     return Err(NetlistError::MissingOutput {
-                        prim: prim.name.clone(),
+                        prim: prim.name().to_owned(),
                     })
                 }
                 (false, Some(_)) => {
                     return Err(NetlistError::CheckerWithOutput {
-                        prim: prim.name.clone(),
+                        prim: prim.name().to_owned(),
                     })
                 }
                 (false, None) => {}
             }
         }
-        for fo in &mut fanout {
-            fo.sort();
-            fo.dedup();
-        }
-        Ok(Netlist {
-            config,
-            signals,
-            prims,
-            drivers: Csr::from_rows(&drivers),
-            fanout: Csr::from_rows(&fanout),
-            by_name,
-        })
+        drop(first_driver);
+
+        let rows = self.signal_count();
+        self.drivers = Csr::by_counting(rows, || {
+            (0..self.prim_count() as u32)
+                .map(|p| (self.prim_output[p as usize], PrimId(p)))
+                .filter(|&(out, _)| out != NO_OUTPUT)
+                .map(|(out, p)| (out as usize, p))
+        });
+        // A primitive reading one signal on several pins is listed once.
+        self.fanout = Csr::by_counting(rows, || {
+            (0..self.prim_count()).flat_map(|p| {
+                let ins = &self.input_signal
+                    [self.input_start[p] as usize..self.input_start[p + 1] as usize];
+                ins.iter()
+                    .enumerate()
+                    .filter(move |&(i, s)| !ins[..i].contains(s))
+                    .map(move |(_, s)| (s.index(), PrimId(p as u32)))
+            })
+        });
+        Ok(())
     }
 
     /// The design configuration.
@@ -256,34 +433,55 @@ impl Netlist {
         &self.config
     }
 
-    /// All signals, indexable by [`SignalId::index`].
+    /// Number of signals.
     #[must_use]
-    pub fn signals(&self) -> &[Signal] {
-        &self.signals
+    pub fn signal_count(&self) -> usize {
+        self.signal_name.len()
     }
 
-    /// All primitives, indexable by [`PrimId::index`].
+    /// Number of primitives.
     #[must_use]
-    pub fn prims(&self) -> &[Primitive] {
-        &self.prims
+    pub fn prim_count(&self) -> usize {
+        self.prim_name.len()
+    }
+
+    /// Number of primitive input connections across the design: the
+    /// length of the input CSR.
+    #[must_use]
+    pub fn input_count(&self) -> usize {
+        self.input_signal.len()
+    }
+
+    /// Bytes of name text: every signal's base name and every
+    /// primitive's instance name, as the name arena holds them.
+    #[must_use]
+    pub fn name_bytes(&self) -> usize {
+        self.names.len()
     }
 
     /// The signal with the given id.
     #[must_use]
-    pub fn signal(&self, id: SignalId) -> &Signal {
-        &self.signals[id.index()]
+    pub fn signal(&self, id: SignalId) -> SignalRef<'_> {
+        assert!(id.index() < self.signal_count(), "no signal {id:?}");
+        SignalRef { netlist: self, id }
     }
 
     /// The primitive with the given id.
     #[must_use]
-    pub fn prim(&self, id: PrimId) -> &Primitive {
-        &self.prims[id.index()]
+    pub fn prim(&self, id: PrimId) -> PrimRef<'_> {
+        assert!(id.index() < self.prim_count(), "no primitive {id:?}");
+        PrimRef { netlist: self, id }
     }
 
     /// Looks a signal up by base name (assertion suffix not included).
     #[must_use]
     pub fn signal_by_name(&self, name: &str) -> Option<SignalId> {
-        self.by_name.get(name).copied()
+        self.by_name.find(&self.names, &self.signal_name, name)
+    }
+
+    /// The signals that carry an assertion, ascending by id, with it.
+    pub fn asserted_signals(&self) -> impl Iterator<Item = (SignalId, &Assertion)> {
+        self.assertions.iter().map(|(s, a)| (*s, a))
     }
 
     /// The primitive driving `signal`, if any. For wired-OR signals this
@@ -326,8 +524,8 @@ impl Netlist {
     /// Returns the cone members in id order.
     #[must_use]
     pub fn affected_cone(&self, signals: &[SignalId], prims: &[PrimId]) -> Vec<PrimId> {
-        let mut in_cone = vec![false; self.prims.len()];
-        let mut sig_seen = vec![false; self.signals.len()];
+        let mut in_cone = vec![false; self.prim_count()];
+        let mut sig_seen = vec![false; self.signal_count()];
         let mut work: Vec<PrimId> = Vec::new();
         let enter = |p: PrimId, in_cone: &mut Vec<bool>, work: &mut Vec<PrimId>| {
             if !in_cone[p.index()] {
@@ -351,7 +549,7 @@ impl Netlist {
             }
         }
         while let Some(p) = work.pop() {
-            if let Some(out) = self.prims[p.index()].output {
+            if let Some(out) = self.prim(p).output() {
                 if !sig_seen[out.index()] {
                     sig_seen[out.index()] = true;
                     for &q in self.fanout(out) {
@@ -368,29 +566,29 @@ impl Netlist {
             .collect()
     }
 
-    /// Iterates over `(id, signal)` pairs.
-    pub fn iter_signals(&self) -> impl Iterator<Item = (SignalId, &Signal)> {
-        self.signals
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (SignalId(i as u32), s))
+    /// Iterates over `(id, signal)` pairs in id order.
+    pub fn iter_signals(&self) -> impl ExactSizeIterator<Item = (SignalId, SignalRef<'_>)> {
+        (0..self.signal_count() as u32).map(move |i| {
+            let id = SignalId(i);
+            (id, SignalRef { netlist: self, id })
+        })
     }
 
-    /// Iterates over `(id, primitive)` pairs.
-    pub fn iter_prims(&self) -> impl Iterator<Item = (PrimId, &Primitive)> {
-        self.prims
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (PrimId(i as u32), p))
+    /// Iterates over `(id, primitive)` pairs in id order.
+    pub fn iter_prims(&self) -> impl ExactSizeIterator<Item = (PrimId, PrimRef<'_>)> {
+        (0..self.prim_count() as u32).map(move |i| {
+            let id = PrimId(i);
+            (id, PrimRef { netlist: self, id })
+        })
     }
 
     /// The effective interconnection delay for a connection: the
     /// per-connection override if given, else the source signal's
     /// override, else the design default (§2.5.3).
     #[must_use]
-    pub fn wire_delay(&self, conn: &Conn) -> DelayRange {
-        conn.wire_delay
-            .or(self.signal(conn.signal).wire_delay)
+    pub fn wire_delay(&self, conn: ConnRef<'_>) -> DelayRange {
+        conn.wire_delay()
+            .or_else(|| self.signal(conn.signal()).wire_delay())
             .unwrap_or(self.config.default_wire_delay)
     }
 
@@ -403,31 +601,30 @@ impl Netlist {
         let mut out = String::new();
         for (_, p) in self.iter_prims() {
             let inputs: Vec<String> = p
-                .inputs
-                .iter()
+                .inputs()
                 .map(|c| {
                     let mut s = String::new();
-                    if c.invert {
+                    if c.invert() {
                         s.push('-');
                     }
-                    s.push_str(&self.signal(c.signal).name);
-                    if let Some(d) = &c.directive {
+                    s.push_str(self.signal(c.signal()).name());
+                    if let Some(d) = c.directive() {
                         let _ = write!(s, " &{d}");
                     }
                     s
                 })
                 .collect();
             let output = p
-                .output
-                .map_or(String::new(), |o| format!(" -> {}", self.signal(o).name));
+                .output()
+                .map_or(String::new(), |o| format!(" -> {}", self.signal(o).name()));
             let _ = writeln!(
                 out,
                 "{:<28} {:<10} ({}){}   [{}]",
                 p.type_name(),
-                p.delay.to_string(),
+                p.delay().to_string(),
                 inputs.join(", "),
                 output,
-                p.name
+                p.name()
             );
         }
         out
@@ -438,7 +635,7 @@ impl Netlist {
     #[must_use]
     pub fn primitive_histogram(&self) -> Vec<(String, usize)> {
         let mut counts: HashMap<String, usize> = HashMap::new();
-        for p in &self.prims {
+        for (_, p) in self.iter_prims() {
             *counts.entry(p.type_name()).or_insert(0) += 1;
         }
         let mut out: Vec<(String, usize)> = counts.into_iter().collect();
@@ -451,18 +648,259 @@ impl Netlist {
     /// primitive count divided by the vector primitive count.
     #[must_use]
     pub fn average_primitive_width(&self) -> f64 {
-        if self.prims.is_empty() {
+        if self.prim_count() == 0 {
             return 0.0;
         }
         let total_bits: u64 = self
-            .prims
+            .prim_output
             .iter()
-            .map(|p| {
-                p.output
-                    .map_or(1, |out| u64::from(self.signal(out).width.max(1)))
+            .map(|&out| {
+                if out == NO_OUTPUT {
+                    1
+                } else {
+                    u64::from(self.signal_width[out as usize].max(1))
+                }
             })
             .sum();
-        total_bits as f64 / self.prims.len() as f64
+        total_bits as f64 / self.prim_count() as f64
+    }
+}
+
+/// A primitive of a [`Netlist`]: a `Copy` view over its columns.
+#[derive(Clone, Copy)]
+pub struct PrimRef<'a> {
+    netlist: &'a Netlist,
+    id: PrimId,
+}
+
+impl<'a> PrimRef<'a> {
+    /// This primitive's id.
+    #[must_use]
+    pub fn id(self) -> PrimId {
+        self.id
+    }
+
+    /// Hierarchical instance name (for reports), e.g. `ALU0/OUT REG`.
+    #[must_use]
+    pub fn name(self) -> &'a str {
+        self.netlist.prim_name[self.id.index()].of(&self.netlist.names)
+    }
+
+    /// The primitive function and its parameters.
+    #[must_use]
+    pub fn kind(self) -> PrimKind {
+        self.netlist.prim_kind[self.id.index()]
+    }
+
+    /// Min/max propagation delay from any input to the output. The thesis
+    /// uses one delay per primitive; different per-input delays are
+    /// modelled with buffer primitives on the inputs (§2.4.3).
+    #[must_use]
+    pub fn delay(self) -> DelayRange {
+        self.netlist.prim_delay[self.id.index()]
+    }
+
+    /// Optional asymmetric rising/falling delays (§4.2.2 extension).
+    /// When set on a unary primitive, output edges of known polarity use
+    /// the matching range and [`delay`](Self::delay) is ignored; other
+    /// primitives use [`EdgeDelays::envelope`].
+    #[must_use]
+    pub fn edge_delays(self) -> Option<EdgeDelays> {
+        lookup(&self.netlist.edge_delays, self.id).copied()
+    }
+
+    /// The driven output signal; `None` for checkers.
+    #[must_use]
+    pub fn output(self) -> Option<SignalId> {
+        let out = self.netlist.prim_output[self.id.index()];
+        (out != NO_OUTPUT).then_some(SignalId(out))
+    }
+
+    fn slots(self) -> std::ops::Range<u32> {
+        let start = &self.netlist.input_start;
+        start[self.id.index()]..start[self.id.index() + 1]
+    }
+
+    /// Number of input connections.
+    #[must_use]
+    pub fn input_count(self) -> usize {
+        self.slots().len()
+    }
+
+    /// The signals this primitive reads, ordered per the [`PrimKind`]
+    /// conventions.
+    #[must_use]
+    pub fn input_signals(self) -> &'a [SignalId] {
+        let slots = self.slots();
+        &self.netlist.input_signal[slots.start as usize..slots.end as usize]
+    }
+
+    /// Input connection `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the primitive has no input `i`.
+    #[must_use]
+    pub fn input(self, i: usize) -> ConnRef<'a> {
+        let slots = self.slots();
+        assert!(i < slots.len(), "{} has no input {i}", self.name());
+        ConnRef {
+            netlist: self.netlist,
+            slot: slots.start + i as u32,
+        }
+    }
+
+    /// The input connections, ordered per the [`PrimKind`] conventions.
+    pub fn inputs(self) -> impl ExactSizeIterator<Item = ConnRef<'a>> + DoubleEndedIterator {
+        let netlist = self.netlist;
+        self.slots().map(move |slot| ConnRef { netlist, slot })
+    }
+
+    /// The Table 3-2 display name of this instance's primitive type.
+    #[must_use]
+    pub fn type_name(self) -> String {
+        self.kind().type_name(self.input_count())
+    }
+}
+
+impl fmt::Debug for PrimRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Primitive")
+            .field("name", &self.name())
+            .field("kind", &self.kind())
+            .field("delay", &self.delay())
+            .field("edge_delays", &self.edge_delays())
+            .field("inputs", &self.inputs().collect::<Vec<_>>())
+            .field("output", &self.output())
+            .finish()
+    }
+}
+
+/// One input connection of a primitive: a `Copy` view of its slot in
+/// the input CSR and the side tables.
+#[derive(Clone, Copy)]
+pub struct ConnRef<'a> {
+    netlist: &'a Netlist,
+    slot: u32,
+}
+
+impl<'a> ConnRef<'a> {
+    /// The source signal.
+    #[must_use]
+    pub fn signal(self) -> SignalId {
+        self.netlist.input_signal[self.slot as usize]
+    }
+
+    /// Whether the complement of the signal is used (`- NAME`).
+    #[must_use]
+    pub fn invert(self) -> bool {
+        self.netlist.input_invert[self.slot as usize]
+    }
+
+    /// The evaluation-directive string on this connection (§2.6).
+    #[must_use]
+    pub fn directive(self) -> Option<&'a str> {
+        lookup(&self.netlist.directives, self.slot).map(|s| s.of(&self.netlist.directive_text))
+    }
+
+    /// This connection's own wire-delay override; see
+    /// [`Netlist::wire_delay`] for the effective delay.
+    #[must_use]
+    pub fn wire_delay(self) -> Option<DelayRange> {
+        lookup(&self.netlist.conn_wire_delays, self.slot).copied()
+    }
+
+    /// The connection as a builder input.
+    #[must_use]
+    pub fn to_conn(self) -> Conn {
+        Conn {
+            signal: self.signal(),
+            invert: self.invert(),
+            directive: self.directive().map(str::to_owned),
+            wire_delay: self.wire_delay(),
+        }
+    }
+}
+
+impl fmt::Debug for ConnRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Conn")
+            .field("signal", &self.signal())
+            .field("invert", &self.invert())
+            .field("directive", &self.directive())
+            .field("wire_delay", &self.wire_delay())
+            .finish()
+    }
+}
+
+/// A named signal (vector net): a `Copy` view over its columns. Each
+/// signal carries *one* timing value no matter its bit width — the
+/// vector-symmetry saving of §3.3.2.
+#[derive(Clone, Copy)]
+pub struct SignalRef<'a> {
+    netlist: &'a Netlist,
+    id: SignalId,
+}
+
+impl<'a> SignalRef<'a> {
+    /// This signal's id.
+    #[must_use]
+    pub fn id(self) -> SignalId {
+        self.id
+    }
+
+    /// Base name, without the assertion suffix.
+    #[must_use]
+    pub fn name(self) -> &'a str {
+        self.netlist.signal_name[self.id.index()].of(&self.netlist.names)
+    }
+
+    /// Bit width of the vector (1 for scalars).
+    #[must_use]
+    pub fn width(self) -> u32 {
+        self.netlist.signal_width[self.id.index()]
+    }
+
+    /// The assertion parsed from the signal's full name, if any (§2.5).
+    #[must_use]
+    pub fn assertion(self) -> Option<&'a Assertion> {
+        lookup(&self.netlist.assertions, self.id)
+    }
+
+    /// Overrides the design's default interconnection delay for wires
+    /// driven by this signal (§2.5.3).
+    #[must_use]
+    pub fn wire_delay(self) -> Option<DelayRange> {
+        lookup(&self.netlist.signal_wire_delays, self.id).copied()
+    }
+
+    /// Multiple drivers are allowed and joined with worst-case OR — the
+    /// ECL wired-OR bus of the F10145A data sheet ("outputs can be
+    /// wired-OR for easy memory expansion", Fig 3-1).
+    #[must_use]
+    pub fn wired_or(self) -> bool {
+        self.netlist.signal_wired_or[self.id.index()]
+    }
+
+    /// The full display name including the assertion suffix.
+    #[must_use]
+    pub fn full_name(self) -> String {
+        match self.assertion() {
+            Some(a) => format!("{} {}", self.name(), a),
+            None => self.name().to_owned(),
+        }
+    }
+}
+
+impl fmt::Debug for SignalRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Signal")
+            .field("name", &self.name())
+            .field("width", &self.width())
+            .field("assertion", &self.assertion())
+            .field("wire_delay", &self.wire_delay())
+            .field("wired_or", &self.wired_or())
+            .finish()
     }
 }
 
@@ -580,6 +1018,43 @@ pub(crate) fn split_name(full: &str) -> Result<(&str, Option<Assertion>), Netlis
     })
 }
 
-/// Ensure `PrimKind` is available to doc links in this module.
-#[allow(unused)]
-fn _kind_link(_: PrimKind) {}
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_name_index_finds_every_name_across_growth() {
+        let mut arena = String::new();
+        let mut spans = Vec::new();
+        let mut index = NameIndex::default();
+        for i in 0..1000u32 {
+            spans.push(Span::push(&mut arena, &format!("S{i}/Q")));
+            index.insert(&arena, &spans, SignalId(i));
+        }
+        for i in 0..1000u32 {
+            assert_eq!(
+                index.find(&arena, &spans, &format!("S{i}/Q")),
+                Some(SignalId(i))
+            );
+        }
+        assert_eq!(index.find(&arena, &spans, "S1000/Q"), None);
+        assert_eq!(index.find(&arena, &spans, ""), None);
+        assert!(index.slots.len() * 3 > index.len * 4);
+    }
+
+    #[test]
+    fn counting_packs_rows_in_pair_order() {
+        let pairs = [
+            (2, PrimId(0)),
+            (0, PrimId(1)),
+            (2, PrimId(2)),
+            (0, PrimId(3)),
+        ];
+        let csr = Csr::by_counting(4, || pairs.iter().copied());
+        assert_eq!(csr.row(0), [PrimId(1), PrimId(3)]);
+        assert!(csr.row(1).is_empty());
+        assert_eq!(csr.row(2), [PrimId(0), PrimId(2)]);
+        assert!(csr.row(3).is_empty());
+        assert_eq!((csr.rows(), csr.len()), (4, 4));
+    }
+}

@@ -11,11 +11,10 @@ use scald_logic::Value;
 use scald_wave::{DelayRange, Time};
 use std::fmt;
 
-use crate::{Conn, SignalId};
-
 /// The kind of a primitive, with any kind-specific timing parameters.
 ///
-/// Input ordering conventions (positions in [`Primitive::inputs`]):
+/// Input ordering conventions (positions in
+/// [`PrimRef::inputs`](crate::PrimRef::inputs)):
 ///
 /// | kind | inputs |
 /// |---|---|
@@ -236,41 +235,6 @@ impl EdgeDelays {
             self.rise.min.min(self.fall.min),
             self.rise.max.max(self.fall.max),
         )
-    }
-}
-
-/// One primitive instance in a flattened design.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Primitive {
-    /// Hierarchical instance name (for reports), e.g. `ALU0/OUT REG`.
-    pub name: String,
-    /// The primitive function and its parameters.
-    pub kind: PrimKind,
-    /// Min/max propagation delay from any input to the output. The thesis
-    /// uses one delay per primitive; different per-input delays are
-    /// modelled with buffer primitives on the inputs (§2.4.3).
-    pub delay: DelayRange,
-    /// Optional asymmetric rising/falling delays (§4.2.2 extension).
-    /// When set on a unary primitive, output edges of known polarity use
-    /// the matching range and `delay` is ignored; other primitives use
-    /// [`EdgeDelays::envelope`].
-    pub edge_delays: Option<EdgeDelays>,
-    /// Input connections, ordered per the [`PrimKind`] conventions.
-    pub inputs: Vec<Conn>,
-    /// The driven output signal; `None` for checkers.
-    pub output: Option<SignalId>,
-}
-
-impl Primitive {
-    /// The Table 3-2 display name of this instance's primitive type.
-    #[must_use]
-    pub fn type_name(&self) -> String {
-        self.kind.type_name(self.inputs.len())
-    }
-
-    /// Iterates over all signals this primitive reads.
-    pub fn input_signals(&self) -> impl Iterator<Item = SignalId> + '_ {
-        self.inputs.iter().map(|c| c.signal)
     }
 }
 

@@ -134,7 +134,7 @@ impl PathAnalysis {
     /// constrained endpoint.
     #[must_use]
     pub fn analyze(netlist: &Netlist) -> PathAnalysis {
-        let n = netlist.signals().len();
+        let n = netlist.signal_count();
         let period = netlist.config().timing.period;
         let mut arrivals: Vec<Option<Arrival>> = vec![None; n];
         let mut pred: Vec<Option<(SignalId, PrimId)>> = vec![None; n];
@@ -150,12 +150,12 @@ impl PathAnalysis {
                 }
                 Some(pid) => {
                     let p = netlist.prim(pid);
-                    if p.kind.is_storage() {
+                    if p.kind().is_storage() {
                         arrivals[sid.index()] = Some(Arrival {
-                            min: p.delay.min,
-                            max: p.delay.max,
+                            min: p.delay().min,
+                            max: p.delay().max,
                         });
-                    } else if matches!(p.kind, PrimKind::Const(_)) {
+                    } else if matches!(p.kind(), PrimKind::Const(_)) {
                         arrivals[sid.index()] = Some(Arrival {
                             min: Time::ZERO,
                             max: Time::ZERO,
@@ -166,21 +166,20 @@ impl PathAnalysis {
         }
 
         // Kahn topological relaxation over combinational primitives.
-        let comb: Vec<(PrimId, &scald_netlist::Primitive)> = netlist
+        let comb: Vec<(PrimId, scald_netlist::PrimRef<'_>)> = netlist
             .iter_prims()
-            .filter(|(_, p)| is_combinational(p.kind))
+            .filter(|(_, p)| is_combinational(p.kind()))
             .collect();
-        let mut indegree: Vec<usize> = vec![0; netlist.prims().len()];
+        let mut indegree: Vec<usize> = vec![0; netlist.prim_count()];
         for (pid, p) in &comb {
             indegree[pid.index()] = p
-                .inputs
-                .iter()
+                .inputs()
                 .filter(|c| {
                     // An input counts as a dependency if it is itself the
                     // output of a combinational primitive.
                     netlist
-                        .driver(c.signal)
-                        .is_some_and(|d| is_combinational(netlist.prim(d).kind))
+                        .driver(c.signal())
+                        .is_some_and(|d| is_combinational(netlist.prim(d).kind()))
                 })
                 .count();
         }
@@ -189,21 +188,21 @@ impl PathAnalysis {
             .filter(|(pid, _)| indegree[pid.index()] == 0)
             .map(|(pid, _)| *pid)
             .collect();
-        let mut processed = vec![false; netlist.prims().len()];
+        let mut processed = vec![false; netlist.prim_count()];
         while let Some(pid) = ready.pop_front() {
             if processed[pid.index()] {
                 continue;
             }
             processed[pid.index()] = true;
             let p = netlist.prim(pid);
-            let out = p.output.expect("combinational prims drive outputs");
+            let out = p.output().expect("combinational prims drive outputs");
             let mut best: Option<Arrival> = None;
             let mut best_pred: Option<(SignalId, PrimId)> = None;
-            for c in &p.inputs {
-                let Some(a) = arrivals[c.signal.index()] else {
+            for c in p.inputs() {
+                let Some(a) = arrivals[c.signal().index()] else {
                     continue;
                 };
-                let d: DelayRange = netlist.wire_delay(c).then(p.delay);
+                let d: DelayRange = netlist.wire_delay(c).then(p.delay());
                 let cand = Arrival {
                     min: a.min + d.min,
                     max: a.max + d.max,
@@ -211,13 +210,13 @@ impl PathAnalysis {
                 match &mut best {
                     None => {
                         best = Some(cand);
-                        best_pred = Some((c.signal, pid));
+                        best_pred = Some((c.signal(), pid));
                     }
                     Some(b) => {
                         b.min = b.min.min(cand.min);
                         if cand.max > b.max {
                             b.max = cand.max;
-                            best_pred = Some((c.signal, pid));
+                            best_pred = Some((c.signal(), pid));
                         }
                     }
                 }
@@ -228,7 +227,7 @@ impl PathAnalysis {
             }
             // Release dependents.
             for &next in netlist.fanout(out) {
-                if is_combinational(netlist.prim(next).kind) && !processed[next.index()] {
+                if is_combinational(netlist.prim(next).kind()) && !processed[next.index()] {
                     let deg = &mut indegree[next.index()];
                     *deg = deg.saturating_sub(1);
                     if *deg == 0 {
@@ -244,7 +243,7 @@ impl PathAnalysis {
         let mut in_loop: Vec<String> = comb
             .iter()
             .filter(|(pid, _)| !processed[pid.index()])
-            .map(|(_, p)| p.name.clone())
+            .map(|(_, p)| p.name().to_owned())
             .collect();
         if !in_loop.is_empty() {
             in_loop.sort();
@@ -254,15 +253,15 @@ impl PathAnalysis {
         // Endpoint slacks.
         let mut reports = Vec::new();
         for (_, p) in netlist.iter_prims() {
-            let (endpoint_conn, setup, hold) = match p.kind {
+            let (endpoint_conn, setup, hold) = match p.kind() {
                 PrimKind::SetupHold { setup, hold }
-                | PrimKind::SetupRiseHoldFall { setup, hold } => (&p.inputs[0], setup, hold),
+                | PrimKind::SetupRiseHoldFall { setup, hold } => (p.input(0), setup, hold),
                 PrimKind::Reg { .. } | PrimKind::Latch { .. } => {
-                    (&p.inputs[1], Time::ZERO, Time::ZERO)
+                    (p.input(1), Time::ZERO, Time::ZERO)
                 }
                 _ => continue,
             };
-            let sid = endpoint_conn.signal;
+            let sid = endpoint_conn.signal();
             let Some(arrival) = arrivals[sid.index()] else {
                 continue;
             };
@@ -272,25 +271,25 @@ impl PathAnalysis {
             let setup_slack = period - setup - arrival.max;
             let hold_slack = arrival.min - hold;
             // Critical-path traceback.
-            let mut path = vec![netlist.signal(sid).name.clone()];
+            let mut path = vec![netlist.signal(sid).name().to_owned()];
             let mut cur = sid;
             let mut guard = 0;
             while let Some((prev, via)) = pred[cur.index()] {
                 path.push(format!(
                     "{} (via {})",
-                    netlist.signal(prev).name,
-                    netlist.prim(via).name
+                    netlist.signal(prev).name(),
+                    netlist.prim(via).name()
                 ));
                 cur = prev;
                 guard += 1;
-                if guard > netlist.signals().len() {
+                if guard > netlist.signal_count() {
                     break;
                 }
             }
             path.reverse();
             reports.push(PathReport {
-                endpoint: netlist.signal(sid).name.clone(),
-                constraint_source: p.name.clone(),
+                endpoint: netlist.signal(sid).name().to_owned(),
+                constraint_source: p.name().to_owned(),
                 setup,
                 hold,
                 arrival,
@@ -314,16 +313,16 @@ impl PathAnalysis {
             }
         };
         for (_, p) in netlist.iter_prims() {
-            let (conn, setup) = match p.kind {
+            let (conn, setup) = match p.kind() {
                 PrimKind::SetupHold { setup, .. } | PrimKind::SetupRiseHoldFall { setup, .. } => {
                     // Checkers carry the checked data input first, the
                     // clock second (the reverse of Reg/Latch below).
-                    (&p.inputs[0], setup)
+                    (p.input(0), setup)
                 }
-                PrimKind::Reg { .. } | PrimKind::Latch { .. } => (&p.inputs[1], Time::ZERO),
+                PrimKind::Reg { .. } | PrimKind::Latch { .. } => (p.input(1), Time::ZERO),
                 _ => continue,
             };
-            tighten(&mut required[conn.signal.index()], period - setup);
+            tighten(&mut required[conn.signal().index()], period - setup);
         }
         // Walk combinational primitives in reverse topological order (the
         // forward `processed` order reversed is a valid reverse order for
@@ -331,15 +330,14 @@ impl PathAnalysis {
         let order: Vec<PrimId> = {
             // Recompute the forward order cheaply: processed flags were
             // consumed above, so redo Kahn on primitive indices.
-            let mut indeg: Vec<usize> = vec![0; netlist.prims().len()];
+            let mut indeg: Vec<usize> = vec![0; netlist.prim_count()];
             for (pid, p) in &comb {
                 indeg[pid.index()] = p
-                    .inputs
-                    .iter()
+                    .inputs()
                     .filter(|c| {
                         netlist
-                            .driver(c.signal)
-                            .is_some_and(|d| is_combinational(netlist.prim(d).kind))
+                            .driver(c.signal())
+                            .is_some_and(|d| is_combinational(netlist.prim(d).kind()))
                     })
                     .count();
             }
@@ -348,7 +346,7 @@ impl PathAnalysis {
                 .filter(|(pid, _)| indeg[pid.index()] == 0)
                 .map(|(pid, _)| *pid)
                 .collect();
-            let mut seen = vec![false; netlist.prims().len()];
+            let mut seen = vec![false; netlist.prim_count()];
             let mut order = Vec::new();
             while let Some(pid) = ready.pop_front() {
                 if seen[pid.index()] {
@@ -356,9 +354,12 @@ impl PathAnalysis {
                 }
                 seen[pid.index()] = true;
                 order.push(pid);
-                let out = netlist.prim(pid).output.expect("comb prims drive outputs");
+                let out = netlist
+                    .prim(pid)
+                    .output()
+                    .expect("comb prims drive outputs");
                 for &next in netlist.fanout(out) {
-                    if is_combinational(netlist.prim(next).kind) && !seen[next.index()] {
+                    if is_combinational(netlist.prim(next).kind()) && !seen[next.index()] {
                         let d = &mut indeg[next.index()];
                         *d = d.saturating_sub(1);
                         if *d == 0 {
@@ -371,13 +372,13 @@ impl PathAnalysis {
         };
         for pid in order.into_iter().rev() {
             let p = netlist.prim(pid);
-            let out = p.output.expect("comb prims drive outputs");
+            let out = p.output().expect("comb prims drive outputs");
             let Some(req_out) = required[out.index()] else {
                 continue;
             };
-            for c in &p.inputs {
-                let d = netlist.wire_delay(c).then(p.delay);
-                tighten(&mut required[c.signal.index()], req_out - d.max);
+            for c in p.inputs() {
+                let d = netlist.wire_delay(c).then(p.delay());
+                tighten(&mut required[c.signal().index()], req_out - d.max);
             }
         }
 

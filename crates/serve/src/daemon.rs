@@ -684,7 +684,7 @@ fn open_summary(pooled: &PooledSession, info: &CheckoutInfo) -> RunSummary {
             violations: report.total_violations() as u64,
             warm: true,
             seeded_prims: 0,
-            total_prims: pooled.session.netlist().prims().len() as u64,
+            total_prims: pooled.session.netlist().prim_count() as u64,
             events: 0,
             evaluations: 0,
             wall_ns: 0,

@@ -141,8 +141,7 @@ pub fn primary_inputs(netlist: &Netlist) -> Vec<SignalId> {
     netlist
         .iter_signals()
         .filter(|(sid, sig)| {
-            netlist.driver(*sid).is_none()
-                && !sig.assertion.as_ref().is_some_and(|a| a.kind.is_clock())
+            netlist.driver(*sid).is_none() && !sig.assertion().is_some_and(|a| a.kind.is_clock())
         })
         .map(|(sid, _)| sid)
         .collect()
@@ -170,7 +169,7 @@ struct CheckerState {
 pub fn simulate(netlist: &Netlist, stimulus: &Stimulus) -> SimResult {
     let period = netlist.config().timing.period;
     let timing = netlist.config().timing;
-    let n_signals = netlist.signals().len();
+    let n_signals = netlist.signal_count();
     let mut values = vec![SimValue::X; n_signals];
     // The settled value each driver is currently heading towards.
     let mut target = vec![SimValue::X; n_signals];
@@ -187,7 +186,7 @@ pub fn simulate(netlist: &Netlist, stimulus: &Stimulus) -> SimResult {
 
     // Clock generation from assertions: nominal edges every cycle.
     for (sid, sig) in netlist.iter_signals() {
-        if let Some(a) = &sig.assertion {
+        if let Some(a) = sig.assertion() {
             if a.kind.is_clock() {
                 let (wave, _) = a.to_state(&timing);
                 for c in 0..stimulus.cycles {
@@ -209,7 +208,7 @@ pub fn simulate(netlist: &Netlist, stimulus: &Stimulus) -> SimResult {
         assert!(
             vals.len() >= stimulus.cycles,
             "stimulus for {:?} shorter than cycle count",
-            netlist.signal(*sid).name
+            netlist.signal(*sid).name()
         );
         for (c, v) in vals.iter().take(stimulus.cycles).enumerate() {
             schedule(
@@ -223,8 +222,8 @@ pub fn simulate(netlist: &Netlist, stimulus: &Stimulus) -> SimResult {
     }
     // Constants.
     for (_, prim) in netlist.iter_prims() {
-        if let PrimKind::Const(v) = prim.kind {
-            if let Some(out) = prim.output {
+        if let PrimKind::Const(v) = prim.kind() {
+            if let Some(out) = prim.output() {
                 let sv = match v {
                     Value::One => SimValue::One,
                     Value::Zero => SimValue::Zero,
@@ -238,7 +237,7 @@ pub fn simulate(netlist: &Netlist, stimulus: &Stimulus) -> SimResult {
     // Checker bookkeeping.
     let mut checkers: HashMap<PrimId, CheckerState> = netlist
         .iter_prims()
-        .filter(|(_, p)| p.kind.is_checker())
+        .filter(|(_, p)| p.kind().is_checker())
         .map(|(pid, _)| {
             (
                 pid,
@@ -273,7 +272,7 @@ pub fn simulate(netlist: &Netlist, stimulus: &Stimulus) -> SimResult {
         // Notify every primitive reading this signal.
         for &pid in netlist.fanout(sid) {
             let prim = netlist.prim(pid);
-            match prim.kind {
+            match prim.kind() {
                 PrimKind::And
                 | PrimKind::Or
                 | PrimKind::Nand
@@ -285,23 +284,23 @@ pub fn simulate(netlist: &Netlist, stimulus: &Stimulus) -> SimResult {
                 | PrimKind::Chg
                 | PrimKind::Delay
                 | PrimKind::Mux { .. } => {
-                    let out = prim.output.expect("gates drive outputs");
+                    let out = prim.output().expect("gates drive outputs");
                     let pin = |i: usize| -> SimValue {
-                        let c = &prim.inputs[i];
-                        let v = values[c.signal.index()];
-                        if c.invert {
+                        let c = prim.input(i);
+                        let v = values[c.signal().index()];
+                        if c.invert() {
                             v.not()
                         } else {
                             v
                         }
                     };
-                    let f = match prim.kind {
-                        PrimKind::And => fold(prim.inputs.len(), &pin, SimValue::and),
-                        PrimKind::Or => fold(prim.inputs.len(), &pin, SimValue::or),
-                        PrimKind::Nand => fold(prim.inputs.len(), &pin, SimValue::and).not(),
-                        PrimKind::Nor => fold(prim.inputs.len(), &pin, SimValue::or).not(),
-                        PrimKind::Xor => fold(prim.inputs.len(), &pin, SimValue::xor),
-                        PrimKind::Xnor => fold(prim.inputs.len(), &pin, SimValue::xor).not(),
+                    let f = match prim.kind() {
+                        PrimKind::And => fold(prim.input_count(), &pin, SimValue::and),
+                        PrimKind::Or => fold(prim.input_count(), &pin, SimValue::or),
+                        PrimKind::Nand => fold(prim.input_count(), &pin, SimValue::and).not(),
+                        PrimKind::Nor => fold(prim.input_count(), &pin, SimValue::or).not(),
+                        PrimKind::Xor => fold(prim.input_count(), &pin, SimValue::xor),
+                        PrimKind::Xnor => fold(prim.input_count(), &pin, SimValue::xor).not(),
                         PrimKind::Not => pin(0).not(),
                         PrimKind::Buf | PrimKind::Delay | PrimKind::Chg => {
                             // CHG in concrete simulation is a buffer of its
@@ -309,8 +308,8 @@ pub fn simulate(netlist: &Netlist, stimulus: &Stimulus) -> SimResult {
                             // fold of all inputs via XOR-ish sensitivity:
                             // simplest faithful choice is to recompute a
                             // deterministic function (parity).
-                            if prim.kind == PrimKind::Chg {
-                                fold(prim.inputs.len(), &pin, SimValue::xor)
+                            if prim.kind() == PrimKind::Chg {
+                                fold(prim.input_count(), &pin, SimValue::xor)
                             } else {
                                 pin(0)
                             }
@@ -319,7 +318,7 @@ pub fn simulate(netlist: &Netlist, stimulus: &Stimulus) -> SimResult {
                             let sel = pin(0);
                             match sel {
                                 SimValue::Zero => pin(1),
-                                SimValue::One => pin(2.min(prim.inputs.len() - 1)),
+                                SimValue::One => pin(2.min(prim.input_count() - 1)),
                                 _ => SimValue::X,
                             }
                         }
@@ -327,13 +326,12 @@ pub fn simulate(netlist: &Netlist, stimulus: &Stimulus) -> SimResult {
                     };
                     if f != target[out.index()] {
                         let trigger_conn = prim
-                            .inputs
-                            .iter()
-                            .find(|c| c.signal == sid)
+                            .inputs()
+                            .find(|c| c.signal() == sid)
                             .expect("fanout lists only readers");
                         let wire = netlist.wire_delay(trigger_conn);
-                        let t_min = t + wire.min + prim.delay.min;
-                        let t_max = t + wire.max + prim.delay.max;
+                        let t_min = t + wire.min + prim.delay().min;
+                        let t_max = t + wire.max + prim.delay().max;
                         // Inertial filtering: cancel pending events on the
                         // output at or after the new ambiguity start.
                         let stale: Vec<(Time, u64)> = queue
@@ -353,12 +351,12 @@ pub fn simulate(netlist: &Netlist, stimulus: &Stimulus) -> SimResult {
                     }
                 }
                 PrimKind::Reg { set_reset } | PrimKind::Latch { set_reset } => {
-                    let is_reg = matches!(prim.kind, PrimKind::Reg { .. });
-                    let out = prim.output.expect("storage drives outputs");
+                    let is_reg = matches!(prim.kind(), PrimKind::Reg { .. });
+                    let out = prim.output().expect("storage drives outputs");
                     let pin = |i: usize| -> SimValue {
-                        let c = &prim.inputs[i];
-                        let v = values[c.signal.index()];
-                        if c.invert {
+                        let c = prim.input(i);
+                        let v = values[c.signal().index()];
+                        if c.invert() {
                             v.not()
                         } else {
                             v
@@ -388,11 +386,11 @@ pub fn simulate(netlist: &Netlist, stimulus: &Stimulus) -> SimResult {
                             continue;
                         }
                     }
-                    let is_ctl = prim.inputs[0].signal == sid;
+                    let is_ctl = prim.input(0).signal() == sid;
                     let ctl_new = pin(0);
                     if is_reg {
                         if is_ctl {
-                            let ctl_old = if prim.inputs[0].invert {
+                            let ctl_old = if prim.input(0).invert() {
                                 old.not()
                             } else {
                                 old
@@ -416,7 +414,7 @@ pub fn simulate(netlist: &Netlist, stimulus: &Stimulus) -> SimResult {
                                 } else {
                                     violations.push(SimViolation {
                                         kind: SimViolationKind::AmbiguousData,
-                                        source: prim.name.clone(),
+                                        source: prim.name().to_owned(),
                                         at: t,
                                     });
                                     schedule_storage(
@@ -433,7 +431,7 @@ pub fn simulate(netlist: &Netlist, stimulus: &Stimulus) -> SimResult {
                             } else if ctl_old == SimValue::Zero && ctl_new.is_ambiguous() {
                                 violations.push(SimViolation {
                                     kind: SimViolationKind::AmbiguousClock,
-                                    source: prim.name.clone(),
+                                    source: prim.name().to_owned(),
                                     at: t,
                                 });
                                 schedule_storage(
@@ -487,16 +485,16 @@ pub fn simulate(netlist: &Netlist, stimulus: &Stimulus) -> SimResult {
                 }
                 PrimKind::SetupHold { setup, hold }
                 | PrimKind::SetupRiseHoldFall { setup, hold } => {
-                    let srhf = matches!(prim.kind, PrimKind::SetupRiseHoldFall { .. });
-                    let input_sig = prim.inputs[0].signal;
-                    let clock_sig = prim.inputs[1].signal;
+                    let srhf = matches!(prim.kind(), PrimKind::SetupRiseHoldFall { .. });
+                    let input_sig = prim.input(0).signal();
+                    let clock_sig = prim.input(1).signal();
                     let st = checkers.get_mut(&pid).expect("checker state exists");
                     if sid == input_sig {
                         st.last_input_change = Some(t);
                         if srhf && st.clock_high {
                             violations.push(SimViolation {
                                 kind: SimViolationKind::ChangedWhileTrue,
-                                source: prim.name.clone(),
+                                source: prim.name().to_owned(),
                                 at: t,
                             });
                         }
@@ -506,14 +504,14 @@ pub fn simulate(netlist: &Netlist, stimulus: &Stimulus) -> SimResult {
                             if t - e < hold {
                                 violations.push(SimViolation {
                                     kind: SimViolationKind::Hold,
-                                    source: prim.name.clone(),
+                                    source: prim.name().to_owned(),
                                     at: t,
                                 });
                             }
                         }
                     }
                     if sid == clock_sig {
-                        let cv = if prim.inputs[1].invert {
+                        let cv = if prim.input(1).invert() {
                             new_v.not()
                         } else {
                             new_v
@@ -527,7 +525,7 @@ pub fn simulate(netlist: &Netlist, stimulus: &Stimulus) -> SimResult {
                                     if t - c < setup {
                                         violations.push(SimViolation {
                                             kind: SimViolationKind::Setup,
-                                            source: prim.name.clone(),
+                                            source: prim.name().to_owned(),
                                             at: t,
                                         });
                                     }
@@ -540,12 +538,12 @@ pub fn simulate(netlist: &Netlist, stimulus: &Stimulus) -> SimResult {
                     }
                 }
                 PrimKind::MinPulseWidth { high, low } => {
-                    let cv = if prim.inputs[0].invert {
+                    let cv = if prim.input(0).invert() {
                         new_v.not()
                     } else {
                         new_v
                     };
-                    let ov = if prim.inputs[0].invert {
+                    let ov = if prim.input(0).invert() {
                         old.not()
                     } else {
                         old
@@ -556,7 +554,7 @@ pub fn simulate(netlist: &Netlist, stimulus: &Stimulus) -> SimResult {
                             if low > Time::ZERO && t - f < low {
                                 violations.push(SimViolation {
                                     kind: SimViolationKind::MinPulseLow,
-                                    source: prim.name.clone(),
+                                    source: prim.name().to_owned(),
                                     at: t,
                                 });
                             }
@@ -568,7 +566,7 @@ pub fn simulate(netlist: &Netlist, stimulus: &Stimulus) -> SimResult {
                             if high > Time::ZERO && t - r < high {
                                 violations.push(SimViolation {
                                     kind: SimViolationKind::MinPulseHigh,
-                                    source: prim.name.clone(),
+                                    source: prim.name().to_owned(),
                                     at: t,
                                 });
                             }
@@ -609,13 +607,13 @@ fn schedule_storage(
     seq: &mut u64,
     target: &mut [SimValue],
     _netlist: &Netlist,
-    prim: &scald_netlist::Primitive,
+    prim: scald_netlist::PrimRef<'_>,
     out: SignalId,
     t: Time,
     v: SimValue,
 ) {
-    let t_min = t + prim.delay.min;
-    let t_max = t + prim.delay.max;
+    let t_min = t + prim.delay().min;
+    let t_max = t + prim.delay().max;
     let stale: Vec<(Time, u64)> = queue
         .range((t_min, 0)..)
         .filter(|(_, (osid, _))| *osid == out)

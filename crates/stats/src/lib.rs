@@ -206,7 +206,7 @@ impl ProbPathAnalysis {
     /// (0 = independent components, 1 = same production run, §4.2.3).
     #[must_use]
     pub fn analyze(netlist: &Netlist, rho: f64) -> ProbPathAnalysis {
-        let n = netlist.signals().len();
+        let n = netlist.signal_count();
         let period = netlist.config().timing.period.as_ns();
         let mut arrivals: Vec<Option<DelayDist>> = vec![None; n];
         let mut worst: Vec<Option<f64>> = vec![None; n];
@@ -236,10 +236,10 @@ impl ProbPathAnalysis {
                 }
                 Some(pid) => {
                     let p = netlist.prim(pid);
-                    if p.kind.is_storage() {
-                        arrivals[sid.index()] = Some(DelayDist::from_range(p.delay));
-                        worst[sid.index()] = Some(p.delay.max.as_ns());
-                    } else if matches!(p.kind, PrimKind::Const(_)) {
+                    if p.kind().is_storage() {
+                        arrivals[sid.index()] = Some(DelayDist::from_range(p.delay()));
+                        worst[sid.index()] = Some(p.delay().max.as_ns());
+                    } else if matches!(p.kind(), PrimKind::Const(_)) {
                         arrivals[sid.index()] = Some(DelayDist::exact(0.0));
                         worst[sid.index()] = Some(0.0);
                     }
@@ -248,46 +248,45 @@ impl ProbPathAnalysis {
         }
 
         // Topological propagation (identical structure to scald-paths).
-        let mut indegree: Vec<usize> = vec![0; netlist.prims().len()];
+        let mut indegree: Vec<usize> = vec![0; netlist.prim_count()];
         for (pid, p) in netlist.iter_prims() {
-            if is_comb(p.kind) {
+            if is_comb(p.kind()) {
                 indegree[pid.index()] = p
-                    .inputs
-                    .iter()
+                    .inputs()
                     .filter(|c| {
                         netlist
-                            .driver(c.signal)
-                            .is_some_and(|d| is_comb(netlist.prim(d).kind))
+                            .driver(c.signal())
+                            .is_some_and(|d| is_comb(netlist.prim(d).kind()))
                     })
                     .count();
             }
         }
         let mut ready: VecDeque<_> = netlist
             .iter_prims()
-            .filter(|(pid, p)| is_comb(p.kind) && indegree[pid.index()] == 0)
+            .filter(|(pid, p)| is_comb(p.kind()) && indegree[pid.index()] == 0)
             .map(|(pid, _)| pid)
             .collect();
-        let mut processed = vec![false; netlist.prims().len()];
+        let mut processed = vec![false; netlist.prim_count()];
         while let Some(pid) = ready.pop_front() {
             if processed[pid.index()] {
                 continue;
             }
             processed[pid.index()] = true;
             let p = netlist.prim(pid);
-            let out = p.output.expect("combinational prims drive outputs");
+            let out = p.output().expect("combinational prims drive outputs");
             let mut acc: Option<DelayDist> = None;
             let mut acc_worst: Option<f64> = None;
-            for c in &p.inputs {
-                let Some(a) = arrivals[c.signal.index()] else {
+            for c in p.inputs() {
+                let Some(a) = arrivals[c.signal().index()] else {
                     continue;
                 };
-                let total = netlist.wire_delay(c).then(p.delay);
+                let total = netlist.wire_delay(c).then(p.delay());
                 let cand = a.then(DelayDist::from_range(total));
                 acc = Some(match acc {
                     None => cand,
                     Some(prev) => prev.max(cand, rho),
                 });
-                if let Some(w) = worst[c.signal.index()] {
+                if let Some(w) = worst[c.signal().index()] {
                     let cw = w + total.max.as_ns();
                     acc_worst = Some(acc_worst.map_or(cw, |p: f64| p.max(cw)));
                 }
@@ -297,7 +296,7 @@ impl ProbPathAnalysis {
                 worst[out.index()] = acc_worst;
             }
             for &next in netlist.fanout(out) {
-                if is_comb(netlist.prim(next).kind) && !processed[next.index()] {
+                if is_comb(netlist.prim(next).kind()) && !processed[next.index()] {
                     let deg = &mut indegree[next.index()];
                     *deg = deg.saturating_sub(1);
                     if *deg == 0 {
@@ -309,21 +308,21 @@ impl ProbPathAnalysis {
 
         let mut reports = Vec::new();
         for (_, p) in netlist.iter_prims() {
-            let (conn, setup) = match p.kind {
+            let (conn, setup) = match p.kind() {
                 PrimKind::SetupHold { setup, .. } | PrimKind::SetupRiseHoldFall { setup, .. } => {
-                    (&p.inputs[0], setup.as_ns())
+                    (p.input(0), setup.as_ns())
                 }
-                PrimKind::Reg { .. } | PrimKind::Latch { .. } => (&p.inputs[1], 0.0),
+                PrimKind::Reg { .. } | PrimKind::Latch { .. } => (p.input(1), 0.0),
                 _ => continue,
             };
-            let sid = conn.signal;
+            let sid = conn.signal();
             let (Some(arrival), Some(w)) = (arrivals[sid.index()], worst[sid.index()]) else {
                 continue;
             };
             let deadline = period - setup;
             reports.push(ProbReport {
-                endpoint: netlist.signal(sid).name.clone(),
-                constraint_source: p.name.clone(),
+                endpoint: netlist.signal(sid).name().to_owned(),
+                constraint_source: p.name().to_owned(),
                 arrival,
                 worst_case_ns: w,
                 deadline_ns: deadline,

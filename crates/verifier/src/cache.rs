@@ -32,7 +32,7 @@ use std::hash::{BuildHasher, Hash, Hasher, RandomState};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, RwLock};
 
-use scald_netlist::{Conn, Netlist, PrimKind, Primitive};
+use scald_netlist::{Netlist, PrimKind, PrimRef};
 use scald_wave::{DelayCorner, Time};
 
 use crate::eval::EvalOutcome;
@@ -213,10 +213,9 @@ impl EvalCache {
         let mut words = Vec::new();
         let mut sigs = self.sigs.lock().expect("eval cache poisoned");
         netlist
-            .prims()
-            .iter()
-            .map(|prim| {
-                if prim.kind.is_checker() {
+            .iter_prims()
+            .map(|(_, prim)| {
+                if prim.kind().is_checker() {
                     return None;
                 }
                 words.clear();
@@ -236,25 +235,26 @@ impl EvalCache {
     pub(crate) fn key_for<S: StateView + ?Sized>(
         &self,
         sig: u32,
-        prim: &Primitive,
+        prim: PrimRef<'_>,
         states: &S,
         corner: DelayCorner,
     ) -> EvalKey {
-        let pin = |conn: &Conn| states.state_at(conn.signal.index());
-        let pins = if prim.inputs.len() <= INLINE_PINS {
+        let inputs = prim.input_signals();
+        let pin = |s: &scald_netlist::SignalId| states.state_at(s.index());
+        let pins = if inputs.len() <= INLINE_PINS {
             let mut inline = [StateId::default(); INLINE_PINS];
-            for (slot, conn) in inline.iter_mut().zip(&prim.inputs) {
-                *slot = pin(conn);
+            for (slot, s) in inline.iter_mut().zip(inputs) {
+                *slot = pin(s);
             }
             Pins::Inline(inline)
         } else {
-            Pins::Spilled(prim.inputs.iter().map(pin).collect())
+            Pins::Spilled(inputs.iter().map(pin).collect())
         };
         let mut key = EvalKey {
             hash: 0,
             sig,
             corner,
-            len: prim.inputs.len() as u32,
+            len: inputs.len() as u32,
             pins,
         };
         key.hash = self.hash_key(&key);
@@ -384,15 +384,15 @@ impl fmt::Debug for EvalCache {
 /// evaluate identically on equal inputs — the
 /// invalidation-by-construction invariant — and every length is in the
 /// words, so equal words mean equal descriptors.
-fn pack_descriptor(netlist: &Netlist, period: Time, prim: &Primitive, words: &mut Vec<u64>) {
+fn pack_descriptor(netlist: &Netlist, period: Time, prim: PrimRef<'_>, words: &mut Vec<u64>) {
     let ps = |t: Time| t.as_ps() as u64;
     words.extend([
         ps(period),
-        kind_code(prim.kind),
-        ps(prim.delay.min),
-        ps(prim.delay.max),
+        kind_code(prim.kind()),
+        ps(prim.delay().min),
+        ps(prim.delay().max),
     ]);
-    match prim.edge_delays {
+    match prim.edge_delays() {
         None => words.push(0),
         Some(ed) => words.extend([
             1,
@@ -402,16 +402,16 @@ fn pack_descriptor(netlist: &Netlist, period: Time, prim: &Primitive, words: &mu
             ps(ed.fall.max),
         ]),
     }
-    for conn in &prim.inputs {
+    for conn in prim.inputs() {
         let wire = netlist.wire_delay(conn);
         // 0 for no directive, else its length plus one.
-        let directive = conn.directive.as_ref().map_or(0, |d| d.len() as u64 + 1);
+        let directive = conn.directive().map_or(0, |d| d.len() as u64 + 1);
         words.extend([
-            u64::from(conn.invert) | directive << 1,
+            u64::from(conn.invert()) | directive << 1,
             ps(wire.min),
             ps(wire.max),
         ]);
-        for chunk in conn.directive.iter().flat_map(|d| d.as_bytes().chunks(8)) {
+        for chunk in conn.directive().iter().flat_map(|d| d.as_bytes().chunks(8)) {
             let mut word = [0u8; 8];
             word[..chunk.len()].copy_from_slice(chunk);
             words.push(u64::from_le_bytes(word));
@@ -503,7 +503,7 @@ mod tests {
     fn lookup_hits_only_on_matching_key_and_counts() {
         let n = tiny();
         let cache = EvalCache::new();
-        let prim = &n.prims()[0];
+        let (_, prim) = n.iter_prims().next().unwrap();
         let sig = cache.sigs_for(&n)[0].unwrap();
         let period = n.config().timing.period;
         let states = constants(period, &[Value::Zero, Value::Unknown, Value::Unknown]);
@@ -545,7 +545,7 @@ mod tests {
     #[test]
     fn counts_match_one_worker_in_every_interleaving() {
         let n = tiny();
-        let prim = &n.prims()[0];
+        let (_, prim) = n.iter_prims().next().unwrap();
         let period = n.config().timing.period;
         // Keys are hashed by the cache that builds them.
         let key = |c: &EvalCache, v: Value| {
@@ -654,23 +654,23 @@ mod tests {
 
     /// The earlier descriptor: everything `evaluate` reads, rendered with
     /// `Debug` into one string.
-    fn oracle_descriptor(netlist: &Netlist, prim: &Primitive) -> String {
+    fn oracle_descriptor(netlist: &Netlist, prim: PrimRef<'_>) -> String {
         use std::fmt::Write as _;
         let mut d = String::with_capacity(96);
         let _ = write!(
             d,
             "{:?}|{:?}|{:?}|{:?}",
             netlist.config().timing.period,
-            prim.kind,
-            prim.delay,
-            prim.edge_delays,
+            prim.kind(),
+            prim.delay(),
+            prim.edge_delays(),
         );
-        for conn in &prim.inputs {
+        for conn in prim.inputs() {
             let _ = write!(
                 d,
                 "|{}:{:?}:{:?}",
-                conn.invert,
-                conn.directive,
+                conn.invert(),
+                conn.directive(),
                 netlist.wire_delay(conn),
             );
         }
@@ -685,10 +685,9 @@ mod tests {
         designs
             .iter()
             .map(|n| {
-                n.prims()
-                    .iter()
-                    .map(|prim| {
-                        (!prim.kind.is_checker()).then(|| {
+                n.iter_prims()
+                    .map(|(_, prim)| {
+                        (!prim.kind().is_checker()).then(|| {
                             let next = oracle.len() as u32;
                             *oracle.entry(oracle_descriptor(n, prim)).or_insert(next)
                         })

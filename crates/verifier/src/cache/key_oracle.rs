@@ -16,7 +16,7 @@
 
 use std::collections::HashMap;
 
-use scald_netlist::Primitive;
+use scald_netlist::PrimRef;
 use scald_wave::{DelayCorner, Skew, Waveform};
 
 use super::{EvalCache, EvalKey, INLINE_PINS};
@@ -41,15 +41,15 @@ struct OracleKey {
 
 fn oracle_key<S: StateView + ?Sized>(
     sig: u32,
-    prim: &Primitive,
+    prim: PrimRef<'_>,
     states: &S,
     corner: DelayCorner,
 ) -> OracleKey {
     let inputs = prim
-        .inputs
+        .input_signals()
         .iter()
-        .map(|conn| {
-            let src = states.state_at(conn.signal.index()).get();
+        .map(|s| {
+            let src = states.state_at(s.index()).get();
             InputKey {
                 wave: src.wave.to_waveform(),
                 skew: src.skew,
@@ -97,7 +97,7 @@ pub(super) fn cross_check<S: StateView + ?Sized>(
     cache: &EvalCache,
     key: &EvalKey,
     sig: u32,
-    prim: &Primitive,
+    prim: PrimRef<'_>,
     states: &S,
     corner: DelayCorner,
 ) {
@@ -272,7 +272,7 @@ mod tests {
         b.gate("AND6", PrimKind::And, d, ins.iter().copied(), outs[2]);
         let netlist = b.finish().unwrap();
         let period = netlist.config().timing.period;
-        let [and2, and3, and6] = [0, 1, 2].map(|i| &netlist.prims()[i]);
+        let [and2, and3, and6] = [0, 1, 2].map(|i| netlist.iter_prims().nth(i).unwrap().1);
 
         // Waves with the same id in two stores: the second store interns
         // waves until one lands on the first's id.

@@ -2,8 +2,9 @@
 //! every checker primitive, every `&A`/`&H` gating directive, and every
 //! stable assertion on a generated signal.
 
+use scald_assertions::Assertion;
 use scald_logic::Value;
-use scald_netlist::{Conn, Netlist, PrimId, PrimKind, Primitive, Signal, SignalId};
+use scald_netlist::{ConnRef, Netlist, PrimId, PrimKind, PrimRef, SignalId, SignalRef};
 use scald_wave::{
     edge_windows, pulses, DelayCorner, DelayRange, Edge, EdgeWindow, Span, Time, Waveform,
 };
@@ -47,10 +48,10 @@ pub(crate) fn provenance_for<S: StateView + ?Sized>(
         hops.push(ProvenanceHop {
             signal: sig.full_name(),
             depth,
-            via: driver.map(|pid| netlist.prim(pid).name.clone()),
+            via: driver.map(|pid| netlist.prim(pid).name().to_owned()),
             arrival: wave.spans_where(|v| !v.is_quiescent()),
         });
-        if driver.is_none() || sig.assertion.is_some() {
+        if driver.is_none() || sig.assertion().is_some() {
             continue;
         }
         if depth >= PROVENANCE_MAX_DEPTH {
@@ -58,7 +59,7 @@ pub(crate) fn provenance_for<S: StateView + ?Sized>(
             continue;
         }
         for pid in netlist.drivers(sid) {
-            for input in netlist.prim(*pid).input_signals() {
+            for &input in netlist.prim(*pid).input_signals() {
                 if visited.insert(input) {
                     queue.push_back((input, depth + 1));
                 }
@@ -263,14 +264,14 @@ struct PinKey {
 impl PinKey {
     fn of<S: StateView + ?Sized>(
         netlist: &Netlist,
-        conn: &Conn,
+        conn: ConnRef<'_>,
         states: &S,
         corner: DelayCorner,
     ) -> PinKey {
-        let state = states.state_at(conn.signal.index());
+        let state = states.state_at(conn.signal().index());
         // The directive head, read from the first letter directly: a
         // connection's own string wins over the one riding on the value.
-        let head = match &conn.directive {
+        let head = match conn.directive() {
             Some(d) => d.chars().next().and_then(Directive::from_letter),
             None => state.get().eval.as_ref().and_then(EvalStr::head),
         };
@@ -281,7 +282,7 @@ impl PinKey {
         };
         PinKey {
             state,
-            invert: conn.invert,
+            invert: conn.invert(),
             wire,
         }
     }
@@ -305,15 +306,15 @@ impl CheckerKey {
     /// nothing.
     fn of<S: StateView + ?Sized>(
         netlist: &Netlist,
-        prim: &Primitive,
+        prim: PrimRef<'_>,
         states: &S,
         corner: DelayCorner,
     ) -> CheckerKey {
-        let pin = |i: usize| PinKey::of(netlist, &prim.inputs[i], states, corner);
+        let pin = |i: usize| PinKey::of(netlist, prim.input(i), states, corner);
         CheckerKey {
-            kind: prim.kind,
+            kind: prim.kind(),
             data: pin(0),
-            clock: match prim.kind {
+            clock: match prim.kind() {
                 PrimKind::MinPulseWidth { .. } => None,
                 _ => Some(pin(1)),
             },
@@ -343,7 +344,7 @@ impl<'a, S: StateView + ?Sized> CheckerRun<'a, S> {
     }
 
     /// Checks `prim`, appending its violations; `true` if it fired.
-    fn check(&mut self, prim: &Primitive, out: &mut Vec<Violation>) -> bool {
+    fn check(&mut self, prim: PrimRef<'_>, out: &mut Vec<Violation>) -> bool {
         let key = CheckerKey::of(self.netlist, prim, self.states, self.corner);
         if self.clean.contains(&key) {
             return false;
@@ -369,7 +370,7 @@ struct Margins {
 /// The margins of one checker primitive against `states`.
 fn checker_margins<S: StateView + ?Sized>(
     netlist: &Netlist,
-    prim: &Primitive,
+    prim: PrimRef<'_>,
     states: &S,
     corner: DelayCorner,
 ) -> Margins {
@@ -380,10 +381,10 @@ fn checker_margins<S: StateView + ?Sized>(
         hold: None,
         pulse: None,
     };
-    match prim.kind {
+    match prim.kind() {
         PrimKind::SetupHold { setup, hold } => {
-            let input = pin_wave(netlist, prim, &prim.inputs[0], states, corner);
-            let clock = pin_wave(netlist, prim, &prim.inputs[1], states, corner);
+            let input = pin_wave(netlist, prim, prim.input(0), states, corner);
+            let clock = pin_wave(netlist, prim, prim.input(1), states, corner);
             for e in edge_windows(&clock, Edge::Rising) {
                 let avail_setup = if input.quiescent_throughout(e.span) {
                     quiescent_before(&input, e.span.start())
@@ -398,8 +399,8 @@ fn checker_margins<S: StateView + ?Sized>(
             }
         }
         PrimKind::SetupRiseHoldFall { setup, hold } => {
-            let input = pin_wave(netlist, prim, &prim.inputs[0], states, corner);
-            let clock = pin_wave(netlist, prim, &prim.inputs[1], states, corner);
+            let input = pin_wave(netlist, prim, prim.input(0), states, corner);
+            let clock = pin_wave(netlist, prim, prim.input(1), states, corner);
             for (r, f) in clock_pulses(&clock) {
                 worst(
                     &mut m.setup,
@@ -412,7 +413,7 @@ fn checker_margins<S: StateView + ?Sized>(
             }
         }
         PrimKind::MinPulseWidth { high, low } => {
-            let input = pin_wave_pulse_view(netlist, prim, &prim.inputs[0], states, corner);
+            let input = pin_wave_pulse_view(netlist, prim, prim.input(0), states, corner);
             if high > Time::ZERO {
                 for p in pulses(&input, true) {
                     worst(&mut m.pulse, p.min_possible_width - high);
@@ -442,7 +443,7 @@ pub(crate) fn slack_report<S: StateView + ?Sized>(
     let mut table: HashMap<CheckerKey, Margins> = HashMap::new();
     let mut out = Vec::new();
     for (_, prim) in netlist.iter_prims() {
-        if !prim.kind.is_checker() {
+        if !prim.kind().is_checker() {
             continue;
         }
         let key = CheckerKey::of(netlist, prim, states, corner);
@@ -450,8 +451,8 @@ pub(crate) fn slack_report<S: StateView + ?Sized>(
             .entry(key)
             .or_insert_with(|| checker_margins(netlist, prim, states, corner));
         out.push(CheckMargin {
-            checker: prim.name.clone(),
-            signal: netlist.signal(prim.inputs[0].signal).name.clone(),
+            checker: prim.name().to_owned(),
+            signal: netlist.signal(prim.input(0).signal()).name().to_owned(),
             setup_slack: m.setup,
             hold_slack: m.hold,
             pulse_slack: m.pulse,
@@ -527,8 +528,9 @@ pub(crate) struct CheckPass {
 
 /// True if every direct input signal of `prim` is outside `dirty`
 /// (ascending signal indices).
-fn inputs_clean(prim: &Primitive, dirty: &[usize]) -> bool {
+fn inputs_clean(prim: PrimRef<'_>, dirty: &[usize]) -> bool {
     prim.input_signals()
+        .iter()
         .all(|s| dirty.binary_search(&s.index()).is_err())
 }
 
@@ -539,56 +541,64 @@ fn inputs_clean(prim: &Primitive, dirty: &[usize]) -> bool {
 fn check_checker_prim<S: StateView + ?Sized>(
     netlist: &Netlist,
     states: &S,
-    prim: &Primitive,
+    prim: PrimRef<'_>,
     corner: DelayCorner,
     out: &mut Vec<Violation>,
 ) {
     let period = netlist.config().timing.period;
-    match prim.kind {
+    match prim.kind() {
         PrimKind::SetupHold { setup, hold } => {
-            let input = pin_wave(netlist, prim, &prim.inputs[0], states, corner);
-            let clock = pin_wave(netlist, prim, &prim.inputs[1], states, corner);
-            let in_name = &netlist.signal(prim.inputs[0].signal).name;
-            let ck_name = &netlist.signal(prim.inputs[1].signal).name;
+            let input = pin_wave(netlist, prim, prim.input(0), states, corner);
+            let clock = pin_wave(netlist, prim, prim.input(1), states, corner);
+            let in_name = &netlist.signal(prim.input(0).signal()).name();
+            let ck_name = &netlist.signal(prim.input(1).signal()).name();
             let len_before = out.len();
-            if !check_clock_defined(&prim.name, ck_name, &clock, out) {
+            if !check_clock_defined(prim.name(), ck_name, &clock, out) {
                 attach_provenance(
                     netlist,
                     states,
-                    prim.inputs[1].signal,
+                    prim.input(1).signal(),
                     &mut out[len_before..],
                 );
                 return;
             }
             let edges = edge_windows(&clock, Edge::Rising);
             check_setup_hold_edges(
-                &prim.name, setup, hold, &input, in_name, &clock, ck_name, &edges, out,
+                prim.name(),
+                setup,
+                hold,
+                &input,
+                in_name,
+                &clock,
+                ck_name,
+                &edges,
+                out,
             );
             attach_provenance(
                 netlist,
                 states,
-                prim.inputs[0].signal,
+                prim.input(0).signal(),
                 &mut out[len_before..],
             );
         }
         PrimKind::SetupRiseHoldFall { setup, hold } => {
-            let input = pin_wave(netlist, prim, &prim.inputs[0], states, corner);
-            let clock = pin_wave(netlist, prim, &prim.inputs[1], states, corner);
-            let in_name = &netlist.signal(prim.inputs[0].signal).name;
-            let ck_name = &netlist.signal(prim.inputs[1].signal).name;
+            let input = pin_wave(netlist, prim, prim.input(0), states, corner);
+            let clock = pin_wave(netlist, prim, prim.input(1), states, corner);
+            let in_name = &netlist.signal(prim.input(0).signal()).name();
+            let ck_name = &netlist.signal(prim.input(1).signal()).name();
             let len_before = out.len();
-            if !check_clock_defined(&prim.name, ck_name, &clock, out) {
+            if !check_clock_defined(prim.name(), ck_name, &clock, out) {
                 attach_provenance(
                     netlist,
                     states,
-                    prim.inputs[1].signal,
+                    prim.input(1).signal(),
                     &mut out[len_before..],
                 );
                 return;
             }
             let violation = |kind, missed_by, at| Violation {
                 kind,
-                source: prim.name.clone(),
+                source: prim.name().to_owned(),
                 constraint: format!("SETUP (RISE) = {setup}, HOLD (FALL) = {hold}"),
                 missed_by,
                 at: Some(at),
@@ -627,15 +637,15 @@ fn check_checker_prim<S: StateView + ?Sized>(
             attach_provenance(
                 netlist,
                 states,
-                prim.inputs[0].signal,
+                prim.input(0).signal(),
                 &mut out[len_before..],
             );
         }
         PrimKind::MinPulseWidth { high, low } => {
             // Pulse widths are measured with skew kept separate: skew
             // shifts both edges of a pulse together (§2.8).
-            let input = pin_wave_pulse_view(netlist, prim, &prim.inputs[0], states, corner);
-            let name = &netlist.signal(prim.inputs[0].signal).name;
+            let input = pin_wave_pulse_view(netlist, prim, prim.input(0), states, corner);
+            let name = &netlist.signal(prim.input(0).signal()).name();
             let len_before = out.len();
             let observed = || vec![observed_line("INPUT     ", name, &input)];
             if high > Time::ZERO {
@@ -648,7 +658,7 @@ fn check_checker_prim<S: StateView + ?Sized>(
                         };
                         out.push(Violation {
                             kind: ViolationKind::MinPulseHigh,
-                            source: prim.name.clone(),
+                            source: prim.name().to_owned(),
                             constraint: format!(
                                 "MIN HIGH WIDTH = {high}, POSSIBLE WIDTH = {}{glitch}",
                                 p.min_possible_width
@@ -671,7 +681,7 @@ fn check_checker_prim<S: StateView + ?Sized>(
                         };
                         out.push(Violation {
                             kind: ViolationKind::MinPulseLow,
-                            source: prim.name.clone(),
+                            source: prim.name().to_owned(),
                             constraint: format!(
                                 "MIN LOW WIDTH = {low}, POSSIBLE WIDTH = {}{glitch}",
                                 p.min_possible_width
@@ -687,7 +697,7 @@ fn check_checker_prim<S: StateView + ?Sized>(
             attach_provenance(
                 netlist,
                 states,
-                prim.inputs[0].signal,
+                prim.input(0).signal(),
                 &mut out[len_before..],
             );
         }
@@ -707,20 +717,20 @@ fn check_hazard_gate<S: StateView + ?Sized>(
     out: &mut Vec<Violation>,
 ) {
     let prim = netlist.prim(pid);
-    let clock = pin_wave(netlist, prim, &prim.inputs[clock_idx], states, corner);
+    let clock = pin_wave(netlist, prim, prim.input(clock_idx), states, corner);
     let asserted = clock.spans_where(Value::could_be_high);
-    let ck_name = &netlist.signal(prim.inputs[clock_idx].signal).name;
-    for (i, conn) in prim.inputs.iter().enumerate() {
+    let ck_name = &netlist.signal(prim.input(clock_idx).signal()).name();
+    for (i, conn) in prim.inputs().enumerate() {
         if i == clock_idx {
             continue;
         }
         let other = pin_wave(netlist, prim, conn, states, corner);
-        let name = &netlist.signal(conn.signal).name;
+        let name = netlist.signal(conn.signal()).name();
         for span in &asserted {
             if !other.quiescent_throughout(*span) {
                 out.push(Violation {
                     kind: ViolationKind::Hazard,
-                    source: prim.name.clone(),
+                    source: prim.name().to_owned(),
                     constraint: format!("CONTROL MUST BE STABLE WHILE {ck_name} ASSERTED"),
                     missed_by: None,
                     at: Some(*span),
@@ -728,7 +738,7 @@ fn check_hazard_gate<S: StateView + ?Sized>(
                         observed_line("CLOCK     ", ck_name, &clock),
                         observed_line("CONTROL   ", name, &other),
                     ],
-                    provenance: Some(provenance_for(netlist, states, conn.signal)),
+                    provenance: Some(provenance_for(netlist, states, conn.signal())),
                 });
                 break; // one report per (gate, control input)
             }
@@ -736,12 +746,10 @@ fn check_hazard_gate<S: StateView + ?Sized>(
     }
 }
 
-/// True if `sig` carries the §2.5.2 assertion-check unit: a non-clock
+/// True if signal `sid` carries the §2.5.2 assertion-check unit: a non-clock
 /// assertion on a generated (driven) signal.
-fn has_assertion_unit(netlist: &Netlist, sid: SignalId, sig: &Signal) -> bool {
-    sig.assertion
-        .as_ref()
-        .is_some_and(|a| !a.kind.is_clock() && netlist.driver(sid).is_some())
+fn has_assertion_unit(netlist: &Netlist, sid: SignalId, assertion: Option<&Assertion>) -> bool {
+    assertion.is_some_and(|a| !a.kind.is_clock() && netlist.driver(sid).is_some())
 }
 
 /// Checks one stable assertion on a generated signal (§2.5.2): the
@@ -751,11 +759,11 @@ fn check_signal_assertion<S: StateView + ?Sized>(
     netlist: &Netlist,
     states: &S,
     sid: SignalId,
-    sig: &Signal,
+    sig: SignalRef<'_>,
     out: &mut Vec<Violation>,
 ) {
     let timing = netlist.config().timing;
-    let assertion = sig.assertion.as_ref().expect("assertion unit");
+    let assertion = sig.assertion().expect("assertion unit");
     let (asserted_wave, _) = assertion.to_state(&timing);
     let actual = states.state_at(sid.index()).get().resolved();
     for span in asserted_wave.spans_where(|v| v == Value::Stable) {
@@ -766,7 +774,7 @@ fn check_signal_assertion<S: StateView + ?Sized>(
                 constraint: format!("ASSERTED STABLE {span}"),
                 missed_by: None,
                 at: Some(span),
-                observed: vec![observed_line("ACTUAL    ", &sig.name, &actual)],
+                observed: vec![observed_line("ACTUAL    ", sig.name(), &actual)],
                 provenance: Some(provenance_for(netlist, states, sid)),
             });
         }
@@ -827,7 +835,7 @@ fn run_full_pass<S: StateView + ?Sized>(
 
     let mut checkers = CheckerRun::new(netlist, states, corner);
     for (pid, prim) in netlist.iter_prims() {
-        if !prim.kind.is_checker() {
+        if !prim.kind().is_checker() {
             continue;
         }
         checker_prims += 1;
@@ -842,13 +850,13 @@ fn run_full_pass<S: StateView + ?Sized>(
             violating_hazards.insert((pid, clock_idx));
         }
     }
-    for (sid, sig) in netlist.iter_signals() {
-        if !has_assertion_unit(netlist, sid, sig) {
+    for (sid, assertion) in netlist.asserted_signals() {
+        if !has_assertion_unit(netlist, sid, Some(assertion)) {
             continue;
         }
         assert_signals.push(sid);
         let before = out.len();
-        check_signal_assertion(netlist, states, sid, sig, &mut out);
+        check_signal_assertion(netlist, states, sid, netlist.signal(sid), &mut out);
         if out.len() > before {
             violating_asserts.insert(sid);
         }
@@ -903,7 +911,7 @@ fn run_delta_pass<S: StateView + ?Sized>(
                 .row(idx)
                 .iter()
                 .copied()
-                .filter(|&pid| netlist.prim(pid).kind.is_checker()),
+                .filter(|&pid| netlist.prim(pid).kind().is_checker()),
         );
     }
     prims.sort_unstable();

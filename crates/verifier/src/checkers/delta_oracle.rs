@@ -11,7 +11,7 @@
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashSet};
 
-use scald_netlist::{Netlist, PrimId, PrimKind, Primitive, SignalId};
+use scald_netlist::{Netlist, PrimId, PrimKind, PrimRef, SignalId};
 use scald_wave::DelayCorner;
 
 use super::{
@@ -32,8 +32,10 @@ struct WalkPass {
     inherited: u64,
 }
 
-fn walk_inputs_clean(prim: &Primitive, dirty: &HashSet<usize>) -> bool {
-    prim.input_signals().all(|s| !dirty.contains(&s.index()))
+fn walk_inputs_clean(prim: PrimRef<'_>, dirty: &HashSet<usize>) -> bool {
+    prim.input_signals()
+        .iter()
+        .all(|s| !dirty.contains(&s.index()))
 }
 
 /// The memoized pass as it walked the design: every checker primitive,
@@ -56,7 +58,7 @@ fn run_checks_walk<S: StateView + ?Sized>(
 
     for (pid, prim) in netlist.iter_prims() {
         if !matches!(
-            prim.kind,
+            prim.kind(),
             PrimKind::SetupHold { .. }
                 | PrimKind::SetupRiseHoldFall { .. }
                 | PrimKind::MinPulseWidth { .. }
@@ -92,7 +94,7 @@ fn run_checks_walk<S: StateView + ?Sized>(
     }
 
     for (sid, sig) in netlist.iter_signals() {
-        if !has_assertion_unit(netlist, sid, sig) {
+        if !has_assertion_unit(netlist, sid, sig.assertion()) {
             continue;
         }
         if !m.cache.violating_asserts.contains(&sid) && !dirty.contains(&sid.index()) {

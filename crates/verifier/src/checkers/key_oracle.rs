@@ -40,7 +40,7 @@ fn full_pass_per_instance<S: StateView + ?Sized>(
     let mut checker_prims = 0u64;
     let mut assert_signals = Vec::new();
     for (pid, prim) in netlist.iter_prims() {
-        if !prim.kind.is_checker() {
+        if !prim.kind().is_checker() {
             continue;
         }
         checker_prims += 1;
@@ -58,7 +58,7 @@ fn full_pass_per_instance<S: StateView + ?Sized>(
         }
     }
     for (sid, sig) in netlist.iter_signals() {
-        if !has_assertion_unit(netlist, sid, sig) {
+        if !has_assertion_unit(netlist, sid, sig.assertion()) {
             continue;
         }
         assert_signals.push(sid);
@@ -94,12 +94,12 @@ fn slack_per_checker<S: StateView + ?Sized>(
 ) -> Vec<CheckMargin> {
     let mut out: Vec<CheckMargin> = netlist
         .iter_prims()
-        .filter(|(_, prim)| prim.kind.is_checker())
+        .filter(|(_, prim)| prim.kind().is_checker())
         .map(|(_, prim)| {
             let m = checker_margins(netlist, prim, states, corner);
             CheckMargin {
-                checker: prim.name.clone(),
-                signal: netlist.signal(prim.inputs[0].signal).name.clone(),
+                checker: prim.name().to_owned(),
+                signal: netlist.signal(prim.input(0).signal()).name().to_owned(),
                 setup_slack: m.setup,
                 hold_slack: m.hold,
                 pulse_slack: m.pulse,
@@ -161,30 +161,31 @@ fn tally<S: StateView + ?Sized>(
     cov.point_corners += u64::from(corner != DelayCorner::Worst);
     let mut keys = HashSet::new();
     for (_, prim) in netlist.iter_prims() {
-        if !prim.kind.is_checker() {
+        if !prim.kind().is_checker() {
             continue;
         }
-        let pins = if matches!(prim.kind, PrimKind::MinPulseWidth { .. }) {
-            &prim.inputs[..1]
+        let pins = if matches!(prim.kind(), PrimKind::MinPulseWidth { .. }) {
+            1
         } else {
-            &prim.inputs[..2]
+            2
         };
-        cov.inverted += u64::from(pins.iter().any(|c| c.invert));
-        for conn in pins {
-            let src = states.state_at(conn.signal.index()).get();
-            let head = match &conn.directive {
+        let pins = || prim.inputs().take(pins);
+        cov.inverted += u64::from(pins().any(|c| c.invert()));
+        for conn in pins() {
+            let src = states.state_at(conn.signal().index()).get();
+            let head = match conn.directive() {
                 Some(d) => d.chars().next().and_then(Directive::from_letter),
                 None => src.eval.as_ref().and_then(EvalStr::head),
             };
-            cov.wire_overrides += u64::from(conn.wire_delay.is_some());
+            cov.wire_overrides += u64::from(conn.wire_delay().is_some());
             cov.signal_wire_overrides += u64::from(
-                conn.wire_delay.is_none() && netlist.signal(conn.signal).wire_delay.is_some(),
+                conn.wire_delay().is_none() && netlist.signal(conn.signal()).wire_delay().is_some(),
             );
             cov.z_or_h_heads += u64::from(head.is_some_and(Directive::zeroes_gate));
-            cov.propagated_heads += u64::from(conn.directive.is_none() && head.is_some());
+            cov.propagated_heads += u64::from(conn.directive().is_none() && head.is_some());
             cov.skewed += u64::from(!src.skew.is_zero());
         }
-        cov.pulse_width += u64::from(matches!(prim.kind, PrimKind::MinPulseWidth { .. }));
+        cov.pulse_width += u64::from(matches!(prim.kind(), PrimKind::MinPulseWidth { .. }));
         if !keys.insert(CheckerKey::of(netlist, prim, states, corner)) {
             cov.shared += 1;
         }
@@ -540,7 +541,7 @@ mod tests {
             super::super::run_checks_cached(&netlist, &states[..], &[], DelayCorner::Worst, None);
         let late_chk = netlist
             .iter_prims()
-            .find(|(_, p)| p.name == "LATE CHK")
+            .find(|(_, p)| p.name() == "LATE CHK")
             .map(|(pid, _)| pid)
             .expect("named checker");
         assert_eq!(pass.cache.violating_prims, BTreeSet::from([late_chk]));

@@ -524,7 +524,7 @@ impl VerifierBuilder {
         let netlist = self.netlist.expect("VerifierBuilder::new sets the netlist");
         let budget = self
             .oscillation_budget
-            .unwrap_or_else(|| 256 * (netlist.prims().len() as u64 + 64));
+            .unwrap_or_else(|| 256 * (netlist.prim_count() as u64 + 64));
         let cache = if self.eval_cache.unwrap_or(true) {
             Some(self.shared_cache.unwrap_or_default())
         } else {
@@ -624,8 +624,8 @@ pub struct Verifier {
 impl fmt::Debug for Verifier {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Verifier")
-            .field("signals", &self.netlist.signals().len())
-            .field("prims", &self.netlist.prims().len())
+            .field("signals", &self.netlist.signal_count())
+            .field("prims", &self.netlist.prim_count())
             .field("budget", &self.budget)
             .field("traced", &self.trace.is_some())
             .field("cached", &self.eval_cache.is_some())
@@ -651,7 +651,7 @@ impl Verifier {
     fn init(netlist: Arc<Netlist>) -> Verifier {
         let period = netlist.config().timing.period;
         let timing = netlist.config().timing;
-        let n = netlist.signals().len();
+        let n = netlist.signal_count();
         let unknown = StateId::of(&SignalState::new(Waveform::constant(
             period,
             Value::Unknown,
@@ -669,9 +669,12 @@ impl Verifier {
         let mut assumed_stable = Vec::new();
         let mut pinned_clock_drivers = Vec::new();
 
-        for (sid, sig) in netlist.iter_signals() {
+        // The assertions come sorted by signal, so one pass pairs them up.
+        let mut assertions = netlist.asserted_signals().peekable();
+        for (sid, _) in netlist.iter_signals() {
             let driven = netlist.driver(sid).is_some();
-            let state = match &sig.assertion {
+            let assertion = assertions.next_if(|&(s, _)| s == sid).map(|(_, a)| a);
+            let state = match assertion {
                 Some(a) if a.kind.is_clock() => {
                     let (wave, skew) = a.to_state(&timing);
                     pinned[sid.index()] = true;
@@ -701,9 +704,10 @@ impl Verifier {
             };
             raw.push(state);
         }
+        drop(assertions);
 
         let eff = raw.clone();
-        let queued = vec![false; netlist.prims().len()];
+        let queued = vec![false; netlist.prim_count()];
         Verifier {
             netlist,
             raw,
@@ -965,7 +969,7 @@ impl Verifier {
             trace.record(&TraceEvent::WarmStart {
                 copied_signals: copied,
                 seeded_prims: self.queue.len(),
-                prims: self.netlist.prims().len(),
+                prims: self.netlist.prim_count(),
             });
         }
     }
@@ -1010,8 +1014,8 @@ impl Verifier {
         let effort_before = (self.total_events, self.total_evaluations);
         if let Some(trace) = &self.trace {
             trace.record(&TraceEvent::RunStart {
-                signals: self.netlist.signals().len(),
-                prims: self.netlist.prims().len(),
+                signals: self.netlist.signal_count(),
+                prims: self.netlist.prim_count(),
                 cases: cases.len(),
             });
         }
@@ -1237,7 +1241,7 @@ impl Verifier {
     fn assumed_stable_names(&self) -> Vec<String> {
         self.assumed_stable
             .iter()
-            .map(|sid| self.netlist.signal(*sid).name.clone())
+            .map(|sid| self.netlist.signal(*sid).name().to_owned())
             .collect()
     }
 
@@ -1262,8 +1266,8 @@ impl Verifier {
             design: design.into(),
             cases: results.to_vec(),
             engine: EngineStats {
-                signals: self.netlist.signals().len(),
-                prims: self.netlist.prims().len(),
+                signals: self.netlist.signal_count(),
+                prims: self.netlist.prim_count(),
                 cases: results.len(),
                 jobs: 1,
                 events: self.total_events,
@@ -1391,7 +1395,7 @@ where
                 t.record(&TraceEvent::Evaluation {
                     case: p.case,
                     prim: pid.index() as u32,
-                    name: &p.netlist.prim(pid).name,
+                    name: p.netlist.prim(pid).name(),
                     ordinal: *evaluations,
                     queue_depth: wave.len() - i - 1 + queue.len(),
                 });
@@ -1403,7 +1407,7 @@ where
                     .iter()
                     .chain(queue.iter())
                     .take(8)
-                    .map(|&prim| p.netlist.prim(prim).name.clone())
+                    .map(|&prim| p.netlist.prim(prim).name().to_owned())
                     .collect();
                 return Err(VerifyError::Oscillation {
                     evaluations: *evaluations,
@@ -1457,7 +1461,7 @@ where
                 t.record(&TraceEvent::SignalSettled {
                     case: p.case,
                     signal: out.index() as u32,
-                    name: &p.netlist.signal(out).name,
+                    name: p.netlist.signal(out).name(),
                     ordinal: *evaluations,
                 });
             }
@@ -1518,7 +1522,7 @@ where
             }
             None => evaluate(netlist, prim, eff, p.corner),
         };
-        (prim.output, outcome)
+        (prim.output(), outcome)
     }));
     if let Some((cache, _)) = p.cache {
         cache.add(tally);
@@ -2124,7 +2128,7 @@ fn node_label(
     parts.extend(overrides.iter().map(|(sid, v)| {
         format!(
             "{} = {}",
-            netlist.signal(*sid).name,
+            netlist.signal(*sid).name(),
             u8::from(*v == Value::One)
         )
     }));
@@ -2166,7 +2170,7 @@ fn settle_overlay(
         queued,
         wave,
     } = scratch;
-    queued.resize(netlist.prims().len(), false);
+    queued.resize(netlist.prim_count(), false);
 
     // Seed: apply the new overrides (in SignalId order) and dirty their
     // fan-out cones.
@@ -2244,7 +2248,7 @@ fn case_outcome(
     keep_state: bool,
 ) -> CaseOutcome {
     let hazard_list: Vec<(PrimId, usize)> = hazards.iter().copied().collect();
-    let signals = netlist.signals().len() as u64;
+    let signals = netlist.signal_count() as u64;
     let (pass, value_records, storage_evals) = match memo {
         Some(m) => {
             let dirty = eff.dirty_vs(m.eff_parent);
@@ -2307,23 +2311,22 @@ pub fn check_interfaces(sections: &[&Netlist]) -> Vec<String> {
     let mut problems = Vec::new();
     for (idx, section) in sections.iter().enumerate() {
         for (_, sig) in section.iter_signals() {
-            match seen.get(&sig.name) {
+            match seen.get(sig.name()) {
                 None => {
-                    seen.insert(sig.name.clone(), (idx, sig.assertion.clone()));
+                    seen.insert(sig.name().to_owned(), (idx, sig.assertion().cloned()));
                 }
-                Some((first_idx, first)) if *first != sig.assertion => {
-                    let show = |a: &Option<Assertion>| {
-                        a.as_ref()
-                            .map_or_else(|| "(no assertion)".to_owned(), ToString::to_string)
+                Some((first_idx, first)) if first.as_ref() != sig.assertion() => {
+                    let show = |a: Option<&Assertion>| {
+                        a.map_or_else(|| "(no assertion)".to_owned(), ToString::to_string)
                     };
                     problems.push(format!(
                         "interface signal {:?}: section {} asserts {}, \
                          section {} asserts {}",
-                        sig.name,
+                        sig.name(),
                         first_idx + 1,
-                        show(first),
+                        show(first.as_ref()),
                         idx + 1,
-                        show(&sig.assertion)
+                        show(sig.assertion())
                     ));
                 }
                 Some(_) => {}

@@ -16,7 +16,7 @@ use std::collections::HashSet;
 use std::sync::{OnceLock, RwLock};
 
 use scald_logic::{mux as mux_value, Value};
-use scald_netlist::{Conn, Netlist, PrimKind, Primitive};
+use scald_netlist::{ConnRef, Netlist, PrimKind, PrimRef};
 use scald_wave::{
     edge_windows, DelayCorner, DelayRange, Edge, Skew, Span, Time, WaveRef, Waveform,
 };
@@ -78,17 +78,16 @@ struct Pin {
 
 fn prep_input<S: StateView + ?Sized>(
     netlist: &Netlist,
-    prim: &Primitive,
-    conn: &Conn,
+    prim: PrimRef<'_>,
+    conn: ConnRef<'_>,
     states: &S,
     include_gate_delay: bool,
     corner: DelayCorner,
 ) -> Pin {
-    let src = states.state_at(conn.signal.index()).get();
+    let src = states.state_at(conn.signal().index()).get();
     let eval = conn
-        .directive
-        .as_ref()
-        .map(|d| EvalStr::new(d.as_str()))
+        .directive()
+        .map(EvalStr::new)
         .or_else(|| src.eval.clone());
     let directive = eval.as_ref().and_then(EvalStr::head);
     let tail = eval.as_ref().and_then(EvalStr::tail);
@@ -100,12 +99,12 @@ fn prep_input<S: StateView + ?Sized>(
         corner.collapse(netlist.wire_delay(conn))
     };
     let gate = if include_gate_delay && !directive.is_some_and(Directive::zeroes_gate) {
-        corner.collapse(prim.delay)
+        corner.collapse(prim.delay())
     } else {
         DelayRange::ZERO
     };
     let mut st = src.clone();
-    if conn.invert {
+    if conn.invert() {
         st.wave = st.wave.map(Value::not).into();
     }
     let mut st = st.delayed(wire.then(gate));
@@ -176,12 +175,12 @@ fn combine_pins(states: &[&SignalState], fold: impl Fn(&[Value]) -> Value) -> Si
 /// ([`DelayCorner::Worst`] keeps the full range — the default analysis).
 pub(crate) fn evaluate<S: StateView + ?Sized>(
     netlist: &Netlist,
-    prim: &Primitive,
+    prim: PrimRef<'_>,
     states: &S,
     corner: DelayCorner,
 ) -> EvalOutcome {
     let period = netlist.config().timing.period;
-    match prim.kind {
+    match prim.kind() {
         PrimKind::And
         | PrimKind::Or
         | PrimKind::Nand
@@ -237,13 +236,12 @@ fn gate_fold(kind: PrimKind, vals: &[Value]) -> Value {
 
 fn eval_gate<S: StateView + ?Sized>(
     netlist: &Netlist,
-    prim: &Primitive,
+    prim: PrimRef<'_>,
     states: &S,
     corner: DelayCorner,
 ) -> EvalOutcome {
     let pins: Vec<Pin> = prim
-        .inputs
-        .iter()
+        .inputs()
         .map(|c| prep_input(netlist, prim, c, states, true, corner))
         .collect();
     let hazard_inputs = asserted_pins(&pins);
@@ -252,7 +250,7 @@ fn eval_gate<S: StateView + ?Sized>(
     // Assume-enabling (§2.6): with an A/H input present, the other inputs
     // are replaced by the gate's identity so the output value is
     // determined only by the asserted (clock) input.
-    let ident = SignalState::new(Waveform::constant(period, enabling_identity(prim.kind)));
+    let ident = SignalState::new(Waveform::constant(period, enabling_identity(prim.kind())));
     let participating: Vec<&SignalState> = if hazard_inputs.is_none() {
         pins.iter().map(|p| &p.state).collect()
     } else {
@@ -267,28 +265,28 @@ fn eval_gate<S: StateView + ?Sized>(
             .collect()
     };
 
-    let mut out = combine_pins(&participating, |vals| gate_fold(prim.kind, vals));
+    let mut out = combine_pins(&participating, |vals| gate_fold(prim.kind(), vals));
     out.eval = output_eval(&pins);
     EvalOutcome::driving(&out, hazard_inputs)
 }
 
 fn eval_unary<S: StateView + ?Sized>(
     netlist: &Netlist,
-    prim: &Primitive,
+    prim: PrimRef<'_>,
     states: &S,
     corner: DelayCorner,
 ) -> EvalOutcome {
     // §4.2.2 extension: with asymmetric rise/fall delays the gate delay is
     // applied per output edge instead of uniformly.
-    if let Some(ed) = prim.edge_delays {
+    if let Some(ed) = prim.edge_delays() {
         let ed = scald_netlist::EdgeDelays {
             rise: corner.collapse(ed.rise),
             fall: corner.collapse(ed.fall),
         };
-        let pin = prep_input(netlist, prim, &prim.inputs[0], states, false, corner);
+        let pin = prep_input(netlist, prim, prim.input(0), states, false, corner);
         let apply_gate = !pin.directive.is_some_and(Directive::zeroes_gate);
         let resolved = pin.state.resolved();
-        let wave: WaveRef = match (prim.kind == PrimKind::Not, apply_gate) {
+        let wave: WaveRef = match (prim.kind() == PrimKind::Not, apply_gate) {
             (true, true) => delayed_per_edge(&resolved.map(Value::not), ed).into(),
             (true, false) => resolved.map(Value::not).into(),
             (false, true) => delayed_per_edge(&resolved, ed).into(),
@@ -301,10 +299,10 @@ fn eval_unary<S: StateView + ?Sized>(
         };
         return EvalOutcome::driving(&out, asserted_pins(std::slice::from_ref(&pin)));
     }
-    let pin = prep_input(netlist, prim, &prim.inputs[0], states, true, corner);
+    let pin = prep_input(netlist, prim, prim.input(0), states, true, corner);
     let hazard_inputs = asserted_pins(std::slice::from_ref(&pin));
     let mut st = pin.state;
-    if prim.kind == PrimKind::Not {
+    if prim.kind() == PrimKind::Not {
         st.wave = st.wave.map(Value::not).into();
     }
     st.eval = pin.tail;
@@ -397,13 +395,12 @@ fn delayed_per_edge(wave: &Waveform, ed: scald_netlist::EdgeDelays) -> Waveform 
 
 fn eval_mux<S: StateView + ?Sized>(
     netlist: &Netlist,
-    prim: &Primitive,
+    prim: PrimRef<'_>,
     states: &S,
     corner: DelayCorner,
 ) -> EvalOutcome {
     let pins: Vec<Pin> = prim
-        .inputs
-        .iter()
+        .inputs()
         .map(|c| prep_input(netlist, prim, c, states, true, corner))
         .collect();
     let select = &pins[0].state;
@@ -461,17 +458,17 @@ fn latched_value(sampled: Value) -> Value {
 
 fn eval_reg<S: StateView + ?Sized>(
     netlist: &Netlist,
-    prim: &Primitive,
+    prim: PrimRef<'_>,
     states: &S,
     set_reset: bool,
     corner: DelayCorner,
 ) -> EvalOutcome {
     let period = netlist.config().timing.period;
-    let delay = corner.collapse(prim.delay);
+    let delay = corner.collapse(prim.delay());
     // Clock and data are observed at the pins (wire delay only); the
     // register's own delay is applied from the clock edge to the output.
-    let ck_pin = prep_input(netlist, prim, &prim.inputs[0], states, false, corner);
-    let d_pin = prep_input(netlist, prim, &prim.inputs[1], states, false, corner);
+    let ck_pin = prep_input(netlist, prim, prim.input(0), states, false, corner);
+    let d_pin = prep_input(netlist, prim, prim.input(1), states, false, corner);
     let ck = ck_pin.state.resolved();
     let dd = d_pin.state.resolved();
 
@@ -512,10 +509,10 @@ fn eval_reg<S: StateView + ?Sized>(
     };
 
     let wave = if set_reset {
-        let s = prep_input(netlist, prim, &prim.inputs[2], states, true, corner)
+        let s = prep_input(netlist, prim, prim.input(2), states, true, corner)
             .state
             .resolved();
-        let r = prep_input(netlist, prim, &prim.inputs[3], states, true, corner)
+        let r = prep_input(netlist, prim, prim.input(3), states, true, corner)
             .state
             .resolved();
         overlay_set_reset(&clocked, &s, &r)
@@ -556,8 +553,8 @@ fn overlay_set_reset(base: &Waveform, set: &Waveform, reset: &Waveform) -> Wavef
 /// resolved. Set-up/hold checkers observe their inputs through this view.
 pub(crate) fn pin_wave<S: StateView + ?Sized>(
     netlist: &Netlist,
-    prim: &Primitive,
-    conn: &Conn,
+    prim: PrimRef<'_>,
+    conn: ConnRef<'_>,
     states: &S,
     corner: DelayCorner,
 ) -> WaveRef {
@@ -574,8 +571,8 @@ pub(crate) fn pin_wave<S: StateView + ?Sized>(
 /// requirements have not been met").
 pub(crate) fn pin_wave_pulse_view<S: StateView + ?Sized>(
     netlist: &Netlist,
-    prim: &Primitive,
-    conn: &Conn,
+    prim: PrimRef<'_>,
+    conn: ConnRef<'_>,
     states: &S,
     corner: DelayCorner,
 ) -> WaveRef {
@@ -586,7 +583,7 @@ pub(crate) fn pin_wave_pulse_view<S: StateView + ?Sized>(
 
 fn eval_latch<S: StateView + ?Sized>(
     netlist: &Netlist,
-    prim: &Primitive,
+    prim: PrimRef<'_>,
     states: &S,
     set_reset: bool,
     corner: DelayCorner,
@@ -594,10 +591,10 @@ fn eval_latch<S: StateView + ?Sized>(
     let period = netlist.config().timing.period;
     // The latch's propagation delay applies from every input (§2.4.3), so
     // both enable and data are viewed after wire + latch delay.
-    let en = prep_input(netlist, prim, &prim.inputs[0], states, true, corner)
+    let en = prep_input(netlist, prim, prim.input(0), states, true, corner)
         .state
         .resolved();
-    let dd = prep_input(netlist, prim, &prim.inputs[1], states, true, corner)
+    let dd = prep_input(netlist, prim, prim.input(1), states, true, corner)
         .state
         .resolved();
 
@@ -683,10 +680,10 @@ fn eval_latch<S: StateView + ?Sized>(
     let transparent = Waveform::from_transitions(period, trans);
 
     let wave = if set_reset {
-        let s = prep_input(netlist, prim, &prim.inputs[2], states, true, corner)
+        let s = prep_input(netlist, prim, prim.input(2), states, true, corner)
             .state
             .resolved();
-        let r = prep_input(netlist, prim, &prim.inputs[3], states, true, corner)
+        let r = prep_input(netlist, prim, prim.input(3), states, true, corner)
             .state
             .resolved();
         overlay_set_reset(&transparent, &s, &r)

@@ -881,20 +881,15 @@ impl SummaryRows {
     /// The rows of every signal of `netlist` against `states`.
     pub(crate) fn new<S: StateView + ?Sized>(netlist: Arc<Netlist>, states: &S) -> SummaryRows {
         let mut names = String::new();
-        let spans: Vec<Option<(u32, u32)>> = netlist
-            .signals()
-            .iter()
-            .map(|sig| {
-                sig.assertion.as_ref().map(|a| {
-                    let start = names.len() as u32;
-                    write!(names, "{} {a}", sig.name).expect("String write cannot fail");
-                    (start, names.len() as u32)
-                })
-            })
-            .collect();
+        let mut spans: Vec<Option<(u32, u32)>> = vec![None; netlist.signal_count()];
+        for (sid, a) in netlist.asserted_signals() {
+            let start = names.len() as u32;
+            write!(names, "{} {a}", netlist.signal(sid).name()).expect("String write cannot fail");
+            spans[sid.index()] = Some((start, names.len() as u32));
+        }
         let full_name = |sid: SignalId| match spans[sid.index()] {
             Some((a, b)) => &names[a as usize..b as usize],
-            None => netlist.signal(sid).name.as_str(),
+            None => netlist.signal(sid).name(),
         };
         // Sort packed keys; the signal id breaks ties, as a stable sort
         // on the names would.
@@ -925,7 +920,7 @@ impl SummaryRows {
     fn name(&self, row: &Row) -> &str {
         match row.name {
             Some((a, b)) => &self.names[a as usize..b as usize],
-            None => &self.netlist.signal(row.sid).name,
+            None => self.netlist.signal(row.sid).name(),
         }
     }
 

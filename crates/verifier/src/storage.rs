@@ -9,7 +9,8 @@
 //! pack records: four bytes per field, one byte per char/boolean) so the
 //! *percentages* are directly comparable.
 
-use scald_netlist::{Netlist, Signal};
+use scald_assertions::Assertion;
+use scald_netlist::Netlist;
 use std::fmt::{self, Write as _};
 
 use crate::view::StateView;
@@ -45,36 +46,39 @@ impl StorageReport {
     /// Measures a settled verifier's structures.
     #[must_use]
     pub(crate) fn measure<S: StateView + ?Sized>(netlist: &Netlist, states: &S) -> StorageReport {
+        // Every category but the signal values is a product of the
+        // netlist's column lengths, so only the value records walk the
+        // design.
+        let signals = netlist.signal_count();
+
         // Circuit description: a primitive header (kind, delay min/max,
         // output pointer, name pointer, width — 8 fields) plus a parameter
         // record per connection (signal pointer, flags, directive pointer,
         // wire delay pair — 6 fields).
-        let circuit_description: usize = netlist
-            .prims()
-            .iter()
-            .map(|p| 8 * FIELD + p.inputs.len() * 6 * FIELD)
-            .sum();
+        let circuit_description =
+            netlist.prim_count() * 8 * FIELD + netlist.input_count() * 6 * FIELD;
 
         // Signal values: VALUE BASE record (free-storage link, skew,
         // eval-string pointer, value-list pointer — 4 fields) plus a VALUE
         // record (value, width — 2 fields) per run-length node.
         let value_records = value_records(netlist, states);
-        let signal_values = netlist.signals().len() * 4 * FIELD + value_records * 2 * FIELD;
+        let signal_values = signals * 4 * FIELD + value_records * 2 * FIELD;
 
         // Signal names: per signal, pointers to the value definition, the
         // defining primitive and the user list, plus width/assertion
         // descriptors (6 fields).
-        let signal_names = netlist.signals().len() * 6 * FIELD;
+        let signal_names = signals * 6 * FIELD;
 
-        // String space: the actual name text.
-        let string_space: usize = netlist.signals().iter().map(full_name_len).sum::<usize>()
-            + netlist.prims().iter().map(|p| p.name.len()).sum::<usize>();
+        // String space: the name text — every base and instance name, as
+        // the name arena holds them, plus each asserted signal's suffix.
+        let string_space = netlist.name_bytes()
+            + netlist
+                .asserted_signals()
+                .map(|(_, a)| suffix_len(a))
+                .sum::<usize>();
 
         // CALL LIST ARRAY: one pointer per (signal, using primitive) pair.
-        let call_list: usize = netlist
-            .iter_signals()
-            .map(|(sid, _)| netlist.fanout(sid).len() * FIELD)
-            .sum();
+        let call_list = netlist.fanout_csr().len() * FIELD;
 
         // Miscellaneous fixed structures (queues, configuration, roots).
         let miscellaneous = 2048;
@@ -87,7 +91,7 @@ impl StorageReport {
             call_list,
             miscellaneous,
             value_records,
-            signal_count: netlist.signals().len(),
+            signal_count: signals,
         }
     }
 
@@ -136,7 +140,7 @@ impl StorageReport {
 /// across every signal of `states`: the one Table 3-3 figure a run
 /// changes.
 pub(crate) fn value_records<S: StateView + ?Sized>(netlist: &Netlist, states: &S) -> usize {
-    (0..netlist.signals().len())
+    (0..netlist.signal_count())
         .map(|i| states.state_at(i).get().value_records())
         .sum()
 }
@@ -151,15 +155,12 @@ impl fmt::Write for ByteCount {
     }
 }
 
-/// `sig.full_name().len()` without formatting the name: the base name
-/// plus a space and the assertion suffix, measured as it is written.
-fn full_name_len(sig: &Signal) -> usize {
-    let suffix = sig.assertion.as_ref().map_or(0, |a| {
-        let mut n = ByteCount(0);
-        write!(n, " {a}").expect("counting cannot fail");
-        n.0
-    });
-    sig.name.len() + suffix
+/// The length of an assertion's name suffix as `full_name` writes it:
+/// a space and the assertion, measured without formatting a string.
+fn suffix_len(assertion: &Assertion) -> usize {
+    let mut n = ByteCount(0);
+    write!(n, " {assertion}").expect("counting cannot fail");
+    n.0
 }
 
 impl fmt::Display for StorageReport {
@@ -182,12 +183,14 @@ mod tests {
     use super::*;
     use scald_netlist::{Config, NetlistBuilder};
 
-    /// The measured length equals the formatted name's, for every
-    /// assertion shape: stable and clock kinds, several ranges, a
-    /// `+ns` width, explicit skew and active-low clocks.
+    /// The measured suffix length equals the formatted suffix's, for
+    /// every assertion shape: stable and clock kinds, several ranges, a
+    /// `+ns` width, explicit skew and active-low clocks; and the column
+    /// lengths give the bytes a walk of every primitive and signal gives.
     #[test]
-    fn full_name_len_matches_the_formatted_name() {
+    fn column_lengths_match_the_per_record_walk() {
         let mut b = NetlistBuilder::new(Config::s1_example());
+        let mut sigs = Vec::new();
         for name in [
             "PLAIN",
             "W DATA .S0-6",
@@ -197,16 +200,38 @@ mod tests {
             "WIDE .S2+10.25",
             "ÄPFEL .S0-4",
         ] {
-            b.signal(name).unwrap();
+            sigs.push(b.signal(name).unwrap());
         }
+        let q = b.signal("Q").unwrap();
+        let d = scald_wave::DelayRange::from_ns(1.0, 2.0);
+        b.chg("CHG Ü", d, [sigs[0], sigs[1], sigs[1], sigs[5]], q);
+        b.setup_hold("CHK", d.min, d.max, q, sigs[2]);
         let netlist = b.finish().unwrap();
-        for sig in netlist.signals() {
+        for (_, sig) in netlist.iter_signals() {
+            let suffix = sig.assertion().map_or(0, suffix_len);
             assert_eq!(
-                full_name_len(sig),
+                sig.name().len() + suffix,
                 sig.full_name().len(),
                 "{}",
                 sig.full_name()
             );
         }
+        let report = crate::Verifier::new(netlist.clone()).storage_report();
+        let prims = || netlist.iter_prims().map(|(_, p)| p);
+        let circuit: usize = prims()
+            .map(|p| 8 * FIELD + p.input_count() * 6 * FIELD)
+            .sum();
+        let strings: usize = netlist
+            .iter_signals()
+            .map(|(_, s)| s.full_name().len())
+            .chain(prims().map(|p| p.name().len()))
+            .sum();
+        let calls: usize = netlist
+            .iter_signals()
+            .map(|(sid, _)| netlist.fanout(sid).len() * FIELD)
+            .sum();
+        assert_eq!(report.circuit_description, circuit);
+        assert_eq!(report.string_space, strings);
+        assert_eq!(report.call_list, calls);
     }
 }

@@ -103,15 +103,15 @@ fn summary_rows_match_the_sorted_waves_oracle() {
     // after it.
     let names = ["X0", "X .S0-2", "X!", "X .A", "Y .P2-3 L", "W", "V .C1-2"];
     let netlist = chain(&names);
-    let mut by_base: Vec<&str> = netlist.signals().iter().map(|s| s.name.as_str()).collect();
-    let mut by_full: Vec<String> = netlist.signals().iter().map(|s| s.full_name()).collect();
+    let mut by_base: Vec<&str> = netlist.iter_signals().map(|(_, s)| s.name()).collect();
+    let mut by_full: Vec<String> = netlist.iter_signals().map(|(_, s)| s.full_name()).collect();
     by_base.sort_unstable();
     by_full.sort_unstable();
     let base_order: Vec<String> = by_base
         .iter()
         .map(|b| {
-            let sig = netlist.signals().iter().find(|s| s.name == *b).unwrap();
-            sig.full_name()
+            let sid = netlist.signal_by_name(b).unwrap();
+            netlist.signal(sid).full_name()
         })
         .collect();
     assert_ne!(base_order, by_full, "the two orders must differ");

@@ -35,12 +35,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The ECO: retime one datapath primitive.
     let target = session
         .netlist()
-        .prims()
-        .iter()
-        .find(|p| p.name.ends_with("/LOGIC"))
+        .iter_prims()
+        .map(|(_, p)| p)
+        .find(|p| p.name().ends_with("/LOGIC"))
         .expect("generated design has datapath slices")
-        .name
-        .clone();
+        .name()
+        .to_owned();
     let mut delta = NetlistDelta::new();
     delta.retime(target.clone(), DelayRange::from_ns(2.0, 6.5));
     println!("eco: retime {target} to 2.0:6.5 ns");

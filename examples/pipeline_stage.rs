@@ -14,8 +14,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (netlist, latched) = alu_stage();
     println!(
         "ALU stage: {} primitives / {} signals, avg vector width {:.1} bits",
-        netlist.prims().len(),
-        netlist.signals().len(),
+        netlist.prim_count(),
+        netlist.signal_count(),
         netlist.average_primitive_width()
     );
 

@@ -11,8 +11,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let (netlist, _signals) = register_file_circuit();
     println!(
         "Fig 2-5 register-file circuit: {} primitives, {} signals\n",
-        netlist.prims().len(),
-        netlist.signals().len()
+        netlist.prim_count(),
+        netlist.signal_count()
     );
 
     let mut verifier = Verifier::new(netlist);

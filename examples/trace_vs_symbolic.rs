@@ -77,7 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             sym_row.push(sym_glyph(wave.value_at(off)));
             sim_row.push(sim_glyph(sim.value_at(sid, period + off)));
         }
-        println!("{:<4} sym  {sym_row}", sig.name);
+        println!("{:<4} sym  {sym_row}", sig.name());
         println!("{:<4} sim  {sim_row}\n", "");
     }
     println!("every concrete glyph lies inside the symbolic envelope above it.");

@@ -520,7 +520,7 @@ fn path_lines(netlist: &scald::netlist::Netlist) -> Vec<String> {
     if !slacks.is_empty() {
         lines.push("critical region (worst signal slacks):".to_owned());
         for (sid, slack) in slacks.iter().take(8) {
-            lines.push(format!("  {:<30} {slack}", netlist.signal(*sid).name));
+            lines.push(format!("  {:<30} {slack}", netlist.signal(*sid).name()));
         }
     }
     lines

@@ -72,8 +72,10 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
 }
 
 /// Largest number of allocations a warm one-line edit may add to
-/// compiling its source, per primitive of the design.
-const APPLY_BUDGET_PER_PRIM: f64 = 1.6;
+/// compiling its source, per primitive of the design: 1.553 to 1.565
+/// over 50 runs, plus headroom. The spread comes from the process-wide
+/// stores, whose shards are picked by a randomly seeded hash.
+const APPLY_BUDGET_PER_PRIM: f64 = 1.59;
 /// Largest number of allocations the `report` answer's encode plus
 /// decode may cost, per signal of the design.
 const FRAME_BUDGET_PER_SIGNAL: f64 = 16.0;
@@ -92,7 +94,7 @@ fn warm_edit_and_report_frame_stay_within_their_allocation_budgets() {
     assert_ne!(edited, src, "the edit applies to the generated design");
 
     let (compiled, compile_allocs) = counted(|| compile_source(&edited));
-    let prims = compiled.expect("edited design compiles").0.prims().len();
+    let prims = compiled.expect("edited design compiles").0.prim_count();
     let (stats, apply_allocs) = counted(|| session.apply(Delta::Source(edited.clone())));
     let stats = stats.expect("edit applies");
     assert!(
@@ -103,7 +105,7 @@ fn warm_edit_and_report_frame_stay_within_their_allocation_budgets() {
     let per_prim = apply_allocs.saturating_sub(compile_allocs) as f64 / prims as f64;
     println!(
         "apply {apply_allocs} - compile {compile_allocs} allocations for {prims} prims: \
-         {per_prim:.1} per primitive"
+         {per_prim:.3} per primitive"
     );
 
     // The daemon's `report` answer (effort stripped), encoded to its
@@ -130,7 +132,7 @@ fn warm_edit_and_report_frame_stay_within_their_allocation_budgets() {
 
     assert!(
         per_prim <= APPLY_BUDGET_PER_PRIM,
-        "a warm edit added {per_prim:.1} allocations per primitive to its compile \
+        "a warm edit added {per_prim:.3} allocations per primitive to its compile \
          (budget {APPLY_BUDGET_PER_PRIM})"
     );
     assert!(

@@ -54,8 +54,9 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Largest number of allocations (reallocations included) one emitted
-/// primitive may cost.
-const BUDGET_PER_PRIM: f64 = 16.0;
+/// primitive may cost: 1.97 measured, plus headroom (8.2 when the netlist
+/// held one record per primitive).
+const BUDGET_PER_PRIM: f64 = 2.5;
 
 #[test]
 fn s1_expansion_stays_within_its_allocation_budget() {
@@ -75,10 +76,10 @@ fn s1_expansion_stays_within_its_allocation_budget() {
     let prims = expansion.stats.prims_emitted;
     assert!(prims > 0);
     let per_prim = allocations as f64 / prims as f64;
-    println!("{allocations} allocations for {prims} primitives: {per_prim:.1} per primitive");
+    println!("{allocations} allocations for {prims} primitives: {per_prim:.2} per primitive");
     assert!(
         per_prim <= BUDGET_PER_PRIM,
         "expansion made {allocations} allocations for {prims} primitives \
-         ({per_prim:.1} per primitive, budget {BUDGET_PER_PRIM})"
+         ({per_prim:.2} per primitive, budget {BUDGET_PER_PRIM})"
     );
 }

@@ -27,33 +27,42 @@ fn dump(e: &Expansion) -> String {
     let mut out = String::new();
     let n = &e.netlist;
     writeln!(out, "config {:?}", n.config()).unwrap();
-    for (i, s) in n.signals().iter().enumerate() {
+    for (sid, s) in n.iter_signals() {
         writeln!(
             out,
-            "sig {i} {:?} w={} a={:?} wd={:?} wor={}",
-            s.name, s.width, s.assertion, s.wire_delay, s.wired_or
+            "sig {} {:?} w={} a={:?} wd={:?} wor={}",
+            sid.index(),
+            s.name(),
+            s.width(),
+            s.assertion(),
+            s.wire_delay(),
+            s.wired_or()
         )
         .unwrap();
     }
-    for (i, p) in n.prims().iter().enumerate() {
+    for (pid, p) in n.iter_prims() {
         write!(
             out,
-            "prim {i} {:?} {:?} d={:?} ed={:?} in=[",
-            p.name, p.kind, p.delay, p.edge_delays
+            "prim {} {:?} {:?} d={:?} ed={:?} in=[",
+            pid.index(),
+            p.name(),
+            p.kind(),
+            p.delay(),
+            p.edge_delays()
         )
         .unwrap();
-        for c in &p.inputs {
+        for c in p.inputs() {
             write!(
                 out,
                 "({},{},{:?},{:?})",
-                c.signal.index(),
-                c.invert,
-                c.directive,
-                c.wire_delay
+                c.signal().index(),
+                c.invert(),
+                c.directive(),
+                c.wire_delay()
             )
             .unwrap();
         }
-        writeln!(out, "] out={:?}", p.output.map(|s| s.index())).unwrap();
+        writeln!(out, "] out={:?}", p.output().map(|s| s.index())).unwrap();
     }
     writeln!(out, "cases {:?}", e.cases).unwrap();
     let s = &e.stats;

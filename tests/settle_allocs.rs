@@ -105,10 +105,9 @@ fn a_warm_settle_stays_within_its_allocation_budget_per_cache_hit() {
         seed: 7,
     });
     let hazard_pins = netlist
-        .prims()
-        .iter()
-        .flat_map(|p| &p.inputs)
-        .filter(|c| c.directive.as_deref() == Some("H"))
+        .iter_prims()
+        .flat_map(|(_, p)| p.inputs())
+        .filter(|c| c.directive() == Some("H"))
         .count();
     assert!(hazard_pins > 0, "the design has `&H` pins");
     let cache = Arc::new(EvalCache::new());

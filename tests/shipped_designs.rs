@@ -41,7 +41,7 @@ fn printer_normalizes_shipped_design() {
     let reparsed = scald::hdl::parse(&printed).expect("printed text parses");
     let a = scald::hdl::expand(&design).expect("expands");
     let b = scald::hdl::expand(&reparsed).expect("round-trip expands");
-    assert_eq!(a.netlist.prims().len(), b.netlist.prims().len());
+    assert_eq!(a.netlist.prim_count(), b.netlist.prim_count());
     assert_eq!(
         a.netlist.primitive_histogram(),
         b.netlist.primitive_histogram()

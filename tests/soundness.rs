@@ -137,7 +137,7 @@ fn symbolic_pass_admits_every_concrete_run() {
                 assert!(
                     admits(sym, conc),
                     "signal {} pattern {:b}: symbolic {} does not admit concrete {}",
-                    netlist.signal(sid).name,
+                    netlist.signal(sid).name(),
                     pattern,
                     sym,
                     conc
@@ -217,7 +217,7 @@ fn symbolic_waveform_admits_concrete_trace() {
                     assert!(
                         admits(sym, conc),
                         "signal {} pattern {:b} t={}: symbolic {} !>= concrete {}",
-                        netlist.signal(sid).name,
+                        netlist.signal(sid).name(),
                         pattern,
                         Time::from_ps(off),
                         sym,
@@ -270,7 +270,7 @@ fn symbolic_envelope_admits_toggling_inputs() {
                     assert!(
                         admits(sym, conc),
                         "signal {} pattern {:b} t={}: symbolic {} !>= concrete {}",
-                        netlist.signal(sid).name,
+                        netlist.signal(sid).name(),
                         pattern,
                         Time::from_ps(off),
                         sym,
