@@ -167,7 +167,7 @@ impl NetlistBuilder {
             match (at, assertion) {
                 (NO_ASSERTION, Some(b)) => {
                     // Later reference supplies the assertion.
-                    self.assert(id, b.clone());
+                    self.set_assertion(id, b.clone());
                 }
                 (at, Some(b)) if at != NO_ASSERTION => {
                     let a = &self.net.assertions[at as usize].1;
@@ -190,12 +190,12 @@ impl NetlistBuilder {
         net.by_name.insert(&net.names, &net.signal_name, id);
         self.assertion_at.push(NO_ASSERTION);
         if let Some(a) = assertion {
-            self.assert(id, a.clone());
+            self.set_assertion(id, a.clone());
         }
         Ok(id)
     }
 
-    fn assert(&mut self, id: SignalId, assertion: Assertion) {
+    fn set_assertion(&mut self, id: SignalId, assertion: Assertion) {
         self.assertion_at[id.index()] = self.net.assertions.len() as u32;
         self.net.assertions.push((id, assertion));
     }

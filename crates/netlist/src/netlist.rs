@@ -11,6 +11,7 @@ use scald_assertions::{split_signal_name, Assertion, TimingContext};
 use scald_wave::DelayRange;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasher, RandomState};
 
 use crate::{Conn, EdgeDelays, PrimKind};
 
@@ -142,10 +143,11 @@ impl Span {
     pub(crate) fn push(arena: &mut String, text: &str) -> Span {
         let start = u32::try_from(arena.len()).expect("name arena exceeds u32 offsets");
         let len = u32::try_from(text.len()).expect("name exceeds u32 length");
+        assert!(
+            start.checked_add(len).is_some(),
+            "name arena exceeds u32 offsets"
+        );
         arena.push_str(text);
-        start
-            .checked_add(len)
-            .expect("name arena exceeds u32 offsets");
         Span { start, len }
     }
 
@@ -159,32 +161,21 @@ pub(crate) const NO_OUTPUT: u32 = u32::MAX;
 
 /// An open-addressing table of signal ids keyed by their names, which it
 /// reads from the name arena instead of owning a copy. Slots hold
-/// `id + 1` (0 is empty); the table doubles before it is three quarters
-/// full, and the hash is fixed, so a design always lays out the same.
+/// `id + 1` (0 is empty), and the table doubles before it is three
+/// quarters full. Names come from design text, so the hash is std's
+/// randomly keyed one: no input can be written to collide.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct NameIndex {
     slots: Vec<u32>,
     len: usize,
+    hasher: RandomState,
 }
 
 impl NameIndex {
-    fn hash(name: &str) -> u64 {
-        const K: u64 = 0x517c_c1b7_2722_0a95;
-        let mut h = name.len() as u64;
-        let mut chunks = name.as_bytes().chunks_exact(8);
-        for c in &mut chunks {
-            let word = u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
-            h = (h.rotate_left(5) ^ word).wrapping_mul(K);
-        }
-        let mut tail = [0u8; 8];
-        tail[..chunks.remainder().len()].copy_from_slice(chunks.remainder());
-        (h.rotate_left(5) ^ u64::from_le_bytes(tail)).wrapping_mul(K)
-    }
-
     /// The first slot of `name`'s probe sequence.
     fn home(&self, name: &str) -> usize {
         let bits = self.slots.len().trailing_zeros();
-        (Self::hash(name) >> (64 - bits)) as usize
+        (self.hasher.hash_one(name) >> (64 - bits)) as usize
     }
 
     /// The signal named `name`, reading names through `spans`.
