@@ -99,7 +99,9 @@ cargo test -q -p scald-serve --test daemon -- oversized_and_non_utf8_frames_are_
 
 # The HDL expander pins: golden FNV-1a hashes of every expansion of the
 # shipped designs, s1_like_hdl and the rtl_pairs twins, and the
-# allocation budget per emitted primitive (a counting global allocator).
+# allocation budget per emitted primitive (a counting global allocator;
+# budget 2.5, measured 1.97; 8.2 when the netlist held one record per
+# primitive, against a budget of 16).
 cargo test -q --test expand_golden --test expand_allocs
 
 # The render-path pins: the allocation budgets per signal for building a
@@ -120,11 +122,19 @@ cargo test -q -p scald-trace --test json_oracle
 # the master cone grows sixteenfold.
 cargo test -q --test settle_allocs
 
+# The netlist's memory pins (a counting global allocator): a generated
+# 20,000-primitive scale design keeps at most 150 heap bytes live per
+# primitive (125.6 measured) and costs at most 0.2 allocations per
+# primitive to generate (0.143 measured); the per-primitive records the
+# columns replaced kept 547.9 bytes and cost 8.28 allocations.
+cargo test -q --test netlist_allocs
+
 # The warm-edit pins: the allocation budgets of a one-line source edit
-# (1.6 per primitive, beyond compiling it) and of the daemon's `report`
-# frame encode + decode (16 per signal), and the oracles that keep the earlier
-# `format!`-based content keys and `BTreeMap` diff, the copy-then-strip
-# report document and the borrowing frame encoder as references.
+# (1.59 per primitive beyond compiling it, 1.555 to 1.565 measured; the
+# budget was 1.6) and of the daemon's `report` frame encode + decode (16
+# per signal), and the oracles that keep the earlier `format!`-based
+# content keys and `BTreeMap` diff, the copy-then-strip report document
+# and the borrowing frame encoder as references.
 cargo test -q --test apply_allocs
 cargo test -q -p scald-incr --lib content_keys_match_the_format_oracle
 cargo test -q -p scald-verifier --test stripped_json
@@ -147,8 +157,16 @@ test "$status" -eq 1
 cargo run -q -p scald-bench --release --bin cache_stats -- --chips 40 --out target/BENCH_cache_smoke.json
 
 # Smoke the scale sweep at ~5k primitives (the committed BENCH_scale.json
-# sweeps 1k..1M; this proves the generator + sweep harness stay runnable).
+# sweeps 1k..1M; this proves the generator + sweep harness stay runnable),
+# and require the v3 record: the step's live heap and allocations after
+# generation, build, run and report.
 cargo run -q -p scald-bench --release --bin scale_sweep -- --steps 5000 --reps 1 --out target/BENCH_scale_smoke.json
+grep -q '"version": 3' target/BENCH_scale_smoke.json
+for phase in gen build run report; do
+  grep -q "\"$phase\": {" target/BENCH_scale_smoke.json
+done
+test "$(grep -c '"live_bytes"' target/BENCH_scale_smoke.json)" -eq 4
+test "$(grep -c '"allocations"' target/BENCH_scale_smoke.json)" -eq 4
 
 # Smoke the serve loadtest with 4 concurrent clients on a small design
 # (the committed BENCH_serve.json uses --chips 400 --rounds 3).

@@ -665,12 +665,6 @@ pub struct PrimRef<'a> {
 }
 
 impl<'a> PrimRef<'a> {
-    /// This primitive's id.
-    #[must_use]
-    pub fn id(self) -> PrimId {
-        self.id
-    }
-
     /// Hierarchical instance name (for reports), e.g. `ALU0/OUT REG`.
     #[must_use]
     pub fn name(self) -> &'a str {
@@ -834,12 +828,6 @@ pub struct SignalRef<'a> {
 }
 
 impl<'a> SignalRef<'a> {
-    /// This signal's id.
-    #[must_use]
-    pub fn id(self) -> SignalId {
-        self.id
-    }
-
     /// Base name, without the assertion suffix.
     #[must_use]
     pub fn name(self) -> &'a str {

@@ -550,8 +550,8 @@ fn check_checker_prim<S: StateView + ?Sized>(
         PrimKind::SetupHold { setup, hold } => {
             let input = pin_wave(netlist, prim, prim.input(0), states, corner);
             let clock = pin_wave(netlist, prim, prim.input(1), states, corner);
-            let in_name = &netlist.signal(prim.input(0).signal()).name();
-            let ck_name = &netlist.signal(prim.input(1).signal()).name();
+            let in_name = netlist.signal(prim.input(0).signal()).name();
+            let ck_name = netlist.signal(prim.input(1).signal()).name();
             let len_before = out.len();
             if !check_clock_defined(prim.name(), ck_name, &clock, out) {
                 attach_provenance(
@@ -584,8 +584,8 @@ fn check_checker_prim<S: StateView + ?Sized>(
         PrimKind::SetupRiseHoldFall { setup, hold } => {
             let input = pin_wave(netlist, prim, prim.input(0), states, corner);
             let clock = pin_wave(netlist, prim, prim.input(1), states, corner);
-            let in_name = &netlist.signal(prim.input(0).signal()).name();
-            let ck_name = &netlist.signal(prim.input(1).signal()).name();
+            let in_name = netlist.signal(prim.input(0).signal()).name();
+            let ck_name = netlist.signal(prim.input(1).signal()).name();
             let len_before = out.len();
             if !check_clock_defined(prim.name(), ck_name, &clock, out) {
                 attach_provenance(
@@ -645,7 +645,7 @@ fn check_checker_prim<S: StateView + ?Sized>(
             // Pulse widths are measured with skew kept separate: skew
             // shifts both edges of a pulse together (§2.8).
             let input = pin_wave_pulse_view(netlist, prim, prim.input(0), states, corner);
-            let name = &netlist.signal(prim.input(0).signal()).name();
+            let name = netlist.signal(prim.input(0).signal()).name();
             let len_before = out.len();
             let observed = || vec![observed_line("INPUT     ", name, &input)];
             if high > Time::ZERO {
@@ -719,7 +719,7 @@ fn check_hazard_gate<S: StateView + ?Sized>(
     let prim = netlist.prim(pid);
     let clock = pin_wave(netlist, prim, prim.input(clock_idx), states, corner);
     let asserted = clock.spans_where(Value::could_be_high);
-    let ck_name = &netlist.signal(prim.input(clock_idx).signal()).name();
+    let ck_name = netlist.signal(prim.input(clock_idx).signal()).name();
     for (i, conn) in prim.inputs().enumerate() {
         if i == clock_idx {
             continue;

@@ -72,7 +72,7 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
 }
 
 /// Largest number of allocations a warm one-line edit may add to
-/// compiling its source, per primitive of the design: 1.553 to 1.565
+/// compiling its source, per primitive of the design: 1.555 to 1.565
 /// over 50 runs, plus headroom. The spread comes from the process-wide
 /// stores, whose shards are picked by a randomly seeded hash.
 const APPLY_BUDGET_PER_PRIM: f64 = 1.59;
