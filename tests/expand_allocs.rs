@@ -54,8 +54,7 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Largest number of allocations (reallocations included) one emitted
-/// primitive may cost: 1.97 measured, plus headroom (8.2 when the netlist
-/// held one record per primitive).
+/// primitive may cost: 1.97 measured, plus headroom.
 const BUDGET_PER_PRIM: f64 = 2.5;
 
 #[test]

@@ -89,13 +89,11 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, Tally) {
 }
 
 /// Largest number of heap bytes a generated netlist may keep live per
-/// primitive: 125.6 measured, plus 20% headroom. (The per-primitive
-/// records it replaced kept 547.9.)
+/// primitive: 125.6 measured, plus 20% headroom.
 const LIVE_BYTES_BUDGET: f64 = 150.0;
 
 /// Largest number of allocations generating a netlist may make per
-/// primitive: 0.143 measured, plus 40% headroom. (The per-primitive
-/// records it replaced cost 8.28.)
+/// primitive: 0.143 measured, plus 40% headroom.
 const ALLOCATION_BUDGET: f64 = 0.2;
 
 #[test]
