@@ -45,9 +45,8 @@ cargo test -q -p scald-verifier --lib delta_passes_match_the_walk_oracle
 # over corpora where each part of the key decides a verdict (inverted
 # pins, wire-delay overrides, Z/H heads, skews, corner crosses, pulse
 # widths, the register file, shared keys), and must agree on violations,
-# firing sets, counts and every margin; keys from two wave stores must
-# never collide.
-cargo test -q -p scald-verifier --lib -- keyed_checker_passes_match_the_per_instance_oracle keyed_slack_matches_the_per_checker_loop keys_tell_wave_stores_apart
+# firing sets, counts and every margin.
+cargo test -q -p scald-verifier --lib -- keyed_checker_passes_match_the_per_instance_oracle keyed_slack_matches_the_per_checker_loop
 
 # The eval-cache key oracle: every packed key (inline state-id pins, one
 # carried hash) is also built as the `Vec` key it replaced, and two keys
@@ -55,7 +54,7 @@ cargo test -q -p scald-verifier --lib -- keyed_checker_passes_match_the_per_inst
 # and sweep runs with cases and corner crosses, propagating directive
 # chains, fan-in above the inline pins, skews, and keys differing in one
 # part each (the wave, each skew half, the tail, the pin count, the
-# corner); a wave interned in two wave stores is one pin.
+# corner).
 cargo test -q -p scald-verifier --lib -- packed_keys_match_the_vec_key_oracle keys_differing_in_one_part_stay_apart
 
 # The packed descriptor signatures against the `Debug`-string interner:
@@ -80,6 +79,13 @@ cargo test -q -p scald-verifier --test memo_pins
 # matches that case run alone on a clone of the settled verifier, plus
 # the unknown-signal and failing-prefix error paths.
 cargo test -q -p scald-verifier --test case_tree
+
+# The one interner behind the wave and state stores, on local instances:
+# ids dense from 0 in first-intern order, one id per value when eight
+# threads intern in their own orders, a value read back on another
+# thread, hits + unique == interns, and waveform identity coinciding
+# with structural equality with growth bounded by the distinct waves.
+cargo test -q -p scald-wave --lib intern::
 cargo test -q -p scald-wave --test store_props
 
 # The daemon suites alone: protocol robustness (malformed frames, torn
@@ -105,7 +111,7 @@ cargo test -q -p scald-serve --test daemon -- oversized_and_non_utf8_frames_are_
 cargo test -q --test expand_golden --test expand_allocs
 
 # The render-path pins: the allocation budgets per signal for building a
-# report from a settled verifier (2) and for turning it into its JSON
+# report from a settled verifier (0.15) and for turning it into its JSON
 # document and summary listing (8), with a counting global allocator,
 # the bytes a small design's listings ask for, which must not grow with
 # the states the process has interned, and the oracle suites that keep the

@@ -7,7 +7,7 @@
 //! worker thread the connection waits on with a deadline, so a
 //! pathological design can time out one request without wedging the
 //! connection — the orphaned verification finishes in the background
-//! and its session rejoins the pool.
+//! and its worker checks the session back into the pool.
 
 use crate::pool::{CheckoutInfo, PooledSession, SessionPool};
 use crate::proto::{
@@ -15,7 +15,7 @@ use crate::proto::{
     RunSummary, SweepEffort, SweepSpec, MAX_FRAME_BYTES, PROTO_VERSION,
 };
 use crate::tap::SharedWriter;
-use scald_incr::{compile_source, compile_verilog, Delta, IncrStats, SessionError, SessionOutcome};
+use scald_incr::{compile_source, compile_verilog, Delta, SessionError, SessionOutcome};
 use scald_verifier::{Case, EvalCacheStats};
 use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -503,9 +503,35 @@ impl Drop for RunGuard {
     }
 }
 
-/// `open`: compile, then check out / verify, on a worker thread under
-/// the request deadline. A compile error comes back through the same
-/// channel as a checkout error.
+/// Runs `work` on a worker thread under the request deadline, counted in
+/// `active_runs` until the worker exits. Returns the result if it came
+/// in time. Otherwise the connection stops waiting and the worker hands
+/// its late result to `orphaned` itself: the channel has no buffer, so
+/// `send` completes only while the connection is still receiving, and
+/// once the receiver is gone it gives the result back instead of losing
+/// it.
+fn under_deadline<T: Send + 'static>(
+    shared: &Arc<Shared>,
+    work: impl FnOnce(&Shared) -> T + Send + 'static,
+    orphaned: impl FnOnce(T, &Shared) + Send + 'static,
+) -> Option<T> {
+    let worker_shared = Arc::clone(shared);
+    shared.active_runs.fetch_add(1, Ordering::AcqRel);
+    let (tx, rx) = mpsc::sync_channel(0);
+    thread::spawn(move || {
+        let _guard = RunGuard(Arc::clone(&worker_shared));
+        let result = work(&worker_shared);
+        if let Err(mpsc::SendError(late)) = tx.send(result) {
+            orphaned(late, &worker_shared);
+        }
+    });
+    rx.recv_timeout(shared.timeout).ok()
+}
+
+/// `open`: compile, then check out / verify, under the request
+/// deadline. A compile error comes back the same way as a checkout
+/// error. A timed-out open's session goes straight to the pool when it
+/// finishes, so the work is not wasted; a late error is dropped.
 fn do_open(
     id: u64,
     source: String,
@@ -514,22 +540,23 @@ fn do_open(
     conn: &mut ConnState,
     shared: &Arc<Shared>,
 ) -> Response {
-    let worker_shared = Arc::clone(shared);
-    shared.active_runs.fetch_add(1, Ordering::AcqRel);
-    let (tx, rx) = mpsc::channel();
-    thread::spawn(move || {
-        let _guard = RunGuard(Arc::clone(&worker_shared));
-        let compiled = match frontend {
-            Frontend::Scald => compile_source(&source),
-            Frontend::Verilog => compile_verilog(&source),
-        };
-        let result = compiled
-            .and_then(|(netlist, cases)| worker_shared.pool.checkout(netlist, cases, &label));
-        let _ = tx.send(result);
-    });
-
-    match rx.recv_timeout(shared.timeout) {
-        Ok(Ok((pooled, info))) => {
+    let result = under_deadline(
+        shared,
+        move |shared| {
+            let compiled = match frontend {
+                Frontend::Scald => compile_source(&source),
+                Frontend::Verilog => compile_verilog(&source),
+            };
+            compiled.and_then(|(netlist, cases)| shared.pool.checkout(netlist, cases, &label))
+        },
+        |late, shared| {
+            if let Ok((pooled, _)) = late {
+                shared.pool.checkin(pooled);
+            }
+        },
+    );
+    match result {
+        Some(Ok((pooled, info))) => {
             let name = format!("s{}", conn.next_session);
             conn.next_session += 1;
             let summary = open_summary(&pooled, &info);
@@ -544,17 +571,14 @@ fn do_open(
             conn.sessions.insert(name, Checkout { pooled, frontend });
             response
         }
-        Ok(Err(e)) => session_error(id, &e),
-        Err(_) => {
-            reap_checkout(rx, Arc::clone(shared));
-            timeout_error(id, shared.timeout)
-        }
+        Some(Err(e)) => session_error(id, &e),
+        None => timeout_error(id, shared.timeout),
     }
 }
 
 /// The deadline-guarded mutating ops: the session moves to the worker;
 /// on success (or a failed-but-harmless delta) it comes back to the
-/// connection, on timeout the reaper parks it in the pool instead.
+/// connection, on timeout the worker parks it in the pool instead.
 enum VerifyOp {
     Apply(DeltaSpec),
     Reverify,
@@ -573,54 +597,50 @@ fn do_verify_op(
     conn: &mut ConnState,
     shared: &Arc<Shared>,
 ) -> Response {
-    let worker_shared = Arc::clone(shared);
-    shared.active_runs.fetch_add(1, Ordering::AcqRel);
-    let (tx, rx) = mpsc::channel();
-    thread::spawn(move || {
-        let _guard = RunGuard(Arc::clone(&worker_shared));
-        let before = pooled.session.cache_stats();
-        let result = match op {
-            VerifyOp::Apply(DeltaSpec::Source(src)) => pooled.session.apply(match frontend {
-                Frontend::Scald => Delta::Source(src),
-                Frontend::Verilog => Delta::Verilog(src),
-            }),
-            VerifyOp::Apply(DeltaSpec::Cases(cases)) => pooled.session.apply(Delta::Cases(
-                cases.into_iter().map(Case::from_iter).collect(),
-            )),
-            // The sweep expands server-side through the same CaseSet
-            // builders the in-process API uses, so a swept run is
-            // byte-identical to handing the expanded list to `cases`.
-            VerifyOp::Apply(DeltaSpec::Sweep(spec)) => pooled
-                .session
-                .apply(Delta::Cases(spec.to_case_set().into_cases())),
-            VerifyOp::Reverify => pooled.session.reverify(),
-        };
-        let delta = cache_delta(before, pooled.session.cache_stats());
-        let _ = tx.send((pooled, result, delta));
-    });
-
-    match rx.recv_timeout(shared.timeout) {
-        Ok((pooled, result, delta)) => {
-            // Even a failed apply leaves the session valid at its prior
-            // state, so it always returns to the connection here.
-            let response = match &result {
-                Ok(_) => {
-                    let summary = outcome_summary(pooled.session.outcome(), delta);
-                    match kind {
-                        OpKind::Applied => Response::Applied { id, summary },
-                        OpKind::Ran => Response::Ran { id, summary },
-                    }
-                }
-                Err(e) => session_error(id, e),
+    let result = under_deadline(
+        shared,
+        move |_| {
+            let before = pooled.session.cache_stats();
+            let result = match op {
+                VerifyOp::Apply(DeltaSpec::Source(src)) => pooled.session.apply(match frontend {
+                    Frontend::Scald => Delta::Source(src),
+                    Frontend::Verilog => Delta::Verilog(src),
+                }),
+                VerifyOp::Apply(DeltaSpec::Cases(cases)) => pooled.session.apply(Delta::Cases(
+                    cases.into_iter().map(Case::from_iter).collect(),
+                )),
+                // The sweep expands server-side through the same CaseSet
+                // builders the in-process API uses, so a swept run is
+                // byte-identical to handing the expanded list to `cases`.
+                VerifyOp::Apply(DeltaSpec::Sweep(spec)) => pooled
+                    .session
+                    .apply(Delta::Cases(spec.to_case_set().into_cases())),
+                VerifyOp::Reverify => pooled.session.reverify(),
             };
-            conn.sessions.insert(name, Checkout { pooled, frontend });
-            response
+            let delta = cache_delta(before, pooled.session.cache_stats());
+            (pooled, result, delta)
+        },
+        |(pooled, _, _), shared| {
+            shared.pool.checkin(pooled);
+        },
+    );
+    let Some((pooled, result, delta)) = result else {
+        return timeout_error(id, shared.timeout);
+    };
+    // Even a failed apply leaves the session valid at its prior state,
+    // so it always returns to the connection here.
+    let response = match &result {
+        Ok(_) => {
+            let summary = outcome_summary(pooled.session.outcome(), delta);
+            match kind {
+                OpKind::Applied => Response::Applied { id, summary },
+                OpKind::Ran => Response::Ran { id, summary },
+            }
         }
-        Err(_) => {
-            reap_verify(rx, Arc::clone(shared));
-            timeout_error(id, shared.timeout)
-        }
-    }
+        Err(e) => session_error(id, e),
+    };
+    conn.sessions.insert(name, Checkout { pooled, frontend });
+    response
 }
 
 /// Which success variant a verify op maps to, captured before the op
@@ -628,36 +648,6 @@ fn do_verify_op(
 enum OpKind {
     Applied,
     Ran,
-}
-
-/// Collects a timed-out `open` in the background: when the checkout
-/// finally finishes, its session goes straight to the pool so the work
-/// is not wasted. A compile or checkout error is dropped.
-fn reap_checkout(
-    rx: mpsc::Receiver<Result<(PooledSession, CheckoutInfo), SessionError>>,
-    shared: Arc<Shared>,
-) {
-    thread::spawn(move || {
-        if let Ok(Ok((pooled, _))) = rx.recv() {
-            shared.pool.checkin(pooled);
-        }
-    });
-}
-
-/// Collects a timed-out `apply-delta` / `run` in the background.
-fn reap_verify(
-    rx: mpsc::Receiver<(
-        PooledSession,
-        Result<IncrStats, SessionError>,
-        Option<CacheDelta>,
-    )>,
-    shared: Arc<Shared>,
-) {
-    thread::spawn(move || {
-        if let Ok((pooled, _, _)) = rx.recv() {
-            shared.pool.checkin(pooled);
-        }
-    });
 }
 
 fn cache_delta(

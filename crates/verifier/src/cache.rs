@@ -19,9 +19,10 @@
 //!
 //! A lookup costs one keyed hash and no allocation: a key holds up to
 //! four pins inline and carries the hash it was built with, which picks
-//! both the shard and the slot within it. The table is sharded like the
-//! wave store: a lookup takes a shard read-lock, a miss inserts under
-//! the shard write-lock. An outcome is `Copy`, so a hit takes no
+//! both the shard and the slot within it. The table is the same sharded
+//! carried-hash table ([`Shards`]) the wave and state stores intern
+//! through: a lookup takes a shard read-lock, a miss inserts under the
+//! shard write-lock. An outcome is `Copy`, so a hit takes no
 //! reference count; each settle counts its hits and misses in its own
 //! [`Tally`], added to the shared counters once per wave.
 
@@ -30,22 +31,15 @@ use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasher, Hash, Hasher, RandomState};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, RwLock};
+use std::sync::Mutex;
 
 use scald_netlist::{Netlist, PrimKind, PrimRef};
-use scald_wave::{DelayCorner, Time};
+use scald_wave::{DelayCorner, Padded, Shards, Time};
 
 use crate::eval::EvalOutcome;
-use crate::state::{CarriedMap, Padded, StateId};
+use crate::state::StateId;
 use crate::view::StateView;
 
-const SHARD_BITS: u32 = 4;
-const SHARDS: usize = 1 << SHARD_BITS;
-/// Where a key's shard index sits in its hash: above the low bits the
-/// shard's table takes for its bucket index and below the top seven it
-/// keeps as its control tag, so the shard choice correlates with
-/// neither.
-const SHARD_SHIFT: u32 = 32;
 /// Pins a key stores inline; a wider fan-in spills to a boxed slice.
 const INLINE_PINS: usize = 4;
 
@@ -78,10 +72,6 @@ impl EvalKey {
             Pins::Inline(pins) => &pins[..self.len as usize],
             Pins::Spilled(pins) => pins,
         }
-    }
-
-    fn shard(&self) -> usize {
-        (self.hash >> SHARD_SHIFT) as usize & (SHARDS - 1)
     }
 }
 
@@ -179,7 +169,7 @@ pub struct EvalCache {
     /// Keyed, so keys derived from client designs (the daemon shares
     /// one cache) cannot be chosen to collide.
     hasher: RandomState,
-    shards: [Padded<RwLock<CarriedMap<EvalKey, EvalOutcome>>>; SHARDS],
+    shards: Shards<EvalKey, EvalOutcome>,
     hits: Padded<AtomicU64>,
     misses: Padded<AtomicU64>,
     /// Every key built, paired with the key as it was built before keys
@@ -195,7 +185,7 @@ impl EvalCache {
         EvalCache {
             sigs: Mutex::new(HashMap::new()),
             hasher: RandomState::new(),
-            shards: std::array::from_fn(|_| Padded::default()),
+            shards: Shards::default(),
             hits: Padded::default(),
             misses: Padded::default(),
             #[cfg(test)]
@@ -288,7 +278,9 @@ impl EvalCache {
     /// becomes a hit if its [`insert`](Self::insert) finds another
     /// worker's outcome).
     pub(crate) fn lookup(&self, key: &EvalKey, tally: &mut Tally) -> Option<EvalOutcome> {
-        let found = self.shards[key.shard()]
+        let found = self
+            .shards
+            .of(key.hash)
             .read()
             .expect("eval cache poisoned")
             .get(key)
@@ -308,7 +300,9 @@ impl EvalCache {
     /// evaluated the key first, and a serial run would have found it in
     /// the table.
     pub(crate) fn insert(&self, key: EvalKey, outcome: EvalOutcome, tally: &mut Tally) {
-        let mut table = self.shards[key.shard()]
+        let mut table = self
+            .shards
+            .of(key.hash)
             .write()
             .expect("eval cache poisoned");
         match table.entry(key) {
@@ -336,10 +330,7 @@ impl EvalCache {
     /// Distinct outcomes currently stored.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().expect("eval cache poisoned").len())
-            .sum()
+        self.shards.len()
     }
 
     /// `true` if no outcome has been stored yet.
@@ -459,7 +450,7 @@ mod tests {
     fn constants(period: Time, values: &[Value]) -> Vec<StateId> {
         values
             .iter()
-            .map(|&v| StateId::of(&SignalState::new(Waveform::constant(period, v))))
+            .map(|&v| StateId::of(SignalState::new(Waveform::constant(period, v))))
             .collect()
     }
 

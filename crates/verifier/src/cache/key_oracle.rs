@@ -11,8 +11,7 @@
 //!
 //! A pin of the packed key is its input's state id, so two pins are
 //! equal when their states are: the oracle's record holds the waveform
-//! itself, compared structurally, and a waveform interned in two
-//! [`WaveStore`](scald_wave::WaveStore)s is one pin.
+//! itself, compared structurally.
 
 use std::collections::HashMap;
 
@@ -142,7 +141,7 @@ mod tests {
     use scald_gen::sweep::{sweep_netlist, SweepOptions};
     use scald_logic::Value;
     use scald_netlist::{Config, Conn, Netlist, NetlistBuilder, PrimKind};
-    use scald_wave::{DelayRange, Time, WaveStore, Waveform};
+    use scald_wave::{DelayRange, Time, WaveRef, Waveform};
 
     fn coverage(cache: &EvalCache) -> Coverage {
         cache
@@ -252,11 +251,9 @@ mod tests {
         assert!(cov.skewed > 0, "skewed pins: {cov:?}");
     }
 
-    /// Keys that differ in exactly one part — the wave (here one with
-    /// the same id in another store), each skew half, tail, pin count,
-    /// corner, signature — built by one cache: each pair must stay
-    /// apart, and rebuilding either key must land on it. A wave equal to
-    /// the plain one but interned in another store is the same pin.
+    /// Keys that differ in exactly one part — the wave, each skew half,
+    /// tail, pin count, corner, signature — built by one cache: each pair
+    /// must stay apart, and rebuilding either key must land on it.
     #[test]
     fn keys_differing_in_one_part_stay_apart() {
         let mut b = NetlistBuilder::new(Config::s1_example());
@@ -274,36 +271,28 @@ mod tests {
         let period = netlist.config().timing.period;
         let [and2, and3, and6] = [0, 1, 2].map(|i| netlist.iter_prims().nth(i).unwrap().1);
 
-        // Waves with the same id in two stores: the second store interns
-        // waves until one lands on the first's id.
         let ns = Time::from_ns;
-        let (one, other) = (WaveStore::new(), WaveStore::new());
-        let quiet = one.intern(Waveform::constant(period, Value::Stable));
-        let twin = (1..400)
-            .map(|k| {
-                other.intern(Waveform::from_intervals(
-                    period,
-                    Value::Stable,
-                    [(ns(1.0), ns(2.0) + Time::from_ps(k), Value::Change)],
-                ))
-            })
-            .find(|w| w.id() == quiet.id())
-            .expect("some wave lands on the same id");
-        let state = |wave: &scald_wave::WaveRef, skew: Skew, eval: Option<&str>| {
-            StateId::of(&SignalState {
-                wave: wave.clone(),
+        let quiet = WaveRef::from(Waveform::constant(period, Value::Stable));
+        let changing = WaveRef::from(Waveform::from_intervals(
+            period,
+            Value::Stable,
+            [(ns(1.0), ns(2.0), Value::Change)],
+        ));
+        let state = |wave: WaveRef, skew: Skew, eval: Option<&str>| {
+            StateId::of(SignalState {
+                wave,
                 skew,
                 eval: eval.map(EvalStr::new),
             })
         };
-        let plain = state(&quiet, Skew::ZERO, None);
+        let plain = state(quiet, Skew::ZERO, None);
         let variants = [
             plain,
-            state(&twin, Skew::ZERO, None),
-            state(&quiet, Skew::new(ns(1.0), Time::ZERO), None),
-            state(&quiet, Skew::new(Time::ZERO, ns(1.0)), None),
-            state(&quiet, Skew::ZERO, Some("ZW")),
-            state(&quiet, Skew::ZERO, Some("W")),
+            state(changing, Skew::ZERO, None),
+            state(quiet, Skew::new(ns(1.0), Time::ZERO), None),
+            state(quiet, Skew::new(Time::ZERO, ns(1.0)), None),
+            state(quiet, Skew::ZERO, Some("ZW")),
+            state(quiet, Skew::ZERO, Some("W")),
         ];
         let cache = EvalCache::new();
         let mut keys = Vec::new();
@@ -338,13 +327,5 @@ mod tests {
         let again = cache.key_for(0, and6, all_plain.as_slice(), DelayCorner::Worst);
         assert_eq!(again, keys[4]);
         assert_eq!(again.hash, keys[4].hash);
-        // The plain wave interned in the other store is the plain state.
-        let copy = other.intern(quiet.to_waveform());
-        assert_ne!(copy.store_tag(), quiet.store_tag());
-        let mut copies = vec![plain; 6];
-        copies[5] = state(&copy, Skew::ZERO, None);
-        let shared = cache.key_for(0, and6, copies.as_slice(), DelayCorner::Worst);
-        assert_eq!(shared, keys[4]);
-        assert_eq!(shared.hash, keys[4].hash);
     }
 }

@@ -232,12 +232,14 @@ fn clock_pulses(clock: &Waveform) -> Vec<(EdgeWindow, EdgeWindow)> {
 
 /// The timing margin of one checker: how much headroom each of its
 /// constraints has. Negative slack corresponds to a reported violation.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// The row names its checker by id; the checker's name and its checked
+/// signal (the checker's first input) are read from the netlist when a
+/// listing renders them.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CheckMargin {
-    /// Checker instance name.
-    pub checker: String,
-    /// The checked input signal.
-    pub signal: String,
+    /// The checker primitive.
+    pub checker: PrimId,
     /// Worst set-up slack across all clock edges: available stability
     /// minus required set-up. `None` if the check did not apply (no
     /// set-up requirement or no edges).
@@ -442,7 +444,7 @@ pub(crate) fn slack_report<S: StateView + ?Sized>(
 ) -> Vec<CheckMargin> {
     let mut table: HashMap<CheckerKey, Margins> = HashMap::new();
     let mut out = Vec::new();
-    for (_, prim) in netlist.iter_prims() {
+    for (pid, prim) in netlist.iter_prims() {
         if !prim.kind().is_checker() {
             continue;
         }
@@ -451,8 +453,7 @@ pub(crate) fn slack_report<S: StateView + ?Sized>(
             .entry(key)
             .or_insert_with(|| checker_margins(netlist, prim, states, corner));
         out.push(CheckMargin {
-            checker: prim.name().to_owned(),
-            signal: netlist.signal(prim.input(0).signal()).name().to_owned(),
+            checker: pid,
             setup_slack: m.setup,
             hold_slack: m.hold,
             pulse_slack: m.pulse,

@@ -95,11 +95,10 @@ fn slack_per_checker<S: StateView + ?Sized>(
     let mut out: Vec<CheckMargin> = netlist
         .iter_prims()
         .filter(|(_, prim)| prim.kind().is_checker())
-        .map(|(_, prim)| {
+        .map(|(pid, prim)| {
             let m = checker_margins(netlist, prim, states, corner);
             CheckMargin {
-                checker: prim.name().to_owned(),
-                signal: netlist.signal(prim.input(0).signal()).name().to_owned(),
+                checker: pid,
                 setup_slack: m.setup,
                 hold_slack: m.hold,
                 pulse_slack: m.pulse,
@@ -248,14 +247,12 @@ pub(super) fn cross_check_slack<S: StateView + ?Sized>(
 
 mod tests {
     use super::*;
-    use crate::state::{SignalState, StateId};
     use crate::{Case, CaseSet, RunOptions, Verifier};
     use scald_gen::figures::hazard_circuit;
     use scald_gen::s1::{s1_like_netlist, S1Options};
     use scald_gen::scale::{scale_netlist, ScaleOptions};
-    use scald_logic::Value;
     use scald_netlist::{Config, Conn, NetlistBuilder};
-    use scald_wave::{DelayRange, WaveStore, Waveform};
+    use scald_wave::DelayRange;
 
     /// Records coverage while `f` runs on this thread.
     fn recording(f: impl FnOnce()) -> Coverage {
@@ -489,62 +486,5 @@ mod tests {
         assert!(total.slack_views > 0, "{total:?}");
         assert!(total.point_corners > 0, "point corners: {total:?}");
         assert!(total.shared > 0, "shared keys: {total:?}");
-    }
-
-    /// Wave ids are unique only within one store: two checkers whose
-    /// data waves have the same id in different stores keep different
-    /// keys, and the one that fires is not taken for the clean one.
-    #[test]
-    fn keys_tell_wave_stores_apart() {
-        let mut b = NetlistBuilder::new(Config::s1_example());
-        let ns = Time::from_ns;
-        let d = b.signal("D").unwrap();
-        let late = b.signal("LATE").unwrap();
-        let ck = b.signal("CK").unwrap();
-        b.setup_hold("EARLY CHK", ns(2.5), ns(1.5), d, ck);
-        b.setup_hold("LATE CHK", ns(2.5), ns(1.5), late, ck);
-        let netlist = b.finish().unwrap();
-        let period = netlist.config().timing.period;
-
-        // The clean wave is the first in its store; a second store
-        // interns late-changing waves until one gets the same id.
-        let (one, other) = (WaveStore::new(), WaveStore::new());
-        let clean = one.intern(Waveform::constant(period, Value::Stable));
-        let colliding = (1..400)
-            .map(|k| {
-                let start = ns(11.0) - Time::from_ps(k);
-                other.intern(Waveform::from_intervals(
-                    period,
-                    Value::Stable,
-                    [(start, ns(12.0), Value::Change)],
-                ))
-            })
-            .find(|w| w.id() == clean.id())
-            .expect("some wave lands on the same id");
-        assert_ne!(clean.store_tag(), colliding.store_tag());
-        let clock =
-            Waveform::from_intervals(period, Value::Zero, [(ns(12.0), ns(18.0), Value::One)]);
-        let state = |wave| {
-            StateId::of(&SignalState {
-                wave,
-                skew: scald_wave::Skew::ZERO,
-                eval: None,
-            })
-        };
-        let states = [
-            state(clean),
-            state(colliding),
-            state(WaveStore::global().intern(clock)),
-        ];
-        // Both calls run their oracles.
-        let pass =
-            super::super::run_checks_cached(&netlist, &states[..], &[], DelayCorner::Worst, None);
-        let late_chk = netlist
-            .iter_prims()
-            .find(|(_, p)| p.name() == "LATE CHK")
-            .map(|(pid, _)| pid)
-            .expect("named checker");
-        assert_eq!(pass.cache.violating_prims, BTreeSet::from([late_chk]));
-        let _ = super::super::slack_report(&netlist, &states[..], DelayCorner::Worst);
     }
 }

@@ -652,13 +652,10 @@ impl Verifier {
         let period = netlist.config().timing.period;
         let timing = netlist.config().timing;
         let n = netlist.signal_count();
-        let unknown = StateId::of(&SignalState::new(Waveform::constant(
-            period,
-            Value::Unknown,
-        )));
-        let stable = StateId::of(&SignalState::new(Waveform::constant(period, Value::Stable)));
+        let unknown = StateId::of(SignalState::new(Waveform::constant(period, Value::Unknown)));
+        let stable = StateId::of(SignalState::new(Waveform::constant(period, Value::Stable)));
         let asserted = |wave: Waveform, skew| {
-            StateId::of(&SignalState {
+            StateId::of(SignalState {
                 wave: wave.into(),
                 skew,
                 eval: None,
@@ -739,7 +736,8 @@ impl Verifier {
 
     /// The settled effective state of a signal (after [`run`](Self::run)).
     /// Owned: the engine keeps one interned state id per signal; the
-    /// clone is a reference-count bump on the interned wave handle.
+    /// clone copies the `Copy` wave handle and the skew, and shares the
+    /// riding evaluation string.
     #[must_use]
     pub fn state(&self, id: SignalId) -> SignalState {
         self.eff[id.index()].get().clone()
@@ -1441,7 +1439,7 @@ where
                     })
                     .collect();
                 let refs: Vec<&Waveform> = resolved.iter().map(WaveRef::as_wave).collect();
-                StateId::of(&SignalState::new(Waveform::combine_many(&refs, |vals| {
+                StateId::of(SignalState::new(Waveform::combine_many(&refs, |vals| {
                     scald_logic::or_all(vals.iter().copied())
                 })))
             } else {

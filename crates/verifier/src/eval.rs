@@ -39,7 +39,7 @@ pub(crate) struct EvalOutcome {
 
 impl EvalOutcome {
     /// The outcome of a primitive driving `output`.
-    fn driving(output: &SignalState, hazard_inputs: Option<&'static [u32]>) -> EvalOutcome {
+    fn driving(output: SignalState, hazard_inputs: Option<&'static [u32]>) -> EvalOutcome {
         EvalOutcome {
             output: Some(StateId::of(output)),
             hazard_inputs,
@@ -195,7 +195,7 @@ pub(crate) fn evaluate<S: StateView + ?Sized>(
         PrimKind::Reg { set_reset } => eval_reg(netlist, prim, states, set_reset, corner),
         PrimKind::Latch { set_reset } => eval_latch(netlist, prim, states, set_reset, corner),
         PrimKind::Const(v) => {
-            EvalOutcome::driving(&SignalState::new(Waveform::constant(period, v)), None)
+            EvalOutcome::driving(SignalState::new(Waveform::constant(period, v)), None)
         }
         // Checkers compute nothing during the fixed point; they are
         // examined afterwards (§2.9). Their hazard semantics are fixed, so
@@ -267,7 +267,7 @@ fn eval_gate<S: StateView + ?Sized>(
 
     let mut out = combine_pins(&participating, |vals| gate_fold(prim.kind(), vals));
     out.eval = output_eval(&pins);
-    EvalOutcome::driving(&out, hazard_inputs)
+    EvalOutcome::driving(out, hazard_inputs)
 }
 
 fn eval_unary<S: StateView + ?Sized>(
@@ -297,7 +297,7 @@ fn eval_unary<S: StateView + ?Sized>(
             skew: scald_wave::Skew::ZERO,
             eval: pin.tail.clone(),
         };
-        return EvalOutcome::driving(&out, asserted_pins(std::slice::from_ref(&pin)));
+        return EvalOutcome::driving(out, asserted_pins(std::slice::from_ref(&pin)));
     }
     let pin = prep_input(netlist, prim, prim.input(0), states, true, corner);
     let hazard_inputs = asserted_pins(std::slice::from_ref(&pin));
@@ -306,7 +306,7 @@ fn eval_unary<S: StateView + ?Sized>(
         st.wave = st.wave.map(Value::not).into();
     }
     st.eval = pin.tail;
-    EvalOutcome::driving(&st, hazard_inputs)
+    EvalOutcome::driving(st, hazard_inputs)
 }
 
 /// Applies per-edge propagation delays to an (output-polarity) waveform:
@@ -420,7 +420,7 @@ fn eval_mux<S: StateView + ?Sized>(
         }
     };
     out.eval = output_eval(&pins);
-    EvalOutcome::driving(&out, asserted_pins(&pins))
+    EvalOutcome::driving(out, asserted_pins(&pins))
 }
 
 /// Joins the values a waveform takes over a (possibly zero-width) window.
@@ -520,7 +520,7 @@ fn eval_reg<S: StateView + ?Sized>(
         clocked
     };
 
-    EvalOutcome::driving(&SignalState::new(wave), None)
+    EvalOutcome::driving(SignalState::new(wave), None)
 }
 
 /// Asynchronous SET/RESET overlay shared by registers and latches
@@ -691,5 +691,5 @@ fn eval_latch<S: StateView + ?Sized>(
         transparent
     };
 
-    EvalOutcome::driving(&SignalState::new(wave), None)
+    EvalOutcome::driving(SignalState::new(wave), None)
 }

@@ -649,7 +649,7 @@ impl Report {
         for m in &self.slack {
             out.push_str(&format!(
                 "{:<40} {:>8} {:>8} {:>8}\n",
-                m.checker,
+                self.summary.netlist.prim(m.checker).name(),
                 fmt_slack(m.setup_slack),
                 fmt_slack(m.hold_slack),
                 fmt_slack(m.pulse_slack)
@@ -749,13 +749,18 @@ impl Report {
             ("period_ns".into(), Json::from(self.period.as_ns())),
         ]);
         let slack_ns = |s: Option<Time>| s.map_or(Json::Null, |t| Json::from(t.as_ns()));
+        let netlist = &self.summary.netlist;
         let slack = Json::Arr(
             self.slack
                 .iter()
                 .map(|m| {
+                    let checker = netlist.prim(m.checker);
                     Json::Obj(vec![
-                        ("checker".into(), Json::str(&m.checker)),
-                        ("signal".into(), Json::str(&m.signal)),
+                        ("checker".into(), Json::str(checker.name())),
+                        (
+                            "signal".into(),
+                            Json::str(netlist.signal(checker.input(0).signal()).name()),
+                        ),
                         ("setup_slack_ns".into(), slack_ns(m.setup_slack)),
                         ("hold_slack_ns".into(), slack_ns(m.hold_slack)),
                         ("pulse_slack_ns".into(), slack_ns(m.pulse_slack)),

@@ -13,17 +13,17 @@
 //! engine's state columns, eval-cache keys and outcomes, and commits
 //! move ids; a reader turns an id back into its [`SignalState`] with
 //! two atomic loads and no lock. Two states are one id exactly when
-//! their waves are structurally equal (whichever [`WaveStore`] interned
-//! them), their skews are equal and the same letters remain of their
-//! evaluation strings, which is all any reader consumes of a string.
+//! their waves are one id in [`WaveStore::global`], their skews are
+//! equal and the same letters remain of their evaluation strings, which
+//! is all any reader consumes of a string.
+//!
+//! [`WaveStore::global`]: scald_wave::WaveStore::global
 
 use scald_logic::Value;
-use scald_wave::{DelayRange, Skew, StoreStats, Time, WaveId, WaveRef, WaveStore, Waveform};
+use scald_wave::{DelayRange, Interner, Skew, StoreStats, Time, WaveRef, Waveform};
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher, RandomState};
-use std::ops::Deref;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock, RwLock};
 
 /// One evaluation directive letter (§2.6).
@@ -163,10 +163,10 @@ impl fmt::Display for EvalStr {
 /// The dynamic state of one signal during verification: waveform, separate
 /// skew, and the propagating evaluation string (Fig 2-7).
 ///
-/// The waveform is an interned handle ([`WaveRef`]): clones are
-/// reference-count bumps. The engine itself holds each state as an id
-/// in [`StateStore`], so its commit-time convergence check compares ids.
-#[derive(Debug, Clone, PartialEq)]
+/// The waveform is an interned handle ([`WaveRef`]), copied as an id
+/// and a reference. The engine itself holds each state as an id in
+/// [`StateStore`], so its commit-time convergence check compares ids.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SignalState {
     /// The signal's value over the period (interned, shared).
     pub wave: WaveRef,
@@ -196,7 +196,7 @@ impl SignalState {
     #[must_use]
     pub fn resolved(&self) -> WaveRef {
         if self.skew.is_zero() {
-            self.wave.clone()
+            self.wave
         } else {
             self.wave.with_skew_applied(self.skew).into()
         }
@@ -209,7 +209,7 @@ impl SignalState {
     #[must_use]
     pub fn delayed(&self, delay: DelayRange) -> SignalState {
         let wave = if delay.min == Time::ZERO {
-            self.wave.clone()
+            self.wave
         } else {
             self.wave.delayed(delay.min).into()
         };
@@ -245,13 +245,13 @@ pub(crate) struct StateId(u32);
 
 impl StateId {
     /// Interns `state` into the global store.
-    pub(crate) fn of(state: &SignalState) -> StateId {
-        StateStore::global().intern(state)
+    pub(crate) fn of(state: SignalState) -> StateId {
+        StateId(StateStore::global().states.intern(state).0)
     }
 
     /// The state this id names.
     pub(crate) fn get(self) -> &'static SignalState {
-        StateStore::global().get(self)
+        StateStore::global().states.get(self.0)
     }
 
     /// The id's number; ids are issued densely from 0.
@@ -260,93 +260,15 @@ impl StateId {
     }
 }
 
-/// log2 of the shard count, as in the wave store.
-const SHARD_BITS: u32 = 4;
-const SHARDS: usize = 1 << SHARD_BITS;
-/// Where a key's shard index sits in its hash: clear of the bits the
-/// shard's table uses for its bucket index (low) and its control tag
-/// (top seven).
-const SHARD_SHIFT: u32 = 32;
-/// log2 of the slots in the first chunk; chunk `c` holds twice as many
-/// as chunk `c - 1`.
-const FIRST_CHUNK_BITS: u32 = 10;
-/// Enough chunks that every `u32` id has a slot.
-const CHUNKS: usize = (33 - FIRST_CHUNK_BITS) as usize;
-
-/// A value alone on its cache lines (128 bytes: the pair of lines x86
-/// prefetches together), so that a counter or lock one worker writes
-/// does not evict what another worker reads.
-#[derive(Default)]
-#[repr(align(128))]
-pub(crate) struct Padded<T>(pub(crate) T);
-
-impl<T> Deref for Padded<T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        &self.0
-    }
-}
-
-/// The hasher of tables whose keys carry the hash they were built with:
-/// it hands that hash back.
-#[derive(Default)]
-pub(crate) struct CarriedHash(u64);
-
-impl Hasher for CarriedHash {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("carried-hash keys hash themselves once, through `write_u64`");
-    }
-
-    fn write_u64(&mut self, hash: u64) {
-        self.0 = hash;
-    }
-}
-
-/// A table keyed by carried-hash keys.
-pub(crate) type CarriedMap<K, V> = HashMap<K, V, BuildHasherDefault<CarriedHash>>;
-
-/// What makes a state distinct: the id of its wave in the global wave
-/// store, its skew, and its remaining evaluation letters.
-#[derive(Debug)]
-struct StateKey {
-    hash: u64,
-    wave: WaveId,
-    skew: Skew,
-    eval: Option<EvalStr>,
-}
-
-impl PartialEq for StateKey {
-    fn eq(&self, other: &StateKey) -> bool {
-        self.wave == other.wave && self.skew == other.skew && self.eval == other.eval
-    }
-}
-
-impl Eq for StateKey {}
-
-impl Hash for StateKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.hash);
-    }
-}
-
 /// The process-wide, append-only store of distinct signal states: the
 /// value area every [`Verifier`](crate::Verifier) keeps its signals'
 /// states in, one entry per distinct (wave, skew, remaining evaluation
 /// letters).
 ///
-/// Interning hashes the state once and probes one of 16 shards under its
-/// read lock, taking the write lock only for a state new to the store.
-/// A state is kept in a chunked slot array that never moves or frees an
-/// entry, so the engine reads one back without a lock, from any thread.
-/// A wave from another [`WaveStore`] is re-interned into
-/// [`WaveStore::global`] first, so structurally equal waves are one
-/// state whichever store issued them. Like the wave store, it grows with
-/// the distinct states, not with intern traffic:
+/// It is an [`Interner`] of [`SignalState`]s, the same one the
+/// [`WaveStore`](scald_wave::WaveStore) is built on, plus a memo of case
+/// overrides. Like the wave store, it grows with the distinct states,
+/// not with intern traffic:
 ///
 /// ```
 /// use scald_netlist::{Config, NetlistBuilder};
@@ -369,19 +291,7 @@ impl Hash for StateKey {
 /// # }
 /// ```
 pub struct StateStore {
-    /// Keyed, so states derived from client designs (the daemon shares
-    /// one process) cannot be chosen to collide.
-    hasher: RandomState,
-    shards: [Padded<RwLock<CarriedMap<StateKey, StateId>>>; SHARDS],
-    /// Slot `id` lives in chunk `c`, allocated on first use.
-    chunks: [OnceLock<Box<[OnceLock<SignalState>]>>; CHUNKS],
-    /// Ids handed out so far. Relaxed: the counter only makes ids
-    /// distinct; a slot's `OnceLock` publishes its state (`set` is a
-    /// release, `get` an acquire), and an id reaches another thread only
-    /// through the shard lock or whatever hands the id over.
-    issued: Padded<AtomicU32>,
-    interns: Padded<AtomicU64>,
-    hits: Padded<AtomicU64>,
+    states: Interner<SignalState>,
     /// Memoized case overrides: a state with a value mapped over its
     /// stable stretches (see `StateStore::overridden`).
     overrides: RwLock<HashMap<(StateId, Value), StateId>>,
@@ -393,100 +303,27 @@ impl StateStore {
     pub fn global() -> &'static StateStore {
         static GLOBAL: OnceLock<StateStore> = OnceLock::new();
         GLOBAL.get_or_init(|| StateStore {
-            hasher: RandomState::new(),
-            shards: std::array::from_fn(|_| Padded::default()),
-            chunks: std::array::from_fn(|_| OnceLock::new()),
-            issued: Padded::default(),
-            interns: Padded::default(),
-            hits: Padded::default(),
+            states: Interner::default(),
             overrides: RwLock::default(),
         })
-    }
-
-    /// The id of `state`, issuing one if the store has not seen it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the store would hold more than `u32::MAX` states.
-    pub(crate) fn intern(&self, state: &SignalState) -> StateId {
-        self.interns.fetch_add(1, Ordering::Relaxed);
-        let global = WaveStore::global();
-        let rehomed = (state.wave.store_tag() != global.tag())
-            .then(|| global.intern(state.wave.to_waveform()));
-        let wave = rehomed.as_ref().unwrap_or(&state.wave);
-        let mut key = StateKey {
-            hash: 0,
-            wave: wave.id(),
-            skew: state.skew,
-            eval: state.eval.clone(),
-        };
-        key.hash = self.hasher.hash_one((key.wave, key.skew, &key.eval));
-        let shard = &self.shards[(key.hash >> SHARD_SHIFT) as usize & (SHARDS - 1)];
-        if let Some(&id) = shard.read().expect("state store poisoned").get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return id;
-        }
-        let mut table = shard.write().expect("state store poisoned");
-        // Another thread may have interned it between the two locks.
-        if let Some(&id) = table.get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return id;
-        }
-        let raw = self.issued.fetch_add(1, Ordering::Relaxed);
-        assert!(raw < u32::MAX, "state store overflow");
-        let id = StateId(raw);
-        let (chunk, offset) = locate(id);
-        let slots = self.chunks[chunk].get_or_init(|| {
-            (0..1usize << (chunk as u32 + FIRST_CHUNK_BITS))
-                .map(|_| OnceLock::new())
-                .collect()
-        });
-        let fresh = SignalState {
-            wave: wave.clone(),
-            skew: state.skew,
-            eval: state.eval.clone(),
-        };
-        assert!(
-            slots[offset].set(fresh).is_ok(),
-            "state ids are issued once"
-        );
-        table.insert(key, id);
-        id
-    }
-
-    /// The state `id` names.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was not issued by this store.
-    pub(crate) fn get(&self, id: StateId) -> &SignalState {
-        let (chunk, offset) = locate(id);
-        self.chunks[chunk]
-            .get()
-            .and_then(|slots| slots[offset].get())
-            .expect("state id issued by the store")
     }
 
     /// Distinct states interned so far.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.issued.load(Ordering::Relaxed) as usize
+        self.states.len()
     }
 
     /// `true` if nothing has been interned yet.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.states.is_empty()
     }
 
     /// Snapshot of the effort counters.
     #[must_use]
     pub fn stats(&self) -> StoreStats {
-        StoreStats {
-            interns: self.interns.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
-            unique: self.len(),
-        }
+        self.states.stats()
     }
 
     /// `id` under a case override to `value` (§2.7.1): the value
@@ -498,8 +335,8 @@ impl StateStore {
         if let Some(&out) = memo.read().expect("state store poisoned").get(&(id, value)) {
             return out;
         }
-        let state = self.get(id);
-        let out = self.intern(&SignalState {
+        let state = id.get();
+        let out = StateId::of(SignalState {
             wave: state
                 .wave
                 .map(|x| if x == Value::Stable { value } else { x })
@@ -522,20 +359,11 @@ impl fmt::Debug for StateStore {
     }
 }
 
-/// The chunk and offset of `id`'s slot.
-fn locate(id: StateId) -> (usize, usize) {
-    let at = u64::from(id.0) + (1 << FIRST_CHUNK_BITS);
-    let chunk = 63 - at.leading_zeros() - FIRST_CHUNK_BITS;
-    (
-        chunk as usize,
-        (at - (1 << (chunk + FIRST_CHUNK_BITS))) as usize,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use scald_wave::Time;
+    use std::hash::{BuildHasher, RandomState};
 
     #[test]
     fn directive_letters() {
@@ -566,7 +394,7 @@ mod tests {
     }
 
     /// Regression: with zero skew, `resolved` must hand back the interned
-    /// base handle itself (same store, same id) instead of re-running the
+    /// base handle itself (same id) instead of re-running the
     /// identity skew fold and re-interning — and a zero-spread,
     /// zero-minimum delay must keep the same handle through
     /// `delayed`/`resolved_after` too.
@@ -581,7 +409,6 @@ mod tests {
         let st = SignalState::new(wave.clone());
         assert!(st.skew.is_zero());
         let resolved = st.resolved();
-        assert_eq!(resolved.store_tag(), st.wave.store_tag());
         assert_eq!(resolved.id(), st.wave.id(), "no re-fold on zero skew");
         assert_eq!(*resolved, wave);
 
@@ -628,76 +455,6 @@ mod tests {
     }
 
     #[test]
-    fn slots_are_located_chunk_by_chunk() {
-        let first = 1usize << FIRST_CHUNK_BITS;
-        assert_eq!(locate(StateId(0)), (0, 0));
-        assert_eq!(locate(StateId(first as u32 - 1)), (0, first - 1));
-        assert_eq!(locate(StateId(first as u32)), (1, 0));
-        assert_eq!(locate(StateId(3 * first as u32 - 1)), (1, 2 * first - 1));
-        assert_eq!(locate(StateId(3 * first as u32)), (2, 0));
-        let (chunk, offset) = locate(StateId(u32::MAX));
-        assert_eq!(chunk, CHUNKS - 1);
-        assert!(offset < first << chunk);
-    }
-
-    /// Eight threads intern the same states, each in its own order:
-    /// every state gets one id, the same on every thread.
-    #[test]
-    fn states_interned_from_eight_threads_get_one_id_each() {
-        let states: Vec<SignalState> = (0..64)
-            .map(|k| SignalState {
-                wave: pulse(1_000 + k).into(),
-                skew: Skew::new(Time::ZERO, Time::from_ps(7 * k)),
-                eval: (k % 3 == 0).then(|| EvalStr::new("HZW")),
-            })
-            .collect();
-        let per_thread: Vec<Vec<StateId>> = std::thread::scope(|s| {
-            let workers: Vec<_> = (0..8)
-                .map(|t| {
-                    let states = &states;
-                    s.spawn(move || {
-                        let mut ids = vec![StateId::default(); states.len()];
-                        for i in 0..states.len() {
-                            let k = (i * 5 + t * 11) % states.len();
-                            ids[k] = StateId::of(&states[k]);
-                        }
-                        ids
-                    })
-                })
-                .collect();
-            workers.into_iter().map(|w| w.join().unwrap()).collect()
-        });
-        for ids in &per_thread[1..] {
-            assert_eq!(*ids, per_thread[0]);
-        }
-        let mut distinct = per_thread[0].clone();
-        distinct.sort_unstable();
-        distinct.dedup();
-        assert_eq!(distinct.len(), states.len());
-        for (state, id) in states.iter().zip(&per_thread[0]) {
-            assert_eq!(id.get(), state);
-        }
-    }
-
-    #[test]
-    fn equal_waves_from_two_wave_stores_share_an_id() {
-        let (one, other) = (WaveStore::new(), WaveStore::new());
-        let state = |wave: WaveRef| SignalState {
-            wave,
-            skew: Skew::ZERO,
-            eval: None,
-        };
-        let a = state(one.intern(pulse(2_000)));
-        let b = state(other.intern(pulse(2_000)));
-        assert_ne!(a.wave.store_tag(), b.wave.store_tag());
-        let id = StateId::of(&a);
-        assert_eq!(StateId::of(&b), id);
-        assert_eq!(StateId::of(&SignalState::new(pulse(2_000))), id);
-        assert_eq!(id.get().wave.store_tag(), WaveStore::global().tag());
-        assert_ne!(StateId::of(&state(other.intern(pulse(2_001)))), id);
-    }
-
-    #[test]
     fn strings_differing_only_in_consumed_letters_share_an_id() {
         let h = EvalStr::new("HZW").tail().unwrap();
         let a = EvalStr::new("AZW").tail().unwrap();
@@ -710,26 +467,11 @@ mod tests {
             eval: Some(eval),
         };
         assert_eq!(state(h.clone()), state(a.clone()));
-        assert_eq!(StateId::of(&state(h)), StateId::of(&state(a)));
+        assert_eq!(StateId::of(state(h)), StateId::of(state(a)));
         assert_ne!(
-            StateId::of(&state(EvalStr::new("HZW"))),
-            StateId::of(&state(EvalStr::new("AZW")))
+            StateId::of(state(EvalStr::new("HZW"))),
+            StateId::of(state(EvalStr::new("AZW")))
         );
-    }
-
-    #[test]
-    fn a_state_interned_on_one_thread_reads_back_on_another() {
-        let there = SignalState::new(pulse(4_000));
-        let sent = there.clone();
-        let id = std::thread::spawn(move || StateId::of(&sent))
-            .join()
-            .unwrap();
-        assert_eq!(*id.get(), there);
-
-        let here = SignalState::new(pulse(4_001));
-        let id = StateId::of(&here);
-        let back = std::thread::spawn(move || id.get().clone()).join().unwrap();
-        assert_eq!(back, here);
     }
 
     #[test]
@@ -746,7 +488,7 @@ mod tests {
             eval: Some(EvalStr::new("ZW")),
         };
         let store = StateStore::global();
-        let id = StateId::of(&st);
+        let id = StateId::of(st.clone());
         let one = store.overridden(id, Value::One);
         assert_eq!(store.overridden(id, Value::One), one);
         let got = one.get();

@@ -158,7 +158,7 @@ mod tests {
     use scald_wave::{Time, Waveform};
 
     fn st(v: Value) -> StateId {
-        StateId::of(&SignalState::new(Waveform::constant(
+        StateId::of(SignalState::new(Waveform::constant(
             Time::from_ps(50_000),
             v,
         )))

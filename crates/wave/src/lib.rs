@@ -47,13 +47,15 @@
 #![warn(missing_docs)]
 
 mod edges;
+mod intern;
 mod span;
 mod store;
 mod time;
 mod waveform;
 
 pub use edges::{edge_windows, pulses, Edge, EdgeWindow, Pulse};
+pub use intern::{CarriedHash, CarriedMap, Interner, Padded, Shards, StoreStats};
 pub use span::Span;
-pub use store::{StoreStats, WaveId, WaveRef, WaveStore};
+pub use store::{WaveId, WaveRef, WaveStore};
 pub use time::{DelayCorner, DelayRange, Skew, Time};
 pub use waveform::{SegmentError, Waveform};

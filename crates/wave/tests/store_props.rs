@@ -1,11 +1,15 @@
-//! Seeded property suite for the hash-consed [`WaveStore`]: interning
-//! coincides exactly with structural equality, equal-but-differently-
-//! built waveforms canonicalize to one handle, and the store's growth is
-//! bounded by the number of *distinct* waveforms, not by intern traffic.
+//! Seeded property suite for waveform interning: identity coincides
+//! exactly with structural equality, equal-but-differently-built
+//! waveforms canonicalize to one id, and growth is bounded by the number
+//! of *distinct* waveforms, not by intern traffic. The counts are taken
+//! on a local [`Interner`], the one the global [`WaveStore`] is built
+//! on, so no other test's waves are in them.
+//!
+//! [`WaveStore`]: scald_wave::WaveStore
 
 use scald_logic::{Value, ALL_VALUES};
 use scald_rng::Rng;
-use scald_wave::{Time, WaveRef, WaveStore, Waveform};
+use scald_wave::{Interner, Time, WaveRef, Waveform};
 
 const P: Time = Time::from_ps(50_000);
 
@@ -24,36 +28,41 @@ fn random_wave(rng: &mut Rng) -> Waveform {
     Waveform::from_transitions(P, trans)
 }
 
+/// An interner no other test interns into.
+fn local() -> &'static Interner<Waveform> {
+    Box::leak(Box::default())
+}
+
 /// `intern(w) == intern(w')` iff `w == w'` — checked pairwise over 50
 /// seeded batches against everything interned so far, for both the
-/// [`WaveId`] and the [`WaveRef`] equality relations.
-///
-/// [`WaveId`]: scald_wave::WaveId
+/// local interner's ids and the global store's [`WaveRef`] equality.
 #[test]
 fn intern_identity_coincides_with_structural_equality() {
-    let store = WaveStore::new();
-    let mut seen: Vec<(Waveform, WaveRef)> = Vec::new();
+    let store = local();
+    let mut seen: Vec<(Waveform, u32, WaveRef)> = Vec::new();
     for seed in 0..50u64 {
         let mut rng = Rng::seed_from_u64(0x1d_c0de ^ seed);
         for _ in 0..8 {
             let w = random_wave(&mut rng);
-            let r = store.intern(w.clone());
+            let (id, canonical) = store.intern(w.clone());
+            assert_eq!(*canonical, w, "the canonical copy is the waveform");
+            let r = WaveRef::from(w.clone());
             assert_eq!(*r.as_wave(), w, "the canonical copy is the waveform");
-            for (other_w, other_r) in &seen {
+            for (other_w, other_id, other_r) in &seen {
                 let structurally_equal = w == *other_w;
                 assert_eq!(
-                    r.id() == other_r.id(),
+                    id == *other_id,
                     structurally_equal,
                     "seed {seed}: id identity diverged for {w} vs {other_w}"
                 );
                 assert_eq!(r == *other_r, structurally_equal);
             }
-            seen.push((w, r));
+            seen.push((w, id, r));
         }
     }
     // Hash-consing stored exactly one slot per distinct waveform.
     let mut distinct: Vec<&Waveform> = Vec::new();
-    for (w, _) in &seen {
+    for (w, _, _) in &seen {
         if !distinct.contains(&w) {
             distinct.push(w);
         }
@@ -63,11 +72,11 @@ fn intern_identity_coincides_with_structural_equality() {
 
 /// Equal waveforms built along different construction paths — shuffled
 /// `from_intervals` order, split intervals, raw transitions — are one
-/// interned handle. (Semantic canonicalization is what makes the store's
+/// interned id. (Semantic canonicalization is what makes the store's
 /// id compare exact.)
 #[test]
 fn differently_built_equal_waveforms_share_a_handle() {
-    let store = WaveStore::new();
+    let store = local();
     for seed in 0..50u64 {
         let mut rng = Rng::seed_from_u64(0xca11 ^ (seed << 8));
         // A partition of the period into 2–4 disjoint runs.
@@ -128,7 +137,7 @@ fn differently_built_equal_waveforms_share_a_handle() {
         assert_eq!(in_order, raw, "seed {seed}");
         let ids: Vec<_> = [in_order, out_of_order, split, raw]
             .into_iter()
-            .map(|w| store.intern(w).id())
+            .map(|w| store.intern(w).0)
             .collect();
         assert!(
             ids.windows(2).all(|p| p[0] == p[1]),
@@ -141,7 +150,7 @@ fn differently_built_equal_waveforms_share_a_handle() {
 /// the two outcomes distinct while canonicalizing each side.
 #[test]
 fn overlapping_intervals_canonicalize_by_last_writer() {
-    let store = WaveStore::new();
+    let store = local();
     let (a, b, c) = (
         Time::from_ps(10_000),
         Time::from_ps(20_000),
@@ -150,16 +159,16 @@ fn overlapping_intervals_canonicalize_by_last_writer() {
     // One covered on [a,c), then Stable overwrites its tail [b,c)...
     let tail_wins =
         Waveform::from_intervals(P, Value::Zero, [(a, c, Value::One), (b, c, Value::Stable)]);
-    // ...equals the direct two-run build, handle-for-handle.
+    // ...equals the direct two-run build, id for id.
     let direct =
         Waveform::from_intervals(P, Value::Zero, [(a, b, Value::One), (b, c, Value::Stable)]);
-    let direct_id = store.intern(direct).id();
-    assert_eq!(store.intern(tail_wins).id(), direct_id);
+    let direct_id = store.intern(direct).0;
+    assert_eq!(store.intern(tail_wins).0, direct_id);
     // Applying the same intervals in the opposite order lets One win the
     // overlap — a different waveform, hence a different slot.
     let head_wins =
         Waveform::from_intervals(P, Value::Zero, [(b, c, Value::Stable), (a, c, Value::One)]);
-    assert_ne!(store.intern(head_wins).id(), direct_id);
+    assert_ne!(store.intern(head_wins).0, direct_id);
     assert_eq!(store.len(), 2);
 }
 
@@ -168,7 +177,7 @@ fn overlapping_intervals_canonicalize_by_last_writer() {
 /// grows it past the pool nor misses an available canonical copy.
 #[test]
 fn growth_is_bounded_by_the_distinct_population() {
-    let store = WaveStore::new();
+    let store = local();
     let mut rng = Rng::seed_from_u64(0xb0b);
     let pool: Vec<Waveform> = (0..32).map(|_| random_wave(&mut rng)).collect();
     let mut distinct: Vec<&Waveform> = Vec::new();
