@@ -111,15 +111,20 @@ cargo test -q -p scald-serve --test daemon -- oversized_and_non_utf8_frames_are_
 cargo test -q --test expand_golden --test expand_allocs
 
 # The render-path pins: the allocation budgets per signal for building a
-# report from a settled verifier (0.15) and for turning it into its JSON
-# document and summary listing (8), with a counting global allocator,
-# the bytes a small design's listings ask for, which must not grow with
-# the states the process has interned, and the oracle suites that keep the
-# earlier `f64` time formatter, `segments()` waveform listing and two
-# JSON writers as references for the rewritten text forms.
+# report from a settled verifier (0.15) and for streaming its JSON
+# document and summary listing (0.3, measured 0.17; 6.6 against a budget
+# of 8 when the document was built as a `Json` tree first), with a
+# counting global allocator, the bytes a small design's listings ask for,
+# which must not grow with the states the process has interned, and the
+# oracle suites that keep the earlier `f64` time formatter, `segments()`
+# waveform listing, two JSON writers and `format!`-per-row slack,
+# cross-reference and probabilistic listings as references for the
+# rewritten text forms (the JSON writers against the streaming writer
+# both through `Json` and streamed token by token).
 cargo test -q --test render_allocs
 cargo test -q -p scald-wave --test display_oracle
 cargo test -q -p scald-trace --test json_oracle
+cargo test -q -p scald-verifier --lib listings_match_the_format_oracle
 
 # The settle's allocation pins (a counting global allocator): a warm
 # settle of a 400-chip S-1 design against a cache an identical settle
@@ -137,14 +142,17 @@ cargo test -q --test netlist_allocs
 
 # The warm-edit pins: the allocation budgets of a one-line source edit
 # (1.59 per primitive beyond compiling it, 1.555 to 1.565 measured; the
-# budget was 1.6) and of the daemon's `report` frame encode + decode (16
-# per signal), and the oracles that keep the earlier `format!`-based
-# content keys and `BTreeMap` diff, the copy-then-strip report document
-# and the borrowing frame encoder as references.
+# budget was 1.6) and of the daemon's streamed `report` frame plus its
+# decode (7.5 per signal, measured 6.7; 13.2 against a budget of 16 when
+# the daemon built the document as a `Json` tree), and the oracles that
+# keep the earlier `format!`-based content keys and `BTreeMap` diff, the
+# copy-then-strip report document, the `Json` tree each streamed document
+# view replaced, the borrowing frame encoder, and the frame codec for the
+# daemon's streamed `report` line, as references.
 cargo test -q --test apply_allocs
 cargo test -q -p scald-incr --lib content_keys_match_the_format_oracle
 cargo test -q -p scald-verifier --test stripped_json
-cargo test -q -p scald-serve --lib frames_match_the_borrowing_encoder_oracle
+cargo test -q -p scald-serve --lib -- frames_match_the_borrowing_encoder_oracle report_lines_match_the_frame_encoder_oracle
 
 # The RTL frontend suites: the cascade-race lowering, the spanned-
 # diagnostics failure surface, and the 50-seed cross-frontend property
@@ -164,15 +172,17 @@ cargo run -q -p scald-bench --release --bin cache_stats -- --chips 40 --out targ
 
 # Smoke the scale sweep at ~5k primitives (the committed BENCH_scale.json
 # sweeps 1k..1M; this proves the generator + sweep harness stay runnable),
-# and require the v3 record: the step's live heap and allocations after
-# generation, build, run and report.
+# and require the v4 record: the step's live heap and allocations after
+# generation, build, run, report and render, and the peak live bytes
+# while the JSON document renders.
 cargo run -q -p scald-bench --release --bin scale_sweep -- --steps 5000 --reps 1 --out target/BENCH_scale_smoke.json
-grep -q '"version": 3' target/BENCH_scale_smoke.json
-for phase in gen build run report; do
+grep -q '"version": 4' target/BENCH_scale_smoke.json
+for phase in gen build run report render; do
   grep -q "\"$phase\": {" target/BENCH_scale_smoke.json
 done
-test "$(grep -c '"live_bytes"' target/BENCH_scale_smoke.json)" -eq 4
-test "$(grep -c '"allocations"' target/BENCH_scale_smoke.json)" -eq 4
+test "$(grep -c '"live_bytes"' target/BENCH_scale_smoke.json)" -eq 5
+test "$(grep -c '"allocations"' target/BENCH_scale_smoke.json)" -eq 5
+test "$(grep -c '"peak_live_bytes"' target/BENCH_scale_smoke.json)" -eq 1
 
 # Smoke the serve loadtest with 4 concurrent clients on a small design
 # (the committed BENCH_serve.json uses --chips 400 --rounds 3).

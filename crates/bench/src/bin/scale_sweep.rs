@@ -10,10 +10,13 @@
 //! itemizes, and the live heap a verdict holds, into `BENCH_scale.json`.
 //!
 //! The heap figures come from a counting global allocator. After each of
-//! generation, `build`, `run` and `report`, a step records the bytes live
-//! above the step's starting point and the allocations made since it
-//! (reallocations included). The first rep moves the generated netlist
-//! into its verifier, so the netlist is counted once. The sweep runs on
+//! generation, `build`, `run`, `report` and `render` (the report's JSON
+//! document as `report.json_value().to_string_pretty()` writes it), a
+//! step records the bytes live above the step's starting point and the
+//! allocations made since it (reallocations included); `render` also
+//! records the most bytes live above that point while the call ran. The
+//! first rep moves the generated netlist into its verifier, so the
+//! netlist is counted once. The sweep runs on
 //! one thread, so the counts repeat exactly for a given `--steps` list;
 //! the process-wide wave and state stores carry interned values from one
 //! step into the next, which is why the list matters.
@@ -38,26 +41,32 @@ struct Counting;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static LIVE: AtomicU64 = AtomicU64::new(0);
+/// The most bytes live since it was last reset to `LIVE`.
+static PEAK: AtomicU64 = AtomicU64::new(0);
+
+/// Counts an allocation of `size` bytes.
+fn grow(size: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    let live = LIVE.fetch_add(size as u64, Ordering::Relaxed) + size as u64;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
 
 // SAFETY: every call is forwarded unchanged to the system allocator; the
 // wrapper only counts.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        LIVE.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        grow(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        LIVE.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        grow(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        LIVE.fetch_add(new_size as u64, Ordering::Relaxed);
         LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
+        grow(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -98,6 +107,21 @@ impl Heap {
                 Json::from(now.allocations - start.allocations),
             ),
         ])
+    }
+
+    /// [`since`](Self::since) after `f` runs, with the most bytes live
+    /// above `start` while it ran; `f`'s result stays live until the
+    /// counts are read.
+    fn across<T>(start: Heap, f: impl FnOnce() -> T) -> Json {
+        PEAK.store(LIVE.load(Ordering::Relaxed), Ordering::Relaxed);
+        let kept = f();
+        let Json::Obj(mut counts) = Heap::since(start) else {
+            unreachable!("since returns an object")
+        };
+        let peak = PEAK.load(Ordering::Relaxed).saturating_sub(start.live);
+        counts.push(("peak_live_bytes".to_owned(), Json::from(peak)));
+        drop(kept);
+        Json::Obj(counts)
     }
 }
 
@@ -163,6 +187,8 @@ fn main() {
                 heap.push(("run", Heap::since(start)));
                 let report = v.report("scale", std::slice::from_ref(&sole));
                 heap.push(("report", Heap::since(start)));
+                let render = Heap::across(start, || report.json_value().to_string_pretty());
+                heap.push(("render", render));
                 storage = Some(report.storage);
                 kept = Some(v);
             }
@@ -218,10 +244,11 @@ fn main() {
 
     // v2: the `jobs` field is gone — a settle runs on one thread.
     // v3: each step records its live heap and allocations (`heap`).
+    // v4: `heap` gains the `render` phase, with its peak live bytes.
     write_record(
         &out,
         "scald-bench-scale",
-        3,
+        4,
         [("steps", Json::Arr(records))],
     );
 }

@@ -276,8 +276,8 @@ fn handle_connection(
                 Ok(request) => request,
             },
         };
-        let response = dispatch(request, &mut conn, &writer, shared);
-        write_frame(&writer, Frame::Response(response))?;
+        let line = answer(request, &mut conn, &writer, shared);
+        write_line(&writer, &line)?;
     }
 
     // Disconnect (clean or torn): park every remaining session.
@@ -332,10 +332,37 @@ fn read_frame(reader: &mut impl BufRead, line: &mut Vec<u8>) -> io::Result<Frame
 }
 
 fn write_frame(writer: &SharedWriter, frame: Frame) -> io::Result<()> {
-    let line = frame.into_json().to_string();
+    write_line(writer, &frame.into_json().to_string())
+}
+
+fn write_line(writer: &SharedWriter, line: &str) -> io::Result<()> {
     let mut w = writer.lock().expect("connection writer poisoned");
     writeln!(w, "{line}")?;
     w.flush()
+}
+
+/// The frame line answering `request`. A `report` on a checked-out
+/// session streams the session's report straight into its line
+/// ([`Frame::report_line`]); every other answer is a [`Response`] coded
+/// by [`Frame::into_json`].
+fn answer(
+    request: Request,
+    conn: &mut ConnState,
+    writer: &SharedWriter,
+    shared: &Arc<Shared>,
+) -> String {
+    if let Request::Report {
+        id,
+        session,
+        effort,
+    } = &request
+    {
+        if let Some(checkout) = conn.sessions.get(session) {
+            return Frame::report_line(*id, checkout.pooled.session.report(), *effort);
+        }
+    }
+    let response = dispatch(request, conn, writer, shared);
+    Frame::Response(response).into_json().to_string()
 }
 
 fn dispatch(
@@ -397,26 +424,9 @@ fn dispatch(
             };
             do_verify_op(id, session, checkout, op, OpKind::Ran, conn, shared)
         }
-        Request::Report {
-            id,
-            session,
-            effort,
-        } => {
-            let Some(checkout) = conn.sessions.get(&session) else {
-                return unknown_session(id, &session);
-            };
-            let report = checkout.pooled.session.report();
-            let doc = if effort {
-                report.json_value()
-            } else {
-                report.stripped_json_value()
-            };
-            Response::Report {
-                id,
-                report: doc,
-                effort,
-            }
-        }
+        // A report on a checked-out session is streamed by `answer`;
+        // only an unknown session reaches here.
+        Request::Report { id, session, .. } => unknown_session(id, &session),
         Request::SubscribeTrace { id, session, mode } => {
             let Some(checkout) = conn.sessions.get(&session) else {
                 return unknown_session(id, &session);

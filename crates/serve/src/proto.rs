@@ -42,8 +42,8 @@
 //! could be recovered) and keeps the connection alive — a malformed
 //! frame never tears down the session state behind it.
 
-use scald_trace::json::Json;
-use scald_verifier::{CaseSet, DelayCorner};
+use scald_trace::json::{Json, Writer};
+use scald_verifier::{CaseSet, DelayCorner, Report, ReportJson};
 use std::fmt;
 
 /// Protocol version spoken by this build. Bumped only on breaking
@@ -1380,6 +1380,28 @@ impl Response {
     }
 }
 
+/// Streams a `report` response frame: the fields, in order, of
+/// [`Response::into_json`]'s `Report` arm.
+fn write_report_frame<W: fmt::Write>(
+    w: &mut Writer<W>,
+    id: u64,
+    effort: bool,
+    report: ReportJson<'_>,
+) -> fmt::Result {
+    w.begin_object()?;
+    w.field("frame", "response")?;
+    w.field("id", &id)?;
+    w.field("ok", &true)?;
+    w.field("cmd", "report")?;
+    w.key("result")?;
+    w.begin_object()?;
+    w.field("effort", &effort)?;
+    w.key("report")?;
+    report.write(w)?;
+    w.end_object()?;
+    w.end_object()
+}
+
 /// Any server-to-client frame: the connection hello, a response, or a
 /// streamed trace event.
 #[derive(Debug, Clone, PartialEq)]
@@ -1411,6 +1433,26 @@ impl Frame {
                 ("event".into(), event),
             ]),
         }
+    }
+
+    /// The frame line answering a `report` request (without its
+    /// newline): the envelope [`into_json`](Self::into_json) gives a
+    /// [`Response::Report`], with `report`'s document — effort-stripped
+    /// unless `effort` — streamed straight into the line rather than
+    /// built as a [`Json`] tree first. The bytes are those of
+    /// `Frame::Response(Response::Report { .. }).into_json().to_string()`
+    /// on the same document, which the client decodes the line into.
+    #[must_use]
+    pub fn report_line(id: u64, report: &Report, effort: bool) -> String {
+        let view = if effort {
+            report.json_value()
+        } else {
+            report.stripped_json_value()
+        };
+        let mut line = String::new();
+        write_report_frame(&mut Writer::compact(&mut line), id, effort, view)
+            .expect("String write cannot fail");
+        line
     }
 
     /// Parses any server-to-client frame by its `frame` tag. Consumes
@@ -1982,6 +2024,42 @@ mod tests {
             }
             let back = Frame::parse(parse(&text).expect("valid json")).expect("parses");
             assert_eq!(back, frame, "by-value decode round-trips: {text}");
+        }
+    }
+
+    /// The daemon's streamed `report` line against the frame codec: for
+    /// effort on and off, over a report with violations and provenance,
+    /// the line must be the bytes `Frame::into_json` writes for the same
+    /// document built as a tree, and must decode to that tree.
+    #[test]
+    fn report_lines_match_the_frame_encoder_oracle() {
+        let (netlist, _) = scald_gen::figures::register_file_circuit();
+        let mut v = scald_verifier::Verifier::new(netlist);
+        let outcome = v
+            .run(&scald_verifier::RunOptions::new())
+            .expect("the register file settles");
+        let mut report = v.report("register file \"é\"", &outcome.cases);
+        report.engine.verify_wall = Some(std::time::Duration::from_nanos(183_042));
+        assert!(report.total_violations() > 0);
+        for (id, effort) in [(4, false), (u64::MAX, true)] {
+            let view = if effort {
+                report.json_value()
+            } else {
+                report.stripped_json_value()
+            };
+            let line = Frame::report_line(id, &report, effort);
+            let frame = Frame::Response(Response::Report {
+                id,
+                report: view.tree(),
+                effort,
+            });
+            assert_eq!(
+                line,
+                frame.clone().into_json().to_string(),
+                "effort {effort}"
+            );
+            let back = Frame::parse(parse(&line).expect("valid json")).expect("parses");
+            assert_eq!(back, frame, "effort {effort}");
         }
     }
 

@@ -2,11 +2,12 @@
 //!
 //! This container has no network and no vendored registry, so the report
 //! layer cannot lean on `serde`. This module supplies what the workspace
-//! actually needs: an ordered JSON value type ([`Json`]), one writer that
-//! renders it compact (`Display`) or pretty ([`Json::to_string_pretty`])
-//! straight into the output buffer, and a strict recursive-descent
-//! [`parse`] used by the daemon and by the golden tests that validate
-//! `scald-tv --format json` output.
+//! actually needs: one streaming [`Writer`] over any `fmt::Write`, which
+//! writes a document member by member straight into the output, compact
+//! or pretty; an ordered JSON value type ([`Json`]) that renders through
+//! it (`Display` and [`Json::to_string_pretty`]); and a strict
+//! recursive-descent [`parse`] used by the daemon and by the golden tests
+//! that validate `scald-tv --format json` output.
 //!
 //! Objects preserve insertion order (they are `Vec<(String, Json)>`), so
 //! a document renders in the order it was built — stable for golden
@@ -106,7 +107,9 @@ impl Json {
     #[must_use]
     pub fn to_string_pretty(&self) -> String {
         let mut out = String::new();
-        write_value(&mut out, self, Some(0)).expect("String write cannot fail");
+        Writer::pretty(&mut out)
+            .value(self)
+            .expect("String write cannot fail");
         out.push('\n');
         out
     }
@@ -134,7 +137,88 @@ impl From<bool> for Json {
 impl fmt::Display for Json {
     /// Compact (single-line) rendering.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write_value(f, self, None)
+        Writer::compact(f).value(self)
+    }
+}
+
+/// A value a [`Writer`] writes in one call. Numbers go through `f64`
+/// exactly as [`Json::from`] sends them, so a streamed document and the
+/// same document built as a [`Json`] tree print the same bytes; `None`
+/// is `null`.
+pub trait WriteJson {
+    /// Writes `self` as the writer's next value; fails only when the
+    /// writer's output does.
+    fn write_json<W: fmt::Write>(&self, w: &mut Writer<W>) -> fmt::Result;
+}
+
+impl WriteJson for str {
+    fn write_json<W: fmt::Write>(&self, w: &mut Writer<W>) -> fmt::Result {
+        w.str(self)
+    }
+}
+
+impl WriteJson for String {
+    fn write_json<W: fmt::Write>(&self, w: &mut Writer<W>) -> fmt::Result {
+        w.str(self)
+    }
+}
+
+impl WriteJson for f64 {
+    fn write_json<W: fmt::Write>(&self, w: &mut Writer<W>) -> fmt::Result {
+        w.num(*self)
+    }
+}
+
+impl WriteJson for u64 {
+    fn write_json<W: fmt::Write>(&self, w: &mut Writer<W>) -> fmt::Result {
+        #[allow(clippy::cast_precision_loss)]
+        w.num(*self as f64)
+    }
+}
+
+impl WriteJson for usize {
+    fn write_json<W: fmt::Write>(&self, w: &mut Writer<W>) -> fmt::Result {
+        (*self as u64).write_json(w)
+    }
+}
+
+impl WriteJson for bool {
+    fn write_json<W: fmt::Write>(&self, w: &mut Writer<W>) -> fmt::Result {
+        w.bool(*self)
+    }
+}
+
+impl WriteJson for Json {
+    fn write_json<W: fmt::Write>(&self, w: &mut Writer<W>) -> fmt::Result {
+        match self {
+            Json::Null => w.null(),
+            Json::Bool(b) => w.bool(*b),
+            Json::Num(n) => w.num(*n),
+            Json::Str(s) => w.str(s),
+            Json::Arr(items) => {
+                w.begin_array()?;
+                for item in items {
+                    item.write_json(w)?;
+                }
+                w.end_array()
+            }
+            Json::Obj(fields) => {
+                w.begin_object()?;
+                for (k, v) in fields {
+                    w.field(k, v)?;
+                }
+                w.end_object()
+            }
+        }
+    }
+}
+
+impl<T: WriteJson> WriteJson for Option<T> {
+    fn write_json<W: fmt::Write>(&self, w: &mut Writer<W>) -> fmt::Result {
+        match self {
+            Some(v) => v.write_json(w),
+            None => w.null(),
+        }
     }
 }
 
@@ -142,55 +226,157 @@ impl fmt::Display for Json {
 /// it more than once.
 const INDENT: &str = "                                ";
 
-/// The one JSON writer behind [`Json`]'s compact `Display` and
-/// [`Json::to_string_pretty`]: `indent` is the nesting level of `value`
-/// in the pretty form (two spaces per level, newline-separated members,
-/// `": "` after keys) and `None` for the compact form.
-fn write_value<W: fmt::Write>(out: &mut W, value: &Json, indent: Option<usize>) -> fmt::Result {
-    match value {
-        Json::Null => out.write_str("null"),
-        Json::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
-        Json::Num(n) => write_number(out, *n),
-        Json::Str(s) => write_escaped(out, s),
-        Json::Arr(items) => write_members(out, ('[', ']'), items, indent, |out, item, inner| {
-            write_value(out, item, inner)
-        }),
-        Json::Obj(fields) => {
-            write_members(out, ('{', '}'), fields, indent, |out, (k, v), inner| {
-                write_escaped(out, k)?;
-                out.write_str(if inner.is_some() { ": " } else { ":" })?;
-                write_value(out, v, inner)
-            })
-        }
-    }
+/// The one JSON writer: streams a document into any `fmt::Write`, one
+/// call per value, key, and array or object boundary, so nothing is
+/// built before it is written. It places the separators itself. The
+/// compact form puts nothing between tokens but `,` and `:`. The pretty
+/// form starts each member on its own line, indented two spaces per
+/// level, and writes `": "` after a key. An empty array or object is
+/// `[]`/`{}` in both forms. [`Json`]'s `Display` and
+/// [`Json::to_string_pretty`] are this writer walking the tree.
+///
+/// The caller keeps the document well formed: a key before each object
+/// member, and every begin matched by its end. Every method returns the
+/// error of the underlying `fmt::Write`, if it fails.
+#[derive(Debug)]
+pub struct Writer<W> {
+    out: W,
+    pretty: bool,
+    /// Arrays and objects open around the next value.
+    depth: usize,
+    /// The innermost open array or object has no member yet.
+    empty: bool,
+    /// A key was just written, so the next value completes its member.
+    keyed: bool,
 }
 
-/// Writes a bracketed, comma-separated member list; an empty list is
-/// `[]`/`{}` in both forms.
-fn write_members<W: fmt::Write, T>(
-    out: &mut W,
-    (open, close): (char, char),
-    members: &[T],
-    indent: Option<usize>,
-    mut member: impl FnMut(&mut W, &T, Option<usize>) -> fmt::Result,
-) -> fmt::Result {
-    out.write_char(open)?;
-    if !members.is_empty() {
-        let inner = indent.map(|level| level + 1);
-        for (i, m) in members.iter().enumerate() {
-            if i > 0 {
-                out.write_char(',')?;
-            }
-            if let Some(level) = inner {
-                write_newline(out, level)?;
-            }
-            member(out, m, inner)?;
-        }
-        if let Some(level) = indent {
-            write_newline(out, level)?;
+impl<W: fmt::Write> Writer<W> {
+    /// A writer of the compact, single-line form.
+    pub fn compact(out: W) -> Writer<W> {
+        Writer::new(out, false)
+    }
+
+    /// A writer of the pretty form, two spaces per level (without the
+    /// trailing newline [`Json::to_string_pretty`] adds).
+    pub fn pretty(out: W) -> Writer<W> {
+        Writer::new(out, true)
+    }
+
+    fn new(out: W, pretty: bool) -> Writer<W> {
+        Writer {
+            out,
+            pretty,
+            depth: 0,
+            empty: false,
+            keyed: false,
         }
     }
-    out.write_char(close)
+
+    /// The output the writer wrote into.
+    pub fn into_inner(self) -> W {
+        self.out
+    }
+
+    /// Opens an object.
+    pub fn begin_object(&mut self) -> fmt::Result {
+        self.open('{')
+    }
+
+    /// Closes the innermost object.
+    pub fn end_object(&mut self) -> fmt::Result {
+        self.close('}')
+    }
+
+    /// Opens an array.
+    pub fn begin_array(&mut self) -> fmt::Result {
+        self.open('[')
+    }
+
+    /// Closes the innermost array.
+    pub fn end_array(&mut self) -> fmt::Result {
+        self.close(']')
+    }
+
+    /// Starts an object member: the next value written is its value.
+    pub fn key(&mut self, key: &str) -> fmt::Result {
+        self.member()?;
+        write_escaped(&mut self.out, key)?;
+        self.out.write_str(if self.pretty { ": " } else { ":" })?;
+        self.keyed = true;
+        Ok(())
+    }
+
+    /// An object member whose value is written in one call.
+    pub fn field<V: WriteJson + ?Sized>(&mut self, key: &str, value: &V) -> fmt::Result {
+        self.key(key)?;
+        value.write_json(self)
+    }
+
+    /// A value written in one call: a string, number, bool, option or
+    /// whole [`Json`] tree.
+    pub fn value<V: WriteJson + ?Sized>(&mut self, value: &V) -> fmt::Result {
+        value.write_json(self)
+    }
+
+    /// A string.
+    pub fn str(&mut self, s: &str) -> fmt::Result {
+        self.member()?;
+        write_escaped(&mut self.out, s)
+    }
+
+    /// A number, in the shortest form that reads back as `n` (`null`
+    /// for NaN and ±∞).
+    pub fn num(&mut self, n: f64) -> fmt::Result {
+        self.member()?;
+        write_number(&mut self.out, n)
+    }
+
+    /// `true` or `false`.
+    pub fn bool(&mut self, b: bool) -> fmt::Result {
+        self.member()?;
+        self.out.write_str(if b { "true" } else { "false" })
+    }
+
+    /// `null`.
+    pub fn null(&mut self) -> fmt::Result {
+        self.member()?;
+        self.out.write_str("null")
+    }
+
+    /// Writes what goes before a value or key: nothing after a key or at
+    /// the top level, else the comma after an earlier member and, in
+    /// the pretty form, the member's line break and indentation.
+    fn member(&mut self) -> fmt::Result {
+        if std::mem::take(&mut self.keyed) || self.depth == 0 {
+            return Ok(());
+        }
+        if !std::mem::take(&mut self.empty) {
+            self.out.write_char(',')?;
+        }
+        if self.pretty {
+            write_newline(&mut self.out, self.depth)?;
+        }
+        Ok(())
+    }
+
+    fn open(&mut self, bracket: char) -> fmt::Result {
+        self.member()?;
+        self.out.write_char(bracket)?;
+        self.depth += 1;
+        self.empty = true;
+        Ok(())
+    }
+
+    /// Closes the innermost array or object. Its parent (if any) now has
+    /// a member: the one just closed.
+    fn close(&mut self, bracket: char) -> fmt::Result {
+        self.depth = self.depth.checked_sub(1).expect("a close matches an open");
+        if self.pretty && !self.empty {
+            write_newline(&mut self.out, self.depth)?;
+        }
+        self.empty = false;
+        self.out.write_char(bracket)
+    }
 }
 
 fn write_newline<W: fmt::Write>(out: &mut W, level: usize) -> fmt::Result {

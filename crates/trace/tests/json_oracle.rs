@@ -1,14 +1,15 @@
 //! Oracle test for the JSON writer: on seeded trees, the one generic
 //! writer must produce the bytes the earlier two writers did — the
 //! compact `Display` and the pretty printer, each with its own escaped
-//! copy of every key and string and an indent string per line. Both
-//! earlier writers are kept below as the oracles. Finite trees must also
-//! parse back to themselves.
+//! copy of every key and string and an indent string per line — both
+//! through `Json` and when a caller streams the same tree value by value
+//! through `Writer`. Both earlier writers are kept below as the oracles.
+//! Finite trees must also parse back to themselves.
 
 use std::fmt;
 
 use scald_rng::Rng;
-use scald_trace::json::{parse, Json};
+use scald_trace::json::{parse, Json, Writer};
 
 fn oracle_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
@@ -178,6 +179,44 @@ fn any_tree(rng: &mut Rng, depth: usize, finite: bool) -> Json {
     }
 }
 
+/// Streams `value` through `w` one call per token, as a document
+/// writer does, without handing the writer a tree.
+fn stream(w: &mut Writer<&mut String>, value: &Json) {
+    match value {
+        Json::Null => w.null(),
+        Json::Bool(b) => w.bool(*b),
+        Json::Num(n) => w.num(*n),
+        Json::Str(s) => w.str(s),
+        Json::Arr(items) => {
+            w.begin_array().unwrap();
+            for item in items {
+                stream(w, item);
+            }
+            w.end_array()
+        }
+        Json::Obj(fields) => {
+            w.begin_object().unwrap();
+            for (k, v) in fields {
+                w.key(k).unwrap();
+                stream(w, v);
+            }
+            w.end_object()
+        }
+    }
+    .unwrap();
+}
+
+fn streamed(tree: &Json, pretty: bool) -> String {
+    let mut out = String::new();
+    let mut w = if pretty {
+        Writer::pretty(&mut out)
+    } else {
+        Writer::compact(&mut out)
+    };
+    stream(&mut w, tree);
+    out
+}
+
 #[test]
 fn seeded_trees_render_as_the_two_earlier_writers_did() {
     let mut rng = Rng::seed_from_u64(0x150e_0001);
@@ -186,9 +225,11 @@ fn seeded_trees_render_as_the_two_earlier_writers_did() {
         let tree = any_tree(&mut rng, 6, finite);
         let compact = tree.to_string();
         assert_eq!(compact, OracleCompact(&tree).to_string());
+        assert_eq!(streamed(&tree, false), compact, "streamed compact");
         let pretty = tree.to_string_pretty();
         let mut want = String::new();
         oracle_pretty(&tree, &mut want, 0);
+        assert_eq!(streamed(&tree, true), want, "streamed pretty");
         want.push('\n');
         assert_eq!(pretty, want);
         if finite {

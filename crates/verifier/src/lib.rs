@@ -93,7 +93,7 @@ pub use engine::{
 };
 pub use report::{
     CaseResult, EngineStats, ProbEndpoint, ProbSection, Provenance, ProvenanceHop, Report,
-    Violation, ViolationKind, REPORT_SCHEMA, REPORT_VERSION,
+    ReportJson, Violation, ViolationKind, REPORT_SCHEMA, REPORT_VERSION,
 };
 pub use state::{Directive, EvalStr, SignalState, StateStore};
 pub use storage::StorageReport;

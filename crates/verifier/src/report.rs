@@ -89,7 +89,7 @@
 //! it before rendering.
 
 use scald_netlist::{Netlist, SignalId};
-use scald_trace::json::Json;
+use scald_trace::json::{Json, Writer};
 use scald_wave::{Span, Time, Waveform};
 use std::fmt::{self, Write as _};
 use std::sync::Arc;
@@ -151,11 +151,12 @@ impl ViolationKind {
             ViolationKind::UndefinedClock => "undefined_clock",
         }
     }
-}
 
-impl fmt::Display for ViolationKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+    /// The Fig 3-11 heading (the JSON `"label"` field), as `Display`
+    /// prints it.
+    #[must_use]
+    pub const fn label(self) -> &'static str {
+        match self {
             ViolationKind::Setup => "SETUP TIME VIOLATED",
             ViolationKind::Hold => "HOLD TIME VIOLATED",
             ViolationKind::StableWhileTrue => "INPUT CHANGING WHILE CLOCK TRUE",
@@ -164,8 +165,13 @@ impl fmt::Display for ViolationKind {
             ViolationKind::Hazard => "CONTROL SIGNAL CHANGING WHILE CLOCK ASSERTED",
             ViolationKind::AssertionViolated => "STABLE ASSERTION VIOLATED",
             ViolationKind::UndefinedClock => "CLOCK INPUT UNDEFINED",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for ViolationKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.label())
     }
 }
 
@@ -228,6 +234,32 @@ impl Violation {
         self.missed_by.is_some_and(|m| m >= margin)
     }
 
+    fn write_json<W: fmt::Write>(&self, w: &mut Writer<W>) -> fmt::Result {
+        w.begin_object()?;
+        w.field("kind", self.kind.token())?;
+        w.field("label", self.kind.label())?;
+        w.field("source", &self.source)?;
+        w.field("constraint", &self.constraint)?;
+        w.field("missed_by_ns", &self.missed_by.map(Time::as_ns))?;
+        w.key("at")?;
+        match self.at {
+            Some(span) => write_span(w, span)?,
+            None => w.null()?,
+        }
+        w.key("observed")?;
+        w.begin_array()?;
+        for line in &self.observed {
+            w.str(line)?;
+        }
+        w.end_array()?;
+        w.key("provenance")?;
+        match &self.provenance {
+            Some(p) => p.write_json(w)?,
+            None => w.null()?,
+        }
+        w.end_object()
+    }
+
     fn json_value(&self) -> Json {
         Json::Obj(vec![
             ("kind".into(), Json::str(self.kind.token())),
@@ -260,7 +292,36 @@ fn span_json(s: Span) -> Json {
     ])
 }
 
+fn write_span<W: fmt::Write>(w: &mut Writer<W>, s: Span) -> fmt::Result {
+    w.begin_object()?;
+    w.field("start_ns", &s.start().as_ns())?;
+    w.field("width_ns", &s.width().as_ns())?;
+    w.end_object()
+}
+
 impl Provenance {
+    fn write_json<W: fmt::Write>(&self, w: &mut Writer<W>) -> fmt::Result {
+        w.begin_object()?;
+        w.field("truncated", &self.truncated)?;
+        w.key("hops")?;
+        w.begin_array()?;
+        for h in &self.hops {
+            w.begin_object()?;
+            w.field("signal", &h.signal)?;
+            w.field("depth", &h.depth)?;
+            w.field("via", &h.via)?;
+            w.key("arrival")?;
+            w.begin_array()?;
+            for &span in &h.arrival {
+                write_span(w, span)?;
+            }
+            w.end_array()?;
+            w.end_object()?;
+        }
+        w.end_array()?;
+        w.end_object()
+    }
+
     fn json_value(&self) -> Json {
         Json::Obj(vec![
             ("truncated".into(), Json::from(self.truncated)),
@@ -367,8 +428,29 @@ impl CaseResult {
         self.violations.is_empty()
     }
 
-    /// The case's JSON object; without `effort` the event and
+    /// Writes the case's JSON object; without `effort` the event and
     /// evaluation counters read zero, as after [`Report::strip_effort`].
+    fn write_json<W: fmt::Write>(&self, w: &mut Writer<W>, effort: bool) -> fmt::Result {
+        let (events, evaluations) = if effort {
+            (self.events, self.evaluations)
+        } else {
+            (0, 0)
+        };
+        w.begin_object()?;
+        w.field("name", &self.name)?;
+        w.field("events", &events)?;
+        w.field("evaluations", &evaluations)?;
+        w.field("value_records", &self.value_records)?;
+        w.key("violations")?;
+        w.begin_array()?;
+        for v in &self.violations {
+            v.write_json(w)?;
+        }
+        w.end_array()?;
+        w.end_object()
+    }
+
+    /// The tree [`write_json`](Self::write_json) streams.
     fn json_value(&self, effort: bool) -> Json {
         let (events, evaluations) = if effort {
             (self.events, self.evaluations)
@@ -457,6 +539,28 @@ impl ProbSection {
             .iter()
             .filter(|e| e.violation_probability > threshold)
             .collect()
+    }
+
+    fn write_json<W: fmt::Write>(&self, w: &mut Writer<W>) -> fmt::Result {
+        w.begin_object()?;
+        w.field("rho", &self.rho)?;
+        w.key("endpoints")?;
+        w.begin_array()?;
+        for e in &self.endpoints {
+            w.begin_object()?;
+            w.field("endpoint", &e.endpoint)?;
+            w.field("constraint_source", &e.constraint_source)?;
+            w.field("arrival_mean_ns", &e.arrival_mean_ns)?;
+            w.field("arrival_sigma_ns", &e.arrival_sigma_ns)?;
+            w.field("slack_mean_ns", &e.slack_mean_ns)?;
+            w.field("slack_sigma_ns", &e.slack_sigma_ns)?;
+            w.field("deadline_ns", &e.deadline_ns)?;
+            w.field("worst_case_ns", &e.worst_case_ns)?;
+            w.field("violation_probability", &e.violation_probability)?;
+            w.end_object()?;
+        }
+        w.end_array()?;
+        w.end_object()
     }
 
     fn json_value(&self) -> Json {
@@ -640,20 +744,28 @@ impl Report {
     /// The per-checker slack table, worst margins first.
     #[must_use]
     pub fn slack_text(&self) -> String {
-        let fmt_slack =
-            |s: Option<Time>| s.map_or_else(|| "     -".to_owned(), |t| format!("{t:>6}"));
         let mut out = format!(
             "{:<40} {:>8} {:>8} {:>8}\n",
             "CHECKER", "SETUP", "HOLD", "PULSE"
         );
         for m in &self.slack {
-            out.push_str(&format!(
-                "{:<40} {:>8} {:>8} {:>8}\n",
-                self.summary.netlist.prim(m.checker).name(),
-                fmt_slack(m.setup_slack),
-                fmt_slack(m.hold_slack),
-                fmt_slack(m.pulse_slack)
-            ));
+            let name = self.summary.netlist.prim(m.checker).name();
+            let _ = write!(out, "{name:<40}");
+            for slack in [m.setup_slack, m.hold_slack, m.pulse_slack] {
+                out.push(' ');
+                let start = out.len();
+                match slack {
+                    Some(t) => {
+                        let _ = write!(out, "{t}");
+                    }
+                    None => out.push('-'),
+                }
+                // `Time` ignores width flags: right-align the cell by
+                // hand, as `{:>8}` aligned the cell's formatted copy.
+                let width = out[start..].chars().count();
+                out.insert_str(start, &"        "[..8usize.saturating_sub(width)]);
+            }
+            out.push('\n');
         }
         out
     }
@@ -675,32 +787,38 @@ impl Report {
             prob.endpoints.len()
         );
         for e in &prob.endpoints {
-            out.push_str(&format!("{e}\n"));
+            let _ = writeln!(out, "{e}");
         }
         Some(out)
     }
 
-    /// The full document as a [`Json`] value — callers (like `scald-tv`)
-    /// may append extra top-level sections before printing.
+    /// The full JSON document, written straight to text by the returned
+    /// view; `scald-tv` appends its extra top-level sections through
+    /// [`ReportJson::write_with`].
     #[must_use]
-    pub fn json_value(&self) -> Json {
-        self.document(true)
+    pub fn json_value(&self) -> ReportJson<'_> {
+        ReportJson {
+            report: self,
+            effort: true,
+        }
     }
 
     /// The document of the [effort-stripped](Self::strip_effort) report:
-    /// byte-identical to `strip_effort().json_value()`, but built
+    /// byte-identical to `strip_effort().json_value()`, but written
     /// straight from this report without copying it first.
     #[must_use]
-    pub fn stripped_json_value(&self) -> Json {
-        self.document(false)
+    pub fn stripped_json_value(&self) -> ReportJson<'_> {
+        ReportJson {
+            report: self,
+            effort: false,
+        }
     }
 
-    /// The one document builder. Without `effort`, every field that
-    /// [`strip_effort`](Self::strip_effort) resets is written at its
-    /// reset value.
-    fn document(&self, effort: bool) -> Json {
-        let mut doc;
-        let stats = if effort {
+    /// The engine statistics the document writes: without `effort`,
+    /// every field that [`strip_effort`](Self::strip_effort) resets is
+    /// at its reset value.
+    fn engine_stats(&self, effort: bool) -> EngineStats {
+        if effort {
             self.engine
         } else {
             EngineStats {
@@ -711,7 +829,106 @@ impl Report {
                 eval_cache: None,
                 ..self.engine
             }
-        };
+        }
+    }
+
+    /// Streams the document into `w`, then lets `extra` append members
+    /// before the closing brace. Without `effort`, every field that
+    /// [`strip_effort`](Self::strip_effort) resets is written at its
+    /// reset value.
+    fn write_document<W: fmt::Write>(
+        &self,
+        w: &mut Writer<W>,
+        effort: bool,
+        extra: impl FnOnce(&mut Writer<W>) -> fmt::Result,
+    ) -> fmt::Result {
+        let stats = self.engine_stats(effort);
+        w.begin_object()?;
+        w.field("schema", REPORT_SCHEMA)?;
+        w.field("version", &REPORT_VERSION)?;
+        w.field("design", &self.design)?;
+        w.field("clean", &self.is_clean())?;
+        w.field("total_violations", &self.total_violations())?;
+        w.key("engine")?;
+        w.begin_object()?;
+        w.field("signals", &stats.signals)?;
+        w.field("prims", &stats.prims)?;
+        w.field("cases", &stats.cases)?;
+        w.field("jobs", &stats.jobs)?;
+        w.field("case_strategy", "auto")?;
+        w.field("events", &stats.events)?;
+        w.field("evaluations", &stats.evaluations)?;
+        w.field(
+            "wall_ns",
+            &stats
+                .verify_wall
+                .map(|d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)),
+        )?;
+        w.field("cache_hits", &stats.eval_cache.map(|c| c.hits))?;
+        w.field("cache_misses", &stats.eval_cache.map(|c| c.misses))?;
+        w.field("cache_entries", &stats.eval_cache.map(|c| c.entries))?;
+        w.field("period_ns", &self.period.as_ns())?;
+        w.end_object()?;
+        w.key("cases")?;
+        w.begin_array()?;
+        for case in &self.cases {
+            case.write_json(w, effort)?;
+        }
+        w.end_array()?;
+        let netlist = &self.summary.netlist;
+        w.key("slack")?;
+        w.begin_array()?;
+        for m in &self.slack {
+            let checker = netlist.prim(m.checker);
+            w.begin_object()?;
+            w.field("checker", checker.name())?;
+            w.field("signal", netlist.signal(checker.input(0).signal()).name())?;
+            w.field("setup_slack_ns", &m.setup_slack.map(Time::as_ns))?;
+            w.field("hold_slack_ns", &m.hold_slack.map(Time::as_ns))?;
+            w.field("pulse_slack_ns", &m.pulse_slack.map(Time::as_ns))?;
+            w.end_object()?;
+        }
+        w.end_array()?;
+        w.key("storage")?;
+        w.begin_object()?;
+        w.key("rows")?;
+        w.begin_array()?;
+        for (area, bytes, _pct) in self.storage.rows() {
+            w.begin_object()?;
+            w.field("area", area)?;
+            w.field("bytes", &bytes)?;
+            w.end_object()?;
+        }
+        w.end_array()?;
+        w.field("total_bytes", &self.storage.total())?;
+        w.field(
+            "value_records_per_signal",
+            &self.storage.value_records_per_signal(),
+        )?;
+        w.end_object()?;
+        w.key("assumed_stable")?;
+        w.begin_array()?;
+        for name in &self.assumed_stable {
+            w.str(name)?;
+        }
+        w.end_array()?;
+        w.key("summary")?;
+        self.summary.write_json(w)?;
+        // Schema v2: the probabilistic section is omitted (not null) when
+        // absent, so v1 consumers see a byte-for-byte v1 document.
+        if let Some(prob) = &self.probabilistic {
+            w.key("probabilistic")?;
+            prob.write_json(w)?;
+        }
+        extra(w)?;
+        w.end_object()
+    }
+
+    /// The document as a [`Json`] tree: the builder the streamed
+    /// document replaced, kept as its oracle ([`ReportJson::tree`]).
+    fn document(&self, effort: bool) -> Json {
+        let mut doc;
+        let stats = self.engine_stats(effort);
         let engine = Json::Obj(vec![
             ("signals".into(), Json::from(stats.signals as u64)),
             ("prims".into(), Json::from(stats.prims as u64)),
@@ -829,6 +1046,71 @@ impl Report {
     #[must_use]
     pub fn to_json(&self) -> String {
         self.json_value().to_string_pretty()
+    }
+}
+
+/// A report's JSON document (schema in the module docs), borrowed from
+/// the report and written straight to text: `Display` is the compact
+/// form, [`to_string_pretty`](Self::to_string_pretty) the pretty one, and
+/// [`write`](Self::write) streams it into any [`Writer`]. Nothing is
+/// built per row: names are read from the netlist and each distinct
+/// folded wave of the summary is formatted once.
+#[derive(Debug, Clone, Copy)]
+pub struct ReportJson<'r> {
+    report: &'r Report,
+    effort: bool,
+}
+
+impl ReportJson<'_> {
+    /// Pretty-printed with two-space indentation and a trailing newline,
+    /// as [`Json::to_string_pretty`] prints the same document.
+    #[must_use]
+    pub fn to_string_pretty(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut Writer::pretty(&mut out))
+            .expect("String write cannot fail");
+        out.push('\n');
+        out
+    }
+
+    /// Writes the document as the writer's next value.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the writer's output returns.
+    pub fn write<W: fmt::Write>(&self, w: &mut Writer<W>) -> fmt::Result {
+        self.write_with(w, |_| Ok(()))
+    }
+
+    /// Writes the document, letting `extra` append top-level members
+    /// (each a key and its value) after the last section — the hook
+    /// `scald-tv` writes its `netlist`, `paths` and `expansion` sections
+    /// through.
+    ///
+    /// # Errors
+    ///
+    /// Whatever the writer's output or `extra` returns.
+    pub fn write_with<W: fmt::Write>(
+        &self,
+        w: &mut Writer<W>,
+        extra: impl FnOnce(&mut Writer<W>) -> fmt::Result,
+    ) -> fmt::Result {
+        self.report.write_document(w, self.effort, extra)
+    }
+
+    /// The same document built as a [`Json`] tree, one node per value:
+    /// the reference the tests compare the streamed bytes against. No
+    /// program path calls it.
+    #[must_use]
+    pub fn tree(&self) -> Json {
+        self.report.document(self.effort)
+    }
+}
+
+impl fmt::Display for ReportJson<'_> {
+    /// The compact (single-line) document.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.write(&mut Writer::compact(f))
     }
 }
 
@@ -973,7 +1255,20 @@ impl SummaryRows {
         out
     }
 
-    /// The document's `summary` rows.
+    /// Writes the document's `summary` rows.
+    fn write_json<W: fmt::Write>(&self, w: &mut Writer<W>) -> fmt::Result {
+        let (index, waves) = self.per_wave(ToString::to_string);
+        w.begin_array()?;
+        for (row, &i) in self.rows.iter().zip(&index) {
+            w.begin_object()?;
+            w.field("signal", self.name(row))?;
+            w.field("wave", &waves[i as usize])?;
+            w.end_object()?;
+        }
+        w.end_array()
+    }
+
+    /// The tree [`write_json`](Self::write_json) streams.
     fn json(&self) -> Json {
         let (index, waves) = self.per_wave(ToString::to_string);
         Json::Arr(
@@ -1028,13 +1323,14 @@ impl SummaryRows {
 pub(crate) fn format_xref(assumed_stable: &[String], clock_driver_notes: &[String]) -> String {
     let mut out = String::from("SIGNALS ASSUMED ALWAYS STABLE (no assertion, not generated):\n");
     for name in assumed_stable {
-        out.push_str(&format!("  {name}\n"));
+        let _ = writeln!(out, "  {name}");
     }
     for note in clock_driver_notes {
-        out.push_str(&format!(
+        let _ = writeln!(
+            out,
             "NOTE: {note} carries a clock assertion and is also generated; \
-             the asserted (de-skewed) timing is used.\n"
-        ));
+             the asserted (de-skewed) timing is used."
+        );
     }
     out
 }
@@ -1125,6 +1421,130 @@ mod tests {
         assert_eq!(r.of_kind(ViolationKind::Setup).len(), 1);
         assert_eq!(r.of_kind(ViolationKind::Hold).len(), 0);
         assert!(r.to_string().contains("case 1"));
+    }
+
+    /// The `--slack` listing as it was formatted: a `format!` per row
+    /// and a `String` per slack cell.
+    fn oracle_slack_text(report: &Report) -> String {
+        let fmt_slack =
+            |s: Option<Time>| s.map_or_else(|| "     -".to_owned(), |t| format!("{t:>6}"));
+        let mut out = format!(
+            "{:<40} {:>8} {:>8} {:>8}\n",
+            "CHECKER", "SETUP", "HOLD", "PULSE"
+        );
+        for m in &report.slack {
+            out.push_str(&format!(
+                "{:<40} {:>8} {:>8} {:>8}\n",
+                report.summary.netlist.prim(m.checker).name(),
+                fmt_slack(m.setup_slack),
+                fmt_slack(m.hold_slack),
+                fmt_slack(m.pulse_slack)
+            ));
+        }
+        out
+    }
+
+    /// The cross-reference as it was formatted: a `format!` per line.
+    fn oracle_xref(assumed_stable: &[String], clock_driver_notes: &[String]) -> String {
+        let mut out =
+            String::from("SIGNALS ASSUMED ALWAYS STABLE (no assertion, not generated):\n");
+        for name in assumed_stable {
+            out.push_str(&format!("  {name}\n"));
+        }
+        for note in clock_driver_notes {
+            out.push_str(&format!(
+                "NOTE: {note} carries a clock assertion and is also generated; \
+                 the asserted (de-skewed) timing is used.\n"
+            ));
+        }
+        out
+    }
+
+    /// The probabilistic listing as it was formatted: a `format!` per
+    /// line.
+    fn oracle_probabilistic_text(report: &Report) -> Option<String> {
+        let prob = report.probabilistic.as_ref()?;
+        let mut out = format!(
+            "probabilistic timing at rho = {} ({} endpoint(s)):\n",
+            prob.rho,
+            prob.endpoints.len()
+        );
+        for e in &prob.endpoints {
+            out.push_str(&format!("{e}\n"));
+        }
+        Some(out)
+    }
+
+    #[test]
+    fn listings_match_the_format_oracle() {
+        let src = include_str!("../../../designs/register_file.scald");
+        let design = scald_hdl::parse(src).expect("the register file parses");
+        let register_file = scald_hdl::expand(&design)
+            .expect("the register file expands")
+            .netlist;
+        let (scale, _) =
+            scald_gen::scale::scale_netlist(&scald_gen::scale::ScaleOptions::prims(3_000));
+        // Undriven, unasserted inputs: the cross-reference lists them.
+        let mut b = scald_netlist::NetlistBuilder::new(scald_netlist::Config::s1_example());
+        for (i, name) in ["DATA IN", "LOAD", "ÉCLAT"].iter().enumerate() {
+            let input = b.signal(name).expect("a plain name");
+            let output = b.signal(&format!("Q{i}")).expect("a plain name");
+            b.buf(
+                format!("B{i}"),
+                scald_wave::DelayRange::from_ns(1.0, 3.0),
+                input,
+                output,
+            );
+        }
+        let undriven = b.finish().expect("the netlist builds");
+        let (mut slack_rows, mut stable_rows) = (0, 0);
+        for (label, netlist) in [
+            ("register_file", register_file),
+            ("scale 3k", scale),
+            ("undriven", undriven),
+        ] {
+            let mut v = crate::Verifier::new(netlist);
+            let outcome = v
+                .run(&crate::RunOptions::new())
+                .expect("the design settles");
+            let mut report = v.report(label, &outcome.cases);
+            slack_rows += report.slack.len();
+            stable_rows += report.assumed_stable.len();
+            assert_eq!(report.slack_text(), oracle_slack_text(&report), "{label}");
+            assert_eq!(
+                report.probabilistic_text(),
+                oracle_probabilistic_text(&report),
+                "{label}"
+            );
+            report
+                .clock_driver_notes
+                .extend(["CK .P2-3".to_owned(), "ÉCLAT \"B\"".to_owned()]);
+            let xref = oracle_xref(&report.assumed_stable, &report.clock_driver_notes);
+            assert_eq!(report.xref_text(), xref, "{label}");
+            report.probabilistic = Some(ProbSection {
+                rho: 0.25,
+                endpoints: (0..3)
+                    .map(|i| ProbEndpoint {
+                        endpoint: format!("DATA BUS {i} .S0-{i}"),
+                        constraint_source: format!("TOP/REG CHK#{i}"),
+                        arrival_mean_ns: 41.2 + f64::from(i),
+                        arrival_sigma_ns: 1.7,
+                        slack_mean_ns: 6.3 - 4.0 * f64::from(i),
+                        slack_sigma_ns: 1.7,
+                        deadline_ns: 47.5,
+                        worst_case_ns: 46.1,
+                        violation_probability: 1e-4 * f64::from(i),
+                    })
+                    .collect(),
+            });
+            assert_eq!(
+                report.probabilistic_text(),
+                oracle_probabilistic_text(&report),
+                "{label} + probabilistic"
+            );
+        }
+        assert!(slack_rows > 500, "{slack_rows} slack rows");
+        assert!(stable_rows > 0, "no assumed-stable signal");
     }
 
     #[test]

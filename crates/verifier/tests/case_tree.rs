@@ -79,7 +79,8 @@ fn random_sweep(rng: &mut Rng) -> CaseSet {
 /// The installed state's stripped slack, storage and summary sections —
 /// what `state`, the listings and a report read after a run.
 fn installed_state(v: &Verifier) -> String {
-    let doc = v.report("case-tree", &[]).stripped_json_value();
+    let text = v.report("case-tree", &[]).stripped_json_value().to_string();
+    let doc = scald_trace::json::parse(&text).expect("the document parses");
     ["slack", "storage", "summary"]
         .iter()
         .map(|key| doc.get(key).expect("report section").to_string())

@@ -71,7 +71,7 @@
 use scald::hdl;
 use scald::incr::{report_diff, Delta, DesignInput, IncrStats, Session, SessionBuilder};
 use scald::serve::{serve, ServeOptions};
-use scald::trace::json::Json;
+use scald::trace::json::Writer;
 use scald::trace::JsonlSink;
 use scald::verifier::{
     Case, CaseResult, CaseSet, RunOptions, Verifier, VerifierBuilder, VerifyError, Violation,
@@ -742,60 +742,53 @@ fn main() -> ExitCode {
     } else {
         // One versioned document; requested listings that are not already
         // part of the schema ride along as extra top-level sections.
-        let Json::Obj(mut fields) = report.json_value() else {
-            unreachable!("Report::json_value returns an object");
-        };
-        if let Some(listing) = &netlist_listing {
-            fields.push((
-                "netlist".to_owned(),
-                Json::Arr(listing.lines().map(Json::str).collect()),
-            ));
-        }
-        if let Some(lines) = &paths_listing {
-            fields.push((
-                "paths".to_owned(),
-                Json::Arr(lines.iter().map(Json::str).collect()),
-            ));
-        }
-        if opts.wants(Listing::Stats) {
-            let wall = (
-                "wall_ns".to_owned(),
-                Json::from(u64::try_from(expand_time.as_nanos()).unwrap_or(u64::MAX)),
-            );
-            let expansion_fields = match &expand_stats {
-                ExpandInfo::Scald(s) => vec![
-                    (
-                        "macros_defined".to_owned(),
-                        Json::from(s.macros_defined as u64),
-                    ),
-                    (
-                        "instances_expanded".to_owned(),
-                        Json::from(s.instances_expanded as u64),
-                    ),
-                    (
-                        "prims_emitted".to_owned(),
-                        Json::from(s.prims_emitted as u64),
-                    ),
-                    ("signals".to_owned(), Json::from(s.signals as u64)),
-                    wall,
-                ],
-                ExpandInfo::Rtl(s) => vec![
-                    ("modules".to_owned(), Json::from(s.modules as u64)),
-                    (
-                        "instances_flattened".to_owned(),
-                        Json::from(s.instances_flattened as u64),
-                    ),
-                    (
-                        "prims_emitted".to_owned(),
-                        Json::from(s.prims_emitted as u64),
-                    ),
-                    ("signals".to_owned(), Json::from(s.signals as u64)),
-                    wall,
-                ],
-            };
-            fields.push(("expansion".to_owned(), Json::Obj(expansion_fields)));
-        }
-        print!("{}", Json::Obj(fields).to_string_pretty());
+        let expand_wall = u64::try_from(expand_time.as_nanos()).unwrap_or(u64::MAX);
+        let mut doc = String::new();
+        let mut w = Writer::pretty(&mut doc);
+        report
+            .json_value()
+            .write_with(&mut w, |w| {
+                if let Some(listing) = &netlist_listing {
+                    w.key("netlist")?;
+                    w.begin_array()?;
+                    for line in listing.lines() {
+                        w.str(line)?;
+                    }
+                    w.end_array()?;
+                }
+                if let Some(lines) = &paths_listing {
+                    w.key("paths")?;
+                    w.begin_array()?;
+                    for line in lines {
+                        w.str(line)?;
+                    }
+                    w.end_array()?;
+                }
+                if opts.wants(Listing::Stats) {
+                    w.key("expansion")?;
+                    w.begin_object()?;
+                    match &expand_stats {
+                        ExpandInfo::Scald(s) => {
+                            w.field("macros_defined", &s.macros_defined)?;
+                            w.field("instances_expanded", &s.instances_expanded)?;
+                            w.field("prims_emitted", &s.prims_emitted)?;
+                            w.field("signals", &s.signals)?;
+                        }
+                        ExpandInfo::Rtl(s) => {
+                            w.field("modules", &s.modules)?;
+                            w.field("instances_flattened", &s.instances_flattened)?;
+                            w.field("prims_emitted", &s.prims_emitted)?;
+                            w.field("signals", &s.signals)?;
+                        }
+                    }
+                    w.field("wall_ns", &expand_wall)?;
+                    w.end_object()?;
+                }
+                Ok(())
+            })
+            .expect("String write cannot fail");
+        doc.push('\n');
+        print!("{doc}");
     }
 
     if total == 0 {

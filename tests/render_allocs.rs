@@ -4,8 +4,8 @@
 //!
 //! - Per signal: while a settled verifier builds its report
 //!   (`Verifier::report`), and while the finished report becomes text —
-//!   the JSON document (`Report::json_value` +
-//!   `Json::to_string_pretty`) and the Fig 3-10 summary listing
+//!   the JSON document streamed by `Report::json_value()`'s
+//!   `to_string_pretty` and the Fig 3-10 summary listing
 //!   (`Report::summary_text`), the calls a `scald-tv --format json
 //!   --summary` run makes. Each count per signal must stay within its
 //!   budget.
@@ -98,8 +98,10 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, Tally) {
 /// every slack row copied its checker's and signal's names).
 const REPORT_BUDGET_PER_SIGNAL: f64 = 0.15;
 /// Largest number of allocations (reallocations included) rendering may
-/// cost per signal of the design.
-const BUDGET_PER_SIGNAL: f64 = 8.0;
+/// cost per signal of the design: 0.17 measured with the document
+/// streamed, so one allocation per summary row fails it; 6.6
+/// when the document was built as a `Json` tree first (budget 8).
+const BUDGET_PER_SIGNAL: f64 = 0.3;
 
 #[test]
 fn s1_report_renders_within_its_allocation_budget() {
@@ -133,7 +135,7 @@ fn s1_report_renders_within_its_allocation_budget() {
          {report_per_signal:.2} per signal"
     );
     let per_signal = allocations as f64 / signals as f64;
-    println!("{allocations} allocations for {signals} signals: {per_signal:.1} per signal");
+    println!("{allocations} allocations for {signals} signals: {per_signal:.2} per signal");
     assert!(
         report_per_signal <= REPORT_BUDGET_PER_SIGNAL,
         "building the report made {report_allocations} allocations for {signals} signals \
@@ -142,7 +144,7 @@ fn s1_report_renders_within_its_allocation_budget() {
     assert!(
         per_signal <= BUDGET_PER_SIGNAL,
         "rendering made {allocations} allocations for {signals} signals \
-         ({per_signal:.1} per signal, budget {BUDGET_PER_SIGNAL})"
+         ({per_signal:.2} per signal, budget {BUDGET_PER_SIGNAL})"
     );
 }
 
